@@ -47,7 +47,8 @@ package model
 // E1 matrix numbers are reported in oracle mode.
 
 import (
-	"bytes"
+	"encoding/binary"
+	"fmt"
 
 	"ttastar/internal/mc"
 )
@@ -70,17 +71,23 @@ func (m *Model) Reducible() bool {
 // whose fault-assignment filter works modulo the reduction's observable
 // projection, paired with the in-place canonicalizer. Successor
 // enumeration itself stays concrete — the engine checks the invariant on
-// raw successors first and canonicalizes before claiming.
+// raw successors first and canonicalizes before claiming. Only here, and
+// only for a Reducible configuration, does an expander get its
+// fast-forward memo: one per worker per search, never shared.
 func (m *Model) NewReducedExpander() mc.CanonicalExpander {
 	e := m.newExpander()
 	e.reduce = m.Reducible()
+	if e.reduce {
+		e.memo = make([]ffEntry, ffMemoSize)
+	}
 	return e
 }
 
 // Canonicalize returns the canonical representative of enc's reduction
 // class; enc itself when the configuration is not Reducible. It is the
 // allocating convenience form of Expander.Canonicalize for tests and
-// trace tooling.
+// trace tooling; its pooled expanders carry no memo, so every call walks
+// its chain in full.
 func (m *Model) Canonicalize(enc mc.State) mc.State {
 	e := m.expanders.Get().(*Expander)
 	buf := append(make([]byte, 0, len(enc)), enc...)
@@ -97,80 +104,213 @@ func (m *Model) Canonicalize(enc mc.State) mc.State {
 // function of the input state.
 const ffCap = 1024
 
-// Canonicalize rewrites enc in place to its class representative. It
-// reuses the Expander's decode scratch, so like Successors it performs
-// no steady-state allocation; enc must not alias a state the caller
-// still needs in concrete form. Safe between Successors calls on the
-// same Expander (the scratch is dead at that point), not during them.
+// ffMemoBits sizes the fast-forward memo: 2^12 direct-mapped entries of
+// 56 bytes, about 229 KB per reduced expander. The table must stay
+// cache-resident — on the 6-node quotient a 2^16-entry table ran slower
+// and added ~24 MB of peak RSS — and a reachable walk revisits a small
+// working set of chains, so a fixed size is not a tuning knob.
+const (
+	ffMemoBits = 12
+	ffMemoSize = 1 << ffMemoBits
+)
+
+// ffKey is a packed encoding held as three big-endian words of its
+// zero-padded candBytes form. Word order and in-word bit order both
+// follow the byte string, so key equality is byte equality and
+// lexicographic word order is bytes.Compare order.
+type ffKey [candBytes / 8]uint64
+
+// loadKey reads a packed encoding of at most candBytes bytes.
+func loadKey(enc []byte) ffKey {
+	var p [candBytes]byte
+	copy(p[:], enc)
+	return ffKey{
+		binary.BigEndian.Uint64(p[0:8]),
+		binary.BigEndian.Uint64(p[8:16]),
+		binary.BigEndian.Uint64(p[16:24]),
+	}
+}
+
+// store writes the key's leading len(enc) bytes into enc.
+func (k ffKey) store(enc []byte) {
+	var p [candBytes]byte
+	binary.BigEndian.PutUint64(p[0:8], k[0])
+	binary.BigEndian.PutUint64(p[8:16], k[1])
+	binary.BigEndian.PutUint64(p[16:24], k[2])
+	copy(enc, p[:])
+}
+
+// less orders keys as bytes.Compare orders their encodings.
+func (k ffKey) less(o ffKey) bool {
+	if k[0] != o[0] {
+		return k[0] < o[0]
+	}
+	if k[1] != o[1] {
+		return k[1] < o[1]
+	}
+	return k[2] < o[2]
+}
+
+// hash mixes the key into a memo index.
+func (k ffKey) hash() uint64 { return mix3(k[0], k[1], k[2]) }
+
+// ffEntry memoizes one exiting chain walk: the chain from key leaves the
+// all-{listen, cold_start} region dist steps later, at rep — the last
+// state inside. The zero key never occurs (a memoized state's first
+// phase is listen or cold_start), so a zero entry is empty.
+type ffEntry struct {
+	key, rep ffKey
+	dist     uint32
+}
+
+// Canonicalize rewrites enc in place to its class representative,
+// working on the packed bytes. Phases are read in place, a freeze
+// record is overwritten with the init record, and every bit past the
+// node records is overwritten with the empty tail (FrameNone couplers,
+// zero out-of-slot counter, zero padding). Only an all-{listen,
+// cold_start} state needs more: its deterministic chain is looked up in
+// the memo and, on a miss, decoded once and walked.
+//
+// The memo is a pure cache. Keys are whole encodings, entries record
+// exiting walks only, and a hit is taken only when it lands where the
+// capped walk would (steps so far + dist <= ffCap), so the result is the
+// same whatever the table holds — and so for every worker count. Like
+// Successors it performs no steady-state allocation; enc must not alias
+// a state the caller still needs in concrete form. Safe between
+// Successors calls on the same Expander (the decode scratch is dead at
+// that point), not during them.
 func (e *Expander) Canonicalize(enc []byte) {
-	m := e.m
-	if !m.Reducible() {
+	if !e.m.Reducible() {
 		return
 	}
-	m.decodeInto(enc, &e.s)
-	cur := &e.s
+	if len(enc) != e.size {
+		panic(fmt.Sprintf("model: binary state is %d bytes, want %d", len(enc), e.size))
+	}
+	n := len(e.s.Nodes)
 	allLC := true
-	for i := range cur.Nodes {
-		switch cur.Nodes[i].Phase {
+	for i := 0; i < n; i++ {
+		switch Phase(phaseBits(enc, i)) {
 		case PhaseFreeze:
-			cur.Nodes[i] = NodeState{Phase: PhaseInit}
+			setInitRecord(enc, i)
 			allLC = false
 		case PhaseListen, PhaseColdStart:
 		default:
 			allLC = false
 		}
 	}
-	clearTail(cur, m.cfg.Couplers)
-	if allLC {
-		cur = e.fastForward(cur)
+	b := bitsPerNode * n >> 3
+	if n&1 == 1 { // the tail starts mid-byte
+		enc[b] = enc[b]&0xF0 | e.emptyTail[b]&0x0F
+		b++
 	}
-	e.canonBuf = m.appendBinary(e.canonBuf[:0], cur)
-	copy(enc, e.canonBuf)
+	copy(enc[b:], e.emptyTail[b:e.size])
+	if !allLC {
+		return
+	}
+	k := loadKey(enc)
+	if rep, _, ok := e.memoGet(k, 0); ok {
+		rep.store(enc)
+		return
+	}
+	e.fastForward(enc, k).store(enc)
+}
+
+// setInitRecord overwrites node i's 20-bit record with a fresh init
+// record: phase init, every other field zero.
+func setInitRecord(enc []byte, i int) {
+	bit := bitsPerNode * i
+	b := bit >> 3
+	if bit&7 == 0 {
+		enc[b], enc[b+1], enc[b+2] = byte(PhaseInit)<<4, 0, enc[b+2]&0x0F
+	} else {
+		enc[b], enc[b+1], enc[b+2] = enc[b]&0xF0|byte(PhaseInit), 0, 0
+	}
+}
+
+// memoGet looks k up, taking a hit only when the memoized exit lies
+// within the cap for a walk that reached k after steps steps.
+func (e *Expander) memoGet(k ffKey, steps int) (ffKey, int, bool) {
+	if e.memo == nil {
+		return ffKey{}, 0, false
+	}
+	ent := &e.memo[k.hash()&(ffMemoSize-1)]
+	if ent.key != k || steps+int(ent.dist) > ffCap {
+		return ffKey{}, 0, false
+	}
+	return ent.rep, int(ent.dist), true
+}
+
+// memoize records every state of the walked path (e.ffPath) as exiting
+// at rep, the path's last state being dist steps short of it; a no-op
+// for a memo-less expander.
+func (e *Expander) memoize(rep ffKey, dist int) {
+	if e.memo == nil {
+		return
+	}
+	last := len(e.ffPath) - 1
+	for j, k := range e.ffPath {
+		e.memo[k.hash()&(ffMemoSize-1)] = ffEntry{key: k, rep: rep, dist: uint32(last - j + dist)}
+	}
+}
+
+// packKey packs s's node records over the empty tail.
+func (e *Expander) packKey(s *State) ffKey {
+	k := e.tailKey
+	for i := range s.Nodes {
+		w := uint64(nodeWord(&s.Nodes[i]))
+		pos := bitsPerNode * i
+		sh := 64 - pos&63 - bitsPerNode
+		if sh >= 0 {
+			k[pos>>6] |= w << sh
+		} else { // the record straddles two words
+			k[pos>>6] |= w >> -sh
+			k[pos>>6+1] |= w << (64 + sh)
+		}
+	}
+	return k
 }
 
 // fastForward chases the deterministic masked chain from the
-// all-{listen, cold_start} state cur until it exits the region —
-// returning the last in-region state, whose exit transition the checker
-// then explores normally — or, when the chain settles into an in-region
-// cycle, returns the cycle's minimal-encoding state. The cycle case uses
-// Brent's algorithm so only two extra state scratches are needed: both
+// all-{listen, cold_start} state enc (key k, tail already empty) until
+// it exits the region — returning the last in-region state, whose exit
+// transition the checker then explores normally — or, when the chain
+// settles into an in-region cycle, returns the cycle's minimal-encoding
+// state. Cycles are found with Brent's algorithm over the keys. Both
 // outcomes are fixed points of the procedure, which makes Canonicalize
-// idempotent. cur must be one of e.s/e.next; the returned pointer is one
-// of the Expander's four state scratches.
-func (e *Expander) fastForward(cur *State) *State {
+// idempotent. Exiting walks, and walks that reach a memoized state, are
+// memoized along their whole path; cycles and truncated walks are not.
+func (e *Expander) fastForward(enc []byte, k ffKey) ffKey {
 	m := e.m
-	spare := &e.next
-	if cur == spare {
-		spare = &e.s
-	}
-	n := len(cur.Nodes)
-	growNodes(spare, n)
-	growNodes(&e.ffTort, n)
-	growNodes(&e.ffMin, n)
-	clearTail(spare, e.nc)
-	clearTail(&e.ffTort, e.nc)
-	clearTail(&e.ffMin, e.nc)
+	m.decodeInto(enc, &e.s)
+	cur, spare := &e.s, &e.next
+	e.ffPath = append(e.ffPath[:0], k)
 
 	// Brent's cycle detection over f = stepSilentChain: the tortoise
 	// holds a checkpoint at the last power of two, the chain itself is
-	// the hare. An exit at any point wins immediately.
-	tort := &e.ffTort
-	copy(tort.Nodes, cur.Nodes)
+	// the hare. An exit or a memo hit at any point wins immediately.
+	tort := k
 	lam, power := 0, 1
 	for steps := 0; ; steps++ {
 		if steps >= ffCap {
-			return cur
+			return k
 		}
 		if !m.stepSilentChain(cur, spare) {
-			return cur // chain exits the region: keep the last state inside
+			e.memoize(k, 0) // chain exits the region: keep the last state inside
+			return k
 		}
 		cur, spare = spare, cur
+		k = e.packKey(cur)
 		lam++
-		if sameNodes(cur, tort) {
+		e.ffPath = append(e.ffPath, k)
+		if rep, d, ok := e.memoGet(k, steps+1); ok {
+			e.memoize(rep, d)
+			return rep
+		}
+		if k == tort {
 			break // in a cycle of length lam
 		}
 		if lam == power {
-			copy(tort.Nodes, cur.Nodes)
+			tort = k
 			power *= 2
 			lam = 0
 		}
@@ -178,62 +318,27 @@ func (e *Expander) fastForward(cur *State) *State {
 
 	// Walk the cycle once and keep its minimal encoding — the one
 	// representative every chain feeding this cycle agrees on.
-	min := &e.ffMin
-	copy(min.Nodes, cur.Nodes)
-	e.ffBuf = m.appendBinary(e.ffBuf[:0], min)
+	min := k
 	for i := 1; i < lam; i++ {
 		if !m.stepSilentChain(cur, spare) {
-			return cur // unreachable: a detected cycle stays in-region
+			return k // unreachable: a detected cycle stays in-region
 		}
 		cur, spare = spare, cur
-		e.canonBuf = m.appendBinary(e.canonBuf[:0], cur)
-		if bytes.Compare(e.canonBuf, e.ffBuf) < 0 {
-			copy(min.Nodes, cur.Nodes)
-			e.ffBuf = append(e.ffBuf[:0], e.canonBuf...)
+		k = e.packKey(cur)
+		if k.less(min) {
+			min = k
 		}
 	}
 	return min
 }
 
-// growNodes ensures s.Nodes holds n records.
-func growNodes(s *State, n int) {
-	if cap(s.Nodes) < n {
-		s.Nodes = make([]NodeState, n)
-	}
-	s.Nodes = s.Nodes[:n]
-}
-
-// sameNodes reports whether two states agree on their node records; the
-// fast-forward scratches keep their tails identically empty, so this is
-// full state equality there.
-func sameNodes(a, b *State) bool {
-	for i := range a.Nodes {
-		if a.Nodes[i] != b.Nodes[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// clearTail resets the dead coupler/out-of-slot tail to its empty value:
-// FrameNone for the model's nc couplers (the decoded form of the encoded
-// empty tail), zero for the padding entries past them.
-func clearTail(s *State, nc int) {
-	for c := 0; c < nc; c++ {
-		s.Couplers[c] = CouplerState{BufferedKind: FrameNone}
-	}
-	for c := nc; c < MaxCouplers; c++ {
-		s.Couplers[c] = CouplerState{}
-	}
-	s.OutOfSlotUsed = 0
-}
-
 // stepSilentChain advances an all-{listen, cold_start} state by one slot
-// under the fault-free assignment, writing the successor into dst with
-// the tail kept empty, and reports whether the successor is still inside
-// the all-{listen, cold_start} region. By the fault-invisibility lemma
-// (see the package comment above and TestSilentRegionFaultInvisibility)
-// this is the unique masked successor of the whole fault menu.
+// under the fault-free assignment, writing the successor's node records
+// into dst.Nodes (its tail is left untouched: in the region it is dead),
+// and reports whether the successor is still inside the all-{listen,
+// cold_start} region. By the fault-invisibility lemma (see the package
+// comment above and TestSilentRegionFaultInvisibility) this is the
+// unique masked successor of the whole fault menu.
 func (m *Model) stepSilentChain(src, dst *State) bool {
 	nominal, activity := m.nominalContent(src)
 	var ch [MaxCouplers]Content
@@ -254,7 +359,6 @@ func (m *Model) stepSilentChain(src, dst *State) bool {
 			inRegion = false
 		}
 	}
-	clearTail(dst, m.cfg.Couplers)
 	return inRegion
 }
 

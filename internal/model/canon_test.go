@@ -1,6 +1,12 @@
 package model
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ttastar/internal/guardian"
@@ -258,7 +264,12 @@ func TestReducedCounterexampleDecanonicalizes(t *testing.T) {
 }
 
 // TestCanonicalizeZeroAlloc: the canonicalizer shares the claim path's
-// zero-allocation budget.
+// zero-allocation budget on every path — a plain collapse, a memo miss
+// that walks and memoizes its chain, and a memo hit — once the walk's
+// path scratch has grown. Only reduced expanders of a Reducible
+// configuration carry the memo: the oracle mode's expanders and those of
+// non-reducible configurations (full shifting, a single coupler) never
+// allocate it.
 func TestCanonicalizeZeroAlloc(t *testing.T) {
 	m := mustModel(t, Config{Authority: guardian.AuthoritySmallShift})
 	e := m.NewReducedExpander().(*Expander)
@@ -274,6 +285,48 @@ func TestCanonicalizeZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Canonicalize allocates: %.1f allocs/op", allocs)
+	}
+
+	// An all-listen state whose chain runs through the listen timeouts
+	// into a cold start: a memo miss walks, a repeat hits.
+	st := State{Nodes: make([]NodeState, 4)}
+	for i := range st.Nodes {
+		st.Nodes[i] = m.enterListen(uint8(i + 1))
+	}
+	clearTail(&st, m.Config().Couplers)
+	listen := []byte(m.Encode(st))
+	k := loadKey(listen)
+	e.Canonicalize(append([]byte(nil), listen...)) // grow the path scratch
+	if _, d, ok := e.memoGet(k, 0); !ok || d == 0 {
+		t.Fatalf("walked chain not memoized: hit=%v dist=%d", ok, d)
+	}
+	allocs = testing.AllocsPerRun(200, func() {
+		copy(enc, listen)
+		clear(e.memo)
+		e.Canonicalize(enc)
+	})
+	if allocs != 0 {
+		t.Errorf("Canonicalize allocates on a memo miss: %.1f allocs/op", allocs)
+	}
+	allocs = testing.AllocsPerRun(200, func() {
+		copy(enc, listen)
+		e.Canonicalize(enc)
+	})
+	if allocs != 0 {
+		t.Errorf("Canonicalize allocates on a memo hit: %.1f allocs/op", allocs)
+	}
+
+	if m.NewExpander().(*Expander).memo != nil {
+		t.Error("oracle-mode expander allocated the fast-forward memo")
+	}
+	for _, cfg := range []Config{
+		{Authority: guardian.AuthorityFullShift},
+		{Authority: guardian.AuthoritySmallShift, Couplers: 1},
+		{Authority: guardian.AuthoritySmallShift, AllowHostStates: true},
+	} {
+		if mustModel(t, cfg).NewReducedExpander().(*Expander).memo != nil {
+			t.Errorf("%+v: non-reducible expander allocated the fast-forward memo", cfg)
+		}
 	}
 }
 
@@ -300,4 +353,392 @@ func TestReducedFaSignature(t *testing.T) {
 		reducedFaSignature([MaxCouplers]Content{none, cs}, 2, true) {
 		t.Error("distinct channel outcomes identified")
 	}
+}
+
+// clearTail resets the dead coupler/out-of-slot tail to its empty value:
+// FrameNone for the model's nc couplers (the decoded form of the encoded
+// empty tail), zero for the padding entries past them.
+func clearTail(s *State, nc int) {
+	for c := 0; c < nc; c++ {
+		s.Couplers[c] = CouplerState{BufferedKind: FrameNone}
+	}
+	for c := nc; c < MaxCouplers; c++ {
+		s.Couplers[c] = CouplerState{}
+	}
+	s.OutOfSlotUsed = 0
+}
+
+// refCanon is the decode → collapse → fast-forward → re-encode
+// canonicalizer that Expander.Canonicalize replaced, kept as its test
+// oracle. It works on decoded States: it rewrites freeze records and
+// clears the tail field by field, walks the silent chain with Brent's
+// cycle detection over node records, and compares cycle members by
+// re-encoding them. It has no memo.
+type refCanon struct {
+	m                  *Model
+	s, next, tort, min State
+	buf, minBuf        []byte
+}
+
+func newRefCanon(m *Model) *refCanon {
+	n := m.Config().Nodes
+	r := &refCanon{m: m}
+	for _, s := range []*State{&r.s, &r.next, &r.tort, &r.min} {
+		s.Nodes = make([]NodeState, n)
+	}
+	return r
+}
+
+// canonicalize rewrites enc in place to its class representative.
+func (r *refCanon) canonicalize(enc []byte) {
+	m := r.m
+	if !m.Reducible() {
+		return
+	}
+	m.decodeInto(enc, &r.s)
+	cur := &r.s
+	allLC := true
+	for i := range cur.Nodes {
+		switch cur.Nodes[i].Phase {
+		case PhaseFreeze:
+			cur.Nodes[i] = NodeState{Phase: PhaseInit}
+			allLC = false
+		case PhaseListen, PhaseColdStart:
+		default:
+			allLC = false
+		}
+	}
+	clearTail(cur, m.cfg.Couplers)
+	if allLC {
+		cur = r.fastForward(cur)
+	}
+	r.buf = m.appendBinary(r.buf[:0], cur)
+	copy(enc, r.buf)
+}
+
+// fastForward returns the last in-region state of cur's chain, or the
+// minimal-encoding state of the in-region cycle it settles into, or the
+// state ffCap steps on.
+func (r *refCanon) fastForward(cur *State) *State {
+	m := r.m
+	spare := &r.next
+	clearTail(spare, m.cfg.Couplers)
+	clearTail(&r.tort, m.cfg.Couplers)
+	clearTail(&r.min, m.cfg.Couplers)
+
+	tort := &r.tort
+	copy(tort.Nodes, cur.Nodes)
+	lam, power := 0, 1
+	for steps := 0; ; steps++ {
+		if steps >= ffCap {
+			return cur
+		}
+		if !m.stepSilentChain(cur, spare) {
+			return cur
+		}
+		cur, spare = spare, cur
+		lam++
+		if sameNodes(cur, tort) {
+			break
+		}
+		if lam == power {
+			copy(tort.Nodes, cur.Nodes)
+			power *= 2
+			lam = 0
+		}
+	}
+
+	min := &r.min
+	copy(min.Nodes, cur.Nodes)
+	r.minBuf = m.appendBinary(r.minBuf[:0], min)
+	for i := 1; i < lam; i++ {
+		if !m.stepSilentChain(cur, spare) {
+			return cur
+		}
+		cur, spare = spare, cur
+		r.buf = m.appendBinary(r.buf[:0], cur)
+		if bytes.Compare(r.buf, r.minBuf) < 0 {
+			copy(min.Nodes, cur.Nodes)
+			r.minBuf = append(r.minBuf[:0], r.buf...)
+		}
+	}
+	return min
+}
+
+// sameNodes reports whether two states agree on their node records.
+func sameNodes(a, b *State) bool {
+	for i := range a.Nodes {
+		if a.Nodes[i] != b.Nodes[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// collapsedKey is the memo key Canonicalize consults for enc — its
+// encoding with the tail reset — when every node of enc is in listen or
+// cold_start; ok is false for every other state.
+func collapsedKey(e *Expander, enc []byte) (k ffKey, ok bool) {
+	n := len(e.s.Nodes)
+	for i := 0; i < n; i++ {
+		if p := Phase(phaseBits(enc, i)); p != PhaseListen && p != PhaseColdStart {
+			return ffKey{}, false
+		}
+	}
+	var nodes ffKey
+	for b := 0; b < bitsPerNode*n; b++ {
+		nodes[b>>6] |= 1 << (63 - b&63)
+	}
+	k = loadKey(enc)
+	for w := range k {
+		k[w] = k[w]&nodes[w] | e.tailKey[w]
+	}
+	return k, true
+}
+
+// canonRig runs one input through the reference and through two packed
+// canonicalizers: a warm reduced expander whose memo persists across
+// calls, and a memo-less expander that walks every chain afresh.
+type canonRig struct {
+	m           *Model
+	ref         *refCanon
+	warm, cold  *Expander
+	hits, walks int // warm-expander calls that consulted the memo, by outcome
+	want, got   []byte
+}
+
+func newCanonRig(m *Model) *canonRig {
+	return &canonRig{m: m, ref: newRefCanon(m), warm: m.NewReducedExpander().(*Expander), cold: m.newExpander()}
+}
+
+// check canonicalizes in through all three, and the warm result once
+// more, and returns a description of the first disagreement or
+// non-idempotent result, or "" — with the packed result left in in.
+func (r *canonRig) check(in []byte) string {
+	r.want = append(r.want[:0], in...)
+	r.ref.canonicalize(r.want)
+	r.got = append(r.got[:0], in...)
+	r.cold.Canonicalize(r.got)
+	if !bytes.Equal(r.got, r.want) {
+		return fmt.Sprintf("memo-less: %x -> %x, reference %x", in, r.got, r.want)
+	}
+	if k, ok := collapsedKey(r.warm, in); ok {
+		if _, _, hit := r.warm.memoGet(k, 0); hit {
+			r.hits++
+		} else {
+			r.walks++
+		}
+	}
+	r.got = append(r.got[:0], in...)
+	r.warm.Canonicalize(r.got)
+	if !bytes.Equal(r.got, r.want) {
+		return fmt.Sprintf("warm: %x -> %x, reference %x", in, r.got, r.want)
+	}
+	r.warm.Canonicalize(r.got)
+	if !bytes.Equal(r.got, r.want) {
+		return fmt.Sprintf("not idempotent: %x -> %x -> %x", in, r.want, r.got)
+	}
+	copy(in, r.got)
+	return ""
+}
+
+// checkedModel is a Model whose reduced expanders run every
+// canonicalization the engine asks for through a canonRig, so a reduced
+// search checks the packed canonicalizer on every successor it reaches.
+type checkedModel struct {
+	*Model
+	t     *testing.T
+	bad   atomic.Int64
+	mu    sync.Mutex
+	rigs  []*canonRig
+	calls atomic.Int64
+}
+
+type checkedExpander struct {
+	*Expander
+	cm  *checkedModel
+	rig *canonRig
+}
+
+func (cm *checkedModel) NewReducedExpander() mc.CanonicalExpander {
+	rig := newCanonRig(cm.Model)
+	cm.mu.Lock()
+	cm.rigs = append(cm.rigs, rig)
+	cm.mu.Unlock()
+	return &checkedExpander{Expander: rig.warm, cm: cm, rig: rig}
+}
+
+func (x *checkedExpander) Canonicalize(enc []byte) {
+	x.cm.calls.Add(1)
+	if msg := x.rig.check(enc); msg != "" && x.cm.bad.Add(1) <= 5 {
+		x.cm.t.Error(msg)
+	}
+}
+
+// TestCanonicalizePackedMatchesReference: the packed canonicalizer is
+// byte-identical to the reference, through a warm memo and with none,
+// and idempotent, on every reduced successor reachable at 3–6 nodes with
+// 2 and with 3 couplers, under a per-coupler fault mask, and in a
+// bounded 7-node sweep — and on 200k random byte strings of the
+// encoding's width, half of them with every phase forced to listen or
+// cold_start so the fast-forward walks from arbitrary counters. Under
+// -short only the small sweeps run; under the race detector the large
+// ones are bounded.
+func TestCanonicalizePackedMatchesReference(t *testing.T) {
+	type sweep struct {
+		cfg       Config
+		maxStates int // 0: the whole reachable quotient
+		large     bool
+	}
+	bound := func(n int) int {
+		if raceEnabled {
+			return n
+		}
+		return 0
+	}
+	sweeps := []sweep{
+		{cfg: Config{Nodes: 3}},
+		{cfg: Config{Nodes: 4}},
+		{cfg: Config{Nodes: 4, CouplerFaults: []FaultSet{FaultSetSilence, FaultSetBadFrame}}},
+		{cfg: Config{Nodes: 3, Couplers: 3}},
+		{cfg: Config{Nodes: 4, Couplers: 3}},
+		{cfg: Config{Nodes: 5}, large: true},
+		{cfg: Config{Nodes: 5, Couplers: 3}, large: true},
+		{cfg: Config{Nodes: 6}, maxStates: bound(30_000), large: true},
+		{cfg: Config{Nodes: 6, Couplers: 3}, maxStates: bound(30_000), large: true},
+		{cfg: Config{Nodes: 7}, maxStates: 300_000, large: true},
+	}
+	if raceEnabled {
+		sweeps[len(sweeps)-1].maxStates = 30_000
+	}
+	for _, sw := range sweeps {
+		sw.cfg.Authority = guardian.AuthoritySmallShift
+		name := fmt.Sprintf("%dnodes-%dcouplers", sw.cfg.Nodes, max(sw.cfg.Couplers, 2))
+		if sw.cfg.CouplerFaults != nil {
+			name += "-faultmask"
+		}
+		t.Run(name, func(t *testing.T) {
+			if sw.large && testing.Short() {
+				t.Skip("large sweep skipped with -short")
+			}
+			m := mustModel(t, sw.cfg)
+			cm := &checkedModel{Model: m, t: t}
+			res, err := mc.CheckTransitionInvariantBytes(cm, m.PropertyBytes(),
+				mc.Options{Workers: 2, MaxStates: sw.maxStates})
+			if err != nil && !(sw.maxStates > 0 && errors.Is(err, mc.ErrStateLimit)) {
+				t.Fatal(err)
+			}
+			if !res.Reduced {
+				t.Fatal("sweep did not run reduced")
+			}
+			hits, walks := 0, 0
+			for _, r := range cm.rigs {
+				hits += r.hits
+				walks += r.walks
+			}
+			// A bounded prefix of the search may meet every silent state
+			// only once (its walks still hit the memo mid-chain); the whole
+			// quotient revisits them.
+			if sw.maxStates == 0 && (hits == 0 || walks == 0) {
+				t.Errorf("memo paths not both exercised: %d hits, %d walks", hits, walks)
+			}
+			t.Logf("%d states, %d canonicalizations, %d memo hits, %d walks",
+				res.StatesExplored, cm.calls.Load(), hits, walks)
+		})
+	}
+
+	t.Run("random", func(t *testing.T) {
+		count := 200_000
+		if testing.Short() || raceEnabled {
+			count = 20_000
+		}
+		var rigs []*canonRig
+		for n := 2; n <= 7; n++ {
+			for _, c := range []int{2, 3} {
+				rigs = append(rigs, newCanonRig(mustModel(t, Config{Nodes: n, Couplers: c})))
+			}
+		}
+		rng := rand.New(rand.NewSource(1))
+		inputs := make([][]byte, count)
+		for i := range inputs {
+			r := rigs[i%len(rigs)]
+			enc := make([]byte, binarySize(r.m.cfg.Nodes, r.m.cfg.Couplers))
+			rng.Read(enc)
+			if rng.Intn(2) == 0 {
+				for j := 0; j < r.m.cfg.Nodes; j++ {
+					setPhase(enc, j, PhaseListen+Phase(rng.Intn(2)))
+				}
+			}
+			inputs[i] = enc
+		}
+		// Two passes: the first meets every input with whatever the memo
+		// holds from earlier inputs, the second re-meets them warm.
+		bad := 0
+		for pass := 0; pass < 2; pass++ {
+			for i, in := range inputs {
+				r := rigs[i%len(rigs)]
+				if msg := r.check(append([]byte(nil), in...)); msg != "" {
+					if bad++; bad <= 5 {
+						t.Errorf("pass %d: %s", pass, msg)
+					}
+				}
+			}
+		}
+		hits, walks := 0, 0
+		for _, r := range rigs {
+			hits += r.hits
+			walks += r.walks
+		}
+		if hits == 0 || walks == 0 {
+			t.Errorf("memo paths not both exercised: %d hits, %d walks", hits, walks)
+		}
+	})
+}
+
+// setPhase overwrites node i's phase field in a packed encoding.
+func setPhase(enc []byte, i int, p Phase) {
+	bit := bitsPerNode * i
+	b := bit >> 3
+	if bit&7 == 0 {
+		enc[b] = enc[b]&0x0F | byte(p)<<4
+	} else {
+		enc[b] = enc[b]&0xF0 | byte(p)
+	}
+}
+
+// FuzzCanonicalize: on arbitrary bytes of the encoding's width, for any
+// reducible cluster size and coupler count, the packed canonicalizer —
+// warm and memo-less — agrees with the reference, is idempotent, and
+// does not panic.
+func FuzzCanonicalize(f *testing.F) {
+	var rigs []*canonRig
+	for n := 2; n <= 7; n++ {
+		for _, c := range []int{2, 3} {
+			m, err := New(Config{Nodes: n, Couplers: c})
+			if err != nil {
+				f.Fatal(err)
+			}
+			rigs = append(rigs, newCanonRig(m))
+		}
+	}
+	for i, r := range rigs {
+		f.Add(uint8(i), []byte(r.m.Initial()[0]))
+		listen := State{Nodes: make([]NodeState, r.m.cfg.Nodes)}
+		for j := range listen.Nodes {
+			listen.Nodes[j] = r.m.enterListen(uint8(j + 1))
+		}
+		clearTail(&listen, r.m.cfg.Couplers)
+		f.Add(uint8(i), []byte(r.m.Encode(listen)))
+	}
+	var mu sync.Mutex
+	f.Fuzz(func(t *testing.T, pick uint8, data []byte) {
+		mu.Lock()
+		defer mu.Unlock()
+		r := rigs[int(pick)%len(rigs)]
+		enc := make([]byte, binarySize(r.m.cfg.Nodes, r.m.cfg.Couplers))
+		copy(enc, data)
+		if msg := r.check(enc); msg != "" {
+			t.Fatalf("%d nodes, %d couplers: %s", r.m.cfg.Nodes, r.m.cfg.Couplers, msg)
+		}
+	})
 }

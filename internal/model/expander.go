@@ -65,14 +65,18 @@ type Expander struct {
 
 	// reduce switches the fault-assignment repeat-skip to the commutation
 	// filter (reducedFaSignature); set only by NewReducedExpander, and only
-	// when the configuration is Reducible. canonBuf/ffBuf are
-	// Canonicalize's re-encode scratch; ffTort/ffMin are fastForward's
-	// cycle-detection state scratches (grown on first use).
-	reduce   bool
-	canonBuf []byte
-	ffBuf    []byte
-	ffTort   State
-	ffMin    State
+	// when the configuration is Reducible, which is also the only case
+	// that allocates memo. Canonicalize overwrites every encoding's tail
+	// with emptyTail (the encoding of zero node records over the empty
+	// coupler/out-of-slot tail) and packs chain states over tailKey, its
+	// key form. memo is the fast-forward cache (ffMemoSize direct-mapped
+	// entries); ffPath holds the keys of the chain being walked, grown
+	// up to the walk's length and then reused.
+	reduce    bool
+	emptyTail [candBytes]byte
+	tailKey   ffKey
+	memo      []ffEntry
+	ffPath    []ffKey
 
 	// Per-node choice lists, stored flat: node i's choices are
 	// choiceBuf[choiceEnd[i-1]:choiceEnd[i]]. choiceWords holds each
@@ -106,7 +110,7 @@ func (m *Model) newExpander() *Expander {
 	if size > candBytes {
 		panic(fmt.Sprintf("model: %d-node encoding (%d bytes) exceeds expander scratch", m.cfg.Nodes, size))
 	}
-	return &Expander{
+	e := &Expander{
 		m:        m,
 		size:     size,
 		nc:       m.cfg.Couplers,
@@ -116,6 +120,12 @@ func (m *Model) newExpander() *Expander {
 		dcells:   make([]uint64, 64),
 		dgen:     1,
 	}
+	for c := 0; c < e.nc; c++ {
+		e.next.Couplers[c].BufferedKind = FrameNone
+	}
+	copy(e.emptyTail[:], m.appendBinary(nil, &e.next))
+	e.tailKey = loadKey(e.emptyTail[:])
+	return e
 }
 
 // Successors returns the packed encodings of enc's successor states,
@@ -366,9 +376,13 @@ func (e *Expander) emit(st encCursor) {
 // hashCand mixes the fixed-width candidate (zero-padded to candBytes, so
 // equal encodings always hash equally) into a table index.
 func hashCand(p *[candBytes]byte) uint64 {
-	a := binary.LittleEndian.Uint64(p[0:8])
-	b := binary.LittleEndian.Uint64(p[8:16])
-	c := binary.LittleEndian.Uint64(p[16:24])
+	return mix3(binary.LittleEndian.Uint64(p[0:8]),
+		binary.LittleEndian.Uint64(p[8:16]),
+		binary.LittleEndian.Uint64(p[16:24]))
+}
+
+// mix3 hashes three 64-bit words.
+func mix3(a, b, c uint64) uint64 {
 	h := a*0x9E3779B97F4A7C15 ^ b*0xC2B2AE3D27D4EB4F ^ c*0x165667B19E3779F9
 	h ^= h >> 32
 	h *= 0xD6E8FEB86659FD93
