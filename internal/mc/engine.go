@@ -52,6 +52,7 @@ package mc
 // growth — and on cold paths (violations, checkpoints, traces).
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -115,8 +116,9 @@ type levelScratch struct {
 	exps   []Expander
 	canons []CanonicalExpander // paired with exps; non-nil only in reduced searches
 	probes []probeCounter
-	spare  []uint32 // the frontier buffer not currently being expanded
-	keyed  []keyedRef
+	spare  []uint32     // the frontier buffer not currently being expanded
+	keyed  []keyedRef   // nextFrontier's per-worker sort segments, back to back
+	segs   [][]keyedRef // nextFrontier's segment headers, then its merge heap
 }
 
 type keyedRef struct {
@@ -335,6 +337,13 @@ func statesThrough(v *visitedSet, out levelOut, limit uint64) int {
 // nextFrontier orders the level's admitted states by their final claim
 // keys — exactly the order a serial sweep would have appended them in —
 // into dst, which is reused level over level.
+//
+// Each worker keys and sorts its own claims in its own segment of
+// sc.keyed, all workers at once; one goroutine then merges the sorted
+// segments into dst through a min-heap on their head keys. Keys are
+// distinct, so the merged order does not depend on which worker claimed
+// what. Both buffers only grow, so a steady-state level allocates
+// nothing here but the goroutines.
 func nextFrontier(v *visitedSet, sc *levelScratch, out levelOut, dst []uint32) []uint32 {
 	dst = dst[:0]
 	if len(out.accs) == 1 {
@@ -342,27 +351,73 @@ func nextFrontier(v *visitedSet, sc *levelScratch, out levelOut, dst []uint32) [
 		// ever re-keyed and its list is already the sorted frontier.
 		return append(dst, out.accs[0].claimed...)
 	}
-	keyed := sc.keyed[:0]
+	keyed := slices.Grow(sc.keyed[:0], out.claimed)[:out.claimed]
+	segs := sc.segs[:0]
+	off := 0
 	for i := range out.accs {
-		for _, ref := range out.accs[i].claimed {
-			keyed = append(keyed, keyedRef{key: v.keyOf(ref), ref: ref})
+		n := len(out.accs[i].claimed)
+		segs = append(segs, keyed[off:off+n:off+n])
+		off += n
+	}
+	sortSeg := func(w int) {
+		seg := segs[w]
+		for j, ref := range out.accs[w].claimed {
+			seg[j] = keyedRef{key: v.keyOf(ref), ref: ref}
+		}
+		slices.SortFunc(seg, func(a, b keyedRef) int { return cmp.Compare(a.key, b.key) })
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < len(segs); w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			sortSeg(w)
+		}(w)
+	}
+	sortSeg(0)
+	wg.Wait()
+
+	// k-way merge: h is a binary min-heap of the non-empty segments by
+	// head key; each step emits the smallest head and sifts its segment
+	// back down.
+	h := segs[:0]
+	for _, seg := range segs {
+		if len(seg) > 0 {
+			h = append(h, seg)
 		}
 	}
-	slices.SortFunc(keyed, func(a, b keyedRef) int {
-		switch {
-		case a.key < b.key:
-			return -1
-		case a.key > b.key:
-			return 1
-		default:
-			return 0
-		}
-	})
-	for i := range keyed {
-		dst = append(dst, keyed[i].ref)
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
 	}
-	sc.keyed = keyed
+	for len(h) > 0 {
+		dst = append(dst, h[0][0].ref)
+		if h[0] = h[0][1:]; len(h[0]) == 0 {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		siftDown(h, 0)
+	}
+	sc.keyed, sc.segs = keyed, segs
 	return dst
+}
+
+// siftDown restores the min-heap order of h (segments by head key)
+// below position i.
+func siftDown(h [][]keyedRef, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1][0].key < h[c][0].key {
+			c++
+		}
+		if h[i][0].key < h[c][0].key {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // searchMetrics collects the observability counters surfaced through
@@ -650,7 +705,7 @@ func checkSearch(m Model, stInv StateInvariantBytes, trInv TransitionInvariantBy
 				batch = v.restoredAll
 				v.restoredAll = nil
 			}
-			v.seal(batch, next)
+			v.seal(opts.Workers, batch, next)
 		}
 		sc.spare = frontier[:0]
 		frontier = next

@@ -173,12 +173,27 @@ type visitedSet struct {
 
 	// Seal scratch, reused across level boundaries; scratchBytes is its
 	// counted capacity so migration transients stay in the resident
-	// audit.
+	// audit. sealGroups, sealRemap and sealBase are written before the
+	// per-shard phase and only read during it; sealDelta has one slot
+	// per shard and sealDecs one decoder per seal worker.
 	sealGroups   [numShards][]uint32
 	sealRemap    [numShards][]uint32
-	sealDec      sealedDecoder
+	sealBase     [numShards]uint32
+	sealDelta    [numShards]residentDelta
+	sealDecs     []sealedDecoder
 	scratchBytes int64
 }
+
+// residentDelta is one shard's share of a seal's resident-byte changes:
+// the net change, and the highest running change at any point where a
+// serial seal would call bumpPeak. Folding the shards' deltas in shard
+// order reproduces a serial shard-by-shard seal's resident and peak
+// exactly, whichever goroutine sealed which shard.
+type residentDelta struct{ net, hi int64 }
+
+func (r *residentDelta) add(n int64) { r.net += n }
+
+func (r *residentDelta) bumpPeak() { r.hi = max(r.hi, r.net) }
 
 func newVisitedSet(maxStates int) *visitedSet {
 	v := &visitedSet{max: int64(maxStates), parentIsRef: true}
@@ -598,16 +613,24 @@ func (v *visitedSet) loadFactor() float64 {
 // rewrites every ref the caller still holds (the slices passed as
 // rewrite) to the post-seal ordinal space.
 //
-// Called only at level barriers (or single-threaded restore): workers
-// are quiescent, so plain loads and stores are safe, and the next
-// level's spawns publish the new tier through the barrier's
-// happens-before edge.
+// Called only at level barriers (or single-threaded restore): the
+// search's workers are quiescent, so plain loads and stores are safe,
+// and the next level's spawns publish the new tier through the
+// barrier's happens-before edge.
+//
+// The batch is grouped by shard and the remap tables are built
+// serially; the per-shard work (sealShard) then runs on up to workers
+// goroutines pulling shard indexes from an atomic cursor. Shards share
+// nothing writable during that phase: each writes only its own shard,
+// its own residentDelta slot and its own goroutine's decoder, and reads
+// the remap tables, which are fixed by then.
 //
 // Determinism: the batch's per-shard content and order are a pure
-// function of the level's key-sorted frontier, so arena bytes, index
-// capacities, chunk frees and the resident counter all come out
-// identical at every worker count.
-func (v *visitedSet) seal(batch []uint32, rewrite ...[]uint32) {
+// function of the level's key-sorted frontier, so arena bytes and index
+// capacities do not depend on the worker count, and the resident and
+// peak counters are folded from per-shard deltas in shard order, so
+// they come out identical to a one-worker seal too.
+func (v *visitedSet) seal(workers int, batch []uint32, rewrite ...[]uint32) {
 	if len(batch) == 0 {
 		return
 	}
@@ -626,10 +649,9 @@ func (v *visitedSet) seal(batch []uint32, rewrite ...[]uint32) {
 	// ordinals in batch order; survivors keep their relative arrival
 	// order above them. Built for all shards before any entry moves,
 	// because parent refs cross shards.
-	var oldBase [numShards]uint32
 	for s := range v.shards {
 		sh := &v.shards[s]
-		oldBase[s] = sh.liveBase
+		v.sealBase[s] = sh.liveBase
 		g := v.sealGroups[s]
 		rm := v.sealRemap[s][:0]
 		if len(g) > 0 {
@@ -650,18 +672,6 @@ func (v *visitedSet) seal(batch []uint32, rewrite ...[]uint32) {
 		}
 		v.sealRemap[s] = rm
 	}
-	remapRef := func(r uint32) uint32 {
-		s := r & (numShards - 1)
-		rm := v.sealRemap[s]
-		if len(rm) == 0 {
-			return r // shard untouched this seal
-		}
-		o := r >> shardBits
-		if o < oldBase[s] {
-			return r // already sealed
-		}
-		return rm[o-oldBase[s]]<<shardBits | s
-	}
 
 	// The scratch above is part of the set's footprint while it lives;
 	// its capacity only grows, so account the delta.
@@ -675,136 +685,197 @@ func (v *visitedSet) seal(batch []uint32, rewrite ...[]uint32) {
 		v.bumpPeak()
 	}
 
-	for s := range v.shards {
-		sh := &v.shards[s]
-		g := v.sealGroups[s]
-		liveCount := sh.ordCount - oldBase[s]
-		if liveCount == 0 {
-			continue
-		}
-		ss := &sh.sealed
-
-		// Encode the batch into the arena and quotiented index. This
-		// reads live slots, so it runs before compaction moves them.
-		arenaBefore := int64(len(ss.blob)) + int64(len(ss.restarts)*4)
-		for _, ord := range g {
-			e := sh.entryAt(ord)
-			enc := v.encOfLive(e, e.meta)
-			var pw uint64
-			if v.parentIsRef {
-				if e.meta&hasParentBit != 0 {
-					pw = uint64(remapRef(e.parent)) + 1
-				}
-			} else {
-				pw = uint64(e.parent) << 1
-				if e.meta&hasParentBit != 0 {
-					pw |= 1
-				}
+	workers = min(max(workers, 1), numShards)
+	for len(v.sealDecs) < workers {
+		v.sealDecs = append(v.sealDecs, sealedDecoder{})
+	}
+	var cursor atomic.Int32
+	sealShards := func(d *sealedDecoder) {
+		for {
+			s := int(cursor.Add(1)) - 1
+			if s >= numShards {
+				return
 			}
-			if ss.indexNeedsGrow() {
-				added, freed := ss.indexGrow(v.parentIsRef, &v.sealDec)
-				v.resident.Add(added)
-				v.bumpPeak()
-				v.resident.Add(-freed)
-			}
-			h := hashBytes(enc)
-			ss.appendEntry(enc, pw, v.parentIsRef)
-			ss.indexInsert(uint32(h>>32), ss.count-1)
+			v.sealDelta[s] = v.sealShard(s, d)
 		}
-		v.resident.Add(int64(len(ss.blob)) + int64(len(ss.restarts)*4) - arenaBefore)
-		v.bumpPeak()
-
-		// Compact survivors down to position 0 (ascending, so dest ≤
-		// src) and rewrite their parent refs into the new space —
-		// needed even in shards that sealed nothing, since parents
-		// cross shards.
-		nSurv := liveCount - uint32(len(g))
-		if len(g) > 0 {
-			rm := v.sealRemap[s]
-			sealedEnd := oldBase[s] + uint32(len(g))
-			dst := uint32(0)
-			for p := uint32(0); p < liveCount; p++ {
-				if rm[p] < sealedEnd {
-					continue // migrated to the sealed tier
-				}
-				if dst != p {
-					*sh.entryAtPos(dst) = *sh.entryAtPos(p)
-				}
-				dst++
-			}
+	}
+	if workers == 1 {
+		sealShards(&v.sealDecs[0])
+	} else {
+		var wg sync.WaitGroup
+		for w := 1; w < workers; w++ {
+			wg.Add(1)
+			go func(d *sealedDecoder) {
+				defer wg.Done()
+				sealShards(d)
+			}(&v.sealDecs[w])
 		}
-		if v.parentIsRef {
-			for p := uint32(0); p < nSurv; p++ {
-				e := sh.entryAtPos(p)
-				if e.meta&hasParentBit != 0 {
-					e.parent = remapRef(e.parent)
-				}
-			}
+		sealShards(&v.sealDecs[0])
+		wg.Wait()
+	}
+	// Fold in shard order. Resident never exceeds peak between shards
+	// (every increase is followed by a peak bump), so a shard whose
+	// running delta never rose above zero leaves peak unchanged, as in a
+	// serial seal.
+	for s := range v.sealDelta {
+		d := v.sealDelta[s]
+		if p := v.resident.Load() + d.hi; p > v.peak.Load() {
+			v.peak.Store(p)
 		}
-
-		// Release entry chunks beyond the survivors' needs. Chunk 0
-		// lives in the set-wide shared backing and is never freed.
-		needChunks := 1
-		if nSurv > 0 {
-			c, _ := chunkOf(nSurv - 1)
-			needChunks = c + 1
-		}
-		for c := needChunks; c < maxEntryChunks; c++ {
-			p := sh.chunks[c].Load()
-			if p == nil {
-				break
-			}
-			v.resident.Add(-int64(len(*p)) * 32)
-			sh.chunks[c].Store(nil)
-		}
-
-		// Rebuild the live index over the survivors. Capacity replays
-		// the insert-driven growth schedule from the initial size, so
-		// it is a pure function of the survivor count — the same
-		// capacity a fresh set would reach, keeping resident bytes
-		// deterministic (and matching a checkpoint reader's replay).
-		newCells := initialIndexCells
-		for uint64(nSurv)*4 > uint64(newCells)*3 {
-			if newCells < growDoubleAt {
-				newCells *= 4
-			} else {
-				newCells *= 2
-			}
-		}
-		oldIdx := *sh.index.Load()
-		var cells []uint64
-		if len(oldIdx) == newCells {
-			cells = oldIdx
-			for i := range cells {
-				cells[i] = 0
-			}
-		} else {
-			cells = make([]uint64, newCells)
-			v.resident.Add(int64(newCells) * 8)
-			v.bumpPeak()
-			if len(oldIdx) > initialIndexCells {
-				v.resident.Add(-int64(len(oldIdx)) * 8)
-			}
-		}
-		newBase := oldBase[s] + uint32(len(g))
-		mask := uint32(newCells - 1)
-		for p := uint32(0); p < nSurv; p++ {
-			e := sh.entryAtPos(p)
-			h := hashBytes(v.encOfLive(e, e.meta))
-			i := uint32(h>>32) & mask
-			for cells[i] != 0 {
-				i = (i + 1) & mask
-			}
-			cells[i] = uint64(uint32(h>>32))<<32 | uint64(newBase+p+1)
-		}
-		sh.index.Store(&cells)
-		sh.liveBase = newBase
+		v.resident.Add(d.net)
 	}
 
 	// Finally, rewrite every ref array the caller still holds.
 	for _, arr := range rewrite {
 		for i, r := range arr {
-			arr[i] = remapRef(r)
+			arr[i] = v.remapRef(r)
 		}
 	}
+}
+
+// remapRef maps a pre-seal ref to its post-seal ref, using the tables
+// the current seal built.
+func (v *visitedSet) remapRef(r uint32) uint32 {
+	s := r & (numShards - 1)
+	rm := v.sealRemap[s]
+	if len(rm) == 0 {
+		return r // shard untouched this seal
+	}
+	o := r >> shardBits
+	if o < v.sealBase[s] {
+		return r // already sealed
+	}
+	return rm[o-v.sealBase[s]]<<shardBits | s
+}
+
+// sealShard is one shard's part of a seal: encode its batch group into
+// the arena and quotiented index, compact the survivors, rewrite their
+// parent refs, release unneeded entry chunks and rebuild the live
+// index. It returns the shard's resident-byte changes instead of
+// applying them (see residentDelta); d is the calling goroutine's
+// decoder, used when the sealed index grows.
+func (v *visitedSet) sealShard(s int, d *sealedDecoder) residentDelta {
+	var res residentDelta
+	sh := &v.shards[s]
+	g := v.sealGroups[s]
+	oldBase := v.sealBase[s]
+	liveCount := sh.ordCount - oldBase
+	if liveCount == 0 {
+		return res
+	}
+	ss := &sh.sealed
+
+	// Encode the batch into the arena and quotiented index. This reads
+	// live slots, so it runs before compaction moves them.
+	arenaBefore := int64(len(ss.blob)) + int64(len(ss.restarts)*4)
+	for _, ord := range g {
+		e := sh.entryAt(ord)
+		enc := v.encOfLive(e, e.meta)
+		var pw uint64
+		if v.parentIsRef {
+			if e.meta&hasParentBit != 0 {
+				pw = uint64(v.remapRef(e.parent)) + 1
+			}
+		} else {
+			pw = uint64(e.parent) << 1
+			if e.meta&hasParentBit != 0 {
+				pw |= 1
+			}
+		}
+		if ss.indexNeedsGrow() {
+			added, freed := ss.indexGrow(v.parentIsRef, d)
+			res.add(added)
+			res.bumpPeak()
+			res.add(-freed)
+		}
+		h := hashBytes(enc)
+		ss.appendEntry(enc, pw, v.parentIsRef)
+		ss.indexInsert(uint32(h>>32), ss.count-1)
+	}
+	res.add(int64(len(ss.blob)) + int64(len(ss.restarts)*4) - arenaBefore)
+	res.bumpPeak()
+
+	// Compact survivors down to position 0 (ascending, so dest ≤ src)
+	// and rewrite their parent refs into the new space — needed even in
+	// shards that sealed nothing, since parents cross shards.
+	nSurv := liveCount - uint32(len(g))
+	if len(g) > 0 {
+		rm := v.sealRemap[s]
+		sealedEnd := oldBase + uint32(len(g))
+		dst := uint32(0)
+		for p := uint32(0); p < liveCount; p++ {
+			if rm[p] < sealedEnd {
+				continue // migrated to the sealed tier
+			}
+			if dst != p {
+				*sh.entryAtPos(dst) = *sh.entryAtPos(p)
+			}
+			dst++
+		}
+	}
+	if v.parentIsRef {
+		for p := uint32(0); p < nSurv; p++ {
+			e := sh.entryAtPos(p)
+			if e.meta&hasParentBit != 0 {
+				e.parent = v.remapRef(e.parent)
+			}
+		}
+	}
+
+	// Release entry chunks beyond the survivors' needs. Chunk 0 lives in
+	// the set-wide shared backing and is never freed.
+	needChunks := 1
+	if nSurv > 0 {
+		c, _ := chunkOf(nSurv - 1)
+		needChunks = c + 1
+	}
+	for c := needChunks; c < maxEntryChunks; c++ {
+		p := sh.chunks[c].Load()
+		if p == nil {
+			break
+		}
+		res.add(-int64(len(*p)) * 32)
+		sh.chunks[c].Store(nil)
+	}
+
+	// Rebuild the live index over the survivors. Capacity replays the
+	// insert-driven growth schedule from the initial size, so it is a
+	// pure function of the survivor count — the same capacity a fresh
+	// set would reach, keeping resident bytes deterministic (and
+	// matching a checkpoint reader's replay).
+	newCells := initialIndexCells
+	for uint64(nSurv)*4 > uint64(newCells)*3 {
+		if newCells < growDoubleAt {
+			newCells *= 4
+		} else {
+			newCells *= 2
+		}
+	}
+	oldIdx := *sh.index.Load()
+	var cells []uint64
+	if len(oldIdx) == newCells {
+		cells = oldIdx
+		clear(cells)
+	} else {
+		cells = make([]uint64, newCells)
+		res.add(int64(newCells) * 8)
+		res.bumpPeak()
+		if len(oldIdx) > initialIndexCells {
+			res.add(-int64(len(oldIdx)) * 8)
+		}
+	}
+	newBase := oldBase + uint32(len(g))
+	mask := uint32(newCells - 1)
+	for p := uint32(0); p < nSurv; p++ {
+		e := sh.entryAtPos(p)
+		h := hashBytes(v.encOfLive(e, e.meta))
+		i := uint32(h>>32) & mask
+		for cells[i] != 0 {
+			i = (i + 1) & mask
+		}
+		cells[i] = uint64(uint32(h>>32))<<32 | uint64(newBase+p+1)
+	}
+	sh.index.Store(&cells)
+	sh.liveBase = newBase
+	return res
 }

@@ -261,9 +261,13 @@ type Stats struct {
 	// LoadFactor is the visited set's final occupancy: admitted states
 	// over total probe-index cells.
 	LoadFactor float64
-	// ProbeHist is the claim probe-length histogram: ProbeHist[i] counts
-	// claims resolved in i+1 probe steps, with the last bucket holding
-	// everything at probeBuckets steps or more.
+	// ProbeHist is the claim probe-length histogram over the live probe
+	// index: ProbeHist[i] counts claims whose live-index probe took i+1
+	// steps, with the last bucket holding everything at probeBuckets
+	// steps or more. A claim that falls through to the sealed tier is
+	// counted at its live-index probe length only (the steps up to the
+	// empty cell); its sealed-tier probe and decode confirm are not
+	// counted.
 	ProbeHist [8]uint64
 	// ResidentBytes is the visited set's exact resident footprint at
 	// search end (live entry slabs + probe indexes + interned overflow +

@@ -56,39 +56,52 @@ func TestClaimRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWarmClaimDoesNotAllocate is the visited-set half of the PR's
+// TestWarmClaimDoesNotAllocate is the visited-set half of the
 // zero-allocation contract: once a state is in the set, re-claiming it
 // (the overwhelmingly common case during exploration — every duplicate
-// successor) performs no heap allocation. The duplicates here carry a
-// levelBase above every stored key, so they resolve on the lock-free
-// earlier-level path, exactly as steady-state exploration does. The
-// bound is generous (0.5 allocs averaged over 100 rounds) so GC
-// bookkeeping noise cannot flake CI.
+// successor) performs no heap allocation, whether the duplicate resolves
+// in the live index or, after a seal, in the sealed tier's decode
+// confirm. The duplicates here carry a levelBase above every stored
+// key, so they resolve on the lock-free earlier-level path, exactly as
+// steady-state exploration does. The bound is generous (0.5 allocs
+// averaged over 100 rounds) so GC bookkeeping noise cannot flake CI.
 func TestWarmClaimDoesNotAllocate(t *testing.T) {
 	v := newVisitedSet(1 << 20)
 	var pc probeCounter
 	const n = 64
 	encs := make([][]byte, n)
 	hashes := make([]uint64, n)
+	refs := make([]uint32, n)
 	for i := range encs {
 		encs[i] = []byte(fmt.Sprintf("state-%02d", i))
 		hashes[i] = hashBytes(encs[i])
-		if st, _ := v.claim(encs[i], hashes[i], 0, uint64(i), false, 0, &pc); st != claimNew {
+		st, ref := v.claim(encs[i], hashes[i], 0, uint64(i), false, 0, &pc)
+		if st != claimNew {
 			t.Fatalf("initial claim %d = %d, want claimNew", i, st)
 		}
+		refs[i] = ref
 	}
 	const base = uint64(1) << keySuccBits
-	avg := testing.AllocsPerRun(100, func() {
-		for i := range encs {
-			st, _ := v.claim(encs[i], hashes[i], 0, base+uint64(i), true, base, &pc)
-			if st != claimDup {
-				t.Fatal("expected duplicate claim")
+	warm := func(tier string) {
+		t.Helper()
+		avg := testing.AllocsPerRun(100, func() {
+			for i := range encs {
+				st, _ := v.claim(encs[i], hashes[i], 0, base+uint64(i), true, base, &pc)
+				if st != claimDup {
+					t.Fatal("expected duplicate claim")
+				}
 			}
+		})
+		if avg > 0.5 {
+			t.Errorf("warm %s claim allocates %.2f times per %d-claim round, want 0", tier, avg, n)
 		}
-	})
-	if avg > 0.5 {
-		t.Errorf("warm claim allocates %.2f times per %d-claim round, want 0", avg, n)
 	}
+	warm("live")
+	v.seal(2, refs)
+	if states, _, _ := v.sealedStats(); states != n {
+		t.Fatalf("sealed %d states, want %d", states, n)
+	}
+	warm("sealed")
 }
 
 // TestHashInlineDoesNotAllocate: hashing and duplicate-claiming an

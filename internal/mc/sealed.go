@@ -54,6 +54,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 const (
@@ -147,17 +148,20 @@ func (ss *sealedShard) appendEntry(enc []byte, pw uint64, parentIsRef bool) uint
 	if restart || len(enc) != len(ss.lastEnc) {
 		ss.blob = append(ss.blob, enc...)
 	} else {
+		// Mask, then the changed bytes, written in place: arenaEnsure
+		// reserved room for the mask plus every byte changing.
 		maskOff := len(ss.blob)
-		maskLen := (len(enc) + 7) / 8
-		for i := 0; i < maskLen; i++ {
-			ss.blob = append(ss.blob, 0)
-		}
+		n := maskOff + (len(enc)+7)/8
+		blob := ss.blob[:n+len(enc)]
+		clear(blob[maskOff:n])
 		for i, b := range enc {
 			if b != ss.lastEnc[i] {
-				ss.blob[maskOff+i/8] |= 1 << (i % 8)
-				ss.blob = append(ss.blob, b)
+				blob[maskOff+i/8] |= 1 << (i % 8)
+				blob[n] = b
+				n++
 			}
 		}
+		ss.blob = blob[:n]
 	}
 	ss.lastEnc = append(ss.lastEnc[:0], enc...)
 	ss.lastPW = pw
@@ -187,43 +191,92 @@ func (d *sealedDecoder) startAt(ss *sealedShard, ord uint32, parentIsRef bool) {
 }
 
 // step decodes the record at the decoder's position into its rolling
-// state. It trusts arena invariants (callers decoding untrusted bytes
-// use stepChecked); slice bounds remain the backstop.
+// state: parent word, then encoding. It trusts arena invariants
+// (callers decoding untrusted bytes use stepChecked); slice bounds
+// remain the backstop.
 func (d *sealedDecoder) step() {
 	ss := d.ss
-	restart := d.ord%sealedRestartEvery == 0
 	if d.parentIsRef {
-		if restart {
-			pw, n := binary.Uvarint(ss.blob[d.off:])
-			d.pw = pw
-			d.off += n
+		v, n := uvarint(ss.blob[d.off:])
+		d.off += n
+		if d.ord%sealedRestartEvery == 0 {
+			d.pw = v
 		} else {
-			delta, n := binary.Varint(ss.blob[d.off:])
-			d.pw = uint64(int64(d.pw) + delta)
-			d.off += n
+			// Zig-zag delta, as binary.AppendVarint writes it.
+			d.pw = uint64(int64(d.pw) + (int64(v>>1) ^ -int64(v&1)))
 		}
 	} else {
 		d.pw = uint64(binary.LittleEndian.Uint32(ss.blob[d.off:]))
 		d.off += 4
 	}
-	encLen64, n := binary.Uvarint(ss.blob[d.off:])
+	d.stepEnc()
+}
+
+// skipStep advances past the record at the decoder's position, decoding
+// only its encoding: the parent word is stepped over unread, so d.pw is
+// meaningless afterwards. The sealed-tier confirm (find) compares
+// encodings only and decodes up to sixteen records per candidate, so
+// the cumulative parent-delta arithmetic would be pure overhead there.
+func (d *sealedDecoder) skipStep() {
+	if d.parentIsRef {
+		blob := d.ss.blob
+		for blob[d.off] >= 0x80 {
+			d.off++
+		}
+		d.off++
+	} else {
+		d.off += 4
+	}
+	d.stepEnc()
+}
+
+// stepEnc decodes the encoding half of a record (length, then either
+// the full bytes or an XOR byte-mask plus the changed bytes) into the
+// rolling buffer. Only the mask's set bits are visited: the mask is
+// loaded eight bytes at a time and walked with TrailingZeros64, so a
+// record costs one step per changed byte instead of one per encoding
+// byte.
+func (d *sealedDecoder) stepEnc() {
+	blob := d.ss.blob
+	encLen64, n := uvarint(blob[d.off:])
 	d.off += n
 	encLen := int(encLen64)
-	if restart || encLen != len(d.enc) {
-		d.enc = append(d.enc[:0], ss.blob[d.off:d.off+encLen]...)
+	if d.ord%sealedRestartEvery == 0 || encLen != len(d.enc) {
+		d.enc = append(d.enc[:0], blob[d.off:d.off+encLen]...)
 		d.off += encLen
-	} else {
-		maskLen := (encLen + 7) / 8
-		mask := ss.blob[d.off : d.off+maskLen]
-		d.off += maskLen
-		for i := 0; i < encLen; i++ {
-			if mask[i/8]&(1<<(i%8)) != 0 {
-				d.enc[i] = ss.blob[d.off]
-				d.off++
+		d.ord++
+		return
+	}
+	maskLen := (encLen + 7) / 8
+	mask := blob[d.off : d.off+maskLen]
+	src := d.off + maskLen
+	enc := d.enc
+	for base := 0; base < maskLen; base += 8 {
+		var w uint64
+		if maskLen-base >= 8 {
+			w = binary.LittleEndian.Uint64(mask[base:])
+		} else {
+			for j := maskLen - 1; j >= base; j-- {
+				w = w<<8 | uint64(mask[j])
 			}
 		}
+		for ; w != 0; w &= w - 1 {
+			enc[base*8+bits.TrailingZeros64(w)] = blob[src]
+			src++
+		}
 	}
+	d.off = src
 	d.ord++
+}
+
+// uvarint is binary.Uvarint with an inlined fast path for the one-byte
+// values that dominate the arena: encoding lengths and sibling parent
+// deltas of 0.
+func uvarint(b []byte) (uint64, int) {
+	if b[0] < 0x80 {
+		return uint64(b[0]), 1
+	}
+	return binary.Uvarint(b)
 }
 
 // errSealedCorrupt marks invalid arena bytes found while decoding an
@@ -311,7 +364,9 @@ func (d *sealedDecoder) decodeAt(ss *sealedShard, ord uint32, parentIsRef bool) 
 // find probes the quotiented index for enc (probe hash ph): a cell
 // whose remainder matches is confirmed by decoding its entry and
 // comparing full encodings, so collisions in (position, remainder)
-// resolve exactly. Returns the sealed ordinal on a hit.
+// resolve exactly. The confirm decodes encodings only (skipStep): parent
+// words are stepped over, leaving d.pw meaningless. Returns the sealed
+// ordinal on a hit.
 func (ss *sealedShard) find(ph uint32, enc []byte, d *sealedDecoder, parentIsRef bool) (uint32, bool) {
 	cells := ss.index
 	if len(cells) == 0 {
@@ -326,8 +381,11 @@ func (ss *sealedShard) find(ph uint32, enc []byte, d *sealedDecoder, parentIsRef
 		}
 		if cell>>sealedRemShift == rem {
 			ord := cell&sealedOrdMask - 1
-			got, _ := d.decodeAt(ss, ord, parentIsRef)
-			if bytes.Equal(got, enc) {
+			d.startAt(ss, ord, parentIsRef)
+			for d.ord <= ord {
+				d.skipStep()
+			}
+			if bytes.Equal(d.enc, enc) {
 				return ord, true
 			}
 		}
@@ -353,10 +411,10 @@ func (ss *sealedShard) indexNeedsGrow() bool {
 }
 
 // indexGrow allocates the next-capacity table and repopulates it by a
-// sequential decode sweep of the arena — cells hold only 6 remainder
-// bits, not enough to rehash, but a linear decode re-derives every
-// (hash, ordinal) pair at ~O(count) cost amortized over the growth
-// schedule. Returns the resident bytes added (new cells) and freed
+// sequential, encoding-only decode sweep of the arena — cells hold only
+// 6 remainder bits, not enough to rehash, but a linear decode
+// re-derives every (hash, ordinal) pair at ~O(count) cost amortized
+// over the growth schedule. Returns the resident bytes added (new cells) and freed
 // (old cells) separately so the caller can record the transient peak
 // while both tables are live.
 func (ss *sealedShard) indexGrow(parentIsRef bool, d *sealedDecoder) (added, freed int64) {
@@ -373,7 +431,7 @@ func (ss *sealedShard) indexGrow(parentIsRef bool, d *sealedDecoder) (added, fre
 		d.startAt(ss, 0, parentIsRef)
 		for d.ord < ss.count {
 			ord := d.ord
-			d.step()
+			d.skipStep()
 			h := hashBytes(d.enc)
 			ss.indexInsert(uint32(h>>32), ord)
 		}

@@ -66,7 +66,7 @@ func TestSealMigrationRoundTrip(t *testing.T) {
 		// Level boundary: the just-expanded previous level migrates to
 		// the sealed tier; every ref the test still holds is rewritten.
 		if len(prevLevel) > 0 {
-			v.seal(prevLevel, allRefs, curLevel)
+			v.seal(1, prevLevel, allRefs, curLevel)
 		}
 		prevLevel = curLevel
 		curLevel = nil
@@ -142,7 +142,7 @@ func TestSealedIndexCollisionAdversary(t *testing.T) {
 		}
 		refs[i] = ref
 	}
-	v.seal(refs, refs)
+	v.seal(1, refs, refs)
 	if states, _, _ := v.sealedStats(); states != n {
 		t.Fatalf("sealed %d states, want %d", states, n)
 	}
@@ -166,121 +166,250 @@ func TestSealedIndexCollisionAdversary(t *testing.T) {
 	}
 }
 
-// FuzzSealedTier feeds pseudo-random state populations — arbitrary
-// lengths (inline and intern-overflow), shared prefixes, random parent
-// edges, random seal batch sizes — through claim/seal and cross-checks
-// the sealed tier against a plain map oracle.
+// sealRec is one state of a seal scenario.
+type sealRec struct {
+	enc    []byte
+	parent int    // index into the scenario's records, -1 = none
+	pword  uint32 // parent value passed to claim; the dist layout stores it as is
+}
+
+// sealTwin is one visited set driven through a seal scenario, with the
+// ref of every record as its seals rewrote it.
+type sealTwin struct {
+	v       *visitedSet
+	workers int
+	refs    []uint32
+	pending [2][]uint32 // claimed since the last seal, and the batch before
+}
+
+// runSealScenario drives one visited set per entry of workers through
+// the same pseudo-random population — arbitrary lengths (inline and
+// intern-overflow), shared prefixes, random parent edges — claimed one
+// key at a time and sealed in batches of up to batch states, each set
+// sealing with its own worker count. Like the engine, a boundary seals
+// the batch before the latest one, so the latest survives as live
+// entries that compaction must move; the last two are sealed at the
+// end. After every seal each set must be byte-identical to the first:
+// shard by shard (arena, restarts, quotiented index, count, live base,
+// ordinal count, live slots and live index), in the refs its seal
+// rewrote, and in its resident and peak byte counts.
+func runSealScenario(t *testing.T, seed uint64, maxLen, batch uint8, parentIsRef bool, workers ...int) ([]sealRec, []*sealTwin) {
+	t.Helper()
+	maxLen, batch = max(maxLen, 1), max(batch, 1)
+	const n = 600
+	twins := make([]*sealTwin, len(workers))
+	for i, w := range workers {
+		twins[i] = &sealTwin{v: newVisitedSet(n + 1), workers: w}
+		twins[i].v.parentIsRef = parentIsRef
+	}
+	var pc probeCounter
+
+	rng := seed
+	next := func() uint64 { // splitmix64
+		rng += 0x9e3779b97f4a7c15
+		z := rng
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4b9fe
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		return z ^ (z >> 31)
+	}
+	seal := func(batch []uint32, tw *sealTwin) {
+		tw.v.seal(tw.workers, batch, tw.refs, tw.pending[0])
+	}
+	boundary := func(final bool) {
+		for _, tw := range twins {
+			seal(tw.pending[1], tw)
+			tw.pending[1], tw.pending[0] = tw.pending[0], tw.pending[1][:0]
+			if final {
+				seal(tw.pending[1], tw)
+				tw.pending[1] = tw.pending[1][:0]
+			}
+		}
+		for _, tw := range twins[1:] {
+			requireSameSealTwins(t, twins[0], tw)
+		}
+	}
+
+	var recs []sealRec
+	seen := map[string]bool{}
+	key := uint64(1)
+	for i := 0; i < n; i++ {
+		l := int(next()%uint64(maxLen)) + 1
+		enc := make([]byte, l)
+		// Shared-prefix populations stress the delta codec; fully
+		// random ones stress the restart path.
+		copy(enc, "prefix/prefix/prefix/prefix")
+		for j := l - 1; j >= 0 && j >= l-3; j-- {
+			enc[j] = byte(next())
+		}
+		if seen[string(enc)] {
+			continue
+		}
+		seen[string(enc)] = true
+		rec := sealRec{enc: enc, parent: -1}
+		if len(recs) > 0 && next()%4 != 0 {
+			rec.parent = int(next() % uint64(len(recs)))
+			rec.pword = twins[0].refs[rec.parent]
+		}
+		for _, tw := range twins {
+			var pref uint32
+			if rec.parent >= 0 {
+				pref = tw.refs[rec.parent]
+			}
+			st, ref := tw.v.claim(enc, hashBytes(enc), pref, key, rec.parent >= 0, key, &pc)
+			if st != claimNew {
+				t.Fatalf("claim %q = %d, want claimNew", enc, st)
+			}
+			tw.refs = append(tw.refs, ref)
+			tw.pending[0] = append(tw.pending[0], ref)
+		}
+		key++
+		recs = append(recs, rec)
+		if len(twins[0].pending[0]) >= int(batch) {
+			boundary(false)
+		}
+	}
+	boundary(true)
+	return recs, twins
+}
+
+// requireSameSealTwins fails unless b's visited set and refs are
+// byte-identical to a's (see runSealScenario).
+func requireSameSealTwins(t *testing.T, a, b *sealTwin) {
+	t.Helper()
+	if !reflect.DeepEqual(a.refs, b.refs) {
+		t.Fatalf("workers %d vs %d: rewritten refs differ", a.workers, b.workers)
+	}
+	if ar, br := a.v.resident.Load(), b.v.resident.Load(); ar != br {
+		t.Fatalf("workers %d vs %d: resident %d != %d", a.workers, b.workers, ar, br)
+	}
+	if ap, bp := a.v.peak.Load(), b.v.peak.Load(); ap != bp {
+		t.Fatalf("workers %d vs %d: peak %d != %d", a.workers, b.workers, ap, bp)
+	}
+	for s := range a.v.shards {
+		sa, sb := &a.v.shards[s], &b.v.shards[s]
+		if sa.ordCount != sb.ordCount || sa.liveBase != sb.liveBase {
+			t.Fatalf("workers %d vs %d, shard %d: ordCount/liveBase %d/%d != %d/%d",
+				a.workers, b.workers, s, sa.ordCount, sa.liveBase, sb.ordCount, sb.liveBase)
+		}
+		if !reflect.DeepEqual(*sa.index.Load(), *sb.index.Load()) {
+			t.Fatalf("workers %d vs %d, shard %d: live index differs", a.workers, b.workers, s)
+		}
+		for p := uint32(0); p < sa.ordCount-sa.liveBase; p++ {
+			if *sa.entryAtPos(p) != *sb.entryAtPos(p) {
+				t.Fatalf("workers %d vs %d, shard %d: live slot %d differs", a.workers, b.workers, s, p)
+			}
+		}
+		ta, tb := &sa.sealed, &sb.sealed
+		if ta.count != tb.count || !bytes.Equal(ta.blob, tb.blob) ||
+			!reflect.DeepEqual(ta.restarts, tb.restarts) || !reflect.DeepEqual(ta.index, tb.index) {
+			t.Fatalf("workers %d vs %d, shard %d: sealed tier differs", a.workers, b.workers, s)
+		}
+	}
+}
+
+// TestSealParallelMatchesSerial: a seal spread over 4 workers must leave
+// exactly the visited set, refs and resident counters a 1-worker seal
+// does, in both parent layouts. runSealScenario compares the sets after
+// every seal.
+func TestSealParallelMatchesSerial(t *testing.T) {
+	for _, parentIsRef := range []bool{true, false} {
+		for seed := uint64(1); seed <= 6; seed++ {
+			for _, c := range []struct{ maxLen, batch uint8 }{{3, 40}, {16, 1}, {24, 200}, {255, 90}} {
+				runSealScenario(t, seed, c.maxLen, c.batch, parentIsRef, 1, 4)
+			}
+		}
+	}
+}
+
+// FuzzSealedTier feeds seal scenarios (runSealScenario) in both parent
+// layouts — the engine's delta-coded refs and the distributed store's
+// fixed 4-byte words — through a 1-worker and a 4-worker twin, which
+// must stay byte-identical, and cross-checks the serial twin against
+// the scenario's records: every state found at its ref, read back,
+// with its parent, and re-claimed as a duplicate. Finally every shard's
+// arena is swept by the checked decoder, the trusted one and the
+// encoding-only one (find's confirm) side by side, which must agree on
+// every ordinal.
 func FuzzSealedTier(f *testing.F) {
 	f.Add(uint64(1), uint8(3), uint8(40))
 	f.Add(uint64(0xdeadbeef), uint8(16), uint8(1))
 	f.Add(uint64(42), uint8(24), uint8(200))
+	f.Add(uint64(7), uint8(255), uint8(90))
 	f.Fuzz(func(t *testing.T, seed uint64, maxLen uint8, batch uint8) {
-		if maxLen == 0 {
-			maxLen = 1
-		}
-		if batch == 0 {
-			batch = 1
-		}
-		const n = 600
-		v := newVisitedSet(n + 1)
-		var pc probeCounter
-
-		rng := seed
-		next := func() uint64 { // splitmix64
-			rng += 0x9e3779b97f4a7c15
-			z := rng
-			z = (z ^ (z >> 30)) * 0xbf58476d1ce4b9fe
-			z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-			return z ^ (z >> 31)
-		}
-
-		type rec struct {
-			enc    []byte
-			parent int
-		}
-		var all []rec
-		var refs []uint32
-		var pending []uint32 // claimed since the last seal
-		oracle := map[string]int{}
-		key := uint64(1)
-
-		for i := 0; i < n; i++ {
-			l := int(next()%uint64(maxLen)) + 1
-			enc := make([]byte, l)
-			// Shared-prefix populations stress the delta codec; fully
-			// random ones stress the restart path.
-			copy(enc, "prefix/prefix/prefix/prefix")
-			for j := l - 1; j >= 0 && j >= l-3; j-- {
-				enc[j] = byte(next())
-			}
-			if _, dup := oracle[string(enc)]; dup {
-				continue
-			}
-			parent := -1
-			var pref uint32
-			hasParent := false
-			if len(refs) > 0 && next()%4 != 0 {
-				parent = int(next() % uint64(len(refs)))
-				pref = refs[parent]
-				hasParent = true
-			}
-			st, ref := v.claim(enc, hashBytes(enc), pref, key, hasParent, key, &pc)
-			if st != claimNew {
-				t.Fatalf("claim %q = %d, want claimNew", enc, st)
-			}
-			key++
-			oracle[string(enc)] = len(all)
-			all = append(all, rec{enc: enc, parent: parent})
-			refs = append(refs, ref)
-			pending = append(pending, ref)
-			if len(pending) >= int(batch) {
-				v.seal(pending, refs)
-				pending = pending[:0]
-			}
-		}
-		if len(pending) > 0 {
-			v.seal(pending, refs)
-		}
-
-		states, _, _ := v.sealedStats()
-		if states != int64(len(all)) {
-			t.Fatalf("sealed %d states, want %d", states, len(all))
-		}
-		for j, r := range all {
-			ref, ok := v.find(r.enc, hashBytes(r.enc))
-			if !ok || ref != refs[j] {
-				t.Fatalf("find(%q) = (%d,%v), want (%d,true)", r.enc, ref, ok, refs[j])
-			}
-			if got := v.bytesOf(ref); !bytes.Equal(got, r.enc) {
-				t.Fatalf("ref %d reads %q, want %q", j, got, r.enc)
-			}
-			pref, has := v.parentOf(ref)
-			if has != (r.parent >= 0) || (has && pref != refs[r.parent]) {
-				t.Fatalf("ref %d parent = (%d,%v), want (%v,%v)", j, pref, has, r.parent, r.parent >= 0)
-			}
-			if st, _ := v.claim(r.enc, hashBytes(r.enc), 0, key, false, key, &pc); st != claimDup {
-				t.Fatalf("re-claim of %q = %d, want claimDup", r.enc, st)
-			}
-		}
-		// The checked decoder must sweep every shard cleanly end to end.
-		var d sealedDecoder
-		maxEnc := int(maxLen) + 1
-		for s := range v.shards {
-			ss := &v.shards[s].sealed
-			if ss.count == 0 {
-				continue
-			}
-			d.startAt(ss, 0, v.parentIsRef)
-			for d.ord < ss.count {
-				if err := d.stepChecked(maxEnc); err != nil {
-					t.Fatalf("shard %d ord %d: %v", s, d.ord, err)
-				}
-			}
-			if d.off != len(ss.blob) {
-				t.Fatalf("shard %d: decode consumed %d of %d blob bytes", s, d.off, len(ss.blob))
-			}
+		for _, parentIsRef := range []bool{true, false} {
+			recs, twins := runSealScenario(t, seed, maxLen, batch, parentIsRef, 1, 4)
+			checkSealedRecords(t, twins[0], recs, int(max(maxLen, 1)))
 		}
 	})
+}
+
+// checkSealedRecords cross-checks a fully sealed twin against the
+// records it was built from, then sweeps its arenas with every decoder.
+func checkSealedRecords(t *testing.T, tw *sealTwin, recs []sealRec, maxEnc int) {
+	t.Helper()
+	v := tw.v
+	var pc probeCounter
+	states, _, _ := v.sealedStats()
+	if states != int64(len(recs)) {
+		t.Fatalf("sealed %d states, want %d", states, len(recs))
+	}
+	key := uint64(len(recs) + 1)
+	for j, r := range recs {
+		ref, ok := v.find(r.enc, hashBytes(r.enc))
+		if !ok || ref != tw.refs[j] {
+			t.Fatalf("find(%q) = (%d,%v), want (%d,true)", r.enc, ref, ok, tw.refs[j])
+		}
+		if got := v.bytesOf(ref); !bytes.Equal(got, r.enc) {
+			t.Fatalf("ref %d reads %q, want %q", j, got, r.enc)
+		}
+		if v.parentIsRef {
+			pref, has := v.parentOf(ref)
+			if has != (r.parent >= 0) || (has && pref != tw.refs[r.parent]) {
+				t.Fatalf("ref %d parent = (%d,%v), want (%v,%v)", j, pref, has, r.parent, r.parent >= 0)
+			}
+		} else {
+			// The dist layout stores the claim-time parent value as is.
+			want := uint64(0)
+			if r.parent >= 0 {
+				want = uint64(r.pword)<<1 | 1
+			}
+			if got := v.parentWordOf(ref); got != want {
+				t.Fatalf("ref %d parent word = %#x, want %#x", j, got, want)
+			}
+		}
+		if st, _ := v.claim(r.enc, hashBytes(r.enc), 0, key, false, key, &pc); st != claimDup {
+			t.Fatalf("re-claim of %q = %d, want claimDup", r.enc, st)
+		}
+	}
+	var checked, trusted, encOnly sealedDecoder
+	for s := range v.shards {
+		ss := &v.shards[s].sealed
+		if ss.count == 0 {
+			continue
+		}
+		checked.startAt(ss, 0, v.parentIsRef)
+		trusted.startAt(ss, 0, v.parentIsRef)
+		encOnly.startAt(ss, 0, v.parentIsRef)
+		for checked.ord < ss.count {
+			ord := checked.ord
+			if err := checked.stepChecked(maxEnc); err != nil {
+				t.Fatalf("shard %d ord %d: %v", s, ord, err)
+			}
+			trusted.step()
+			encOnly.skipStep()
+			if !bytes.Equal(trusted.enc, checked.enc) || trusted.pw != checked.pw || trusted.off != checked.off {
+				t.Fatalf("shard %d ord %d: step decodes (%q, %d, off %d), stepChecked (%q, %d, off %d)",
+					s, ord, trusted.enc, trusted.pw, trusted.off, checked.enc, checked.pw, checked.off)
+			}
+			if !bytes.Equal(encOnly.enc, checked.enc) || encOnly.off != checked.off {
+				t.Fatalf("shard %d ord %d: skipStep decodes (%q, off %d), stepChecked (%q, off %d)",
+					s, ord, encOnly.enc, encOnly.off, checked.enc, checked.off)
+			}
+		}
+		if checked.off != len(ss.blob) {
+			t.Fatalf("shard %d: decode consumed %d of %d blob bytes", s, checked.off, len(ss.blob))
+		}
+	}
 }
 
 // TestSealNoSealEquivalence runs the same searches with the sealed tier
@@ -367,11 +496,11 @@ func TestResidentAccountingMemStats(t *testing.T) {
 		}
 		pending = append(pending, ref)
 		if len(pending) == 4096 {
-			v.seal(pending)
+			v.seal(1, pending)
 			pending = pending[:0]
 		}
 	}
-	v.seal(pending)
+	v.seal(1, pending)
 
 	runtime.GC()
 	runtime.ReadMemStats(&after)

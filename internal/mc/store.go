@@ -176,12 +176,14 @@ func (s *ShardStore) BytesOf(ref uint32) []byte { return s.v.bytesOf(ref) }
 // current frontier, typically) plus any refs claimed since the last
 // drain to the post-seal ordinal space. Must only be called at a level
 // barrier, after the sealed level can no longer be re-keyed: its
-// successors' level has fully drained.
+// successors' level has fully drained. The seal runs on one goroutine:
+// a distributed search's workers are separate processes that already
+// seal their stores concurrently.
 func (s *ShardStore) SealLevel(refs []uint32, rewrite ...[]uint32) {
 	if len(s.claimed) > 0 {
 		rewrite = append(rewrite, s.claimed)
 	}
-	s.v.seal(refs, rewrite...)
+	s.v.seal(1, refs, rewrite...)
 }
 
 // KeyOf returns the state's current (winning) claim key.
