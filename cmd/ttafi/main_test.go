@@ -1,8 +1,11 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -68,5 +71,39 @@ func TestRunRetriesFlag(t *testing.T) {
 	}
 	if got := experiments.MaxRetries(); got != 0 {
 		t.Errorf("MaxRetries() = %d after -retries 0", got)
+	}
+}
+
+// allRuns4Seed1SHA256 is the SHA-256 of `ttafi -experiment all -runs 4
+// -seed 1` stdout. Campaign tables are deterministic for a seed set and
+// worker count, so any change to simulation, encoding or decoding that
+// alters a single table byte shows up here.
+const allRuns4Seed1SHA256 = "0a0e54830665084b0aa53f14870c880b57129f9082d8392bb0db7b910595c476"
+
+// TestAllCampaignOutputPinned runs the full campaign sequence and compares
+// its stdout byte for byte (by digest) with the pinned tables.
+func TestAllCampaignOutputPinned(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	digest := make(chan string)
+	go func() {
+		h := sha256.New()
+		io.Copy(h, r)
+		digest <- hex.EncodeToString(h.Sum(nil))
+	}()
+	runErr := run([]string{"-experiment", "all", "-runs", "4", "-seed", "1"})
+	os.Stdout = stdout
+	w.Close()
+	got := <-digest
+	r.Close()
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	if got != allRuns4Seed1SHA256 {
+		t.Errorf("-experiment all -runs 4 -seed 1 stdout SHA-256 = %s, want %s", got, allRuns4Seed1SHA256)
 	}
 }

@@ -4,12 +4,18 @@
 package bitstr
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 )
 
 // String is a mutable sequence of bits, most significant bit first within
 // the sequence. The zero value is an empty string ready for use.
+//
+// Bits are packed eight to a byte, first bit in the top bit of data[0], and
+// data holds exactly (n+7)/8 bytes. The padding bits past n in the final
+// byte are always zero: every mutator keeps that invariant, and Equal,
+// Append and Bytes rely on it.
 type String struct {
 	data []byte
 	n    int
@@ -53,18 +59,53 @@ func (s *String) AppendUint(v uint64, width int) *String {
 	if width < 64 && v>>uint(width) != 0 {
 		panic(fmt.Sprintf("bitstr: value %d does not fit in %d bits", v, width))
 	}
-	for i := width - 1; i >= 0; i-- {
-		s.AppendBit(v>>uint(i)&1 == 1)
+	for width > 0 {
+		take := min(8, width)
+		width -= take
+		s.appendByte(byte(v>>uint(width))<<uint(8-take), take)
 	}
 	return s
 }
 
 // Append appends all bits of other.
 func (s *String) Append(other *String) *String {
-	for i := 0; i < other.n; i++ {
-		s.AppendBit(other.Bit(i))
+	n := other.n
+	if s.n%8 == 0 {
+		s.data = append(s.data, other.data...)
+		s.n += n
+		return s
+	}
+	for i := 0; i < n; i += 8 {
+		take := min(8, n-i)
+		s.appendByte(other.bitsAt(i, take), take)
 	}
 	return s
+}
+
+// appendByte appends the top take bits of b (1 <= take <= 8); the low
+// 8-take bits of b must be zero.
+func (s *String) appendByte(b byte, take int) {
+	r := uint(s.n % 8)
+	if r == 0 {
+		s.data = append(s.data, b)
+	} else {
+		s.data[len(s.data)-1] |= b >> r
+		if take > int(8-r) {
+			s.data = append(s.data, b<<(8-r))
+		}
+	}
+	s.n += take
+}
+
+// bitsAt returns bits [i, i+take) in the top take bits of a byte, the rest
+// zero (1 <= take <= 8, i+take <= s.n).
+func (s *String) bitsAt(i, take int) byte {
+	k, sh := i/8, uint(i%8)
+	b := s.data[k] << sh
+	if sh != 0 && k+1 < len(s.data) {
+		b |= s.data[k+1] >> (8 - sh)
+	}
+	return b &^ (0xFF >> uint(take))
 }
 
 // Bit returns the bit at index i. It panics if i is out of range.
@@ -91,17 +132,28 @@ func (s *String) SetBit(i int, bit bool) {
 // Flip inverts the bit at index i. Fault injectors use it to corrupt frames.
 func (s *String) Flip(i int) { s.SetBit(i, !s.Bit(i)) }
 
-// Uint reads width bits starting at offset, most significant first.
+// Uint reads width bits starting at offset, most significant first. It
+// panics if width is outside [0, 64] or the bits run outside the string;
+// a zero-width read is 0 at any offset.
 func (s *String) Uint(offset, width int) uint64 {
 	if width < 0 || width > 64 {
 		panic(fmt.Sprintf("bitstr: Uint width %d out of range", width))
 	}
+	if width == 0 {
+		return 0
+	}
+	if offset < 0 || offset >= s.n {
+		panic(fmt.Sprintf("bitstr: index %d out of range [0,%d)", offset, s.n))
+	}
+	if offset > s.n-width {
+		panic(fmt.Sprintf("bitstr: index %d out of range [0,%d)", s.n, s.n))
+	}
 	var v uint64
-	for i := 0; i < width; i++ {
-		v <<= 1
-		if s.Bit(offset + i) {
-			v |= 1
-		}
+	for i, end := uint(offset), uint(offset+width); i < end; {
+		sh := i % 8
+		take := min(8-sh, end-i)
+		v = v<<take | uint64(s.data[i/8]<<sh>>(8-take))
+		i += take
 	}
 	return v
 }
@@ -112,9 +164,10 @@ func (s *String) Slice(from, to int) *String {
 		panic(fmt.Sprintf("bitstr: slice [%d,%d) out of range [0,%d)", from, to, s.n))
 	}
 	out := New(to - from)
-	for i := from; i < to; i++ {
-		out.AppendBit(s.Bit(i))
+	for i := from; i < to; i += 8 {
+		out.data = append(out.data, s.bitsAt(i, min(8, to-i)))
 	}
+	out.n = to - from
 	return out
 }
 
@@ -127,15 +180,7 @@ func (s *String) Clone() *String {
 
 // Equal reports whether s and other hold the same bit sequence.
 func (s *String) Equal(other *String) bool {
-	if s.n != other.n {
-		return false
-	}
-	for i := 0; i < s.n; i++ {
-		if s.Bit(i) != other.Bit(i) {
-			return false
-		}
-	}
-	return true
+	return s.n == other.n && bytes.Equal(s.data, other.data)
 }
 
 // String renders the bits as '0'/'1' characters grouped in nibbles.

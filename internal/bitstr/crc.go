@@ -1,9 +1,11 @@
 package bitstr
 
+import "sync/atomic"
+
 // CRCParams describes a CRC computed most-significant-bit first over a bit
 // string of arbitrary (not necessarily byte-aligned) length.
 type CRCParams struct {
-	Width int    // checksum width in bits
+	Width int    // checksum width in bits, 1 to 64
 	Poly  uint64 // generator polynomial, top bit implicit
 	Init  uint64 // initial shift-register value
 	Name  string // diagnostic label
@@ -20,21 +22,30 @@ var CRC16 = CRCParams{Width: 16, Poly: 0x1021, Init: 0xFFFF, Name: "CRC-16/CCITT
 
 // Checksum computes the CRC of the bit string under p.
 func (p CRCParams) Checksum(s *String) uint64 {
-	reg := p.Init
-	top := uint64(1) << uint(p.Width-1)
-	mask := top<<1 - 1
-	for i := 0; i < s.Len(); i++ {
-		in := uint64(0)
-		if s.Bit(i) {
-			in = 1
-		}
-		feedback := (reg>>uint(p.Width-1))&1 ^ in
-		reg = (reg << 1) & mask
+	return p.checksum(s, s.n)
+}
+
+// checksum computes the CRC of the first n bits of s in place: whole
+// bytes through the (Width, Poly) table, eight bits per step, then the
+// final n%8 bits through the shift register one at a time. The register is
+// kept left-aligned in 64 bits so one table shape serves every width.
+func (p CRCParams) checksum(s *String, n int) uint64 {
+	shift := uint(64 - p.Width)
+	poly := p.Poly << shift
+	reg := p.Init << shift
+	t := p.table()
+	whole := n / 8
+	for _, b := range s.data[:whole] {
+		reg = reg<<8 ^ t[byte(reg>>56)^b]
+	}
+	for i := whole * 8; i < n; i++ {
+		feedback := reg>>63 ^ uint64(s.data[i/8]>>(7-uint(i%8))&1)
+		reg <<= 1
 		if feedback == 1 {
-			reg ^= p.Poly
+			reg ^= poly
 		}
 	}
-	return reg & mask
+	return reg >> shift
 }
 
 // AppendChecksum computes the CRC of s and appends it, returning s.
@@ -48,7 +59,54 @@ func (p CRCParams) Verify(s *String) bool {
 	if s.Len() < p.Width {
 		return false
 	}
-	body := s.Slice(0, s.Len()-p.Width)
-	got := s.Uint(s.Len()-p.Width, p.Width)
-	return p.Checksum(body) == got
+	body := s.Len() - p.Width
+	return p.checksum(s, body) == s.Uint(body, p.Width)
+}
+
+// crcTable is the byte-step table of one (Width, Poly): entry b is the
+// left-aligned register after shifting the eight bits of b through a zero
+// register.
+type crcTable struct {
+	width int
+	poly  uint64
+	step  [256]uint64
+}
+
+// crcTables holds every table built so far. The list is immutable once
+// published, so a lookup is one atomic load and a short scan; a new
+// (Width, Poly) is added by copy and compare-and-swap.
+var crcTables atomic.Pointer[[]*crcTable]
+
+// table returns the byte-step table of p's (Width, Poly), building and
+// publishing it on first use.
+func (p CRCParams) table() *[256]uint64 {
+	for {
+		cur := crcTables.Load()
+		var known []*crcTable
+		if cur != nil {
+			known = *cur
+		}
+		for _, t := range known {
+			if t.width == p.Width && t.poly == p.Poly {
+				return &t.step
+			}
+		}
+		t := &crcTable{width: p.Width, poly: p.Poly}
+		poly := p.Poly << uint(64-p.Width)
+		for b := range t.step {
+			reg := uint64(b) << 56
+			for k := 0; k < 8; k++ {
+				if reg>>63 == 1 {
+					reg = reg<<1 ^ poly
+				} else {
+					reg <<= 1
+				}
+			}
+			t.step[b] = reg
+		}
+		next := append(known[:len(known):len(known)], t)
+		if crcTables.CompareAndSwap(cur, &next) {
+			return &t.step
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package bitstr
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -119,5 +120,35 @@ func TestCRCImplicitStateAgreement(t *testing.T) {
 	}
 	if CRC24.Checksum(withA) != CRC24.Checksum(body.Clone().Append(stateA.Clone())) {
 		t.Error("identical hidden states produced differing checksums")
+	}
+}
+
+// TestCRCTableConcurrentFirstUse: goroutines that meet new (Width, Poly)
+// pairs at the same time all publish into the shared table list; every
+// checksum must still match the reference and every table stay findable.
+func TestCRCTableConcurrentFirstUse(t *testing.T) {
+	msg := message(0x0123456789ABCDEF, 61)
+	params := make([]CRCParams, 16)
+	for i := range params {
+		params[i] = CRCParams{Width: 7 + i, Poly: 0x5B + uint64(i)*2, Init: 1, Name: "concurrent"}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range params {
+				p := params[(k+g*5)%len(params)]
+				if got, want := p.Checksum(msg), refChecksum(p, msg); got != want {
+					t.Errorf("width %d: Checksum = %#x, want %#x", p.Width, got, want)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, p := range params {
+		if p.table() != p.table() {
+			t.Errorf("width %d: table rebuilt after publication", p.Width)
+		}
 	}
 }

@@ -95,6 +95,10 @@ type Medium struct {
 	receivers []Receiver
 	active    []*pendingTx
 	count     uint64
+
+	// carrierLabel and deliveryLabel name the medium's scheduler events,
+	// built once rather than per transmission.
+	carrierLabel, deliveryLabel string
 }
 
 type pendingTx struct {
@@ -106,7 +110,8 @@ var _ Wire = (*Medium)(nil)
 
 // NewMedium returns an empty broadcast medium on channel id.
 func NewMedium(sched *sim.Scheduler, id ID, name string) *Medium {
-	return &Medium{sched: sched, id: id, name: name}
+	return &Medium{sched: sched, id: id, name: name,
+		carrierLabel: name + " carrier", deliveryLabel: name + " delivery"}
 }
 
 // Attach subscribes r to all future deliveries.
@@ -139,14 +144,14 @@ func (m *Medium) Transmit(tx Transmission) {
 		}
 	}
 	m.active = append(m.active, p)
-	m.sched.At(tx.Start, m.name+" carrier", func() {
+	m.sched.At(tx.Start, m.carrierLabel, func() {
 		for _, r := range m.receivers {
 			if cs, ok := r.(CarrierSenser); ok {
 				cs.CarrierSense(m.id, tx.End())
 			}
 		}
 	})
-	m.sched.At(tx.End(), m.name+" delivery", func() {
+	m.sched.At(tx.End(), m.deliveryLabel, func() {
 		m.deliver(p)
 	})
 }

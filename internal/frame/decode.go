@@ -117,11 +117,7 @@ func decodeI(s *bitstr.String, rx cstate.CState) DecodeResult {
 	if s.Len() != MinIFrameBits || s.Uint(0, 1) != 1 {
 		return DecodeResult{Status: StatusInvalid}
 	}
-	f := &Frame{
-		Kind:              KindI,
-		ModeChangeRequest: uint8(s.Uint(1, 3)),
-		CState:            cstate.DecodeCompact(s, HeaderBits),
-	}
+	f := iFrame(s)
 	switch {
 	case !bitstr.CRC24.Verify(s):
 		return DecodeResult{Frame: f, Status: StatusIncorrect}
@@ -129,6 +125,16 @@ func decodeI(s *bitstr.String, rx cstate.CState) DecodeResult {
 		return DecodeResult{Frame: f, Status: StatusIncorrect}
 	default:
 		return DecodeResult{Frame: f, Status: StatusCorrect}
+	}
+}
+
+// iFrame reads the fields of s, already checked to be structurally an
+// I-frame; its CRC is the caller's to check.
+func iFrame(s *bitstr.String) *Frame {
+	return &Frame{
+		Kind:              KindI,
+		ModeChangeRequest: uint8(s.Uint(1, 3)),
+		CState:            cstate.DecodeCompact(s, HeaderBits),
 	}
 }
 

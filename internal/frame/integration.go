@@ -21,10 +21,7 @@ func DecodeForIntegration(s *bitstr.String) (*Frame, bool) {
 	}
 	// I-frame: structure plus self-contained CRC only.
 	if s.Len() == MinIFrameBits && s.Uint(0, 1) == 1 && bitstr.CRC24.Verify(s) {
-		res := Decode(KindI, s, emptyCState)
-		if res.Frame != nil {
-			return res.Frame, true
-		}
+		return iFrame(s), true
 	}
 	// X-frame: its CRCs cover the explicit C-state, so a decode against
 	// the frame's own C-state succeeding means the CRCs are intact.

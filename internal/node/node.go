@@ -55,6 +55,13 @@ type Node struct {
 	dataSinks []DataListener
 	listeners []StateListener
 	stats     Stats
+	labels    eventLabels
+}
+
+// eventLabels are the scheduler labels of the node's per-slot events,
+// built once so the slot engine does not format a string per event.
+type eventLabels struct {
+	boundary, tx, listenTimeout, deferredColdStart string
 }
 
 // DataListener receives application payloads from correct N-/X-frames, the
@@ -81,6 +88,12 @@ func New(sched *sim.Scheduler, cfg Config, tracer sim.Tracer) (*Node, error) {
 		state:   StateFreeze,
 		ownSlot: cfg.Schedule.OwnerSlot(cfg.ID),
 		sync:    clocksync.New(cfg.SyncK),
+		labels: eventLabels{
+			boundary:          fmt.Sprintf("node %v slot boundary", cfg.ID),
+			tx:                fmt.Sprintf("node %v tx", cfg.ID),
+			listenTimeout:     fmt.Sprintf("node %v listen timeout", cfg.ID),
+			deferredColdStart: fmt.Sprintf("node %v deferred cold start", cfg.ID),
+		},
 	}
 	return n, nil
 }

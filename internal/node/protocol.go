@@ -29,7 +29,7 @@ func (n *Node) restartListenTimeout() {
 		n.listenTimer.Cancel()
 	}
 	deadline := n.clock.Now().Add(n.cfg.Schedule.StartupTimeout(n.cfg.ID))
-	n.listenTimer = n.scheduleAtLocal(deadline, fmt.Sprintf("node %v listen timeout", n.cfg.ID), n.listenTimeoutExpired)
+	n.listenTimer = n.scheduleAtLocal(deadline, n.labels.listenTimeout, n.listenTimeoutExpired)
 }
 
 func (n *Node) listenTimeoutExpired() {
@@ -54,7 +54,7 @@ func (n *Node) listenTimeoutExpired() {
 	// (event ordering), so "busy through now" also defers.
 	if busy >= now {
 		n.listenTimer = n.sched.At(busy.Add(time.Microsecond),
-			fmt.Sprintf("node %v deferred cold start", n.cfg.ID), n.listenTimeoutExpired)
+			n.labels.deferredColdStart, n.listenTimeoutExpired)
 		return
 	}
 	n.enterColdStart()
@@ -175,7 +175,7 @@ func (n *Node) enterColdStart() {
 func (n *Node) scheduleBoundary() {
 	dur := n.cfg.Schedule.Slot(n.slot).Duration
 	next := n.slotStartLocal + sim.LocalTime(dur)
-	n.slotTimer = n.scheduleAtLocal(next, fmt.Sprintf("node %v slot boundary", n.cfg.ID), n.slotBoundary)
+	n.slotTimer = n.scheduleAtLocal(next, n.labels.boundary, n.slotBoundary)
 }
 
 func (n *Node) slotBoundary() {
@@ -439,7 +439,7 @@ func (n *Node) transmitAtAction(f *frame.Frame) {
 		panic(fmt.Sprintf("node %v: encoding scheduled frame: %v", n.cfg.ID, err))
 	}
 	action := n.slotStartLocal + sim.LocalTime(n.cfg.Schedule.Slot(n.ownSlot).ActionOffset)
-	n.txTimer = n.scheduleAtLocal(action, fmt.Sprintf("node %v tx", n.cfg.ID), func() {
+	n.txTimer = n.scheduleAtLocal(action, n.labels.tx, func() {
 		nominal := n.cfg.Schedule.TransmissionTime(bits.Len())
 		tx := channel.Transmission{
 			Origin:   n.cfg.ID,
