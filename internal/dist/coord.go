@@ -14,9 +14,10 @@ package dist
 // before draining. Each level: issue Expands, collect ExpandDones,
 // broadcast counted Seals once nothing is outstanding, collect
 // LevelReports, then close the barrier — merge the per-worker
-// claim-key lists into the global frontier order, reduce violations by
-// minimum claim key, and advance. The result assembly mirrors
-// mc/engine.go line for line; divergence there is a bug here.
+// claim-key lists into the global frontier order and reduce violations
+// by minimum claim key. The search around the levels is not run here:
+// the coordinator is an mc.LevelBackend (search.go), and mc's one
+// search loop decides budgets, interrupts, counts and the Result.
 //
 // Crash recovery (recover.go) re-enters this loop through the same
 // events: a death replays at most the dead worker's current level (plus
@@ -96,7 +97,7 @@ type Report struct {
 }
 
 // Checker implements mc.DistChecker: plug one into mc.Options.Dist and
-// every mc.Check* entry point routes through the distributed backend.
+// every mc.Check* entry point runs its search on a worker fleet.
 type Checker struct {
 	Opts Options
 
@@ -106,59 +107,39 @@ type Checker struct {
 
 var _ mc.DistChecker = (*Checker)(nil)
 
-// Report returns the ledger of the most recent DistCheck.
+// Report returns the ledger of the most recent search.
 func (ck *Checker) Report() Report {
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
 	return ck.last
 }
 
-// DistCheck runs the distributed search. Exactly one of stInv/trInv
-// must be set, matching the mc.Check* entry point that routed here.
-func (ck *Checker) DistCheck(m mc.Model, stInv mc.StateInvariantBytes,
-	trInv mc.TransitionInvariantBytes, opts mc.Options) (mc.Result, error) {
-	var res mc.Result
+// NewBackend starts a worker fleet for one search and returns its
+// coordinator as the search's level backend; closing the backend stops
+// the fleet and records the run's Report.
+func (ck *Checker) NewBackend(m mc.Model, stInv mc.StateInvariantBytes,
+	trInv mc.TransitionInvariantBytes, reduced bool, opts mc.Options) (mc.LevelBackend, error) {
 	switch {
 	case opts.Resume != nil || opts.ResumePath != "":
-		return res, fmt.Errorf("dist: -resume is not supported with -dist-workers (recovery is built in)")
+		return nil, fmt.Errorf("dist: -resume is not supported with -dist-workers (recovery is built in)")
 	case opts.CheckpointPath != "":
-		return res, fmt.Errorf("dist: -checkpoint is not supported with -dist-workers (workers snapshot every level barrier)")
-	case opts.FallbackWalks > 0:
-		return res, fmt.Errorf("dist: -fallback-walks is not supported with -dist-workers")
+		return nil, fmt.Errorf("dist: -checkpoint is not supported with -dist-workers (workers snapshot every level barrier)")
 	case (stInv == nil) == (trInv == nil):
-		return res, fmt.Errorf("dist: exactly one invariant kind per distributed check")
+		return nil, fmt.Errorf("dist: exactly one invariant kind per distributed check")
 	}
 	sm, ok := m.(SpeccedModel)
 	if !ok {
-		return res, fmt.Errorf("dist: model %T cannot cross a process boundary (no DistSpec)", m)
+		return nil, fmt.Errorf("dist: model %T cannot cross a process boundary (no DistSpec)", m)
 	}
-	start := time.Now()
-	c, err := newCoordinator(ck.Opts, m, sm, stInv, trInv, opts)
+	c, err := newCoordinator(ck, m, sm, stInv, reduced, opts)
 	if err != nil {
-		return res, err
+		return nil, err
 	}
-	res, err = c.run()
-	rep := c.report()
-	ck.mu.Lock()
-	ck.last = rep
-	ck.mu.Unlock()
-	if opts.Stats != nil && err == nil {
-		d := time.Since(start)
-		st := mc.Stats{
-			States:       res.StatesExplored,
-			Transitions:  res.TransitionsExplored,
-			Levels:       c.levels,
-			PeakFrontier: c.peakFrontier,
-			Duration:     d,
-			WireFrames:   rep.Frames,
-			WireBytes:    rep.BytesOnWire,
-		}
-		if s := d.Seconds(); s > 0 {
-			st.StatesPerSec = float64(res.StatesExplored) / s
-		}
-		opts.Stats(st)
+	if err := c.start(); err != nil {
+		c.Close(nil)
+		return nil, err
 	}
-	return res, err
+	return c, nil
 }
 
 // event is one occurrence delivered to the coordinator loop.
@@ -321,15 +302,14 @@ type distViol struct {
 }
 
 type coordinator struct {
+	ck    *Checker
 	o     Options
 	mopts mc.Options
 	model mc.Model
 	stInv mc.StateInvariantBytes
-	trInv mc.TransitionInvariantBytes
 
 	specName, specPayload string
 	reduced               bool
-	fingerprint           uint64
 
 	launcher   Launcher
 	snapDir    string
@@ -340,38 +320,40 @@ type coordinator struct {
 	events     chan event
 	tickStop   chan struct{}
 
+	// Admission: the distinct initial states so far, and the
+	// canonicalizer of a reduced search.
+	initSeen map[string]struct{}
+	canon    mc.CanonicalExpander
+
 	// Level state. level is the exploration level being built: 0 is the
 	// initial states, level L>=1 expands the depth-(L-1) frontier.
-	level      int32
-	base       uint64
-	nextBase   uint64
-	slots      map[int][]uint32 // per worker: global slots of its frontier, in its frontier order
-	prevSlots  map[int][]uint32
-	lastSlots  map[int][]uint32 // computed at the barrier, promoted to slots by startLevel
-	prevBase   uint64
-	counts     []uint32 // per global slot of the current level
-	prevCounts []uint32
-	pending    map[uint32]pendingExpand
-	nextID     uint32
-	sealed     bool
-	resealAll  bool // recovery re-expansion may have claimed into drained stores
-	anyFull    bool
-	trBest     *distViol
-	stViols    []distViol
-	initGroups [mc.NumShards]*batchGroup // level-0 claims, kept for recovery re-delivery
-	accCur     []map[int]*sentRec        // per destination: per sender, declared mesh groups
-	accPrev    []map[int]*sentRec
-	replayOps  []*replayOp
-	sealSeq    uint32
-	afterSeal  []func()
-	openRecs   []*openRecovery
+	level       int32
+	base        uint64
+	frontierLen int
+	slots       map[int][]uint32 // per worker: global slots of its frontier, in its frontier order
+	prevSlots   map[int][]uint32
+	lastSlots   map[int][]uint32 // computed at the barrier, promoted to slots by startLevel
+	prevBase    uint64
+	counts      []int // per global slot of the current level
+	prevCounts  []int
+	pending     map[uint32]pendingExpand
+	nextID      uint32
+	sealed      bool
+	resealAll   bool // recovery re-expansion may have claimed into drained stores
+	anyFull     bool
+	trBest      *distViol
+	stViols     []distViol
+	viol        *distViol                 // the last expanded level's winner
+	initGroups  [mc.NumShards]*batchGroup // level-0 claims, kept for recovery re-delivery
+	accCur      []map[int]*sentRec        // per destination: per sender, declared mesh groups
+	accPrev     []map[int]*sentRec
+	replayOps   []*replayOp
+	sealSeq     uint32
+	afterSeal   []func()
+	openRecs    []*openRecovery
 
-	totalStates   int64 // sum of worker States at the last barrier
-	totalResident int64
-	totalGen      uint64
-	levels        int
-	peakFrontier  int
-	done          chan struct{}
+	totalGen uint64
+	done     chan struct{}
 
 	rep Report
 }
@@ -384,8 +366,9 @@ type openRecovery struct {
 	prevSlots []uint32 // previous-level slots (two-level catch-up only)
 }
 
-func newCoordinator(o Options, m mc.Model, sm SpeccedModel, stInv mc.StateInvariantBytes,
-	trInv mc.TransitionInvariantBytes, mopts mc.Options) (*coordinator, error) {
+func newCoordinator(ck *Checker, m mc.Model, sm SpeccedModel, stInv mc.StateInvariantBytes,
+	reduced bool, mopts mc.Options) (*coordinator, error) {
+	o := ck.Opts
 	if o.Workers <= 0 {
 		o.Workers = 2
 	}
@@ -406,29 +389,25 @@ func newCoordinator(o Options, m mc.Model, sm SpeccedModel, stInv mc.StateInvari
 	}
 	name, payload := sm.DistSpec()
 	c := &coordinator{
+		ck:          ck,
 		o:           o,
 		mopts:       mopts,
 		model:       m,
 		stInv:       stInv,
-		trInv:       trInv,
 		specName:    name,
 		specPayload: payload,
+		reduced:     reduced,
 		launcher:    o.Launcher,
 		snapDir:     o.SnapshotDir,
 		events:      make(chan event, 256),
 		slots:       map[int][]uint32{},
 		prevSlots:   map[int][]uint32{},
 		pending:     map[uint32]pendingExpand{},
+		initSeen:    map[string]struct{}{},
 		done:        make(chan struct{}),
 	}
-	// The reduction gate, verbatim from the engine: quotient exploration
-	// only for a reducible model checked through a transition invariant
-	// with the oracle not forced.
-	if rm, ok := m.(mc.ReducibleModel); ok && !mopts.NoReduce && stInv == nil && trInv != nil && rm.Reducible() {
-		c.reduced = true
-	}
-	if fm, ok := m.(mc.FingerprintedModel); ok {
-		c.fingerprint = fm.Fingerprint()
+	if reduced {
+		c.canon = m.(mc.ReducibleModel).NewReducedExpander()
 	}
 	if c.launcher == nil {
 		c.launcher = &ProcLauncher{LogDir: o.SnapshotDir}
@@ -481,15 +460,12 @@ func (c *coordinator) report() Report {
 	return rep
 }
 
-// run drives the whole search; it always tears the fleet down before
-// returning.
-func (c *coordinator) run() (res mc.Result, err error) {
-	res.Holds = true
-	res.Reduced = c.reduced
+// start makes the run's directories and brings up the fleet.
+func (c *coordinator) start() error {
 	if c.snapDir == "" {
-		dir, derr := os.MkdirTemp("", "ttamc-dist-*")
-		if derr != nil {
-			return res, fmt.Errorf("dist: snapshot dir: %w", derr)
+		dir, err := os.MkdirTemp("", "ttamc-dist-*")
+		if err != nil {
+			return fmt.Errorf("dist: snapshot dir: %w", err)
 		}
 		c.snapDir = dir
 		c.ownSnapDir = true
@@ -497,23 +473,32 @@ func (c *coordinator) run() (res mc.Result, err error) {
 	// The mesh rendezvous directory is always a fresh temp dir (not the
 	// snapshot dir, which callers may point at long paths — Unix socket
 	// addresses have a ~100-byte limit).
-	meshDir, derr := os.MkdirTemp("", "ttamc-mesh-*")
-	if derr != nil {
-		return res, fmt.Errorf("dist: mesh dir: %w", derr)
+	meshDir, err := os.MkdirTemp("", "ttamc-mesh-*")
+	if err != nil {
+		return fmt.Errorf("dist: mesh dir: %w", err)
 	}
 	c.meshDir = meshDir
-	defer func() {
-		c.shutdown()
-		os.RemoveAll(c.meshDir)
-		if c.ownSnapDir {
-			os.RemoveAll(c.snapDir)
-		}
-	}()
+	return c.launchAll()
+}
 
-	if err := c.launchAll(); err != nil {
-		return res, err
+// Close tears the fleet and the run's directories down, then records
+// the run's Report on the Checker and its wire totals in st.
+func (c *coordinator) Close(st *mc.Stats) {
+	c.shutdown()
+	if c.meshDir != "" {
+		os.RemoveAll(c.meshDir)
 	}
-	return c.search(res)
+	if c.ownSnapDir {
+		os.RemoveAll(c.snapDir)
+	}
+	rep := c.report()
+	c.ck.mu.Lock()
+	c.ck.last = rep
+	c.ck.mu.Unlock()
+	if st != nil {
+		st.WireFrames = rep.Frames
+		st.WireBytes = rep.BytesOnWire
+	}
 }
 
 // launchAll starts every worker and waits for the fleet's Hellos.
@@ -743,9 +728,3 @@ func (c *coordinator) eventWorker(ev event) *workerState {
 	}
 	return w
 }
-
-// errFatal carries a run-aborting condition out of event handling.
-type fatalError struct{ err error }
-
-func (e fatalError) Error() string { return e.err.Error() }
-func (e fatalError) Unwrap() error { return e.err }

@@ -8,6 +8,7 @@ package dist
 // forking.
 
 import (
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -112,7 +113,8 @@ func runDist(t *testing.T, m mc.Model, stInv mc.StateInvariantBytes,
 		dopts.SnapshotDir = t.TempDir()
 	}
 	ck := &Checker{Opts: dopts}
-	res, err := ck.DistCheck(m, stInv, trInv, opts)
+	opts.Dist = ck
+	res, err := runEngine(t, m, stInv, trInv, opts)
 	return res, ck.Report(), err
 }
 
@@ -146,16 +148,36 @@ func TestDistMatchesEngine(t *testing.T) {
 			} else {
 				trInv = tc.g.trInvBytes()
 			}
-			want, err := runEngine(t, tc.g, stInv, trInv, mc.Options{})
-			if err != nil {
-				t.Fatalf("engine: %v", err)
-			}
-			for _, workers := range []int{1, 2, 5} {
-				got, _, err := runDist(t, tc.g, stInv, trInv, mc.Options{}, Options{Workers: workers})
+			// observed runs a check with Progress and Stats hooked.
+			observed := func(run func(mc.Options) (mc.Result, error)) (mc.Result, []mc.Progress, mc.Stats) {
+				t.Helper()
+				var prog []mc.Progress
+				var st mc.Stats
+				res, err := run(mc.Options{
+					Progress: func(p mc.Progress) { prog = append(prog, p) },
+					Stats:    func(s mc.Stats) { st = s },
+				})
 				if err != nil {
-					t.Fatalf("dist workers=%d: %v", workers, err)
+					t.Fatal(err)
 				}
+				return res, prog, st
+			}
+			want, wantProg, wantSt := observed(func(o mc.Options) (mc.Result, error) {
+				return runEngine(t, tc.g, stInv, trInv, o)
+			})
+			for _, workers := range []int{1, 2, 5} {
+				got, prog, st := observed(func(o mc.Options) (mc.Result, error) {
+					res, _, err := runDist(t, tc.g, stInv, trInv, o, Options{Workers: workers})
+					return res, err
+				})
 				requireIdentical(t, got, want)
+				if !reflect.DeepEqual(prog, wantProg) {
+					t.Fatalf("dist workers=%d Progress diverges from engine:\n got %+v\nwant %+v", workers, prog, wantProg)
+				}
+				if st.Levels != wantSt.Levels || st.PeakFrontier != wantSt.PeakFrontier {
+					t.Fatalf("dist workers=%d Stats: %d levels, peak frontier %d; engine %d, %d",
+						workers, st.Levels, st.PeakFrontier, wantSt.Levels, wantSt.PeakFrontier)
+				}
 			}
 		})
 	}
@@ -335,6 +357,102 @@ func TestDistStateLimit(t *testing.T) {
 	}
 }
 
+// TestDistStatsOnStateLimit: a budget trip still reports Stats, once.
+func TestDistStatsOnStateLimit(t *testing.T) {
+	g := graphModel{N: 300, Target: 300}
+	for _, dist := range []bool{false, true} {
+		calls := 0
+		opts := mc.Options{MaxStates: 50, Stats: func(mc.Stats) { calls++ }}
+		var err error
+		if dist {
+			_, _, err = runDist(t, g, nil, g.trInvBytes(), opts, Options{Workers: 2})
+		} else {
+			_, err = runEngine(t, g, nil, g.trInvBytes(), opts)
+		}
+		if !errors.Is(err, mc.ErrStateLimit) {
+			t.Fatalf("dist=%v: %v, want ErrStateLimit", dist, err)
+		}
+		if calls != 1 {
+			t.Fatalf("dist=%v: Stats called %d times, want 1", dist, calls)
+		}
+	}
+}
+
+// TestDistDeadlineCause: a deadline that carries a cause is still a
+// deadline, for the distributed search as for the engine.
+func TestDistDeadlineCause(t *testing.T) {
+	g := graphModel{N: 300, Target: 300}
+	run := func(dist bool) (mc.Result, error) {
+		ctx, cancel := context.WithTimeoutCause(context.Background(), 0, errors.New("budget spent"))
+		defer cancel()
+		opts := mc.Options{Context: ctx}
+		if dist {
+			res, _, err := runDist(t, g, nil, g.trInvBytes(), opts, Options{Workers: 2})
+			return res, err
+		}
+		return runEngine(t, g, nil, g.trInvBytes(), opts)
+	}
+	want, err := run(false)
+	if !errors.Is(err, mc.ErrDeadline) {
+		t.Fatalf("engine: %v, want ErrDeadline", err)
+	}
+	got, err := run(true)
+	if !errors.Is(err, mc.ErrDeadline) {
+		t.Fatalf("dist: %v, want ErrDeadline", err)
+	}
+	requireIdentical(t, got, want)
+}
+
+// TestDistFallbackWalks: a spent budget degrades into the engine's
+// seeded walks under dist too, finding the same counterexample. One
+// worker reproduces the engine's whole Result; more workers only admit
+// more states before the per-worker MaxStates trips. Resident bytes are
+// per store (a worker store also interns parent encodings), so the
+// memory budget is spent at the first boundary, where every backend
+// trips alike.
+func TestDistFallbackWalks(t *testing.T) {
+	g := graphModel{N: 300, Target: 211} // violation at depth 9
+	cases := []struct {
+		name string
+		opts mc.Options
+	}{
+		{"max-states", mc.Options{MaxStates: 50}},
+		{"mem-budget", mc.Options{MemBudget: 1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := tc.opts
+			opts.FallbackWalks, opts.FallbackDepth, opts.FallbackSeed = 200, 64, 7
+			want, err := runEngine(t, g, nil, g.trInvBytes(), opts)
+			if err != nil {
+				t.Fatalf("engine: %v", err)
+			}
+			if want.Holds || want.SampledWalks == 0 {
+				t.Fatalf("engine did not find the violation by sampling: %+v", want)
+			}
+			for _, workers := range []int{1, 3} {
+				got, _, err := runDist(t, g, nil, g.trInvBytes(), opts, Options{Workers: workers})
+				if err != nil {
+					t.Fatalf("dist workers=%d: %v", workers, err)
+				}
+				if workers == 1 {
+					requireIdentical(t, got, want)
+					continue
+				}
+				if !reflect.DeepEqual(got.Counterexample, want.Counterexample) || got.Holds ||
+					got.SampledWalks != want.SampledWalks || got.SampledDepth != want.SampledDepth {
+					t.Fatalf("dist workers=%d verdict diverges:\n got %+v\nwant %+v", workers, got, want)
+				}
+				if max := workers * opts.MaxStates; opts.MaxStates > 0 &&
+					(got.StatesExplored < want.StatesExplored || got.StatesExplored > max) {
+					t.Fatalf("dist workers=%d explored %d states, outside [%d, %d]",
+						workers, got.StatesExplored, want.StatesExplored, max)
+				}
+			}
+		})
+	}
+}
+
 func TestDistMaxDepth(t *testing.T) {
 	g := graphModel{N: 300, Target: 211} // violation at depth 9
 	opts := mc.Options{MaxDepth: 4}
@@ -373,14 +491,14 @@ func TestDistRejectsUnsupportedOptions(t *testing.T) {
 		{"resume-path", g, nil, tr, mc.Options{ResumePath: "x"}},
 		{"resume-inmem", g, nil, tr, mc.Options{Resume: &mc.Checkpoint{}}},
 		{"checkpoint", g, nil, tr, mc.Options{CheckpointPath: "x"}},
-		{"fallback", g, nil, tr, mc.Options{FallbackWalks: 3}},
 		{"both-invariants", g, st, tr, mc.Options{}},
 		{"no-invariant", g, nil, nil, mc.Options{}},
 		{"unspecced", unspeccedModel{}, nil, tr, mc.Options{}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ck.DistCheck(tc.model, tc.stInv, tc.trInv, tc.opts); err == nil {
+			if b, err := ck.NewBackend(tc.model, tc.stInv, tc.trInv, false, tc.opts); err == nil {
+				b.Close(nil)
 				t.Fatal("accepted, want refusal")
 			}
 		})
@@ -390,7 +508,7 @@ func TestDistRejectsUnsupportedOptions(t *testing.T) {
 func TestDistWorkerCountBounds(t *testing.T) {
 	g := graphModel{N: 10, Target: 10}
 	ck := &Checker{Opts: Options{Workers: mc.NumShards + 1, Launcher: newPipeLauncher()}}
-	if _, err := ck.DistCheck(g, nil, g.trInvBytes(), mc.Options{}); err == nil {
+	if _, err := mc.CheckTransitionInvariantBytes(g, g.trInvBytes(), mc.Options{Dist: ck}); err == nil {
 		t.Fatalf("accepted %d workers, want refusal over %d shards", mc.NumShards+1, mc.NumShards)
 	}
 }

@@ -75,10 +75,10 @@ func (c *coordinator) dispatch(w *workerState, typ byte, payload []byte) error {
 	case mtHello:
 		m, err := decodeHello(payload)
 		if err != nil {
-			return fatalError{fmt.Errorf("dist: worker %d: %w", w.index, err)}
+			return fmt.Errorf("dist: worker %d: %w", w.index, err)
 		}
 		if m.Err != "" {
-			return fatalError{fmt.Errorf("dist: worker %d failed to start: %s", w.index, m.Err)}
+			return fmt.Errorf("dist: worker %d failed to start: %s", w.index, m.Err)
 		}
 		w.helloed = true
 		if w.needCatchup {
@@ -88,27 +88,27 @@ func (c *coordinator) dispatch(w *workerState, typ byte, payload []byte) error {
 	case mtExpandDone:
 		m, err := decodeExpandDone(payload)
 		if err != nil {
-			return fatalError{fmt.Errorf("dist: worker %d: %w", w.index, err)}
+			return fmt.Errorf("dist: worker %d: %w", w.index, err)
 		}
 		return c.onExpandDone(w, m)
 	case mtReplayDone:
 		m, err := decodeReplayDone(payload)
 		if err != nil {
-			return fatalError{fmt.Errorf("dist: worker %d: %w", w.index, err)}
+			return fmt.Errorf("dist: worker %d: %w", w.index, err)
 		}
 		return c.onReplayDone(w, m)
 	case mtLevelReport:
 		m, err := decodeLevelReport(payload)
 		if err != nil {
-			return fatalError{fmt.Errorf("dist: worker %d: %w", w.index, err)}
+			return fmt.Errorf("dist: worker %d: %w", w.index, err)
 		}
 		return c.onReport(w, m)
 	case mtFatal:
 		m, err := decodeFatal(payload)
 		if err != nil {
-			return fatalError{fmt.Errorf("dist: worker %d: %w", w.index, err)}
+			return fmt.Errorf("dist: worker %d: %w", w.index, err)
 		}
-		return fatalError{fmt.Errorf("dist: worker %d: %s", w.index, m.Err)}
+		return fmt.Errorf("dist: worker %d: %s", w.index, m.Err)
 	case mtTraceReply, mtBye:
 		// Stray: a trace reply outside reconstruction, a Bye outside
 		// shutdown. Harmless.
@@ -126,11 +126,11 @@ func (c *coordinator) onExpandDone(w *workerState, m *msgExpandDone) error {
 		return nil // previous-level catch-up: its counts are long final
 	}
 	if len(m.Counts) != len(pe.slots) {
-		return fatalError{fmt.Errorf("dist: worker %d: expand %d returned %d counts for %d slots",
-			w.index, m.ID, len(m.Counts), len(pe.slots))}
+		return fmt.Errorf("dist: worker %d: expand %d returned %d counts for %d slots",
+			w.index, m.ID, len(m.Counts), len(pe.slots))
 	}
 	for i, s := range pe.slots {
-		c.counts[s] = m.Counts[i]
+		c.counts[s] = int(m.Counts[i])
 	}
 	// Fold the declared mesh-group counts into the barrier accounting.
 	// The sender flush-synced these groups onto its peer links before
@@ -138,8 +138,8 @@ func (c *coordinator) onExpandDone(w *workerState, m *msgExpandDone) error {
 	// sender dies a microsecond from now.
 	for _, st := range m.SentTo {
 		if st.Dest < 0 || st.Dest >= len(c.accCur) {
-			return fatalError{fmt.Errorf("dist: worker %d declared groups for worker %d, which does not exist",
-				w.index, st.Dest)}
+			return fmt.Errorf("dist: worker %d declared groups for worker %d, which does not exist",
+				w.index, st.Dest)
 		}
 		accD := c.accCur[st.Dest]
 		rec := accD[w.index]
@@ -207,7 +207,7 @@ func (c *coordinator) onReport(w *workerState, m *msgLevelReport) error {
 		}
 	}
 	if !filled {
-		return fatalError{fmt.Errorf("dist: worker %d: level %d report (seq %d) with no seal outstanding", w.index, m.Level, m.Seq)}
+		return fmt.Errorf("dist: worker %d: level %d report (seq %d) with no seal outstanding", w.index, m.Level, m.Seq)
 	}
 	w.states = m.States
 	w.resident = m.Resident
@@ -399,7 +399,7 @@ func (c *coordinator) handleDeath(w *workerState, cause error) error {
 	w.wireBytesDead += w.wireBytesCur
 	w.wireBytesCur = 0
 	if w.taintLevel >= 0 {
-		return fatalError{fmt.Errorf("dist: worker %d died before its snapshots covered a prior takeover; overlapping crashes are unrecoverable", w.index)}
+		return fmt.Errorf("dist: worker %d died before its snapshots covered a prior takeover; overlapping crashes are unrecoverable", w.index)
 	}
 	hadPendingCur := false
 	for id, pe := range c.pending {
@@ -443,8 +443,8 @@ func (c *coordinator) handleDeath(w *workerState, cause error) error {
 			redone := (op.level == c.level && (ack == c.level-1 || ack == c.level-2)) ||
 				(op.level == c.level-1 && ack == c.level-2)
 			if !redone {
-				return fatalError{fmt.Errorf("dist: worker %d died owing a level-%d replay its successor cannot regenerate; overlapping crashes are unrecoverable",
-					w.index, op.level)}
+				return fmt.Errorf("dist: worker %d died owing a level-%d replay its successor cannot regenerate; overlapping crashes are unrecoverable",
+					w.index, op.level)
 			}
 			if op.level == c.level && !w.redoSelfOnly {
 				released = append(released, op)
@@ -468,7 +468,7 @@ func (c *coordinator) handleDeath(w *workerState, cause error) error {
 			restore = append(restore, restoreSrc{Index: w.index, Through: ack, Frontier: true})
 		}
 		if err := c.startIncarnation(w, restore); err != nil {
-			return fatalError{err}
+			return err
 		}
 
 		// Re-deliver the in-flight levels' mesh traffic from the
@@ -503,7 +503,7 @@ func (c *coordinator) enqueueCatchup(w *workerState) error {
 		// nothing to redo.
 		for _, sg := range w.segs {
 			if !sg.filled {
-				return fatalError{fmt.Errorf("dist: worker %d restored at level %d with a report still outstanding", w.index, ack)}
+				return fmt.Errorf("dist: worker %d restored at level %d with a report still outstanding", w.index, ack)
 			}
 		}
 		return nil
@@ -531,8 +531,8 @@ func (c *coordinator) enqueueCatchup(w *workerState) error {
 			return c.redoCurrent(w, rec)
 		})
 	default:
-		return fatalError{fmt.Errorf("dist: worker %d died %d levels past its last snapshot (level %d); unrecoverable",
-			w.index, c.level-ack, ack)}
+		return fmt.Errorf("dist: worker %d died %d levels past its last snapshot (level %d); unrecoverable",
+			w.index, c.level-ack, ack)
 	}
 }
 
@@ -585,7 +585,7 @@ func (c *coordinator) takeover(d *workerState) error {
 		}
 	}
 	if s == nil {
-		return fatalError{fmt.Errorf("dist: worker %d is out of respawns and no worker survives to take over", d.index)}
+		return fmt.Errorf("dist: worker %d is out of respawns and no worker survives to take over", d.index)
 	}
 	c.logf("dist: worker %d takes over worker %d's shards at level %d", s.index, d.index, c.level)
 	c.rep.Takeovers++
@@ -602,8 +602,8 @@ func (c *coordinator) takeover(d *workerState) error {
 		if op.level == c.level && ack == c.level-1 && !d.redoSelfOnly {
 			released = append(released, op)
 		} else {
-			return fatalError{fmt.Errorf("dist: worker %d retired owing a level-%d replay no survivor can regenerate; overlapping crashes are unrecoverable",
-				d.index, op.level)}
+			return fmt.Errorf("dist: worker %d retired owing a level-%d replay no survivor can regenerate; overlapping crashes are unrecoverable",
+				d.index, op.level)
 		}
 	}
 	for _, op := range released {
@@ -648,7 +648,7 @@ func (c *coordinator) takeover(d *workerState) error {
 		var dKeys []uint64
 		for _, sg := range d.segs {
 			if !sg.filled {
-				return fatalError{fmt.Errorf("dist: worker %d retired at level %d with a report still outstanding", d.index, ack)}
+				return fmt.Errorf("dist: worker %d retired at level %d with a report still outstanding", d.index, ack)
 			}
 			dKeys = append(dKeys, sg.keys...)
 		}
@@ -670,7 +670,7 @@ func (c *coordinator) takeover(d *workerState) error {
 		// (the survivor included, applying its own buffer locally)
 		// re-deliver the mesh traffic buffered for the absorbed shards.
 		if ack < 0 {
-			return fatalError{fmt.Errorf("dist: worker %d left no snapshot to take over", d.index)}
+			return fmt.Errorf("dist: worker %d left no snapshot to take over", d.index)
 		}
 		c.sendTo(s, &msgRestore{Index: d.index, Through: ack})
 		if slots := c.slots[d.index]; len(slots) > 0 {
@@ -687,8 +687,8 @@ func (c *coordinator) takeover(d *workerState) error {
 			return err
 		}
 	default:
-		return fatalError{fmt.Errorf("dist: worker %d died %d levels past its last snapshot; takeover cannot catch up",
-			d.index, c.level-ack)}
+		return fmt.Errorf("dist: worker %d died %d levels past its last snapshot; takeover cannot catch up",
+			d.index, c.level-ack)
 	}
 	s.taintLevel = c.level
 	return nil

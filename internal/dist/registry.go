@@ -7,7 +7,7 @@ package dist
 // one, and both coordinator and worker binaries register a builder for
 // each name (cmd/ttamc registers "tta"; tests register fixtures). The
 // builder returns the model AND its invariants: closures cannot cross
-// the wire either, so the contract is that the caller of DistCheck
+// the wire either, so the contract is that a check run on a Checker
 // passes the same invariant the registered builder would produce — which
 // is exactly how every CLI path already constructs its checks
 // (m.PropertyBytes()).

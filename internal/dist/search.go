@@ -1,161 +1,126 @@
 package dist
 
-// The distributed search loop and barrier, mirroring the accounting of
-// mc/engine.go checkSearch exactly: same init semantics, same claim-key
-// bases, same violation reduction and counting, same Progress cadence.
+// The coordinator as an mc.LevelBackend: mc's search loop decides, the
+// coordinator runs each level's barrier across the fleet. Admission
+// routes the initial states to their shard owners as batch claims;
+// Expand issues the level's Expands and collects its barrier; NextLevel
+// closes the barrier into the next frontier.
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"sort"
 
 	"ttastar/internal/mc"
 )
 
-func (c *coordinator) search(res mc.Result) (mc.Result, error) {
-	ctx := c.mopts.Context
-	if ctx == nil {
-		ctx = context.Background()
+// AdmitInitial dedups initial state i at the coordinator, charges it to
+// the state budget and queues it for its shard owner as a batch claim
+// with key i.
+func (c *coordinator) AdmitInitial(enc []byte, i int) mc.ClaimStatus {
+	if c.canon != nil {
+		c.canon.Canonicalize(enc)
 	}
-
-	// Level 0: admit the initial states in index order, checking budget
-	// and state invariant serially at the coordinator exactly as the
-	// engine does — a violating or over-budget init never reaches a
-	// worker. Distinct inits are routed to their shard owners as batch
-	// claims with key = index.
-	var canon mc.CanonicalExpander
-	if c.reduced {
-		canon = c.model.(mc.ReducibleModel).NewReducedExpander()
+	if _, dup := c.initSeen[string(enc)]; dup {
+		return mc.ClaimDup
 	}
-	inits := c.model.Initial()
-	seen := make(map[string]struct{}, len(inits))
-	var groups [mc.NumShards]*batchGroup
-	for i, s := range inits {
-		enc := []byte(s)
-		if canon != nil {
-			canon.Canonicalize(enc)
-		}
-		if _, dup := seen[string(enc)]; dup {
-			continue
-		}
-		if c.mopts.MaxStates > 0 && len(seen) >= c.mopts.MaxStates {
-			res.StatesExplored = len(seen)
-			return res, fmt.Errorf("%d states: %w", res.StatesExplored, mc.ErrStateLimit)
-		}
-		seen[string(enc)] = struct{}{}
-		if c.stInv != nil && !c.stInv(enc) {
-			res.Holds = false
-			res.Counterexample = []mc.State{s}
-			res.StatesExplored = len(seen)
-			return res, nil
-		}
-		shard := mc.ShardOf(mc.HashState(enc))
-		g := groups[shard]
-		if g == nil {
-			g = &batchGroup{Shard: uint8(shard), Slot: 0}
-			groups[shard] = g
-		}
-		g.Js = append(g.Js, uint32(i))
-		g.Encs = append(g.Encs, enc)
+	if len(c.initSeen) >= c.mopts.MaxStates {
+		return mc.ClaimFull
 	}
-	c.level, c.base = 0, 0
-	c.nextBase = uint64(len(inits)) << mc.KeySuccBits
-	for shard, g := range groups {
-		if g == nil {
-			continue
-		}
+	c.initSeen[string(enc)] = struct{}{}
+	shard := mc.ShardOf(mc.HashState(enc))
+	g := c.initGroups[shard]
+	if g == nil {
+		g = &batchGroup{Shard: uint8(shard), Slot: 0}
 		c.initGroups[shard] = g
-		w := c.workers[c.assign[shard]]
-		c.sendTo(w, &msgBatch{Level: 0, Base: 0, Groups: []batchGroup{*g}})
 	}
-	if err := c.collectLevel(); err != nil {
-		return c.finishErr(res, err)
-	}
-	frontierKeys := c.closeBarrier()
-	c.frontier(len(frontierKeys))
+	g.Js = append(g.Js, uint32(i))
+	g.Encs = append(g.Encs, enc)
+	return mc.ClaimNew
+}
 
-	for depth := int32(0); len(frontierKeys) > 0; depth++ {
-		if err := ctx.Err(); err != nil {
-			res.Interrupted = true
-			res.StatesExplored = int(c.totalStates)
-			reason := mc.ErrInterrupted
-			if errors.Is(context.Cause(ctx), context.DeadlineExceeded) {
-				reason = mc.ErrDeadline
+// NextLevel closes the current level's barrier. At level 0 it first
+// ships the admitted initial states and collects their barrier.
+func (c *coordinator) NextLevel() (int, error) {
+	if c.initSeen != nil {
+		c.initSeen = nil
+		for shard, g := range c.initGroups {
+			if g != nil {
+				c.sendTo(c.workers[c.assign[shard]], &msgBatch{Level: 0, Base: 0, Groups: []batchGroup{*g}})
 			}
-			return res, fmt.Errorf("depth %d, %d states: %w", res.Depth, res.StatesExplored, reason)
 		}
-		if c.mopts.MaxDepth > 0 && int(depth) >= c.mopts.MaxDepth {
-			res.DepthBounded = true
-			break
-		}
-		if c.mopts.MemBudget > 0 && c.totalResident > c.mopts.MemBudget {
-			res.StatesExplored = int(c.totalStates)
-			return res, fmt.Errorf("%d states: %w", res.StatesExplored, mc.ErrStateLimit)
-		}
-		if c.nextBase+(uint64(len(frontierKeys))+1)<<mc.KeySuccBits > mc.KeyMax {
-			return res, fmt.Errorf("mc: claim-key space exhausted at depth %d (%d states): %w",
-				depth, c.totalStates, mc.ErrStateLimit)
-		}
-
-		c.startLevel(depth+1, len(frontierKeys))
 		if err := c.collectLevel(); err != nil {
-			return c.finishErr(res, err)
-		}
-		c.levels++
-
-		if viol := c.reduceViolation(); viol != nil {
-			return c.violationResult(res, viol, int(depth))
-		}
-		for _, n := range c.counts {
-			res.TransitionsExplored += int(n)
-			c.totalGen += uint64(n)
-		}
-		if c.anyFull {
-			res.StatesExplored = int(c.sumStates())
-			return res, fmt.Errorf("%d states: %w", res.StatesExplored, mc.ErrStateLimit)
-		}
-
-		c.nextBase += uint64(len(frontierKeys)) << mc.KeySuccBits
-		frontierKeys = c.closeBarrier()
-		c.frontier(len(frontierKeys))
-		if len(frontierKeys) > 0 {
-			res.Depth = int(depth) + 1
-		}
-		if c.mopts.Progress != nil {
-			c.mopts.Progress(mc.Progress{
-				Depth:       int(depth) + 1,
-				States:      int(c.totalStates),
-				Transitions: res.TransitionsExplored,
-				Frontier:    len(frontierKeys),
-			})
+			return 0, err
 		}
 	}
-	res.StatesExplored = int(c.totalStates)
-	return res, nil
+	c.frontierLen = c.closeBarrier()
+	return c.frontierLen, nil
 }
 
-// finishErr unwraps fatalError markers for the caller.
-func (c *coordinator) finishErr(res mc.Result, err error) (mc.Result, error) {
-	if fe, ok := err.(fatalError); ok {
-		err = fe.err
+// Expand runs the next level across the fleet up to its barrier.
+func (c *coordinator) Expand(base uint64) (mc.Level, error) {
+	c.startLevel(c.level+1, base)
+	if err := c.collectLevel(); err != nil {
+		return mc.Level{}, err
 	}
-	res.StatesExplored = int(c.totalStates)
-	return res, err
-}
-
-func (c *coordinator) frontier(n int) {
-	if n > c.peakFrontier {
-		c.peakFrontier = n
+	for _, n := range c.counts {
+		c.totalGen += uint64(n)
 	}
+	lvl := mc.Level{Counts: c.counts, Full: c.anyFull}
+	if c.viol = c.reduceViolation(); c.viol != nil {
+		lvl.Viol = &mc.Violation{Key: c.viol.key, IsState: c.viol.isState}
+	}
+	return lvl, nil
 }
 
-// sumStates totals the active workers' latest reported state counts.
-func (c *coordinator) sumStates() int64 {
+// StatesBefore is every admitted state less the current level's claims
+// keyed at or past limit.
+func (c *coordinator) StatesBefore(limit uint64) int {
+	n := c.States()
+	for _, w := range c.workers {
+		if !w.alive || w.retired {
+			continue
+		}
+		for _, sg := range w.segs {
+			for _, k := range sg.keys {
+				if k >= limit {
+					n--
+				}
+			}
+		}
+	}
+	return n
+}
+
+// Trace reconstructs the winning violation's path through per-owner
+// parent queries.
+func (c *coordinator) Trace() ([]mc.State, error) {
+	if c.viol.isState {
+		return c.tracePath(c.viol.enc)
+	}
+	cex, err := c.tracePath(c.viol.from)
+	if err != nil {
+		return nil, err
+	}
+	return append(cex, mc.State(c.viol.to)), nil
+}
+
+// States totals the active workers' latest reported state counts.
+func (c *coordinator) States() int {
 	var total int64
 	for _, w := range c.workers {
 		if w.alive && !w.retired {
 			total += w.states + w.extraStates
+		}
+	}
+	return int(total)
+}
+
+// Resident totals the active workers' latest reported resident bytes.
+func (c *coordinator) Resident() int64 {
+	var total int64
+	for _, w := range c.workers {
+		if w.alive && !w.retired {
+			total += w.resident + w.extraResident
 		}
 	}
 	return total
@@ -164,17 +129,17 @@ func (c *coordinator) sumStates() int64 {
 // startLevel rotates the level state and issues the level's Expands —
 // one per active worker (empty slot lists included, so SWIFI level
 // triggers fire on idle workers too).
-func (c *coordinator) startLevel(level int32, frontierLen int) {
+func (c *coordinator) startLevel(level int32, base uint64) {
 	c.prevSlots = c.slots
 	c.slots = c.lastSlots
 	c.lastSlots = nil
 	c.prevBase = c.base
 	c.level = level
-	c.base = c.nextBase
+	c.base = base
 	c.accPrev = c.accCur
 	c.accCur = freshAcc(c.o.Workers)
 	c.prevCounts = c.counts
-	c.counts = make([]uint32, frontierLen)
+	c.counts = make([]int, c.frontierLen)
 	c.sealed = false
 	c.resealAll = false
 	c.anyFull = false
@@ -303,23 +268,18 @@ func (c *coordinator) barrierReady() bool {
 }
 
 // closeBarrier merges the per-worker key sequences into the global
-// frontier order, assigns next-level slots, refreshes the global totals
-// and prices open recoveries. It returns the sorted global frontier keys.
-func (c *coordinator) closeBarrier() []uint64 {
-	var all []uint64
-	c.totalStates = 0
-	c.totalResident = 0
+// frontier order, assigns next-level slots and prices open recoveries.
+// It returns the global frontier's length.
+func (c *coordinator) closeBarrier() int {
+	var sorted []uint64
 	for _, w := range c.workers {
 		if !w.alive || w.retired {
 			continue
 		}
 		for _, sg := range w.segs {
-			all = append(all, sg.keys...)
+			sorted = append(sorted, sg.keys...)
 		}
-		c.totalStates += w.states + w.extraStates
-		c.totalResident += w.resident + w.extraResident
 	}
-	sorted := append([]uint64(nil), all...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	c.lastSlots = map[int][]uint32{}
 	for _, w := range c.workers {
@@ -349,7 +309,7 @@ func (c *coordinator) closeBarrier() []uint64 {
 		c.rep.Recoveries = append(c.rep.Recoveries, rec)
 	}
 	c.openRecs = nil
-	return sorted
+	return len(sorted)
 }
 
 // reduceViolation picks the level's winner: lowest claim key, transition
@@ -363,70 +323,6 @@ func (c *coordinator) reduceViolation() *distViol {
 		}
 	}
 	return best
-}
-
-// violationResult assembles the counterexample exactly as the engine
-// does, reconstructing the trace through per-owner parent queries.
-func (c *coordinator) violationResult(res mc.Result, viol *distViol, depth int) (mc.Result, error) {
-	res.Holds = false
-	res.Depth = depth + 1
-	limit := viol.key
-	if viol.isState {
-		limit++
-	}
-	levelClaimed := 0
-	var levelKeys []uint64
-	for _, w := range c.workers {
-		if !w.alive || w.retired {
-			continue
-		}
-		for _, sg := range w.segs {
-			levelClaimed += len(sg.keys)
-			levelKeys = append(levelKeys, sg.keys...)
-		}
-	}
-	prior := int(c.sumStates()) - levelClaimed
-	through := 0
-	for _, k := range levelKeys {
-		if k < limit {
-			through++
-		}
-	}
-	res.StatesExplored = prior + through
-	rel := viol.key - c.base
-	slot := int(rel >> mc.KeySuccBits)
-	tr := int(rel&(1<<mc.KeySuccBits-1)) + 1
-	for i := 0; i < slot && i < len(c.counts); i++ {
-		tr += int(c.counts[i])
-	}
-	res.TransitionsExplored += tr
-	for _, n := range c.counts {
-		c.totalGen += uint64(n)
-	}
-
-	var cex []mc.State
-	var err error
-	if viol.isState {
-		cex, err = c.tracePath(viol.enc)
-	} else {
-		cex, err = c.tracePath(viol.from)
-		if err == nil {
-			cex = append(cex, mc.State(viol.to))
-		}
-	}
-	if err != nil {
-		return res, err
-	}
-	res.Counterexample = cex
-	if c.reduced {
-		cc, cerr := mc.ConcretizeTrace(c.model, c.trInv, cex)
-		if cerr != nil {
-			return res, cerr
-		}
-		res.Counterexample = cc
-		res.Depth = len(cc) - 1
-	}
-	return res, nil
 }
 
 // tracePath walks parent encodings from enc back to a root through the

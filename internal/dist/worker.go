@@ -631,13 +631,7 @@ func (w *worker) handleExpand(payload []byte) error {
 			}
 			shard := mc.ShardOf(mc.HashState(succ))
 			if w.assign[shard] == me {
-				st, sref := w.store.Claim(succ, key, sb, true, m.Base)
-				if st == mc.ClaimNew && w.stInv != nil && !w.stInv(succ) {
-					w.stViol = append(w.stViol, sref)
-				}
-				if st == mc.ClaimFull {
-					w.full = true
-				}
+				w.claim(succ, key, sb, true, m.Base)
 			} else {
 				acc := &w.accs[shard]
 				if !acc.active {
@@ -723,6 +717,18 @@ func (w *worker) flushLinks() {
 	}
 }
 
+// claim admits one successor into the store: a new state is checked
+// against the state invariant, and a spent budget marks the level full.
+func (w *worker) claim(enc []byte, key uint64, parent []byte, hasParent bool, base uint64) {
+	st, ref := w.store.Claim(enc, key, parent, hasParent, base)
+	if st == mc.ClaimNew && w.stInv != nil && !w.stInv(enc) {
+		w.stViol = append(w.stViol, ref)
+	}
+	if st == mc.ClaimFull {
+		w.full = true
+	}
+}
+
 // handleMeshBatch applies one inbound mesh frame: claim every
 // successor, then credit the (sender, incarnation) count the level's
 // seal is waiting on.
@@ -739,13 +745,7 @@ func (w *worker) handleMeshBatch(ev wev) error {
 	}
 	n, err := walkMeshGroups(groups, func(slot uint32, parent []byte, j uint32, enc []byte) {
 		key := mc.ClaimKey(base, int(slot), int(j))
-		st, sref := w.store.Claim(enc, key, parent, true, base)
-		if st == mc.ClaimNew && w.stInv != nil && !w.stInv(enc) {
-			w.stViol = append(w.stViol, sref)
-		}
-		if st == mc.ClaimFull {
-			w.full = true
-		}
+		w.claim(enc, key, parent, true, base)
 	})
 	if err != nil {
 		return err
@@ -767,13 +767,7 @@ func (w *worker) handleBatch(payload []byte) error {
 		for k := range g.Js {
 			enc := g.Encs[k]
 			key := mc.ClaimKey(m.Base, int(g.Slot), int(g.Js[k]))
-			st, sref := w.store.Claim(enc, key, g.Parent, g.HasParent, m.Base)
-			if st == mc.ClaimNew && w.stInv != nil && !w.stInv(enc) {
-				w.stViol = append(w.stViol, sref)
-			}
-			if st == mc.ClaimFull {
-				w.full = true
-			}
+			w.claim(enc, key, g.Parent, g.HasParent, m.Base)
 		}
 	}
 	return nil
@@ -956,13 +950,7 @@ func (w *worker) handleReplay(payload []byte) error {
 			}
 			_, err := walkMeshGroups(buf.shards[shard].data, func(slot uint32, parent []byte, j uint32, enc []byte) {
 				key := mc.ClaimKey(buf.base, int(slot), int(j))
-				st, sref := w.store.Claim(enc, key, parent, true, buf.base)
-				if st == mc.ClaimNew && w.stInv != nil && !w.stInv(enc) {
-					w.stViol = append(w.stViol, sref)
-				}
-				if st == mc.ClaimFull {
-					w.full = true
-				}
+				w.claim(enc, key, parent, true, buf.base)
 			})
 			if err != nil {
 				return err

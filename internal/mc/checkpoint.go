@@ -9,23 +9,16 @@ package mc
 // of the parallel engine this makes resumed results byte-identical to
 // uninterrupted ones for any worker count.
 //
-// Format version 2 stores one record per visited state: encoding, parent
-// encoding, and a root flag. The claim key and depth that version 1
-// carried are dead weight under the engine's globally monotone claim
-// keys — a restored entry only ever needs to order *before* the resumed
-// levels, which any key does once the resumed base starts past it — so
-// v2 drops them. Version 3 adds one search-flags uvarint after the
-// Transitions counter (bit 0: the search ran reduced — its states are
-// canonical representatives, so it must be resumed reduced). Version 4
-// adds the model fingerprint after the flags word: a digest of the model
-// configuration the snapshot's encodings were packed under, so a resume
-// against a differently-parameterized model (other node or coupler
-// count, authority, option bits) fails loudly instead of silently
-// decoding garbage. Versions 1–3 still load (their missing fields are
-// discarded or defaulted: a pre-reduction checkpoint is by construction
-// non-reduced, and a zero fingerprint makes the identity check
-// best-effort — it is enforced only when both sides carry one), so
-// checkpoints taken by older builds resume cleanly.
+// The classic format (version 4) stores the search counters, a
+// search-flags word (bit 0: the search ran reduced — its states are
+// canonical representatives, so it must be resumed reduced), the model
+// fingerprint — a digest of the model configuration the encodings were
+// packed under, so a resume against a differently-parameterized model
+// (other node or coupler count, authority, option bits) fails loudly
+// instead of silently decoding garbage — and then one record per
+// visited state: encoding, parent encoding, and a root flag. Checkpoints
+// are transient resume files, so the reader accepts only the versions
+// this build writes (4 and 5); older files are refused as corrupt.
 //
 // The on-disk format is versioned, length-guarded and closed by an
 // FNV-64a checksum over the payload; files are written to a temp file in
@@ -51,9 +44,9 @@ import (
 const (
 	checkpointMagic = "TTAMCCP\x00"
 	// checkpointVersion is the classic per-state format WriteCheckpoint
-	// emits (and the distributed layer's delta files reuse);
-	// checkpointLegacyVersion is the oldest format the reader still
-	// accepts. checkpointVersionSealed is the two-tier engine snapshot
+	// emits (and the distributed layer's delta files reuse), and the
+	// oldest format the reader accepts. checkpointVersionSealed is the
+	// two-tier engine snapshot
 	// (version 5): the sealed arenas are serialized wholesale and the
 	// live tier — exactly the frontier at a level boundary — keeps its
 	// real claim keys and parent refs, so a resumed search is
@@ -63,11 +56,10 @@ const (
 	// before the first level boundary).
 	checkpointVersion       = 4
 	checkpointVersionSealed = 5
-	checkpointLegacyVersion = 1
 )
 
 // checkpointFlagReduced marks a snapshot of a reduced (quotient) search
-// in the version-3 flags word.
+// in the flags word.
 const checkpointFlagReduced = 1 << 0
 
 // ErrCheckpointCorrupt reports a checkpoint file that failed validation:
@@ -101,8 +93,8 @@ type Checkpoint struct {
 	// mode-mismatched resume.
 	Reduced bool
 	// Fingerprint is the digest of the model configuration the snapshot
-	// was taken under (FingerprintedModel); 0 when the model carries none
-	// or the file predates format v4. The engine refuses a resume whose
+	// was taken under (FingerprintedModel); 0 when the model carries
+	// none. The engine refuses a resume whose
 	// model fingerprint differs — best-effort: enforced only when both
 	// sides are nonzero.
 	Fingerprint uint64
@@ -170,7 +162,7 @@ func (v *visitedSet) restore(cp *Checkpoint) ([]uint32, error) {
 	for i, e := range cp.Visited {
 		enc := []byte(e.State)
 		st, ref := v.claim(enc, hashBytes(enc), 0, 0, e.HasParent, 1, nil)
-		if st != claimNew {
+		if st != ClaimNew {
 			return nil, fmt.Errorf("%w: duplicate visited state", ErrBadCheckpoint)
 		}
 		refs[i] = ref
@@ -422,19 +414,15 @@ func readCheckpointEnvelope(path string) (uint64, *cpReader, error) {
 	}
 	r := &cpReader{r: bytes.NewReader(payload[len(checkpointMagic):])}
 	version := r.uvarint()
-	if r.err == nil && (version < checkpointLegacyVersion || version > checkpointVersionSealed) {
+	if r.err == nil && (version < checkpointVersion || version > checkpointVersionSealed) {
 		return 0, nil, fmt.Errorf("%w: unsupported version %d", ErrBadCheckpoint, version)
 	}
 	return version, r, r.err
 }
 
-// ReadCheckpoint loads and validates a checkpoint file. The version-5
-// sealed-tier format, the classic version-4 format and every legacy
-// format are accepted: version 3 lacks the model fingerprint (defaulted
-// to 0, which disables the identity check), version 2 additionally
-// lacks the search-flags word (defaulted to a non-reduced search) and
-// version 1 additionally carries a per-entry claim key and depth that
-// are parsed and discarded. A version-5 file is materialized into the
+// ReadCheckpoint loads and validates a checkpoint file: the version-5
+// sealed-tier format or the classic version-4 format; anything older is
+// refused with ErrCheckpointCorrupt. A version-5 file is materialized into the
 // classic per-state Checkpoint form — losing the claim keys and the
 // compact representation, so a resume through this API behaves like a
 // v4 resume; the engine's own resume path (resolveResume) consumes v5
@@ -452,22 +440,18 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 		}
 		return s5.materialize()
 	}
-	return parseClassicCheckpoint(version, r)
+	return parseClassicCheckpoint(r)
 }
 
-// parseClassicCheckpoint parses a v1–v4 body.
-func parseClassicCheckpoint(version uint64, r *cpReader) (*Checkpoint, error) {
+// parseClassicCheckpoint parses a v4 body.
+func parseClassicCheckpoint(r *cpReader) (*Checkpoint, error) {
 	cp := &Checkpoint{
 		Depth:       int32(r.uvarint()),
 		ResultDepth: int(r.uvarint()),
 		Transitions: int(r.uvarint()),
 	}
-	if version >= 3 {
-		cp.Reduced = r.uvarint()&checkpointFlagReduced != 0
-	}
-	if version >= 4 {
-		cp.Fingerprint = r.uvarint()
-	}
+	cp.Reduced = r.uvarint()&checkpointFlagReduced != 0
+	cp.Fingerprint = r.uvarint()
 	cp.Frontier = make([]State, 0, r.count())
 	for i := cap(cp.Frontier); i > 0 && r.err == nil; i-- {
 		cp.Frontier = append(cp.Frontier, r.str())
@@ -475,10 +459,6 @@ func parseClassicCheckpoint(version uint64, r *cpReader) (*Checkpoint, error) {
 	cp.Visited = make([]VisitedEntry, 0, r.count())
 	for i := cap(cp.Visited); i > 0 && r.err == nil; i-- {
 		e := VisitedEntry{State: r.str(), Parent: r.str()}
-		if version == checkpointLegacyVersion {
-			r.uvarint() // claim key: superseded by monotone level bases
-			r.uvarint() // depth: implied by the resumed level structure
-		}
 		var flags [1]byte
 		if _, err := io.ReadFull(r.r, flags[:]); err != nil {
 			r.err = fmt.Errorf("%w: truncated", ErrBadCheckpoint)
@@ -801,7 +781,7 @@ func (v *visitedSet) restoreSealed(s5 *sealedSnap) ([]uint32, error) {
 			}
 		}
 		st, ref := v.claim(le.enc, hashBytes(le.enc), parent, le.key, hasParent, le.key+1, &pc)
-		if st != claimNew {
+		if st != ClaimNew {
 			return nil, fmt.Errorf("%w: duplicate live state", ErrBadCheckpoint)
 		}
 		frontier = append(frontier, ref)

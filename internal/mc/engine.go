@@ -42,6 +42,12 @@ package mc
 // trace is of minimal length, preserving the shortest-trace guarantee
 // that substitutes for SMV's counterexamples (DESIGN.md).
 //
+// The loop itself (checkSearch) is the only BFS loop in the repo. It
+// runs on a LevelBackend: localBackend below for the in-process search,
+// or the distributed coordinator Options.Dist supplies. Admission,
+// budgets, interrupts, violation counting, Progress and Stats are
+// decided in the loop, never in a backend.
+//
 // The hot path is engineered to be allocation-free at steady state (see
 // DESIGN.md "hot path & memory layout"): states move as 32-bit refs into
 // the visited set's stable slots, every worker owns an Expander plus
@@ -237,12 +243,12 @@ func runLevel(sc *levelScratch, v *visitedSet, frontier []uint32, base uint64,
 			}
 			st, sref := v.claim(succ, hashBytes(succ), ref, key, true, base, pc)
 			switch st {
-			case claimNew:
+			case ClaimNew:
 				acc.claimed = append(acc.claimed, sref)
 				if stInv != nil && !stInv(succ) {
 					acc.stViol = append(acc.stViol, sref)
 				}
-			case claimFull:
+			case ClaimFull:
 				acc.full = true
 			}
 		}
@@ -420,58 +426,177 @@ func siftDown(h [][]keyedRef, i int) {
 	}
 }
 
-// searchMetrics collects the observability counters surfaced through
-// Options.Stats.
-type searchMetrics struct {
-	levels       int
-	peakFrontier int
-	probeHist    [probeBuckets]uint64
-	loadFactor   float64
-	resident     int64
-	peakResident int64
-	sealedStates int64
-	sealedArena  int64
-	sealedIndex  int64
-	cpRetries    int
-	cpWriteErr   string
+// localBackend is the in-process LevelBackend: the sharded visited set,
+// expanded level by level across the search's worker pool.
+type localBackend struct {
+	v        *visitedSet
+	sc       *levelScratch
+	stInv    StateInvariantBytes
+	trInv    TransitionInvariantBytes
+	workers  int
+	noSeal   bool
+	frontier []uint32
+	lvl      levelOut   // the last expanded level
+	pending  bool       // lvl's claims are not yet the frontier
+	viol     *violation // lvl's winning violation
 }
 
-func (sm *searchMetrics) frontier(n int) {
-	if sm != nil && n > sm.peakFrontier {
-		sm.peakFrontier = n
+func newLocalBackend(m Model, rm ReducibleModel, stInv StateInvariantBytes,
+	trInv TransitionInvariantBytes, opts Options) *localBackend {
+	return &localBackend{
+		v:       newVisitedSet(opts.MaxStates),
+		sc:      newLevelScratch(m, opts.Workers, rm),
+		stInv:   stInv,
+		trInv:   trInv,
+		workers: opts.Workers,
+		noSeal:  opts.NoSeal,
 	}
 }
 
-// collect folds the visited set's table statistics and the per-worker
-// probe histograms into the metrics at search end.
-func (sm *searchMetrics) collect(v *visitedSet, sc *levelScratch) {
-	if sm == nil {
+func (b *localBackend) AdmitInitial(enc []byte, i int) ClaimStatus {
+	if can := b.sc.canons[0]; can != nil {
+		can.Canonicalize(enc)
+	}
+	st, ref := b.v.claim(enc, hashBytes(enc), 0, uint64(i), false, 0, &b.sc.probes[0])
+	if st == ClaimNew {
+		b.frontier = append(b.frontier, ref)
+	}
+	return st
+}
+
+func (b *localBackend) Expand(base uint64) (Level, error) {
+	b.lvl = runLevel(b.sc, b.v, b.frontier, base, b.stInv, b.trInv, b.workers)
+	b.pending = true
+	lvl := Level{Counts: b.lvl.counts}
+	for i := range b.lvl.accs {
+		lvl.Full = lvl.Full || b.lvl.accs[i].full
+	}
+	if b.viol = reduceViolation(b.v, b.lvl); b.viol != nil {
+		lvl.Viol = &Violation{Key: b.viol.key, IsState: b.viol.isState}
+	}
+	return lvl, nil
+}
+
+func (b *localBackend) StatesBefore(limit uint64) int {
+	return b.States() - b.lvl.claimed + statesThrough(b.v, b.lvl, limit)
+}
+
+func (b *localBackend) Trace() ([]State, error) {
+	if b.viol.isState {
+		return tracePath(b.v, b.viol.toRef), nil
+	}
+	return append(tracePath(b.v, b.viol.fromRef), b.viol.to), nil
+}
+
+// NextLevel orders the level's claims into the next frontier and seals
+// the frontier just expanded. After admission or a restore the frontier
+// is already built.
+func (b *localBackend) NextLevel() (int, error) {
+	if !b.pending {
+		return len(b.frontier), nil
+	}
+	b.pending = false
+	// Double-buffer the frontier: build the next generation into the
+	// spare buffer, then recycle the one just expanded.
+	next := nextFrontier(b.v, b.sc, b.lvl, b.sc.spare)
+	if !b.noSeal {
+		// The frontier just expanded is immutable now — takeovers only
+		// ever touch current-level claims — so migrate it into the
+		// sealed tier and rewrite next's refs to the compacted live
+		// positions. After a v4 restore the first boundary seals every
+		// restored entry instead: they all carry key 0, so their levels
+		// are indistinguishable, and all of them (frontier included) are
+		// older than the level just computed.
+		batch := b.frontier
+		if b.v.restoredAll != nil {
+			batch = b.v.restoredAll
+			b.v.restoredAll = nil
+		}
+		b.v.seal(b.workers, batch, next)
+	}
+	b.sc.spare = b.frontier[:0]
+	b.frontier = next
+	return len(next), nil
+}
+
+func (b *localBackend) States() int     { return int(b.v.count.Load()) }
+func (b *localBackend) Resident() int64 { return b.v.resident.Load() }
+
+// Close folds the visited set's table statistics and the per-worker
+// probe histograms into st.
+func (b *localBackend) Close(st *Stats) {
+	if st == nil {
 		return
 	}
-	for i := range sc.probes {
-		for b, c := range sc.probes[i].hist {
-			sm.probeHist[b] += c
+	for i := range b.sc.probes {
+		for k, c := range b.sc.probes[i].hist {
+			st.ProbeHist[k] += c
 		}
 	}
-	sm.loadFactor = v.loadFactor()
-	sm.resident = v.resident.Load()
-	sm.peakResident = v.peak.Load()
-	sm.sealedStates, sm.sealedArena, sm.sealedIndex = v.sealedStats()
+	st.LoadFactor = b.v.loadFactor()
+	st.ResidentBytes = b.v.resident.Load()
+	st.PeakResidentBytes = b.v.peak.Load()
+	st.SealedStates, st.SealedArenaBytes, st.SealedIndexBytes = b.v.sealedStats()
+}
+
+// restore loads the checkpoint the options name, if any, into the
+// visited set as the frontier to resume from. It returns the depth and
+// claim-key base the resumed search continues at, with res carrying the
+// completed levels' counters; ok is false when there is nothing to
+// resume.
+func (b *localBackend) restore(res *Result, fingerprint uint64, opts Options) (depth int32, nextBase uint64, ok bool, err error) {
+	resume, resume5, err := resolveResume(opts)
+	if err != nil || (resume == nil && resume5 == nil) {
+		return 0, 0, false, err
+	}
+	cpReduced, cpFp := false, uint64(0)
+	if resume5 != nil {
+		cpReduced, cpFp = resume5.reduced, resume5.fingerprint
+	} else {
+		cpReduced, cpFp = resume.Reduced, resume.Fingerprint
+	}
+	if cpReduced != res.Reduced {
+		return 0, 0, false, fmt.Errorf("mc: checkpoint is from a %s search but this search is %s; match the NoReduce option (-no-reduce) of the original run",
+			reductionMode(cpReduced), reductionMode(res.Reduced))
+	}
+	if cpFp != 0 && fingerprint != 0 && cpFp != fingerprint {
+		return 0, 0, false, fmt.Errorf("%w: checkpoint is from a model with fingerprint %016x but this model's is %016x; match the -nodes/-couplers/-authority and option flags of the original run",
+			ErrModelMismatch, cpFp, fingerprint)
+	}
+	if resume5 == nil {
+		if b.frontier, err = b.v.restore(resume); err != nil {
+			return 0, 0, false, err
+		}
+		res.Depth = resume.ResultDepth
+		res.TransitionsExplored = resume.Transitions
+		// Restored entries carry key 0; any positive base orders every
+		// one of them strictly before the first resumed level.
+		return resume.Depth, 1 << keySuccBits, true, nil
+	}
+	if b.noSeal {
+		return 0, 0, false, fmt.Errorf("mc: checkpoint was written by a sealed-tier search and cannot resume with sealing disabled; drop -no-seal")
+	}
+	// Native v5 resume: arenas installed wholesale, live entries keep
+	// their real claim keys, and the key base continues where the
+	// interrupted run stopped — the resumed search is byte-identical to
+	// the uninterrupted one, resident footprint included.
+	if b.frontier, err = b.v.restoreSealed(resume5); err != nil {
+		return 0, 0, false, err
+	}
+	res.Depth = resume5.resultDepth
+	res.TransitionsExplored = resume5.transitions
+	return resume5.depth, resume5.nextBase, true, nil
+}
+
+// snapshot writes the search's checkpoint to opts.CheckpointPath.
+func (b *localBackend) snapshot(res Result, depth int32, fingerprint, nextBase uint64, opts Options) (int, error) {
+	return writeSnapshotAuto(b.v, res, b.frontier, depth, fingerprint, nextBase, opts)
 }
 
 // check is the engine entry point shared by the four Check* functions.
 // It wraps the search with the Options.Stats bookkeeping so the inner
 // loop pays nothing when stats are off.
 func check(m Model, stInv StateInvariantBytes, trInv TransitionInvariantBytes, opts Options) (Result, error) {
-	if opts.Dist != nil {
-		// A distributed backend replaces the whole in-process search; it
-		// receives the raw Options (its own defaults differ — e.g.
-		// Workers means processes there) with the hook cleared so a
-		// backend calling back into mc cannot recurse.
-		d := opts.Dist
-		opts.Dist = nil
-		return d.DistCheck(m, stInv, trInv, opts)
-	}
 	opts = opts.withDefaults()
 	if opts.Stats == nil {
 		return checkSearch(m, stInv, trInv, opts, nil)
@@ -479,43 +604,30 @@ func check(m Model, stInv StateInvariantBytes, trInv TransitionInvariantBytes, o
 	var ms0 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	start := time.Now()
-	met := &searchMetrics{}
-	res, err := checkSearch(m, stInv, trInv, opts, met)
-	d := time.Since(start)
+	st := &Stats{}
+	res, err := checkSearch(m, stInv, trInv, opts, st)
+	st.Duration = time.Since(start)
 	var ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms1)
-	st := Stats{
-		States:             res.StatesExplored,
-		Transitions:        res.TransitionsExplored,
-		Levels:             met.levels,
-		PeakFrontier:       met.peakFrontier,
-		Duration:           d,
-		Allocs:             ms1.Mallocs - ms0.Mallocs,
-		AllocBytes:         ms1.TotalAlloc - ms0.TotalAlloc,
-		LoadFactor:         met.loadFactor,
-		ProbeHist:          met.probeHist,
-		ResidentBytes:      met.resident,
-		PeakResidentBytes:  met.peakResident,
-		SealedStates:       met.sealedStates,
-		SealedArenaBytes:   met.sealedArena,
-		SealedIndexBytes:   met.sealedIndex,
-		CheckpointRetries:  met.cpRetries,
-		CheckpointWriteErr: met.cpWriteErr,
-	}
-	if s := d.Seconds(); s > 0 {
+	st.States = res.StatesExplored
+	st.Transitions = res.TransitionsExplored
+	st.Allocs = ms1.Mallocs - ms0.Mallocs
+	st.AllocBytes = ms1.TotalAlloc - ms0.TotalAlloc
+	if s := st.Duration.Seconds(); s > 0 {
 		st.StatesPerSec = float64(res.StatesExplored) / s
 	}
-	opts.Stats(st)
+	opts.Stats(*st)
 	return res, err
 }
 
+// checkSearch is the search loop — the only one, whichever backend
+// stores the states. st is nil when stats are off.
 func checkSearch(m Model, stInv StateInvariantBytes, trInv TransitionInvariantBytes,
-	opts Options, met *searchMetrics) (Result, error) {
+	opts Options, st *Stats) (Result, error) {
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	v := newVisitedSet(opts.MaxStates)
 	res := Result{Holds: true}
 
 	// Reduction gate: the quotient is explored only when the model offers
@@ -538,95 +650,69 @@ func checkSearch(m Model, stInv StateInvariantBytes, trInv TransitionInvariantBy
 		fingerprint = fm.Fingerprint()
 	}
 
-	resume, resume5, err := resolveResume(opts)
-	if err != nil {
-		return res, err
-	}
-	if resume != nil || resume5 != nil {
-		cpReduced, cpFp := false, uint64(0)
-		if resume5 != nil {
-			cpReduced, cpFp = resume5.reduced, resume5.fingerprint
-		} else {
-			cpReduced, cpFp = resume.Reduced, resume.Fingerprint
-		}
-		if cpReduced != res.Reduced {
-			return res, fmt.Errorf("mc: checkpoint is from a %s search but this search is %s; match the NoReduce option (-no-reduce) of the original run",
-				reductionMode(cpReduced), reductionMode(res.Reduced))
-		}
-		if cpFp != 0 && fingerprint != 0 && cpFp != fingerprint {
-			return res, fmt.Errorf("%w: checkpoint is from a model with fingerprint %016x but this model's is %016x; match the -nodes/-couplers/-authority and option flags of the original run",
-				ErrModelMismatch, cpFp, fingerprint)
-		}
-	}
-	if resume5 != nil && opts.NoSeal {
-		return res, fmt.Errorf("mc: checkpoint was written by a sealed-tier search and cannot resume with sealing disabled; drop -no-seal")
-	}
-
-	sc := newLevelScratch(m, opts.Workers, rm)
-	defer met.collect(v, sc)
-	var frontier []uint32
-	startDepth := int32(0)
-	// nextBase is the levelBase the next level's claim keys start at;
-	// it advances by len(frontier) << keySuccBits per level, keeping
-	// claim keys globally monotone across the whole search.
-	var nextBase uint64
-	if resume5 != nil {
-		// Native v5 resume: arenas installed wholesale, live entries keep
-		// their real claim keys, and the key base continues where the
-		// interrupted run stopped — the resumed search is byte-identical
-		// to the uninterrupted one, resident footprint included.
-		frontier, err = v.restoreSealed(resume5)
+	// Checkpoints and resume belong to the in-process backend (local);
+	// a distributed backend refuses them when it is made.
+	var b LevelBackend
+	var local *localBackend
+	if opts.Dist != nil {
+		db, err := opts.Dist.NewBackend(m, stInv, trInv, res.Reduced, opts)
 		if err != nil {
 			return res, err
 		}
-		startDepth = resume5.depth
-		res.Depth = resume5.resultDepth
-		res.TransitionsExplored = resume5.transitions
-		nextBase = resume5.nextBase
-	} else if resume != nil {
-		frontier, err = v.restore(resume)
-		if err != nil {
-			return res, err
-		}
-		startDepth = resume.Depth
-		res.Depth = resume.ResultDepth
-		res.TransitionsExplored = resume.Transitions
-		// Restored entries carry key 0; any positive base orders every
-		// one of them strictly before the first resumed level.
-		nextBase = 1 << keySuccBits
+		b = db
 	} else {
+		local = newLocalBackend(m, rm, stInv, trInv, opts)
+		b = local
+	}
+	defer b.Close(st)
+
+	startDepth := int32(0)
+	// nextBase is the levelBase the next level's claim keys start at; it
+	// advances by len(frontier) << keySuccBits per level, keeping claim
+	// keys globally monotone across the whole search.
+	var nextBase uint64
+	resumed := false
+	if local != nil {
+		var err error
+		if startDepth, nextBase, resumed, err = local.restore(&res, fingerprint, opts); err != nil {
+			return res, err
+		}
+	}
+	if !resumed {
 		// Level 0: admit the initial states in index order — their claim
 		// keys are their indices — counting them against the state budget
 		// and checking the state invariant before any expansion.
 		inits := m.Initial()
+		admitted := 0
 		for i, s := range inits {
 			enc := []byte(s) // fresh copy, safe to canonicalize in place
-			if rm != nil {
-				sc.canons[0].Canonicalize(enc)
-			}
-			st, ref := v.claim(enc, hashBytes(enc), 0, uint64(i), false, 0, &sc.probes[0])
-			switch st {
-			case claimFull:
-				return exhausted(m, v, res, stInv, trInv, opts)
-			case claimDup:
+			switch b.AdmitInitial(enc, i) {
+			case ClaimFull:
+				return exhausted(m, admitted, res, stInv, trInv, opts)
+			case ClaimDup:
 				continue
 			}
+			admitted++
 			if stInv != nil && !stInv(enc) {
 				res.Holds = false
 				res.Counterexample = []State{s}
-				res.StatesExplored = int(v.count.Load())
+				res.StatesExplored = admitted
 				return conclusive(res, opts)
 			}
-			frontier = append(frontier, ref)
 		}
 		nextBase = uint64(len(inits)) << keySuccBits
 	}
-	met.frontier(len(frontier))
+	frontier, err := b.NextLevel()
+	if err != nil {
+		res.StatesExplored = b.States()
+		return res, err
+	}
+	peakFrontier(st, frontier)
 
 	levelsSinceCheckpoint := 0
-	for depth := startDepth; len(frontier) > 0; depth++ {
+	for depth := startDepth; frontier > 0; depth++ {
 		if err := ctx.Err(); err != nil {
-			return interrupted(v, res, frontier, depth, fingerprint, nextBase, err, opts)
+			return interrupted(local, res, b.States(), depth, fingerprint, nextBase, err, opts)
 		}
 		if opts.MaxDepth > 0 && int(depth) >= opts.MaxDepth {
 			res.DepthBounded = true
@@ -635,113 +721,102 @@ func checkSearch(m Model, stInv StateInvariantBytes, trInv TransitionInvariantBy
 		// The memory budget is enforced at level boundaries, where the
 		// resident footprint is a deterministic function of the admitted
 		// state set — so a budget trip is identical for any worker count.
-		if opts.MemBudget > 0 && v.resident.Load() > opts.MemBudget {
-			return exhausted(m, v, res, stInv, trInv, opts)
+		if opts.MemBudget > 0 && b.Resident() > opts.MemBudget {
+			return exhausted(m, b.States(), res, stInv, trInv, opts)
 		}
-		if nextBase+(uint64(len(frontier))+1)<<keySuccBits > keyMask {
+		if nextBase+(uint64(frontier)+1)<<keySuccBits > keyMask {
 			return res, fmt.Errorf("mc: claim-key space exhausted at depth %d (%d states): %w",
-				depth, v.count.Load(), ErrStateLimit)
+				depth, b.States(), ErrStateLimit)
 		}
-		lvl := runLevel(sc, v, frontier, nextBase, stInv, trInv, opts.Workers)
-		if met != nil {
-			met.levels++
+		lvl, err := b.Expand(nextBase)
+		if err != nil {
+			res.StatesExplored = b.States()
+			return res, err
+		}
+		if st != nil {
+			st.Levels++
 		}
 
-		if viol := reduceViolation(v, lvl); viol != nil {
+		if viol := lvl.Viol; viol != nil {
 			res.Holds = false
 			res.Depth = int(depth) + 1
-			limit := viol.key // transitions: count claims strictly before
-			if viol.isState {
+			limit := viol.Key // transitions: count claims strictly before
+			if viol.IsState {
 				limit++ // the violating state itself was admitted first
 			}
-			prior := int(v.count.Load()) - lvl.claimed
-			res.StatesExplored = prior + statesThrough(v, lvl, limit)
-			res.TransitionsExplored += transitionsThrough(lvl.counts, viol.key-nextBase)
-			if viol.isState {
-				res.Counterexample = tracePath(v, viol.toRef)
-			} else {
-				res.Counterexample = append(tracePath(v, viol.fromRef), viol.to)
-				if rm != nil {
-					// The quotient trace runs through canonical
-					// representatives; decanonicalize it into a concrete
-					// witness (and re-verify the violation against the
-					// oracle semantics in the process).
-					cex, cerr := concretize(m, rm, trInv, res.Counterexample)
-					if cerr != nil {
-						return res, cerr
-					}
-					res.Counterexample = cex
-					res.Depth = len(cex) - 1
+			res.StatesExplored = b.StatesBefore(limit)
+			res.TransitionsExplored += transitionsThrough(lvl.Counts, viol.Key-nextBase)
+			cex, err := b.Trace()
+			if err != nil {
+				return res, err
+			}
+			res.Counterexample = cex
+			if rm != nil {
+				// The quotient trace runs through canonical
+				// representatives; decanonicalize it into a concrete
+				// witness (and re-verify the violation against the oracle
+				// semantics in the process).
+				if cex, err = concretize(m, rm, trInv, cex); err != nil {
+					return res, err
 				}
+				res.Counterexample = cex
+				res.Depth = len(cex) - 1
 			}
 			return conclusive(res, opts)
 		}
 
-		for _, c := range lvl.counts {
+		for _, c := range lvl.Counts {
 			res.TransitionsExplored += c
 		}
-		full := false
-		for i := range lvl.accs {
-			full = full || lvl.accs[i].full
-		}
-		if full {
-			return exhausted(m, v, res, stInv, trInv, opts)
+		if lvl.Full {
+			return exhausted(m, b.States(), res, stInv, trInv, opts)
 		}
 
-		nextBase += uint64(len(frontier)) << keySuccBits
-		// Double-buffer the frontier: build the next generation into the
-		// spare buffer, then recycle the one just expanded.
-		next := nextFrontier(v, sc, lvl, sc.spare)
-		if !opts.NoSeal {
-			// The frontier just expanded is immutable now — takeovers only
-			// ever touch current-level claims — so migrate it into the
-			// sealed tier and rewrite next's refs to the compacted live
-			// positions. After a v4 restore the first boundary seals every
-			// restored entry instead: they all carry key 0, so their
-			// levels are indistinguishable, and all of them (frontier
-			// included) are older than the level just computed.
-			batch := frontier
-			if v.restoredAll != nil {
-				batch = v.restoredAll
-				v.restoredAll = nil
-			}
-			v.seal(opts.Workers, batch, next)
+		nextBase += uint64(frontier) << keySuccBits
+		if frontier, err = b.NextLevel(); err != nil {
+			res.StatesExplored = b.States()
+			return res, err
 		}
-		sc.spare = frontier[:0]
-		frontier = next
-		met.frontier(len(frontier))
-		if len(frontier) > 0 {
+		peakFrontier(st, frontier)
+		if frontier > 0 {
 			res.Depth = int(depth) + 1
 		}
 		if opts.Progress != nil {
 			opts.Progress(Progress{
 				Depth:       int(depth) + 1,
-				States:      int(v.count.Load()),
+				States:      b.States(),
 				Transitions: res.TransitionsExplored,
-				Frontier:    len(frontier),
+				Frontier:    frontier,
 			})
 		}
 		levelsSinceCheckpoint++
-		if opts.CheckpointPath != "" && opts.CheckpointEvery > 0 &&
-			levelsSinceCheckpoint >= opts.CheckpointEvery && len(frontier) > 0 {
+		if local != nil && opts.CheckpointPath != "" && opts.CheckpointEvery > 0 &&
+			levelsSinceCheckpoint >= opts.CheckpointEvery && frontier > 0 {
 			// A periodic snapshot is an optimization, not a correctness
 			// requirement: transient write failures are retried with
 			// bounded backoff, and a snapshot that still cannot be
 			// written is dropped — surfaced through Stats — rather than
 			// killing the search. Any earlier snapshot stays in place,
 			// so a later resume is merely older, never wrong.
-			retries, err := writeSnapshotAuto(v, res, frontier, depth+1, fingerprint, nextBase, opts)
-			if met != nil {
-				met.cpRetries += retries
+			retries, err := local.snapshot(res, depth+1, fingerprint, nextBase, opts)
+			if st != nil {
+				st.CheckpointRetries += retries
 				if err != nil {
-					met.cpWriteErr = err.Error()
+					st.CheckpointWriteErr = err.Error()
 				}
 			}
 			levelsSinceCheckpoint = 0
 		}
 	}
-	res.StatesExplored = int(v.count.Load())
+	res.StatesExplored = b.States()
 	return conclusive(res, opts)
+}
+
+// peakFrontier records a produced frontier's length in st.PeakFrontier.
+func peakFrontier(st *Stats, n int) {
+	if st != nil && n > st.PeakFrontier {
+		st.PeakFrontier = n
+	}
 }
 
 // resolveResume picks the checkpoint to restore: the in-memory one wins,
@@ -768,7 +843,7 @@ func resolveResume(opts Options) (*Checkpoint, *sealedSnap, error) {
 		s5, err := parseSealedSnap(r)
 		return nil, s5, err
 	}
-	cp, err := parseClassicCheckpoint(version, r)
+	cp, err := parseClassicCheckpoint(r)
 	return cp, nil, err
 }
 
@@ -812,15 +887,15 @@ func conclusive(res Result, opts Options) (Result, error) {
 // interrupted finalizes a cancelled search: the partial Result keeps
 // everything explored so far, a checkpoint is flushed if requested, and
 // the context's cause is surfaced as ErrDeadline or ErrInterrupted.
-func interrupted(v *visitedSet, res Result, frontier []uint32, depth int32,
+func interrupted(local *localBackend, res Result, states int, depth int32,
 	fingerprint, nextBase uint64, cause error, opts Options) (Result, error) {
 	res.Interrupted = true
-	res.StatesExplored = int(v.count.Load())
-	if opts.CheckpointPath != "" {
+	res.StatesExplored = states
+	if local != nil && opts.CheckpointPath != "" {
 		// Unlike a periodic snapshot, the interrupt snapshot is the
 		// run's only surviving artifact — a write failure here is fatal
 		// after the transient-retry budget is spent.
-		if _, err := writeSnapshotAuto(v, res, frontier, depth, fingerprint, nextBase, opts); err != nil {
+		if _, err := local.snapshot(res, depth, fingerprint, nextBase, opts); err != nil {
 			return res, err
 		}
 	}
@@ -840,9 +915,9 @@ const fallbackSeedDomain = 0x5d
 // degrades into seeded random-walk sampling beyond the explored region,
 // yielding either a genuine (non-minimal) counterexample or an explicit
 // Inconclusive verdict with coverage stats.
-func exhausted(m Model, v *visitedSet, res Result, stInv StateInvariantBytes,
+func exhausted(m Model, states int, res Result, stInv StateInvariantBytes,
 	trInv TransitionInvariantBytes, opts Options) (Result, error) {
-	res.StatesExplored = int(v.count.Load())
+	res.StatesExplored = states
 	if opts.FallbackWalks <= 0 {
 		return res, fmt.Errorf("%d states: %w", res.StatesExplored, ErrStateLimit)
 	}

@@ -31,7 +31,7 @@ func sealedSearch(m ReducibleModel, workers int, stop func(frontier, next []uint
 	for i, s := range inits {
 		enc := []byte(s)
 		sc.canons[0].Canonicalize(enc)
-		if st, ref := v.claim(enc, hashBytes(enc), 0, uint64(i), false, 0, nil); st == claimNew {
+		if st, ref := v.claim(enc, hashBytes(enc), 0, uint64(i), false, 0, nil); st == ClaimNew {
 			frontier = append(frontier, ref)
 		}
 	}

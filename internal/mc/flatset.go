@@ -386,13 +386,6 @@ func (v *visitedSet) keyFields(enc []byte, scratch *[4]byte) (nfield uint64, kb 
 	return nfieldOverflow, scratch[:]
 }
 
-// Claim outcomes.
-const (
-	claimNew  = iota // state admitted for the first time
-	claimDup         // state already visited (possibly re-keyed)
-	claimFull        // state budget exhausted; state NOT admitted
-)
-
 // claim tries to admit enc with the given parent ref and claim key. h is
 // enc's 64-bit FNV-1a hash, computed once by the generating worker: the
 // low bits select the shard, the high 32 bits drive the probe sequence
@@ -405,7 +398,7 @@ const (
 // takeover), re-probes under the shard lock. The state budget is checked
 // before insertion, so the set never holds more than max states.
 func (v *visitedSet) claim(enc []byte, h uint64, parent uint32, key uint64,
-	hasParent bool, levelBase uint64, pc *probeCounter) (int, uint32) {
+	hasParent bool, levelBase uint64, pc *probeCounter) (ClaimStatus, uint32) {
 	var scratch [4]byte
 	nfield, kb := v.keyFields(enc, &scratch)
 	shardIdx := uint32(h) & (numShards - 1)
@@ -428,7 +421,7 @@ func (v *visitedSet) claim(enc []byte, h uint64, parent uint32, key uint64,
 				if sh.sealed.count > 0 {
 					if _, ok := sh.sealed.find(ph, enc, pc.sealDec(), v.parentIsRef); ok {
 						pc.add(n)
-						return claimDup, 0
+						return ClaimDup, 0
 					}
 				}
 				break // insert under lock
@@ -439,7 +432,7 @@ func (v *visitedSet) claim(enc []byte, h uint64, parent uint32, key uint64,
 				if metaNfield(m) == nfield && bytes.Equal(e.data[:len(kb)], kb) {
 					if metaKey(m) < levelBase {
 						pc.add(n)
-						return claimDup, 0
+						return ClaimDup, 0
 					}
 					break // current-level duplicate: takeover under lock
 				}
@@ -458,7 +451,7 @@ func (v *visitedSet) claim(enc []byte, h uint64, parent uint32, key uint64,
 			if v.count.Add(1) > v.max {
 				v.count.Add(-1)
 				sh.mu.Unlock()
-				return claimFull, 0
+				return ClaimFull, 0
 			}
 			ord := sh.ordCount
 			if ord >= maxOrdinal {
@@ -480,7 +473,7 @@ func (v *visitedSet) claim(enc []byte, h uint64, parent uint32, key uint64,
 			}
 			sh.mu.Unlock()
 			pc.add(n)
-			return claimNew, makeRef(shardIdx, ord)
+			return ClaimNew, makeRef(shardIdx, ord)
 		}
 		if uint32(cell>>32) == ph {
 			e := sh.entryAt(uint32(cell) - 1)
@@ -494,7 +487,7 @@ func (v *visitedSet) claim(enc []byte, h uint64, parent uint32, key uint64,
 				}
 				sh.mu.Unlock()
 				pc.add(n)
-				return claimDup, 0
+				return ClaimDup, 0
 			}
 		}
 		i = (i + 1) & mask

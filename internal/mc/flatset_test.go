@@ -85,8 +85,8 @@ func TestFlatSetGrowthUnderCollisions(t *testing.T) {
 			t.Fatalf("fixture broken: state %d hashes to shard %d", i, h&(numShards-1))
 		}
 		st, ref := v.claim(encs[i], h, 0, uint64(i), false, 0, &pc)
-		if st != claimNew {
-			t.Fatalf("claim %d = %d, want claimNew", i, st)
+		if st != ClaimNew {
+			t.Fatalf("claim %d = %d, want ClaimNew", i, st)
 		}
 		refs[i] = ref
 	}

@@ -95,8 +95,7 @@ type ReducibleModel interface {
 // checkpoint whose fingerprint differs from the current model's — the
 // snapshot's packed encodings would otherwise silently decode as garbage.
 // A fingerprint must be nonzero; zero is the "unknown" sentinel carried
-// by models without one and by pre-v4 checkpoint files, and disables the
-// check (best-effort compatibility).
+// by models without one, and disables the check.
 type FingerprintedModel interface {
 	// Fingerprint digests everything that determines the state encoding
 	// and the transition relation.
@@ -217,11 +216,12 @@ type Options struct {
 	// goroutine, after the Result is final. It is observability only:
 	// enabling it never changes the Result.
 	Stats func(Stats)
-	// Dist, when non-nil, delegates the whole search to a distributed
-	// backend (internal/dist) instead of the in-process engine. The
-	// backend receives these Options with Dist cleared and must honor
-	// the same determinism contract: verdicts, counts and
-	// counterexamples byte-identical to the in-process engine's.
+	// Dist, when non-nil, supplies the level backend the search runs on
+	// (internal/dist's worker fleet) instead of the in-process visited
+	// set. The engine's one search loop still drives it — admission,
+	// budgets, interrupts, violation counting, Progress and Stats are
+	// decided here either way — so verdicts, counts and counterexamples
+	// are byte-identical to the in-process search's.
 	Dist DistChecker
 }
 
@@ -230,7 +230,69 @@ type Options struct {
 // backend) leaves mc dependency-free: internal/dist imports mc, never
 // the reverse.
 type DistChecker interface {
-	DistCheck(m Model, stInv StateInvariantBytes, trInv TransitionInvariantBytes, opts Options) (Result, error)
+	// NewBackend readies a backend for one search of m. Exactly one of
+	// stInv and trInv is set; reduced tells whether the search explores
+	// the model's reduction quotient (the engine's gate decides); opts
+	// carry the engine's defaults.
+	NewBackend(m Model, stInv StateInvariantBytes, trInv TransitionInvariantBytes,
+		reduced bool, opts Options) (LevelBackend, error)
+}
+
+// LevelBackend stores a search's states and expands its levels; the
+// engine's search loop (checkSearch) makes every decision around it.
+// The in-process backend runs over the sharded visited set, and
+// Options.Dist supplies others. Calls come from one goroutine, in
+// order: AdmitInitial per initial state, then NextLevel, then Expand
+// and NextLevel per level until the frontier is empty or the loop
+// stops; Close always ends the search.
+type LevelBackend interface {
+	// AdmitInitial admits initial state i under claim key i, first
+	// canonicalizing enc in place when the search is reduced. The
+	// backend may keep enc.
+	AdmitInitial(enc []byte, i int) ClaimStatus
+	// Expand expands the whole frontier; base is the claim key of its
+	// first slot's first successor. The whole level is expanded even
+	// past a violation or a full store, because the min-key reduction
+	// needs every key of the level.
+	Expand(base uint64) (Level, error)
+	// StatesBefore counts the admitted states whose final claim key is
+	// below limit: every earlier level's plus the last expanded level's
+	// lower-keyed claims.
+	StatesBefore(limit uint64) int
+	// Trace reconstructs the path from an initial state to the last
+	// expanded level's winning violation: the violating state, or the
+	// violating transition's target. A reduced search's trace runs
+	// through canonical representatives.
+	Trace() ([]State, error)
+	// NextLevel makes the states admitted since the last call the
+	// frontier and returns its length.
+	NextLevel() (int, error)
+	// States and Resident are the admitted state count and the resident
+	// bytes Options.MemBudget is enforced against.
+	States() int
+	Resident() int64
+	// Close releases the backend and, when st is non-nil, adds its own
+	// counters to the search's Stats.
+	Close(st *Stats)
+}
+
+// Level is one expanded BFS level.
+type Level struct {
+	// Counts holds the successor count of every frontier slot. It is
+	// valid until the next Expand.
+	Counts []int
+	// Viol is the level's lowest-keyed violation; nil when there is none.
+	Viol *Violation
+	// Full is set when some claim found the state budget spent.
+	Full bool
+}
+
+// Violation is a level's winning invariant violation.
+type Violation struct {
+	// Key is the violating successor's claim key.
+	Key uint64
+	// IsState marks a state-invariant violation (else a transition one).
+	IsState bool
 }
 
 // Stats is the per-search observability summary handed to Options.Stats.

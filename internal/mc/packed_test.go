@@ -22,8 +22,8 @@ func TestClaimRoundTrip(t *testing.T) {
 	for i, s := range cases {
 		enc := []byte(s)
 		st, ref := v.claim(enc, hashBytes(enc), 0, uint64(i), false, 0, nil)
-		if st != claimNew {
-			t.Fatalf("claim(%q) = %d, want claimNew", s, st)
+		if st != ClaimNew {
+			t.Fatalf("claim(%q) = %d, want ClaimNew", s, st)
 		}
 		refs[i] = ref
 		if got := string(v.bytesOf(ref)); got != s {
@@ -35,8 +35,8 @@ func TestClaimRoundTrip(t *testing.T) {
 		if got := v.keyOf(ref); got != uint64(i) {
 			t.Errorf("keyOf(claim(%q)) = %d, want %d", s, got, i)
 		}
-		if st, _ := v.claim(enc, hashBytes(enc), 0, uint64(i), false, 0, nil); st != claimDup {
-			t.Errorf("second claim(%q) = %d, want claimDup", s, st)
+		if st, _ := v.claim(enc, hashBytes(enc), 0, uint64(i), false, 0, nil); st != ClaimDup {
+			t.Errorf("second claim(%q) = %d, want ClaimDup", s, st)
 		}
 		fref, ok := v.find(enc, hashBytes(enc))
 		if !ok || fref != ref {
@@ -76,8 +76,8 @@ func TestWarmClaimDoesNotAllocate(t *testing.T) {
 		encs[i] = []byte(fmt.Sprintf("state-%02d", i))
 		hashes[i] = hashBytes(encs[i])
 		st, ref := v.claim(encs[i], hashes[i], 0, uint64(i), false, 0, &pc)
-		if st != claimNew {
-			t.Fatalf("initial claim %d = %d, want claimNew", i, st)
+		if st != ClaimNew {
+			t.Fatalf("initial claim %d = %d, want ClaimNew", i, st)
 		}
 		refs[i] = ref
 	}
@@ -87,7 +87,7 @@ func TestWarmClaimDoesNotAllocate(t *testing.T) {
 		avg := testing.AllocsPerRun(100, func() {
 			for i := range encs {
 				st, _ := v.claim(encs[i], hashes[i], 0, base+uint64(i), true, base, &pc)
-				if st != claimDup {
+				if st != ClaimDup {
 					t.Fatal("expected duplicate claim")
 				}
 			}
@@ -110,7 +110,7 @@ func TestWarmClaimDoesNotAllocate(t *testing.T) {
 func TestHashInlineDoesNotAllocate(t *testing.T) {
 	v := newVisitedSet(100)
 	enc := []byte("a-20-byte-state-key!")
-	if st, _ := v.claim(enc, hashBytes(enc), 0, 0, false, 0, nil); st != claimNew {
+	if st, _ := v.claim(enc, hashBytes(enc), 0, 0, false, 0, nil); st != ClaimNew {
 		t.Fatal("setup claim failed")
 	}
 	sink := uint64(0)

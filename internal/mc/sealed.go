@@ -34,7 +34,7 @@ package mc
 //     keep false decodes rare (the probe position supplies the other
 //     bits) and the ordinal to decode. Duplicate hits against the
 //     sealed tier resolve unconditionally — a sealed entry can never be
-//     re-keyed, so the claim path returns claimDup without even
+//     re-keyed, so the claim path returns ClaimDup without even
 //     loading a key.
 //
 // Mutation happens only at level boundaries (or single-threaded

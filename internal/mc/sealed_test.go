@@ -56,8 +56,8 @@ func TestSealMigrationRoundTrip(t *testing.T) {
 				hasParent = true
 			}
 			st, ref := v.claim(enc, hashBytes(enc), pref, base+uint64(i), hasParent, base, &pc)
-			if st != claimNew {
-				t.Fatalf("level %d state %d: claim = %d, want claimNew", l, i, st)
+			if st != ClaimNew {
+				t.Fatalf("level %d state %d: claim = %d, want ClaimNew", l, i, st)
 			}
 			all = append(all, rec{enc: enc, parent: parent})
 			allRefs = append(allRefs, ref)
@@ -89,8 +89,8 @@ func TestSealMigrationRoundTrip(t *testing.T) {
 				t.Fatalf("after %d seals: ref %d parent %d, want %d", l, j, pref, allRefs[r.parent])
 			}
 			st, _ := v.claim(r.enc, hashBytes(r.enc), 0, base, false, base, &pc)
-			if st != claimDup {
-				t.Fatalf("after %d seals: re-claim of %q = %d, want claimDup", l, r.enc, st)
+			if st != ClaimDup {
+				t.Fatalf("after %d seals: re-claim of %q = %d, want ClaimDup", l, r.enc, st)
 			}
 		}
 	}
@@ -137,8 +137,8 @@ func TestSealedIndexCollisionAdversary(t *testing.T) {
 	for i := range encs {
 		encs[i] = sealedCollisionState(i, 7, 21)
 		st, ref := v.claim(encs[i], hashBytes(encs[i]), 0, uint64(i+1), false, 1, &pc)
-		if st != claimNew {
-			t.Fatalf("claim %d = %d, want claimNew", i, st)
+		if st != ClaimNew {
+			t.Fatalf("claim %d = %d, want ClaimNew", i, st)
 		}
 		refs[i] = ref
 	}
@@ -161,8 +161,8 @@ func TestSealedIndexCollisionAdversary(t *testing.T) {
 	if ref, ok := v.find(ghost, hashBytes(ghost)); ok {
 		t.Fatalf("find(ghost) = (%d,true), want miss", ref)
 	}
-	if st, _ := v.claim(ghost, hashBytes(ghost), 0, 100, false, 100, &pc); st != claimNew {
-		t.Fatalf("claim(ghost) = %d, want claimNew", st)
+	if st, _ := v.claim(ghost, hashBytes(ghost), 0, 100, false, 100, &pc); st != ClaimNew {
+		t.Fatalf("claim(ghost) = %d, want ClaimNew", st)
 	}
 }
 
@@ -256,8 +256,8 @@ func runSealScenario(t *testing.T, seed uint64, maxLen, batch uint8, parentIsRef
 				pref = tw.refs[rec.parent]
 			}
 			st, ref := tw.v.claim(enc, hashBytes(enc), pref, key, rec.parent >= 0, key, &pc)
-			if st != claimNew {
-				t.Fatalf("claim %q = %d, want claimNew", enc, st)
+			if st != ClaimNew {
+				t.Fatalf("claim %q = %d, want ClaimNew", enc, st)
 			}
 			tw.refs = append(tw.refs, ref)
 			tw.pending[0] = append(tw.pending[0], ref)
@@ -377,8 +377,8 @@ func checkSealedRecords(t *testing.T, tw *sealTwin, recs []sealRec, maxEnc int) 
 				t.Fatalf("ref %d parent word = %#x, want %#x", j, got, want)
 			}
 		}
-		if st, _ := v.claim(r.enc, hashBytes(r.enc), 0, key, false, key, &pc); st != claimDup {
-			t.Fatalf("re-claim of %q = %d, want claimDup", r.enc, st)
+		if st, _ := v.claim(r.enc, hashBytes(r.enc), 0, key, false, key, &pc); st != ClaimDup {
+			t.Fatalf("re-claim of %q = %d, want ClaimDup", r.enc, st)
 		}
 	}
 	var checked, trusted, encOnly sealedDecoder
@@ -491,8 +491,8 @@ func TestResidentAccountingMemStats(t *testing.T) {
 		b[10] = byte(i >> 16)
 		b[11] = byte(i % 7)
 		st, ref := v.claim(b, hashBytes(b), 0, uint64(i+1), false, 1, &pc)
-		if st != claimNew {
-			t.Fatalf("claim %d = %d, want claimNew", i, st)
+		if st != ClaimNew {
+			t.Fatalf("claim %d = %d, want ClaimNew", i, st)
 		}
 		pending = append(pending, ref)
 		if len(pending) == 4096 {

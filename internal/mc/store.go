@@ -36,14 +36,6 @@ const NumShards = numShards
 // are all derived from.
 func HashState(enc []byte) uint64 { return hashBytes(enc) }
 
-// KeySuccBits is the successor-index width of a claim key (see
-// claimKey in engine.go): key = base + slot<<KeySuccBits + succ.
-const KeySuccBits = keySuccBits
-
-// KeyMax is the largest representable claim key; the key space is
-// exhausted once a level's base would mint keys beyond it.
-const KeyMax = keyMask
-
 // ClaimKey mints the claim key for successor succ of frontier slot
 // slot under a level's base — the engine's serial examination order,
 // exported so the distributed layer mints identical keys.
@@ -56,19 +48,8 @@ func ShardOf(h uint64) uint32 { return uint32(h) & (numShards - 1) }
 // offers one, else an adapter over Model.Successors.
 func ExpanderFor(m Model) Expander { return expanderFor(m) }
 
-// ConcretizeTrace decanonicalizes a counterexample produced by a
-// reduced (quotient) search into a concrete witness, re-verifying the
-// violation against the oracle semantics in the process. For a model
-// without a reduction it returns the trace unchanged.
-func ConcretizeTrace(m Model, trInv TransitionInvariantBytes, canonTrace []State) ([]State, error) {
-	rm, ok := m.(ReducibleModel)
-	if !ok {
-		return canonTrace, nil
-	}
-	return concretize(m, rm, trInv, canonTrace)
-}
-
-// ClaimStatus is the outcome of a ShardStore claim.
+// ClaimStatus is the outcome of a visited-set claim: a ShardStore's, the
+// engine's own, or a LevelBackend's initial admission.
 type ClaimStatus int
 
 const (
@@ -139,15 +120,10 @@ func (s *ShardStore) Claim(enc []byte, key uint64, parentEnc []byte, hasParent b
 		}
 	}
 	st, ref := s.v.claim(enc, hashBytes(enc), parent, key, hasParent, levelBase, &s.pc)
-	switch st {
-	case claimNew:
+	if st == ClaimNew {
 		s.claimed = append(s.claimed, ref)
-		return ClaimNew, ref
-	case claimDup:
-		return ClaimDup, 0
-	default:
-		return ClaimFull, 0
 	}
+	return st, ref
 }
 
 // DrainLevel returns the states admitted since the previous drain,
@@ -323,7 +299,7 @@ func (s *ShardStore) Restore(cp *Checkpoint) ([]uint32, error) {
 		}
 		enc := []byte(e.State)
 		st, _ := v.claim(enc, hashBytes(enc), parent, 0, e.HasParent, 1, &s.pc)
-		if st != claimNew {
+		if st != ClaimNew {
 			return nil, fmt.Errorf("%w: duplicate visited state", ErrCheckpointCorrupt)
 		}
 	}
@@ -389,9 +365,9 @@ func (s *ShardStore) mergeClaims(cp *Checkpoint) ([]uint32, error) {
 		enc := []byte(e.State)
 		st, ref := v.claim(enc, hashBytes(enc), parent, 0, e.HasParent, 1, &s.pc)
 		switch st {
-		case claimNew:
+		case ClaimNew:
 			refs = append(refs, ref)
-		case claimFull:
+		case ClaimFull:
 			return nil, fmt.Errorf("mc: merge over the %d-state budget: %w", v.max, ErrStateLimit)
 		default:
 			return nil, fmt.Errorf("%w: merged snapshot overlaps the store", ErrCheckpointCorrupt)
