@@ -20,11 +20,12 @@ package dist
 // search loop decides budgets, interrupts, counts and the Result.
 //
 // Crash recovery (recover.go) re-enters this loop through the same
-// events: a death replays at most the dead worker's current level (plus
-// the previous one when its last barrier snapshot had failed to write)
-// from its chain of acknowledged delta snapshots, with the lost mesh
-// traffic re-delivered from the surviving senders' replay buffers and
-// every replayed claim idempotent because it carries the same key.
+// events: a death respawns the worker from its chain of acknowledged
+// delta snapshots and replays at most its share of the current level,
+// with the lost mesh traffic re-delivered from the surviving senders'
+// replay buffers and every replayed claim idempotent because it carries
+// the same key. Deaths outside that path end the run with
+// ErrUnrecoverable.
 
 import (
 	"fmt"
@@ -37,7 +38,10 @@ import (
 	"ttastar/internal/retry"
 )
 
-// Options parameterize a distributed check.
+// Options parameterize a distributed check. Crash recovery has no
+// knobs: a dead worker is respawned from its last barrier snapshot, at
+// most twice per index, and any death it cannot recover that way ends
+// the run with ErrUnrecoverable.
 type Options struct {
 	// Workers is the worker process count, 1..NumShards (default 2).
 	Workers int
@@ -55,9 +59,6 @@ type Options struct {
 	// declared dead (default 5s).
 	HeartbeatInterval time.Duration
 	HeartbeatDeadline time.Duration
-	// MaxRespawns bounds respawn attempts per worker index (default 2);
-	// past it, the worker's shards are taken over by a survivor.
-	MaxRespawns int
 	// Log, when set, receives recovery and lifecycle diagnostics.
 	Log func(format string, args ...any)
 }
@@ -66,20 +67,19 @@ type Options struct {
 type Recovery struct {
 	// Level is the exploration level the death interrupted.
 	Level int32
-	// Worker is the dead worker's index; Mode is "respawn" or
-	// "takeover".
+	// Worker is the respawned worker's index.
 	Worker int
-	Mode   string
 	// SlotTransitions is the transition count of the frontier slots
 	// whose expansion had to be re-run — the paid recovery cost, bounded
-	// by the lost shards' share of one level (two when the previous
-	// barrier snapshot had failed).
+	// by the dead worker's share of one level.
 	SlotTransitions uint64
 }
 
 // Report is the robustness ledger of a distributed run.
 type Report struct {
-	// Respawns and Takeovers count recovery actions.
+	// Respawns counts recovery actions. Takeovers is always 0: a dead
+	// worker's shards are never reassigned to a survivor (the field stays
+	// for the readers that check it).
 	Respawns  int
 	Takeovers int
 	// WorkTransitions is the sum of all worker incarnations' generated-
@@ -208,13 +208,13 @@ type workerState struct {
 	conn    *wconn
 	alive   bool
 	helloed bool
-	retired bool // shards taken over; never respawned again
 
-	respawns     int
-	needCatchup  bool  // respawned; catch-up messages enqueue on its Hello
-	lastAckLevel int32 // level of the last acknowledged barrier snapshot (-1: none)
-	lastAckPath  string
-	redoSelfOnly bool // at last death: all its current-level expands had completed
+	respawns    int
+	needCatchup bool // respawned; catch-up messages enqueue on its Hello
+	// lastAckLevel is the last level L whose delta snapshots 0..L were
+	// all acknowledged (-1: none) — the restore point of a respawn.
+	lastAckLevel int32
+	redoSelfOnly bool // at last death: no sending expansion of its was in flight
 
 	expandedCur  uint64 // latest cumulative counter of the current incarnation
 	expandedDead uint64 // sum of final counters of dead incarnations
@@ -224,38 +224,22 @@ type workerState struct {
 	wireFramesDead uint64
 	wireBytesDead  uint64
 
-	// chains lists the delta-snapshot chains a fresh incarnation of this
-	// index must merge besides its own: the chains of workers it took
-	// over (recursively), in takeover order. Its own chain (with the
-	// frontier flag) is appended at respawn time.
-	chains []restoreSrc
-
 	// owed holds replay commands addressed to this index that arrived
 	// while it was itself recovering; they are flushed (or absorbed by a
-	// full redo) during its catch-up.
+	// sending redo) during its catch-up.
 	owed []*replayOp
 
-	// taintLevel marks a takeover survivor whose own barrier snapshots do
-	// not yet cover the absorbed shards (-1: clean). A second crash while
-	// tainted is unrecoverable — the run aborts rather than risk a
-	// nondeterministic replay.
-	taintLevel int32
-
-	// Per current level. segs mirrors the worker's frontier composition
-	// in enqueue order: each Seal owes one report segment (filled when
-	// the report arrives — FIFO matches them up), each current-level
-	// Restore contributes a known-keys segment. The concatenation is the
-	// worker's frontier in its own order, which is all the barrier needs.
-	segs          []*keySegment
-	states        int64 // latest report totals
-	resident      int64
-	extraStates   int64 // absorbed from a takeover, until the next report covers it
-	extraResident int64
+	// Per current level: the report the worker's Seal owes, whose keys
+	// are the worker's next frontier in its own order — all the barrier
+	// needs.
+	seg      *keySegment
+	states   int64 // latest report totals
+	resident int64
 }
 
-// keySegment is one stretch of a worker's frontier, identified by the
-// final claim keys of its states. seq ties it to the Seal that owes it
-// (reports echo the seal's sequence number).
+// keySegment is a worker's frontier for the next level, identified by
+// the final claim keys of its states. seq ties it to the Seal that owes
+// it (reports echo the seal's sequence number).
 type keySegment struct {
 	seq    uint32
 	keys   []uint64
@@ -270,26 +254,22 @@ type sentRec struct {
 }
 
 // replayOp tracks the re-delivery of buffered mesh traffic to a
-// recovered destination. Seals are withheld while any op is open, so
-// every Expect is computed from settled counts. reset distinguishes a
-// respawned destination (the replay supersedes a sender's earlier
-// declarations wholesale — its counters start over) from a takeover
-// destination (the absorbed-shard replay adds to traffic the survivor
-// already legitimately received).
+// respawned destination. Seals are withheld while any op is open, so
+// every Expect is computed from settled counts; the replay supersedes a
+// sender's earlier declarations toward the destination wholesale.
 type replayOp struct {
 	level   int32
 	dest    int
 	mask    [mc.NumShards / 8]byte // shards to re-deliver (the destination's)
-	reset   bool
-	waiting map[int]bool // sender indices owing a ReplayDone
+	waiting map[int]bool           // sender indices owing a ReplayDone
 	then    []func() error
 }
 
-// pendingExpand is an outstanding msgExpand.
+// pendingExpand is an outstanding msgExpand of the current level.
 type pendingExpand struct {
-	wi    int
-	level int32
-	slots []uint32
+	wi       int
+	slots    []uint32
+	selfOnly bool
 }
 
 // distViol is a violation candidate at the coordinator.
@@ -331,25 +311,19 @@ type coordinator struct {
 	base        uint64
 	frontierLen int
 	slots       map[int][]uint32 // per worker: global slots of its frontier, in its frontier order
-	prevSlots   map[int][]uint32
 	lastSlots   map[int][]uint32 // computed at the barrier, promoted to slots by startLevel
-	prevBase    uint64
-	counts      []int // per global slot of the current level
-	prevCounts  []int
+	counts      []int            // per global slot of the current level
 	pending     map[uint32]pendingExpand
 	nextID      uint32
 	sealed      bool
-	resealAll   bool // recovery re-expansion may have claimed into drained stores
 	anyFull     bool
 	trBest      *distViol
 	stViols     []distViol
 	viol        *distViol                 // the last expanded level's winner
 	initGroups  [mc.NumShards]*batchGroup // level-0 claims, kept for recovery re-delivery
-	accCur      []map[int]*sentRec        // per destination: per sender, declared mesh groups
-	accPrev     []map[int]*sentRec
+	acc         []map[int]*sentRec        // per destination: per sender, declared mesh groups
 	replayOps   []*replayOp
 	sealSeq     uint32
-	afterSeal   []func()
 	openRecs    []*openRecovery
 
 	totalGen uint64
@@ -361,9 +335,8 @@ type coordinator struct {
 // openRecovery is a recovery whose re-expansion cost is priced at the
 // next barrier, when the level's per-slot transition counts are final.
 type openRecovery struct {
-	rec       Recovery
-	slots     []uint32 // current-level slots re-expanded
-	prevSlots []uint32 // previous-level slots (two-level catch-up only)
+	rec   Recovery
+	slots []uint32 // current-level slots re-expanded
 }
 
 func newCoordinator(ck *Checker, m mc.Model, sm SpeccedModel, stInv mc.StateInvariantBytes,
@@ -380,9 +353,6 @@ func newCoordinator(ck *Checker, m mc.Model, sm SpeccedModel, stInv mc.StateInva
 	}
 	if o.HeartbeatDeadline <= 0 {
 		o.HeartbeatDeadline = 5 * time.Second
-	}
-	if o.MaxRespawns == 0 {
-		o.MaxRespawns = 2
 	}
 	if _, err := parseSwifi(o.Swifi); err != nil {
 		return nil, err
@@ -401,7 +371,6 @@ func newCoordinator(ck *Checker, m mc.Model, sm SpeccedModel, stInv mc.StateInva
 		snapDir:     o.SnapshotDir,
 		events:      make(chan event, 256),
 		slots:       map[int][]uint32{},
-		prevSlots:   map[int][]uint32{},
 		pending:     map[uint32]pendingExpand{},
 		initSeen:    map[string]struct{}{},
 		done:        make(chan struct{}),
@@ -415,8 +384,7 @@ func newCoordinator(ck *Checker, m mc.Model, sm SpeccedModel, stInv mc.StateInva
 	for i := range c.assign {
 		c.assign[i] = uint8(i % o.Workers)
 	}
-	c.accCur = freshAcc(o.Workers)
-	c.accPrev = freshAcc(o.Workers)
+	c.acc = freshAcc(o.Workers)
 	return c, nil
 }
 
@@ -426,18 +394,6 @@ func freshAcc(workers int) []map[int]*sentRec {
 		acc[i] = map[int]*sentRec{}
 	}
 	return acc
-}
-
-// accFor resolves a level to its accounting table; levels older than
-// the previous one are settled and unaccountable.
-func (c *coordinator) accFor(level int32) []map[int]*sentRec {
-	switch level {
-	case c.level:
-		return c.accCur
-	case c.level - 1:
-		return c.accPrev
-	}
-	return nil
 }
 
 func (c *coordinator) logf(format string, args ...any) {
@@ -526,9 +482,9 @@ func (c *coordinator) launchAll() error {
 	}(c.tickStop)
 
 	for i := 0; i < c.o.Workers; i++ {
-		w := &workerState{index: i, lastAckLevel: -1, taintLevel: -1}
+		w := &workerState{index: i, lastAckLevel: -1}
 		c.workers = append(c.workers, w)
-		if err := c.startIncarnation(w, nil); err != nil {
+		if err := c.startIncarnation(w, -1); err != nil {
 			return err
 		}
 	}
@@ -550,10 +506,9 @@ func (c *coordinator) allHelloed() bool {
 }
 
 // startIncarnation launches the next incarnation of a worker index and
-// wires its transport into the event loop. restore, when non-empty,
-// tells the new process to rebuild its store by merging the listed
-// delta-snapshot chains.
-func (c *coordinator) startIncarnation(w *workerState, restore []restoreSrc) error {
+// wires its transport into the event loop. The new process rebuilds its
+// store from its index's delta snapshots 0..through (none when -1).
+func (c *coordinator) startIncarnation(w *workerState, through int32) error {
 	conn, err := c.launcher.Start(w.index, w.inc)
 	if err != nil {
 		return fmt.Errorf("dist: starting worker %d (incarnation %d): %w", w.index, w.inc, err)
@@ -586,7 +541,7 @@ func (c *coordinator) startIncarnation(w *workerState, restore []restoreSrc) err
 		SnapshotDir: c.snapDir,
 		MeshDir:     c.meshDir,
 		PeerIncs:    peerIncs,
-		Restore:     restore,
+		Through:     through,
 		Swifi:       swifi,
 		HeartbeatMs: int(c.o.HeartbeatInterval / time.Millisecond),
 	}

@@ -12,7 +12,12 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -67,6 +72,22 @@ func (g graphModel) stInvBytes() mc.StateInvariantBytes {
 func (g graphModel) trInvBytes() mc.TransitionInvariantBytes {
 	target := g.Target
 	return func(from, to []byte) bool { return gmDecode(to) != target }
+}
+
+// invariants returns the state invariant when st, else the transition
+// invariant.
+func (g graphModel) invariants(st bool) (mc.StateInvariantBytes, mc.TransitionInvariantBytes) {
+	if st {
+		return g.stInvBytes(), nil
+	}
+	return nil, g.trInvBytes()
+}
+
+func invKind(st bool) string {
+	if st {
+		return "st"
+	}
+	return "tr"
 }
 
 func init() {
@@ -205,57 +226,89 @@ func TestDistMatchesEngineTTAModel(t *testing.T) {
 	}
 }
 
+// TestDistKillRespawn is the kill matrix: named scenarios plus a sweep
+// of 2–4 workers × every victim × kill level × target × invariant kind,
+// each recovered by respawn and identical to the engine. Under -short
+// the sweep keeps one victim per worker count.
 func TestDistKillRespawn(t *testing.T) {
-	cases := []struct {
-		name  string
-		g     graphModel
-		st    bool
-		swifi string
-		kills int
-	}{
-		{"kill-mid-holds", graphModel{N: 300, Target: 300}, false, "kill@worker=1@level=3", 1},
-		{"kill-early-fails", graphModel{N: 300, Target: 97}, false, "kill@worker=0@level=1", 1},
-		{"kill-st-fails", graphModel{N: 300, Target: 97}, true, "kill@worker=2@level=2", 1},
-		{"double-kill", graphModel{N: 300, Target: 300}, false,
-			"kill@worker=0@level=2,kill@worker=2@level=4", 2},
+	type killCase struct {
+		name    string
+		workers int
+		g       graphModel
+		st      bool
+		swifi   string
+		levels  []int // levels the swifi kills at
+	}
+	cases := []killCase{
+		{"kill-mid-holds", 3, graphModel{N: 300, Target: 300}, false, "kill@worker=1@level=3", []int{3}},
+		{"kill-early-fails", 3, graphModel{N: 300, Target: 97}, false, "kill@worker=0@level=1", []int{1}},
+		{"kill-st-fails", 3, graphModel{N: 300, Target: 97}, true, "kill@worker=2@level=2", []int{2}},
+		{"double-kill", 3, graphModel{N: 300, Target: 300}, false,
+			"kill@worker=0@level=2,kill@worker=2@level=4", []int{2, 4}},
+	}
+	for workers := 2; workers <= 4; workers++ {
+		for victim := 0; victim < workers; victim++ {
+			if testing.Short() && victim != 1 {
+				continue
+			}
+			for _, level := range []int{0, 1, 2, 3, 4, 6} {
+				for _, target := range []int{300, 97} {
+					for _, st := range []bool{false, true} {
+						cases = append(cases, killCase{
+							name:    fmt.Sprintf("w%d-v%d-l%d-t%d-%s", workers, victim, level, target, invKind(st)),
+							workers: workers,
+							g:       graphModel{N: 300, Target: target},
+							st:      st,
+							swifi:   fmt.Sprintf("kill@worker=%d@level=%d", victim, level),
+							levels:  []int{level},
+						})
+					}
+				}
+			}
+		}
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var stInv mc.StateInvariantBytes
-			var trInv mc.TransitionInvariantBytes
-			if tc.st {
-				stInv = tc.g.stInvBytes()
-			} else {
-				trInv = tc.g.trInvBytes()
-			}
-			want, err := runEngine(t, tc.g, stInv, trInv, mc.Options{})
+			stInv, trInv := tc.g.invariants(tc.st)
+			var levels int
+			want, err := runEngine(t, tc.g, stInv, trInv, mc.Options{Stats: func(s mc.Stats) { levels = s.Levels }})
 			if err != nil {
 				t.Fatalf("engine: %v", err)
 			}
 			got, rep, err := runDist(t, tc.g, stInv, trInv, mc.Options{},
-				Options{Workers: 3, Swifi: tc.swifi, Log: t.Logf})
+				Options{Workers: tc.workers, Swifi: tc.swifi, Log: t.Logf})
 			if err != nil {
 				t.Fatalf("dist: %v", err)
 			}
 			requireIdentical(t, got, want)
-			if rep.Respawns != tc.kills || rep.Takeovers != 0 {
-				t.Fatalf("report: %d respawns %d takeovers, want %d/0", rep.Respawns, rep.Takeovers, tc.kills)
-			}
-			if len(rep.Recoveries) != tc.kills {
-				t.Fatalf("recoveries: %d entries, want %d", len(rep.Recoveries), tc.kills)
-			}
-			var priced uint64
-			for _, rec := range rep.Recoveries {
-				if rec.Mode != "respawn" {
-					t.Fatalf("recovery mode %q, want respawn", rec.Mode)
+			// A kill fires when its worker receives that level's Expand:
+			// levels 1..levels are expanded, level 0 never is. A recovery
+			// is priced when its level's barrier closes, which the level
+			// holding the violation never does.
+			kills, priced := 0, 0
+			for _, l := range tc.levels {
+				if l >= 1 && l <= levels {
+					kills++
+					if want.Holds || l < levels {
+						priced++
+					}
 				}
-				priced += rec.SlotTransitions
+			}
+			if rep.Respawns != kills || rep.Takeovers != 0 {
+				t.Fatalf("report: %d respawns %d takeovers, want %d/0", rep.Respawns, rep.Takeovers, kills)
+			}
+			if len(rep.Recoveries) != priced {
+				t.Fatalf("recoveries: %d entries, want %d", len(rep.Recoveries), priced)
+			}
+			var budget uint64
+			for _, rec := range rep.Recoveries {
+				budget += rec.SlotTransitions
 			}
 			// The crash-recovery cost bound: work redone never exceeds the
 			// lost slots' transitions (the priced recovery budget).
-			if rep.ReexpandedTransitions > priced {
+			if kills == priced && rep.ReexpandedTransitions > budget {
 				t.Fatalf("reexpanded %d transitions, over the %d priced by recoveries",
-					rep.ReexpandedTransitions, priced)
+					rep.ReexpandedTransitions, budget)
 			}
 			// On HOLDS the ledger's logical total equals the engine's
 			// count; a FAILS run truncates TransitionsExplored at the
@@ -270,23 +323,107 @@ func TestDistKillRespawn(t *testing.T) {
 	}
 }
 
+// closingLauncher starts every incarnation ≥ 1 of one worker index with
+// its connection already closed, so each respawn of it dies on arrival.
+type closingLauncher struct {
+	Launcher
+	index int
+}
+
+func (l closingLauncher) Start(index, inc int) (io.ReadWriteCloser, error) {
+	conn, err := l.Launcher.Start(index, inc)
+	if err == nil && index == l.index && inc >= 1 {
+		conn.Close()
+	}
+	return conn, err
+}
+
+// TestDistKillTakeover: a worker that keeps dying is respawned exactly
+// maxRespawns times and then refused — its shards are never taken over
+// by a survivor — and the run's snapshot files are left intact.
 func TestDistKillTakeover(t *testing.T) {
 	g := graphModel{N: 300, Target: 97}
-	want, err := runEngine(t, g, nil, g.trInvBytes(), mc.Options{})
-	if err != nil {
-		t.Fatalf("engine: %v", err)
+	dir := t.TempDir()
+	_, rep, err := runDist(t, g, nil, g.trInvBytes(), mc.Options{},
+		Options{Workers: 3, Swifi: "kill@worker=1@level=3", SnapshotDir: dir, Log: t.Logf,
+			Launcher: closingLauncher{Launcher: newPipeLauncher(), index: 1}})
+	if !errors.Is(err, ErrUnrecoverable) {
+		t.Fatalf("dist: %v, want ErrUnrecoverable", err)
 	}
-	got, rep, err := runDist(t, g, nil, g.trInvBytes(), mc.Options{},
-		Options{Workers: 3, Swifi: "kill@worker=1@level=3", MaxRespawns: -1, Log: t.Logf})
-	if err != nil {
-		t.Fatalf("dist: %v", err)
+	if !strings.Contains(err.Error(), "worker 1 at level 3") {
+		t.Fatalf("refusal %q does not name the worker and level", err)
 	}
-	requireIdentical(t, got, want)
-	if rep.Takeovers != 1 || rep.Respawns != 0 {
-		t.Fatalf("report: %d takeovers %d respawns, want 1/0", rep.Takeovers, rep.Respawns)
+	if rep.Respawns != maxRespawns || rep.Takeovers != 0 {
+		t.Fatalf("report: %d respawns %d takeovers, want %d/0", rep.Respawns, rep.Takeovers, maxRespawns)
 	}
-	if len(rep.Recoveries) != 1 || rep.Recoveries[0].Mode != "takeover" {
-		t.Fatalf("recoveries: %+v, want one takeover", rep.Recoveries)
+	for w := 0; w < 3; w++ {
+		for l := 0; l < 3; l++ {
+			path := filepath.Join(dir, fmt.Sprintf("w%d-l%d.mc", w, l))
+			if _, err := mc.ReadCheckpoint(path); err != nil {
+				t.Fatalf("snapshot %s not intact: %v", path, err)
+			}
+		}
+	}
+}
+
+// blockSnapshot makes worker victim's level-level delta write fail for
+// good: a non-empty directory squats on the file name, so the atomic
+// rename fails with a non-transient error.
+func blockSnapshot(t *testing.T, dir string, victim, level int) {
+	t.Helper()
+	block := filepath.Join(dir, fmt.Sprintf("w%d-l%d.mc", victim, level))
+	if err := os.Mkdir(block, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(block, "squat"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDistSnapshotGapRefused: a worker whose level-L barrier snapshot
+// failed has no restore point past L-1, so its death at level L+1 is
+// refused with ErrUnrecoverable — recovering it from the older snapshot
+// silently lost states. The failed write on its own is survivable.
+func TestDistSnapshotGapRefused(t *testing.T) {
+	g := graphModel{N: 300, Target: 300}
+	for workers := 2; workers <= 4; workers++ {
+		for _, p := range []struct{ victim, level int }{{1, 1}, {1, 2}, {0, 3}} {
+			for _, st := range []bool{false, true} {
+				name := fmt.Sprintf("w%d-v%d-l%d-%s", workers, p.victim, p.level, invKind(st))
+				t.Run(name, func(t *testing.T) {
+					stInv, trInv := g.invariants(st)
+					want, err := runEngine(t, g, stInv, trInv, mc.Options{})
+					if err != nil {
+						t.Fatalf("engine: %v", err)
+					}
+					dir := t.TempDir()
+					blockSnapshot(t, dir, p.victim, p.level)
+					got, rep, err := runDist(t, g, stInv, trInv, mc.Options{},
+						Options{Workers: workers, SnapshotDir: dir, Log: t.Logf})
+					if err != nil {
+						t.Fatalf("blocked snapshot alone: %v", err)
+					}
+					requireIdentical(t, got, want)
+					if rep.Respawns != 0 {
+						t.Fatalf("blocked snapshot alone respawned %d workers", rep.Respawns)
+					}
+
+					dir = t.TempDir()
+					blockSnapshot(t, dir, p.victim, p.level)
+					got, _, err = runDist(t, g, stInv, trInv, mc.Options{},
+						Options{Workers: workers, SnapshotDir: dir, Log: t.Logf,
+							Swifi: fmt.Sprintf("kill@worker=%d@level=%d", p.victim, p.level+1)})
+					if !errors.Is(err, ErrUnrecoverable) {
+						t.Fatalf("kill after the gap: %v (result %v), want ErrUnrecoverable", err, got)
+					}
+					// The cut search is no verdict: it explored less than the
+					// whole space.
+					if got.StatesExplored >= want.StatesExplored {
+						t.Fatalf("refused run reports %v, as much as the full search %v", got, want)
+					}
+				})
+			}
+		}
 	}
 }
 

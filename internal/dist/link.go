@@ -39,7 +39,6 @@ type peerLink struct {
 	q       []linkItem
 	destInc int // incarnation of dest currently addressed
 	down    bool
-	gone    bool // dest index retired by takeover: permanently down
 	gen     int
 	closed  bool
 
@@ -96,29 +95,13 @@ func (l *peerLink) flush() chan struct{} {
 // announcement.
 func (l *peerLink) revive(inc int) {
 	l.mu.Lock()
-	if l.closed || l.gone || (inc == l.destInc && !l.down) {
+	if l.closed || (inc == l.destInc && !l.down) {
 		l.mu.Unlock()
 		return
 	}
 	l.destInc = inc
 	l.gen++
 	l.down = false
-	if l.conn != nil {
-		l.conn.Close()
-		l.conn = nil
-	}
-	l.dropQueueLocked()
-	l.mu.Unlock()
-}
-
-// markGone retires the link permanently: the destination index was
-// absorbed by a takeover and will never listen again. Queued and
-// future frames drop immediately instead of burning the dial budget.
-func (l *peerLink) markGone() {
-	l.mu.Lock()
-	l.gone = true
-	l.down = true
-	l.gen++
 	if l.conn != nil {
 		l.conn.Close()
 		l.conn = nil
@@ -159,15 +142,7 @@ func (l *peerLink) shut() {
 		l.conn.Close()
 		l.conn = nil
 	}
-	for _, it := range l.q {
-		if it.fb != nil {
-			putFrame(it.fb)
-		}
-		if it.flush != nil {
-			close(it.flush)
-		}
-	}
-	l.q = nil
+	l.dropQueueLocked()
 	l.cond.Broadcast()
 	l.mu.Unlock()
 }

@@ -201,9 +201,6 @@ type hubInbound struct {
 }
 
 type hubListener struct {
-	hub *meshHub
-	key hubKey
-
 	mu      sync.Mutex
 	cond    *sync.Cond
 	backlog []hubInbound
@@ -211,13 +208,14 @@ type hubListener struct {
 }
 
 func (h *meshHub) Listen(index, incarnation int) (MeshListener, error) {
-	l := &hubListener{hub: h, key: hubKey{index, incarnation}}
+	key := hubKey{index, incarnation}
+	l := &hubListener{}
 	l.cond = sync.NewCond(&l.mu)
 	h.mu.Lock()
-	if old := h.ls[l.key]; old != nil {
+	if old := h.ls[key]; old != nil {
 		old.shut()
 	}
-	h.ls[l.key] = l
+	h.ls[key] = l
 	if incarnation > h.latest[index] {
 		h.latest[index] = incarnation
 	}
@@ -236,6 +234,9 @@ func (h *meshHub) Dial(from, fromInc, to, toInc int) (io.ReadWriteCloser, error)
 			if l.deliver(hubInbound{conn: remote, from: from, fromInc: fromInc}) {
 				return local, nil
 			}
+			// A closed listener's incarnation is dead: it never listens
+			// again.
+			return nil, fmt.Errorf("dist: mesh dial w%d→w%d/i%d: incarnation gone", from, to, toInc)
 		}
 		if stale {
 			return nil, fmt.Errorf("dist: mesh dial w%d→w%d/i%d: incarnation superseded", from, to, toInc)
@@ -270,12 +271,10 @@ func (l *hubListener) Accept() (io.ReadWriteCloser, int, int, error) {
 	return in.conn, in.from, in.fromInc, nil
 }
 
+// Close shuts the accept queue but leaves it registered, so later dials
+// of this incarnation fail at once instead of waiting for a listener
+// that can never come back.
 func (l *hubListener) Close() error {
-	l.hub.mu.Lock()
-	if l.hub.ls[l.key] == l {
-		delete(l.hub.ls, l.key)
-	}
-	l.hub.mu.Unlock()
 	l.shut()
 	return nil
 }

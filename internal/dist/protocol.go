@@ -14,10 +14,9 @@
 // destination (having flushed those frames first), the coordinator sums
 // the declarations into each mtSeal's Expect list, and a worker closes
 // a level only once its per-(sender,incarnation) receive counts match.
-// Replay buffers likewise move from the coordinator into the sending
-// workers (indexed by level and destination shard), so crash recovery
-// re-requests lost batches from their producers (mtReplay/mtReplayDone)
-// and the recovery-cost ledger in Report is unchanged.
+// Replay buffers likewise live in the sending workers (the current
+// level's, indexed by destination shard), so crash recovery re-requests
+// lost batches from their producers (mtReplay/mtReplayDone).
 //
 // Determinism is the engine's own argument extended across process
 // boundaries: every successor carries the claim key the serial sweep
@@ -29,7 +28,8 @@
 // can perturb the result. Verdicts, counts and counterexample traces
 // are byte-identical to the in-process engine for any worker count —
 // and, because levels are replayable from sender buffers plus per-level
-// delta snapshots, under injected worker crashes too.
+// delta snapshots, under injected worker crashes too (or the run is
+// refused with ErrUnrecoverable).
 package dist
 
 import (
@@ -63,10 +63,8 @@ const (
 	mtExpand                     // C→W: expand a slice of the frontier
 	mtBatch                      // C→W: successor claims for your shards (level-0 init + its replay)
 	mtSeal                       // C→W: level complete once Expect counts match
-	mtAssign                     // C→W: updated shard ownership map
-	mtRestore                    // C→W: merge a dead worker's snapshot chain
 	mtReplay                     // C→W: re-send buffered mesh batches to a recovered peer
-	mtPeerInc                    // C→W: a peer's current incarnation changed (or the peer retired)
+	mtPeerInc                    // C→W: a peer's current incarnation changed
 	mtTraceQuery                 // C→W: resolve a state's trace parent
 	mtStop                       // C→W: shut down
 
@@ -279,7 +277,10 @@ func (r *rbuf) u() uint64 {
 	}
 	v, err := binary.ReadUvarint(r.r)
 	if err != nil {
+		// ReadUvarint returns the partial value of an overflowing
+		// varint; a count read from it must not size an allocation.
 		r.err = fmt.Errorf("dist: truncated message")
+		return 0
 	}
 	return v
 }
@@ -473,8 +474,8 @@ func walkMeshGroups(p []byte, visit func(slot uint32, parent []byte, j uint32, e
 
 // msgConfig initializes a worker: identity, the model spec to rebuild,
 // the invariant kind to check, the shard ownership map, snapshot
-// location, an optional snapshot chain to restore, the SWIFI script and
-// the heartbeat cadence.
+// location, how much of its own snapshot chain to restore, the SWIFI
+// script and the heartbeat cadence.
 type msgConfig struct {
 	Index       int
 	Inc         int // incarnation; stamps this worker's mesh handshakes
@@ -489,19 +490,12 @@ type msgConfig struct {
 	SnapshotDir string
 	MeshDir     string // Unix-socket rendezvous dir (subprocess workers)
 	PeerIncs    []int  // current incarnation per worker index; mesh sends address these
-	Restore     []restoreSrc
+	// Through is the last level of this worker index's own delta
+	// snapshots to restore (files 0..Through, the last one's frontier
+	// included); -1 starts empty.
+	Through     int32
 	Swifi       string
 	HeartbeatMs int
-}
-
-// restoreSrc names one delta-snapshot chain to merge at config time:
-// worker Index's files for levels 0..Through, in level order. The chain
-// flagged Frontier (the restored worker's own) also contributes the
-// saved frontier; absorbed chains are visited-set-only.
-type restoreSrc struct {
-	Index    int
-	Through  int32
-	Frontier bool
 }
 
 func (m *msgConfig) encode() (byte, []byte) {
@@ -522,12 +516,7 @@ func (m *msgConfig) encode() (byte, []byte) {
 	for _, inc := range m.PeerIncs {
 		w.i(inc)
 	}
-	w.i(len(m.Restore))
-	for _, rs := range m.Restore {
-		w.i(rs.Index)
-		w.u32(uint32(rs.Through))
-		w.boolean(rs.Frontier)
-	}
+	w.u32(uint32(m.Through))
 	w.str(m.Swifi)
 	w.i(m.HeartbeatMs)
 	return mtConfig, w.b
@@ -556,41 +545,24 @@ func decodeConfig(p []byte) (*msgConfig, error) {
 	for i := 0; i < np && r.err == nil; i++ {
 		m.PeerIncs = append(m.PeerIncs, r.i())
 	}
-	n := r.count()
-	m.Restore = make([]restoreSrc, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		m.Restore = append(m.Restore, restoreSrc{
-			Index:    r.i(),
-			Through:  int32(r.u32()),
-			Frontier: r.boolean(),
-		})
-	}
+	m.Through = int32(r.u32())
 	m.Swifi = r.str()
 	m.HeartbeatMs = r.i()
 	return m, r.done()
 }
 
-// msgExpand asks a worker to expand len(Slots) frontier states —
-// normally its whole frontier array, or, with FromEnd, the trailing
-// len(Slots) entries (the segment a takeover Restore just appended,
-// addressable without the coordinator knowing how much precedes it).
-// Slots[i] is the global frontier slot of the i-th addressed state, so
-// claim keys are Base + Slots[i]<<24 + j. SelfOnly suppresses
-// foreign-shard forwarding — the re-expansion mode for a recovered
-// worker whose original foreign batches were already delivered (its
-// ExpandDone had been received, and the connection delivers BatchOut
-// before ExpandDone).
+// msgExpand asks a worker to expand its first len(Slots) frontier
+// states — its whole frontier array. Slots[i] is the global frontier
+// slot of the i-th state, so claim keys are Base + Slots[i]<<24 + j.
+// SelfOnly suppresses foreign-shard forwarding — the re-expansion mode
+// for a respawned worker whose dead incarnation had already declared
+// (and so delivered) its mesh groups for the level.
 type msgExpand struct {
 	Level    int32
 	Base     uint64
 	ID       uint32
-	FromEnd  bool
 	SelfOnly bool
-	// Consume drops the expanded range from the frontier afterwards —
-	// set on takeover tail expansions, whose input states are another
-	// level's frontier merged in only to be expanded, not kept.
-	Consume bool
-	Slots   []uint32
+	Slots    []uint32
 }
 
 func (m *msgExpand) encode() (byte, []byte) {
@@ -598,9 +570,7 @@ func (m *msgExpand) encode() (byte, []byte) {
 	w.u32(uint32(m.Level))
 	w.u(m.Base)
 	w.u32(m.ID)
-	w.boolean(m.FromEnd)
 	w.boolean(m.SelfOnly)
-	w.boolean(m.Consume)
 	w.i(len(m.Slots))
 	for _, s := range m.Slots {
 		w.u32(s)
@@ -614,9 +584,7 @@ func decodeExpand(p []byte) (*msgExpand, error) {
 		Level:    int32(r.u32()),
 		Base:     r.u(),
 		ID:       r.u32(),
-		FromEnd:  r.boolean(),
 		SelfOnly: r.boolean(),
-		Consume:  r.boolean(),
 	}
 	n := r.count()
 	m.Slots = make([]uint32, 0, n)
@@ -626,12 +594,10 @@ func decodeExpand(p []byte) (*msgExpand, error) {
 	return m, r.done()
 }
 
-// batchGroup is one frontier state's successors bound for one shard:
-// claim keys reconstruct as Base + Slot<<24 + Js[k], the parent is the
-// (canonical) frontier state encoding. Shard is meaningful only in
-// worker→coordinator direction (mtBatchOut).
+// batchGroup is one frontier state's successors bound for one
+// receiver: claim keys reconstruct as Base + Slot<<24 + Js[k], the
+// parent is the (canonical) frontier state encoding.
 type batchGroup struct {
-	Shard     uint8
 	Slot      uint32
 	HasParent bool
 	Parent    []byte
@@ -640,7 +606,6 @@ type batchGroup struct {
 }
 
 func (g *batchGroup) encode(w *wbuf) {
-	w.byte1(g.Shard)
 	w.u32(g.Slot)
 	w.boolean(g.HasParent)
 	w.bytes(g.Parent)
@@ -653,7 +618,6 @@ func (g *batchGroup) encode(w *wbuf) {
 
 func decodeGroup(r *rbuf) batchGroup {
 	g := batchGroup{
-		Shard:     r.byte1(),
 		Slot:      r.u32(),
 		HasParent: r.boolean(),
 		Parent:    r.bytes(),
@@ -704,15 +668,11 @@ func decodeBatch(p []byte) (*msgBatch, error) {
 // Level: once the worker's receive counts reach every Expect entry it
 // can close the level — drain its claims, snapshot, and send its
 // mtLevelReport (stamped with Seq so the coordinator can match it).
-// Merge marks a second seal of the same level (takeover work delivered
-// after the worker already drained): the drained claims extend the
-// frontier instead of replacing it, and the report carries only the new
-// keys. Each Seq is executed at most once, so a re-delivered seal after
-// a recovery is harmless.
+// Each Seq is executed at most once, so a re-delivered seal after a
+// recovery is harmless.
 type msgSeal struct {
 	Level  int32
 	Seq    uint32
-	Merge  bool
 	Expect []expectCount
 }
 
@@ -729,7 +689,6 @@ func (m *msgSeal) encode() (byte, []byte) {
 	var w wbuf
 	w.u32(uint32(m.Level))
 	w.u32(m.Seq)
-	w.boolean(m.Merge)
 	w.i(len(m.Expect))
 	for _, e := range m.Expect {
 		w.i(e.Sender)
@@ -741,7 +700,7 @@ func (m *msgSeal) encode() (byte, []byte) {
 
 func decodeSeal(p []byte) (*msgSeal, error) {
 	r := newRbuf(p)
-	m := &msgSeal{Level: int32(r.u32()), Seq: r.u32(), Merge: r.boolean()}
+	m := &msgSeal{Level: int32(r.u32()), Seq: r.u32()}
 	n := r.count()
 	m.Expect = make([]expectCount, 0, n)
 	for i := 0; i < n && r.err == nil; i++ {
@@ -754,54 +713,11 @@ func decodeSeal(p []byte) (*msgSeal, error) {
 	return m, r.done()
 }
 
-// msgAssign broadcasts the shard ownership map after a takeover.
-type msgAssign struct{ Assign [mc.NumShards]uint8 }
-
-func (m *msgAssign) encode() (byte, []byte) {
-	var w wbuf
-	w.raw(m.Assign[:])
-	return mtAssign, w.b
-}
-
-func decodeAssign(p []byte) (*msgAssign, error) {
-	r := newRbuf(p)
-	m := &msgAssign{}
-	for i := range m.Assign {
-		m.Assign[i] = r.byte1()
-	}
-	return m, r.done()
-}
-
-// msgRestore asks a surviving worker to merge a dead worker's
-// delta-snapshot chain (files for levels 0..Through) into its store
-// (takeover recovery); the last delta's frontier is appended to the
-// worker's frontier array, where a subsequent msgExpand with FromEnd
-// can address it.
-type msgRestore struct {
-	Index   int
-	Through int32
-}
-
-func (m *msgRestore) encode() (byte, []byte) {
-	var w wbuf
-	w.i(m.Index)
-	w.u32(uint32(m.Through))
-	return mtRestore, w.b
-}
-
-func decodeRestore(p []byte) (*msgRestore, error) {
-	r := newRbuf(p)
-	m := &msgRestore{Index: r.i(), Through: int32(r.u32())}
-	return m, r.done()
-}
-
 // msgReplay asks a worker to re-deliver its buffered mesh groups for
-// Level whose shards are set in ShardMask — the recovery path for a
-// destination that lost in-flight frames. Dest==self means apply
-// locally (a respawned worker re-absorbing its own inbound traffic has
-// no wire to cross). The worker answers with mtReplayDone carrying the
-// group count actually sent, which the coordinator folds into the
-// destination's Expect.
+// Level whose shards are set in ShardMask to Dest — the recovery path
+// for a respawned destination that lost in-flight frames. The worker
+// answers with mtReplayDone carrying the group count actually sent,
+// which the coordinator folds into the destination's Expect.
 type msgReplay struct {
 	Level     int32
 	Dest      int
@@ -832,7 +748,7 @@ func decodeReplay(p []byte) (*msgReplay, error) {
 }
 
 // msgReplayDone closes one msgReplay: Groups is the number of groups
-// re-sent over the mesh (zero for a self-apply).
+// re-sent over the mesh.
 type msgReplayDone struct {
 	Level  int32
 	Dest   int
@@ -854,26 +770,23 @@ func decodeReplayDone(p []byte) (*msgReplayDone, error) {
 }
 
 // msgPeerInc tells a worker that peer Index now runs as incarnation Inc
-// (a respawn — redirect the link there and drop anything still queued
-// for the dead incarnation) or that the index retired for good (Gone —
-// a takeover; the link goes down permanently).
+// (a respawn): redirect the link there and drop anything still queued
+// for the dead incarnation.
 type msgPeerInc struct {
 	Index int
 	Inc   int
-	Gone  bool
 }
 
 func (m *msgPeerInc) encode() (byte, []byte) {
 	var w wbuf
 	w.i(m.Index)
 	w.i(m.Inc)
-	w.boolean(m.Gone)
 	return mtPeerInc, w.b
 }
 
 func decodePeerInc(p []byte) (*msgPeerInc, error) {
 	r := newRbuf(p)
-	m := &msgPeerInc{Index: r.i(), Inc: r.i(), Gone: r.boolean()}
+	m := &msgPeerInc{Index: r.i(), Inc: r.i()}
 	return m, r.done()
 }
 
@@ -985,7 +898,7 @@ func decodeExpandDone(p []byte) (*msgExpandDone, error) {
 	return m, r.done()
 }
 
-// msgLevelReport closes a worker's level: the final (post-takeover)
+// msgLevelReport closes a worker's level: the final (min-key)
 // claim keys of the states it admitted this level in ascending order
 // (delta-encoded), any state-invariant violations with their final keys,
 // totals, the barrier snapshot ack, and the worker's cumulative
@@ -999,8 +912,7 @@ type msgLevelReport struct {
 	States      int64
 	Resident    int64
 	Full        bool
-	Snapshot    string // path of the written barrier snapshot; "" when the write failed
-	SnapshotErr string
+	SnapshotErr string // why the barrier snapshot failed to write; "" when it was written
 	Expanded    uint64
 	WireFrames  uint64 // cumulative frames this incarnation has written
 	WireBytes   uint64 // cumulative bytes this incarnation has written
@@ -1024,7 +936,6 @@ func (m *msgLevelReport) encode() (byte, []byte) {
 	w.u(uint64(m.States))
 	w.u(uint64(m.Resident))
 	w.boolean(m.Full)
-	w.str(m.Snapshot)
 	w.str(m.SnapshotErr)
 	w.u(m.Expanded)
 	w.u(m.WireFrames)
@@ -1052,7 +963,6 @@ func decodeLevelReport(p []byte) (*msgLevelReport, error) {
 	m.States = int64(r.u())
 	m.Resident = int64(r.u())
 	m.Full = r.boolean()
-	m.Snapshot = r.str()
 	m.SnapshotErr = r.str()
 	m.Expanded = r.u()
 	m.WireFrames = r.u()

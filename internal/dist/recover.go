@@ -2,38 +2,55 @@ package dist
 
 // Event dispatch and crash recovery.
 //
-// A worker death is recovered from the chain of level-barrier delta
-// snapshots it acknowledged, so a crash costs at most the dead worker's
-// share of one level (two when the latest delta's write had itself
-// failed). Recovery is a respawn while the index has respawn budget,
-// else a takeover: the dead worker's shards are reassigned to the
-// lowest-index survivor, which merges the snapshot chain into its own
-// store and re-expands only the dead worker's frontier slots.
+// A worker death has one recovery: respawn the index from its own chain
+// of level-barrier delta snapshots and redo at most its share of the
+// current level. The respawned incarnation restores the chain through
+// its last acknowledged level (the current one, or the one before),
+// re-expands its frontier slots of the current level, and receives the
+// level's lost mesh traffic again from the surviving senders.
 //
 // The mesh data plane makes re-delivery a fleet effort: the in-flight
 // level's cross-shard traffic lives in the sending workers' replay
 // buffers, so the coordinator issues replay commands — "re-send your
 // buffered groups for these shards to this destination" — and tracks
-// them as replayOps that gate every Seal. A replay to a respawned
-// destination supersedes the sender's earlier declarations toward it
-// (reset accounting: whatever was declared before crossed a wire that
-// died); a replay to a takeover survivor adds absorbed-shard traffic
-// it never saw. Claims carry deterministic keys, so every replayed
-// delivery is idempotent and the verdict is untouched.
+// them as replayOps that gate every Seal. A replay supersedes the
+// sender's earlier declarations toward the respawned destination
+// (whatever was declared before crossed a wire that died). Claims carry
+// deterministic keys, so every replayed delivery is idempotent and the
+// verdict is untouched.
 //
-// Known unrecoverable corners (the run aborts loudly): a worker dying
-// while a prior takeover's shards are not yet covered by its own
-// snapshots (taint, as before), and a worker dying while it still owes
-// a replay that its successor cannot regenerate — e.g. the buffered
-// level precedes what its catch-up re-expands. Both need two deaths in
-// a tight window; SWIFI scenarios inject on first incarnations only.
+// Everything else ends the run with ErrUnrecoverable, naming the
+// worker, the level and the reason — a crash is recovered or reported,
+// never guessed at:
+//   - the index has spent its respawn budget (maxRespawns);
+//   - its last acknowledged snapshot is two or more levels behind (a
+//     barrier snapshot failed to write, so the chain has a gap);
+//   - it still owes a replay its successor cannot rebuild (it had
+//     already completed the level, so the successor redoes nothing).
+// The last two need a failed write or two deaths in a tight window;
+// SWIFI scenarios inject on first incarnations only.
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"ttastar/internal/mc"
 )
+
+// maxRespawns bounds respawns per worker index; one more death of the
+// index ends the run with ErrUnrecoverable.
+const maxRespawns = 2
+
+// ErrUnrecoverable reports a worker death the distributed checker
+// refuses to recover from (see recover.go's header for the cases). The
+// run ends without a verdict; snapshot files are left in place.
+var ErrUnrecoverable = errors.New("dist: unrecoverable worker death")
+
+func (c *coordinator) unrecoverable(w *workerState, format string, args ...any) error {
+	return fmt.Errorf("%w: worker %d at level %d: %s",
+		ErrUnrecoverable, w.index, c.level, fmt.Sprintf(format, args...))
+}
 
 // step processes exactly one event.
 func (c *coordinator) step() error {
@@ -122,9 +139,6 @@ func (c *coordinator) onExpandDone(w *workerState, m *msgExpandDone) error {
 		return nil // superseded by a recovery reissue
 	}
 	delete(c.pending, m.ID)
-	if pe.level != c.level {
-		return nil // previous-level catch-up: its counts are long final
-	}
 	if len(m.Counts) != len(pe.slots) {
 		return fmt.Errorf("dist: worker %d: expand %d returned %d counts for %d slots",
 			w.index, m.ID, len(m.Counts), len(pe.slots))
@@ -137,11 +151,11 @@ func (c *coordinator) onExpandDone(w *workerState, m *msgExpandDone) error {
 	// declaring them, so a declared group is receivable even if the
 	// sender dies a microsecond from now.
 	for _, st := range m.SentTo {
-		if st.Dest < 0 || st.Dest >= len(c.accCur) {
+		if st.Dest < 0 || st.Dest >= len(c.acc) {
 			return fmt.Errorf("dist: worker %d declared groups for worker %d, which does not exist",
 				w.index, st.Dest)
 		}
-		accD := c.accCur[st.Dest]
+		accD := c.acc[st.Dest]
 		rec := accD[w.index]
 		if rec == nil || rec.inc != w.inc {
 			rec = &sentRec{inc: w.inc}
@@ -160,22 +174,10 @@ func (c *coordinator) onReplayDone(w *workerState, m *msgReplayDone) error {
 		if op.level != m.Level || op.dest != m.Dest || !op.waiting[w.index] {
 			continue
 		}
-		if acc := c.accFor(op.level); acc != nil && op.dest != w.index {
-			accD := acc[op.dest]
-			if op.reset {
-				// The replayed buffer is everything this sender has
-				// generated for the destination this level — it subsumes
-				// whatever the sender declared toward wires that died.
-				accD[w.index] = &sentRec{inc: w.inc, declared: m.Groups}
-			} else {
-				rec := accD[w.index]
-				if rec == nil || rec.inc != w.inc {
-					rec = &sentRec{inc: w.inc}
-					accD[w.index] = rec
-				}
-				rec.declared += m.Groups
-			}
-		}
+		// The replayed buffer is everything this sender has generated for
+		// the destination this level — it subsumes whatever the sender
+		// declared toward wires that died.
+		c.acc[op.dest][w.index] = &sentRec{inc: w.inc, declared: m.Groups}
 		return c.opRelease(op, w.index)
 	}
 	return nil // op canceled by a newer recovery of the same destination
@@ -185,30 +187,20 @@ func (c *coordinator) onReport(w *workerState, m *msgLevelReport) error {
 	w.expandedCur = m.Expanded
 	w.wireFramesCur = m.WireFrames
 	w.wireBytesCur = m.WireBytes
-	if m.Snapshot != "" {
-		w.lastAckLevel = m.Level
-		w.lastAckPath = m.Snapshot
-		if w.taintLevel >= 0 && m.Level > w.taintLevel {
-			w.taintLevel = -1 // this snapshot covers the absorbed shards
-		}
-	} else if m.SnapshotErr != "" {
+	// The acked chain only grows without gaps: a failed delta write
+	// leaves its level (and every later one) unrestorable.
+	switch {
+	case m.SnapshotErr != "":
 		c.logf("dist: worker %d level %d snapshot failed: %s", w.index, m.Level, m.SnapshotErr)
+		w.lastAckLevel = min(w.lastAckLevel, m.Level-1)
+	case m.Level == w.lastAckLevel+1:
+		w.lastAckLevel = m.Level
 	}
-	if m.Level != c.level {
-		return nil // catch-up ack of an already-closed level
-	}
-	filled := false
-	for _, sg := range w.segs {
-		if !sg.filled && sg.seq == m.Seq {
-			sg.keys = m.Keys
-			sg.filled = true
-			filled = true
-			break
-		}
-	}
-	if !filled {
+	if m.Level != c.level || w.seg == nil || w.seg.filled || w.seg.seq != m.Seq {
 		return fmt.Errorf("dist: worker %d: level %d report (seq %d) with no seal outstanding", w.index, m.Level, m.Seq)
 	}
+	w.seg.keys = m.Keys
+	w.seg.filled = true
 	w.states = m.States
 	w.resident = m.Resident
 	if m.Full {
@@ -227,7 +219,7 @@ func (op *replayOp) msg() *msgReplay {
 	return &msgReplay{Level: op.level, Dest: op.dest, ShardMask: op.mask}
 }
 
-// maskFor is the shard mask currently assigned to a worker index.
+// maskFor is the shard mask assigned to a worker index.
 func (c *coordinator) maskFor(index int) (mask [mc.NumShards / 8]byte) {
 	m := &msgReplay{}
 	for shard := range c.assign {
@@ -238,22 +230,19 @@ func (c *coordinator) maskFor(index int) (mask [mc.NumShards / 8]byte) {
 	return m.ShardMask
 }
 
-// issueReplays opens a replay op re-delivering the level's buffered
-// groups for the masked shards to dest: every active worker is
+// issueReplays opens a replay op re-delivering the current level's
+// buffered groups for dest's shards to dest: every other live worker is
 // commanded to replay (recovering ones owe it until their catch-up
 // rebuilds their buffers). Level 0 has no mesh traffic — its claims are
 // re-delivered from initGroups directly — so no op is opened.
-func (c *coordinator) issueReplays(level int32, dest int, mask [mc.NumShards / 8]byte, reset bool) *replayOp {
-	if level < 1 {
-		return nil
+func (c *coordinator) issueReplays(dest int) {
+	if c.level < 1 {
+		return
 	}
-	op := &replayOp{level: level, dest: dest, mask: mask, reset: reset, waiting: map[int]bool{}}
+	op := &replayOp{level: c.level, dest: dest, mask: c.maskFor(dest), waiting: map[int]bool{}}
 	for _, v := range c.workers {
-		if !v.alive || v.retired {
+		if !v.alive || v.index == dest {
 			continue
-		}
-		if v.index == dest && reset {
-			continue // a fresh respawn holds no buffer toward itself
 		}
 		op.waiting[v.index] = true
 		if v.helloed {
@@ -262,11 +251,9 @@ func (c *coordinator) issueReplays(level int32, dest int, mask [mc.NumShards / 8
 			v.owed = append(v.owed, op)
 		}
 	}
-	if len(op.waiting) == 0 {
-		return nil // single-worker fleet: nothing to wait on
+	if len(op.waiting) > 0 { // else a single-worker fleet: nothing to wait on
+		c.replayOps = append(c.replayOps, op)
 	}
-	c.replayOps = append(c.replayOps, op)
-	return op
 }
 
 // afterOp runs f once op has no outstanding ReplayDones — immediately
@@ -283,10 +270,6 @@ func (c *coordinator) afterOp(op *replayOp, f func() error) error {
 // ops (running their continuations).
 func (c *coordinator) opRelease(op *replayOp, sender int) error {
 	delete(op.waiting, sender)
-	return c.reapOps()
-}
-
-func (c *coordinator) reapOps() error {
 	for i := 0; i < len(c.replayOps); {
 		op := c.replayOps[i]
 		if len(op.waiting) > 0 {
@@ -325,41 +308,28 @@ func (c *coordinator) cancelOpsFor(dest int) {
 	}
 }
 
-// findResetOp locates the (unique) respawn replay op for a recovering
-// destination at a level.
-func (c *coordinator) findResetOp(level int32, dest int) *replayOp {
+// opFor locates the replay op feeding a recovering destination.
+func (c *coordinator) opFor(dest int) *replayOp {
 	for _, op := range c.replayOps {
-		if op.level == level && op.dest == dest && op.reset {
+		if op.dest == dest {
 			return op
 		}
 	}
 	return nil
 }
 
-// flushOwedLevel sends (or absorbs) the replay commands a recovering
-// worker accumulated for one level. Must run after the worker's redo
-// expansion of that level is enqueued — the redo is what rebuilds the
-// replay buffer the commands read. A non-self-only redo of the current
-// level re-sends every group a replay would, so its ExpandDone
-// declarations stand in for the replay entirely.
-func (c *coordinator) flushOwedLevel(w *workerState, level int32) error {
-	kept := w.owed[:0]
-	var released []*replayOp
-	for _, op := range w.owed {
-		if op.level != level {
-			kept = append(kept, op)
-			continue
-		}
-		if level == c.level && !w.redoSelfOnly {
-			released = append(released, op)
-			continue
-		}
-		c.sendTo(w, op.msg())
-		kept = append(kept, op) // still waiting on its ReplayDone
-	}
-	w.owed = kept
-	for _, op := range released {
-		if err := c.opRelease(op, w.index); err != nil {
+// flushOwed sends (or absorbs) the replay commands a recovering worker
+// accumulated. Must run after the worker's redo expansion is enqueued —
+// the redo is what rebuilds the replay buffer the commands read. A
+// non-self-only redo re-sends every group a replay would, so its
+// ExpandDone declarations stand in for the replay entirely.
+func (c *coordinator) flushOwed(w *workerState) error {
+	owed := w.owed
+	w.owed = nil
+	for _, op := range owed {
+		if w.redoSelfOnly {
+			c.sendTo(w, op.msg())
+		} else if err := c.opRelease(op, w.index); err != nil {
 			return err
 		}
 	}
@@ -380,8 +350,8 @@ func (c *coordinator) resendInits(w *workerState) {
 // ---------------------------------------------------------------------
 // Death handling
 
-// handleDeath retires the incarnation and starts recovery: respawn while
-// the index has budget, takeover past it.
+// handleDeath retires the incarnation and respawns the index from its
+// last acknowledged snapshot, or refuses with ErrUnrecoverable.
 func (c *coordinator) handleDeath(w *workerState, cause error) error {
 	if !w.alive {
 		return nil
@@ -398,298 +368,104 @@ func (c *coordinator) handleDeath(w *workerState, cause error) error {
 	w.wireFramesCur = 0
 	w.wireBytesDead += w.wireBytesCur
 	w.wireBytesCur = 0
-	if w.taintLevel >= 0 {
-		return fmt.Errorf("dist: worker %d died before its snapshots covered a prior takeover; overlapping crashes are unrecoverable", w.index)
-	}
-	hadPendingCur := false
+	sending := false
 	for id, pe := range c.pending {
 		if pe.wi == w.index {
-			if pe.level == c.level {
-				hadPendingCur = true
-			}
+			sending = sending || !pe.selfOnly
 			delete(c.pending, id)
 		}
 	}
-	// With no expansion of its in flight, all its mesh groups were
-	// flushed and declared before it died ("declared ⇒ delivered": they
-	// sit in kernel socket buffers the receivers drain at their own
+	// With no sending expansion of its in flight, all its mesh groups
+	// were flushed and declared before it died ("declared ⇒ delivered":
+	// they sit in kernel socket buffers the receivers drain at their own
 	// pace), so the redo need not re-send them — and must not, or the
-	// receivers' counts would overshoot the accounting.
-	w.redoSelfOnly = !hadPendingCur
+	// receivers' counts would overshoot the accounting. A sending
+	// expansion is only ever pending before the level's seal, so a
+	// sending redo never feeds stores that already drained.
+	w.redoSelfOnly = !sending
 
 	// The wires into this worker died with it: whatever was declared
 	// toward it is unaccountable until recovery re-delivers it.
-	c.accCur[w.index] = map[int]*sentRec{}
-	c.accPrev[w.index] = map[int]*sentRec{}
+	c.acc[w.index] = map[int]*sentRec{}
 	c.cancelOpsFor(w.index)
 	w.owed = nil
 
-	if w.respawns < c.o.MaxRespawns {
-		w.respawns++
-		c.rep.Respawns++
-		w.inc++
-		ack := w.lastAckLevel
-
-		// Replay duties the dead incarnation still held: the successor
-		// can serve them iff its catch-up re-expands the buffered level
-		// (re-expansion rebuilds the buffer even self-only); a
-		// non-self-only redo of the current level replaces the replay
-		// with fresh declarations outright.
-		var released []*replayOp
-		for _, op := range c.replayOps {
-			if !op.waiting[w.index] {
-				continue
-			}
-			redone := (op.level == c.level && (ack == c.level-1 || ack == c.level-2)) ||
-				(op.level == c.level-1 && ack == c.level-2)
-			if !redone {
-				return fmt.Errorf("dist: worker %d died owing a level-%d replay its successor cannot regenerate; overlapping crashes are unrecoverable",
-					w.index, op.level)
-			}
-			if op.level == c.level && !w.redoSelfOnly {
-				released = append(released, op)
-			} else {
-				w.owed = append(w.owed, op)
-			}
-		}
-		for _, op := range released {
-			if err := c.opRelease(op, w.index); err != nil {
-				return err
-			}
-		}
-
-		// Launch the replacement first: startIncarnation broadcasts the
-		// new incarnation (mtPeerInc) to the survivors, and that
-		// broadcast must sit ahead of the replay commands below in each
-		// survivor's FIFO queue — otherwise a replay could flow to the
-		// dead incarnation's endpoint.
-		restore := append([]restoreSrc(nil), w.chains...)
-		if ack >= 0 {
-			restore = append(restore, restoreSrc{Index: w.index, Through: ack, Frontier: true})
-		}
-		if err := c.startIncarnation(w, restore); err != nil {
-			return err
-		}
-
-		// Re-deliver the in-flight levels' mesh traffic from the
-		// survivors' buffers (commands reach recovering survivors at
-		// their own catch-up).
-		if ack < c.level {
-			c.issueReplays(c.level, w.index, c.maskFor(w.index), true)
-		}
-		if ack == c.level-2 {
-			c.issueReplays(c.level-1, w.index, c.maskFor(w.index), true)
-		}
-		w.needCatchup = true
-		return nil
+	ack := w.lastAckLevel
+	switch {
+	case w.respawns >= maxRespawns:
+		return c.unrecoverable(w, "respawn budget (%d) spent", maxRespawns)
+	case ack < c.level-1:
+		return c.unrecoverable(w, "last acknowledged barrier snapshot is level %d, %d levels behind",
+			ack, c.level-ack)
 	}
-	return c.takeover(w)
+	// Replay duties the dead incarnation still held: the successor can
+	// serve them only by re-expanding the level (re-expansion rebuilds
+	// the buffer even self-only); a sending redo replaces the replay
+	// with fresh declarations outright.
+	for _, op := range c.replayOps {
+		if !op.waiting[w.index] {
+			continue
+		}
+		if ack == c.level {
+			return c.unrecoverable(w, "owes a replay its successor cannot rebuild (it had completed the level)")
+		}
+		w.owed = append(w.owed, op)
+	}
+	w.respawns++
+	c.rep.Respawns++
+	w.inc++
+
+	// Launch the replacement first: startIncarnation broadcasts the new
+	// incarnation (mtPeerInc) to the survivors, and that broadcast must
+	// sit ahead of the replay commands below in each survivor's FIFO
+	// queue — otherwise a replay could flow to the dead incarnation's
+	// endpoint.
+	if err := c.startIncarnation(w, ack); err != nil {
+		return err
+	}
+	// Re-deliver the in-flight level's mesh traffic from the survivors'
+	// buffers (commands reach recovering survivors at their own
+	// catch-up).
+	if ack < c.level {
+		c.issueReplays(w.index)
+	}
+	w.needCatchup = true
+	return nil
 }
 
 // enqueueCatchup brings a respawned worker back to the current level.
 // It runs on the new incarnation's Hello, so everything enqueued here
-// lands after its Config in FIFO order. Seals are deferred until the
-// replay ops feeding the worker complete — their Expects must quote
-// settled counts — which also serializes (via the worker's in-order
-// control queue) the previous level's drain before the current redo.
+// lands after its Config in FIFO order.
 func (c *coordinator) enqueueCatchup(w *workerState) error {
-	ack := w.lastAckLevel
-	rec := &openRecovery{rec: Recovery{Level: c.level, Worker: w.index, Mode: "respawn"}}
+	rec := &openRecovery{rec: Recovery{Level: c.level, Worker: w.index}}
 	c.openRecs = append(c.openRecs, rec)
-	switch {
-	case ack == c.level:
-		// Died after completing the level. The snapshot chain restored
-		// its full frontier and its report segments were already filled;
-		// nothing to redo.
-		for _, sg := range w.segs {
-			if !sg.filled {
-				return fmt.Errorf("dist: worker %d restored at level %d with a report still outstanding", w.index, ack)
-			}
+	if w.lastAckLevel == c.level {
+		// Died after completing the level: the snapshot chain restored
+		// its full frontier and its report was already filled; nothing
+		// to redo.
+		if w.seg == nil || !w.seg.filled {
+			return fmt.Errorf("dist: worker %d restored at level %d with a report still outstanding", w.index, c.level)
 		}
 		return nil
-	case ack == c.level-1:
-		return c.redoCurrent(w, rec)
-	case ack == c.level-2:
-		// The previous barrier's delta write had failed: redo that level
-		// self-only first, wait for its replays, seal it (rebuilding the
-		// missing delta file), then redo the current level.
-		prev := c.level - 1
-		if slots := c.prevSlots[w.index]; prev >= 1 && len(slots) > 0 {
-			c.issueExpand(w, prev, c.prevBase, slots, false, true, false)
-			rec.prevSlots = append([]uint32(nil), slots...)
-		}
-		if prev == 0 {
-			c.resendInits(w)
-		}
-		if err := c.flushOwedLevel(w, prev); err != nil {
-			return err
-		}
-		return c.afterOp(c.findResetOp(prev, w.index), func() error {
-			// This seal's report is consumed as a snapshot ack only — the
-			// level's barrier closed long ago.
-			c.sealPrev(w)
-			return c.redoCurrent(w, rec)
-		})
-	default:
-		return fmt.Errorf("dist: worker %d died %d levels past its last snapshot (level %d); unrecoverable",
-			w.index, c.level-ack, ack)
 	}
-}
-
-// redoCurrent replays the current level for a respawned worker: its own
-// slot expansions, the mesh traffic the fleet re-delivers, and its seal
-// once those replays settle (if the fleet already sealed).
-func (c *coordinator) redoCurrent(w *workerState, rec *openRecovery) error {
-	if slots := c.slots[w.index]; len(slots) > 0 {
-		c.issueExpand(w, c.level, c.base, slots, false, w.redoSelfOnly, false)
-		rec.slots = append([]uint32(nil), slots...)
-	}
+	// Redo the level: the worker's own slot expansions, the mesh traffic
+	// the fleet re-delivers, and its seal once those replays settle (if
+	// the fleet already sealed) — the seal's Expects must quote settled
+	// counts.
+	// (The Expand goes out even with no slots: it is what rebuilds — or,
+	// empty, starts — the replay buffer owed replays read.)
+	rec.slots = c.slots[w.index]
+	c.issueExpand(w, rec.slots, w.redoSelfOnly)
 	if c.level == 0 {
 		c.resendInits(w)
 	}
-	if err := c.flushOwedLevel(w, c.level); err != nil {
+	if err := c.flushOwed(w); err != nil {
 		return err
 	}
-	return c.afterOp(c.findResetOp(c.level, w.index), func() error {
+	return c.afterOp(c.opFor(w.index), func() error {
 		if c.sealed {
-			c.sealTo(w, false)
+			c.sealTo(w)
 		}
 		return nil
 	})
-}
-
-// sealPrev seals the previous level on a two-level catch-up, quoting
-// the settled previous-level counts. No report segment: that barrier
-// closed long ago, so the report is consumed as a snapshot ack only.
-func (c *coordinator) sealPrev(w *workerState) {
-	seq := c.sealSeq
-	c.sealSeq++
-	m := &msgSeal{Level: c.level - 1, Seq: seq}
-	for sender, rec := range c.accPrev[w.index] {
-		if rec.declared > 0 {
-			m.Expect = append(m.Expect, expectCount{Sender: sender, SenderInc: rec.inc, Groups: rec.declared})
-		}
-	}
-	c.sendTo(w, m)
-}
-
-// takeover reassigns a dead worker's shards to the lowest-index
-// survivor, which absorbs the snapshot chain and redoes at most the
-// dead worker's share of the current level.
-func (c *coordinator) takeover(d *workerState) error {
-	var s *workerState
-	for _, cand := range c.workers {
-		if cand.alive && cand.helloed && !cand.retired {
-			s = cand
-			break
-		}
-	}
-	if s == nil {
-		return fmt.Errorf("dist: worker %d is out of respawns and no worker survives to take over", d.index)
-	}
-	c.logf("dist: worker %d takes over worker %d's shards at level %d", s.index, d.index, c.level)
-	c.rep.Takeovers++
-	d.retired = true
-	ack := d.lastAckLevel
-
-	// Replay duties the dead worker still held: only its mid-expand
-	// tail re-expansion (non-self-only) can re-generate them.
-	var released []*replayOp
-	for _, op := range c.replayOps {
-		if !op.waiting[d.index] {
-			continue
-		}
-		if op.level == c.level && ack == c.level-1 && !d.redoSelfOnly {
-			released = append(released, op)
-		} else {
-			return fmt.Errorf("dist: worker %d retired owing a level-%d replay no survivor can regenerate; overlapping crashes are unrecoverable",
-				d.index, op.level)
-		}
-	}
-	for _, op := range released {
-		if err := c.opRelease(op, d.index); err != nil {
-			return err
-		}
-	}
-
-	// Capture the absorbed shard set before the ownership map changes.
-	absorbed := c.maskFor(d.index)
-	for i := range c.assign {
-		if int(c.assign[i]) == d.index {
-			c.assign[i] = uint8(s.index)
-		}
-	}
-	for _, w := range c.workers {
-		if w.alive {
-			c.sendTo(w, &msgAssign{Assign: c.assign})
-			// Tombstone the dead index's mesh endpoint: it will never
-			// listen again, so links to it drop frames immediately
-			// instead of burning the dial-retry budget mid-flush.
-			c.sendTo(w, &msgPeerInc{Index: d.index, Gone: true})
-		}
-	}
-	// The survivor inherits the dead worker's delta chains: its own
-	// future respawns must merge them to rebuild the absorbed history.
-	if ack >= 0 {
-		s.chains = append(s.chains, d.chains...)
-		s.chains = append(s.chains, restoreSrc{Index: d.index, Through: ack})
-	}
-
-	rec := &openRecovery{rec: Recovery{Level: c.level, Worker: d.index, Mode: "takeover"}}
-	c.openRecs = append(c.openRecs, rec)
-	switch {
-	case ack == c.level:
-		// The dead worker completed the level: absorb its snapshot chain
-		// and its already-reported frontier keys; nothing to re-expand.
-		// The Restore must land after the survivor's own seal drain, or
-		// the appended frontier tail would be clobbered by it — the
-		// worker's seal-blocked control queue guarantees exactly that
-		// once the Restore is enqueued behind the Seal.
-		var dKeys []uint64
-		for _, sg := range d.segs {
-			if !sg.filled {
-				return fmt.Errorf("dist: worker %d retired at level %d with a report still outstanding", d.index, ack)
-			}
-			dKeys = append(dKeys, sg.keys...)
-		}
-		states, resident := d.states, d.resident
-		do := func() {
-			c.sendTo(s, &msgRestore{Index: d.index, Through: ack})
-			s.segs = append(s.segs, &keySegment{keys: dKeys, filled: true})
-			s.extraStates += states
-			s.extraResident += resident
-		}
-		if c.sealed {
-			do()
-		} else {
-			c.afterSeal = append(c.afterSeal, do)
-		}
-	case ack == c.level-1:
-		// Mid-level: merge the chain, re-expand the dead worker's
-		// frontier slots off the restored tail, and have the whole fleet
-		// (the survivor included, applying its own buffer locally)
-		// re-deliver the mesh traffic buffered for the absorbed shards.
-		if ack < 0 {
-			return fmt.Errorf("dist: worker %d left no snapshot to take over", d.index)
-		}
-		c.sendTo(s, &msgRestore{Index: d.index, Through: ack})
-		if slots := c.slots[d.index]; len(slots) > 0 {
-			c.issueExpand(s, c.level, c.base, slots, true, d.redoSelfOnly, true)
-			rec.slots = append([]uint32(nil), slots...)
-		}
-		op := c.issueReplays(c.level, s.index, absorbed, false)
-		if err := c.afterOp(op, func() error {
-			if c.sealed {
-				c.sealTo(s, true)
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("dist: worker %d died %d levels past its last snapshot; takeover cannot catch up",
-			d.index, c.level-ack)
-	}
-	s.taintLevel = c.level
-	return nil
 }

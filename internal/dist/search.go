@@ -30,7 +30,7 @@ func (c *coordinator) AdmitInitial(enc []byte, i int) mc.ClaimStatus {
 	shard := mc.ShardOf(mc.HashState(enc))
 	g := c.initGroups[shard]
 	if g == nil {
-		g = &batchGroup{Shard: uint8(shard), Slot: 0}
+		g = &batchGroup{}
 		c.initGroups[shard] = g
 	}
 	g.Js = append(g.Js, uint32(i))
@@ -77,14 +77,9 @@ func (c *coordinator) Expand(base uint64) (mc.Level, error) {
 func (c *coordinator) StatesBefore(limit uint64) int {
 	n := c.States()
 	for _, w := range c.workers {
-		if !w.alive || w.retired {
-			continue
-		}
-		for _, sg := range w.segs {
-			for _, k := range sg.keys {
-				if k >= limit {
-					n--
-				}
+		for _, k := range w.seg.keys {
+			if k >= limit {
+				n--
 			}
 		}
 	}
@@ -104,81 +99,57 @@ func (c *coordinator) Trace() ([]mc.State, error) {
 	return append(cex, mc.State(c.viol.to)), nil
 }
 
-// States totals the active workers' latest reported state counts.
+// States totals the workers' latest reported state counts.
 func (c *coordinator) States() int {
 	var total int64
 	for _, w := range c.workers {
-		if w.alive && !w.retired {
-			total += w.states + w.extraStates
-		}
+		total += w.states
 	}
 	return int(total)
 }
 
-// Resident totals the active workers' latest reported resident bytes.
+// Resident totals the workers' latest reported resident bytes.
 func (c *coordinator) Resident() int64 {
 	var total int64
 	for _, w := range c.workers {
-		if w.alive && !w.retired {
-			total += w.resident + w.extraResident
-		}
+		total += w.resident
 	}
 	return total
 }
 
 // startLevel rotates the level state and issues the level's Expands —
-// one per active worker (empty slot lists included, so SWIFI level
-// triggers fire on idle workers too).
+// one per worker (empty slot lists included, so SWIFI level triggers
+// fire on idle workers too).
 func (c *coordinator) startLevel(level int32, base uint64) {
-	c.prevSlots = c.slots
 	c.slots = c.lastSlots
 	c.lastSlots = nil
-	c.prevBase = c.base
 	c.level = level
 	c.base = base
-	c.accPrev = c.accCur
-	c.accCur = freshAcc(c.o.Workers)
-	c.prevCounts = c.counts
+	c.acc = freshAcc(c.o.Workers)
 	c.counts = make([]int, c.frontierLen)
 	c.sealed = false
-	c.resealAll = false
 	c.anyFull = false
 	c.trBest = nil
 	c.stViols = nil
 	for _, w := range c.workers {
-		w.segs = nil
-		w.extraStates = 0
-		w.extraResident = 0
-	}
-	for _, w := range c.workers {
-		if !w.alive || w.retired {
-			continue
-		}
-		c.issueExpand(w, level, c.base, c.slots[w.index], false, false, false)
+		w.seg = nil
+		c.issueExpand(w, c.slots[w.index], false)
 	}
 }
 
-// issueExpand enqueues one msgExpand and registers it as pending.
-func (c *coordinator) issueExpand(w *workerState, level int32, base uint64,
-	slots []uint32, fromEnd, selfOnly, consume bool) {
+// issueExpand enqueues one msgExpand of the current level and registers
+// it as pending.
+func (c *coordinator) issueExpand(w *workerState, slots []uint32, selfOnly bool) {
 	id := c.nextID
 	c.nextID++
-	c.pending[id] = pendingExpand{wi: w.index, level: level, slots: slots}
-	c.sendTo(w, &msgExpand{Level: level, Base: base, ID: id,
-		FromEnd: fromEnd, SelfOnly: selfOnly, Consume: consume, Slots: slots})
-	if c.sealed && !selfOnly && level == c.level {
-		// A post-seal re-expansion can forward foreign successors into
-		// stores that already drained; everyone must re-seal so those
-		// claims join the current frontier, not the next one.
-		c.resealAll = true
-	}
+	c.pending[id] = pendingExpand{wi: w.index, slots: slots, selfOnly: selfOnly}
+	c.sendTo(w, &msgExpand{Level: c.level, Base: c.base, ID: id, SelfOnly: selfOnly, Slots: slots})
 }
 
 // collectLevel pumps events until the level's barrier is complete.
 func (c *coordinator) collectLevel() error {
 	for {
 		c.trySeal()
-		c.tryReseal()
 		if c.barrierReady() {
 			return nil
 		}
@@ -202,66 +173,35 @@ func (c *coordinator) trySeal() {
 		return
 	}
 	for _, w := range c.workers {
-		if w.alive && !w.retired {
-			c.sealTo(w, false)
-		}
+		c.sealTo(w)
 	}
 	c.sealed = true
-	for _, f := range c.afterSeal {
-		f()
-	}
-	c.afterSeal = nil
-}
-
-func (c *coordinator) tryReseal() {
-	if !c.sealed || !c.resealAll || len(c.pending) != 0 || len(c.replayOps) != 0 || c.anyRecovering() {
-		return
-	}
-	for _, w := range c.workers {
-		if w.alive && !w.retired {
-			c.sealTo(w, true)
-		}
-	}
-	c.resealAll = false
 }
 
 // sealTo enqueues a Seal quoting exactly the mesh groups declared
-// toward the worker this level, and registers the report segment it
-// owes. The worker executes the seal only once its received counts
-// match the Expects — the counting half of the level barrier.
-func (c *coordinator) sealTo(w *workerState, merge bool) {
+// toward the worker this level, and registers the report it owes. The
+// worker executes the seal only once its received counts match the
+// Expects — the counting half of the level barrier.
+func (c *coordinator) sealTo(w *workerState) {
 	seq := c.sealSeq
 	c.sealSeq++
-	m := &msgSeal{Level: c.level, Seq: seq, Merge: merge}
-	for sender, rec := range c.accCur[w.index] {
+	m := &msgSeal{Level: c.level, Seq: seq}
+	for sender, rec := range c.acc[w.index] {
 		if rec.declared > 0 {
 			m.Expect = append(m.Expect, expectCount{Sender: sender, SenderInc: rec.inc, Groups: rec.declared})
 		}
 	}
 	c.sendTo(w, m)
-	sg := &keySegment{seq: seq}
-	if merge {
-		w.segs = append(w.segs, sg)
-	} else {
-		w.segs = []*keySegment{sg}
-	}
+	w.seg = &keySegment{seq: seq}
 }
 
 func (c *coordinator) barrierReady() bool {
-	if !c.sealed || c.resealAll || len(c.pending) != 0 || len(c.replayOps) != 0 || c.anyRecovering() {
+	if !c.sealed || len(c.pending) != 0 || len(c.replayOps) != 0 || c.anyRecovering() {
 		return false
 	}
 	for _, w := range c.workers {
-		if !w.alive || w.retired {
-			continue
-		}
-		if len(w.segs) == 0 {
+		if w.seg == nil || !w.seg.filled {
 			return false
-		}
-		for _, sg := range w.segs {
-			if !sg.filled {
-				return false
-			}
 		}
 	}
 	return true
@@ -273,24 +213,14 @@ func (c *coordinator) barrierReady() bool {
 func (c *coordinator) closeBarrier() int {
 	var sorted []uint64
 	for _, w := range c.workers {
-		if !w.alive || w.retired {
-			continue
-		}
-		for _, sg := range w.segs {
-			sorted = append(sorted, sg.keys...)
-		}
+		sorted = append(sorted, w.seg.keys...)
 	}
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	c.lastSlots = map[int][]uint32{}
 	for _, w := range c.workers {
-		if !w.alive || w.retired {
-			continue
-		}
-		var slots []uint32
-		for _, sg := range w.segs {
-			for _, k := range sg.keys {
-				slots = append(slots, uint32(sort.Search(len(sorted), func(i int) bool { return sorted[i] >= k })))
-			}
+		slots := make([]uint32, 0, len(w.seg.keys))
+		for _, k := range w.seg.keys {
+			slots = append(slots, uint32(sort.Search(len(sorted), func(i int) bool { return sorted[i] >= k })))
 		}
 		c.lastSlots[w.index] = slots
 	}
@@ -299,11 +229,6 @@ func (c *coordinator) closeBarrier() int {
 		for _, s := range or.slots {
 			if int(s) < len(c.counts) {
 				rec.SlotTransitions += uint64(c.counts[s])
-			}
-		}
-		for _, s := range or.prevSlots {
-			if int(s) < len(c.prevCounts) {
-				rec.SlotTransitions += uint64(c.prevCounts[s])
 			}
 		}
 		c.rep.Recoveries = append(c.rep.Recoveries, rec)

@@ -125,13 +125,14 @@ func (q *workerInbox) next(blockCoord bool) wev {
 	}
 }
 
-// sendBuf is one level's replay buffer: every mesh group this worker
-// generated for the level, in wire layout, indexed by destination
-// shard. Expansion always appends here — even under SelfOnly, which
-// suppresses only the sending — so a recovered peer can be re-fed from
-// any live worker's buffer regardless of the recovery sequence that
-// produced it. Two levels are retained (current + previous), matching
-// the deepest catch-up the coordinator performs.
+// sendBuf is the current level's replay buffer: every mesh group this
+// worker generated for the level, in wire layout, indexed by
+// destination shard. Expansion always appends here — even under
+// SelfOnly, which suppresses only the sending — so a respawned peer can
+// be re-fed from any live worker's buffer regardless of the recovery
+// sequence that produced it. Only the current level is ever replayed:
+// the barrier waits for every replay, and a death whose recovery would
+// need an older level is refused.
 type sendBuf struct {
 	level  int32
 	base   uint64
@@ -202,12 +203,11 @@ type worker struct {
 	executedSeqs map[uint32]bool
 
 	// per-level state
-	bufCur, bufPrev *sendBuf
-	levelRefs       []uint32 // claims drained at the current seal level (cumulative over merges)
-	sealLevel       int32
-	accs            [mc.NumShards]groupAcc
-	gcount          []uint64 // per-destination groups generated by the current expand
-	outFrames       []*frameBuf
+	buf       sendBuf
+	levelRefs []uint32 // claims drained at the last seal
+	accs      [mc.NumShards]groupAcc
+	gcount    []uint64 // per-destination groups generated by the current expand
+	outFrames []*frameBuf
 
 	hbStop chan struct{}
 }
@@ -227,7 +227,6 @@ func RunWorker(conn io.ReadWriteCloser, opts WorkerOptions) error {
 		inbox:        newWorkerInbox(),
 		got:          make(map[uint64]uint64),
 		executedSeqs: make(map[uint32]bool),
-		sealLevel:    -1,
 	}
 	if w.exit == nil {
 		w.exit = os.Exit
@@ -267,10 +266,6 @@ func RunWorker(conn io.ReadWriteCloser, opts WorkerOptions) error {
 				err = w.handleBatch(ev.payload)
 			case mtSeal:
 				err = w.handleSeal(ev.payload)
-			case mtAssign:
-				err = w.handleAssign(ev.payload)
-			case mtRestore:
-				err = w.handleRestore(ev.payload)
 			case mtReplay:
 				err = w.handleReplay(ev.payload)
 			case mtPeerInc:
@@ -402,10 +397,9 @@ func (w *worker) configure(cfg *msgConfig) error {
 		w.fingerprint = fm.Fingerprint()
 	}
 	w.store = mc.NewShardStore(cfg.MaxStates)
-	for _, src := range cfg.Restore {
-		if err := w.restoreChain(src.Index, src.Through, src.Frontier); err != nil {
-			return err
-		}
+	w.buf.level = -1
+	if err := w.restore(cfg.Through); err != nil {
+		return err
 	}
 
 	// Data plane: listen, then accept in the background; peers are
@@ -430,15 +424,15 @@ func (w *worker) configure(cfg *msgConfig) error {
 	return nil
 }
 
-// restoreChain merges one worker's delta files for levels 0..through,
-// in order; the last file's frontier is appended when wantFrontier.
-// Restored states claim with key 0 — immutable from birth — so each
-// file's entries migrate straight to the sealed tier (frontier refs
-// included: sealed states expand fine, they just decode per BytesOf);
-// the seal rewrites whatever live refs this worker already holds.
-func (w *worker) restoreChain(index int, through int32, wantFrontier bool) error {
+// restore rebuilds the store from this worker index's delta files for
+// levels 0..through, in order; the last file's frontier becomes the
+// frontier. Restored states claim with key 0 — immutable from birth —
+// so each file's entries migrate straight to the sealed tier (frontier
+// refs included: sealed states expand fine, they just decode per
+// BytesOf).
+func (w *worker) restore(through int32) error {
 	for l := int32(0); l <= through; l++ {
-		path := filepath.Join(w.cfg.SnapshotDir, fmt.Sprintf("w%d-l%d.mc", index, l))
+		path := filepath.Join(w.cfg.SnapshotDir, fmt.Sprintf("w%d-l%d.mc", w.cfg.Index, l))
 		cp, err := mc.ReadCheckpoint(path)
 		if err != nil {
 			return fmt.Errorf("dist: restoring %s: %w", path, err)
@@ -447,13 +441,13 @@ func (w *worker) restoreChain(index int, through int32, wantFrontier bool) error
 		if w.cfg.NoSeal {
 			extra, err = w.store.Merge(cp)
 		} else {
-			extra, err = w.store.MergeSealed(cp, w.frontier, w.levelRefs, w.stViol)
+			extra, err = w.store.MergeSealed(cp)
 		}
 		if err != nil {
 			return fmt.Errorf("dist: restoring %s: %w", path, err)
 		}
-		if wantFrontier && l == through {
-			w.frontier = append(w.frontier, extra...)
+		if l == through {
+			w.frontier = extra
 		}
 	}
 	return nil
@@ -512,25 +506,6 @@ func (w *worker) startHeartbeat() {
 // at the end, not once per frontier chunk.
 const batchFlushBytes = 256 << 10
 
-// bufFor returns the replay buffer for level, rotating on a new level.
-// The displaced previous-previous buffer's arrays are recycled.
-func (w *worker) bufFor(level int32, base uint64) *sendBuf {
-	if w.bufCur != nil && level == w.bufCur.level {
-		return w.bufCur
-	}
-	if w.bufPrev != nil && level == w.bufPrev.level {
-		return w.bufPrev
-	}
-	old := w.bufPrev
-	w.bufPrev = w.bufCur
-	if old == nil {
-		old = &sendBuf{}
-	}
-	old.reset(level, base)
-	w.bufCur = old
-	return w.bufCur
-}
-
 func (w *worker) link(dest int) *peerLink {
 	l := w.links[dest]
 	if l == nil {
@@ -540,8 +515,8 @@ func (w *worker) link(dest int) *peerLink {
 	return l
 }
 
-// handlePeerInc retargets (or retires) the outbound link to a peer
-// whose incarnation changed. The coordinator sends it before any
+// handlePeerInc retargets the outbound link to a peer whose
+// incarnation changed. The coordinator sends it before any
 // replay command that would use the link, so by the time frames flow
 // the link addresses the replacement, never the dead incarnation.
 func (w *worker) handlePeerInc(payload []byte) error {
@@ -551,12 +526,6 @@ func (w *worker) handlePeerInc(payload []byte) error {
 	}
 	if w.cfg == nil || m.Index < 0 || m.Index >= len(w.peerIncs) {
 		return fmt.Errorf("dist: bad PeerInc index")
-	}
-	if m.Gone {
-		if l := w.links[m.Index]; l != nil {
-			l.markGone()
-		}
-		return nil
 	}
 	if m.Inc > w.peerIncs[m.Index] {
 		w.peerIncs[m.Index] = m.Inc
@@ -587,15 +556,14 @@ func (w *worker) handleExpand(payload []byte) error {
 		return fmt.Errorf("dist: Expand before Config")
 	}
 	w.inj.atLevel(m.Level, w.exit)
-	start := 0
-	if m.FromEnd {
-		start = len(w.frontier) - len(m.Slots)
+	if len(m.Slots) > len(w.frontier) {
+		return fmt.Errorf("dist: Expand of %d slots exceeds frontier of %d", len(m.Slots), len(w.frontier))
 	}
-	if start < 0 || start+len(m.Slots) > len(w.frontier) {
-		return fmt.Errorf("dist: Expand range [%d,%d) exceeds frontier of %d",
-			start, start+len(m.Slots), len(w.frontier))
+	// A new level recycles the replay buffer's arrays.
+	buf := &w.buf
+	if buf.level != m.Level {
+		buf.reset(m.Level, m.Base)
 	}
-	buf := w.bufFor(m.Level, m.Base)
 	me := uint8(w.cfg.Index)
 	counts := make([]uint32, len(m.Slots))
 	for i := range w.gcount {
@@ -606,7 +574,7 @@ func (w *worker) handleExpand(payload []byte) error {
 	hasViol := false
 	var touched []uint8 // shards this slot produced foreign successors for
 	for i, slot := range m.Slots {
-		ref := w.frontier[start+i]
+		ref := w.frontier[i]
 		sb := w.store.BytesOf(ref)
 		succs := w.exp.Successors(sb)
 		counts[i] = uint32(len(succs))
@@ -689,9 +657,6 @@ func (w *worker) handleExpand(payload []byte) error {
 		w.link(dest).enqueue(fb)
 	}
 	w.flushLinks()
-	if m.Consume {
-		w.frontier = w.frontier[:start]
-	}
 	done := &msgExpandDone{Level: m.Level, ID: m.ID, Counts: counts,
 		HasViol: hasViol, ViolKey: violKey, ViolFrom: violFrom, ViolTo: violTo}
 	for dest, n := range w.gcount {
@@ -830,28 +795,18 @@ func (w *worker) execSeal(m *msgSeal) error {
 	w.inj.levelDone(m.Level)
 	w.executedSeqs[m.Seq] = true
 	refs, keys := w.store.DrainLevel()
-	n := len(refs)
-	if m.Merge {
-		w.frontier = append(w.frontier, refs...)
-	} else {
-		w.frontier = refs
+	w.frontier = refs
+	// The previous seal's claims are fully expanded (this level's
+	// expansion consumed them) and past any re-keying window
+	// (stale-incarnation redeliveries are idempotent under the min-key
+	// reduction), so they migrate to the sealed tier here. The seal
+	// compacts the live tier, so the refs just drained — held by
+	// w.frontier — are rewritten in place and levelRefs is rebuilt from
+	// the rewritten frontier below.
+	if !w.cfg.NoSeal && len(w.levelRefs) > 0 {
+		w.store.SealLevel(w.levelRefs, w.frontier, w.stViol)
 	}
-	if m.Level != w.sealLevel {
-		// The previous seal level's claims are fully expanded (this
-		// level's expansion consumed them) and past any re-keying window
-		// (takeover claims carry this level's base or later; stale-
-		// incarnation redeliveries are idempotent under the min-key
-		// reduction), so they migrate to the sealed tier here. The seal
-		// compacts the live tier, so the refs just drained — held by
-		// w.frontier — are rewritten in place and levelRefs is rebuilt
-		// from the rewritten frontier tail below.
-		if !w.cfg.NoSeal && len(w.levelRefs) > 0 {
-			w.store.SealLevel(w.levelRefs, w.frontier, w.stViol)
-		}
-		w.levelRefs = w.levelRefs[:0]
-		w.sealLevel = m.Level
-	}
-	w.levelRefs = append(w.levelRefs, w.frontier[len(w.frontier)-n:]...)
+	w.levelRefs = append(w.levelRefs[:0], w.frontier...)
 	rep := &msgLevelReport{
 		Level:      m.Level,
 		Seq:        m.Seq,
@@ -869,11 +824,9 @@ func (w *worker) execSeal(m *msgSeal) error {
 		rep.StViolEncs = append(rep.StViolEncs, w.store.BytesOf(ref))
 	}
 	w.stViol = w.stViol[:0]
-	// The delta snapshot: this level's claims (cumulative over merge
-	// seals — the file is rewritten with the takeover's additions) plus
-	// the worker's whole current frontier. The chain of deltas replaces
-	// PR 8's full per-level snapshots; files are kept for the run's
-	// lifetime since each is the only copy of its level.
+	// The delta snapshot: this level's claims plus the worker's whole
+	// current frontier. Files are kept for the run's lifetime since each
+	// is the only copy of its level.
 	path := filepath.Join(w.cfg.SnapshotDir, fmt.Sprintf("w%d-l%d.mc", w.cfg.Index, m.Level))
 	_, werr := retry.Do(workerWriteAttempts, workerWriteBackoff, nil, func() error {
 		if err := w.inj.beforeWrite(); err != nil {
@@ -883,13 +836,12 @@ func (w *worker) execSeal(m *msgSeal) error {
 	})
 	if werr != nil {
 		// A failed snapshot is reported, not fatal: the run only loses
-		// recovery depth for this worker (coord.go bounds how much).
+		// this worker's restore point (recover.go refuses a later death
+		// of it).
 		rep.SnapshotErr = werr.Error()
-	} else {
-		rep.Snapshot = path
 	}
 	// Counts for levels this seal closes can no longer be referenced by
-	// any future Expect (merge seals target the current level only).
+	// any future Expect.
 	for k := range w.got {
 		if int32(k>>32) < m.Level {
 			delete(w.got, k)
@@ -899,64 +851,18 @@ func (w *worker) execSeal(m *msgSeal) error {
 	return nil
 }
 
-func (w *worker) handleAssign(payload []byte) error {
-	m, err := decodeAssign(payload)
-	if err != nil {
-		return err
-	}
-	w.assign = m.Assign
-	return nil
-}
-
-func (w *worker) handleRestore(payload []byte) error {
-	m, err := decodeRestore(payload)
-	if err != nil {
-		return err
-	}
-	if w.store == nil {
-		return fmt.Errorf("dist: Restore before Config")
-	}
-	// The dead worker's frontier is appended; the coordinator addresses
-	// it through msgExpand FromEnd ranges and knows the concatenation
-	// order (own claims first, merges in arrival order).
-	return w.restoreChain(m.Index, m.Through, true)
-}
-
 // handleReplay re-delivers this worker's buffered groups for the
-// requested level and shards. Dest==self applies them locally (a
-// respawned worker re-absorbing inbound traffic it had produced for
-// itself has no wire to cross — but that never happens for own shards;
-// the self case is a takeover absorbing shards this worker was feeding
-// the dead owner). The coordinator folds the returned group count into
-// the destination's Expect.
+// requested level and shards to a respawned peer. The coordinator folds
+// the returned group count into the destination's Expect.
 func (w *worker) handleReplay(payload []byte) error {
 	m, err := decodeReplay(payload)
 	if err != nil {
 		return err
 	}
-	var buf *sendBuf
-	switch {
-	case w.bufCur != nil && w.bufCur.level == m.Level:
-		buf = w.bufCur
-	case w.bufPrev != nil && w.bufPrev.level == m.Level:
-		buf = w.bufPrev
-	default:
-		return fmt.Errorf("dist: worker %d: replay for level %d but no buffer", w.cfg.Index, m.Level)
-	}
-	if m.Dest == w.cfg.Index {
-		for shard := 0; shard < mc.NumShards; shard++ {
-			if !m.maskHas(shard) || buf.shards[shard].groups == 0 {
-				continue
-			}
-			_, err := walkMeshGroups(buf.shards[shard].data, func(slot uint32, parent []byte, j uint32, enc []byte) {
-				key := mc.ClaimKey(buf.base, int(slot), int(j))
-				w.claim(enc, key, parent, true, buf.base)
-			})
-			if err != nil {
-				return err
-			}
-		}
-		return w.send(&msgReplayDone{Level: m.Level, Dest: m.Dest})
+	buf := &w.buf
+	if buf.level != m.Level || m.Dest == w.cfg.Index || m.Dest < 0 || m.Dest >= len(w.links) {
+		return fmt.Errorf("dist: worker %d: replay of level %d to worker %d, but its buffer holds level %d",
+			w.cfg.Index, m.Level, m.Dest, buf.level)
 	}
 	l := w.link(m.Dest)
 	groups := uint64(0)

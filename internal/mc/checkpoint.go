@@ -69,10 +69,6 @@ const checkpointFlagReduced = 1 << 0
 // inspection.
 var ErrCheckpointCorrupt = errors.New("mc: checkpoint corrupt")
 
-// ErrBadCheckpoint is the pre-PR8 name for ErrCheckpointCorrupt; they are
-// the same sentinel, so errors.Is matches either.
-var ErrBadCheckpoint = ErrCheckpointCorrupt
-
 // ErrModelMismatch reports a structurally valid checkpoint whose model
 // fingerprint differs from the resuming search's model: the snapshot's
 // packed encodings were produced under a different configuration and
@@ -163,7 +159,7 @@ func (v *visitedSet) restore(cp *Checkpoint) ([]uint32, error) {
 		enc := []byte(e.State)
 		st, ref := v.claim(enc, hashBytes(enc), 0, 0, e.HasParent, 1, nil)
 		if st != ClaimNew {
-			return nil, fmt.Errorf("%w: duplicate visited state", ErrBadCheckpoint)
+			return nil, fmt.Errorf("%w: duplicate visited state", ErrCheckpointCorrupt)
 		}
 		refs[i] = ref
 	}
@@ -178,7 +174,7 @@ func (v *visitedSet) restore(cp *Checkpoint) ([]uint32, error) {
 		penc := []byte(e.Parent)
 		pref, ok := v.find(penc, hashBytes(penc))
 		if !ok {
-			return nil, fmt.Errorf("%w: parent state missing from visited set", ErrBadCheckpoint)
+			return nil, fmt.Errorf("%w: parent state missing from visited set", ErrCheckpointCorrupt)
 		}
 		v.entryOf(refs[i]).parent = pref
 	}
@@ -187,7 +183,7 @@ func (v *visitedSet) restore(cp *Checkpoint) ([]uint32, error) {
 		enc := []byte(s)
 		ref, ok := v.find(enc, hashBytes(enc))
 		if !ok {
-			return nil, fmt.Errorf("%w: frontier state missing from visited set", ErrBadCheckpoint)
+			return nil, fmt.Errorf("%w: frontier state missing from visited set", ErrCheckpointCorrupt)
 		}
 		frontier[i] = ref
 	}
@@ -360,7 +356,7 @@ func (r *cpReader) uvarint() uint64 {
 	}
 	v, err := binary.ReadUvarint(r.r)
 	if err != nil {
-		r.err = fmt.Errorf("%w: truncated", ErrBadCheckpoint)
+		r.err = fmt.Errorf("%w: truncated", ErrCheckpointCorrupt)
 	}
 	return v
 }
@@ -371,12 +367,12 @@ func (r *cpReader) str() State {
 		return ""
 	}
 	if n > uint64(r.r.Len()) {
-		r.err = fmt.Errorf("%w: string length %d exceeds remaining payload", ErrBadCheckpoint, n)
+		r.err = fmt.Errorf("%w: string length %d exceeds remaining payload", ErrCheckpointCorrupt, n)
 		return ""
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r.r, buf); err != nil {
-		r.err = fmt.Errorf("%w: truncated", ErrBadCheckpoint)
+		r.err = fmt.Errorf("%w: truncated", ErrCheckpointCorrupt)
 		return ""
 	}
 	return State(buf)
@@ -386,7 +382,7 @@ func (r *cpReader) count() int {
 	n := r.uvarint()
 	// Every counted element occupies at least one payload byte.
 	if r.err == nil && n > uint64(r.r.Len()) {
-		r.err = fmt.Errorf("%w: element count %d exceeds remaining payload", ErrBadCheckpoint, n)
+		r.err = fmt.Errorf("%w: element count %d exceeds remaining payload", ErrCheckpointCorrupt, n)
 		return 0
 	}
 	return int(n)
@@ -401,21 +397,21 @@ func readCheckpointEnvelope(path string) (uint64, *cpReader, error) {
 		return 0, nil, fmt.Errorf("mc: checkpoint: %w", err)
 	}
 	if len(data) < len(checkpointMagic)+8 {
-		return 0, nil, fmt.Errorf("%w: file too short", ErrBadCheckpoint)
+		return 0, nil, fmt.Errorf("%w: file too short", ErrCheckpointCorrupt)
 	}
 	payload, trailer := data[:len(data)-8], data[len(data)-8:]
 	h := fnv.New64a()
 	h.Write(payload)
 	if h.Sum64() != binary.BigEndian.Uint64(trailer) {
-		return 0, nil, fmt.Errorf("%w: checksum mismatch", ErrBadCheckpoint)
+		return 0, nil, fmt.Errorf("%w: checksum mismatch", ErrCheckpointCorrupt)
 	}
 	if string(payload[:len(checkpointMagic)]) != checkpointMagic {
-		return 0, nil, fmt.Errorf("%w: bad magic", ErrBadCheckpoint)
+		return 0, nil, fmt.Errorf("%w: bad magic", ErrCheckpointCorrupt)
 	}
 	r := &cpReader{r: bytes.NewReader(payload[len(checkpointMagic):])}
 	version := r.uvarint()
 	if r.err == nil && (version < checkpointVersion || version > checkpointVersionSealed) {
-		return 0, nil, fmt.Errorf("%w: unsupported version %d", ErrBadCheckpoint, version)
+		return 0, nil, fmt.Errorf("%w: unsupported version %d", ErrCheckpointCorrupt, version)
 	}
 	return version, r, r.err
 }
@@ -461,7 +457,7 @@ func parseClassicCheckpoint(r *cpReader) (*Checkpoint, error) {
 		e := VisitedEntry{State: r.str(), Parent: r.str()}
 		var flags [1]byte
 		if _, err := io.ReadFull(r.r, flags[:]); err != nil {
-			r.err = fmt.Errorf("%w: truncated", ErrBadCheckpoint)
+			r.err = fmt.Errorf("%w: truncated", ErrCheckpointCorrupt)
 		}
 		e.HasParent = flags[0] != 0
 		cp.Visited = append(cp.Visited, e)
@@ -470,7 +466,7 @@ func parseClassicCheckpoint(r *cpReader) (*Checkpoint, error) {
 		return nil, r.err
 	}
 	if r.r.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadCheckpoint, r.r.Len())
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCheckpointCorrupt, r.r.Len())
 	}
 	return cp, nil
 }
@@ -482,12 +478,12 @@ func (r *cpReader) bytes() []byte {
 		return nil
 	}
 	if n > uint64(r.r.Len()) {
-		r.err = fmt.Errorf("%w: blob length %d exceeds remaining payload", ErrBadCheckpoint, n)
+		r.err = fmt.Errorf("%w: blob length %d exceeds remaining payload", ErrCheckpointCorrupt, n)
 		return nil
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r.r, buf); err != nil {
-		r.err = fmt.Errorf("%w: truncated", ErrBadCheckpoint)
+		r.err = fmt.Errorf("%w: truncated", ErrCheckpointCorrupt)
 		return nil
 	}
 	return buf
@@ -586,18 +582,18 @@ func parseSealedSnap(r *cpReader) (*sealedSnap, error) {
 			return nil, r.err
 		}
 		if cnt > maxOrdinal {
-			return nil, fmt.Errorf("%w: sealed shard holds %d entries", ErrBadCheckpoint, cnt)
+			return nil, fmt.Errorf("%w: sealed shard holds %d entries", ErrCheckpointCorrupt, cnt)
 		}
 		sn.count = uint32(cnt)
 		nres := (int(cnt) + sealedRestartEvery - 1) / sealedRestartEvery
 		if uint64(nres) > uint64(r.r.Len()) {
-			return nil, fmt.Errorf("%w: restart count exceeds remaining payload", ErrBadCheckpoint)
+			return nil, fmt.Errorf("%w: restart count exceeds remaining payload", ErrCheckpointCorrupt)
 		}
 		prev := uint64(0)
 		for i := 0; i < nres; i++ {
 			prev += r.uvarint()
 			if prev > uint64(1)<<32-1 {
-				return nil, fmt.Errorf("%w: restart offset overflow", ErrBadCheckpoint)
+				return nil, fmt.Errorf("%w: restart offset overflow", ErrCheckpointCorrupt)
 			}
 			sn.restarts = append(sn.restarts, uint32(prev))
 		}
@@ -606,10 +602,10 @@ func parseSealedSnap(r *cpReader) (*sealedSnap, error) {
 			return nil, r.err
 		}
 		if nres > 0 && (sn.restarts[0] != 0 || int(sn.restarts[nres-1]) >= len(sn.blob)) {
-			return nil, fmt.Errorf("%w: restart offsets out of range", ErrBadCheckpoint)
+			return nil, fmt.Errorf("%w: restart offsets out of range", ErrCheckpointCorrupt)
 		}
 		if cnt == 0 && len(sn.blob) != 0 {
-			return nil, fmt.Errorf("%w: empty sealed shard with arena bytes", ErrBadCheckpoint)
+			return nil, fmt.Errorf("%w: empty sealed shard with arena bytes", ErrCheckpointCorrupt)
 		}
 	}
 	n := r.count()
@@ -618,7 +614,7 @@ func parseSealedSnap(r *cpReader) (*sealedSnap, error) {
 		le.key = r.uvarint()
 		le.pw = r.uvarint()
 		if r.err == nil && le.key > keyMask {
-			return nil, fmt.Errorf("%w: live claim key out of range", ErrBadCheckpoint)
+			return nil, fmt.Errorf("%w: live claim key out of range", ErrCheckpointCorrupt)
 		}
 		s5.live = append(s5.live, le)
 	}
@@ -626,7 +622,7 @@ func parseSealedSnap(r *cpReader) (*sealedSnap, error) {
 		return nil, r.err
 	}
 	if r.r.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadCheckpoint, r.r.Len())
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCheckpointCorrupt, r.r.Len())
 	}
 	return s5, nil
 }
@@ -638,12 +634,12 @@ func sealedRefState(states *[numShards][]State, pw uint64) (State, bool, error) 
 		return "", false, nil
 	}
 	if pw-1 > uint64(^uint32(0)) {
-		return "", false, fmt.Errorf("%w: parent ref overflow", ErrBadCheckpoint)
+		return "", false, fmt.Errorf("%w: parent ref overflow", ErrCheckpointCorrupt)
 	}
 	ref := uint32(pw - 1)
 	si, o := ref&(numShards-1), ref>>shardBits
 	if int(o) >= len(states[si]) {
-		return "", false, fmt.Errorf("%w: parent ref beyond sealed tier", ErrBadCheckpoint)
+		return "", false, fmt.Errorf("%w: parent ref beyond sealed tier", ErrCheckpointCorrupt)
 	}
 	return states[si][o], true, nil
 }
@@ -666,13 +662,13 @@ func (s5 *sealedSnap) materialize() (*Checkpoint, error) {
 		d.startAt(ss, 0, true)
 		for d.ord < sn.count {
 			if err := d.stepChecked(len(ss.blob)); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
+				return nil, fmt.Errorf("%w: %v", ErrCheckpointCorrupt, err)
 			}
 			states[si] = append(states[si], State(d.enc))
 			pws[si] = append(pws[si], d.pw)
 		}
 		if d.off != len(ss.blob) {
-			return nil, fmt.Errorf("%w: %d trailing arena bytes", ErrBadCheckpoint, len(ss.blob)-d.off)
+			return nil, fmt.Errorf("%w: %d trailing arena bytes", ErrCheckpointCorrupt, len(ss.blob)-d.off)
 		}
 	}
 	cp := &Checkpoint{
@@ -738,22 +734,22 @@ func (v *visitedSet) restoreSealed(s5 *sealedSnap) ([]uint32, error) {
 		for d.ord < sn.count {
 			ord := d.ord
 			if err := d.stepChecked(len(ss.blob)); err != nil {
-				return nil, fmt.Errorf("%w: shard %d ordinal %d: %v", ErrBadCheckpoint, si, ord, err)
+				return nil, fmt.Errorf("%w: shard %d ordinal %d: %v", ErrCheckpointCorrupt, si, ord, err)
 			}
 			if d.pw != 0 {
 				if d.pw-1 > uint64(^uint32(0)) {
-					return nil, fmt.Errorf("%w: parent ref overflow", ErrBadCheckpoint)
+					return nil, fmt.Errorf("%w: parent ref overflow", ErrCheckpointCorrupt)
 				}
 				pref := uint32(d.pw - 1)
 				if pref>>shardBits >= s5.shards[pref&(numShards-1)].count {
-					return nil, fmt.Errorf("%w: parent ref beyond sealed tier", ErrBadCheckpoint)
+					return nil, fmt.Errorf("%w: parent ref beyond sealed tier", ErrCheckpointCorrupt)
 				}
 			}
 			h := hashBytes(d.enc)
 			ss.indexInsert(uint32(h>>32), ord)
 		}
 		if d.off != len(ss.blob) {
-			return nil, fmt.Errorf("%w: %d trailing arena bytes", ErrBadCheckpoint, len(ss.blob)-d.off)
+			return nil, fmt.Errorf("%w: %d trailing arena bytes", ErrCheckpointCorrupt, len(ss.blob)-d.off)
 		}
 		// Seed the delta-chain carry so later seals append seamlessly.
 		ss.lastEnc = append(ss.lastEnc[:0], d.enc...)
@@ -767,22 +763,22 @@ func (v *visitedSet) restoreSealed(s5 *sealedSnap) ([]uint32, error) {
 	frontier := make([]uint32, 0, len(s5.live))
 	for _, le := range s5.live {
 		if le.key >= s5.nextBase {
-			return nil, fmt.Errorf("%w: live claim key at or past the resumed base", ErrBadCheckpoint)
+			return nil, fmt.Errorf("%w: live claim key at or past the resumed base", ErrCheckpointCorrupt)
 		}
 		hasParent := le.pw != 0
 		var parent uint32
 		if hasParent {
 			if le.pw-1 > uint64(^uint32(0)) {
-				return nil, fmt.Errorf("%w: parent ref overflow", ErrBadCheckpoint)
+				return nil, fmt.Errorf("%w: parent ref overflow", ErrCheckpointCorrupt)
 			}
 			parent = uint32(le.pw - 1)
 			if parent>>shardBits >= v.shards[parent&(numShards-1)].sealed.count {
-				return nil, fmt.Errorf("%w: live parent not sealed", ErrBadCheckpoint)
+				return nil, fmt.Errorf("%w: live parent not sealed", ErrCheckpointCorrupt)
 			}
 		}
 		st, ref := v.claim(le.enc, hashBytes(le.enc), parent, le.key, hasParent, le.key+1, &pc)
 		if st != ClaimNew {
-			return nil, fmt.Errorf("%w: duplicate live state", ErrBadCheckpoint)
+			return nil, fmt.Errorf("%w: duplicate live state", ErrCheckpointCorrupt)
 		}
 		frontier = append(frontier, ref)
 	}

@@ -214,8 +214,8 @@ func TestReadCheckpointLeavesCorruptFileIntact(t *testing.T) {
 	if err := os.WriteFile(path, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadCheckpoint(path); !errors.Is(err, ErrBadCheckpoint) {
-		t.Fatalf("got %v, want ErrBadCheckpoint", err)
+	if _, err := ReadCheckpoint(path); !errors.Is(err, ErrCheckpointCorrupt) {
+		t.Fatalf("got %v, want ErrCheckpointCorrupt", err)
 	}
 	after, err := os.ReadFile(path)
 	if err != nil {

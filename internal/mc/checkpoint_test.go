@@ -56,8 +56,8 @@ func TestCheckpointCorruptionDetected(t *testing.T) {
 		if err := os.WriteFile(path, bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadCheckpoint(path); !errors.Is(err, ErrBadCheckpoint) {
-			t.Fatalf("flip at byte %d: got %v, want ErrBadCheckpoint", i, err)
+		if _, err := ReadCheckpoint(path); !errors.Is(err, ErrCheckpointCorrupt) {
+			t.Fatalf("flip at byte %d: got %v, want ErrCheckpointCorrupt", i, err)
 		}
 	}
 }
@@ -75,8 +75,8 @@ func TestCheckpointTruncationDetected(t *testing.T) {
 		if err := os.WriteFile(path, data[:n], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadCheckpoint(path); !errors.Is(err, ErrBadCheckpoint) {
-			t.Fatalf("truncation to %d bytes: got %v, want ErrBadCheckpoint", n, err)
+		if _, err := ReadCheckpoint(path); !errors.Is(err, ErrCheckpointCorrupt) {
+			t.Fatalf("truncation to %d bytes: got %v, want ErrCheckpointCorrupt", n, err)
 		}
 	}
 }
@@ -91,8 +91,8 @@ func TestCheckpointVersionMismatch(t *testing.T) {
 	if err := os.WriteFile(path, payload, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadCheckpoint(path); !errors.Is(err, ErrBadCheckpoint) {
-		t.Fatalf("version 99: got %v, want ErrBadCheckpoint", err)
+	if _, err := ReadCheckpoint(path); !errors.Is(err, ErrCheckpointCorrupt) {
+		t.Fatalf("version 99: got %v, want ErrCheckpointCorrupt", err)
 	}
 }
 

@@ -590,16 +590,16 @@ func TestCheckpointV5CorruptionDetected(t *testing.T) {
 		if err := os.WriteFile(path, bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadCheckpoint(path); !errors.Is(err, ErrBadCheckpoint) {
-			t.Fatalf("flip at byte %d: got %v, want ErrBadCheckpoint", i, err)
+		if _, err := ReadCheckpoint(path); !errors.Is(err, ErrCheckpointCorrupt) {
+			t.Fatalf("flip at byte %d: got %v, want ErrCheckpointCorrupt", i, err)
 		}
 	}
 	for _, n := range []int{0, 1, len(checkpointMagic), len(data) / 2, len(data) - 1} {
 		if err := os.WriteFile(path, data[:n], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadCheckpoint(path); !errors.Is(err, ErrBadCheckpoint) {
-			t.Fatalf("truncation to %d bytes: got %v, want ErrBadCheckpoint", n, err)
+		if _, err := ReadCheckpoint(path); !errors.Is(err, ErrCheckpointCorrupt) {
+			t.Fatalf("truncation to %d bytes: got %v, want ErrCheckpointCorrupt", n, err)
 		}
 	}
 }

@@ -317,10 +317,10 @@ func (s *ShardStore) Restore(cp *Checkpoint) ([]uint32, error) {
 	return frontier, nil
 }
 
-// Merge loads a snapshot's states into a store that may already hold
-// other shards' states — the takeover path of crash recovery, where a
-// surviving worker absorbs a dead worker's slice. The incoming shards
-// must be disjoint from the store's current contents.
+// Merge loads one delta snapshot's states into a store — crash
+// recovery rebuilds a respawned worker by merging its delta chain in
+// level order. The incoming states must be disjoint from the store's
+// current contents.
 func (s *ShardStore) Merge(cp *Checkpoint) ([]uint32, error) {
 	if _, err := s.mergeClaims(cp); err != nil {
 		return nil, err
