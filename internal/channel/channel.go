@@ -94,6 +94,7 @@ type Medium struct {
 	name      string
 	receivers []Receiver
 	active    []*pendingTx
+	free      []*pendingTx
 	count     uint64
 
 	// carrierLabel and deliveryLabel name the medium's scheduler events,
@@ -101,9 +102,15 @@ type Medium struct {
 	carrierLabel, deliveryLabel string
 }
 
+// pendingTx is one transmission on its way through the medium. Records
+// are pooled per medium and carry their scheduler callbacks, bound once
+// when the record is made, so a warm medium transmits without allocating.
 type pendingTx struct {
+	m        *Medium
 	tx       Transmission
 	collided bool
+
+	senseCarrier, deliver func()
 }
 
 var _ Wire = (*Medium)(nil)
@@ -136,7 +143,7 @@ func (m *Medium) Transmit(tx Transmission) {
 		panic(fmt.Sprintf("channel %s: transmission starts at %v, before now %v", m.name, tx.Start, m.sched.Now()))
 	}
 	m.count++
-	p := &pendingTx{tx: tx}
+	p := m.pending(tx)
 	for _, other := range m.active {
 		if other.tx.Overlaps(tx) {
 			other.collided = true
@@ -144,24 +151,47 @@ func (m *Medium) Transmit(tx Transmission) {
 		}
 	}
 	m.active = append(m.active, p)
-	m.sched.At(tx.Start, m.carrierLabel, func() {
-		for _, r := range m.receivers {
-			if cs, ok := r.(CarrierSenser); ok {
-				cs.CarrierSense(m.id, tx.End())
-			}
-		}
-	})
-	m.sched.At(tx.End(), m.deliveryLabel, func() {
-		m.deliver(p)
-	})
+	m.sched.At(tx.Start, m.carrierLabel, p.senseCarrier)
+	m.sched.At(tx.End(), m.deliveryLabel, p.deliver)
 }
 
-func (m *Medium) deliver(p *pendingTx) {
+// pending returns a record for tx, reusing a delivered one when it can.
+func (m *Medium) pending(tx Transmission) *pendingTx {
+	var p *pendingTx
+	if n := len(m.free); n > 0 {
+		p = m.free[n-1]
+		m.free = m.free[:n-1]
+	} else {
+		p = &pendingTx{m: m}
+		p.senseCarrier = p.carrier
+		p.deliver = p.delivery
+	}
+	p.tx, p.collided = tx, false
+	return p
+}
+
+// carrier tells carrier-sensing receivers the wire is busy until the
+// transmission ends. It fires at the start, always before the delivery.
+func (p *pendingTx) carrier() {
+	for _, r := range p.m.receivers {
+		if cs, ok := r.(CarrierSenser); ok {
+			cs.CarrierSense(p.m.id, p.tx.End())
+		}
+	}
+}
+
+// delivery hands the finished transmission to every receiver, then
+// returns the record to the pool: reap has already dropped it from the
+// active list, and both of its events have fired.
+func (p *pendingTx) delivery() {
+	m := p.m
 	m.reap()
 	rx := Reception{Channel: m.id, Transmission: p.tx, Collided: p.collided}
 	for _, r := range m.receivers {
 		r.Receive(rx)
 	}
+	p.tx = Transmission{}
+	m.free = append(m.free, p)
 }
 
 // reap drops transmissions that can no longer overlap anything new.

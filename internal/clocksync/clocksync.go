@@ -7,7 +7,7 @@
 package clocksync
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"ttastar/internal/sim"
@@ -17,7 +17,8 @@ import (
 // and k smallest values are discarded and the rest averaged, which bounds
 // the influence of up to k arbitrarily faulty measurements. With fewer than
 // 2k+1 measurements there is nothing trustworthy to average and FTA returns
-// zero.
+// zero. Up to 16 deviations (one round of a 16-node cluster) are sorted on
+// the stack, so the common case does not allocate.
 func FTA(devs []time.Duration, k int) time.Duration {
 	if k < 0 {
 		k = 0
@@ -25,9 +26,9 @@ func FTA(devs []time.Duration, k int) time.Duration {
 	if len(devs) < 2*k+1 {
 		return 0
 	}
-	sorted := make([]time.Duration, len(devs))
-	copy(sorted, devs)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	var buf [16]time.Duration
+	sorted := append(buf[:0], devs...)
+	slices.Sort(sorted)
 	trimmed := sorted[k : len(sorted)-k]
 	var sum time.Duration
 	for _, d := range trimmed {

@@ -297,16 +297,21 @@ func (c *Cluster) Run(d time.Duration) {
 }
 
 // RunUntil steps the simulation until cond holds or maxDur elapses; it
-// reports whether cond was met.
+// reports whether cond was met. No event later than the deadline fires:
+// when the next one is, time stops at the deadline and cond has not held.
+// An empty queue stops the run where it is.
 func (c *Cluster) RunUntil(maxDur time.Duration, cond func() bool) bool {
 	deadline := c.Sched.Now().Add(maxDur)
 	for !cond() {
-		if c.Sched.Pending() == 0 {
+		at, ok := c.Sched.NextAt()
+		if !ok {
 			return false
 		}
-		if !c.Sched.Step() || c.Sched.Now().After(deadline) {
-			return cond()
+		if at > deadline {
+			c.Sched.RunUntil(deadline)
+			return false
 		}
+		c.Sched.Step()
 	}
 	return true
 }

@@ -93,3 +93,27 @@ func TestDisruptionCountersExclude(t *testing.T) {
 	}
 	_ = node.StateFreeze
 }
+
+// TestRunUntilStopsAtDeadline: an event after the deadline must not fire,
+// and cond is not judged on the state it would have produced.
+func TestRunUntilStopsAtDeadline(t *testing.T) {
+	c := mustCluster(t, Config{})
+	flag := false
+	c.Sched.At(sim.Time(2*time.Millisecond), "set flag", func() { flag = true })
+	if c.RunUntil(time.Millisecond, func() bool { return flag }) {
+		t.Error("RunUntil(1ms) met a condition only an event at 2ms sets")
+	}
+	if flag {
+		t.Error("the event after the deadline fired")
+	}
+	if now := c.Sched.Now(); now != sim.Time(time.Millisecond) {
+		t.Errorf("Now() = %v, want the 1ms deadline", now)
+	}
+	// The event is still pending and fires once the deadline covers it.
+	if !c.RunUntil(time.Millisecond, func() bool { return flag }) {
+		t.Error("RunUntil to 2ms did not fire the event at 2ms")
+	}
+	if now := c.Sched.Now(); now != sim.Time(2*time.Millisecond) {
+		t.Errorf("Now() = %v, want 2ms", now)
+	}
+}

@@ -13,7 +13,7 @@ func benchFrames(b *testing.B) (map[Kind]*bitstr.String, cstate.CState) {
 	cs := cstate.CState{GlobalTime: 77, RoundSlot: 2, Membership: cstate.Membership(0).With(1).With(2).With(3)}
 	data := bitstr.New(64).AppendUint(0x0123456789ABCDEF, 64)
 	frames := map[Kind]*bitstr.String{}
-	for _, f := range []*Frame{NewColdStart(2, 77), NewN(2, cs, data), NewI(2, cs), NewX(2, cs, data)} {
+	for _, f := range []Frame{NewColdStart(2, 77), NewN(2, cs, data), NewI(2, cs), NewX(2, cs, data)} {
 		bits, err := f.Encode()
 		if err != nil {
 			b.Fatal(err)

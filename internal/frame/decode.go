@@ -45,12 +45,25 @@ func (s Status) CountsAsFailed() bool { return s == StatusInvalid || s == Status
 
 // DecodeResult is the outcome of decoding one received bit string.
 type DecodeResult struct {
-	// Frame is the decoded frame; nil when the bits are not structurally a
-	// frame of the expected kind.
-	Frame *Frame
-	// Status is the receiver judgement (invalid / incorrect / correct).
+	// Frame is the decoded frame. It is present exactly when Status is
+	// StatusIncorrect or StatusCorrect; for null and invalid bits (not
+	// structurally a frame of the expected kind) it is the zero Frame.
+	Frame Frame
+	// Status is the receiver judgement (null / invalid / incorrect /
+	// correct).
 	Status Status
 }
+
+// judged returns the result for a structurally valid frame f: correct when
+// ok, incorrect otherwise.
+func judged(f Frame, ok bool) DecodeResult {
+	if ok {
+		return DecodeResult{Frame: f, Status: StatusCorrect}
+	}
+	return DecodeResult{Frame: f, Status: StatusIncorrect}
+}
+
+var invalid = DecodeResult{Status: StatusInvalid}
 
 // Decode parses the received bits as a frame of the expected kind (the MEDL
 // tells receivers what to expect) and judges it against the receiver's
@@ -73,31 +86,31 @@ func Decode(kind Kind, s *bitstr.String, rx cstate.CState) DecodeResult {
 	case KindX:
 		return decodeX(s, rx)
 	default:
-		return DecodeResult{Status: StatusInvalid}
+		return invalid
 	}
 }
 
 func decodeColdStart(s *bitstr.String) DecodeResult {
 	if s.Len() != ColdStartBits || s.Uint(0, ColdStartTypeBits) != 1 {
-		return DecodeResult{Status: StatusInvalid}
+		return invalid
 	}
-	f := &Frame{
+	sender := cstate.NodeID(s.Uint(ColdStartTypeBits+cstate.GlobalTimeBits, ColdStartRoundSlotPos))
+	f := Frame{
 		Kind:   KindColdStart,
-		Sender: cstate.NodeID(s.Uint(ColdStartTypeBits+cstate.GlobalTimeBits, ColdStartRoundSlotPos)),
+		Sender: sender,
+		CState: cstate.CState{
+			GlobalTime: uint16(s.Uint(ColdStartTypeBits, cstate.GlobalTimeBits)),
+			RoundSlot:  uint16(sender),
+		},
 	}
-	f.CState.GlobalTime = uint16(s.Uint(ColdStartTypeBits, cstate.GlobalTimeBits))
-	f.CState.RoundSlot = uint16(f.Sender)
-	if !bitstr.CRC24.Verify(s) {
-		return DecodeResult{Frame: f, Status: StatusIncorrect}
-	}
-	return DecodeResult{Frame: f, Status: StatusCorrect}
+	return judged(f, bitstr.CRC24.Verify(s))
 }
 
 func decodeN(s *bitstr.String, rx cstate.CState) DecodeResult {
 	if s.Len() < MinNFrameBits || s.Uint(0, 1) != 0 {
-		return DecodeResult{Status: StatusInvalid}
+		return invalid
 	}
-	f := &Frame{
+	f := Frame{
 		Kind:              KindN,
 		ModeChangeRequest: uint8(s.Uint(1, 3)),
 		CState:            rx, // implicit: only verifiable against the receiver's own
@@ -107,52 +120,47 @@ func decodeN(s *bitstr.String, rx cstate.CState) DecodeResult {
 	}
 	covered := s.Slice(0, s.Len()-CRCBits)
 	rx.AppendFull(covered)
-	if bitstr.CRC24.Checksum(covered) != s.Uint(s.Len()-CRCBits, CRCBits) {
-		return DecodeResult{Frame: f, Status: StatusIncorrect}
-	}
-	return DecodeResult{Frame: f, Status: StatusCorrect}
+	return judged(f, bitstr.CRC24.Checksum(covered) == s.Uint(s.Len()-CRCBits, CRCBits))
 }
 
 func decodeI(s *bitstr.String, rx cstate.CState) DecodeResult {
-	if s.Len() != MinIFrameBits || s.Uint(0, 1) != 1 {
-		return DecodeResult{Status: StatusInvalid}
+	if !isIFrame(s) {
+		return invalid
 	}
 	f := iFrame(s)
-	switch {
-	case !bitstr.CRC24.Verify(s):
-		return DecodeResult{Frame: f, Status: StatusIncorrect}
-	case !f.CState.CompactEqual(rx):
-		return DecodeResult{Frame: f, Status: StatusIncorrect}
-	default:
-		return DecodeResult{Frame: f, Status: StatusCorrect}
-	}
+	return judged(f, bitstr.CRC24.Verify(s) && f.CState.CompactEqual(rx))
 }
+
+// isIFrame reports whether s is structurally an I-frame.
+func isIFrame(s *bitstr.String) bool { return s.Len() == MinIFrameBits && s.Uint(0, 1) == 1 }
 
 // iFrame reads the fields of s, already checked to be structurally an
 // I-frame; its CRC is the caller's to check.
-func iFrame(s *bitstr.String) *Frame {
-	return &Frame{
+func iFrame(s *bitstr.String) Frame {
+	return Frame{
 		Kind:              KindI,
 		ModeChangeRequest: uint8(s.Uint(1, 3)),
 		CState:            cstate.DecodeCompact(s, HeaderBits),
 	}
 }
 
+// minXFrameBits is the length of an X-frame with no data.
+const minXFrameBits = HeaderBits + cstate.FullBits + CRCBits + DataCRCBits + XFramePadBits
+
 func decodeX(s *bitstr.String, rx cstate.CState) DecodeResult {
-	minLen := HeaderBits + cstate.FullBits + CRCBits + DataCRCBits + XFramePadBits
-	if s.Len() < minLen || s.Len() > MaxXFrameBits || s.Uint(0, 1) != 1 {
-		return DecodeResult{Status: StatusInvalid}
+	if s.Len() < minXFrameBits || s.Len() > MaxXFrameBits || s.Uint(0, 1) != 1 {
+		return invalid
 	}
-	f := &Frame{
+	f := Frame{
 		Kind:              KindX,
 		ModeChangeRequest: uint8(s.Uint(1, 3)),
 		CState:            cstate.DecodeFull(s, HeaderBits),
 	}
 	headerEnd := HeaderBits + cstate.FullBits + CRCBits
 	if !bitstr.CRC24.Verify(s.Slice(0, headerEnd)) {
-		return DecodeResult{Frame: f, Status: StatusIncorrect}
+		return judged(f, false)
 	}
-	dataBits := s.Len() - minLen
+	dataBits := s.Len() - minXFrameBits
 	if dataBits > 0 {
 		f.Data = s.Slice(headerEnd, headerEnd+dataBits)
 	}
@@ -162,12 +170,5 @@ func decodeX(s *bitstr.String, rx cstate.CState) DecodeResult {
 	}
 	f.CState.AppendFull(covered)
 	dataCRC := s.Uint(s.Len()-XFramePadBits-DataCRCBits, DataCRCBits)
-	switch {
-	case bitstr.CRC24.Checksum(covered) != dataCRC:
-		return DecodeResult{Frame: f, Status: StatusIncorrect}
-	case !f.CState.Equal(rx):
-		return DecodeResult{Frame: f, Status: StatusIncorrect}
-	default:
-		return DecodeResult{Frame: f, Status: StatusCorrect}
-	}
+	return judged(f, bitstr.CRC24.Checksum(covered) == dataCRC && f.CState.Equal(rx))
 }

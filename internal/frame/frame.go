@@ -82,7 +82,9 @@ const (
 	ColdStartBitsPaper = 40
 )
 
-// Frame is a decoded (or to-be-encoded) TTP/C frame.
+// Frame is a decoded (or to-be-encoded) TTP/C frame. It is a small value:
+// constructors and decoders return it by value, so building or judging a
+// frame allocates nothing beyond its payload.
 type Frame struct {
 	Kind   Kind
 	Sender cstate.NodeID // sending slot's node; cold-start frames carry it on the wire
@@ -107,8 +109,8 @@ var (
 // NewColdStart builds the cold-start frame a node in cold-start state sends:
 // it carries the sender's view of the global time and its own round-slot
 // position.
-func NewColdStart(sender cstate.NodeID, globalTime uint16) *Frame {
-	return &Frame{
+func NewColdStart(sender cstate.NodeID, globalTime uint16) Frame {
+	return Frame{
 		Kind:   KindColdStart,
 		Sender: sender,
 		CState: cstate.CState{GlobalTime: globalTime, RoundSlot: uint16(sender)},
@@ -116,21 +118,21 @@ func NewColdStart(sender cstate.NodeID, globalTime uint16) *Frame {
 }
 
 // NewI builds an I-frame carrying cs explicitly.
-func NewI(sender cstate.NodeID, cs cstate.CState) *Frame {
-	return &Frame{Kind: KindI, Sender: sender, CState: cs}
+func NewI(sender cstate.NodeID, cs cstate.CState) Frame {
+	return Frame{Kind: KindI, Sender: sender, CState: cs}
 }
 
 // NewN builds an N-frame whose CRC implicitly covers cs.
-func NewN(sender cstate.NodeID, cs cstate.CState, data *bitstr.String) *Frame {
-	return &Frame{Kind: KindN, Sender: sender, CState: cs, Data: data}
+func NewN(sender cstate.NodeID, cs cstate.CState, data *bitstr.String) Frame {
+	return Frame{Kind: KindN, Sender: sender, CState: cs, Data: data}
 }
 
 // NewX builds an X-frame carrying cs explicitly plus data.
-func NewX(sender cstate.NodeID, cs cstate.CState, data *bitstr.String) *Frame {
-	return &Frame{Kind: KindX, Sender: sender, CState: cs, Data: data}
+func NewX(sender cstate.NodeID, cs cstate.CState, data *bitstr.String) Frame {
+	return Frame{Kind: KindX, Sender: sender, CState: cs, Data: data}
 }
 
-func (f *Frame) dataLen() int {
+func (f Frame) dataLen() int {
 	if f.Data == nil {
 		return 0
 	}
@@ -138,7 +140,7 @@ func (f *Frame) dataLen() int {
 }
 
 // EncodedBits returns the on-wire length of the frame in bits.
-func (f *Frame) EncodedBits() int {
+func (f Frame) EncodedBits() int {
 	switch f.Kind {
 	case KindColdStart:
 		return ColdStartBits
@@ -156,7 +158,7 @@ func (f *Frame) EncodedBits() int {
 // Encode serializes the frame. The returned bit string is what travels on
 // the wire; for N-frames the C-state is folded into the CRC but not
 // transmitted.
-func (f *Frame) Encode() (*bitstr.String, error) {
+func (f Frame) Encode() (*bitstr.String, error) {
 	if f.ModeChangeRequest > 7 {
 		return nil, ErrBadModeRequest
 	}

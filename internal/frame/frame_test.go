@@ -36,7 +36,7 @@ func TestPaperFrameSizes(t *testing.T) {
 
 func TestEncodedLengthsMatchEncode(t *testing.T) {
 	data := bitstr.New(16).AppendUint(0xBEEF, 16)
-	frames := []*Frame{
+	frames := []Frame{
 		NewColdStart(2, 55),
 		NewN(1, testCS, nil),
 		NewN(1, testCS, data),
@@ -208,11 +208,11 @@ func TestDecodeStructurallyInvalid(t *testing.T) {
 
 func TestDecodeCorruptionIncorrect(t *testing.T) {
 	// Flipping a payload/CRC bit (not the structure flag) → incorrect.
-	for _, build := range []func() (*Frame, Kind){
-		func() (*Frame, Kind) { return NewColdStart(1, 9), KindColdStart },
-		func() (*Frame, Kind) { return NewI(1, testCS), KindI },
-		func() (*Frame, Kind) { return NewN(1, testCS, nil), KindN },
-		func() (*Frame, Kind) { return NewX(1, testCS, nil), KindX },
+	for _, build := range []func() (Frame, Kind){
+		func() (Frame, Kind) { return NewColdStart(1, 9), KindColdStart },
+		func() (Frame, Kind) { return NewI(1, testCS), KindI },
+		func() (Frame, Kind) { return NewN(1, testCS, nil), KindN },
+		func() (Frame, Kind) { return NewX(1, testCS, nil), KindX },
 	} {
 		f, k := build()
 		s, err := f.Encode()

@@ -97,3 +97,89 @@ func TestDecodeBitFlipSweepXFrame(t *testing.T) {
 		t.Fatal("pristine frame no longer correct after sweep")
 	}
 }
+
+// bitsFrom builds a bit string from raw bytes, dropping trim trailing bits
+// so lengths that are not whole bytes are reached too.
+func bitsFrom(raw []byte, trim int) *bitstr.String {
+	s := bitstr.New(8 * len(raw))
+	for _, b := range raw {
+		s.AppendUint(uint64(b), 8)
+	}
+	return s.Slice(0, max(0, s.Len()-trim))
+}
+
+// presentExactlyWhenJudged reports whether a result carries a frame
+// exactly when its status is incorrect or correct.
+func presentExactlyWhenJudged(res DecodeResult) bool {
+	judged := res.Status == StatusIncorrect || res.Status == StatusCorrect
+	return judged == (res.Frame != Frame{})
+}
+
+func sameDecoded(a, b Frame) bool {
+	if a.Kind != b.Kind || a.Sender != b.Sender || a.ModeChangeRequest != b.ModeChangeRequest ||
+		a.CState != b.CState || (a.Data == nil) != (b.Data == nil) {
+		return false
+	}
+	return a.Data == nil || a.Data.Equal(b.Data)
+}
+
+// FuzzDecode checks the decoders on arbitrary bits and on frames built
+// from arbitrary fields:
+//   - Decode and DecodeForIntegration never panic;
+//   - a frame is present exactly when the status is incorrect or correct
+//     (for DecodeForIntegration: exactly when it reports ok);
+//   - Encode followed by Decode returns the original frame for every kind,
+//     and DecodeForIntegration returns it for the kinds a listening node
+//     integrates on.
+func FuzzDecode(f *testing.F) {
+	f.Add([]byte{0xA5, 0x5A, 0xFF, 0x00, 0x13}, uint8(3), uint16(77), uint16(2), uint16(0), uint16(0), uint32(0b1011), uint8(2), uint8(5))
+	f.Add([]byte{}, uint8(0), uint16(0), uint16(0), uint16(0), uint16(0), uint32(0), uint8(0), uint8(0))
+	f.Add(make([]byte, 260), uint8(7), uint16(0xFFFF), uint16(0xFFFF), uint16(9), uint16(4), uint32(0xFFFFFFFF), uint8(255), uint8(255))
+	f.Fuzz(func(t *testing.T, raw []byte, trim uint8, gt, rs, mode, dmc uint16, mem uint32, sender, mcr uint8) {
+		cs := cstate.CState{GlobalTime: gt, RoundSlot: rs, ClusterMode: mode, DMC: dmc, Membership: cstate.Membership(mem)}
+
+		// Arbitrary bits.
+		bits := bitsFrom(raw, int(trim%8))
+		for _, k := range []Kind{KindColdStart, KindN, KindI, KindX, Kind(0), Kind(9)} {
+			if res := Decode(k, bits, cs); !presentExactlyWhenJudged(res) {
+				t.Fatalf("Decode(%v, %d bits): status %v with frame %+v", k, bits.Len(), res.Status, res.Frame)
+			}
+		}
+		if fr, ok := DecodeForIntegration(bits); ok != (fr != Frame{}) {
+			t.Fatalf("DecodeForIntegration(%d bits): ok %v with frame %+v", bits.Len(), ok, fr)
+		}
+
+		// Encode then decode: each kind built from only the fields it
+		// carries on the wire (an N-frame's C-state is the receiver's).
+		var data *bitstr.String
+		if len(raw) > 0 {
+			data = bitsFrom(raw, int(trim%8))
+			if data.Len() > MaxDataBits {
+				data = data.Slice(0, MaxDataBits)
+			}
+			if data.Len() == 0 {
+				data = nil
+			}
+		}
+		m := mcr % 8
+		for _, orig := range []Frame{
+			NewColdStart(cstate.NodeID(sender), gt),
+			{Kind: KindN, ModeChangeRequest: m, CState: cs, Data: data},
+			{Kind: KindI, ModeChangeRequest: m, CState: cstate.CState{GlobalTime: gt, RoundSlot: rs, Membership: cstate.Membership(mem & 0xFFFF)}},
+			{Kind: KindX, ModeChangeRequest: m, CState: cs, Data: data},
+		} {
+			enc, err := orig.Encode()
+			if err != nil {
+				t.Fatalf("%v Encode: %v", orig.Kind, err)
+			}
+			res := Decode(orig.Kind, enc, orig.CState)
+			if res.Status != StatusCorrect || !sameDecoded(res.Frame, orig) {
+				t.Fatalf("%v round trip: %v %+v, want correct %+v", orig.Kind, res.Status, res.Frame, orig)
+			}
+			got, ok := DecodeForIntegration(enc)
+			if ok != orig.Kind.Explicit() || (ok && !sameDecoded(got, orig)) {
+				t.Fatalf("%v DecodeForIntegration: %v %+v, want %v %+v", orig.Kind, ok, got, orig.Kind.Explicit(), orig)
+			}
+		}
+	})
+}

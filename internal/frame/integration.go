@@ -12,29 +12,28 @@ import (
 // structure and CRC are checked — which is exactly why a replayed or
 // masqueraded frame with internally consistent content is indistinguishable
 // from a genuine one during integration (§6 analysis).
-func DecodeForIntegration(s *bitstr.String) (*Frame, bool) {
+func DecodeForIntegration(s *bitstr.String) (Frame, bool) {
 	if s == nil || s.Len() == 0 {
-		return nil, false
+		return Frame{}, false
 	}
 	if res := Decode(KindColdStart, s, emptyCState); res.Status == StatusCorrect {
 		return res.Frame, true
 	}
 	// I-frame: structure plus self-contained CRC only.
-	if s.Len() == MinIFrameBits && s.Uint(0, 1) == 1 && bitstr.CRC24.Verify(s) {
+	if isIFrame(s) && bitstr.CRC24.Verify(s) {
 		return iFrame(s), true
 	}
 	// X-frame: its CRCs cover the explicit C-state, so a decode against
 	// the frame's own C-state succeeding means the CRCs are intact.
-	xMin := HeaderBits + 96 + CRCBits + DataCRCBits + XFramePadBits
-	if s.Len() >= xMin && s.Len() != MinIFrameBits && s.Uint(0, 1) == 1 {
+	if s.Len() >= minXFrameBits && s.Len() != MinIFrameBits && s.Uint(0, 1) == 1 {
 		probe := Decode(KindX, s, emptyCState)
-		if probe.Frame != nil {
+		if probe.Status != StatusInvalid {
 			if res := Decode(KindX, s, probe.Frame.CState); res.Status == StatusCorrect {
 				return res.Frame, true
 			}
 		}
 	}
-	return nil, false
+	return Frame{}, false
 }
 
 // LooksLikeFrame reports whether bits are structurally plausible as some

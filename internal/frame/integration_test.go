@@ -106,33 +106,30 @@ func TestLooksLikeFrame(t *testing.T) {
 // refDecodeForIntegration is DecodeForIntegration as it was before the
 // I-frame path stopped re-verifying its CRC through Decode: the oracle the
 // pin below compares against.
-func refDecodeForIntegration(s *bitstr.String) (*Frame, bool) {
+func refDecodeForIntegration(s *bitstr.String) (Frame, bool) {
 	if s == nil || s.Len() == 0 {
-		return nil, false
+		return Frame{}, false
 	}
 	if res := Decode(KindColdStart, s, emptyCState); res.Status == StatusCorrect {
 		return res.Frame, true
 	}
 	if s.Len() == MinIFrameBits && s.Uint(0, 1) == 1 && bitstr.CRC24.Verify(s) {
-		if res := Decode(KindI, s, emptyCState); res.Frame != nil {
+		if res := Decode(KindI, s, emptyCState); res.Status >= StatusIncorrect {
 			return res.Frame, true
 		}
 	}
 	xMin := HeaderBits + 96 + CRCBits + DataCRCBits + XFramePadBits
 	if s.Len() >= xMin && s.Len() != MinIFrameBits && s.Uint(0, 1) == 1 {
-		if probe := Decode(KindX, s, emptyCState); probe.Frame != nil {
+		if probe := Decode(KindX, s, emptyCState); probe.Status >= StatusIncorrect {
 			if res := Decode(KindX, s, probe.Frame.CState); res.Status == StatusCorrect {
 				return res.Frame, true
 			}
 		}
 	}
-	return nil, false
+	return Frame{}, false
 }
 
-func sameFrame(a, b *Frame) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
+func sameFrame(a, b Frame) bool {
 	if a.Kind != b.Kind || a.Sender != b.Sender || a.ModeChangeRequest != b.ModeChangeRequest ||
 		!a.CState.Equal(b.CState) || (a.Data == nil) != (b.Data == nil) {
 		return false
@@ -149,7 +146,7 @@ func TestDecodeForIntegrationPinned(t *testing.T) {
 	stale := cstate.CState{GlobalTime: 12, RoundSlot: 3, Membership: cstate.Membership(0).With(3)}
 	data := bitstr.New(20).AppendUint(0xABCDE, 20)
 	build := func(kind Kind, c cstate.CState) *bitstr.String {
-		f := &Frame{Kind: kind, Sender: 3, ModeChangeRequest: 5, CState: c}
+		f := Frame{Kind: kind, Sender: 3, ModeChangeRequest: 5, CState: c}
 		switch kind {
 		case KindColdStart:
 			f = NewColdStart(3, c.GlobalTime)
@@ -165,15 +162,15 @@ func TestDecodeForIntegrationPinned(t *testing.T) {
 	// carried is what a frame built from c carries on the wire: an
 	// I-frame only the compact C-state, a cold-start frame only its time
 	// and sender.
-	carried := func(kind Kind, c cstate.CState) *Frame {
+	carried := func(kind Kind, c cstate.CState) Frame {
 		switch kind {
 		case KindColdStart:
 			return NewColdStart(3, c.GlobalTime)
 		case KindI:
-			return &Frame{Kind: kind, ModeChangeRequest: 5, CState: cstate.CState{
+			return Frame{Kind: kind, ModeChangeRequest: 5, CState: cstate.CState{
 				GlobalTime: c.GlobalTime, RoundSlot: c.RoundSlot, Membership: c.Membership & 0xFFFF}}
 		default:
-			return &Frame{Kind: kind, ModeChangeRequest: 5, CState: c, Data: data}
+			return Frame{Kind: kind, ModeChangeRequest: 5, CState: c, Data: data}
 		}
 	}
 	check := func(name string, s *bitstr.String, wantOK bool) {

@@ -119,9 +119,24 @@ type Central struct {
 	tracer  sim.Tracer
 
 	fault    FaultMode
-	noiseEv  *sim.Event
+	noiseEv  sim.Event
 	buffered *bufferedFrame
 	stats    CentralStats
+
+	// Scheduler labels, built once, and the bound noise callback.
+	forwardLabel, noiseLabel, replayLabel string
+	noiseTick                             func()
+	// forwards holds idle forwarding records for reuse.
+	forwards []*forwarding
+}
+
+// forwarding is one transmission the coupler has accepted and will place
+// on the distribution medium at its output start. Records are pooled per
+// coupler and carry their scheduler callback, bound once.
+type forwarding struct {
+	g    *Central
+	tx   channel.Transmission
+	fire func()
 }
 
 type bufferedFrame struct {
@@ -142,15 +157,20 @@ func NewCentral(sched *sim.Scheduler, cfg CentralConfig, out *channel.Medium, rn
 	clock := sim.NewClock(sched, cfg.Drift)
 	tracker := NewPhaseTracker(clock, cfg.Schedule, cfg.StaleAfter)
 	tracker.SetMaxCorrection(cfg.Schedule.Precision)
-	return &Central{
-		sched:   sched,
-		clock:   clock,
-		cfg:     cfg,
-		out:     out,
-		tracker: tracker,
-		rng:     rng,
-		tracer:  tracer,
-	}, nil
+	g := &Central{
+		sched:        sched,
+		clock:        clock,
+		cfg:          cfg,
+		out:          out,
+		tracker:      tracker,
+		rng:          rng,
+		tracer:       tracer,
+		forwardLabel: cfg.Name + " forward",
+		noiseLabel:   cfg.Name + " noise",
+		replayLabel:  cfg.Name + " replay",
+	}
+	g.noiseTick = g.noiseSlot
+	return g, nil
 }
 
 // Stats returns a snapshot of the coupler's counters.
@@ -190,12 +210,7 @@ func (g *Central) ClearFault() {
 	g.fault = FaultNone
 }
 
-func (g *Central) clearNoise() {
-	if g.noiseEv != nil {
-		g.noiseEv.Cancel()
-		g.noiseEv = nil
-	}
-}
+func (g *Central) clearNoise() { g.noiseEv.Cancel() }
 
 // emitNoise places a noise burst on the distribution side and re-arms
 // itself every slot while the bad-frame fault is active.
@@ -209,11 +224,14 @@ func (g *Central) emitNoise() {
 		Strength: channel.NominalStrength,
 	})
 	g.stats.NoiseEmissions++
-	g.noiseEv = g.sched.After(g.cfg.Schedule.Slot(1).Duration, g.cfg.Name+" noise", func() {
-		if g.fault == FaultBadFrame {
-			g.emitNoise()
-		}
-	})
+	g.noiseEv = g.sched.After(g.cfg.Schedule.Slot(1).Duration, g.noiseLabel, g.noiseTick)
+}
+
+// noiseSlot is the bad-frame fault's per-slot event.
+func (g *Central) noiseSlot() {
+	if g.fault == FaultBadFrame {
+		g.emitNoise()
+	}
 }
 
 // ReplayBuffered re-sends the last buffered frame after delay — the
@@ -226,7 +244,7 @@ func (g *Central) ReplayBuffered(delay time.Duration) error {
 		return ErrNoBufferedFrame
 	}
 	b := *g.buffered
-	g.sched.After(delay, g.cfg.Name+" replay", func() {
+	g.sched.After(delay, g.replayLabel, func() {
 		g.stats.Replays++
 		g.trace("out_of_slot: replaying %d-bit frame from %v", b.bits.Len(), b.origin)
 		g.out.Transmit(channel.Transmission{
@@ -416,15 +434,26 @@ func (g *Central) forward(origin cstate.NodeID, bits *bitstr.String, start sim.T
 	if reshaped {
 		g.stats.Reshaped++
 	}
-	g.sched.At(start, g.cfg.Name+" forward", func() {
-		g.out.Transmit(channel.Transmission{
-			Origin:   origin,
-			Bits:     bits,
-			Start:    g.sched.Now(),
-			Duration: dur,
-			Strength: strength,
-		})
-	})
+	var f *forwarding
+	if n := len(g.forwards); n > 0 {
+		f = g.forwards[n-1]
+		g.forwards = g.forwards[:n-1]
+	} else {
+		f = &forwarding{g: g}
+		f.fire = f.transmit
+	}
+	f.tx = channel.Transmission{Origin: origin, Bits: bits, Start: start, Duration: dur, Strength: strength}
+	g.sched.At(start, g.forwardLabel, f.fire)
+}
+
+// transmit places the forwarded transmission on the distribution medium
+// and returns the record to the pool.
+func (f *forwarding) transmit() {
+	g := f.g
+	tx := f.tx
+	f.tx = channel.Transmission{}
+	g.forwards = append(g.forwards, f)
+	g.out.Transmit(tx)
 }
 
 func (g *Central) trace(format string, args ...any) {

@@ -11,7 +11,7 @@ import (
 	"ttastar/internal/sim"
 )
 
-func frameColdStart(id cstate.NodeID, gt uint16) *frame.Frame {
+func frameColdStart(id cstate.NodeID, gt uint16) frame.Frame {
 	return frame.NewColdStart(id, gt)
 }
 

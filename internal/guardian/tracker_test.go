@@ -11,7 +11,7 @@ import (
 	"ttastar/internal/sim"
 )
 
-func encodeFrame(t *testing.T, f *frame.Frame) *bitstr.String {
+func encodeFrame(t *testing.T, f frame.Frame) *bitstr.String {
 	t.Helper()
 	bits, err := f.Encode()
 	if err != nil {

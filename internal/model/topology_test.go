@@ -21,8 +21,8 @@ func TestTopologyValidation(t *testing.T) {
 		{Nodes: 8},
 		{Couplers: -1},
 		{Couplers: 4},
-		{Couplers: 2, CouplerFaults: []FaultSet{FaultSetAll}},            // len mismatch
-		{Couplers: 1, CouplerFaults: []FaultSet{FaultSet(0x80)}},         // unknown bit
+		{Couplers: 2, CouplerFaults: []FaultSet{FaultSetAll}},              // len mismatch
+		{Couplers: 1, CouplerFaults: []FaultSet{FaultSet(0x80)}},           // unknown bit
 		{CouplerFaults: []FaultSet{FaultSetAll, FaultSetAll, FaultSetAll}}, // 3 masks vs default 2 couplers
 	}
 	for _, cfg := range bad {

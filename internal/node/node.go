@@ -13,6 +13,7 @@ import (
 	"ttastar/internal/channel"
 	"ttastar/internal/clocksync"
 	"ttastar/internal/cstate"
+	"ttastar/internal/frame"
 	"ttastar/internal/membership"
 	"ttastar/internal/sim"
 )
@@ -41,11 +42,16 @@ type Node struct {
 	sentMCR    uint8 // request in the frame currently on the wire
 
 	slotStartLocal sim.LocalTime // local time the current slot began
-	slotTimer      *sim.Event
-	listenTimer    *sim.Event
-	hostTimer      *sim.Event
-	txTimer        *sim.Event
+	slotTimer      sim.Event
+	listenTimer    sim.Event
+	hostTimer      sim.Event
+	txTimer        sim.Event
 	skipJudge      bool // current slot already consumed by integration
+
+	// txFrame is the frame the pending tx event sends; txBits is its
+	// encoding.
+	txFrame frame.Frame
+	txBits  *bitstr.String
 
 	rxs       [channel.NumChannels][]channel.Reception
 	busyUntil [channel.NumChannels]sim.Time
@@ -56,12 +62,19 @@ type Node struct {
 	listeners []StateListener
 	stats     Stats
 	labels    eventLabels
+	bound     boundEvents
 }
 
 // eventLabels are the scheduler labels of the node's per-slot events,
 // built once so the slot engine does not format a string per event.
 type eventLabels struct {
 	boundary, tx, listenTimeout, deferredColdStart string
+}
+
+// boundEvents are the callbacks of the node's per-slot events, bound once
+// in New: a method value made per schedule would allocate every slot.
+type boundEvents struct {
+	boundary, listenTimeout, tx func()
 }
 
 // DataListener receives application payloads from correct N-/X-frames, the
@@ -95,6 +108,7 @@ func New(sched *sim.Scheduler, cfg Config, tracer sim.Tracer) (*Node, error) {
 			deferredColdStart: fmt.Sprintf("node %v deferred cold start", cfg.ID),
 		},
 	}
+	n.bound = boundEvents{boundary: n.slotBoundary, listenTimeout: n.listenTimeoutExpired, tx: n.transmitNow}
 	return n, nil
 }
 
@@ -232,12 +246,9 @@ func (n *Node) freeze(reason string) {
 }
 
 func (n *Node) cancelTimers() {
-	for _, e := range []*sim.Event{n.slotTimer, n.listenTimer, n.hostTimer, n.txTimer} {
-		if e != nil {
-			e.Cancel()
-		}
+	for _, e := range [...]sim.Event{n.slotTimer, n.listenTimer, n.hostTimer, n.txTimer} {
+		e.Cancel()
 	}
-	n.slotTimer, n.listenTimer, n.hostTimer, n.txTimer = nil, nil, nil, nil
 	n.clearRxs()
 }
 
@@ -257,7 +268,7 @@ func (n *Node) trace(cat, format string, args ...any) {
 // scheduleAtLocal schedules fn at local time l, clamped to now if l has
 // already passed (sub-slot latencies during integration can produce a
 // boundary marginally in the past).
-func (n *Node) scheduleAtLocal(l sim.LocalTime, name string, fn func()) *sim.Event {
+func (n *Node) scheduleAtLocal(l sim.LocalTime, name string, fn func()) sim.Event {
 	at := n.clock.WhenLocal(l)
 	if at < n.sched.Now() {
 		at = n.sched.Now()

@@ -25,11 +25,9 @@ func (n *Node) enterListen(reason string) {
 // node's own slot offset, measured on the local clock. The per-node unique
 // value is the paper's listen_timeout = node_id + N initialization.
 func (n *Node) restartListenTimeout() {
-	if n.listenTimer != nil {
-		n.listenTimer.Cancel()
-	}
+	n.listenTimer.Cancel()
 	deadline := n.clock.Now().Add(n.cfg.Schedule.StartupTimeout(n.cfg.ID))
-	n.listenTimer = n.scheduleAtLocal(deadline, n.labels.listenTimeout, n.listenTimeoutExpired)
+	n.listenTimer = n.scheduleAtLocal(deadline, n.labels.listenTimeout, n.bound.listenTimeout)
 }
 
 func (n *Node) listenTimeoutExpired() {
@@ -54,7 +52,7 @@ func (n *Node) listenTimeoutExpired() {
 	// (event ordering), so "busy through now" also defers.
 	if busy >= now {
 		n.listenTimer = n.sched.At(busy.Add(time.Microsecond),
-			n.labels.deferredColdStart, n.listenTimeoutExpired)
+			n.labels.deferredColdStart, n.bound.listenTimeout)
 		return
 	}
 	n.enterColdStart()
@@ -93,7 +91,7 @@ func (n *Node) listenReceive(rx channel.Reception) {
 	}
 }
 
-func (n *Node) integrateOnColdStart(f *frame.Frame, rx channel.Reception) {
+func (n *Node) integrateOnColdStart(f frame.Frame, rx channel.Reception) {
 	slot := int(f.Sender)
 	if slot < 1 || slot > n.cfg.Schedule.NumSlots() {
 		n.trace("listen", "cold-start frame with unusable round slot %d ignored", slot)
@@ -107,7 +105,7 @@ func (n *Node) integrateOnColdStart(f *frame.Frame, rx channel.Reception) {
 	n.integrate(slot, rx, "cold-start frame from "+f.Sender.String())
 }
 
-func (n *Node) integrateOnIFrame(f *frame.Frame, rx channel.Reception) {
+func (n *Node) integrateOnIFrame(f frame.Frame, rx channel.Reception) {
 	slot := int(f.CState.RoundSlot)
 	if slot < 1 || slot > n.cfg.Schedule.NumSlots() {
 		n.trace("listen", "I-frame with unusable round slot %d ignored", slot)
@@ -124,10 +122,7 @@ func (n *Node) integrateOnIFrame(f *frame.Frame, rx channel.Reception) {
 // integrate adopts the sender's C-state and aligns the slot grid so the
 // received frame sits at its slot's action time.
 func (n *Node) integrate(slot int, rx channel.Reception, how string) {
-	if n.listenTimer != nil {
-		n.listenTimer.Cancel()
-		n.listenTimer = nil
-	}
+	n.listenTimer.Cancel()
 	n.slot = slot
 	action := n.cfg.Schedule.Slot(slot).ActionOffset
 	n.slotStartLocal = n.clock.At(rx.Start) - sim.LocalTime(action+n.cfg.DelayCorrection)
@@ -175,7 +170,7 @@ func (n *Node) enterColdStart() {
 func (n *Node) scheduleBoundary() {
 	dur := n.cfg.Schedule.Slot(n.slot).Duration
 	next := n.slotStartLocal + sim.LocalTime(dur)
-	n.slotTimer = n.scheduleAtLocal(next, n.labels.boundary, n.slotBoundary)
+	n.slotTimer = n.scheduleAtLocal(next, n.labels.boundary, n.bound.boundary)
 }
 
 func (n *Node) slotBoundary() {
@@ -227,7 +222,9 @@ func (n *Node) ownSlotStart() {
 	// local-clock state correction).
 	if corr := n.sync.Correction(); corr != 0 {
 		n.slotStartLocal += sim.LocalTime(corr)
-		n.trace("sync", "applied correction %v", corr)
+		if n.tracer != nil { // boxing corr allocates; skip it untraced
+			n.trace("sync", "applied correction %v", corr)
+		}
 	}
 
 	switch n.state {
@@ -278,7 +275,7 @@ func (n *Node) ownSlotStart() {
 func (n *Node) judgeSlot(slot int) {
 	owner := n.cfg.Schedule.Slot(slot).Owner
 	st := frame.StatusNull
-	var received *frame.Frame
+	var received frame.Frame
 	for ch := channel.ID(0); ch < channel.NumChannels; ch++ {
 		chSt, f := n.judgeChannel(ch, slot)
 		if chSt > st {
@@ -286,7 +283,7 @@ func (n *Node) judgeSlot(slot int) {
 			received = f
 		}
 	}
-	if st == frame.StatusCorrect && received != nil {
+	if st == frame.StatusCorrect {
 		if received.Data != nil {
 			for _, sink := range n.dataSinks {
 				sink(slot, owner, received.Data)
@@ -331,24 +328,26 @@ func (n *Node) judgeOwnSlotContention() {
 	}
 }
 
-func (n *Node) judgeChannel(ch channel.ID, slot int) (frame.Status, *frame.Frame) {
-	rxs := n.rxs[ch]
-	detected := rxs[:0:0]
-	for _, rx := range rxs {
-		if rx.Strength >= n.cfg.DetectionFloor {
-			detected = append(detected, rx)
+// judgeChannel judges the slot on channel ch. The frame it returns is
+// present exactly when the status is incorrect or correct.
+func (n *Node) judgeChannel(ch channel.ID, slot int) (frame.Status, frame.Frame) {
+	var rx *channel.Reception
+	detected := 0
+	for i := range n.rxs[ch] {
+		if n.rxs[ch][i].Strength >= n.cfg.DetectionFloor {
+			detected++
+			rx = &n.rxs[ch][i]
 		}
 	}
-	if len(detected) == 0 {
-		return frame.StatusNull, nil
+	if detected == 0 {
+		return frame.StatusNull, frame.Frame{}
 	}
-	if len(detected) > 1 {
+	if detected > 1 {
 		// A valid frame must not be interfered with during its slot.
-		return frame.StatusInvalid, nil
+		return frame.StatusInvalid, frame.Frame{}
 	}
-	rx := detected[0]
 	if rx.Collided || rx.Strength < n.cfg.StrengthThreshold {
-		return frame.StatusInvalid, nil
+		return frame.StatusInvalid, frame.Frame{}
 	}
 
 	// Timing: the frame must start within the acceptance window around the
@@ -359,7 +358,7 @@ func (n *Node) judgeChannel(ch channel.ID, slot int) (frame.Status, *frame.Frame
 	dev := time.Duration(n.clock.At(rx.Start) - expected)
 	window := n.cfg.Schedule.Precision + n.cfg.TimingTolerance
 	if dev.Abs() > window {
-		return frame.StatusInvalid, nil
+		return frame.StatusInvalid, frame.Frame{}
 	}
 
 	// Content: decode against the expected C-state for this slot.
@@ -373,7 +372,7 @@ func (n *Node) judgeChannel(ch channel.ID, slot int) (frame.Status, *frame.Frame
 		if cs := frame.Decode(frame.KindColdStart, rx.Bits, expectedCS); cs.Status == frame.StatusCorrect {
 			return frame.StatusIncorrect, cs.Frame
 		}
-		return frame.StatusInvalid, nil
+		return frame.StatusInvalid, frame.Frame{}
 	}
 	if res.Status == frame.StatusCorrect {
 		n.sync.Observe(dev)
@@ -384,22 +383,21 @@ func (n *Node) judgeChannel(ch channel.ID, slot int) (frame.Status, *frame.Frame
 // --- transmission -----------------------------------------------------------
 
 func (n *Node) sendColdStart() {
-	f := frame.NewColdStart(n.cfg.ID, n.cs.GlobalTime)
-	n.transmitAtAction(f)
+	n.txFrame = frame.NewColdStart(n.cfg.ID, n.cs.GlobalTime)
+	n.transmitAtAction()
 	n.stats.ColdStartsSent++
 }
 
 func (n *Node) sendScheduled() {
 	sl := n.cfg.Schedule.Slot(n.ownSlot)
 	n.cs.Membership = n.cs.Membership.With(n.cfg.ID)
-	var f *frame.Frame
 	switch sl.Kind {
 	case frame.KindI:
-		f = frame.NewI(n.cfg.ID, n.cs)
+		n.txFrame = frame.NewI(n.cfg.ID, n.cs)
 	case frame.KindN:
-		f = frame.NewN(n.cfg.ID, n.cs, n.payload(sl.DataBits))
+		n.txFrame = frame.NewN(n.cfg.ID, n.cs, n.payload(sl.DataBits))
 	case frame.KindX:
-		f = frame.NewX(n.cfg.ID, n.cs, n.payload(sl.DataBits))
+		n.txFrame = frame.NewX(n.cfg.ID, n.cs, n.payload(sl.DataBits))
 	default:
 		return
 	}
@@ -407,11 +405,11 @@ func (n *Node) sendScheduled() {
 		// The request travels in the frame header; the C-state still
 		// carries the old DMC — sender and receivers all adopt the new
 		// one at the end of this slot.
-		f.ModeChangeRequest = n.pendingMCR
+		n.txFrame.ModeChangeRequest = n.pendingMCR
 		n.sentMCR = n.pendingMCR
 		n.pendingMCR = 0
 	}
-	n.transmitAtAction(f)
+	n.transmitAtAction()
 	n.stats.FramesSent++
 }
 
@@ -429,38 +427,43 @@ func (n *Node) payload(bits int) *bitstr.String {
 	return s
 }
 
-// transmitAtAction encodes f and puts it on both channels at the current
-// slot's action time. The wire duration is measured out by the node's own
-// (drifting) clock: a slow node really does occupy the wire longer, which
-// is the effect the §6 buffer analysis is about.
-func (n *Node) transmitAtAction(f *frame.Frame) {
-	bits, err := f.Encode()
+// transmitAtAction encodes txFrame and schedules its transmission at the
+// current slot's action time.
+func (n *Node) transmitAtAction() {
+	bits, err := n.txFrame.Encode()
 	if err != nil {
 		panic(fmt.Sprintf("node %v: encoding scheduled frame: %v", n.cfg.ID, err))
 	}
+	n.txBits = bits
 	action := n.slotStartLocal + sim.LocalTime(n.cfg.Schedule.Slot(n.ownSlot).ActionOffset)
-	n.txTimer = n.scheduleAtLocal(action, n.labels.tx, func() {
-		nominal := n.cfg.Schedule.TransmissionTime(bits.Len())
-		tx := channel.Transmission{
-			Origin:   n.cfg.ID,
-			Bits:     bits,
-			Start:    n.sched.Now(),
-			Duration: n.clock.RefDuration(nominal),
-			Strength: channel.NominalStrength,
+	n.txTimer = n.scheduleAtLocal(action, n.labels.tx, n.bound.tx)
+}
+
+// transmitNow puts txBits on both channels. The wire duration is measured
+// out by the node's own (drifting) clock: a slow node really does occupy
+// the wire longer, which is the effect the §6 buffer analysis is about.
+func (n *Node) transmitNow() {
+	bits := n.txBits
+	nominal := n.cfg.Schedule.TransmissionTime(bits.Len())
+	tx := channel.Transmission{
+		Origin:   n.cfg.ID,
+		Bits:     bits,
+		Start:    n.sched.Now(),
+		Duration: n.clock.RefDuration(nominal),
+		Strength: channel.NominalStrength,
+	}
+	n.trace("tx", "%v (%d bits)", n.txFrame.Kind, bits.Len())
+	for ch := channel.ID(0); ch < channel.NumChannels; ch++ {
+		w := n.wires[ch]
+		if w == nil {
+			continue
 		}
-		n.trace("tx", "%v (%d bits)", f.Kind, bits.Len())
-		for ch := channel.ID(0); ch < channel.NumChannels; ch++ {
-			w := n.wires[ch]
-			if w == nil {
-				continue
-			}
-			out, send := tx, true
-			if n.txHook != nil {
-				out, send = n.txHook(ch, tx)
-			}
-			if send {
-				w.Transmit(out)
-			}
+		out, send := tx, true
+		if n.txHook != nil {
+			out, send = n.txHook(ch, tx)
 		}
-	})
+		if send {
+			w.Transmit(out)
+		}
+	}
 }
