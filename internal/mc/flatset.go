@@ -20,9 +20,11 @@ package mc
 // without touching the shard mutex — safe because a cell is published
 // with a release store only after its entry bytes are fully written, and
 // an entry's meta word (the only mutable field a concurrent reader
-// inspects) is accessed atomically. Only a miss, or a duplicate claimed
-// within the current level (where a min-key takeover may race), takes
-// the shard lock.
+// inspects) is accessed atomically. A current-level duplicate resolves
+// lock-free too when the entry's key is already at or below its own:
+// keys only ever fall (min-key takeover), so that claim can never win.
+// Only a miss, or a current-level duplicate carrying a lower key than
+// the entry's (a takeover that may race), takes the shard lock.
 //
 // Both slots and cells are pointer-free, so the GC never scans the set,
 // and the resident footprint is exact: chunks × 32B + cells × 8B +
@@ -394,8 +396,10 @@ func (v *visitedSet) keyFields(enc []byte, scratch *[4]byte) (nfield uint64, kb 
 // levelBase is the lowest claim key minted in the current level: an
 // existing entry with key < levelBase was claimed in an earlier level
 // and can never be re-keyed, so such duplicates resolve entirely
-// lock-free. A miss, or a duplicate from the current level (min-key
-// takeover), re-probes under the shard lock. The state budget is checked
+// lock-free. So does a current-level duplicate whose key is not below
+// the entry's: keys only fall, so it could never take over. A miss, or
+// a current-level duplicate with a lower key (min-key takeover),
+// re-probes under the shard lock. The state budget is checked
 // before insertion, so the set never holds more than max states.
 func (v *visitedSet) claim(enc []byte, h uint64, parent uint32, key uint64,
 	hasParent bool, levelBase uint64, pc *probeCounter) (ClaimStatus, uint32) {
@@ -430,11 +434,11 @@ func (v *visitedSet) claim(enc []byte, h uint64, parent uint32, key uint64,
 				e := sh.entryAt(uint32(cell) - 1)
 				m := atomic.LoadUint64(&e.meta)
 				if metaNfield(m) == nfield && bytes.Equal(e.data[:len(kb)], kb) {
-					if metaKey(m) < levelBase {
+					if k := metaKey(m); k < levelBase || k <= key {
 						pc.add(n)
 						return ClaimDup, 0
 					}
-					break // current-level duplicate: takeover under lock
+					break // current-level duplicate with a lower key: takeover under lock
 				}
 			}
 			i = (i + 1) & mask

@@ -108,7 +108,10 @@ const ffCap = 1024
 // 56 bytes, about 229 KB per reduced expander. The table must stay
 // cache-resident — on the 6-node quotient a 2^16-entry table ran slower
 // and added ~24 MB of peak RSS — and a reachable walk revisits a small
-// working set of chains, so a fixed size is not a tuning knob.
+// working set of chains, so a fixed size is not a tuning knob. On the
+// reduced 6-node check 40.2 % of the in-region calls hit at the top
+// level, against a ceiling of 45.5 %: only that share of the 2.7 M
+// in-region inputs repeats at all, so no larger table could win much.
 const (
 	ffMemoBits = 12
 	ffMemoSize = 1 << ffMemoBits
@@ -169,16 +172,17 @@ type ffEntry struct {
 // node records is overwritten with the empty tail (FrameNone couplers,
 // zero out-of-slot counter, zero padding). Only an all-{listen,
 // cold_start} state needs more: its deterministic chain is looked up in
-// the memo and, on a miss, decoded once and walked.
+// the memo and, on a miss, walked on the packed key (silentStep).
 //
 // The memo is a pure cache. Keys are whole encodings, entries record
 // exiting walks only, and a hit is taken only when it lands where the
 // capped walk would (steps so far + dist <= ffCap), so the result is the
 // same whatever the table holds — and so for every worker count. Like
 // Successors it performs no steady-state allocation; enc must not alias
-// a state the caller still needs in concrete form. Safe between
-// Successors calls on the same Expander (the decode scratch is dead at
-// that point), not during them.
+// a state the caller still needs in concrete form. It reads and writes
+// only enc, the memo and the walk's path, never the expansion scratch,
+// so it may rewrite the encodings the last Successors call returned in
+// place.
 func (e *Expander) Canonicalize(enc []byte) {
 	if !e.m.Reducible() {
 		return
@@ -212,7 +216,7 @@ func (e *Expander) Canonicalize(enc []byte) {
 		rep.store(enc)
 		return
 	}
-	e.fastForward(enc, k).store(enc)
+	e.fastForward(k).store(enc)
 }
 
 // setInitRecord overwrites node i's 20-bit record with a fresh init
@@ -253,53 +257,58 @@ func (e *Expander) memoize(rep ffKey, dist int) {
 	}
 }
 
-// packKey packs s's node records over the empty tail.
-func (e *Expander) packKey(s *State) ffKey {
-	k := e.tailKey
-	for i := range s.Nodes {
-		w := uint64(nodeWord(&s.Nodes[i]))
-		pos := bitsPerNode * i
-		sh := 64 - pos&63 - bitsPerNode
-		if sh >= 0 {
-			k[pos>>6] |= w << sh
-		} else { // the record straddles two words
-			k[pos>>6] |= w >> -sh
-			k[pos>>6+1] |= w << (64 + sh)
-		}
+// record reads node i's 20-bit record word out of the key.
+func (k *ffKey) record(i int) uint32 {
+	pos := bitsPerNode * i
+	sh := 64 - pos&63 - bitsPerNode
+	var w uint64
+	if sh >= 0 {
+		w = k[pos>>6] >> sh
+	} else { // the record straddles two words
+		w = k[pos>>6]<<-sh | k[pos>>6+1]>>(64+sh)
 	}
-	return k
+	return uint32(w) & (1<<bitsPerNode - 1)
+}
+
+// orRecord ors w into node i's record, which must be zero.
+func (k *ffKey) orRecord(i int, w uint32) {
+	pos := bitsPerNode * i
+	sh := 64 - pos&63 - bitsPerNode
+	if sh >= 0 {
+		k[pos>>6] |= uint64(w) << sh
+	} else { // the record straddles two words
+		k[pos>>6] |= uint64(w) >> -sh
+		k[pos>>6+1] |= uint64(w) << (64 + sh)
+	}
 }
 
 // fastForward chases the deterministic masked chain from the
-// all-{listen, cold_start} state enc (key k, tail already empty) until
-// it exits the region — returning the last in-region state, whose exit
+// all-{listen, cold_start} state k (tail already empty) until it exits
+// the region — returning the last in-region state, whose exit
 // transition the checker then explores normally — or, when the chain
 // settles into an in-region cycle, returns the cycle's minimal-encoding
 // state. Cycles are found with Brent's algorithm over the keys. Both
 // outcomes are fixed points of the procedure, which makes Canonicalize
 // idempotent. Exiting walks, and walks that reach a memoized state, are
 // memoized along their whole path; cycles and truncated walks are not.
-func (e *Expander) fastForward(enc []byte, k ffKey) ffKey {
-	m := e.m
-	m.decodeInto(enc, &e.s)
-	cur, spare := &e.s, &e.next
+func (e *Expander) fastForward(k ffKey) ffKey {
 	e.ffPath = append(e.ffPath[:0], k)
 
-	// Brent's cycle detection over f = stepSilentChain: the tortoise
-	// holds a checkpoint at the last power of two, the chain itself is
-	// the hare. An exit or a memo hit at any point wins immediately.
+	// Brent's cycle detection over f = silentStep: the tortoise holds a
+	// checkpoint at the last power of two, the chain itself is the hare.
+	// An exit or a memo hit at any point wins immediately.
 	tort := k
 	lam, power := 0, 1
 	for steps := 0; ; steps++ {
 		if steps >= ffCap {
 			return k
 		}
-		if !m.stepSilentChain(cur, spare) {
+		next, ok := e.silentStep(k)
+		if !ok {
 			e.memoize(k, 0) // chain exits the region: keep the last state inside
 			return k
 		}
-		cur, spare = spare, cur
-		k = e.packKey(cur)
+		k = next
 		lam++
 		e.ffPath = append(e.ffPath, k)
 		if rep, d, ok := e.memoGet(k, steps+1); ok {
@@ -320,11 +329,11 @@ func (e *Expander) fastForward(enc []byte, k ffKey) ffKey {
 	// representative every chain feeding this cycle agrees on.
 	min := k
 	for i := 1; i < lam; i++ {
-		if !m.stepSilentChain(cur, spare) {
+		next, ok := e.silentStep(k)
+		if !ok {
 			return k // unreachable: a detected cycle stays in-region
 		}
-		cur, spare = spare, cur
-		k = e.packKey(cur)
+		k = next
 		if k.less(min) {
 			min = k
 		}
@@ -332,34 +341,72 @@ func (e *Expander) fastForward(enc []byte, k ffKey) ffKey {
 	return min
 }
 
-// stepSilentChain advances an all-{listen, cold_start} state by one slot
-// under the fault-free assignment, writing the successor's node records
-// into dst.Nodes (its tail is left untouched: in the region it is dead),
-// and reports whether the successor is still inside the all-{listen,
-// cold_start} region. By the fault-invisibility lemma (see the package
-// comment above and TestSilentRegionFaultInvisibility) this is the
-// unique masked successor of the whole fault menu.
-func (m *Model) stepSilentChain(src, dst *State) bool {
-	nominal, activity := m.nominalContent(src)
-	var ch [MaxCouplers]Content
-	for c := 0; c < m.cfg.Couplers; c++ {
-		ch[c] = nominal
+// silentStep advances the all-{listen, cold_start} state k by one slot
+// under the fault-free assignment, straight on the key's node records,
+// and reports whether the successor is still inside the region; when it
+// is not, the returned key is meaningless. By the fault-invisibility
+// lemma (see the package comment above and
+// TestSilentRegionFaultInvisibility) this is the unique masked
+// successor of the whole fault menu. It is stepListen and
+// stepOperational specialised to the region: every channel carries the
+// nominal content, which is none, one node's cold-start frame, or the
+// bad frame of a collision — never a frame with explicit C-state, so no
+// agreed counter moves, and only a listener integrating on a cold-start
+// frame (passive) or a cold starter passing its round (active) leaves.
+// TestSilentRegionPackedStep pins it to the State stepper.
+func (e *Expander) silentStep(k ffKey) (ffKey, bool) {
+	n := e.m.cfg.Nodes
+	nodes := uint32(n)
+	var rec [1<<bitsSlot - 1]uint32 // Nodes <= 7: slots are 3 bits
+	senders := 0
+	for i := 0; i < n; i++ {
+		w := k.record(i)
+		rec[i] = w
+		if w>>shPhase == uint32(PhaseColdStart) && w&recSlot>>shSlot == uint32(i+1) {
+			senders++ // a cold starter on its own slot sends
+		}
 	}
-	inRegion := true
-	for i := range src.Nodes {
-		own := uint8(i + 1)
-		var n NodeState
-		if src.Nodes[i].Phase == PhaseListen {
-			n = m.stepListen(src.Nodes[i], own, ch)
+	coldStart := senders == 1 // one cold-start frame on the channels
+	frame := senders > 0      // a cold-start frame or a collision's bad frame
+
+	next := e.tailKey
+	for i := 0; i < n; i++ {
+		w, own := rec[i], uint32(i+1)
+		if w>>shPhase == uint32(PhaseListen) {
+			switch {
+			case coldStart && (w&recBigBang != 0 || e.m.cfg.DisableBigBang):
+				return next, false // integrates: passive
+			case coldStart:
+				w = w&^recTimeout | recBigBang | (own + nodes)
+			case w&recTimeout == 0:
+				w = uint32(PhaseColdStart)<<shPhase | own<<shSlot | 1<<shAgreed
+			default:
+				w-- // the listen timeout counts down
+			}
 		} else {
-			n = m.stepOperational(src.Nodes[i], own, ch, activity)
+			slot := w & recSlot >> shSlot
+			agreed, failed := w&recAgreed>>shAgreed, w&recFailed>>shFailed
+			if slot != own && frame && failed < 15 {
+				failed++ // any frame in another node's slot fails
+			}
+			slot++
+			if slot > nodes {
+				slot = 1
+			}
+			switch {
+			case slot != own:
+				w = w&^(recSlot|recFailed) | slot<<shSlot | failed<<shFailed
+			case agreed <= 1 && failed == 0: // nobody answered: send again
+				w = w&^(recSlot|recAgreed|recFailed) | slot<<shSlot | 1<<shAgreed
+			case agreed > failed:
+				return next, false // passes its round: active
+			default: // fails its round: back to listen
+				w = uint32(PhaseListen)<<shPhase | (own + nodes)
+			}
 		}
-		dst.Nodes[i] = n
-		if n.Phase != PhaseListen && n.Phase != PhaseColdStart {
-			inRegion = false
-		}
+		next.orRecord(i, w)
 	}
-	return inRegion
+	return next, true
 }
 
 // reducedFaSignature is faSignature under the reduction's observable

@@ -103,14 +103,7 @@ func TestSilentRegionFaultInvisibility(t *testing.T) {
 	checked := 0
 	for _, s := range reachableStates(t, m) {
 		st := m.Decode(s)
-		allLC := true
-		for _, n := range st.Nodes {
-			if n.Phase != PhaseListen && n.Phase != PhaseColdStart {
-				allLC = false
-				break
-			}
-		}
-		if !allLC {
+		if !inSilentRegion(&st) {
 			continue
 		}
 		checked++
@@ -140,6 +133,205 @@ func TestSilentRegionFaultInvisibility(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("no all-listen/cold-start states reachable — lemma untested")
 	}
+}
+
+// TestSilentRegionPackedStep pins the packed stepper to its State
+// oracle: on every in-region state, silentStep and stepSilentChain agree
+// on whether the chain stays in the all-{listen, cold_start} region and,
+// when it does, on the successor's key. The states are every raw
+// in-region successor met by a BFS over the reduced quotient at 3–5
+// nodes, and every state of the silent chains walked from them, with 2
+// and 3 couplers, with and without DisableBigBang; then random
+// in-region node records at 6–7 nodes over the full field widths —
+// slots past the cluster size, saturated counters, any timeout — and
+// the chains from them. Under the race detector or -short the 5-node
+// sweeps stop early.
+func TestSilentRegionPackedStep(t *testing.T) {
+	for _, n := range []int{3, 4, 5} {
+		for _, c := range []int{2, 3} {
+			for _, nobb := range []bool{false, true} {
+				cfg := Config{Authority: guardian.AuthoritySmallShift, Nodes: n, Couplers: c, DisableBigBang: nobb}
+				t.Run(fmt.Sprintf("%dnodes-%dcouplers-nobigbang=%v", n, c, nobb), func(t *testing.T) {
+					maxStates := 0
+					if (raceEnabled || testing.Short()) && n == 5 {
+						maxStates = 10_000
+					}
+					checked := newPackedStepCheck(t, mustModel(t, cfg)).reducedSweep(maxStates)
+					if checked == 0 {
+						t.Fatal("no in-region state reached — stepper untested")
+					}
+					t.Logf("%d distinct in-region states checked", checked)
+				})
+			}
+		}
+	}
+
+	t.Run("random", func(t *testing.T) {
+		starts := 20_000
+		if testing.Short() || raceEnabled {
+			starts = 2_000
+		}
+		rng := rand.New(rand.NewSource(1))
+		var checks []*packedStepCheck
+		for _, n := range []int{6, 7} {
+			for _, c := range []int{2, 3} {
+				for _, nobb := range []bool{false, true} {
+					m := mustModel(t, Config{Authority: guardian.AuthoritySmallShift, Nodes: n, Couplers: c, DisableBigBang: nobb})
+					checks = append(checks, newPackedStepCheck(t, m))
+				}
+			}
+		}
+		stays := 0
+		for i := 0; i < starts; i++ {
+			pc := checks[i%len(checks)]
+			st := State{Nodes: make([]NodeState, pc.m.cfg.Nodes)}
+			for j := range st.Nodes {
+				st.Nodes[j] = randomSilentNode(rng)
+			}
+			clearTail(&st, pc.m.cfg.Couplers)
+			// Walk the chain a few slots on, so the counters the random
+			// start sets up get consumed, checking every step.
+			stays += pc.walk(&st, 24)
+			if t.Failed() {
+				return
+			}
+		}
+		if stays < starts {
+			t.Fatalf("random chains stayed in the region for only %d steps", stays)
+		}
+	})
+}
+
+// randomSilentNode draws a listen or cold_start record with every other
+// field uniform over its full bit width, saturated counters and slots
+// past the cluster size included. Every fourth draw is a cold starter
+// on a small slot, so collisions and lone senders both come up at 6–7
+// nodes.
+func randomSilentNode(rng *rand.Rand) NodeState {
+	n := NodeState{
+		Phase:   PhaseListen + Phase(rng.Intn(2)),
+		BigBang: rng.Intn(2) == 0,
+		Slot:    uint8(rng.Intn(1 << bitsSlot)),
+		Agreed:  uint8(rng.Intn(1 << bitsAgreed)),
+		Failed:  uint8(rng.Intn(1 << bitsFailed)),
+		Timeout: uint8(rng.Intn(1 << bitsTimeout)),
+	}
+	if rng.Intn(4) == 0 {
+		n.Phase, n.Slot = PhaseColdStart, uint8(1+rng.Intn(3))
+	}
+	if rng.Intn(4) == 0 {
+		n.Failed = 15
+	}
+	return n
+}
+
+// packedStepCheck compares silentStep with stepSilentChain for one
+// model, each distinct in-region state once.
+type packedStepCheck struct {
+	t    *testing.T
+	m    *Model
+	e    *Expander
+	next State
+	seen map[ffKey]bool
+}
+
+func newPackedStepCheck(t *testing.T, m *Model) *packedStepCheck {
+	return &packedStepCheck{t: t, m: m, e: m.newExpander(),
+		next: State{Nodes: make([]NodeState, m.cfg.Nodes)}, seen: make(map[ffKey]bool)}
+}
+
+// step checks the in-region state st (tail empty) and advances st to
+// its successor; it reports whether that successor is in the region
+// and not yet checked.
+func (pc *packedStepCheck) step(st *State) bool {
+	m := pc.m
+	k := loadKey([]byte(m.Encode(*st)))
+	pc.seen[k] = true
+	clearTail(&pc.next, m.cfg.Couplers)
+	want := m.stepSilentChain(st, &pc.next)
+	got, ok := pc.e.silentStep(k)
+	if ok != want {
+		pc.t.Errorf("%d nodes, nobigbang=%v: from %v silentStep stays in region %v, oracle %v (oracle successor %v)",
+			m.cfg.Nodes, m.cfg.DisableBigBang, st.Nodes, ok, want, pc.next.Nodes)
+		return false
+	}
+	if !ok {
+		return false
+	}
+	wantKey := loadKey([]byte(m.Encode(pc.next)))
+	if got != wantKey {
+		pc.t.Errorf("%d nodes, nobigbang=%v: from %v silentStep gives %v, oracle %v",
+			m.cfg.Nodes, m.cfg.DisableBigBang, st.Nodes, m.DecodeBinary(pc.keyBytes(got)).Nodes, pc.next.Nodes)
+		return false
+	}
+	copy(st.Nodes, pc.next.Nodes)
+	return !pc.seen[got]
+}
+
+// walk checks the chain from st for at most limit steps, stopping
+// where it leaves the region or meets a checked state, and returns the
+// number of steps taken before it stopped.
+func (pc *packedStepCheck) walk(st *State, limit int) int {
+	for steps := 0; steps < limit; steps++ {
+		if !pc.step(st) {
+			return steps
+		}
+	}
+	return limit
+}
+
+// keyBytes is the encoding a key holds.
+func (pc *packedStepCheck) keyBytes(k ffKey) mc.State {
+	enc := make([]byte, pc.e.size)
+	k.store(enc)
+	return mc.State(enc)
+}
+
+// reducedSweep runs a BFS over the reduced quotient (at most maxStates
+// states; 0 for all of it), checks the silent chain from every raw
+// in-region successor it meets, and returns how many distinct in-region
+// states it checked.
+func (pc *packedStepCheck) reducedSweep(maxStates int) int {
+	m := pc.m
+	var queue []mc.State
+	seen := make(map[mc.State]bool)
+	for _, s := range m.Initial() {
+		c := m.Canonicalize(s)
+		if !seen[c] {
+			seen[c] = true
+			queue = append(queue, c)
+		}
+	}
+	st := State{Nodes: make([]NodeState, m.cfg.Nodes)}
+	for len(queue) > 0 && (maxStates == 0 || len(seen) < maxStates) {
+		s := queue[0]
+		queue = queue[1:]
+		for _, succ := range m.Successors(s) {
+			m.decodeInto([]byte(succ), &st)
+			if inSilentRegion(&st) {
+				clearTail(&st, m.cfg.Couplers)
+				if pc.walk(&st, ffCap); pc.t.Failed() {
+					return len(pc.seen)
+				}
+			}
+			if c := m.Canonicalize(succ); !seen[c] {
+				seen[c] = true
+				queue = append(queue, c)
+			}
+		}
+	}
+	return len(pc.seen)
+}
+
+// inSilentRegion reports whether every node of s is in listen or
+// cold_start.
+func inSilentRegion(s *State) bool {
+	for _, n := range s.Nodes {
+		if n.Phase != PhaseListen && n.Phase != PhaseColdStart {
+			return false
+		}
+	}
+	return true
 }
 
 // TestReducedOracleEquivalence: the reduced search and the oracle agree
@@ -465,6 +657,36 @@ func (r *refCanon) fastForward(cur *State) *State {
 	return min
 }
 
+// stepSilentChain advances an all-{listen, cold_start} state by one slot
+// under the fault-free assignment, writing the successor's node records
+// into dst.Nodes (its tail is left untouched: in the region it is dead),
+// and reports whether the successor is still inside the all-{listen,
+// cold_start} region. By the fault-invisibility lemma (see the package
+// comment above and TestSilentRegionFaultInvisibility) this is the
+// unique masked successor of the whole fault menu.
+func (m *Model) stepSilentChain(src, dst *State) bool {
+	nominal, activity := m.nominalContent(src)
+	var ch [MaxCouplers]Content
+	for c := 0; c < m.cfg.Couplers; c++ {
+		ch[c] = nominal
+	}
+	inRegion := true
+	for i := range src.Nodes {
+		own := uint8(i + 1)
+		var n NodeState
+		if src.Nodes[i].Phase == PhaseListen {
+			n = m.stepListen(src.Nodes[i], own, ch)
+		} else {
+			n = m.stepOperational(src.Nodes[i], own, ch, activity)
+		}
+		dst.Nodes[i] = n
+		if n.Phase != PhaseListen && n.Phase != PhaseColdStart {
+			inRegion = false
+		}
+	}
+	return inRegion
+}
+
 // sameNodes reports whether two states agree on their node records.
 func sameNodes(a, b *State) bool {
 	for i := range a.Nodes {
@@ -578,7 +800,8 @@ func (x *checkedExpander) Canonicalize(enc []byte) {
 // TestCanonicalizePackedMatchesReference: the packed canonicalizer is
 // byte-identical to the reference, through a warm memo and with none,
 // and idempotent, on every reduced successor reachable at 3–6 nodes with
-// 2 and with 3 couplers, under a per-coupler fault mask, and in a
+// 2 and with 3 couplers, under a per-coupler fault mask, without the
+// big-bang rule, and in a
 // bounded 7-node sweep — and on 200k random byte strings of the
 // encoding's width, half of them with every phase forced to listen or
 // cold_start so the fast-forward walks from arbitrary counters. Under
@@ -600,6 +823,7 @@ func TestCanonicalizePackedMatchesReference(t *testing.T) {
 		{cfg: Config{Nodes: 3}},
 		{cfg: Config{Nodes: 4}},
 		{cfg: Config{Nodes: 4, CouplerFaults: []FaultSet{FaultSetSilence, FaultSetBadFrame}}},
+		{cfg: Config{Nodes: 4, DisableBigBang: true}},
 		{cfg: Config{Nodes: 3, Couplers: 3}},
 		{cfg: Config{Nodes: 4, Couplers: 3}},
 		{cfg: Config{Nodes: 5}, large: true},
@@ -616,6 +840,9 @@ func TestCanonicalizePackedMatchesReference(t *testing.T) {
 		name := fmt.Sprintf("%dnodes-%dcouplers", sw.cfg.Nodes, max(sw.cfg.Couplers, 2))
 		if sw.cfg.CouplerFaults != nil {
 			name += "-faultmask"
+		}
+		if sw.cfg.DisableBigBang {
+			name += "-nobigbang"
 		}
 		t.Run(name, func(t *testing.T) {
 			if sw.large && testing.Short() {
@@ -707,18 +934,20 @@ func setPhase(enc []byte, i int, p Phase) {
 }
 
 // FuzzCanonicalize: on arbitrary bytes of the encoding's width, for any
-// reducible cluster size and coupler count, the packed canonicalizer —
-// warm and memo-less — agrees with the reference, is idempotent, and
-// does not panic.
+// reducible cluster size and coupler count, with the big-bang rule on
+// and off, the packed canonicalizer — warm and memo-less — agrees with
+// the reference, is idempotent, and does not panic.
 func FuzzCanonicalize(f *testing.F) {
 	var rigs []*canonRig
-	for n := 2; n <= 7; n++ {
-		for _, c := range []int{2, 3} {
-			m, err := New(Config{Nodes: n, Couplers: c})
-			if err != nil {
-				f.Fatal(err)
+	for _, nobb := range []bool{false, true} {
+		for n := 2; n <= 7; n++ {
+			for _, c := range []int{2, 3} {
+				m, err := New(Config{Nodes: n, Couplers: c, DisableBigBang: nobb})
+				if err != nil {
+					f.Fatal(err)
+				}
+				rigs = append(rigs, newCanonRig(m))
 			}
-			rigs = append(rigs, newCanonRig(m))
 		}
 	}
 	for i, r := range rigs {
@@ -738,7 +967,7 @@ func FuzzCanonicalize(f *testing.F) {
 		enc := make([]byte, binarySize(r.m.cfg.Nodes, r.m.cfg.Couplers))
 		copy(enc, data)
 		if msg := r.check(enc); msg != "" {
-			t.Fatalf("%d nodes, %d couplers: %s", r.m.cfg.Nodes, r.m.cfg.Couplers, msg)
+			t.Fatalf("%d nodes, %d couplers, nobigbang=%v: %s", r.m.cfg.Nodes, r.m.cfg.Couplers, r.m.cfg.DisableBigBang, msg)
 		}
 	})
 }

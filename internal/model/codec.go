@@ -4,9 +4,9 @@ package model
 // and saturating counters, so a fixed-width bit layout per field packs a
 // full state into ceil((20·N + 12 + 8)/8) bytes — 13 bytes for the
 // paper's 4-node cluster. This is the canonical encoding the checker
-// interns as its visited-set key; the byte-per-field layout it replaced
-// survives as EncodeString/DecodeString and serves as the codec oracle in
-// the round-trip tests.
+// interns as its visited-set key. The byte-per-field layout it replaced
+// lives on only in codec_test.go (EncodeString/DecodeString), as the
+// codec oracle of the round-trip tests.
 //
 // Per-field widths (all ranges enforced by Config validation):
 //
@@ -34,6 +34,23 @@ const (
 
 	bitsPerNode    = bitsPhase + bitsBigBang + bitsSlot + bitsAgreed + bitsFailed + bitsTimeout
 	bitsPerCoupler = bitsKind + bitsBufID
+)
+
+// A node's fields inside its 20-bit record word, phase in the top bits:
+// the shift of each field and, for the fields the silent-chain stepper
+// rewrites, its mask.
+const (
+	shFailed  = bitsTimeout
+	shAgreed  = shFailed + bitsFailed
+	shSlot    = shAgreed + bitsAgreed
+	shBigBang = shSlot + bitsSlot
+	shPhase   = shBigBang + bitsBigBang
+
+	recTimeout = 1<<bitsTimeout - 1
+	recFailed  = (1<<bitsFailed - 1) << shFailed
+	recAgreed  = (1<<bitsAgreed - 1) << shAgreed
+	recSlot    = (1<<bitsSlot - 1) << shSlot
+	recBigBang = 1 << shBigBang
 )
 
 // binarySize is the fixed encoding width in bytes for an n-node, c-coupler

@@ -8,6 +8,53 @@ import (
 	"ttastar/internal/mc"
 )
 
+// EncodeString is the original byte-per-field codec (one byte per packed
+// field pair, 3·N+3 bytes for N nodes) that the packed layout replaced,
+// kept here as an independent oracle for the binary codec's round-trip
+// tests.
+func (m *Model) EncodeString(s State) mc.State {
+	buf := make([]byte, 0, 3*m.cfg.Nodes+m.cfg.Couplers+1)
+	for _, n := range s.Nodes {
+		bb := byte(0)
+		if n.BigBang {
+			bb = 1
+		}
+		buf = append(buf,
+			byte(n.Phase)<<4|bb<<3|0, // phase(4) | bigbang(1) | pad
+			n.Slot<<4|n.Agreed,
+			n.Failed<<4|n.Timeout,
+		)
+	}
+	for _, c := range s.Couplers[:m.cfg.Couplers] {
+		buf = append(buf, byte(c.BufferedKind)<<4|c.BufferedID)
+	}
+	buf = append(buf, s.OutOfSlotUsed)
+	return mc.State(buf)
+}
+
+// DecodeString is the inverse of EncodeString.
+func (m *Model) DecodeString(enc mc.State) State {
+	b := []byte(enc)
+	s := State{Nodes: make([]NodeState, m.cfg.Nodes)}
+	for i := 0; i < m.cfg.Nodes; i++ {
+		o := 3 * i
+		s.Nodes[i] = NodeState{
+			Phase:   Phase(b[o] >> 4),
+			BigBang: b[o]>>3&1 == 1,
+			Slot:    b[o+1] >> 4,
+			Agreed:  b[o+1] & 0xF,
+			Failed:  b[o+2] >> 4,
+			Timeout: b[o+2] & 0xF,
+		}
+	}
+	for c := 0; c < m.cfg.Couplers; c++ {
+		v := b[3*m.cfg.Nodes+c]
+		s.Couplers[c] = CouplerState{BufferedKind: FrameKind(v >> 4), BufferedID: v & 0xF}
+	}
+	s.OutOfSlotUsed = b[len(b)-1]
+	return s
+}
+
 // randomState builds a State from raw fuzz inputs, reduced into the field
 // ranges the model can actually produce (Config validation bounds).
 func randomState(nodes int, phases, slots, agreed, failed, timeout []uint8, bb []bool,

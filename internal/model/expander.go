@@ -68,7 +68,7 @@ type Expander struct {
 	// when the configuration is Reducible, which is also the only case
 	// that allocates memo. Canonicalize overwrites every encoding's tail
 	// with emptyTail (the encoding of zero node records over the empty
-	// coupler/out-of-slot tail) and packs chain states over tailKey, its
+	// coupler/out-of-slot tail) and steps chain states onto tailKey, its
 	// key form. memo is the fast-forward cache (ffMemoSize direct-mapped
 	// entries); ffPath holds the keys of the chain being walked, grown
 	// up to the walk's length and then reused.
@@ -294,13 +294,13 @@ func nodeWord(n *NodeState) uint32 {
 		uint32(n.Timeout) >= 1<<bitsTimeout {
 		panic(fmt.Sprintf("model: node state %+v overflows its fields", *n))
 	}
-	w := uint32(n.Phase)<<(bitsPerNode-bitsPhase) |
-		uint32(n.Slot)<<(bitsAgreed+bitsFailed+bitsTimeout) |
-		uint32(n.Agreed)<<(bitsFailed+bitsTimeout) |
-		uint32(n.Failed)<<bitsTimeout |
+	w := uint32(n.Phase)<<shPhase |
+		uint32(n.Slot)<<shSlot |
+		uint32(n.Agreed)<<shAgreed |
+		uint32(n.Failed)<<shFailed |
 		uint32(n.Timeout)
 	if n.BigBang {
-		w |= 1 << (bitsSlot + bitsAgreed + bitsFailed + bitsTimeout)
+		w |= recBigBang
 	}
 	return w
 }
