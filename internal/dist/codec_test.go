@@ -78,3 +78,71 @@ func FuzzDecodeBatch(f *testing.F) {
 		}
 	})
 }
+
+// meshBenchBatch is a representative mesh batch: 2048 groups, each a
+// frontier state's 18-byte parent encoding with three 18-byte
+// successors at ascending successor indexes — about three claims per
+// state, as in the reduced 6-node search, and roughly one
+// batchFlushBytes frame.
+func meshBenchBatch() *msgBatch {
+	m := &msgBatch{Level: 12, Base: 7 << 30}
+	for g := 0; g < 2048; g++ {
+		enc := func(salt int) []byte {
+			e := make([]byte, 18)
+			for i := range e {
+				e[i] = byte(g*31 + salt*7 + i)
+			}
+			return e
+		}
+		m.Groups = append(m.Groups, batchGroup{
+			Slot: uint32(g * 3), HasParent: true, Parent: enc(0),
+			Js: []uint32{0, 2, 5}, Encs: [][]byte{enc(1), enc(2), enc(3)},
+		})
+	}
+	return m
+}
+
+// BenchmarkMeshBatchCodec: one op encodes a representative batch and
+// decodes it again. "mesh" is the data-plane frame expansion traffic
+// rides (beginMeshBatch/appendMeshGroup, then decodeMeshBatchHeader and
+// walkMeshGroups); "control" is the same content as a control-plane
+// msgBatch (encode, then decodeBatch).
+func BenchmarkMeshBatchCodec(b *testing.B) {
+	m := meshBenchBatch()
+	b.Run("mesh", func(b *testing.B) {
+		var groups []byte
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			fb := beginMeshBatch(m.Level, m.Base)
+			groups = groups[:0]
+			for k := range m.Groups {
+				g := &m.Groups[k]
+				groups = appendMeshGroup(groups, g.Slot, g.Parent, g.Js, g.Encs)
+			}
+			fb.raw(groups)
+			payload := fb.b[5:]
+			b.SetBytes(int64(len(payload)))
+			_, _, body, err := decodeMeshBatchHeader(payload)
+			if err != nil {
+				b.Fatal(err)
+			}
+			succs := 0
+			n, err := walkMeshGroups(body, func(uint32, []byte, uint32, []byte) { succs++ })
+			if err != nil || n != len(m.Groups) || succs != 3*len(m.Groups) {
+				b.Fatalf("decoded %d groups, %d successors, %v", n, succs, err)
+			}
+			putFrame(fb)
+		}
+	})
+	b.Run("control", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, p := m.encode()
+			b.SetBytes(int64(len(p)))
+			got, err := decodeBatch(p)
+			if err != nil || len(got.Groups) != len(m.Groups) {
+				b.Fatalf("decoded %d groups, %v", len(got.Groups), err)
+			}
+		}
+	})
+}

@@ -120,7 +120,7 @@ func (ck *Checker) Report() Report {
 func (ck *Checker) NewBackend(m mc.Model, stInv mc.StateInvariantBytes,
 	trInv mc.TransitionInvariantBytes, reduced bool, opts mc.Options) (mc.LevelBackend, error) {
 	switch {
-	case opts.Resume != nil || opts.ResumePath != "":
+	case opts.ResumePath != "":
 		return nil, fmt.Errorf("dist: -resume is not supported with -dist-workers (recovery is built in)")
 	case opts.CheckpointPath != "":
 		return nil, fmt.Errorf("dist: -checkpoint is not supported with -dist-workers (workers snapshot every level barrier)")

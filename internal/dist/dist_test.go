@@ -626,7 +626,6 @@ func TestDistRejectsUnsupportedOptions(t *testing.T) {
 		opts  mc.Options
 	}{
 		{"resume-path", g, nil, tr, mc.Options{ResumePath: "x"}},
-		{"resume-inmem", g, nil, tr, mc.Options{Resume: &mc.Checkpoint{}}},
 		{"checkpoint", g, nil, tr, mc.Options{CheckpointPath: "x"}},
 		{"both-invariants", g, st, tr, mc.Options{}},
 		{"no-invariant", g, nil, nil, mc.Options{}},

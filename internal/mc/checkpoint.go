@@ -1,24 +1,33 @@
 package mc
 
-// Checkpoint codec for the BFS engine.
+// Checkpoint codec for the BFS engine and the distributed layer.
 //
-// A checkpoint is taken at a level boundary — the only point where the
-// whole search state is a frontier, a visited set, and two counters — so
-// resuming replays the remaining levels exactly as the uninterrupted run
-// would have executed them. Together with the min-claim-key determinism
-// of the parallel engine this makes resumed results byte-identical to
-// uninterrupted ones for any worker count.
+// An engine checkpoint is taken at a level boundary — the only point
+// where the whole search state is a frontier, a visited set, and two
+// counters — so resuming replays the remaining levels exactly as the
+// uninterrupted run would have executed them. Together with the
+// min-claim-key determinism of the parallel engine this makes resumed
+// results byte-identical to uninterrupted ones for any worker count.
 //
-// The classic format (version 4) stores the search counters, a
-// search-flags word (bit 0: the search ran reduced — its states are
-// canonical representatives, so it must be resumed reduced), the model
-// fingerprint — a digest of the model configuration the encodings were
-// packed under, so a resume against a differently-parameterized model
-// (other node or coupler count, authority, option bits) fails loudly
-// instead of silently decoding garbage — and then one record per
-// visited state: encoding, parent encoding, and a root flag. Checkpoints
-// are transient resume files, so the reader accepts only the versions
-// this build writes (4 and 5); older files are refused as corrupt.
+// Every engine checkpoint is version 5 (sealedSnap): the search
+// counters, a search-flags word (bit 0: the search ran reduced — its
+// states are canonical representatives, so it must be resumed reduced),
+// the model fingerprint — a digest of the model configuration the
+// encodings were packed under, so a resume against a
+// differently-parameterized model fails loudly instead of silently
+// decoding garbage — the claim-key base the next level starts at, the
+// per-shard sealed arenas, and the live tier (the frontier, with its
+// claim keys and sealed parent refs). The file is a function of the
+// search state, not of the memory layout: a -no-seal engine writes the
+// arenas its sealing twin would hold at the same cut, so both modes
+// write the same bytes and either mode resumes either file.
+//
+// Version 4 (Checkpoint) is the per-state format of the distributed
+// layer's per-level deltas (ShardStore.WriteDelta): one record per
+// state with its parent's encoding, because a worker's parents live on
+// other workers. ReadCheckpoint reads only that version and the engine
+// resumes only version 5; checkpoints are transient resume files, so
+// any other version is refused as corrupt.
 //
 // The on-disk format is versioned, length-guarded and closed by an
 // FNV-64a checksum over the payload; files are written to a temp file in
@@ -28,6 +37,7 @@ package mc
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -35,7 +45,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"time"
 
 	"ttastar/internal/retry"
@@ -43,17 +53,13 @@ import (
 
 const (
 	checkpointMagic = "TTAMCCP\x00"
-	// checkpointVersion is the classic per-state format WriteCheckpoint
-	// emits (and the distributed layer's delta files reuse), and the
-	// oldest format the reader accepts. checkpointVersionSealed is the
-	// two-tier engine snapshot
-	// (version 5): the sealed arenas are serialized wholesale and the
-	// live tier — exactly the frontier at a level boundary — keeps its
-	// real claim keys and parent refs, so a resumed search is
-	// byte-identical to the uninterrupted one, resident footprint
-	// included. The engine writes v5 once anything is sealed and falls
-	// back to v4 for unsealed searches (Options.NoSeal, or an interrupt
-	// before the first level boundary).
+	// checkpointVersion is the per-state format of the distributed
+	// layer's delta files, the only one ReadCheckpoint accepts.
+	// checkpointVersionSealed is the two-tier engine snapshot every
+	// in-process search writes and resumes: the sealed arenas are
+	// serialized wholesale and the live tier — exactly the frontier at a
+	// level boundary — keeps its real claim keys and parent refs, so a
+	// resumed search is byte-identical to the uninterrupted one.
 	checkpointVersion       = 4
 	checkpointVersionSealed = 5
 )
@@ -75,7 +81,8 @@ var ErrCheckpointCorrupt = errors.New("mc: checkpoint corrupt")
 // would decode as garbage.
 var ErrModelMismatch = errors.New("mc: checkpoint model mismatch")
 
-// Checkpoint is a resumable snapshot of a search at a level boundary.
+// Checkpoint is a per-state (version 4) snapshot: a distributed
+// worker's delta for one level.
 type Checkpoint struct {
 	// Depth is the next BFS level to expand.
 	Depth int32
@@ -84,15 +91,11 @@ type Checkpoint struct {
 	ResultDepth int
 	Transitions int
 	// Reduced records whether the snapshot belongs to a reduced search:
-	// its states are canonical representatives, meaningless to a
-	// non-reduced resume (and vice versa), so the engine refuses a
-	// mode-mismatched resume.
+	// its states are canonical representatives.
 	Reduced bool
 	// Fingerprint is the digest of the model configuration the snapshot
 	// was taken under (FingerprintedModel); 0 when the model carries
-	// none. The engine refuses a resume whose
-	// model fingerprint differs — best-effort: enforced only when both
-	// sides are nonzero.
+	// none.
 	Fingerprint uint64
 	// Frontier is the next frontier in serial claim-key order.
 	Frontier []State
@@ -106,88 +109,6 @@ type VisitedEntry struct {
 	State     State
 	Parent    State
 	HasParent bool
-}
-
-// snapshot captures the engine state between levels as a Checkpoint. The
-// engine's slot refs are converted back to opaque States at this
-// boundary — a cold path. Entries are sorted by state encoding so
-// checkpoint bytes are canonical regardless of insertion order or worker
-// count.
-func snapshot(v *visitedSet, res Result, frontier []uint32, depth int32, fingerprint uint64) *Checkpoint {
-	cp := &Checkpoint{
-		Depth:       depth,
-		ResultDepth: res.Depth,
-		Transitions: res.TransitionsExplored,
-		Reduced:     res.Reduced,
-		Fingerprint: fingerprint,
-		Frontier:    make([]State, len(frontier)),
-		Visited:     make([]VisitedEntry, 0, v.count.Load()),
-	}
-	for i := range frontier {
-		cp.Frontier[i] = v.stateOf(frontier[i])
-	}
-	for si := range v.shards {
-		sh := &v.shards[si]
-		sh.mu.Lock()
-		for o := uint32(0); o < sh.ordCount; o++ {
-			ref := makeRef(uint32(si), o)
-			e := VisitedEntry{State: v.stateOf(ref)}
-			if p, ok := v.parentOf(ref); ok {
-				e.Parent = v.stateOf(p)
-				e.HasParent = true
-			}
-			cp.Visited = append(cp.Visited, e)
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(cp.Visited, func(i, j int) bool { return cp.Visited[i].State < cp.Visited[j].State })
-	return cp
-}
-
-// restore loads a checkpoint into the visited set and returns the saved
-// frontier as engine refs. It runs in two passes: admit every state
-// (with key 0 — any resumed level's base orders past it), then resolve
-// parent encodings to slot refs by probing. The restored states are
-// charged against the current budget.
-func (v *visitedSet) restore(cp *Checkpoint) ([]uint32, error) {
-	if int64(len(cp.Visited)) > v.max {
-		return nil, fmt.Errorf("mc: checkpoint holds %d states, over the %d-state budget: %w",
-			len(cp.Visited), v.max, ErrStateLimit)
-	}
-	refs := make([]uint32, len(cp.Visited))
-	for i, e := range cp.Visited {
-		enc := []byte(e.State)
-		st, ref := v.claim(enc, hashBytes(enc), 0, 0, e.HasParent, 1, nil)
-		if st != ClaimNew {
-			return nil, fmt.Errorf("%w: duplicate visited state", ErrCheckpointCorrupt)
-		}
-		refs[i] = ref
-	}
-	// Every restored entry carries key 0, so the first level boundary
-	// cannot tell their levels apart: it seals them as one batch, in
-	// this (state-sorted, deterministic) order.
-	v.restoredAll = refs
-	for i, e := range cp.Visited {
-		if !e.HasParent {
-			continue
-		}
-		penc := []byte(e.Parent)
-		pref, ok := v.find(penc, hashBytes(penc))
-		if !ok {
-			return nil, fmt.Errorf("%w: parent state missing from visited set", ErrCheckpointCorrupt)
-		}
-		v.entryOf(refs[i]).parent = pref
-	}
-	frontier := make([]uint32, len(cp.Frontier))
-	for i, s := range cp.Frontier {
-		enc := []byte(s)
-		ref, ok := v.find(enc, hashBytes(enc))
-		if !ok {
-			return nil, fmt.Errorf("%w: frontier state missing from visited set", ErrCheckpointCorrupt)
-		}
-		frontier[i] = ref
-	}
-	return frontier, nil
 }
 
 // cpWriter serializes with uvarints and a sticky error.
@@ -206,11 +127,6 @@ func (w *cpWriter) raw(b []byte) {
 func (w *cpWriter) uvarint(v uint64) {
 	n := binary.PutUvarint(w.scratch[:], v)
 	w.raw(w.scratch[:n])
-}
-
-func (w *cpWriter) str(s State) {
-	w.uvarint(uint64(len(s)))
-	w.raw([]byte(s))
 }
 
 // bstr writes a length-prefixed byte string without the State round
@@ -235,7 +151,7 @@ func (w *cpWriter) sstr(s string) {
 	}
 }
 
-// checkpointWrapWriter is a test seam: when non-nil, WriteCheckpoint
+// checkpointWrapWriter is a test seam: when non-nil, writeCheckpointFile
 // routes every byte destined for the temp file through the returned
 // writer, letting crash-consistency tests inject mid-write failures at
 // arbitrary offsets without touching the filesystem layer.
@@ -249,49 +165,6 @@ const (
 	checkpointWriteAttempts = 4
 	checkpointWriteBackoff  = 10 * time.Millisecond
 )
-
-// WriteCheckpointRetry writes cp to path like WriteCheckpoint, retrying
-// transient filesystem failures (EINTR, EAGAIN, ENOSPC, ...) with
-// bounded exponential backoff. It returns the number of retries
-// performed alongside the final error, so callers can surface "the
-// snapshot needed retries" or "the snapshot was ultimately dropped" in
-// their stats instead of losing it silently.
-func WriteCheckpointRetry(path string, cp *Checkpoint) (int, error) {
-	return retry.Do(checkpointWriteAttempts, checkpointWriteBackoff, nil, func() error {
-		return WriteCheckpoint(path, cp)
-	})
-}
-
-// WriteCheckpoint atomically writes cp to path: the payload goes to a
-// temp file in the same directory, is checksummed, and renamed over the
-// target only once complete.
-func WriteCheckpoint(path string, cp *Checkpoint) error {
-	return writeCheckpointFile(path, checkpointVersion, func(w *cpWriter) {
-		w.uvarint(uint64(uint32(cp.Depth)))
-		w.uvarint(uint64(cp.ResultDepth))
-		w.uvarint(uint64(cp.Transitions))
-		flags := uint64(0)
-		if cp.Reduced {
-			flags |= checkpointFlagReduced
-		}
-		w.uvarint(flags)
-		w.uvarint(cp.Fingerprint)
-		w.uvarint(uint64(len(cp.Frontier)))
-		for _, s := range cp.Frontier {
-			w.str(s)
-		}
-		w.uvarint(uint64(len(cp.Visited)))
-		for _, e := range cp.Visited {
-			w.str(e.State)
-			w.str(e.Parent)
-			flags := byte(0)
-			if e.HasParent {
-				flags = 1
-			}
-			w.raw([]byte{flags})
-		}
-	})
-}
 
 // writeCheckpointFile owns the checkpoint file envelope — temp file,
 // magic + version header, FNV-64a trailer, atomic rename — around a
@@ -389,58 +262,41 @@ func (r *cpReader) count() int {
 }
 
 // readCheckpointEnvelope loads a checkpoint-format file, validates the
-// envelope (magic, checksum, version range) and returns the format
-// version with a reader positioned at the body.
-func readCheckpointEnvelope(path string) (uint64, *cpReader, error) {
+// envelope (magic, checksum, and the one version the caller reads) and
+// returns a reader positioned at the body.
+func readCheckpointEnvelope(path string, version uint64) (*cpReader, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return 0, nil, fmt.Errorf("mc: checkpoint: %w", err)
+		return nil, fmt.Errorf("mc: checkpoint: %w", err)
 	}
 	if len(data) < len(checkpointMagic)+8 {
-		return 0, nil, fmt.Errorf("%w: file too short", ErrCheckpointCorrupt)
+		return nil, fmt.Errorf("%w: file too short", ErrCheckpointCorrupt)
 	}
 	payload, trailer := data[:len(data)-8], data[len(data)-8:]
 	h := fnv.New64a()
 	h.Write(payload)
 	if h.Sum64() != binary.BigEndian.Uint64(trailer) {
-		return 0, nil, fmt.Errorf("%w: checksum mismatch", ErrCheckpointCorrupt)
+		return nil, fmt.Errorf("%w: checksum mismatch", ErrCheckpointCorrupt)
 	}
 	if string(payload[:len(checkpointMagic)]) != checkpointMagic {
-		return 0, nil, fmt.Errorf("%w: bad magic", ErrCheckpointCorrupt)
+		return nil, fmt.Errorf("%w: bad magic", ErrCheckpointCorrupt)
 	}
 	r := &cpReader{r: bytes.NewReader(payload[len(checkpointMagic):])}
-	version := r.uvarint()
-	if r.err == nil && (version < checkpointVersion || version > checkpointVersionSealed) {
-		return 0, nil, fmt.Errorf("%w: unsupported version %d", ErrCheckpointCorrupt, version)
+	if got := r.uvarint(); r.err == nil && got != version {
+		return nil, fmt.Errorf("%w: unsupported version %d", ErrCheckpointCorrupt, got)
 	}
-	return version, r, r.err
+	return r, r.err
 }
 
-// ReadCheckpoint loads and validates a checkpoint file: the version-5
-// sealed-tier format or the classic version-4 format; anything older is
-// refused with ErrCheckpointCorrupt. A version-5 file is materialized into the
-// classic per-state Checkpoint form — losing the claim keys and the
-// compact representation, so a resume through this API behaves like a
-// v4 resume; the engine's own resume path (resolveResume) consumes v5
-// natively instead. A missing file surfaces as an error wrapping
-// os.ErrNotExist so callers can treat it as "start fresh".
+// ReadCheckpoint loads and validates a per-state (version 4) file — a
+// distributed worker's delta. Any other version, engine checkpoints
+// included, is refused with ErrCheckpointCorrupt. A missing file
+// surfaces as an error wrapping os.ErrNotExist.
 func ReadCheckpoint(path string) (*Checkpoint, error) {
-	version, r, err := readCheckpointEnvelope(path)
+	r, err := readCheckpointEnvelope(path, checkpointVersion)
 	if err != nil {
 		return nil, err
 	}
-	if version == checkpointVersionSealed {
-		s5, err := parseSealedSnap(r)
-		if err != nil {
-			return nil, err
-		}
-		return s5.materialize()
-	}
-	return parseClassicCheckpoint(r)
-}
-
-// parseClassicCheckpoint parses a v4 body.
-func parseClassicCheckpoint(r *cpReader) (*Checkpoint, error) {
 	cp := &Checkpoint{
 		Depth:       int32(r.uvarint()),
 		ResultDepth: int(r.uvarint()),
@@ -489,11 +345,10 @@ func (r *cpReader) bytes() []byte {
 	return buf
 }
 
-// sealedSnap is the parsed native form of a version-5 (sealed-tier)
-// checkpoint: the per-shard arenas wholesale, plus the live tier —
-// exactly the frontier, in frontier order, with real claim keys and
-// sealed parent refs — and the claim-key base the next level resumes
-// at.
+// sealedSnap is an engine checkpoint (version 5): the per-shard sealed
+// arenas wholesale, plus the live tier — exactly the frontier, in
+// frontier order, with real claim keys and sealed parent refs — and the
+// claim-key base the next level resumes at.
 type sealedSnap struct {
 	depth       int32
 	resultDepth int
@@ -517,55 +372,159 @@ type liveSnapEntry struct {
 	pw  uint64 // parent ref+1; 0 = root
 }
 
-// writeSealedCheckpoint writes the engine's two-tier state as a
-// version-5 snapshot. Must be called at a level boundary right after a
-// seal, where the live tier is exactly the frontier and every live
-// parent is sealed.
-func writeSealedCheckpoint(path string, v *visitedSet, res Result,
-	frontier []uint32, depth int32, fingerprint, nextBase uint64) error {
+// checkpointSnap captures the search at a level boundary, right after
+// NextLevel, where the frontier is the whole live tier of a sealing
+// engine. A sealing engine's arenas are referenced as they stand; a
+// -no-seal engine builds the ones its sealing twin would hold (see
+// sealedTwin), so both modes capture the same snapshot.
+func (b *localBackend) checkpointSnap(res Result, depth int32, fingerprint, nextBase uint64) *sealedSnap {
+	v := b.v
+	s5 := &sealedSnap{
+		depth:       depth,
+		resultDepth: res.Depth,
+		transitions: res.TransitionsExplored,
+		reduced:     res.Reduced,
+		fingerprint: fingerprint,
+		nextBase:    nextBase,
+		live:        make([]liveSnapEntry, len(b.frontier)),
+	}
+	remap := func(ref uint32) uint32 { return ref }
+	if b.noSeal {
+		remap = v.sealedTwin(b.frontier, &s5.shards)
+	} else {
+		for si := range s5.shards {
+			ss := &v.shards[si].sealed
+			s5.shards[si] = sealedShardSnap{count: ss.count, restarts: ss.restarts, blob: ss.blob}
+		}
+	}
+	for i, ref := range b.frontier {
+		le := liveSnapEntry{enc: v.bytesOf(ref), key: v.keyOf(ref)}
+		if p, ok := v.parentOf(ref); ok {
+			le.pw = uint64(remap(p)) + 1
+		}
+		s5.live[i] = le
+	}
+	return s5
+}
+
+// sealedTwin fills shards with the sealed tier a sealing engine would
+// hold at this boundary, for a set that seals nothing: every entry
+// outside the frontier, per shard in key order, with parent refs
+// remapped to their positions there. Keys rise across levels, so key
+// order is the order the level-by-level seals append in; entries
+// restored from a checkpoint carry key 0 and sit in arena order, which
+// the ordinal tie-break keeps. It returns the remap from a live ref to
+// its ref in the twin tier.
+func (v *visitedSet) sealedTwin(frontier []uint32, shards *[numShards]sealedShardSnap) func(uint32) uint32 {
+	// The frontier is in key order and holds exactly the keys at or above
+	// its first one.
+	split := uint64(keyMask) + 1
+	if len(frontier) > 0 {
+		split = v.keyOf(frontier[0])
+	}
+	var order [numShards][]keyedRef
+	var rank [numShards][]uint32
+	for si := range v.shards {
+		n := v.shards[si].ordCount
+		for o := uint32(0); o < n; o++ {
+			if k := v.keyOf(makeRef(uint32(si), o)); k < split {
+				order[si] = append(order[si], keyedRef{key: k, ref: o})
+			}
+		}
+		slices.SortFunc(order[si], func(a, b keyedRef) int {
+			return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.ref, b.ref))
+		})
+		rank[si] = make([]uint32, n)
+		for i, kr := range order[si] {
+			rank[si][kr.ref] = uint32(i)
+		}
+	}
+	remap := func(ref uint32) uint32 {
+		s := ref & (numShards - 1)
+		return makeRef(s, rank[s][ref>>shardBits])
+	}
+	for si := range order {
+		var ss sealedShard
+		for _, kr := range order[si] {
+			e := v.shards[si].entryAt(kr.ref)
+			var pw uint64
+			if e.meta&hasParentBit != 0 {
+				pw = uint64(remap(e.parent)) + 1
+			}
+			ss.appendEntry(v.encOfLive(e, e.meta), pw, true)
+		}
+		shards[si] = sealedShardSnap{count: ss.count, restarts: ss.restarts, blob: ss.blob}
+	}
+	return remap
+}
+
+// writeSealedSnap writes s5 as a version-5 file.
+func writeSealedSnap(path string, s5 *sealedSnap) error {
 	return writeCheckpointFile(path, checkpointVersionSealed, func(w *cpWriter) {
-		w.uvarint(uint64(uint32(depth)))
-		w.uvarint(uint64(res.Depth))
-		w.uvarint(uint64(res.TransitionsExplored))
+		w.uvarint(uint64(uint32(s5.depth)))
+		w.uvarint(uint64(s5.resultDepth))
+		w.uvarint(uint64(s5.transitions))
 		flags := uint64(0)
-		if res.Reduced {
+		if s5.reduced {
 			flags |= checkpointFlagReduced
 		}
 		w.uvarint(flags)
-		w.uvarint(fingerprint)
-		w.uvarint(nextBase)
-		for si := range v.shards {
-			ss := &v.shards[si].sealed
-			w.uvarint(uint64(ss.count))
+		w.uvarint(s5.fingerprint)
+		w.uvarint(s5.nextBase)
+		for si := range s5.shards {
+			sn := &s5.shards[si]
+			w.uvarint(uint64(sn.count))
 			prev := uint32(0)
-			for _, r := range ss.restarts {
+			for _, r := range sn.restarts {
 				w.uvarint(uint64(r - prev))
 				prev = r
 			}
-			w.bstr(ss.blob)
+			w.bstr(sn.blob)
 		}
-		w.uvarint(uint64(len(frontier)))
-		for _, ref := range frontier {
-			w.bstr(v.bytesOf(ref))
-			w.uvarint(v.keyOf(ref))
-			w.uvarint(v.parentWordOf(ref))
+		w.uvarint(uint64(len(s5.live)))
+		for _, le := range s5.live {
+			w.bstr(le.enc)
+			w.uvarint(le.key)
+			w.uvarint(le.pw)
 		}
 	})
 }
 
-// writeSealedCheckpointRetry is writeSealedCheckpoint under the same
-// bounded transient-failure retry policy as WriteCheckpointRetry.
-func writeSealedCheckpointRetry(path string, v *visitedSet, res Result,
-	frontier []uint32, depth int32, fingerprint, nextBase uint64) (int, error) {
+// writeSealedSnapRetry is writeSealedSnap retrying transient filesystem
+// failures (EINTR, EAGAIN, ENOSPC, ...) with bounded exponential
+// backoff. It returns the number of retries alongside the final error,
+// so callers can surface "the snapshot needed retries" or "the snapshot
+// was ultimately dropped" in their stats instead of losing it silently.
+func writeSealedSnapRetry(path string, s5 *sealedSnap) (int, error) {
 	return retry.Do(checkpointWriteAttempts, checkpointWriteBackoff, nil, func() error {
-		return writeSealedCheckpoint(path, v, res, frontier, depth, fingerprint, nextBase)
+		return writeSealedSnap(path, s5)
 	})
 }
+
+// readSealedSnap loads the engine checkpoint at path; a missing file (or
+// no path) yields nil, so interrupt/resume loops need no existence
+// checks.
+func readSealedSnap(path string) (*sealedSnap, error) {
+	if path == "" {
+		return nil, nil
+	}
+	r, err := readCheckpointEnvelope(path, checkpointVersionSealed)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	return parseSealedSnap(r)
+}
+
+// minSealedRecord is the smallest arena record: a one-byte parent word
+// and a one-byte encoding length.
+const minSealedRecord = 2
 
 // parseSealedSnap parses a version-5 body. Arena bytes are validated
-// later, by the checked decode sweep that rebuilds the probe indexes
-// (restoreSealed / materialize); this pass only enforces structural
-// bounds.
+// later, by restore's checked decode sweep; this pass only enforces
+// structural bounds.
 func parseSealedSnap(r *cpReader) (*sealedSnap, error) {
 	s5 := &sealedSnap{
 		depth:       int32(r.uvarint()),
@@ -607,6 +566,9 @@ func parseSealedSnap(r *cpReader) (*sealedSnap, error) {
 		if cnt == 0 && len(sn.blob) != 0 {
 			return nil, fmt.Errorf("%w: empty sealed shard with arena bytes", ErrCheckpointCorrupt)
 		}
+		if cnt*minSealedRecord > uint64(len(sn.blob)) {
+			return nil, fmt.Errorf("%w: %d sealed entries in %d arena bytes", ErrCheckpointCorrupt, cnt, len(sn.blob))
+		}
 	}
 	n := r.count()
 	for i := 0; i < n && r.err == nil; i++ {
@@ -627,85 +589,36 @@ func parseSealedSnap(r *cpReader) (*sealedSnap, error) {
 	return s5, nil
 }
 
-// sealedRefState resolves a sealed parent word against per-shard
-// decoded state tables.
-func sealedRefState(states *[numShards][]State, pw uint64) (State, bool, error) {
+// parentRef checks a parent word against the snapshot's sealed tier: a
+// parent is always sealed, whichever tier its child is in.
+func (s5 *sealedSnap) parentRef(pw uint64) (ref uint32, hasParent bool, err error) {
 	if pw == 0 {
-		return "", false, nil
+		return 0, false, nil
 	}
 	if pw-1 > uint64(^uint32(0)) {
-		return "", false, fmt.Errorf("%w: parent ref overflow", ErrCheckpointCorrupt)
+		return 0, false, fmt.Errorf("%w: parent ref overflow", ErrCheckpointCorrupt)
 	}
-	ref := uint32(pw - 1)
-	si, o := ref&(numShards-1), ref>>shardBits
-	if int(o) >= len(states[si]) {
-		return "", false, fmt.Errorf("%w: parent ref beyond sealed tier", ErrCheckpointCorrupt)
+	ref = uint32(pw - 1)
+	if ref>>shardBits >= s5.shards[ref&(numShards-1)].count {
+		return 0, false, fmt.Errorf("%w: parent ref beyond sealed tier", ErrCheckpointCorrupt)
 	}
-	return states[si][o], true, nil
+	return ref, true, nil
 }
 
-// materialize converts a parsed v5 snapshot into the classic
-// per-state Checkpoint form: every arena fully decoded (checked), refs
-// resolved back to parent encodings, entries state-sorted. Claim keys
-// are dropped — the classic form never had them — so a resume from the
-// materialized form behaves like a v4 resume.
-func (s5 *sealedSnap) materialize() (*Checkpoint, error) {
-	var states [numShards][]State
-	var pws [numShards][]uint64
-	var d sealedDecoder
-	for si := range s5.shards {
-		sn := &s5.shards[si]
-		if sn.count == 0 {
-			continue
-		}
-		ss := &sealedShard{count: sn.count, blob: sn.blob, restarts: sn.restarts}
-		d.startAt(ss, 0, true)
-		for d.ord < sn.count {
-			if err := d.stepChecked(len(ss.blob)); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrCheckpointCorrupt, err)
-			}
-			states[si] = append(states[si], State(d.enc))
-			pws[si] = append(pws[si], d.pw)
-		}
-		if d.off != len(ss.blob) {
-			return nil, fmt.Errorf("%w: %d trailing arena bytes", ErrCheckpointCorrupt, len(ss.blob)-d.off)
-		}
-	}
-	cp := &Checkpoint{
-		Depth:       s5.depth,
-		ResultDepth: s5.resultDepth,
-		Transitions: s5.transitions,
-		Reduced:     s5.reduced,
-		Fingerprint: s5.fingerprint,
-	}
-	for si := range states {
-		for o, st := range states[si] {
-			p, has, err := sealedRefState(&states, pws[si][o])
-			if err != nil {
-				return nil, err
-			}
-			cp.Visited = append(cp.Visited, VisitedEntry{State: st, Parent: p, HasParent: has})
-		}
-	}
-	for _, le := range s5.live {
-		p, has, err := sealedRefState(&states, le.pw)
-		if err != nil {
-			return nil, err
-		}
-		cp.Visited = append(cp.Visited, VisitedEntry{State: State(le.enc), Parent: p, HasParent: has})
-		cp.Frontier = append(cp.Frontier, State(le.enc))
-	}
-	sort.Slice(cp.Visited, func(i, j int) bool { return cp.Visited[i].State < cp.Visited[j].State })
-	return cp, nil
-}
-
-// restoreSealed loads a v5 snapshot natively: arenas are installed
-// wholesale (their probe indexes rebuilt by a checked decode sweep
-// replaying the writer's growth schedule, so capacities — and resident
-// bytes — come out exactly as written) and the live entries are claimed
-// with their real keys in frontier order. The returned frontier plus
-// the snapshot's nextBase continue the interrupted run byte-for-byte.
-func (v *visitedSet) restoreSealed(s5 *sealedSnap) ([]uint32, error) {
+// restore loads an engine checkpoint into an empty set and returns the
+// frontier refs; with the snapshot's nextBase they continue the
+// interrupted run byte-for-byte, under either seal mode.
+//
+// One checked decode sweep runs over each shard's arena. Every entry
+// must hash to the shard it is stored in and appear once. A sealing set
+// installs the arena wholesale and rebuilds its probe index, replaying
+// the writer's growth schedule so capacities — and resident bytes —
+// come out exactly as written. A set that seals nothing (noSeal)
+// claims each entry live with key 0, below every base a resumed level
+// mints; the entry lands on ref makeRef(shard, ordinal), so the sealed
+// parent refs stay valid. Both then claim the live tier with its real
+// keys in frontier order.
+func (v *visitedSet) restore(s5 *sealedSnap, noSeal bool) ([]uint32, error) {
 	total := int64(len(s5.live))
 	for i := range s5.shards {
 		total += int64(s5.shards[i].count)
@@ -714,42 +627,55 @@ func (v *visitedSet) restoreSealed(s5 *sealedSnap) ([]uint32, error) {
 		return nil, fmt.Errorf("mc: checkpoint holds %d states, over the %d-state budget: %w",
 			total, v.max, ErrStateLimit)
 	}
-	var d sealedDecoder
+	var d, probe sealedDecoder
 	for si := range v.shards {
 		sn := &s5.shards[si]
 		if sn.count == 0 {
 			continue
 		}
 		sh := &v.shards[si]
-		ss := &sh.sealed
-		ss.count = sn.count
-		ss.blob = sn.blob
-		ss.restarts = sn.restarts
-		newLen := sealedInitialCells
-		for uint64(sn.count)*4 > uint64(newLen)*3 {
-			newLen = sealedGrow(newLen)
+		ss := &sealedShard{}
+		if !noSeal {
+			ss = &sh.sealed
+			newLen := sealedInitialCells
+			for uint64(sn.count)*4 > uint64(newLen)*3 {
+				newLen = sealedGrow(newLen)
+			}
+			ss.index = make([]uint32, newLen)
 		}
-		ss.index = make([]uint32, newLen)
-		d.startAt(ss, 0, v.parentIsRef)
+		ss.count, ss.blob, ss.restarts = sn.count, sn.blob, sn.restarts
+		d.startAt(ss, 0, true)
 		for d.ord < sn.count {
 			ord := d.ord
 			if err := d.stepChecked(len(ss.blob)); err != nil {
 				return nil, fmt.Errorf("%w: shard %d ordinal %d: %v", ErrCheckpointCorrupt, si, ord, err)
 			}
-			if d.pw != 0 {
-				if d.pw-1 > uint64(^uint32(0)) {
-					return nil, fmt.Errorf("%w: parent ref overflow", ErrCheckpointCorrupt)
-				}
-				pref := uint32(d.pw - 1)
-				if pref>>shardBits >= s5.shards[pref&(numShards-1)].count {
-					return nil, fmt.Errorf("%w: parent ref beyond sealed tier", ErrCheckpointCorrupt)
-				}
+			parent, hasParent, err := s5.parentRef(d.pw)
+			if err != nil {
+				return nil, err
 			}
 			h := hashBytes(d.enc)
-			ss.indexInsert(uint32(h>>32), ord)
+			if ShardOf(h) != uint32(si) {
+				return nil, fmt.Errorf("%w: shard %d ordinal %d: entry belongs in shard %d",
+					ErrCheckpointCorrupt, si, ord, ShardOf(h))
+			}
+			dup := false
+			if noSeal {
+				st, ref := v.claim(d.enc, h, parent, 0, hasParent, 1, nil)
+				dup = st != ClaimNew || ref != makeRef(uint32(si), ord)
+			} else {
+				_, dup = ss.find(uint32(h>>32), d.enc, &probe, true)
+				ss.indexInsert(uint32(h>>32), ord)
+			}
+			if dup {
+				return nil, fmt.Errorf("%w: shard %d ordinal %d: duplicate sealed entry", ErrCheckpointCorrupt, si, ord)
+			}
 		}
 		if d.off != len(ss.blob) {
 			return nil, fmt.Errorf("%w: %d trailing arena bytes", ErrCheckpointCorrupt, len(ss.blob)-d.off)
+		}
+		if noSeal {
+			continue
 		}
 		// Seed the delta-chain carry so later seals append seamlessly.
 		ss.lastEnc = append(ss.lastEnc[:0], d.enc...)
@@ -757,24 +683,17 @@ func (v *visitedSet) restoreSealed(s5 *sealedSnap) ([]uint32, error) {
 		sh.liveBase = sn.count
 		sh.ordCount = sn.count
 		v.resident.Add(ss.residentBytes())
+		v.count.Add(int64(sn.count)) // live claims charge themselves
 	}
-	v.count.Add(total - int64(len(s5.live))) // live entries charge via claim
 	var pc probeCounter
 	frontier := make([]uint32, 0, len(s5.live))
 	for _, le := range s5.live {
 		if le.key >= s5.nextBase {
 			return nil, fmt.Errorf("%w: live claim key at or past the resumed base", ErrCheckpointCorrupt)
 		}
-		hasParent := le.pw != 0
-		var parent uint32
-		if hasParent {
-			if le.pw-1 > uint64(^uint32(0)) {
-				return nil, fmt.Errorf("%w: parent ref overflow", ErrCheckpointCorrupt)
-			}
-			parent = uint32(le.pw - 1)
-			if parent>>shardBits >= v.shards[parent&(numShards-1)].sealed.count {
-				return nil, fmt.Errorf("%w: live parent not sealed", ErrCheckpointCorrupt)
-			}
+		parent, hasParent, err := s5.parentRef(le.pw)
+		if err != nil {
+			return nil, err
 		}
 		st, ref := v.claim(le.enc, hashBytes(le.enc), parent, le.key, hasParent, le.key+1, &pc)
 		if st != ClaimNew {

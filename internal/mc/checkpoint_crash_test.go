@@ -8,7 +8,9 @@ package mc
 // serialization stream is exercised without filesystem tricks.
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
@@ -146,10 +148,16 @@ type enospcWriter struct{}
 func (enospcWriter) Write(p []byte) (int, error) { return 0, syscall.ENOSPC }
 
 // TestWriteCheckpointRetryTransient proves the bounded-backoff wrapper
-// rides out transient failures: two ENOSPC attempts, then success, with
-// the retry count surfaced to the caller.
+// the engine writes its checkpoints through rides out transient
+// failures: two ENOSPC attempts, then success, with the retry count
+// surfaced to the caller and the file byte-identical to the one the
+// search wrote.
 func TestWriteCheckpointRetryTransient(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cp")
+	dir := t.TempDir()
+	want := interruptSealed(t, 14, 5, filepath.Join(dir, "search"), false)
+	s5 := readEngineSnap(t, filepath.Join(dir, "search"))
+
+	path := filepath.Join(dir, "cp")
 	fails := 2
 	checkpointWrapWriter = func(w io.Writer) io.Writer {
 		if fails > 0 {
@@ -160,27 +168,30 @@ func TestWriteCheckpointRetryTransient(t *testing.T) {
 	}
 	defer func() { checkpointWrapWriter = nil }()
 
-	want := sampleCheckpoint()
-	retries, err := WriteCheckpointRetry(path, want)
+	retries, err := writeSealedSnapRetry(path, s5)
 	if err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	if retries != 2 {
 		t.Fatalf("retries = %d, want 2", retries)
 	}
-	got, err := ReadCheckpoint(path)
+	got, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("post-retry snapshot mismatch:\n got %+v\nwant %+v", got, want)
+	if string(got) != string(want) {
+		t.Fatal("post-retry checkpoint differs from the one the search wrote")
 	}
 }
 
 // TestWriteCheckpointRetryPermanent proves a non-transient failure is NOT
-// retried: one attempt, the error surfaces as-is.
+// retried: one attempt, the error surfaces as-is, and no file appears.
 func TestWriteCheckpointRetryPermanent(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cp")
+	dir := t.TempDir()
+	interruptSealed(t, 14, 5, filepath.Join(dir, "search"), false)
+	s5 := readEngineSnap(t, filepath.Join(dir, "search"))
+
+	path := filepath.Join(dir, "cp")
 	calls := 0
 	checkpointWrapWriter = func(w io.Writer) io.Writer {
 		calls++
@@ -188,12 +199,15 @@ func TestWriteCheckpointRetryPermanent(t *testing.T) {
 	}
 	defer func() { checkpointWrapWriter = nil }()
 
-	retries, err := WriteCheckpointRetry(path, sampleCheckpoint())
+	retries, err := writeSealedSnapRetry(path, s5)
 	if !errors.Is(err, errTorn) {
 		t.Fatalf("got %v, want errTorn", err)
 	}
 	if retries != 0 || calls != 1 {
 		t.Fatalf("retries=%d calls=%d, want a single undecorated attempt", retries, calls)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("failed write left a file behind (stat err=%v)", err)
 	}
 }
 
@@ -274,6 +288,58 @@ func FuzzReadCheckpoint(f *testing.F) {
 		}
 		if !reflect.DeepEqual(cp, cp2) {
 			t.Fatalf("accepted snapshot does not round-trip:\n got %+v\nthen %+v", cp, cp2)
+		}
+	})
+}
+
+// FuzzResumeCheckpoint throws arbitrary engine-checkpoint payloads at
+// the resume path: envelope, parse, then restore into a fresh set under
+// both seal modes. The fuzzed bytes are the checksummed payload — the
+// harness appends the FNV-64a trailer — so mutations reach the parser
+// and the arena decode instead of dying at the checksum. The contract:
+// never panic, and refuse only with ErrCheckpointCorrupt or
+// ErrStateLimit. Seeds are real checkpoints of interrupted diamond
+// (plain) and colored (reduced) searches, cut at several depths, plus
+// truncations.
+func FuzzResumeCheckpoint(f *testing.F) {
+	dir := f.TempDir()
+	seeds := []struct {
+		m    Model
+		cuts []int
+	}{
+		{diamondModel{k: 12}, []int{0, 2, 5}},
+		{coloredModel{max: 60}, []int{1, 4}},
+	}
+	for _, sd := range seeds {
+		for _, cut := range sd.cuts {
+			data := interruptSearch(f, sd.m, cut, filepath.Join(dir, "seed"), Options{})
+			payload := data[:len(data)-8]
+			f.Add(payload)
+			f.Add(payload[:len(payload)/2])
+			f.Add(payload[:len(payload)-1])
+		}
+	}
+	f.Add([]byte(checkpointMagic))
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		h := fnv.New64a()
+		h.Write(payload)
+		path := filepath.Join(t.TempDir(), "cp")
+		if err := os.WriteFile(path, binary.BigEndian.AppendUint64(append([]byte(nil), payload...), h.Sum64()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s5, err := readSealedSnap(path)
+		if err != nil {
+			if !errors.Is(err, ErrCheckpointCorrupt) {
+				t.Fatalf("parse refused with %v, want ErrCheckpointCorrupt", err)
+			}
+			return
+		}
+		for _, noSeal := range []bool{false, true} {
+			err := restoreFresh(s5, noSeal, 1<<16)
+			if err != nil && !errors.Is(err, ErrCheckpointCorrupt) && !errors.Is(err, ErrStateLimit) {
+				t.Fatalf("noSeal=%v: restore refused with %v, want ErrCheckpointCorrupt or ErrStateLimit", noSeal, err)
+			}
 		}
 	})
 }

@@ -11,6 +11,58 @@ import (
 	"testing"
 )
 
+// WriteCheckpoint atomically writes cp to path in the per-state
+// (version 4) format: the fixture writer for the delta reader's tests.
+// Production deltas come from ShardStore.WriteDelta.
+func WriteCheckpoint(path string, cp *Checkpoint) error {
+	return writeCheckpointFile(path, checkpointVersion, func(w *cpWriter) {
+		w.uvarint(uint64(uint32(cp.Depth)))
+		w.uvarint(uint64(cp.ResultDepth))
+		w.uvarint(uint64(cp.Transitions))
+		flags := uint64(0)
+		if cp.Reduced {
+			flags |= checkpointFlagReduced
+		}
+		w.uvarint(flags)
+		w.uvarint(cp.Fingerprint)
+		w.uvarint(uint64(len(cp.Frontier)))
+		for _, s := range cp.Frontier {
+			w.str(s)
+		}
+		w.uvarint(uint64(len(cp.Visited)))
+		for _, e := range cp.Visited {
+			w.str(e.State)
+			w.str(e.Parent)
+			flags := byte(0)
+			if e.HasParent {
+				flags = 1
+			}
+			w.raw([]byte{flags})
+		}
+	})
+}
+
+func (w *cpWriter) str(s State) {
+	w.uvarint(uint64(len(s)))
+	w.raw([]byte(s))
+}
+
+// readEngineSnap parses the engine checkpoint at path.
+func readEngineSnap(t testing.TB, path string) *sealedSnap {
+	t.Helper()
+	s5, err := readSealedSnap(path)
+	if err != nil || s5 == nil {
+		t.Fatalf("engine checkpoint %s: %v (nil=%v)", path, err, s5 == nil)
+	}
+	return s5
+}
+
+// restoreFresh restores s5 into a fresh set under the given seal mode.
+func restoreFresh(s5 *sealedSnap, noSeal bool, maxStates int) error {
+	_, err := newVisitedSet(maxStates).restore(s5, noSeal)
+	return err
+}
+
 func sampleCheckpoint() *Checkpoint {
 	return &Checkpoint{
 		Depth:       7,

@@ -503,16 +503,8 @@ func (b *localBackend) NextLevel() (int, error) {
 		// The frontier just expanded is immutable now — takeovers only
 		// ever touch current-level claims — so migrate it into the
 		// sealed tier and rewrite next's refs to the compacted live
-		// positions. After a v4 restore the first boundary seals every
-		// restored entry instead: they all carry key 0, so their levels
-		// are indistinguishable, and all of them (frontier included) are
-		// older than the level just computed.
-		batch := b.frontier
-		if b.v.restoredAll != nil {
-			batch = b.v.restoredAll
-			b.v.restoredAll = nil
-		}
-		b.v.seal(b.workers, batch, next)
+		// positions.
+		b.v.seal(b.workers, b.frontier, next)
 	}
 	b.sc.spare = b.frontier[:0]
 	b.frontier = next
@@ -539,58 +531,35 @@ func (b *localBackend) Close(st *Stats) {
 	st.SealedStates, st.SealedArenaBytes, st.SealedIndexBytes = b.v.sealedStats()
 }
 
-// restore loads the checkpoint the options name, if any, into the
+// restore loads the checkpoint at opts.ResumePath, if any, into the
 // visited set as the frontier to resume from. It returns the depth and
 // claim-key base the resumed search continues at, with res carrying the
 // completed levels' counters; ok is false when there is nothing to
 // resume.
 func (b *localBackend) restore(res *Result, fingerprint uint64, opts Options) (depth int32, nextBase uint64, ok bool, err error) {
-	resume, resume5, err := resolveResume(opts)
-	if err != nil || (resume == nil && resume5 == nil) {
+	s5, err := readSealedSnap(opts.ResumePath)
+	if err != nil || s5 == nil {
 		return 0, 0, false, err
 	}
-	cpReduced, cpFp := false, uint64(0)
-	if resume5 != nil {
-		cpReduced, cpFp = resume5.reduced, resume5.fingerprint
-	} else {
-		cpReduced, cpFp = resume.Reduced, resume.Fingerprint
-	}
-	if cpReduced != res.Reduced {
+	if s5.reduced != res.Reduced {
 		return 0, 0, false, fmt.Errorf("mc: checkpoint is from a %s search but this search is %s; match the NoReduce option (-no-reduce) of the original run",
-			reductionMode(cpReduced), reductionMode(res.Reduced))
+			reductionMode(s5.reduced), reductionMode(res.Reduced))
 	}
-	if cpFp != 0 && fingerprint != 0 && cpFp != fingerprint {
+	if s5.fingerprint != 0 && fingerprint != 0 && s5.fingerprint != fingerprint {
 		return 0, 0, false, fmt.Errorf("%w: checkpoint is from a model with fingerprint %016x but this model's is %016x; match the -nodes/-couplers/-authority and option flags of the original run",
-			ErrModelMismatch, cpFp, fingerprint)
+			ErrModelMismatch, s5.fingerprint, fingerprint)
 	}
-	if resume5 == nil {
-		if b.frontier, err = b.v.restore(resume); err != nil {
-			return 0, 0, false, err
-		}
-		res.Depth = resume.ResultDepth
-		res.TransitionsExplored = resume.Transitions
-		// Restored entries carry key 0; any positive base orders every
-		// one of them strictly before the first resumed level.
-		return resume.Depth, 1 << keySuccBits, true, nil
-	}
-	if b.noSeal {
-		return 0, 0, false, fmt.Errorf("mc: checkpoint was written by a sealed-tier search and cannot resume with sealing disabled; drop -no-seal")
-	}
-	// Native v5 resume: arenas installed wholesale, live entries keep
-	// their real claim keys, and the key base continues where the
-	// interrupted run stopped — the resumed search is byte-identical to
-	// the uninterrupted one, resident footprint included.
-	if b.frontier, err = b.v.restoreSealed(resume5); err != nil {
+	if b.frontier, err = b.v.restore(s5, b.noSeal); err != nil {
 		return 0, 0, false, err
 	}
-	res.Depth = resume5.resultDepth
-	res.TransitionsExplored = resume5.transitions
-	return resume5.depth, resume5.nextBase, true, nil
+	res.Depth = s5.resultDepth
+	res.TransitionsExplored = s5.transitions
+	return s5.depth, s5.nextBase, true, nil
 }
 
 // snapshot writes the search's checkpoint to opts.CheckpointPath.
 func (b *localBackend) snapshot(res Result, depth int32, fingerprint, nextBase uint64, opts Options) (int, error) {
-	return writeSnapshotAuto(b.v, res, b.frontier, depth, fingerprint, nextBase, opts)
+	return writeSealedSnapRetry(opts.CheckpointPath, b.checkpointSnap(res, depth, fingerprint, nextBase))
 }
 
 // check is the engine entry point shared by the four Check* functions.
@@ -817,46 +786,6 @@ func peakFrontier(st *Stats, n int) {
 	if st != nil && n > st.PeakFrontier {
 		st.PeakFrontier = n
 	}
-}
-
-// resolveResume picks the checkpoint to restore: the in-memory one wins,
-// then ResumePath — where a missing file means "start fresh", so
-// interrupt/resume loops need no existence checks. A version-5 file at
-// ResumePath is returned in native sealed form (second result) so the
-// engine resumes it byte-identically; everything else materializes as a
-// classic Checkpoint.
-func resolveResume(opts Options) (*Checkpoint, *sealedSnap, error) {
-	if opts.Resume != nil {
-		return opts.Resume, nil, nil
-	}
-	if opts.ResumePath == "" {
-		return nil, nil, nil
-	}
-	version, r, err := readCheckpointEnvelope(opts.ResumePath)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil, nil
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	if version == checkpointVersionSealed {
-		s5, err := parseSealedSnap(r)
-		return nil, s5, err
-	}
-	cp, err := parseClassicCheckpoint(r)
-	return cp, nil, err
-}
-
-// writeSnapshotAuto writes the engine checkpoint in the right format:
-// version 5 once anything is sealed (the live tier is then exactly the
-// frontier, which is what v5 stores), the classic v4 snapshot otherwise
-// (NoSeal searches, or an interrupt before the first level boundary).
-func writeSnapshotAuto(v *visitedSet, res Result, frontier []uint32, depth int32,
-	fingerprint, nextBase uint64, opts Options) (int, error) {
-	if sealed, _, _ := v.sealedStats(); sealed > 0 {
-		return writeSealedCheckpointRetry(opts.CheckpointPath, v, res, frontier, depth, fingerprint, nextBase)
-	}
-	return WriteCheckpointRetry(opts.CheckpointPath, snapshot(v, res, frontier, depth, fingerprint))
 }
 
 // reductionMode names a search mode in user-facing errors.

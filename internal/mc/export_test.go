@@ -153,3 +153,62 @@ func (f *SealedFinder) Find(i int) bool {
 	_, ok := f.v.shards[h&(numShards-1)].sealed.find(uint32(h>>32), f.encs[i], &f.dec, f.v.parentIsRef)
 	return ok
 }
+
+// CheckpointFixture is a reduced search held at the first level
+// boundary where it has admitted at least minStates states, with the
+// sealed tier on or off: the input of the checkpoint benchmarks.
+type CheckpointFixture struct {
+	b        *localBackend
+	res      Result
+	depth    int32
+	nextBase uint64
+}
+
+// NewCheckpointFixture runs m's reduced search on one worker until it
+// holds at least minStates states at a level boundary, or ends.
+func NewCheckpointFixture(m ReducibleModel, noSeal bool, minStates int) *CheckpointFixture {
+	b := newLocalBackend(m, m, nil, nil, Options{Workers: 1, NoSeal: noSeal}.withDefaults())
+	inits := m.Initial()
+	for i, s := range inits {
+		b.AdmitInitial([]byte(s), i)
+	}
+	f := &CheckpointFixture{b: b, res: Result{Reduced: true}}
+	f.nextBase = uint64(len(inits)) << keySuccBits
+	n, _ := b.NextLevel()
+	for n > 0 && b.States() < minStates {
+		lvl, _ := b.Expand(f.nextBase)
+		for _, c := range lvl.Counts {
+			f.res.TransitionsExplored += c
+		}
+		f.nextBase += uint64(n) << keySuccBits
+		n, _ = b.NextLevel()
+		f.depth++
+	}
+	f.res.Depth = int(f.depth)
+	return f
+}
+
+// States is the number of states the fixture's checkpoint holds.
+func (f *CheckpointFixture) States() int { return f.b.States() }
+
+// Write writes the fixture's checkpoint to path the way the engine
+// does: capture, then the retrying writer.
+func (f *CheckpointFixture) Write(path string) error {
+	_, err := f.b.snapshot(f.res, f.depth, 0, f.nextBase, Options{CheckpointPath: path})
+	return err
+}
+
+// ResumeCheckpoint reads the engine checkpoint at path and restores it
+// into a fresh visited set under the given seal mode, returning the
+// restored state count.
+func ResumeCheckpoint(path string, noSeal bool) (int, error) {
+	s5, err := readSealedSnap(path)
+	if err != nil {
+		return 0, err
+	}
+	v := newVisitedSet(defaultMaxStates)
+	if _, err := v.restore(s5, noSeal); err != nil {
+		return 0, err
+	}
+	return int(v.count.Load()), nil
+}

@@ -41,12 +41,8 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("interrupted run: got %v, want ErrInterrupted", err)
 	}
-	cp, err := ReadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.Fingerprint != 0x1111 {
-		t.Fatalf("checkpoint fingerprint = %#x, want 0x1111", cp.Fingerprint)
+	if fp := readEngineSnap(t, path).fingerprint; fp != 0x1111 {
+		t.Fatalf("checkpoint fingerprint = %#x, want 0x1111", fp)
 	}
 
 	// Mismatched fingerprint: typed failure, checkpoint left intact.
@@ -142,13 +138,15 @@ func TestCheckpointLegacyV3Load(t *testing.T) {
 		Progress:       cancelAfterLevels(2, cancel),
 	})
 	cancel()
-	_ = err // only the checkpoint matters; rewrite it as v3 below
-	cp, err := ReadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
+	_ = err // only the checkpoint matters; rewrite its live tier as v3 below
+	s5 := readEngineSnap(t, path)
+	if !s5.reduced || len(s5.live) == 0 {
+		t.Fatalf("interrupted search left reduced=%v with %d live, want a reduced non-empty snapshot", s5.reduced, len(s5.live))
 	}
-	if !cp.Reduced || len(cp.Visited) == 0 {
-		t.Fatalf("interrupted search left reduced=%v with %d visited, want a reduced non-empty snapshot", cp.Reduced, len(cp.Visited))
+	cp := &Checkpoint{Depth: s5.depth, ResultDepth: s5.resultDepth, Transitions: s5.transitions, Reduced: true}
+	for _, le := range s5.live {
+		cp.Frontier = append(cp.Frontier, State(le.enc))
+		cp.Visited = append(cp.Visited, VisitedEntry{State: State(le.enc)})
 	}
 	writeLegacyV3(t, path, cp)
 	payload, err := os.ReadFile(path)

@@ -166,13 +166,6 @@ type visitedSet struct {
 	// fixed-width words to keep arena bytes deterministic.
 	parentIsRef bool
 
-	// restoredAll is the claim-order ref list of a v4-checkpoint
-	// restore: those entries carry key 0, so the first level boundary
-	// cannot tell their levels apart and seals them as one batch in
-	// this (deterministic, state-sorted) order. Cleared after that
-	// first seal.
-	restoredAll []uint32
-
 	// Seal scratch, reused across level boundaries; scratchBytes is its
 	// counted capacity so migration transients stay in the resident
 	// audit. sealGroups, sealRemap and sealBase are written before the

@@ -181,13 +181,11 @@ type Options struct {
 	// ResumePath, when non-empty, restores the search from the
 	// checkpoint at this path before exploring. A missing file is not an
 	// error — the search simply starts fresh — so interrupt/resume loops
-	// need no existence checks.
-	ResumePath string
-	// Resume restores the search from an in-memory checkpoint; it takes
-	// precedence over ResumePath. A resumed search is byte-identical —
+	// need no existence checks. A resumed search is byte-identical —
 	// verdict, StatesExplored, TransitionsExplored, Depth and
-	// counterexample — to the uninterrupted run it was split from.
-	Resume *Checkpoint
+	// counterexample — to the uninterrupted run it was split from,
+	// whichever NoSeal setting wrote or resumes the file.
+	ResumePath string
 	// FallbackWalks > 0 degrades an exhausted MaxStates budget into a
 	// bounded random-walk sampling pass instead of an ErrStateLimit
 	// failure: FallbackWalks seeded walks of at most FallbackDepth steps
@@ -207,9 +205,9 @@ type Options struct {
 	NoReduce bool
 	// NoSeal disables the sealed visited-set tier — the oracle mode for
 	// the two-tier memory layout: every admitted state stays in a live
-	// 32-byte slot forever, as before PR 10. Results are byte-identical
-	// either way; only the resident footprint (and checkpoint format —
-	// an unsealed search writes v4 snapshots) changes.
+	// 32-byte slot forever. Results and checkpoint files are
+	// byte-identical either way (an unsealed search writes the arenas a
+	// sealing one would hold); only the resident footprint changes.
 	NoSeal bool
 	// Stats, when non-nil, receives a summary of the completed search —
 	// throughput, allocation churn, peak frontier — from the coordinating

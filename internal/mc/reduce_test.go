@@ -189,12 +189,8 @@ func TestResumeModeMismatch(t *testing.T) {
 		if !errors.Is(err, ErrInterrupted) {
 			t.Fatalf("NoReduce=%v: got %v, want ErrInterrupted", first, err)
 		}
-		cp, err := ReadCheckpoint(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cp.Reduced != !first {
-			t.Fatalf("NoReduce=%v: checkpoint Reduced=%v", first, cp.Reduced)
+		if reduced := readEngineSnap(t, path).reduced; reduced != !first {
+			t.Fatalf("NoReduce=%v: checkpoint Reduced=%v", first, reduced)
 		}
 		if _, err := CheckTransitionInvariant(m, inv, Options{
 			NoReduce:   !first,

@@ -1,12 +1,16 @@
 package mc_test
 
-// Sealed-tier tests and layer benchmarks on the real TTA model's
-// reduced search (package mc_test, because internal/model imports mc).
+// Sealed-tier and checkpoint tests and layer benchmarks on the real TTA
+// model's reduced search (package mc_test, because internal/model
+// imports mc).
 //
-//	go test -run '^$' -bench 'Seal' -benchmem ./internal/mc
+//	go test -run '^$' -bench 'Seal|Checkpoint' -benchmem ./internal/mc
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"ttastar/internal/guardian"
@@ -55,6 +59,57 @@ func TestSealParallelEngineStats(t *testing.T) {
 	}
 }
 
+// TestResumeCrossModeFootprint: a checkpoint written with sealing off
+// is the one a sealing search writes, so a sealing resume of it ends
+// with the clean run's sealed tier and the same footprint as a sealing
+// resume of a sealed search's file.
+func TestResumeCrossModeFootprint(t *testing.T) {
+	m := smallShiftModel(t, 5)
+	type footprint struct {
+		resident, peak, sealed, arena, index int64
+	}
+	run := func(opts mc.Options) (mc.Result, footprint) {
+		t.Helper()
+		var st mc.Stats
+		opts.Stats = func(s mc.Stats) { st = s }
+		res, err := mc.CheckTransitionInvariantBytes(m, m.PropertyBytes(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, footprint{st.ResidentBytes, st.PeakResidentBytes, st.SealedStates, st.SealedArenaBytes, st.SealedIndexBytes}
+	}
+	clean, cleanFp := run(mc.Options{})
+	var fps []footprint
+	for _, noSeal := range []bool{false, true} {
+		path := filepath.Join(t.TempDir(), "cp")
+		ctx, cancel := context.WithCancel(context.Background())
+		levels := 0
+		_, err := mc.CheckTransitionInvariantBytes(m, m.PropertyBytes(), mc.Options{
+			NoSeal: noSeal, Context: ctx, CheckpointPath: path,
+			Progress: func(mc.Progress) {
+				if levels++; levels == 6 {
+					cancel()
+				}
+			},
+		})
+		cancel()
+		if !errors.Is(err, mc.ErrInterrupted) {
+			t.Fatalf("noSeal=%v: interrupted run: %v", noSeal, err)
+		}
+		res, fp := run(mc.Options{ResumePath: path})
+		if res.StatesExplored != clean.StatesExplored || res.TransitionsExplored != clean.TransitionsExplored || res.Depth != clean.Depth {
+			t.Fatalf("noSeal=%v: resumed %+v, want %+v", noSeal, res, clean)
+		}
+		if fp.sealed != cleanFp.sealed || fp.arena != cleanFp.arena || fp.index != cleanFp.index {
+			t.Errorf("noSeal=%v: resumed sealed tier %+v, clean %+v", noSeal, fp, cleanFp)
+		}
+		fps = append(fps, fp)
+	}
+	if fps[0] != fps[1] {
+		t.Errorf("sealing resumes differ by writer: sealed-written %+v, NoSeal-written %+v", fps[0], fps[1])
+	}
+}
+
 // BenchmarkSealedFind: one op is one sealed-tier duplicate confirm — a
 // quotiented-index probe plus the delta-chain decode of each
 // remainder-matching candidate — for a state of the finished reduced
@@ -84,6 +139,61 @@ func BenchmarkSeal(b *testing.B) {
 				c := f.Clone()
 				b.StartTimer()
 				c.Seal(w)
+			}
+		})
+	}
+}
+
+// checkpointBenchModes are the two seal modes the checkpoint benchmarks
+// compare; both write and resume the same file.
+var checkpointBenchModes = []struct {
+	name   string
+	noSeal bool
+}{{"sealed", false}, {"noseal", true}}
+
+// BenchmarkCheckpointWrite: one op is one engine checkpoint of the
+// reduced 5-node search at its first level boundary past 100k states —
+// capture (for NoSeal, building the sealed twin's arenas) plus the
+// atomic file write.
+func BenchmarkCheckpointWrite(b *testing.B) {
+	m := smallShiftModel(b, 5)
+	for _, mode := range checkpointBenchModes {
+		b.Run(mode.name, func(b *testing.B) {
+			f := mc.NewCheckpointFixture(m, mode.noSeal, 100_000)
+			if f.States() < 100_000 {
+				b.Fatalf("fixture holds %d states, want at least 100000", f.States())
+			}
+			path := filepath.Join(b.TempDir(), "cp")
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.ReportMetric(float64(f.States()), "states/op")
+			for i := 0; i < b.N; i++ {
+				if err := f.Write(path); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCheckpointResume: one op reads, parses and restores that
+// checkpoint into a fresh visited set under each seal mode.
+func BenchmarkCheckpointResume(b *testing.B) {
+	m := smallShiftModel(b, 5)
+	f := mc.NewCheckpointFixture(m, false, 100_000)
+	path := filepath.Join(b.TempDir(), "cp")
+	if err := f.Write(path); err != nil {
+		b.Fatal(err)
+	}
+	for _, mode := range checkpointBenchModes {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ReportMetric(float64(f.States()), "states/op")
+			for i := 0; i < b.N; i++ {
+				n, err := mc.ResumeCheckpoint(path, mode.noSeal)
+				if err != nil || n != f.States() {
+					b.Fatalf("resume: %d states, %v; want %d", n, err, f.States())
+				}
 			}
 		})
 	}

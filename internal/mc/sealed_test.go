@@ -522,20 +522,21 @@ func TestResidentAccountingMemStats(t *testing.T) {
 	}
 }
 
-// interruptSealed runs a diamond search canceled after cutAt levels,
-// flushing a checkpoint to path, and returns the checkpoint file bytes.
-func interruptSealed(t *testing.T, k, cutAt int, path string, noSeal bool) []byte {
+// interruptSearch runs a transition-invariant search of m under opts,
+// cancelled after cutAt levels (0: before the first), flushing a
+// checkpoint to path, and returns the checkpoint file bytes.
+func interruptSearch(t testing.TB, m Model, cutAt int, path string, opts Options) []byte {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, err := CheckTransitionInvariant(diamondModel{k: k},
-		func(from, to State) bool { return true },
-		Options{
-			Context:        ctx,
-			NoSeal:         noSeal,
-			CheckpointPath: path,
-			Progress:       cancelAfterLevels(cutAt, cancel),
-		})
+	if cutAt == 0 {
+		cancel()
+	} else {
+		opts.Progress = cancelAfterLevels(cutAt, cancel)
+	}
+	opts.Context = ctx
+	opts.CheckpointPath = path
+	_, err := CheckTransitionInvariant(m, func(from, to State) bool { return true }, opts)
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("interrupted run: got %v, want ErrInterrupted", err)
 	}
@@ -546,51 +547,108 @@ func interruptSealed(t *testing.T, k, cutAt int, path string, noSeal bool) []byt
 	return data
 }
 
-// TestCheckpointV5RoundTrip: an interrupted sealed search writes the v5
-// format, and ReadCheckpoint materializes it to exactly the classic
-// checkpoint an unsealed run would have written at the same cut.
+// interruptSealed runs a diamond search cancelled after cutAt levels,
+// flushing a checkpoint to path, and returns the checkpoint file bytes.
+func interruptSealed(t testing.TB, k, cutAt int, path string, noSeal bool) []byte {
+	t.Helper()
+	return interruptSearch(t, diamondModel{k: k}, cutAt, path, Options{NoSeal: noSeal})
+}
+
+// TestCheckpointV5RoundTrip: the checkpoint is a function of the search
+// state, not of the memory layout. A sealing search and a NoSeal search
+// cut at the same level write byte-identical version-5 files at every
+// worker count — including the depth-0 cut, before any seal — for a
+// plain, a reduced, a wide (levels span many steal chunks, so claims
+// arrive out of key order), an interned-encoding and an empty-encoding
+// model. A search resumed from such a file and cut again writes the
+// same bytes under either mode too.
 func TestCheckpointV5RoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	p5 := filepath.Join(dir, "cp5")
-	p4 := filepath.Join(dir, "cp4")
-	d5 := interruptSealed(t, 40, 10, p5, false)
-	d4 := interruptSealed(t, 40, 10, p4, true)
+	models := []struct {
+		name string
+		m    Model
+		cuts []int
+	}{
+		{"diamond", diamondModel{k: 40}, []int{0, 1, 10}},
+		{"colored", coloredModel{max: 400}, []int{0, 3}},
+		{"wide", collisionModel{n: 3000}, []int{0, 5, 9}},
+		{"overflow", overflowModel{n: 40}, []int{3}},
+		{"empty-encoding", emptyStringModel{}, []int{1}},
+	}
+	for _, tc := range models {
+		var want []byte
+		for _, w := range workerCounts {
+			for _, cut := range tc.cuts {
+				sealed := interruptSearch(t, tc.m, cut, filepath.Join(dir, "s"), Options{Workers: w})
+				plain := interruptSearch(t, tc.m, cut, filepath.Join(dir, "p"), Options{Workers: w, NoSeal: true})
+				if v := sealed[len(checkpointMagic)]; uint64(v) != checkpointVersionSealed {
+					t.Fatalf("%s workers=%d cut=%d: version %d, want %d", tc.name, w, cut, v, checkpointVersionSealed)
+				}
+				if !bytes.Equal(sealed, plain) {
+					t.Fatalf("%s workers=%d cut=%d: sealed (%dB) and NoSeal (%dB) checkpoints differ",
+						tc.name, w, cut, len(sealed), len(plain))
+				}
+				if cut == tc.cuts[len(tc.cuts)-1] {
+					if w == workerCounts[0] {
+						want = sealed
+					} else if !bytes.Equal(sealed, want) {
+						t.Fatalf("%s workers=%d cut=%d: checkpoint differs from workers=1", tc.name, w, cut)
+					}
+				}
+			}
+		}
+	}
 
-	if v := d5[len(checkpointMagic)]; uint64(v) != checkpointVersionSealed {
-		t.Fatalf("sealed checkpoint version = %d, want %d", v, checkpointVersionSealed)
-	}
-	if v := d4[len(checkpointMagic)]; uint64(v) != checkpointVersion {
-		t.Fatalf("unsealed checkpoint version = %d, want %d", v, checkpointVersion)
-	}
-	if len(d5) >= len(d4) {
-		t.Errorf("v5 file %dB not smaller than v4 %dB", len(d5), len(d4))
-	}
-
-	got, err := ReadCheckpoint(p5)
-	if err != nil {
-		t.Fatalf("read v5: %v", err)
-	}
-	want, err := ReadCheckpoint(p4)
-	if err != nil {
-		t.Fatalf("read v4: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("materialized v5 differs from classic v4:\n got %+v\nwant %+v", got, want)
+	// Second cuts: resume the wide search's level-5 file under each mode
+	// and cut it four levels later.
+	first := filepath.Join(dir, "first")
+	interruptSearch(t, collisionModel{n: 3000}, 5, first, Options{})
+	for _, w := range workerCounts {
+		var recut [][]byte
+		for _, noSeal := range []bool{false, true} {
+			path := filepath.Join(dir, fmt.Sprintf("recut-%v", noSeal))
+			recut = append(recut, interruptSearch(t, collisionModel{n: 3000}, 4, path,
+				Options{Workers: w, NoSeal: noSeal, ResumePath: first}))
+		}
+		direct := interruptSearch(t, collisionModel{n: 3000}, 9, filepath.Join(dir, "direct"), Options{Workers: w})
+		if !bytes.Equal(recut[0], recut[1]) || !bytes.Equal(recut[0], direct) {
+			t.Fatalf("workers=%d: second cuts differ (sealed %dB, NoSeal %dB, uncut %dB)",
+				w, len(recut[0]), len(recut[1]), len(direct))
+		}
 	}
 }
 
-// TestCheckpointV5CorruptionDetected: every single-byte flip of a v5
-// file must be rejected.
+// resumeRefusal reads and restores the engine checkpoint at path under
+// both seal modes, returning the first refusal.
+func resumeRefusal(path string) error {
+	s5, err := readSealedSnap(path)
+	if err != nil {
+		return err
+	}
+	for _, noSeal := range []bool{false, true} {
+		if err := restoreFresh(s5, noSeal, 1<<20); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestCheckpointV5CorruptionDetected: every single-byte flip and every
+// truncation of a version-5 file must be refused by the engine's
+// resume path.
 func TestCheckpointV5CorruptionDetected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cp")
 	data := interruptSealed(t, 14, 6, path, false)
+	if err := resumeRefusal(path); err != nil {
+		t.Fatalf("pristine file: %v", err)
+	}
 	for i := range data {
 		bad := append([]byte(nil), data...)
 		bad[i] ^= 0x40
 		if err := os.WriteFile(path, bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadCheckpoint(path); !errors.Is(err, ErrCheckpointCorrupt) {
+		if err := resumeRefusal(path); !errors.Is(err, ErrCheckpointCorrupt) {
 			t.Fatalf("flip at byte %d: got %v, want ErrCheckpointCorrupt", i, err)
 		}
 	}
@@ -598,130 +656,171 @@ func TestCheckpointV5CorruptionDetected(t *testing.T) {
 		if err := os.WriteFile(path, data[:n], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadCheckpoint(path); !errors.Is(err, ErrCheckpointCorrupt) {
+		if err := resumeRefusal(path); !errors.Is(err, ErrCheckpointCorrupt) {
 			t.Fatalf("truncation to %d bytes: got %v, want ErrCheckpointCorrupt", n, err)
 		}
 	}
 }
 
+// arenaRecords decodes a snapshot shard's arena into its encodings and
+// parent words.
+func arenaRecords(t *testing.T, sn *sealedShardSnap) (encs [][]byte, pws []uint64) {
+	t.Helper()
+	ss := &sealedShard{count: sn.count, blob: sn.blob, restarts: sn.restarts}
+	var d sealedDecoder
+	d.startAt(ss, 0, true)
+	for d.ord < ss.count {
+		if err := d.stepChecked(len(ss.blob)); err != nil {
+			t.Fatal(err)
+		}
+		encs = append(encs, append([]byte(nil), d.enc...))
+		pws = append(pws, d.pw)
+	}
+	return encs, pws
+}
+
+// setArena re-encodes a snapshot shard's arena from records.
+func setArena(sn *sealedShardSnap, encs [][]byte, pws []uint64) {
+	var ss sealedShard
+	for i := range encs {
+		ss.appendEntry(encs[i], pws[i], true)
+	}
+	*sn = sealedShardSnap{count: ss.count, restarts: ss.restarts, blob: ss.blob}
+}
+
 // TestSealedSnapStructuralCorruption mutates a parsed v5 snapshot past
 // the checksum — a truncated arena, a parent word aimed outside the
-// sealed tier, a live key at or above the minted base — and requires
-// both consumers (materialize for v4-class readers, restoreSealed for
-// native resume) to reject rather than mis-decode.
+// sealed tier, a live key at or above the minted base, an arena holding
+// one encoding twice, an entry stored in a shard its hash does not
+// select — and requires the restore to refuse it under both seal modes
+// rather than mis-index it.
 func TestSealedSnapStructuralCorruption(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cp")
 	interruptSealed(t, 20, 8, path, false)
 
-	parse := func() *sealedSnap {
+	check := func(name, want string, mutate func(*sealedSnap)) {
 		t.Helper()
-		version, r, err := readCheckpointEnvelope(path)
-		if err != nil || version != checkpointVersionSealed {
-			t.Fatalf("envelope: version=%d err=%v", version, err)
-		}
-		s5, err := parseSealedSnap(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s5
-	}
-
-	check := func(name string, mutate func(*sealedSnap)) {
-		s5 := parse()
-		mutate(s5)
-		if _, err := s5.materialize(); err == nil {
-			t.Errorf("%s: materialize accepted the corruption", name)
-		}
-		v := newVisitedSet(1 << 20)
-		if _, err := v.restoreSealed(s5); err == nil {
-			t.Errorf("%s: restoreSealed accepted the corruption", name)
-		}
-	}
-
-	check("truncated-blob", func(s5 *sealedSnap) {
-		for i := range s5.shards {
-			if n := len(s5.shards[i].blob); n > 1 {
-				s5.shards[i].blob = s5.shards[i].blob[:n-1]
-				return
+		for _, noSeal := range []bool{false, true} {
+			s5 := readEngineSnap(t, path)
+			mutate(s5)
+			err := restoreFresh(s5, noSeal, 1<<20)
+			if !errors.Is(err, ErrCheckpointCorrupt) || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s, noSeal=%v: got %v, want ErrCheckpointCorrupt (%s)", name, noSeal, err, want)
 			}
 		}
-		t.Fatal("fixture has no sealed blob to truncate")
+	}
+	// busiest returns the indexes of the two shards with the most sealed
+	// entries.
+	busiest := func(s5 *sealedSnap) (a, b int) {
+		for i := range s5.shards {
+			if s5.shards[i].count > s5.shards[a].count {
+				a, b = i, a
+			} else if i != a && s5.shards[i].count > s5.shards[b].count {
+				b = i
+			}
+		}
+		if s5.shards[b].count < 2 {
+			t.Fatal("fixture has too few sealed entries")
+		}
+		return a, b
+	}
+
+	check("truncated-blob", "invalid sealed-arena record", func(s5 *sealedSnap) {
+		a, _ := busiest(s5)
+		s5.shards[a].blob = s5.shards[a].blob[:len(s5.shards[a].blob)-1]
 	})
-	check("dangling-parent", func(s5 *sealedSnap) {
+	check("dangling-parent", "parent ref beyond sealed tier", func(s5 *sealedSnap) {
 		for i := range s5.live {
 			if s5.live[i].pw != 0 {
-				s5.live[i].pw = uint64(makeRef(0, uint32(s5.shards[0].count))) + 1
+				s5.live[i].pw = uint64(makeRef(0, s5.shards[0].count)) + 1
 				return
 			}
 		}
 		t.Fatal("fixture has no live parent to corrupt")
 	})
-	// Live keys must stay under the recorded nextBase; only restoreSealed
-	// enforces this (materialize drops keys by design).
-	s5 := parse()
-	if len(s5.live) == 0 {
-		t.Fatal("fixture has no live entries")
-	}
-	s5.live[0].key = s5.nextBase
-	v := newVisitedSet(1 << 20)
-	if _, err := v.restoreSealed(s5); err == nil {
-		t.Error("key-past-base: restoreSealed accepted the corruption")
-	}
+	check("key-past-base", "at or past the resumed base", func(s5 *sealedSnap) {
+		if len(s5.live) == 0 {
+			t.Fatal("fixture has no live entries")
+		}
+		s5.live[0].key = s5.nextBase
+	})
+	check("duplicate-entry", "duplicate sealed entry", func(s5 *sealedSnap) {
+		a, _ := busiest(s5)
+		encs, pws := arenaRecords(t, &s5.shards[a])
+		encs[1], pws[1] = encs[0], pws[0]
+		setArena(&s5.shards[a], encs, pws)
+	})
+	check("wrong-shard", "entry belongs in shard", func(s5 *sealedSnap) {
+		a, b := busiest(s5)
+		encs, pws := arenaRecords(t, &s5.shards[a])
+		bEncs, bPws := arenaRecords(t, &s5.shards[b])
+		setArena(&s5.shards[b], append(bEncs, encs[0]), append(bPws, pws[0]))
+	})
 }
 
-// TestResumeNoSealV5Refused: a v5 checkpoint cannot resume with sealing
-// disabled (the restored tier would be unreachable), with a message
-// naming the flag; the checkpoint must survive the refusal. The inverse
-// direction — a NoSeal run's v4 file resumed by a sealing engine — must
-// work and match the clean result.
+// TestResumeNoSealV5Refused pins the cross-mode resume: a checkpoint
+// written with sealing on or off resumes with sealing on or off, and
+// all four writer/resumer pairs reproduce the clean result at every
+// worker count. A version-4 (per-state delta) file is still refused,
+// and left in place.
 func TestResumeNoSealV5Refused(t *testing.T) {
 	m := diamondModel{k: 40}
 	inv := func(from, to State) bool { return true }
-	path := filepath.Join(t.TempDir(), "cp")
-	interruptSealed(t, 40, 10, path, false)
-
-	_, err := CheckTransitionInvariant(m, inv, Options{NoSeal: true, ResumePath: path})
-	if err == nil || !strings.Contains(err.Error(), "no-seal") {
-		t.Fatalf("v5 resume under NoSeal: got %v, want a no-seal refusal", err)
-	}
-	if _, serr := os.Stat(path); serr != nil {
-		t.Fatalf("checkpoint gone after refused resume: %v", serr)
-	}
-
 	clean, err := CheckTransitionInvariant(m, inv, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	interruptSealed(t, 40, 10, path, true) // v4 file
-	resumed, err := CheckTransitionInvariant(m, inv, Options{ResumePath: path, CheckpointPath: path})
-	if err != nil {
-		t.Fatalf("sealed engine resuming v4: %v", err)
+	path := filepath.Join(t.TempDir(), "cp")
+	for _, w := range workerCounts {
+		for _, writer := range []bool{false, true} {
+			for _, resumer := range []bool{false, true} {
+				interruptSealed(t, 40, 10, path, writer)
+				resumed, err := CheckTransitionInvariant(m, inv,
+					Options{Workers: w, NoSeal: resumer, ResumePath: path, CheckpointPath: path})
+				if err != nil {
+					t.Fatalf("workers=%d noSeal %v→%v: resume: %v", w, writer, resumer, err)
+				}
+				if !equalResults(resumed, clean) {
+					t.Fatalf("workers=%d noSeal %v→%v: resumed %+v differs from clean %+v",
+						w, writer, resumer, resumed, clean)
+				}
+				if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+					t.Fatalf("workers=%d noSeal %v→%v: checkpoint left after conclusive resume", w, writer, resumer)
+				}
+			}
+		}
 	}
-	if !equalResults(resumed, clean) {
-		t.Fatalf("v4-resumed %+v differs from clean %+v", resumed, clean)
+
+	if err := WriteCheckpoint(path, sampleCheckpoint()); err != nil {
+		t.Fatal(err)
+	}
+	for _, noSeal := range []bool{false, true} {
+		_, err := CheckTransitionInvariant(m, inv, Options{NoSeal: noSeal, ResumePath: path})
+		if !errors.Is(err, ErrCheckpointCorrupt) || !strings.Contains(err.Error(), "unsupported version 4") {
+			t.Fatalf("noSeal=%v: v4 resume: got %v, want ErrCheckpointCorrupt (unsupported version 4)", noSeal, err)
+		}
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("checkpoint gone after refused resume: %v", err)
 	}
 }
 
-// TestCheckpointLegacyV4SealedResume hand-builds a version-4 file —
-// byte-for-byte what a pre-sealed-tier build would have written — from
-// a mid-search snapshot and proves the sealed engine restores it (the
-// restored states migrate at the first boundary) to the clean result,
-// at every worker count.
+// TestCheckpointLegacyV4SealedResume: a version-4 file — what the engine
+// wrote for unsealed searches before every search wrote version 5,
+// here rebuilt from the live tier of a real mid-search checkpoint — is
+// refused as corrupt by both seal modes at every worker count, and the
+// file is left byte-for-byte intact.
 func TestCheckpointLegacyV4SealedResume(t *testing.T) {
 	m := diamondModel{k: 40}
 	inv := func(from, to State) bool { return true }
-	clean, err := CheckTransitionInvariant(m, inv, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(t.TempDir(), "cp")
 	interruptSealed(t, 40, 10, path, false)
-	cp, err := ReadCheckpoint(path) // materialize the v5 file...
-	if err != nil {
-		t.Fatal(err)
+	s5 := readEngineSnap(t, path)
+	cp := &Checkpoint{Depth: s5.depth, ResultDepth: s5.resultDepth, Transitions: s5.transitions}
+	for _, le := range s5.live {
+		cp.Frontier = append(cp.Frontier, State(le.enc))
+		cp.Visited = append(cp.Visited, VisitedEntry{State: State(le.enc)})
 	}
-	// ...and re-serialize it through the v4 writer, as a legacy build
-	// resuming this search would have left it.
 	if err := WriteCheckpoint(path, cp); err != nil {
 		t.Fatal(err)
 	}
@@ -733,12 +832,14 @@ func TestCheckpointLegacyV4SealedResume(t *testing.T) {
 		t.Fatalf("legacy fixture version = %d, want %d", v, checkpointVersion)
 	}
 	for _, w := range workerCounts {
-		resumed, err := CheckTransitionInvariant(m, inv, Options{Workers: w, ResumePath: path})
-		if err != nil {
-			t.Fatalf("workers=%d: legacy v4 resume: %v", w, err)
-		}
-		if !equalResults(resumed, clean) {
-			t.Fatalf("workers=%d: resumed %+v differs from clean %+v", w, resumed, clean)
+		for _, noSeal := range []bool{false, true} {
+			_, err := CheckTransitionInvariant(m, inv, Options{Workers: w, NoSeal: noSeal, ResumePath: path, CheckpointPath: path})
+			if !errors.Is(err, ErrCheckpointCorrupt) || !strings.Contains(err.Error(), "unsupported version 4") {
+				t.Fatalf("workers=%d noSeal=%v: legacy v4 resume: got %v, want ErrCheckpointCorrupt (unsupported version 4)", w, noSeal, err)
+			}
+			if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, data) {
+				t.Fatalf("workers=%d noSeal=%v: refused file was modified or removed (%v)", w, noSeal, err)
+			}
 		}
 	}
 }

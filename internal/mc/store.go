@@ -16,10 +16,12 @@ package mc
 // *encoding*, not a slot ref. A parent may live on another worker, so a
 // ref into the local log cannot name it — but its encoding can, and the
 // intern table dedupes the copies (a state's children share one parent
-// entry). That makes every worker's store self-contained: it snapshots
-// to the ordinary checkpoint-v4 format (parent encodings are exactly
-// what the format stores) and restores on a fresh process with nothing
-// but the file, which is what crash recovery needs.
+// entry). That makes every worker's store self-contained: each level
+// barrier writes a per-state delta (WriteDelta, checkpoint version 4:
+// parent encodings are exactly what that format stores), and a fresh
+// process rebuilds the store from its delta chain alone (ReadCheckpoint,
+// then Merge or MergeSealed), which is what crash recovery needs. The
+// in-process engine's own checkpoints are version 5 (checkpoint.go).
 
 import (
 	"fmt"
@@ -186,54 +188,21 @@ func (s *ShardStore) Count() int64 { return s.v.count.Load() }
 // Resident returns the store's exact resident byte footprint.
 func (s *ShardStore) Resident() int64 { return s.v.resident.Load() }
 
-// Snapshot captures the store as an ordinary checkpoint: every admitted
-// state with its parent encoding, plus frontier (the refs of the level
-// just drained, in key order) so a restored worker can re-expand the
-// in-flight level. Entries are state-sorted, so snapshot bytes are
-// canonical.
-func (s *ShardStore) Snapshot(depth int32, reduced bool, fingerprint uint64, frontier []uint32) *Checkpoint {
-	v := s.v
-	cp := &Checkpoint{
-		Depth:       depth,
-		Reduced:     reduced,
-		Fingerprint: fingerprint,
-		Frontier:    make([]State, len(frontier)),
-		Visited:     make([]VisitedEntry, 0, v.count.Load()),
-	}
-	for i, ref := range frontier {
-		cp.Frontier[i] = v.stateOf(ref)
-	}
-	for si := range v.shards {
-		sh := &v.shards[si]
-		for o := uint32(0); o < sh.ordCount; o++ {
-			ref := makeRef(uint32(si), o)
-			e := VisitedEntry{State: v.stateOf(ref)}
-			if ps, has := s.parentStringOf(ref); has {
-				e.Parent = State(ps)
-				e.HasParent = true
-			}
-			cp.Visited = append(cp.Visited, e)
-		}
-	}
-	sort.Slice(cp.Visited, func(i, j int) bool { return cp.Visited[i].State < cp.Visited[j].State })
-	return cp
-}
-
 // WriteDelta atomically writes a per-level delta snapshot: a
 // checkpoint-v4 file holding ONLY the states of levelRefs (the refs the
 // last DrainLevel returned) plus the worker's complete current
 // frontier. A worker's chain of delta files w-l0..lK therefore covers
 // exactly its visited set through level K, and each file is readable by
 // the ordinary ReadCheckpoint — restore replays the chain through
-// Merge. Unlike Snapshot, this streams straight from the entry log with
-// no per-state materialization or re-sorting, so barrier cost is
-// O(level), not O(visited) — and not O(level·log level) either.
+// Merge. It streams straight from the entry log with no per-state
+// materialization or re-sorting, so barrier cost is O(level), not
+// O(visited) — and not O(level·log level) either.
 //
 // Entries keep levelRefs' order: DrainLevel's final-claim-key order,
 // which the min-key reduction makes deterministic for a deterministic
 // level (arrival order of mesh frames never reaches it). Delta bytes
-// are therefore still run-to-run identical, just not state-sorted the
-// way full Snapshots are; readers (Restore/Merge) are order-blind.
+// are therefore run-to-run identical; readers (Merge/MergeSealed) are
+// order-blind.
 func (s *ShardStore) WriteDelta(path string, depth int32, reduced bool, fingerprint uint64, levelRefs, frontier []uint32) error {
 	v := s.v
 	refs := levelRefs
@@ -274,47 +243,6 @@ func (s *ShardStore) parentStringOf(ref uint32) (string, bool) {
 		return "", false
 	}
 	return s.v.overflow.lookup(uint32(pw >> 1)), true
-}
-
-// Restore loads a snapshot into an empty store and returns the saved
-// frontier refs in stored (key) order. Restored entries claim with key
-// 0, so any in-flight level's base orders strictly past them.
-func (s *ShardStore) Restore(cp *Checkpoint) ([]uint32, error) {
-	v := s.v
-	if v.count.Load() != 0 {
-		return nil, fmt.Errorf("mc: ShardStore.Restore on a non-empty store")
-	}
-	if int64(len(cp.Visited)) > v.max {
-		return nil, fmt.Errorf("mc: snapshot holds %d states, over the %d-state budget: %w",
-			len(cp.Visited), v.max, ErrStateLimit)
-	}
-	for _, e := range cp.Visited {
-		parent := uint32(0)
-		if e.HasParent {
-			idx, _, added := v.overflow.intern([]byte(e.Parent))
-			if added > 0 {
-				v.resident.Add(added)
-			}
-			parent = idx
-		}
-		enc := []byte(e.State)
-		st, _ := v.claim(enc, hashBytes(enc), parent, 0, e.HasParent, 1, &s.pc)
-		if st != ClaimNew {
-			return nil, fmt.Errorf("%w: duplicate visited state", ErrCheckpointCorrupt)
-		}
-	}
-	v.bumpPeak()
-	frontier := make([]uint32, len(cp.Frontier))
-	for i, st := range cp.Frontier {
-		enc := []byte(st)
-		ref, ok := v.find(enc, hashBytes(enc))
-		if !ok {
-			return nil, fmt.Errorf("%w: frontier state missing from visited set", ErrCheckpointCorrupt)
-		}
-		frontier[i] = ref
-	}
-	s.claimed = nil
-	return frontier, nil
 }
 
 // Merge loads one delta snapshot's states into a store — crash

@@ -2,11 +2,14 @@ package mc
 
 // Unit tests for the distributed worker's ShardStore: claim semantics
 // (min-key takeover within a level, immutability across levels, budget
-// refusal), key-ordered level drains, and the snapshot/restore/merge
+// refusal), key-ordered level drains, and the delta write/read/merge
 // round trips crash recovery depends on.
 
 import (
+	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -97,6 +100,26 @@ func TestShardStoreDrainLevelKeyOrder(t *testing.T) {
 	}
 }
 
+// deltaOf writes s's delta for levelRefs and frontier through WriteDelta
+// and reads it back through ReadCheckpoint, returning the snapshot and
+// the file bytes.
+func deltaOf(t *testing.T, s *ShardStore, depth int32, reduced bool, fp uint64, levelRefs, frontier []uint32) (*Checkpoint, []byte) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "delta")
+	if err := s.WriteDelta(path, depth, reduced, fp, levelRefs, frontier); err != nil {
+		t.Fatalf("write delta: %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := ReadCheckpoint(path)
+	if err != nil {
+		t.Fatalf("read delta: %v", err)
+	}
+	return cp, data
+}
+
 func TestShardStoreSnapshotRestoreRoundTrip(t *testing.T) {
 	s := NewShardStore(0)
 	s.Claim([]byte("root"), 1, nil, false, 1)
@@ -104,15 +127,15 @@ func TestShardStoreSnapshotRestoreRoundTrip(t *testing.T) {
 	s.Claim([]byte("kid2"), 11, []byte("root"), true, 10)
 	frontier, _ := s.DrainLevel()
 
-	cp := s.Snapshot(3, true, 0xfeed, frontier)
+	cp, _ := deltaOf(t, s, 3, true, 0xfeed, frontier, frontier)
 	if cp.Depth != 3 || !cp.Reduced || cp.Fingerprint != 0xfeed {
-		t.Fatalf("snapshot header %+v", cp)
+		t.Fatalf("delta header %+v", cp)
 	}
 
 	r := NewShardStore(0)
-	restored, err := r.Restore(cp)
+	restored, err := r.Merge(cp)
 	if err != nil {
-		t.Fatalf("restore: %v", err)
+		t.Fatalf("merge: %v", err)
 	}
 	if len(restored) != len(frontier) {
 		t.Fatalf("restored frontier %d refs, want %d", len(restored), len(frontier))
@@ -133,12 +156,14 @@ func TestShardStoreSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("restored root should be parentless (has=%v found=%v)", has, found)
 	}
 
-	// Restore demands an empty store.
-	if _, err := r.Restore(cp); err == nil {
-		t.Fatal("second restore into a non-empty store succeeded")
+	// The same delta cannot load twice: its states now overlap the store.
+	if _, err := r.Merge(cp); !errors.Is(err, ErrCheckpointCorrupt) {
+		t.Fatalf("second merge into the same store: %v, want ErrCheckpointCorrupt", err)
 	}
 }
 
+// TestShardStoreSnapshotCanonical: delta bytes depend on the level's
+// keys, not on the order its states were admitted in.
 func TestShardStoreSnapshotCanonical(t *testing.T) {
 	a := NewShardStore(0)
 	a.Claim([]byte("m"), 5, nil, false, 5)
@@ -148,18 +173,20 @@ func TestShardStoreSnapshotCanonical(t *testing.T) {
 	b.Claim([]byte("m"), 5, nil, false, 5)
 	fa, _ := a.DrainLevel()
 	fb, _ := b.DrainLevel()
-	if !reflect.DeepEqual(a.Snapshot(1, false, 0, fa), b.Snapshot(1, false, 0, fb)) {
-		t.Fatal("snapshots differ under admission order")
+	_, da := deltaOf(t, a, 1, false, 0, fa, fa)
+	_, db := deltaOf(t, b, 1, false, 0, fb, fb)
+	if !bytes.Equal(da, db) {
+		t.Fatal("deltas differ under admission order")
 	}
 }
 
 func TestShardStoreMergeDisjointAndOverlap(t *testing.T) {
-	// A survivor holding its own shard absorbs a dead worker's snapshot.
+	// A survivor holding its own shard absorbs a dead worker's delta.
 	dead := NewShardStore(0)
 	dead.Claim([]byte("d1"), 7, nil, false, 7)
 	dead.Claim([]byte("d2"), 8, []byte("d1"), true, 7)
 	df, _ := dead.DrainLevel()
-	cp := dead.Snapshot(2, false, 0, df)
+	cp, _ := deltaOf(t, dead, 2, false, 0, df, df)
 
 	surv := NewShardStore(0)
 	surv.Claim([]byte("s1"), 9, nil, false, 9)
@@ -187,7 +214,7 @@ func TestShardStoreMergeOverBudget(t *testing.T) {
 	dead.Claim([]byte("d1"), 1, nil, false, 1)
 	dead.Claim([]byte("d2"), 2, nil, false, 1)
 	df, _ := dead.DrainLevel()
-	cp := dead.Snapshot(1, false, 0, df)
+	cp, _ := deltaOf(t, dead, 1, false, 0, df, df)
 
 	surv := NewShardStore(3)
 	surv.Claim([]byte("s1"), 3, nil, false, 1)
@@ -197,16 +224,21 @@ func TestShardStoreMergeOverBudget(t *testing.T) {
 	}
 }
 
+// TestShardStoreRestoreOverBudget: rebuilding a worker from a delta that
+// holds more states than its budget fails with ErrStateLimit, whether
+// the store seals or not.
 func TestShardStoreRestoreOverBudget(t *testing.T) {
 	big := NewShardStore(0)
 	big.Claim([]byte("a"), 1, nil, false, 1)
 	big.Claim([]byte("b"), 2, nil, false, 1)
 	big.Claim([]byte("c"), 3, nil, false, 1)
 	f, _ := big.DrainLevel()
-	cp := big.Snapshot(1, false, 0, f)
+	cp, _ := deltaOf(t, big, 1, false, 0, f, f)
 
-	small := NewShardStore(2)
-	if _, err := small.Restore(cp); !errors.Is(err, ErrStateLimit) {
+	if _, err := NewShardStore(2).Merge(cp); !errors.Is(err, ErrStateLimit) {
 		t.Fatalf("over-budget restore: %v, want ErrStateLimit", err)
+	}
+	if _, err := NewShardStore(2).MergeSealed(cp); !errors.Is(err, ErrStateLimit) {
+		t.Fatalf("over-budget sealed restore: %v, want ErrStateLimit", err)
 	}
 }
