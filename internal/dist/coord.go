@@ -21,7 +21,7 @@ package dist
 //
 // Crash recovery (recover.go) re-enters this loop through the same
 // events: a death respawns the worker from its chain of acknowledged
-// delta snapshots and replays at most its share of the current level,
+// barrier snapshots and replays at most its share of the current level,
 // with the lost mesh traffic re-delivered from the surviving senders'
 // replay buffers and every replayed claim idempotent because it carries
 // the same key. Deaths outside that path end the run with
@@ -211,9 +211,9 @@ type workerState struct {
 
 	respawns    int
 	needCatchup bool // respawned; catch-up messages enqueue on its Hello
-	// lastAckLevel is the last level L whose delta snapshots 0..L were
-	// all acknowledged (-1: none) — the restore point of a respawn.
-	lastAckLevel int32
+	// acked lists, in order, the levels whose barrier snapshot this
+	// index wrote: the chain a respawn restores (see lastAck).
+	acked        []int32
 	redoSelfOnly bool // at last death: no sending expansion of its was in flight
 
 	expandedCur  uint64 // latest cumulative counter of the current incarnation
@@ -324,6 +324,7 @@ type coordinator struct {
 	acc         []map[int]*sentRec        // per destination: per sender, declared mesh groups
 	replayOps   []*replayOp
 	sealSeq     uint32
+	next        uint64 // the claim-key base of the level after the current one
 	openRecs    []*openRecovery
 
 	totalGen uint64
@@ -482,9 +483,9 @@ func (c *coordinator) launchAll() error {
 	}(c.tickStop)
 
 	for i := 0; i < c.o.Workers; i++ {
-		w := &workerState{index: i, lastAckLevel: -1}
+		w := &workerState{index: i}
 		c.workers = append(c.workers, w)
-		if err := c.startIncarnation(w, -1); err != nil {
+		if err := c.startIncarnation(w); err != nil {
 			return err
 		}
 	}
@@ -507,8 +508,8 @@ func (c *coordinator) allHelloed() bool {
 
 // startIncarnation launches the next incarnation of a worker index and
 // wires its transport into the event loop. The new process rebuilds its
-// store from its index's delta snapshots 0..through (none when -1).
-func (c *coordinator) startIncarnation(w *workerState, through int32) error {
+// store from its index's acknowledged barrier snapshots.
+func (c *coordinator) startIncarnation(w *workerState) error {
 	conn, err := c.launcher.Start(w.index, w.inc)
 	if err != nil {
 		return fmt.Errorf("dist: starting worker %d (incarnation %d): %w", w.index, w.inc, err)
@@ -541,7 +542,7 @@ func (c *coordinator) startIncarnation(w *workerState, through int32) error {
 		SnapshotDir: c.snapDir,
 		MeshDir:     c.meshDir,
 		PeerIncs:    peerIncs,
-		Through:     through,
+		Restore:     w.acked,
 		Swifi:       swifi,
 		HeartbeatMs: int(c.o.HeartbeatInterval / time.Millisecond),
 	}

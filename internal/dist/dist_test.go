@@ -357,18 +357,31 @@ func TestDistKillTakeover(t *testing.T) {
 		t.Fatalf("report: %d respawns %d takeovers, want %d/0", rep.Respawns, rep.Takeovers, maxRespawns)
 	}
 	for w := 0; w < 3; w++ {
-		for l := 0; l < 3; l++ {
-			path := filepath.Join(dir, fmt.Sprintf("w%d-l%d.mc", w, l))
-			if _, err := mc.ReadCheckpoint(path); err != nil {
-				t.Fatalf("snapshot %s not intact: %v", path, err)
-			}
+		if _, err := restoreChain(dir, 3, w, false, 0, 1, 2); err != nil {
+			t.Fatalf("worker %d snapshots not intact: %v", w, err)
 		}
 	}
 }
 
-// blockSnapshot makes worker victim's level-level delta write fail for
-// good: a non-empty directory squats on the file name, so the atomic
-// rename fails with a non-transient error.
+// restoreChain restores worker w's barrier snapshots of the given
+// levels from dir, as a respawn of it in a fleet of n would.
+func restoreChain(dir string, n, w int, noSeal bool, levels ...int) (*mc.ShardStore, error) {
+	owned := uint64(0)
+	for s := w; s < mc.NumShards; s += n {
+		owned |= 1 << s
+	}
+	var paths []string
+	for _, l := range levels {
+		paths = append(paths, filepath.Join(dir, fmt.Sprintf("w%d-l%d.mc", w, l)))
+	}
+	s := mc.NewShardStore(0, owned, noSeal)
+	_, err := s.Restore(paths)
+	return s, err
+}
+
+// blockSnapshot makes worker victim's level-level snapshot write fail
+// for good: a non-empty directory squats on the file name, so the
+// atomic rename fails with a non-transient error.
 func blockSnapshot(t *testing.T, dir string, victim, level int) {
 	t.Helper()
 	block := filepath.Join(dir, fmt.Sprintf("w%d-l%d.mc", victim, level))
@@ -381,9 +394,13 @@ func blockSnapshot(t *testing.T, dir string, victim, level int) {
 }
 
 // TestDistSnapshotGapRefused: a worker whose level-L barrier snapshot
-// failed has no restore point past L-1, so its death at level L+1 is
-// refused with ErrUnrecoverable — recovering it from the older snapshot
-// silently lost states. The failed write on its own is survivable.
+// failed has no restore point past L-1 until its level-L+1 write
+// repairs the gap, so its death at level L+1 is refused with
+// ErrUnrecoverable — recovering it from the older snapshot would
+// silently lose states. The failed write on its own is survivable, and
+// once the next barrier has written its file (which reaches back to
+// the last good write) a death at level L+2 is recovered by one
+// respawn, identical to the engine.
 func TestDistSnapshotGapRefused(t *testing.T) {
 	g := graphModel{N: 300, Target: 300}
 	for workers := 2; workers <= 4; workers++ {
@@ -420,6 +437,25 @@ func TestDistSnapshotGapRefused(t *testing.T) {
 					// whole space.
 					if got.StatesExplored >= want.StatesExplored {
 						t.Fatalf("refused run reports %v, as much as the full search %v", got, want)
+					}
+				})
+				t.Run(name+"-repaired", func(t *testing.T) {
+					stInv, trInv := g.invariants(st)
+					want, err := runEngine(t, g, stInv, trInv, mc.Options{})
+					if err != nil {
+						t.Fatalf("engine: %v", err)
+					}
+					dir := t.TempDir()
+					blockSnapshot(t, dir, p.victim, p.level)
+					got, rep, err := runDist(t, g, stInv, trInv, mc.Options{},
+						Options{Workers: workers, SnapshotDir: dir, Log: t.Logf,
+							Swifi: fmt.Sprintf("kill@worker=%d@level=%d", p.victim, p.level+2)})
+					if err != nil {
+						t.Fatalf("kill after the repair: %v", err)
+					}
+					requireIdentical(t, got, want)
+					if rep.Respawns != 1 {
+						t.Fatalf("kill after the repair: %d respawns, want 1", rep.Respawns)
 					}
 				})
 			}
@@ -544,9 +580,9 @@ func TestDistDeadlineCause(t *testing.T) {
 // seeded walks under dist too, finding the same counterexample. One
 // worker reproduces the engine's whole Result; more workers only admit
 // more states before the per-worker MaxStates trips. Resident bytes are
-// per store (a worker store also interns parent encodings), so the
-// memory budget is spent at the first boundary, where every backend
-// trips alike.
+// summed over the stores (each pays the visited set's fixed per-shard
+// tables), so the memory budget is spent at the first boundary, where
+// every backend trips alike.
 func TestDistFallbackWalks(t *testing.T) {
 	g := graphModel{N: 300, Target: 211} // violation at depth 9
 	cases := []struct {

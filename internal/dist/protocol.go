@@ -27,9 +27,9 @@
 // neither mesh arrival order nor duplicated delivery after a recovery
 // can perturb the result. Verdicts, counts and counterexample traces
 // are byte-identical to the in-process engine for any worker count —
-// and, because levels are replayable from sender buffers plus per-level
-// delta snapshots, under injected worker crashes too (or the run is
-// refused with ErrUnrecoverable).
+// and, because levels are replayable from sender buffers plus
+// level-barrier snapshots, under injected worker crashes too (or the
+// run is refused with ErrUnrecoverable).
 package dist
 
 import (
@@ -151,16 +151,6 @@ func putFrame(fb *frameBuf) {
 	}
 	fb.b = fb.b[:0]
 	framePools[c-frameClassMin].Put(fb)
-}
-
-// beginFrame starts building an outgoing frame in a pooled buffer:
-// 4-byte length placeholder, type byte, then payload via the append
-// helpers; finish patches the length so the whole frame goes out in one
-// Write.
-func beginFrame(typ byte) *frameBuf {
-	fb := grabFrame(1 << frameClassMin)
-	fb.b = append(fb.b, 0, 0, 0, 0, typ)
-	return fb
 }
 
 func (fb *frameBuf) u(v uint64) {
@@ -337,47 +327,31 @@ func (r *rbuf) done() error {
 // Mesh data-plane codec (mtMeshBatch)
 //
 //	payload := level:u32varint  base:uvarint  group*
-//	group   := slot:uvarint  parentLen:uvarint parent
+//	group   := slot:uvarint  parent:uvarint
 //	           nsucc:uvarint  (jdelta:uvarint encLen:uvarint enc)*nsucc
 //
-// Successor indices within a group are strictly ascending (the serial
-// sweep order), so they are delta-coded; the first delta is the
-// absolute index. Shard and has-parent markers are dropped from the
-// wire: the receiver owns whatever arrives, and mesh groups always have
-// parents (roots are routed at level 0 over the control plane). The
-// identical group byte layout doubles as the sender-side replay buffer
-// format, so replaying to a recovered peer is a byte-range copy.
+// parent is the expanded frontier state's global ref (mc.ShardStore's
+// AssignRefs), which names it on every worker. Successor indices within
+// a group are strictly ascending (the serial sweep order), so they are
+// delta-coded; the first delta is the absolute index. Shard and
+// has-parent markers are dropped from the wire: the receiver owns
+// whatever arrives, and mesh groups always have parents (roots are
+// routed at level 0 over the control plane). The identical group byte
+// layout doubles as the sender-side replay buffer format, so replaying
+// to a recovered peer is a byte-range copy.
 
-// beginMeshBatch starts an mtMeshBatch frame.
+// beginMeshBatch starts an mtMeshBatch frame in a pooled buffer: 4-byte
+// length placeholder, type byte, header, then groups appended raw;
+// finish patches the length so the whole frame goes out in one Write.
+// The buffer comes from the class that holds a frame filled to the
+// flush threshold, so filling it never regrows it and putFrame returns
+// it to the class the next batch draws from.
 func beginMeshBatch(level int32, base uint64) *frameBuf {
-	fb := beginFrame(mtMeshBatch)
+	fb := grabFrame(2 * batchFlushBytes)
+	fb.b = append(fb.b, 0, 0, 0, 0, mtMeshBatch)
 	fb.u(uint64(uint32(level)))
 	fb.u(base)
 	return fb
-}
-
-// appendMeshGroup appends one group in mesh layout to dst: the group
-// header, then the successors with delta-coded indices. js must be
-// strictly ascending. Used by the sender both for replay buffers and
-// (via raw copy) for outgoing frames.
-func appendMeshGroup(dst []byte, slot uint32, parent []byte, js []uint32, encs [][]byte) []byte {
-	var s [binary.MaxVarintLen64]byte
-	put := func(v uint64) {
-		n := binary.PutUvarint(s[:], v)
-		dst = append(dst, s[:n]...)
-	}
-	put(uint64(slot))
-	put(uint64(len(parent)))
-	dst = append(dst, parent...)
-	put(uint64(len(js)))
-	prev := uint32(0)
-	for k, j := range js {
-		put(uint64(j - prev))
-		prev = j
-		put(uint64(len(encs[k])))
-		dst = append(dst, encs[k]...)
-	}
-	return dst
 }
 
 // bdec is the lean zero-copy decoder for the data plane: explicit
@@ -425,19 +399,15 @@ func decodeMeshBatchHeader(p []byte) (level int32, base uint64, groups []byte, e
 // its header, or a slice of a sender replay buffer), invoking visit per
 // successor with views into p. Malformed input is rejected with an
 // error; visit is never called past the first defect.
-func walkMeshGroups(p []byte, visit func(slot uint32, parent []byte, j uint32, enc []byte)) (groups int, err error) {
+func walkMeshGroups(p []byte, visit func(slot, parent, j uint32, enc []byte)) (groups int, err error) {
 	d := bdec{p: p}
 	for d.more() {
 		slot, ok := d.uvarint()
 		if !ok || slot > 1<<32-1 {
 			return groups, errMeshBatchCorrupt
 		}
-		plen, ok := d.uvarint()
-		if !ok {
-			return groups, errMeshBatchCorrupt
-		}
-		parent, ok := d.view(plen)
-		if !ok {
+		parent, ok := d.uvarint()
+		if !ok || parent > 1<<32-1 {
 			return groups, errMeshBatchCorrupt
 		}
 		nsucc, ok := d.uvarint()
@@ -464,7 +434,7 @@ func walkMeshGroups(p []byte, visit func(slot uint32, parent []byte, j uint32, e
 				return groups, errMeshBatchCorrupt
 			}
 			if visit != nil {
-				visit(uint32(slot), parent, uint32(j), enc)
+				visit(uint32(slot), uint32(parent), uint32(j), enc)
 			}
 		}
 		groups++
@@ -490,10 +460,11 @@ type msgConfig struct {
 	SnapshotDir string
 	MeshDir     string // Unix-socket rendezvous dir (subprocess workers)
 	PeerIncs    []int  // current incarnation per worker index; mesh sends address these
-	// Through is the last level of this worker index's own delta
-	// snapshots to restore (files 0..Through, the last one's frontier
-	// included); -1 starts empty.
-	Through     int32
+	// Restore lists the levels of this worker index's acknowledged
+	// barrier snapshots, in order: their segments concatenate into the
+	// store, and the last one's frontier is the frontier. Empty starts
+	// empty.
+	Restore     []int32
 	Swifi       string
 	HeartbeatMs int
 }
@@ -516,7 +487,10 @@ func (m *msgConfig) encode() (byte, []byte) {
 	for _, inc := range m.PeerIncs {
 		w.i(inc)
 	}
-	w.u32(uint32(m.Through))
+	w.i(len(m.Restore))
+	for _, l := range m.Restore {
+		w.u32(uint32(l))
+	}
 	w.str(m.Swifi)
 	w.i(m.HeartbeatMs)
 	return mtConfig, w.b
@@ -545,7 +519,10 @@ func decodeConfig(p []byte) (*msgConfig, error) {
 	for i := 0; i < np && r.err == nil; i++ {
 		m.PeerIncs = append(m.PeerIncs, r.i())
 	}
-	m.Through = int32(r.u32())
+	nr := r.count()
+	for i := 0; i < nr && r.err == nil; i++ {
+		m.Restore = append(m.Restore, int32(r.u32()))
+	}
 	m.Swifi = r.str()
 	m.HeartbeatMs = r.i()
 	return m, r.done()
@@ -594,21 +571,15 @@ func decodeExpand(p []byte) (*msgExpand, error) {
 	return m, r.done()
 }
 
-// batchGroup is one frontier state's successors bound for one
-// receiver: claim keys reconstruct as Base + Slot<<24 + Js[k], the
-// parent is the (canonical) frontier state encoding.
+// batchGroup is a set of parentless claims bound for one receiver:
+// initial state Js[k] with encoding Encs[k], claimed under key
+// Base + Js[k].
 type batchGroup struct {
-	Slot      uint32
-	HasParent bool
-	Parent    []byte
-	Js        []uint32
-	Encs      [][]byte
+	Js   []uint32
+	Encs [][]byte
 }
 
 func (g *batchGroup) encode(w *wbuf) {
-	w.u32(g.Slot)
-	w.boolean(g.HasParent)
-	w.bytes(g.Parent)
 	w.i(len(g.Js))
 	for k := range g.Js {
 		w.u32(g.Js[k])
@@ -617,11 +588,7 @@ func (g *batchGroup) encode(w *wbuf) {
 }
 
 func decodeGroup(r *rbuf) batchGroup {
-	g := batchGroup{
-		Slot:      r.u32(),
-		HasParent: r.boolean(),
-		Parent:    r.bytes(),
-	}
+	var g batchGroup
 	n := r.count()
 	g.Js = make([]uint32, 0, n)
 	g.Encs = make([][]byte, 0, n)
@@ -632,10 +599,10 @@ func decodeGroup(r *rbuf) batchGroup {
 	return g
 }
 
-// msgBatch delivers successor claims to the owner of their shards over
-// the control plane — only the coordinator's level-0 initial-state
-// routing and its crash-recovery replay use it; all expansion traffic
-// rides the mesh (mtMeshBatch).
+// msgBatch delivers the level-0 roots to the owner of their shards over
+// the control plane — the coordinator's initial-state routing and its
+// crash-recovery re-delivery; all expansion traffic rides the mesh
+// (mtMeshBatch).
 type msgBatch struct {
 	Level  int32
 	Base   uint64
@@ -669,10 +636,12 @@ func decodeBatch(p []byte) (*msgBatch, error) {
 // can close the level — drain its claims, snapshot, and send its
 // mtLevelReport (stamped with Seq so the coordinator can match it).
 // Each Seq is executed at most once, so a re-delivered seal after a
-// recovery is harmless.
+// recovery is harmless. Next is the claim-key base the next level
+// starts at, recorded in the barrier snapshot.
 type msgSeal struct {
 	Level  int32
 	Seq    uint32
+	Next   uint64
 	Expect []expectCount
 }
 
@@ -689,6 +658,7 @@ func (m *msgSeal) encode() (byte, []byte) {
 	var w wbuf
 	w.u32(uint32(m.Level))
 	w.u32(m.Seq)
+	w.u(m.Next)
 	w.i(len(m.Expect))
 	for _, e := range m.Expect {
 		w.i(e.Sender)
@@ -700,7 +670,7 @@ func (m *msgSeal) encode() (byte, []byte) {
 
 func decodeSeal(p []byte) (*msgSeal, error) {
 	r := newRbuf(p)
-	m := &msgSeal{Level: int32(r.u32()), Seq: r.u32()}
+	m := &msgSeal{Level: int32(r.u32()), Seq: r.u32(), Next: r.u()}
 	n := r.count()
 	m.Expect = make([]expectCount, 0, n)
 	for i := 0; i < n && r.err == nil; i++ {
@@ -791,18 +761,26 @@ func decodePeerInc(p []byte) (*msgPeerInc, error) {
 }
 
 // msgTraceQuery resolves one step of counterexample reconstruction: the
-// owner of Enc's shard replies with its recorded trace parent.
-type msgTraceQuery struct{ Enc []byte }
+// owner of the state's shard replies with its recorded trace parent.
+// The state is named by its encoding (the first hop), or ByRef by its
+// global ref.
+type msgTraceQuery struct {
+	ByRef bool
+	Ref   uint32
+	Enc   []byte
+}
 
 func (m *msgTraceQuery) encode() (byte, []byte) {
 	var w wbuf
+	w.boolean(m.ByRef)
+	w.u32(m.Ref)
 	w.bytes(m.Enc)
 	return mtTraceQuery, w.b
 }
 
 func decodeTraceQuery(p []byte) (*msgTraceQuery, error) {
 	r := newRbuf(p)
-	m := &msgTraceQuery{Enc: r.bytes()}
+	m := &msgTraceQuery{ByRef: r.boolean(), Ref: r.u32(), Enc: r.bytes()}
 	return m, r.done()
 }
 
@@ -970,24 +948,27 @@ func decodeLevelReport(p []byte) (*msgLevelReport, error) {
 	return m, r.done()
 }
 
-// msgTraceReply answers a msgTraceQuery.
+// msgTraceReply answers a msgTraceQuery: the state's parent as a
+// global ref, and for a query by ref the state's encoding.
 type msgTraceReply struct {
 	Found     bool
 	HasParent bool
-	Parent    []byte
+	Parent    uint32
+	Enc       []byte
 }
 
 func (m *msgTraceReply) encode() (byte, []byte) {
 	var w wbuf
 	w.boolean(m.Found)
 	w.boolean(m.HasParent)
-	w.bytes(m.Parent)
+	w.u32(m.Parent)
+	w.bytes(m.Enc)
 	return mtTraceReply, w.b
 }
 
 func decodeTraceReply(p []byte) (*msgTraceReply, error) {
 	r := newRbuf(p)
-	m := &msgTraceReply{Found: r.boolean(), HasParent: r.boolean(), Parent: r.bytes()}
+	m := &msgTraceReply{Found: r.boolean(), HasParent: r.boolean(), Parent: r.u32(), Enc: r.bytes()}
 	return m, r.done()
 }
 

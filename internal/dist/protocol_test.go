@@ -47,7 +47,7 @@ func TestProtocolRoundTrips(t *testing.T) {
 		Reduced: true, CheckState: true, MaxStates: 1 << 20, Assign: assign,
 		SnapshotDir: "/tmp/snaps", MeshDir: "/tmp/mesh",
 		PeerIncs: []int{0, 2, 0, 1, 3},
-		Through:  5,
+		Restore:  []int32{0, 1, 3, 5},
 		Swifi:    "kill@worker=1@level=2", HeartbeatMs: 250,
 	}
 	if got := roundTrip(t, cfg, func(p []byte) (any, error) { return decodeConfig(p) }, mtConfig); !reflect.DeepEqual(got, cfg) {
@@ -59,25 +59,24 @@ func TestProtocolRoundTrips(t *testing.T) {
 		t.Fatalf("expand mismatch:\n got %+v\nwant %+v", got, exp)
 	}
 
-	batch := &msgBatch{Level: 2, Base: 99, Groups: []batchGroup{
-		{Slot: 5, HasParent: true, Parent: []byte("pp"),
-			Js: []uint32{0, 2}, Encs: [][]byte{[]byte("s0"), []byte("s2")}},
-		{Slot: 0, HasParent: false, Parent: []byte{},
-			Js: []uint32{1}, Encs: [][]byte{[]byte("x")}},
+	batch := &msgBatch{Level: 0, Base: 99, Groups: []batchGroup{
+		{Js: []uint32{0, 2}, Encs: [][]byte{[]byte("s0"), []byte("s2")}},
+		{Js: []uint32{1}, Encs: [][]byte{[]byte("x")}},
 	}}
 	if got := roundTrip(t, batch, func(p []byte) (any, error) { return decodeBatch(p) }, mtBatch); !reflect.DeepEqual(got, batch) {
 		t.Fatalf("batch mismatch:\n got %+v\nwant %+v", got, batch)
 	}
 
-	seal := &msgSeal{Level: 4, Seq: 17,
+	seal := &msgSeal{Level: 4, Seq: 17, Next: 3 << 40,
 		Expect: []expectCount{{Sender: 0, SenderInc: 2, Groups: 1 << 40}, {Sender: 4, Groups: 3}}}
 	if got := roundTrip(t, seal, func(p []byte) (any, error) { return decodeSeal(p) }, mtSeal); !reflect.DeepEqual(got, seal) {
 		t.Fatalf("seal mismatch: %+v", got)
 	}
 
-	tq := &msgTraceQuery{Enc: []byte("state-enc")}
-	if got := roundTrip(t, tq, func(p []byte) (any, error) { return decodeTraceQuery(p) }, mtTraceQuery); !reflect.DeepEqual(got, tq) {
-		t.Fatalf("trace query mismatch: %+v", got)
+	for _, tq := range []*msgTraceQuery{{Enc: []byte("state-enc")}, {ByRef: true, Ref: 0xfedcba98, Enc: []byte{}}} {
+		if got := roundTrip(t, tq, func(p []byte) (any, error) { return decodeTraceQuery(p) }, mtTraceQuery); !reflect.DeepEqual(got, tq) {
+			t.Fatalf("trace query mismatch: %+v", got)
+		}
 	}
 
 	hello := &msgHello{Index: 2, Err: "no builder"}
@@ -101,7 +100,7 @@ func TestProtocolRoundTrips(t *testing.T) {
 		t.Fatalf("level report mismatch:\n got %+v\nwant %+v", got, lr)
 	}
 
-	trp := &msgTraceReply{Found: true, HasParent: true, Parent: []byte("par")}
+	trp := &msgTraceReply{Found: true, HasParent: true, Parent: 1 << 31, Enc: []byte("state")}
 	if got := roundTrip(t, trp, func(p []byte) (any, error) { return decodeTraceReply(p) }, mtTraceReply); !reflect.DeepEqual(got, trp) {
 		t.Fatalf("trace reply mismatch: %+v", got)
 	}
@@ -139,9 +138,9 @@ func TestProtocolRoundTrips(t *testing.T) {
 // frame built the way the worker send path builds it.
 func TestMeshBatchCodec(t *testing.T) {
 	fb := beginMeshBatch(7, 1<<30)
-	g := appendMeshGroup(nil, 3, []byte("parent"), []uint32{0, 2, 7}, [][]byte{[]byte("a"), []byte("bb"), []byte("ccc")})
+	g := appendMeshGroup(nil, 3, 0x2a5, []uint32{0, 2, 7}, [][]byte{[]byte("a"), []byte("bb"), []byte("ccc")})
 	g1len := len(g)
-	g = appendMeshGroup(g, 1<<20, nil, []uint32{5}, [][]byte{[]byte("zz")})
+	g = appendMeshGroup(g, 1<<20, 1<<32-1, []uint32{5}, [][]byte{[]byte("zz")})
 	fb.raw(g)
 	wire := fb.finish()
 	if int(wire[0])|int(wire[1])<<8|int(wire[2])<<16|int(wire[3])<<24 != len(wire)-4 {
@@ -158,21 +157,19 @@ func TestMeshBatchCodec(t *testing.T) {
 		t.Fatalf("header level=%d base=%d", level, base)
 	}
 	type succ struct {
-		slot uint32
-		par  string
-		j    uint32
-		enc  string
+		slot, par, j uint32
+		enc          string
 	}
 	var got []succ
-	n, err := walkMeshGroups(groups, func(slot uint32, parent []byte, j uint32, enc []byte) {
-		got = append(got, succ{slot, string(parent), j, string(enc)})
+	n, err := walkMeshGroups(groups, func(slot, parent, j uint32, enc []byte) {
+		got = append(got, succ{slot, parent, j, string(enc)})
 	})
 	if err != nil || n != 2 {
 		t.Fatalf("walk: groups=%d err=%v", n, err)
 	}
 	want := []succ{
-		{3, "parent", 0, "a"}, {3, "parent", 2, "bb"}, {3, "parent", 7, "ccc"},
-		{1 << 20, "", 5, "zz"},
+		{3, 0x2a5, 0, "a"}, {3, 0x2a5, 2, "bb"}, {3, 0x2a5, 7, "ccc"},
+		{1 << 20, 1<<32 - 1, 5, "zz"},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("walk mismatch:\n got %+v\nwant %+v", got, want)
@@ -200,7 +197,7 @@ func TestProtocolRejectsDamage(t *testing.T) {
 		m      encoder
 		decode func([]byte) error
 	}{
-		{"config", &msgConfig{Index: 1, SpecName: "x", Through: -1, Swifi: "s"},
+		{"config", &msgConfig{Index: 1, SpecName: "x", Restore: []int32{0, 2}, Swifi: "s"},
 			func(p []byte) error { _, err := decodeConfig(p); return err }},
 		{"expand", &msgExpand{Level: 2, SelfOnly: true, Slots: []uint32{1, 2, 3}},
 			func(p []byte) error { _, err := decodeExpand(p); return err }},
@@ -208,7 +205,7 @@ func TestProtocolRejectsDamage(t *testing.T) {
 			func(p []byte) error { _, err := decodeSeal(p); return err }},
 		{"peerinc", &msgPeerInc{Index: 1, Inc: 2},
 			func(p []byte) error { _, err := decodePeerInc(p); return err }},
-		{"batch", &msgBatch{Level: 1, Groups: []batchGroup{{Slot: 1, Js: []uint32{0}, Encs: [][]byte{[]byte("e")}}}},
+		{"batch", &msgBatch{Level: 1, Groups: []batchGroup{{Js: []uint32{0}, Encs: [][]byte{[]byte("e")}}}},
 			func(p []byte) error { _, err := decodeBatch(p); return err }},
 		{"report", &msgLevelReport{Level: 1, Keys: []uint64{5, 6}, States: 2},
 			func(p []byte) error { _, err := decodeLevelReport(p); return err }},
@@ -275,21 +272,20 @@ func FuzzDecodeControl(f *testing.F) {
 	assign[5] = 2
 	seeds := []encoder{
 		&msgConfig{Index: 1, Inc: 2, Workers: 3, SpecName: "tta", SpecPayload: "{}", Reduced: true,
-			MaxStates: 9, Assign: assign, PeerIncs: []int{0, 2, 1}, Through: -1, Swifi: "kill@worker=1@level=2"},
+			MaxStates: 9, Assign: assign, PeerIncs: []int{0, 2, 1}, Restore: []int32{0, 1}, Swifi: "kill@worker=1@level=2"},
 		&msgExpand{Level: 3, Base: 1 << 30, ID: 4, SelfOnly: true, Slots: []uint32{0, 7}},
-		&msgBatch{Level: 0, Groups: []batchGroup{{Slot: 1, HasParent: true, Parent: []byte("p"),
-			Js: []uint32{0, 3}, Encs: [][]byte{[]byte("a"), []byte("bc")}}}},
-		&msgSeal{Level: 2, Seq: 5, Expect: []expectCount{{Sender: 1, SenderInc: 1, Groups: 8}}},
+		&msgBatch{Level: 0, Groups: []batchGroup{{Js: []uint32{0, 3}, Encs: [][]byte{[]byte("a"), []byte("bc")}}}},
+		&msgSeal{Level: 2, Seq: 5, Next: 6 << 24, Expect: []expectCount{{Sender: 1, SenderInc: 1, Groups: 8}}},
 		&msgReplay{Level: 2, Dest: 1, ShardMask: [mc.NumShards / 8]byte{0xff, 1}},
 		&msgPeerInc{Index: 2, Inc: 1},
-		&msgTraceQuery{Enc: []byte("enc")},
+		&msgTraceQuery{ByRef: true, Ref: 0x41, Enc: []byte("enc")},
 		&msgHello{Index: 1, Err: "x"},
 		&msgExpandDone{Level: 1, ID: 2, Counts: []uint32{3}, SentTo: []sentCount{{Dest: 1, Groups: 2}},
 			HasViol: true, ViolKey: 9, ViolFrom: []byte("f"), ViolTo: []byte("t")},
 		&msgReplayDone{Level: 1, Dest: 0, Groups: 3},
 		&msgLevelReport{Level: 1, Seq: 2, Keys: []uint64{4, 9}, StViolKeys: []uint64{4},
 			StViolEncs: [][]byte{[]byte("s")}, States: 5, SnapshotErr: "x"},
-		&msgTraceReply{Found: true, Parent: []byte("p")},
+		&msgTraceReply{Found: true, HasParent: true, Parent: 0x81, Enc: []byte("p")},
 		&msgBye{Expanded: 7},
 		&msgFatal{Err: "boom"},
 	}

@@ -3,9 +3,9 @@ package dist
 // Event dispatch and crash recovery.
 //
 // A worker death has one recovery: respawn the index from its own chain
-// of level-barrier delta snapshots and redo at most its share of the
-// current level. The respawned incarnation restores the chain through
-// its last acknowledged level (the current one, or the one before),
+// of level-barrier snapshots and redo at most its share of the current
+// level. The respawned incarnation restores the chain through its last
+// acknowledged level (the current one, or the one before),
 // re-expands its frontier slots of the current level, and receives the
 // level's lost mesh traffic again from the surviving senders.
 //
@@ -24,7 +24,8 @@ package dist
 // never guessed at:
 //   - the index has spent its respawn budget (maxRespawns);
 //   - its last acknowledged snapshot is two or more levels behind (a
-//     barrier snapshot failed to write, so the chain has a gap);
+//     barrier snapshot failed to write, and no later barrier has
+//     repaired it yet);
 //   - it still owes a replay its successor cannot rebuild (it had
 //     already completed the level, so the successor redoes nothing).
 // The last two need a failed write or two deaths in a tight window;
@@ -46,6 +47,15 @@ const maxRespawns = 2
 // refuses to recover from (see recover.go's header for the cases). The
 // run ends without a verdict; snapshot files are left in place.
 var ErrUnrecoverable = errors.New("dist: unrecoverable worker death")
+
+// lastAck is the last level whose barrier snapshot the index wrote (-1:
+// none) — the restore point of a respawn.
+func (w *workerState) lastAck() int32 {
+	if len(w.acked) == 0 {
+		return -1
+	}
+	return w.acked[len(w.acked)-1]
+}
 
 func (c *coordinator) unrecoverable(w *workerState, format string, args ...any) error {
 	return fmt.Errorf("%w: worker %d at level %d: %s",
@@ -187,14 +197,15 @@ func (c *coordinator) onReport(w *workerState, m *msgLevelReport) error {
 	w.expandedCur = m.Expanded
 	w.wireFramesCur = m.WireFrames
 	w.wireBytesCur = m.WireBytes
-	// The acked chain only grows without gaps: a failed delta write
-	// leaves its level (and every later one) unrestorable.
+	// A written snapshot joins the restore chain. A failed one leaves
+	// the chain at the last good write, and the next barrier's file —
+	// whose segments reach back to that write — repairs it: the levels
+	// in between are restorable again from then on.
 	switch {
 	case m.SnapshotErr != "":
 		c.logf("dist: worker %d level %d snapshot failed: %s", w.index, m.Level, m.SnapshotErr)
-		w.lastAckLevel = min(w.lastAckLevel, m.Level-1)
-	case m.Level == w.lastAckLevel+1:
-		w.lastAckLevel = m.Level
+	case m.Level > w.lastAck():
+		w.acked = append(w.acked, m.Level)
 	}
 	if m.Level != c.level || w.seg == nil || w.seg.filled || w.seg.seq != m.Seq {
 		return fmt.Errorf("dist: worker %d: level %d report (seq %d) with no seal outstanding", w.index, m.Level, m.Seq)
@@ -390,7 +401,7 @@ func (c *coordinator) handleDeath(w *workerState, cause error) error {
 	c.cancelOpsFor(w.index)
 	w.owed = nil
 
-	ack := w.lastAckLevel
+	ack := w.lastAck()
 	switch {
 	case w.respawns >= maxRespawns:
 		return c.unrecoverable(w, "respawn budget (%d) spent", maxRespawns)
@@ -420,7 +431,7 @@ func (c *coordinator) handleDeath(w *workerState, cause error) error {
 	// sit ahead of the replay commands below in each survivor's FIFO
 	// queue — otherwise a replay could flow to the dead incarnation's
 	// endpoint.
-	if err := c.startIncarnation(w, ack); err != nil {
+	if err := c.startIncarnation(w); err != nil {
 		return err
 	}
 	// Re-deliver the in-flight level's mesh traffic from the survivors'
@@ -439,7 +450,7 @@ func (c *coordinator) handleDeath(w *workerState, cause error) error {
 func (c *coordinator) enqueueCatchup(w *workerState) error {
 	rec := &openRecovery{rec: Recovery{Level: c.level, Worker: w.index}}
 	c.openRecs = append(c.openRecs, rec)
-	if w.lastAckLevel == c.level {
+	if w.lastAck() == c.level {
 		// Died after completing the level: the snapshot chain restored
 		// its full frontier and its report was already filled; nothing
 		// to redo.

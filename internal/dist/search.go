@@ -17,6 +17,7 @@ import (
 // the state budget and queues it for its shard owner as a batch claim
 // with key i.
 func (c *coordinator) AdmitInitial(enc []byte, i int) mc.ClaimStatus {
+	c.next = mc.ClaimKey(0, i+1, 0)
 	if c.canon != nil {
 		c.canon.Canonicalize(enc)
 	}
@@ -125,6 +126,7 @@ func (c *coordinator) startLevel(level int32, base uint64) {
 	c.lastSlots = nil
 	c.level = level
 	c.base = base
+	c.next = mc.ClaimKey(base, c.frontierLen, 0)
 	c.acc = freshAcc(c.o.Workers)
 	c.counts = make([]int, c.frontierLen)
 	c.sealed = false
@@ -185,7 +187,7 @@ func (c *coordinator) trySeal() {
 func (c *coordinator) sealTo(w *workerState) {
 	seq := c.sealSeq
 	c.sealSeq++
-	m := &msgSeal{Level: c.level, Seq: seq}
+	m := &msgSeal{Level: c.level, Seq: seq, Next: c.next}
 	for sender, rec := range c.acc[w.index] {
 		if rec.declared > 0 {
 			m.Expect = append(m.Expect, expectCount{Sender: sender, SenderInc: rec.inc, Groups: rec.declared})
@@ -250,27 +252,33 @@ func (c *coordinator) reduceViolation() *distViol {
 	return best
 }
 
-// tracePath walks parent encodings from enc back to a root through the
-// owning workers, mirroring the engine's tracePath over the store.
+// tracePath reconstructs the path from a root to enc through the
+// owning workers, mirroring the engine's tracePath over the store: the
+// first hop finds enc by its encoding, every later one names the parent
+// by its global ref at the owner of the ref's shard.
 func (c *coordinator) tracePath(enc []byte) ([]mc.State, error) {
-	var rev []mc.State
-	cur := append([]byte(nil), enc...)
-	for hops := 0; ; hops++ {
-		if hops > int(c.level)+2 {
+	rev := []mc.State{mc.State(enc)}
+	reply, err := c.queryTrace(c.assign[mc.ShardOf(mc.HashState(enc))], &msgTraceQuery{Enc: enc})
+	if err != nil {
+		return nil, err
+	}
+	if !reply.Found {
+		return nil, fmt.Errorf("dist: trace state missing from its owner's store")
+	}
+	for reply.HasParent {
+		if len(rev) > int(c.level)+2 {
 			return nil, fmt.Errorf("dist: trace longer than the search depth; parent chain corrupt")
 		}
-		rev = append(rev, mc.State(cur))
-		reply, err := c.queryParent(cur)
-		if err != nil {
+		ref := reply.Parent
+		owner := c.assign[mc.RefShard(ref)]
+		if reply, err = c.queryTrace(owner, &msgTraceQuery{ByRef: true, Ref: ref}); err != nil {
 			return nil, err
 		}
 		if !reply.Found {
-			return nil, fmt.Errorf("dist: trace state missing from its owner's store")
+			return nil, fmt.Errorf("%w: worker %d holds no state for trace parent ref %#x",
+				mc.ErrCheckpointCorrupt, owner, ref)
 		}
-		if !reply.HasParent {
-			break
-		}
-		cur = reply.Parent
+		rev = append(rev, mc.State(reply.Enc))
 	}
 	out := make([]mc.State, len(rev))
 	for i := range rev {
@@ -279,14 +287,15 @@ func (c *coordinator) tracePath(enc []byte) ([]mc.State, error) {
 	return out, nil
 }
 
-// queryParent asks the owner of enc's shard for its recorded parent,
-// synchronously (the barrier is quiet when traces are reconstructed).
-func (c *coordinator) queryParent(enc []byte) (*msgTraceReply, error) {
-	w := c.workers[c.assign[mc.ShardOf(mc.HashState(enc))]]
+// queryTrace sends one trace query to worker index wi and waits for its
+// reply, synchronously (the barrier is quiet when traces are
+// reconstructed).
+func (c *coordinator) queryTrace(wi uint8, q *msgTraceQuery) (*msgTraceReply, error) {
+	w := c.workers[wi]
 	if !w.alive {
 		return nil, fmt.Errorf("dist: trace owner (worker %d) is not alive", w.index)
 	}
-	c.sendTo(w, &msgTraceQuery{Enc: enc})
+	c.sendTo(w, q)
 	ticks := 0
 	for {
 		ev := <-c.events

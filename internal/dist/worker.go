@@ -29,10 +29,12 @@ package dist
 //
 // Level numbering: level 0 is the initial states (delivered as control
 // batches, never expanded); level L >= 1 is the expansion producing
-// depth-L states. The barrier at Seal(L) writes a delta snapshot —
-// w{i}-l{L}.mc holding only level L's claims plus the worker's current
-// frontier — so a worker's chain of delta files is its whole store,
-// and barrier cost is proportional to the level, not the visited set.
+// depth-L states. The barrier at Seal(L) closes level L-1 into the
+// store's arenas, gives the new frontier its global refs, and writes a
+// snapshot — w{i}-l{L}.mc, holding the arena bytes appended since the
+// last successful write plus the worker's current frontier — so a
+// worker's chain of written files is its whole store, and barrier cost
+// is proportional to the level, not the visited set.
 
 import (
 	"fmt"
@@ -179,7 +181,8 @@ type worker struct {
 	store       *mc.ShardStore
 	assign      [mc.NumShards]uint8
 
-	frontier []uint32
+	frontier []uint32 // live refs, in DrainLevel order
+	refs     []uint32 // the frontier's global refs, aligned
 	stViol   []uint32
 	full     bool
 	expanded uint64
@@ -204,7 +207,6 @@ type worker struct {
 
 	// per-level state
 	buf       sendBuf
-	levelRefs []uint32 // claims drained at the last seal
 	accs      [mc.NumShards]groupAcc
 	gcount    []uint64 // per-destination groups generated by the current expand
 	outFrames []*frameBuf
@@ -396,9 +398,15 @@ func (w *worker) configure(cfg *msgConfig) error {
 	if fm, ok := spec.Model.(mc.FingerprintedModel); ok {
 		w.fingerprint = fm.Fingerprint()
 	}
-	w.store = mc.NewShardStore(cfg.MaxStates)
+	owned := uint64(0)
+	for shard, o := range cfg.Assign {
+		if int(o) == cfg.Index {
+			owned |= 1 << shard
+		}
+	}
+	w.store = mc.NewShardStore(cfg.MaxStates, owned, cfg.NoSeal)
 	w.buf.level = -1
-	if err := w.restore(cfg.Through); err != nil {
+	if err := w.restore(cfg.Restore); err != nil {
 		return err
 	}
 
@@ -424,32 +432,28 @@ func (w *worker) configure(cfg *msgConfig) error {
 	return nil
 }
 
-// restore rebuilds the store from this worker index's delta files for
-// levels 0..through, in order; the last file's frontier becomes the
-// frontier. Restored states claim with key 0 — immutable from birth —
-// so each file's entries migrate straight to the sealed tier (frontier
-// refs included: sealed states expand fine, they just decode per
-// BytesOf).
-func (w *worker) restore(through int32) error {
-	for l := int32(0); l <= through; l++ {
-		path := filepath.Join(w.cfg.SnapshotDir, fmt.Sprintf("w%d-l%d.mc", w.cfg.Index, l))
-		cp, err := mc.ReadCheckpoint(path)
-		if err != nil {
-			return fmt.Errorf("dist: restoring %s: %w", path, err)
-		}
-		var extra []uint32
-		if w.cfg.NoSeal {
-			extra, err = w.store.Merge(cp)
-		} else {
-			extra, err = w.store.MergeSealed(cp)
-		}
-		if err != nil {
-			return fmt.Errorf("dist: restoring %s: %w", path, err)
-		}
-		if l == through {
-			w.frontier = extra
-		}
+// snapshotPath names this worker index's barrier snapshot of a level.
+func (w *worker) snapshotPath(level int32) string {
+	return filepath.Join(w.cfg.SnapshotDir, fmt.Sprintf("w%d-l%d.mc", w.cfg.Index, level))
+}
+
+// restore rebuilds the store from this worker index's acknowledged
+// barrier snapshots of the given levels, in order: the last one's
+// frontier becomes the frontier, with its global refs.
+func (w *worker) restore(levels []int32) error {
+	if len(levels) == 0 {
+		return nil
 	}
+	paths := make([]string, len(levels))
+	for i, l := range levels {
+		paths[i] = w.snapshotPath(l)
+	}
+	frontier, err := w.store.Restore(paths)
+	if err != nil {
+		return fmt.Errorf("dist: restoring worker %d: %w", w.cfg.Index, err)
+	}
+	w.frontier = frontier
+	w.refs = w.store.AssignRefs(frontier)
 	return nil
 }
 
@@ -574,8 +578,8 @@ func (w *worker) handleExpand(payload []byte) error {
 	hasViol := false
 	var touched []uint8 // shards this slot produced foreign successors for
 	for i, slot := range m.Slots {
-		ref := w.frontier[i]
-		sb := w.store.BytesOf(ref)
+		sb := w.store.BytesOf(w.frontier[i])
+		parent := w.refs[i]
 		succs := w.exp.Successors(sb)
 		counts[i] = uint32(len(succs))
 		w.expanded += uint64(len(succs))
@@ -599,7 +603,7 @@ func (w *worker) handleExpand(payload []byte) error {
 			}
 			shard := mc.ShardOf(mc.HashState(succ))
 			if w.assign[shard] == me {
-				w.claim(succ, key, sb, true, m.Base)
+				w.claim(succ, key, parent, true, m.Base)
 			} else {
 				acc := &w.accs[shard]
 				if !acc.active {
@@ -623,8 +627,7 @@ func (w *worker) handleExpand(payload []byte) error {
 			log := &buf.shards[shard]
 			glen := len(log.data)
 			log.data = appendUvarint(log.data, uint64(slot))
-			log.data = appendUvarint(log.data, uint64(len(sb)))
-			log.data = append(log.data, sb...)
+			log.data = appendUvarint(log.data, uint64(parent))
 			log.data = appendUvarint(log.data, uint64(acc.njs))
 			log.data = append(log.data, acc.succs...)
 			log.groups++
@@ -684,7 +687,7 @@ func (w *worker) flushLinks() {
 
 // claim admits one successor into the store: a new state is checked
 // against the state invariant, and a spent budget marks the level full.
-func (w *worker) claim(enc []byte, key uint64, parent []byte, hasParent bool, base uint64) {
+func (w *worker) claim(enc []byte, key uint64, parent uint32, hasParent bool, base uint64) {
 	st, ref := w.store.Claim(enc, key, parent, hasParent, base)
 	if st == mc.ClaimNew && w.stInv != nil && !w.stInv(enc) {
 		w.stViol = append(w.stViol, ref)
@@ -708,7 +711,7 @@ func (w *worker) handleMeshBatch(ev wev) error {
 	if err != nil {
 		return err
 	}
-	n, err := walkMeshGroups(groups, func(slot uint32, parent []byte, j uint32, enc []byte) {
+	n, err := walkMeshGroups(groups, func(slot, parent, j uint32, enc []byte) {
 		key := mc.ClaimKey(base, int(slot), int(j))
 		w.claim(enc, key, parent, true, base)
 	})
@@ -730,9 +733,7 @@ func (w *worker) handleBatch(payload []byte) error {
 	for gi := range m.Groups {
 		g := &m.Groups[gi]
 		for k := range g.Js {
-			enc := g.Encs[k]
-			key := mc.ClaimKey(m.Base, int(g.Slot), int(g.Js[k]))
-			w.claim(enc, key, g.Parent, g.HasParent, m.Base)
+			w.claim(g.Encs[k], m.Base+uint64(g.Js[k]), 0, false, m.Base)
 		}
 	}
 	return nil
@@ -794,50 +795,44 @@ func (w *worker) tryExecSeals() error {
 func (w *worker) execSeal(m *msgSeal) error {
 	w.inj.levelDone(m.Level)
 	w.executedSeqs[m.Seq] = true
-	refs, keys := w.store.DrainLevel()
-	w.frontier = refs
-	// The previous seal's claims are fully expanded (this level's
-	// expansion consumed them) and past any re-keying window
-	// (stale-incarnation redeliveries are idempotent under the min-key
-	// reduction), so they migrate to the sealed tier here. The seal
-	// compacts the live tier, so the refs just drained — held by
-	// w.frontier — are rewritten in place and levelRefs is rebuilt from
-	// the rewritten frontier below.
-	if !w.cfg.NoSeal && len(w.levelRefs) > 0 {
-		w.store.SealLevel(w.levelRefs, w.frontier, w.stViol)
-	}
-	w.levelRefs = append(w.levelRefs[:0], w.frontier...)
 	rep := &msgLevelReport{
-		Level:      m.Level,
-		Seq:        m.Seq,
-		Keys:       keys,
-		States:     w.store.Count(),
-		Resident:   w.store.Resident(),
-		Full:       w.full,
-		Expanded:   w.expanded,
-		WireFrames: w.wireFrames.Load(),
-		WireBytes:  w.wireBytes.Load(),
+		Level: m.Level,
+		Seq:   m.Seq,
+		Full:  w.full,
 	}
 	w.full = false
+	// Keys are final once the level has drained.
 	for _, ref := range w.stViol {
 		rep.StViolKeys = append(rep.StViolKeys, w.store.KeyOf(ref))
 		rep.StViolEncs = append(rep.StViolEncs, w.store.BytesOf(ref))
 	}
 	w.stViol = w.stViol[:0]
-	// The delta snapshot: this level's claims plus the worker's whole
-	// current frontier. Files are kept for the run's lifetime since each
-	// is the only copy of its level.
-	path := filepath.Join(w.cfg.SnapshotDir, fmt.Sprintf("w%d-l%d.mc", w.cfg.Index, m.Level))
+	frontier, keys := w.store.DrainLevel()
+	// The frontier just expanded is past any re-keying window
+	// (stale-incarnation redeliveries are idempotent under the min-key
+	// reduction), so it closes into the arenas here; the seal compacts
+	// the live tier, rewriting the refs just drained in place. The new
+	// frontier then takes the global refs its children claim with.
+	w.store.SealLevel(w.frontier, frontier)
+	w.frontier = frontier
+	w.refs = w.store.AssignRefs(frontier)
+	rep.Keys = keys
+	rep.States = w.store.Count()
+	rep.Resident = w.store.Resident()
+	rep.Expanded = w.expanded
+	rep.WireFrames = w.wireFrames.Load()
+	rep.WireBytes = w.wireBytes.Load()
+	// The barrier snapshot. Files are kept for the run's lifetime: each
+	// holds the only copy of its segment.
 	_, werr := retry.Do(workerWriteAttempts, workerWriteBackoff, nil, func() error {
 		if err := w.inj.beforeWrite(); err != nil {
 			return err
 		}
-		return w.store.WriteDelta(path, m.Level+1, w.cfg.Reduced, w.fingerprint, w.levelRefs, w.frontier)
+		return w.store.WriteSnapshot(w.snapshotPath(m.Level), m.Level, w.cfg.Reduced, w.fingerprint, m.Next, w.frontier)
 	})
 	if werr != nil {
-		// A failed snapshot is reported, not fatal: the run only loses
-		// this worker's restore point (recover.go refuses a later death
-		// of it).
+		// A failed snapshot is reported, not fatal: the next barrier's
+		// file repairs it (recover.go refuses a death before then).
 		rep.SnapshotErr = werr.Error()
 	}
 	// Counts for levels this seal closes can no longer be referenced by
@@ -899,8 +894,13 @@ func (w *worker) handleTraceQuery(payload []byte) error {
 	if w.store == nil {
 		return fmt.Errorf("dist: TraceQuery before Config")
 	}
-	parent, hasParent, found := w.store.ParentOf(m.Enc)
-	return w.send(&msgTraceReply{Found: found, HasParent: hasParent, Parent: []byte(parent)})
+	reply := &msgTraceReply{}
+	if m.ByRef {
+		reply.Enc, reply.Parent, reply.HasParent, reply.Found = w.store.StateOf(m.Ref)
+	} else {
+		reply.Parent, reply.HasParent, reply.Found = w.store.ParentOf(m.Enc)
+	}
+	return w.send(reply)
 }
 
 // appendUvarint appends v to dst in varint encoding.

@@ -1,6 +1,7 @@
 package mc
 
-// Checkpoint codec for the BFS engine and the distributed layer.
+// The checkpoint codec of the BFS engine and of the distributed layer's
+// barrier snapshots: one format, version 5, for both.
 //
 // An engine checkpoint is taken at a level boundary — the only point
 // where the whole search state is a frontier, a visited set, and two
@@ -22,12 +23,14 @@ package mc
 // arenas its sealing twin would hold at the same cut, so both modes
 // write the same bytes and either mode resumes either file.
 //
-// Version 4 (Checkpoint) is the per-state format of the distributed
-// layer's per-level deltas (ShardStore.WriteDelta): one record per
-// state with its parent's encoding, because a worker's parents live on
-// other workers. ReadCheckpoint reads only that version and the engine
-// resumes only version 5; checkpoints are transient resume files, so
-// any other version is refused as corrupt.
+// A distributed worker writes the same layout at every level barrier
+// (ShardStore.WriteSnapshot), holding only its own shards and, per
+// shard, only the arena bytes appended since its last successful write:
+// a segment. Its chain of barrier files concatenates, segment after
+// segment, into the arenas an engine checkpoint at that barrier would
+// hold for those shards, and is restored through the same checked
+// sweep (ShardStore.Restore). Checkpoints are transient resume files,
+// so any other version is refused as corrupt.
 //
 // The on-disk format is versioned, length-guarded and closed by an
 // FNV-64a checksum over the payload; files are written to a temp file in
@@ -53,15 +56,12 @@ import (
 
 const (
 	checkpointMagic = "TTAMCCP\x00"
-	// checkpointVersion is the per-state format of the distributed
-	// layer's delta files, the only one ReadCheckpoint accepts.
-	// checkpointVersionSealed is the two-tier engine snapshot every
-	// in-process search writes and resumes: the sealed arenas are
-	// serialized wholesale and the live tier — exactly the frontier at a
-	// level boundary — keeps its real claim keys and parent refs, so a
-	// resumed search is byte-identical to the uninterrupted one.
-	checkpointVersion       = 4
-	checkpointVersionSealed = 5
+	// checkpointVersion is the two-tier snapshot every search writes and
+	// resumes: the sealed arenas are serialized wholesale and the live
+	// tier — exactly the frontier at a level boundary — keeps its real
+	// claim keys and parent refs, so a resumed search is byte-identical
+	// to the uninterrupted one.
+	checkpointVersion = 5
 )
 
 // checkpointFlagReduced marks a snapshot of a reduced (quotient) search
@@ -81,36 +81,6 @@ var ErrCheckpointCorrupt = errors.New("mc: checkpoint corrupt")
 // would decode as garbage.
 var ErrModelMismatch = errors.New("mc: checkpoint model mismatch")
 
-// Checkpoint is a per-state (version 4) snapshot: a distributed
-// worker's delta for one level.
-type Checkpoint struct {
-	// Depth is the next BFS level to expand.
-	Depth int32
-	// ResultDepth and Transitions carry the Result counters accumulated
-	// by the levels already completed.
-	ResultDepth int
-	Transitions int
-	// Reduced records whether the snapshot belongs to a reduced search:
-	// its states are canonical representatives.
-	Reduced bool
-	// Fingerprint is the digest of the model configuration the snapshot
-	// was taken under (FingerprintedModel); 0 when the model carries
-	// none.
-	Fingerprint uint64
-	// Frontier is the next frontier in serial claim-key order.
-	Frontier []State
-	// Visited is every admitted state with its trace-reconstruction
-	// record, in canonical (state-sorted) order.
-	Visited []VisitedEntry
-}
-
-// VisitedEntry is one visited-set record in a checkpoint.
-type VisitedEntry struct {
-	State     State
-	Parent    State
-	HasParent bool
-}
-
 // cpWriter serializes with uvarints and a sticky error.
 type cpWriter struct {
 	w       io.Writer
@@ -129,26 +99,10 @@ func (w *cpWriter) uvarint(v uint64) {
 	w.raw(w.scratch[:n])
 }
 
-// bstr writes a length-prefixed byte string without the State round
-// trip — the streaming delta writer feeds store-log slices straight
-// through, so the hot path stays allocation-free.
+// bstr writes a length-prefixed byte string.
 func (w *cpWriter) bstr(b []byte) {
 	w.uvarint(uint64(len(b)))
 	w.raw(b)
-}
-
-func (w *cpWriter) byte1(b byte) {
-	w.scratch[0] = b
-	w.raw(w.scratch[:1])
-}
-
-// sstr writes a length-prefixed string without converting to []byte;
-// io.WriteString reaches bufio's copy-free WriteString fast path.
-func (w *cpWriter) sstr(s string) {
-	w.uvarint(uint64(len(s)))
-	if w.err == nil {
-		_, w.err = io.WriteString(w.w, s)
-	}
 }
 
 // checkpointWrapWriter is a test seam: when non-nil, writeCheckpointFile
@@ -168,10 +122,10 @@ const (
 
 // writeCheckpointFile owns the checkpoint file envelope — temp file,
 // magic + version header, FNV-64a trailer, atomic rename — around a
-// caller-supplied body. Every checkpoint-format file (full engine
-// snapshots and the distributed layer's per-level shard deltas) goes
-// through here so the envelope, the test write-wrap seam and the
-// crash-consistency guarantees stay identical.
+// caller-supplied body. Every checkpoint file (engine snapshots and the
+// distributed layer's barrier snapshots) goes through here so the
+// envelope, the test write-wrap seam and the crash-consistency
+// guarantees stay identical.
 func writeCheckpointFile(path string, version uint64, body func(w *cpWriter)) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".mc-checkpoint-*")
 	if err != nil {
@@ -234,23 +188,6 @@ func (r *cpReader) uvarint() uint64 {
 	return v
 }
 
-func (r *cpReader) str() State {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(r.r.Len()) {
-		r.err = fmt.Errorf("%w: string length %d exceeds remaining payload", ErrCheckpointCorrupt, n)
-		return ""
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r.r, buf); err != nil {
-		r.err = fmt.Errorf("%w: truncated", ErrCheckpointCorrupt)
-		return ""
-	}
-	return State(buf)
-}
-
 func (r *cpReader) count() int {
 	n := r.uvarint()
 	// Every counted element occupies at least one payload byte.
@@ -286,45 +223,6 @@ func readCheckpointEnvelope(path string, version uint64) (*cpReader, error) {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCheckpointCorrupt, got)
 	}
 	return r, r.err
-}
-
-// ReadCheckpoint loads and validates a per-state (version 4) file — a
-// distributed worker's delta. Any other version, engine checkpoints
-// included, is refused with ErrCheckpointCorrupt. A missing file
-// surfaces as an error wrapping os.ErrNotExist.
-func ReadCheckpoint(path string) (*Checkpoint, error) {
-	r, err := readCheckpointEnvelope(path, checkpointVersion)
-	if err != nil {
-		return nil, err
-	}
-	cp := &Checkpoint{
-		Depth:       int32(r.uvarint()),
-		ResultDepth: int(r.uvarint()),
-		Transitions: int(r.uvarint()),
-	}
-	cp.Reduced = r.uvarint()&checkpointFlagReduced != 0
-	cp.Fingerprint = r.uvarint()
-	cp.Frontier = make([]State, 0, r.count())
-	for i := cap(cp.Frontier); i > 0 && r.err == nil; i-- {
-		cp.Frontier = append(cp.Frontier, r.str())
-	}
-	cp.Visited = make([]VisitedEntry, 0, r.count())
-	for i := cap(cp.Visited); i > 0 && r.err == nil; i-- {
-		e := VisitedEntry{State: r.str(), Parent: r.str()}
-		var flags [1]byte
-		if _, err := io.ReadFull(r.r, flags[:]); err != nil {
-			r.err = fmt.Errorf("%w: truncated", ErrCheckpointCorrupt)
-		}
-		e.HasParent = flags[0] != 0
-		cp.Visited = append(cp.Visited, e)
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.r.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCheckpointCorrupt, r.r.Len())
-	}
-	return cp, nil
 }
 
 // bytes reads a length-prefixed byte blob with an allocation guard.
@@ -451,7 +349,7 @@ func (v *visitedSet) sealedTwin(frontier []uint32, shards *[numShards]sealedShar
 			if e.meta&hasParentBit != 0 {
 				pw = uint64(remap(e.parent)) + 1
 			}
-			ss.appendEntry(v.encOfLive(e, e.meta), pw, true)
+			ss.appendEntry(v.encOfLive(e, e.meta), pw)
 		}
 		shards[si] = sealedShardSnap{count: ss.count, restarts: ss.restarts, blob: ss.blob}
 	}
@@ -460,7 +358,7 @@ func (v *visitedSet) sealedTwin(frontier []uint32, shards *[numShards]sealedShar
 
 // writeSealedSnap writes s5 as a version-5 file.
 func writeSealedSnap(path string, s5 *sealedSnap) error {
-	return writeCheckpointFile(path, checkpointVersionSealed, func(w *cpWriter) {
+	return writeCheckpointFile(path, checkpointVersion, func(w *cpWriter) {
 		w.uvarint(uint64(uint32(s5.depth)))
 		w.uvarint(uint64(s5.resultDepth))
 		w.uvarint(uint64(s5.transitions))
@@ -508,29 +406,38 @@ func readSealedSnap(path string) (*sealedSnap, error) {
 	if path == "" {
 		return nil, nil
 	}
-	r, err := readCheckpointEnvelope(path, checkpointVersionSealed)
+	s5 := &sealedSnap{}
+	err := s5.load(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, err
 	}
-	return parseSealedSnap(r)
+	return s5, nil
 }
 
 // minSealedRecord is the smallest arena record: a one-byte parent word
 // and a one-byte encoding length.
 const minSealedRecord = 2
 
-// parseSealedSnap parses a version-5 body. Arena bytes are validated
+// load reads the version-5 file at path onto s5: each shard's arena
+// section is appended to s5's arena for that shard, and the file's
+// header and live tier replace s5's. Loaded into an empty snapshot, one
+// file is an engine checkpoint; a worker's barrier files loaded in
+// order concatenate its segments (ShardStore.Restore). Restart offsets
+// are written relative to the section's own bytes, and a section holds
+// the restarts of the ordinals it appends. Arena bytes are validated
 // later, by restore's checked decode sweep; this pass only enforces
 // structural bounds.
-func parseSealedSnap(r *cpReader) (*sealedSnap, error) {
-	s5 := &sealedSnap{
-		depth:       int32(r.uvarint()),
-		resultDepth: int(r.uvarint()),
-		transitions: int(r.uvarint()),
+func (s5 *sealedSnap) load(path string) error {
+	r, err := readCheckpointEnvelope(path, checkpointVersion)
+	if err != nil {
+		return err
 	}
+	s5.depth = int32(r.uvarint())
+	s5.resultDepth = int(r.uvarint())
+	s5.transitions = int(r.uvarint())
 	s5.reduced = r.uvarint()&checkpointFlagReduced != 0
 	s5.fingerprint = r.uvarint()
 	s5.nextBase = r.uvarint()
@@ -538,60 +445,75 @@ func parseSealedSnap(r *cpReader) (*sealedSnap, error) {
 		sn := &s5.shards[si]
 		cnt := r.uvarint()
 		if r.err != nil {
-			return nil, r.err
+			return r.err
 		}
-		if cnt > maxOrdinal {
-			return nil, fmt.Errorf("%w: sealed shard holds %d entries", ErrCheckpointCorrupt, cnt)
+		if cnt > maxOrdinal-uint64(sn.count) {
+			return fmt.Errorf("%w: sealed shard holds over %d entries", ErrCheckpointCorrupt, maxOrdinal)
 		}
-		sn.count = uint32(cnt)
-		nres := (int(cnt) + sealedRestartEvery - 1) / sealedRestartEvery
+		first := (int(sn.count) + sealedRestartEvery - 1) / sealedRestartEvery
+		nres := (int(sn.count)+int(cnt)+sealedRestartEvery-1)/sealedRestartEvery - first
 		if uint64(nres) > uint64(r.r.Len()) {
-			return nil, fmt.Errorf("%w: restart count exceeds remaining payload", ErrCheckpointCorrupt)
+			return fmt.Errorf("%w: restart count exceeds remaining payload", ErrCheckpointCorrupt)
 		}
-		prev := uint64(0)
+		base, prev := uint64(len(sn.blob)), uint64(0)
 		for i := 0; i < nres; i++ {
 			prev += r.uvarint()
-			if prev > uint64(1)<<32-1 {
-				return nil, fmt.Errorf("%w: restart offset overflow", ErrCheckpointCorrupt)
+			if base+prev > uint64(1)<<32-1 {
+				return fmt.Errorf("%w: restart offset overflow", ErrCheckpointCorrupt)
 			}
-			sn.restarts = append(sn.restarts, uint32(prev))
+			sn.restarts = append(sn.restarts, uint32(base+prev))
 		}
-		sn.blob = r.bytes()
+		blob := r.bytes()
 		if r.err != nil {
-			return nil, r.err
+			return r.err
 		}
-		if nres > 0 && (sn.restarts[0] != 0 || int(sn.restarts[nres-1]) >= len(sn.blob)) {
-			return nil, fmt.Errorf("%w: restart offsets out of range", ErrCheckpointCorrupt)
+		onRestart := sn.count%sealedRestartEvery == 0
+		if nres > 0 && ((onRestart && sn.restarts[first] != uint32(base)) || prev >= uint64(len(blob))) {
+			return fmt.Errorf("%w: restart offsets out of range", ErrCheckpointCorrupt)
 		}
-		if cnt == 0 && len(sn.blob) != 0 {
-			return nil, fmt.Errorf("%w: empty sealed shard with arena bytes", ErrCheckpointCorrupt)
+		if cnt == 0 && len(blob) != 0 {
+			return fmt.Errorf("%w: empty sealed shard with arena bytes", ErrCheckpointCorrupt)
 		}
-		if cnt*minSealedRecord > uint64(len(sn.blob)) {
-			return nil, fmt.Errorf("%w: %d sealed entries in %d arena bytes", ErrCheckpointCorrupt, cnt, len(sn.blob))
+		if cnt*minSealedRecord > uint64(len(blob)) {
+			return fmt.Errorf("%w: %d sealed entries in %d arena bytes", ErrCheckpointCorrupt, cnt, len(blob))
+		}
+		sn.count += uint32(cnt)
+		switch {
+		case len(blob) == 0:
+		case sn.blob == nil:
+			sn.blob = blob
+		default:
+			sn.blob = append(sn.blob, blob...)
 		}
 	}
 	n := r.count()
+	s5.live = make([]liveSnapEntry, 0, n)
 	for i := 0; i < n && r.err == nil; i++ {
 		le := liveSnapEntry{enc: r.bytes()}
 		le.key = r.uvarint()
 		le.pw = r.uvarint()
 		if r.err == nil && le.key > keyMask {
-			return nil, fmt.Errorf("%w: live claim key out of range", ErrCheckpointCorrupt)
+			return fmt.Errorf("%w: live claim key out of range", ErrCheckpointCorrupt)
 		}
 		s5.live = append(s5.live, le)
 	}
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if r.r.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCheckpointCorrupt, r.r.Len())
+		return fmt.Errorf("%w: %d trailing bytes", ErrCheckpointCorrupt, r.r.Len())
 	}
-	return s5, nil
+	return nil
 }
 
+// allShards is the ownership mask of a set holding the whole search.
+const allShards = ^uint64(0)
+
 // parentRef checks a parent word against the snapshot's sealed tier: a
-// parent is always sealed, whichever tier its child is in.
-func (s5 *sealedSnap) parentRef(pw uint64) (ref uint32, hasParent bool, err error) {
+// parent is always sealed, whichever tier its child is in. A parent in
+// a shard owned elsewhere cannot be checked here; its owner refuses it
+// if it does not hold it.
+func (s5 *sealedSnap) parentRef(pw uint64, owned uint64) (ref uint32, hasParent bool, err error) {
 	if pw == 0 {
 		return 0, false, nil
 	}
@@ -599,18 +521,21 @@ func (s5 *sealedSnap) parentRef(pw uint64) (ref uint32, hasParent bool, err erro
 		return 0, false, fmt.Errorf("%w: parent ref overflow", ErrCheckpointCorrupt)
 	}
 	ref = uint32(pw - 1)
-	if ref>>shardBits >= s5.shards[ref&(numShards-1)].count {
+	s := ref & (numShards - 1)
+	if owned&(1<<s) != 0 && ref>>shardBits >= s5.shards[s].count {
 		return 0, false, fmt.Errorf("%w: parent ref beyond sealed tier", ErrCheckpointCorrupt)
 	}
 	return ref, true, nil
 }
 
-// restore loads an engine checkpoint into an empty set and returns the
-// frontier refs; with the snapshot's nextBase they continue the
-// interrupted run byte-for-byte, under either seal mode.
+// restore loads a checkpoint into an empty set and returns the frontier
+// refs; with the snapshot's nextBase they continue the interrupted run
+// byte-for-byte, under either seal mode. owned is the set of shards the
+// set holds (allShards for the engine; a distributed worker's own).
 //
 // One checked decode sweep runs over each shard's arena. Every entry
-// must hash to the shard it is stored in and appear once. A sealing set
+// must hash to the shard it is stored in, that shard must be owned,
+// and the entry must appear once. A sealing set
 // installs the arena wholesale and rebuilds its probe index, replaying
 // the writer's growth schedule so capacities — and resident bytes —
 // come out exactly as written. A set that seals nothing (noSeal)
@@ -618,7 +543,7 @@ func (s5 *sealedSnap) parentRef(pw uint64) (ref uint32, hasParent bool, err erro
 // mints; the entry lands on ref makeRef(shard, ordinal), so the sealed
 // parent refs stay valid. Both then claim the live tier with its real
 // keys in frontier order.
-func (v *visitedSet) restore(s5 *sealedSnap, noSeal bool) ([]uint32, error) {
+func (v *visitedSet) restore(s5 *sealedSnap, noSeal bool, owned uint64) ([]uint32, error) {
 	total := int64(len(s5.live))
 	for i := range s5.shards {
 		total += int64(s5.shards[i].count)
@@ -633,6 +558,9 @@ func (v *visitedSet) restore(s5 *sealedSnap, noSeal bool) ([]uint32, error) {
 		if sn.count == 0 {
 			continue
 		}
+		if owned&(1<<si) == 0 {
+			return nil, fmt.Errorf("%w: arena for shard %d, which is not owned here", ErrCheckpointCorrupt, si)
+		}
 		sh := &v.shards[si]
 		ss := &sealedShard{}
 		if !noSeal {
@@ -644,13 +572,13 @@ func (v *visitedSet) restore(s5 *sealedSnap, noSeal bool) ([]uint32, error) {
 			ss.index = make([]uint32, newLen)
 		}
 		ss.count, ss.blob, ss.restarts = sn.count, sn.blob, sn.restarts
-		d.startAt(ss, 0, true)
+		d.startAt(ss, 0)
 		for d.ord < sn.count {
 			ord := d.ord
 			if err := d.stepChecked(len(ss.blob)); err != nil {
 				return nil, fmt.Errorf("%w: shard %d ordinal %d: %v", ErrCheckpointCorrupt, si, ord, err)
 			}
-			parent, hasParent, err := s5.parentRef(d.pw)
+			parent, hasParent, err := s5.parentRef(d.pw, owned)
 			if err != nil {
 				return nil, err
 			}
@@ -664,7 +592,7 @@ func (v *visitedSet) restore(s5 *sealedSnap, noSeal bool) ([]uint32, error) {
 				st, ref := v.claim(d.enc, h, parent, 0, hasParent, 1, nil)
 				dup = st != ClaimNew || ref != makeRef(uint32(si), ord)
 			} else {
-				_, dup = ss.find(uint32(h>>32), d.enc, &probe, true)
+				_, dup = ss.find(uint32(h>>32), d.enc, &probe)
 				ss.indexInsert(uint32(h>>32), ord)
 			}
 			if dup {
@@ -691,11 +619,15 @@ func (v *visitedSet) restore(s5 *sealedSnap, noSeal bool) ([]uint32, error) {
 		if le.key >= s5.nextBase {
 			return nil, fmt.Errorf("%w: live claim key at or past the resumed base", ErrCheckpointCorrupt)
 		}
-		parent, hasParent, err := s5.parentRef(le.pw)
+		parent, hasParent, err := s5.parentRef(le.pw, owned)
 		if err != nil {
 			return nil, err
 		}
-		st, ref := v.claim(le.enc, hashBytes(le.enc), parent, le.key, hasParent, le.key+1, &pc)
+		h := hashBytes(le.enc)
+		if owned&(1<<ShardOf(h)) == 0 {
+			return nil, fmt.Errorf("%w: live state of shard %d, which is not owned here", ErrCheckpointCorrupt, ShardOf(h))
+		}
+		st, ref := v.claim(le.enc, h, parent, le.key, hasParent, le.key+1, &pc)
 		if st != ClaimNew {
 			return nil, fmt.Errorf("%w: duplicate live state", ErrCheckpointCorrupt)
 		}

@@ -45,23 +45,17 @@ func (tw *tornWriter) Write(p []byte) (int, error) {
 // altCheckpoint is a snapshot distinguishable from sampleCheckpoint in
 // every field, so a partially applied overwrite cannot masquerade as
 // either complete snapshot.
-func altCheckpoint() *Checkpoint {
-	return &Checkpoint{
-		Depth:       9,
-		ResultDepth: 8,
-		Transitions: 9876,
-		Fingerprint: 0x0123456789abcdef,
-		Frontier:    []State{"x", "yy"},
-		Visited: []VisitedEntry{
-			{State: "x", Parent: "", HasParent: false},
-			{State: "yy", Parent: "x", HasParent: true},
-		},
-	}
+func altCheckpoint() *sealedSnap {
+	s5 := &sealedSnap{depth: 9, resultDepth: 8, transitions: 9876, reduced: true,
+		fingerprint: 0x0123456789abcdef, nextBase: 4 << keySuccBits}
+	s5.shards[17] = snapArena("x", "xy", "xyz")
+	s5.live = []liveSnapEntry{{enc: []byte("yy"), key: 3 << keySuccBits, pw: uint64(makeRef(17, 1)) + 1}}
+	return s5
 }
 
 // TestCheckpointTornWriteKeepsOldSnapshot kills the serialization stream
 // at every byte offset of an overwriting snapshot and checks, after each
-// failed attempt, that (a) WriteCheckpoint reported the failure, (b) the
+// failed attempt, that (a) writeSealedSnap reported the failure, (b) the
 // pre-existing snapshot still reads back byte-identical, and (c) no temp
 // file is left behind. A final unwrapped write must then succeed — the
 // torn attempts may not have wedged the path.
@@ -69,7 +63,7 @@ func TestCheckpointTornWriteKeepsOldSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "cp")
 	old := sampleCheckpoint()
-	if err := WriteCheckpoint(path, old); err != nil {
+	if err := writeSealedSnap(path, old); err != nil {
 		t.Fatalf("seed write: %v", err)
 	}
 	seed, err := os.ReadFile(path)
@@ -81,7 +75,7 @@ func TestCheckpointTornWriteKeepsOldSnapshot(t *testing.T) {
 	// counting pass against a scratch path.
 	repl := altCheckpoint()
 	scratch := filepath.Join(dir, "scratch")
-	if err := WriteCheckpoint(scratch, repl); err != nil {
+	if err := writeSealedSnap(scratch, repl); err != nil {
 		t.Fatalf("scratch write: %v", err)
 	}
 	scratchData, err := os.ReadFile(scratch)
@@ -98,10 +92,10 @@ func TestCheckpointTornWriteKeepsOldSnapshot(t *testing.T) {
 		checkpointWrapWriter = func(w io.Writer) io.Writer {
 			return &tornWriter{w: w, limit: cut}
 		}
-		if err := WriteCheckpoint(path, repl); !errors.Is(err, errTorn) {
+		if err := writeSealedSnap(path, repl); !errors.Is(err, errTorn) {
 			t.Fatalf("cut at %d: got %v, want errTorn", cut, err)
 		}
-		got, err := ReadCheckpoint(path)
+		got, err := readSealedSnap(path)
 		if err != nil {
 			t.Fatalf("cut at %d: old snapshot unreadable: %v", cut, err)
 		}
@@ -129,10 +123,10 @@ func TestCheckpointTornWriteKeepsOldSnapshot(t *testing.T) {
 	}
 
 	checkpointWrapWriter = nil
-	if err := WriteCheckpoint(path, repl); err != nil {
+	if err := writeSealedSnap(path, repl); err != nil {
 		t.Fatalf("final write: %v", err)
 	}
-	got, err := ReadCheckpoint(path)
+	got, err := readSealedSnap(path)
 	if err != nil {
 		t.Fatalf("final read: %v", err)
 	}
@@ -141,7 +135,7 @@ func TestCheckpointTornWriteKeepsOldSnapshot(t *testing.T) {
 	}
 }
 
-// enospcWriter fails every write with ENOSPC — a whole WriteCheckpoint
+// enospcWriter fails every write with ENOSPC — a whole checkpoint write
 // attempt dies transiently.
 type enospcWriter struct{}
 
@@ -216,9 +210,7 @@ func TestWriteCheckpointRetryPermanent(t *testing.T) {
 // so a post-mortem can inspect exactly what the crash left behind.
 func TestReadCheckpointLeavesCorruptFileIntact(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cp")
-	if err := WriteCheckpoint(path, sampleCheckpoint()); err != nil {
-		t.Fatalf("write: %v", err)
-	}
+	writeSample(t, path, sampleCheckpoint())
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +220,7 @@ func TestReadCheckpointLeavesCorruptFileIntact(t *testing.T) {
 	if err := os.WriteFile(path, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadCheckpoint(path); !errors.Is(err, ErrCheckpointCorrupt) {
+	if _, err := readSealedSnap(path); !errors.Is(err, ErrCheckpointCorrupt) {
 		t.Fatalf("got %v, want ErrCheckpointCorrupt", err)
 	}
 	after, err := os.ReadFile(path)
@@ -238,58 +230,6 @@ func TestReadCheckpointLeavesCorruptFileIntact(t *testing.T) {
 	if string(after) != string(bad) {
 		t.Fatal("reader modified the corrupt file")
 	}
-}
-
-// FuzzReadCheckpoint throws arbitrary bytes at the reader. The contract
-// under fuzzing: never panic, never modify the input file, and any bytes
-// it does accept must round-trip — re-serializing the accepted snapshot
-// and re-reading it yields the same value.
-func FuzzReadCheckpoint(f *testing.F) {
-	seedDir := f.TempDir()
-	seedPath := filepath.Join(seedDir, "seed")
-	if err := WriteCheckpoint(seedPath, sampleCheckpoint()); err != nil {
-		f.Fatal(err)
-	}
-	valid, err := os.ReadFile(seedPath)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add([]byte{})
-	f.Add([]byte(checkpointMagic))
-	mut := append([]byte(nil), valid...)
-	mut[len(checkpointMagic)] ^= 0x01 // version byte
-	f.Add(mut)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		path := filepath.Join(t.TempDir(), "cp")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		cp, err := ReadCheckpoint(path)
-		after, rerr := os.ReadFile(path)
-		if rerr != nil {
-			t.Fatal(rerr)
-		}
-		if string(after) != string(data) {
-			t.Fatal("reader modified the file")
-		}
-		if err != nil {
-			return
-		}
-		back := filepath.Join(t.TempDir(), "back")
-		if err := WriteCheckpoint(back, cp); err != nil {
-			t.Fatalf("re-serialize accepted snapshot: %v", err)
-		}
-		cp2, err := ReadCheckpoint(back)
-		if err != nil {
-			t.Fatalf("re-read re-serialized snapshot: %v", err)
-		}
-		if !reflect.DeepEqual(cp, cp2) {
-			t.Fatalf("accepted snapshot does not round-trip:\n got %+v\nthen %+v", cp, cp2)
-		}
-	})
 }
 
 // FuzzResumeCheckpoint throws arbitrary engine-checkpoint payloads at

@@ -3,6 +3,7 @@ package mc
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"os"
 	"path/filepath"
@@ -11,40 +12,86 @@ import (
 	"testing"
 )
 
-// WriteCheckpoint atomically writes cp to path in the per-state
-// (version 4) format: the fixture writer for the delta reader's tests.
-// Production deltas come from ShardStore.WriteDelta.
-func WriteCheckpoint(path string, cp *Checkpoint) error {
-	return writeCheckpointFile(path, checkpointVersion, func(w *cpWriter) {
-		w.uvarint(uint64(uint32(cp.Depth)))
-		w.uvarint(uint64(cp.ResultDepth))
-		w.uvarint(uint64(cp.Transitions))
-		flags := uint64(0)
-		if cp.Reduced {
-			flags |= checkpointFlagReduced
-		}
-		w.uvarint(flags)
-		w.uvarint(cp.Fingerprint)
-		w.uvarint(uint64(len(cp.Frontier)))
-		for _, s := range cp.Frontier {
-			w.str(s)
-		}
-		w.uvarint(uint64(len(cp.Visited)))
-		for _, e := range cp.Visited {
-			w.str(e.State)
-			w.str(e.Parent)
-			flags := byte(0)
-			if e.HasParent {
-				flags = 1
-			}
-			w.raw([]byte{flags})
-		}
-	})
+// legacyCheckpoint is a per-state checkpoint in one of the retired
+// formats, versions 1–4: one record per state with its parent's
+// encoding. Only the fixtures pinning their refusal still write it.
+type legacyCheckpoint struct {
+	Depth       int32
+	ResultDepth int
+	Transitions int
+	Reduced     bool
+	Fingerprint uint64
+	Frontier    []State
+	Visited     []legacyEntry
 }
 
-func (w *cpWriter) str(s State) {
-	w.uvarint(uint64(len(s)))
-	w.raw([]byte(s))
+type legacyEntry struct {
+	State     State
+	Parent    State
+	HasParent bool
+}
+
+// legacyBytes serializes lc as a checksummed file of the given retired
+// version, byte for byte what a build of that version wrote: version 1
+// adds a claim key and a depth per entry, version 2 has no flags word,
+// version 3 no fingerprint, version 4 has both.
+func legacyBytes(version uint64, lc *legacyCheckpoint) []byte {
+	payload := []byte(checkpointMagic)
+	u := func(v uint64) { payload = binary.AppendUvarint(payload, v) }
+	str := func(s State) {
+		u(uint64(len(s)))
+		payload = append(payload, s...)
+	}
+	u(version)
+	u(uint64(uint32(lc.Depth)))
+	u(uint64(lc.ResultDepth))
+	u(uint64(lc.Transitions))
+	if version >= 3 {
+		flags := uint64(0)
+		if lc.Reduced {
+			flags |= checkpointFlagReduced
+		}
+		u(flags)
+	}
+	if version >= 4 {
+		u(lc.Fingerprint)
+	}
+	u(uint64(len(lc.Frontier)))
+	for _, s := range lc.Frontier {
+		str(s)
+	}
+	u(uint64(len(lc.Visited)))
+	for i, e := range lc.Visited {
+		str(e.State)
+		str(e.Parent)
+		if version == 1 {
+			u(uint64(i * 3)) // claim key
+			u(uint64(i))     // depth
+		}
+		flags := byte(0)
+		if e.HasParent {
+			flags = 1
+		}
+		payload = append(payload, flags)
+	}
+	h := fnv.New64a()
+	h.Write(payload)
+	return binary.BigEndian.AppendUint64(payload, h.Sum64())
+}
+
+func sampleLegacy() *legacyCheckpoint {
+	return &legacyCheckpoint{
+		Depth:       7,
+		ResultDepth: 6,
+		Transitions: 1234,
+		Fingerprint: 0xdeadbeefcafef00d,
+		Frontier:    []State{"b", "", "c\x00d"},
+		Visited: []legacyEntry{
+			{State: "", Parent: "", HasParent: false},
+			{State: "b", Parent: "", HasParent: true},
+			{State: "c\x00d", Parent: "b", HasParent: true},
+		},
+	}
 }
 
 // readEngineSnap parses the engine checkpoint at path.
@@ -59,45 +106,62 @@ func readEngineSnap(t testing.TB, path string) *sealedSnap {
 
 // restoreFresh restores s5 into a fresh set under the given seal mode.
 func restoreFresh(s5 *sealedSnap, noSeal bool, maxStates int) error {
-	_, err := newVisitedSet(maxStates).restore(s5, noSeal)
+	_, err := newVisitedSet(maxStates).restore(s5, noSeal, allShards)
 	return err
 }
 
-func sampleCheckpoint() *Checkpoint {
-	return &Checkpoint{
-		Depth:       7,
-		ResultDepth: 6,
-		Transitions: 1234,
-		Fingerprint: 0xdeadbeefcafef00d,
-		Frontier:    []State{"b", "", "c\x00d"},
-		Visited: []VisitedEntry{
-			{State: "", Parent: "", HasParent: false},
-			{State: "b", Parent: "", HasParent: true},
-			{State: "c\x00d", Parent: "b", HasParent: true},
-		},
+// snapArena encodes records into a checkpoint shard section.
+func snapArena(encs ...string) sealedShardSnap {
+	var ss sealedShard
+	for i, e := range encs {
+		ss.appendEntry([]byte(e), uint64(i%3))
+	}
+	return sealedShardSnap{count: ss.count, restarts: ss.restarts, blob: ss.blob}
+}
+
+// sampleCheckpoint is a small version-5 file's content: two arenas, one
+// past its first restart interval, and a live tier that includes the
+// empty encoding.
+func sampleCheckpoint() *sealedSnap {
+	s5 := &sealedSnap{depth: 7, resultDepth: 6, transitions: 1234,
+		fingerprint: 0xdeadbeefcafef00d, nextBase: 9 << keySuccBits}
+	var encs []string
+	for i := 0; i < sealedRestartEvery+4; i++ {
+		encs = append(encs, fmt.Sprintf("state-%02d", i))
+	}
+	s5.shards[3] = snapArena(encs...)
+	s5.shards[40] = snapArena("c\x00d")
+	s5.live = []liveSnapEntry{
+		{enc: []byte("b"), key: 5 << keySuccBits, pw: uint64(makeRef(3, 2)) + 1},
+		{enc: []byte{}, key: 5<<keySuccBits + 1},
+		{enc: []byte("c\x00d"), key: 6 << keySuccBits, pw: uint64(makeRef(40, 0)) + 1},
+	}
+	return s5
+}
+
+func writeSample(t *testing.T, path string, s5 *sealedSnap) {
+	t.Helper()
+	if err := writeSealedSnap(path, s5); err != nil {
+		t.Fatalf("write: %v", err)
 	}
 }
 
 func TestCheckpointCodecRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cp")
-	want := sampleCheckpoint()
-	if err := WriteCheckpoint(path, want); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	got, err := ReadCheckpoint(path)
-	if err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
+	for _, reduced := range []bool{false, true} {
+		want := sampleCheckpoint()
+		want.reduced = reduced
+		writeSample(t, path, want)
+		got := readEngineSnap(t, path)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
+		}
 	}
 }
 
 func TestCheckpointCorruptionDetected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cp")
-	if err := WriteCheckpoint(path, sampleCheckpoint()); err != nil {
-		t.Fatalf("write: %v", err)
-	}
+	writeSample(t, path, sampleCheckpoint())
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +172,7 @@ func TestCheckpointCorruptionDetected(t *testing.T) {
 		if err := os.WriteFile(path, bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadCheckpoint(path); !errors.Is(err, ErrCheckpointCorrupt) {
+		if _, err := readSealedSnap(path); !errors.Is(err, ErrCheckpointCorrupt) {
 			t.Fatalf("flip at byte %d: got %v, want ErrCheckpointCorrupt", i, err)
 		}
 	}
@@ -116,9 +180,7 @@ func TestCheckpointCorruptionDetected(t *testing.T) {
 
 func TestCheckpointTruncationDetected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cp")
-	if err := WriteCheckpoint(path, sampleCheckpoint()); err != nil {
-		t.Fatalf("write: %v", err)
-	}
+	writeSample(t, path, sampleCheckpoint())
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +189,7 @@ func TestCheckpointTruncationDetected(t *testing.T) {
 		if err := os.WriteFile(path, data[:n], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadCheckpoint(path); !errors.Is(err, ErrCheckpointCorrupt) {
+		if _, err := readSealedSnap(path); !errors.Is(err, ErrCheckpointCorrupt) {
 			t.Fatalf("truncation to %d bytes: got %v, want ErrCheckpointCorrupt", n, err)
 		}
 	}
@@ -143,7 +205,7 @@ func TestCheckpointVersionMismatch(t *testing.T) {
 	if err := os.WriteFile(path, payload, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadCheckpoint(path); !errors.Is(err, ErrCheckpointCorrupt) {
+	if _, err := readSealedSnap(path); !errors.Is(err, ErrCheckpointCorrupt) {
 		t.Fatalf("version 99: got %v, want ErrCheckpointCorrupt", err)
 	}
 }
@@ -154,47 +216,13 @@ func TestCheckpointVersionMismatch(t *testing.T) {
 // and the engine's resume both refuse them as corrupt, leaving the file
 // in place: the v1–v3 readers are gone, so such files no longer load.
 func TestCheckpointLegacyV1Load(t *testing.T) {
-	cp := sampleCheckpoint()
 	for version := uint64(1); version <= 3; version++ {
-		payload := []byte(checkpointMagic)
-		payload = binary.AppendUvarint(payload, version)
-		payload = binary.AppendUvarint(payload, uint64(uint32(cp.Depth)))
-		payload = binary.AppendUvarint(payload, uint64(cp.ResultDepth))
-		payload = binary.AppendUvarint(payload, uint64(cp.Transitions))
-		if version == 3 {
-			payload = binary.AppendUvarint(payload, 0) // search flags
-		}
-		str := func(s State) {
-			payload = binary.AppendUvarint(payload, uint64(len(s)))
-			payload = append(payload, s...)
-		}
-		payload = binary.AppendUvarint(payload, uint64(len(cp.Frontier)))
-		for _, s := range cp.Frontier {
-			str(s)
-		}
-		payload = binary.AppendUvarint(payload, uint64(len(cp.Visited)))
-		for i, e := range cp.Visited {
-			str(e.State)
-			str(e.Parent)
-			if version == 1 {
-				payload = binary.AppendUvarint(payload, uint64(i*3)) // claim key
-				payload = binary.AppendUvarint(payload, uint64(i))   // depth
-			}
-			flags := byte(0)
-			if e.HasParent {
-				flags = 1
-			}
-			payload = append(payload, flags)
-		}
-		h := fnv.New64a()
-		h.Write(payload)
-		payload = binary.BigEndian.AppendUint64(payload, h.Sum64())
-
+		payload := legacyBytes(version, sampleLegacy())
 		path := filepath.Join(t.TempDir(), "cp")
 		if err := os.WriteFile(path, payload, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err := ReadCheckpoint(path)
+		_, err := readSealedSnap(path)
 		if !errors.Is(err, ErrCheckpointCorrupt) || !strings.Contains(err.Error(), "unsupported version") {
 			t.Fatalf("v%d read: got %v, want ErrCheckpointCorrupt (unsupported version)", version, err)
 		}
@@ -208,18 +236,23 @@ func TestCheckpointLegacyV1Load(t *testing.T) {
 	}
 }
 
+// TestCheckpointMissingFile: a missing engine checkpoint is nothing to
+// resume, while a missing barrier snapshot in a worker's restore chain
+// is an error wrapping os.ErrNotExist.
 func TestCheckpointMissingFile(t *testing.T) {
-	if _, err := ReadCheckpoint(filepath.Join(t.TempDir(), "absent")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("got %v, want os.ErrNotExist", err)
+	absent := filepath.Join(t.TempDir(), "absent")
+	if s5, err := readSealedSnap(absent); s5 != nil || err != nil {
+		t.Fatalf("engine read: got (%v, %v), want nothing to resume", s5, err)
+	}
+	if _, err := NewShardStore(0, allShards, false).Restore([]string{absent}); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("worker restore: got %v, want os.ErrNotExist", err)
 	}
 }
 
 func TestCheckpointAtomicNoTempLeft(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "cp")
-	if err := WriteCheckpoint(path, sampleCheckpoint()); err != nil {
-		t.Fatalf("write: %v", err)
-	}
+	writeSample(t, path, sampleCheckpoint())
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -549,7 +549,7 @@ func (b *localBackend) restore(res *Result, fingerprint uint64, opts Options) (d
 		return 0, 0, false, fmt.Errorf("%w: checkpoint is from a model with fingerprint %016x but this model's is %016x; match the -nodes/-couplers/-authority and option flags of the original run",
 			ErrModelMismatch, s5.fingerprint, fingerprint)
 	}
-	if b.frontier, err = b.v.restore(s5, b.noSeal); err != nil {
+	if b.frontier, err = b.v.restore(s5, b.noSeal, allShards); err != nil {
 		return 0, 0, false, err
 	}
 	res.Depth = s5.resultDepth

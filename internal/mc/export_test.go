@@ -72,7 +72,7 @@ func (f *SealFixture) BatchLen() int { return len(f.batch) }
 func (f *SealFixture) Clone() *SealFixture {
 	v := &visitedSet{
 		max:          f.v.max,
-		parentIsRef:  f.v.parentIsRef,
+		refsFinal:    f.v.refsFinal,
 		sealDecs:     make([]sealedDecoder, len(f.v.sealDecs)),
 		scratchBytes: f.v.scratchBytes,
 	}
@@ -130,7 +130,7 @@ func NewSealedFinder(m ReducibleModel, workers int) *SealedFinder {
 		if ss.count == 0 {
 			continue
 		}
-		f.dec.startAt(ss, 0, v.parentIsRef)
+		f.dec.startAt(ss, 0)
 		for f.dec.ord < ss.count {
 			f.dec.step()
 			f.encs = append(f.encs, slices.Clone(f.dec.enc))
@@ -150,7 +150,7 @@ func (f *SealedFinder) Len() int { return len(f.encs) }
 // path a duplicate claim takes once the live index misses.
 func (f *SealedFinder) Find(i int) bool {
 	h := f.hashes[i]
-	_, ok := f.v.shards[h&(numShards-1)].sealed.find(uint32(h>>32), f.encs[i], &f.dec, f.v.parentIsRef)
+	_, ok := f.v.shards[h&(numShards-1)].sealed.find(uint32(h>>32), f.encs[i], &f.dec)
 	return ok
 }
 
@@ -207,7 +207,7 @@ func ResumeCheckpoint(path string, noSeal bool) (int, error) {
 		return 0, err
 	}
 	v := newVisitedSet(defaultMaxStates)
-	if _, err := v.restore(s5, noSeal); err != nil {
+	if _, err := v.restore(s5, noSeal, allShards); err != nil {
 		return 0, err
 	}
 	return int(v.count.Load()), nil

@@ -1,12 +1,8 @@
 package mc
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
-	"hash/fnv"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -72,55 +68,6 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 	}
 }
 
-// writeLegacyV3 serializes cp in the version-3 format (no fingerprint
-// word), byte-for-byte what a pre-v4 build would have written.
-func writeLegacyV3(t *testing.T, path string, cp *Checkpoint) {
-	t.Helper()
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	h := fnv.New64a()
-	bw := bufio.NewWriter(io.MultiWriter(f, h))
-	w := &cpWriter{w: bw}
-	w.raw([]byte(checkpointMagic))
-	w.uvarint(3)
-	w.uvarint(uint64(uint32(cp.Depth)))
-	w.uvarint(uint64(cp.ResultDepth))
-	w.uvarint(uint64(cp.Transitions))
-	flags := uint64(0)
-	if cp.Reduced {
-		flags |= checkpointFlagReduced
-	}
-	w.uvarint(flags)
-	w.uvarint(uint64(len(cp.Frontier)))
-	for _, s := range cp.Frontier {
-		w.str(s)
-	}
-	w.uvarint(uint64(len(cp.Visited)))
-	for _, e := range cp.Visited {
-		w.str(e.State)
-		w.str(e.Parent)
-		fb := byte(0)
-		if e.HasParent {
-			fb = 1
-		}
-		w.raw([]byte{fb})
-	}
-	if w.err == nil {
-		w.err = bw.Flush()
-	}
-	if w.err == nil {
-		var sum [8]byte
-		binary.BigEndian.PutUint64(sum[:], h.Sum64())
-		_, w.err = f.Write(sum[:])
-	}
-	if w.err != nil {
-		t.Fatal(w.err)
-	}
-}
-
 // TestCheckpointLegacyV3Load: a version-3 file (pre-fingerprint), as a
 // pre-v4 build wrote it from a real reduced search, no longer loads. The
 // reader refuses it as corrupt (unsupported version), and a fingerprinted
@@ -143,17 +90,16 @@ func TestCheckpointLegacyV3Load(t *testing.T) {
 	if !s5.reduced || len(s5.live) == 0 {
 		t.Fatalf("interrupted search left reduced=%v with %d live, want a reduced non-empty snapshot", s5.reduced, len(s5.live))
 	}
-	cp := &Checkpoint{Depth: s5.depth, ResultDepth: s5.resultDepth, Transitions: s5.transitions, Reduced: true}
+	lc := &legacyCheckpoint{Depth: s5.depth, ResultDepth: s5.resultDepth, Transitions: s5.transitions, Reduced: true}
 	for _, le := range s5.live {
-		cp.Frontier = append(cp.Frontier, State(le.enc))
-		cp.Visited = append(cp.Visited, VisitedEntry{State: State(le.enc)})
+		lc.Frontier = append(lc.Frontier, State(le.enc))
+		lc.Visited = append(lc.Visited, legacyEntry{State: State(le.enc)})
 	}
-	writeLegacyV3(t, path, cp)
-	payload, err := os.ReadFile(path)
-	if err != nil {
+	payload := legacyBytes(3, lc)
+	if err := os.WriteFile(path, payload, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = ReadCheckpoint(path)
+	_, err = readSealedSnap(path)
 	if !errors.Is(err, ErrCheckpointCorrupt) || !strings.Contains(err.Error(), "unsupported version 3") {
 		t.Fatalf("v3 read: got %v, want ErrCheckpointCorrupt (unsupported version 3)", err)
 	}

@@ -159,12 +159,10 @@ type visitedSet struct {
 	peak     atomic.Int64 // high-water resident, including growth transients
 	overflow internTable  // encodings too long for a slot's inline array
 
-	// parentIsRef selects the sealed tier's parent layout: the engine
-	// stores parent refs (rewritten to sealed ordinals and
-	// delta-coded); a distributed ShardStore stores parent intern
-	// indexes, whose arrival-order-dependent values must be written as
-	// fixed-width words to keep arena bytes deterministic.
-	parentIsRef bool
+	// refsFinal marks a set whose claims carry their parents' final
+	// sealed refs (a distributed worker's, see ShardStore.AssignRefs):
+	// a seal must not remap the surviving live entries' parents.
+	refsFinal bool
 
 	// Seal scratch, reused across level boundaries; scratchBytes is its
 	// counted capacity so migration transients stay in the resident
@@ -191,7 +189,7 @@ func (r *residentDelta) add(n int64) { r.net += n }
 func (r *residentDelta) bumpPeak() { r.hi = max(r.hi, r.net) }
 
 func newVisitedSet(maxStates int) *visitedSet {
-	v := &visitedSet{max: int64(maxStates), parentIsRef: true}
+	v := &visitedSet{max: int64(maxStates)}
 	// Seed every shard's initial probe index and first entry chunk from
 	// two shared backing arrays: four allocations for the whole set
 	// instead of two per touched shard, which is what a 64-shard layout
@@ -258,7 +256,7 @@ func (v *visitedSet) bytesOf(ref uint32) []byte {
 	sh, ord, sealed := v.refShard(ref)
 	if sealed {
 		var d sealedDecoder
-		enc, _ := d.decodeAt(&sh.sealed, ord, v.parentIsRef)
+		enc, _ := d.decodeAt(&sh.sealed, ord)
 		return append([]byte(nil), enc...)
 	}
 	e := sh.entryAt(ord)
@@ -283,34 +281,25 @@ func (v *visitedSet) keyOf(ref uint32) uint64 {
 	return metaKey(atomic.LoadUint64(&sh.entryAt(ord).meta))
 }
 
-// parentWordOf returns the raw sealed-layout parent word for ref:
-// ref+1 (0 = none) in engine mode, internIdx<<1|hasParent in dist
-// mode. Works for both tiers; only called between levels or after the
-// search.
+// parentWordOf returns the state's parent word: its parent ref + 1, or
+// 0 for a root. Works for both tiers; only called between levels or
+// after the search.
 func (v *visitedSet) parentWordOf(ref uint32) uint64 {
 	sh, ord, sealed := v.refShard(ref)
 	if sealed {
 		var d sealedDecoder
-		_, pw := d.decodeAt(&sh.sealed, ord, v.parentIsRef)
+		_, pw := d.decodeAt(&sh.sealed, ord)
 		return pw
 	}
 	e := sh.entryAt(ord)
-	m := atomic.LoadUint64(&e.meta)
-	if v.parentIsRef {
-		if m&hasParentBit == 0 {
-			return 0
-		}
-		return uint64(e.parent) + 1
+	if atomic.LoadUint64(&e.meta)&hasParentBit == 0 {
+		return 0
 	}
-	pw := uint64(e.parent) << 1
-	if m&hasParentBit != 0 {
-		pw |= 1
-	}
-	return pw
+	return uint64(e.parent) + 1
 }
 
-// parentOf returns the state's BFS parent ref, if it has one
-// (engine mode only). Only called between levels or after the search.
+// parentOf returns the state's BFS parent ref, if it has one. Only
+// called between levels or after the search.
 func (v *visitedSet) parentOf(ref uint32) (uint32, bool) {
 	pw := v.parentWordOf(ref)
 	if pw == 0 {
@@ -416,7 +405,7 @@ func (v *visitedSet) claim(enc []byte, h uint64, parent uint32, key uint64,
 				// live index, because concurrent inserts are by
 				// definition current-level.
 				if sh.sealed.count > 0 {
-					if _, ok := sh.sealed.find(ph, enc, pc.sealDec(), v.parentIsRef); ok {
+					if _, ok := sh.sealed.find(ph, enc, pc.sealDec()); ok {
 						pc.add(n)
 						return ClaimDup, 0
 					}
@@ -511,7 +500,7 @@ func (v *visitedSet) find(enc []byte, h uint64) (uint32, bool) {
 		if cell == 0 {
 			if sh.sealed.count > 0 {
 				var d sealedDecoder
-				if ord, ok := sh.sealed.find(ph, enc, &d, v.parentIsRef); ok {
+				if ord, ok := sh.sealed.find(ph, enc, &d); ok {
 					return makeRef(shardIdx, ord), true
 				}
 			}
@@ -762,24 +751,17 @@ func (v *visitedSet) sealShard(s int, d *sealedDecoder) residentDelta {
 		e := sh.entryAt(ord)
 		enc := v.encOfLive(e, e.meta)
 		var pw uint64
-		if v.parentIsRef {
-			if e.meta&hasParentBit != 0 {
-				pw = uint64(v.remapRef(e.parent)) + 1
-			}
-		} else {
-			pw = uint64(e.parent) << 1
-			if e.meta&hasParentBit != 0 {
-				pw |= 1
-			}
+		if e.meta&hasParentBit != 0 {
+			pw = uint64(v.remapRef(e.parent)) + 1
 		}
 		if ss.indexNeedsGrow() {
-			added, freed := ss.indexGrow(v.parentIsRef, d)
+			added, freed := ss.indexGrow(d)
 			res.add(added)
 			res.bumpPeak()
 			res.add(-freed)
 		}
 		h := hashBytes(enc)
-		ss.appendEntry(enc, pw, v.parentIsRef)
+		ss.appendEntry(enc, pw)
 		ss.indexInsert(uint32(h>>32), ss.count-1)
 	}
 	res.add(int64(len(ss.blob)) + int64(len(ss.restarts)*4) - arenaBefore)
@@ -787,7 +769,8 @@ func (v *visitedSet) sealShard(s int, d *sealedDecoder) residentDelta {
 
 	// Compact survivors down to position 0 (ascending, so dest ≤ src)
 	// and rewrite their parent refs into the new space — needed even in
-	// shards that sealed nothing, since parents cross shards.
+	// shards that sealed nothing, since parents cross shards — unless
+	// the refs were final when claimed.
 	nSurv := liveCount - uint32(len(g))
 	if len(g) > 0 {
 		rm := v.sealRemap[s]
@@ -803,7 +786,7 @@ func (v *visitedSet) sealShard(s int, d *sealedDecoder) residentDelta {
 			dst++
 		}
 	}
-	if v.parentIsRef {
+	if !v.refsFinal {
 		for p := uint32(0); p < nSurv; p++ {
 			e := sh.entryAtPos(p)
 			if e.meta&hasParentBit != 0 {

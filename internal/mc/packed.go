@@ -17,11 +17,9 @@ import (
 const inlineStateBytes = 20
 
 // internTable deduplicates encodings too long for a slot's inline
-// array — and, in a distributed worker's ShardStore, every admitted
-// state's parent encoding. That second use makes it a hot path: one
-// insert per (parent, worker) pair, so entry bytes live in append-only
-// slab chunks and each entry is a zero-copy string view into its
-// chunk, costing one allocation per chunk rather than one per entry.
+// array. Entry bytes live in append-only slab chunks and each entry is
+// a zero-copy string view into its chunk, costing one allocation per
+// chunk rather than one per entry.
 type internTable struct {
 	mu    sync.Mutex
 	index map[string]uint32

@@ -216,28 +216,14 @@ func TestResumeModeMismatch(t *testing.T) {
 	}
 }
 
-// TestCheckpointReducedRoundTrip: the version-3 flags word survives the
-// disk format.
+// TestCheckpointReducedRoundTrip: the search-flags word survives the
+// disk format, in the file a reduced (or plain) search really writes.
 func TestCheckpointReducedRoundTrip(t *testing.T) {
-	for _, reduced := range []bool{false, true} {
-		cp := &Checkpoint{
-			Depth:       3,
-			ResultDepth: 3,
-			Transitions: 17,
-			Reduced:     reduced,
-			Frontier:    []State{"005a"},
-			Visited:     []VisitedEntry{{State: "000a"}, {State: "005a", Parent: "000a", HasParent: true}},
-		}
+	for _, noReduce := range []bool{false, true} {
 		path := filepath.Join(t.TempDir(), "cp")
-		if err := WriteCheckpoint(path, cp); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadCheckpoint(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Reduced != reduced {
-			t.Fatalf("Reduced=%v round-tripped to %v", reduced, got.Reduced)
+		interruptSearch(t, coloredModel{max: 30}, 3, path, Options{NoReduce: noReduce})
+		if got := readEngineSnap(t, path).reduced; got == noReduce {
+			t.Fatalf("NoReduce=%v search wrote reduced=%v", noReduce, got)
 		}
 	}
 }

@@ -42,13 +42,12 @@ package mc
 // goroutine spawns of the next, so readers never race writers and no
 // cell or blob access needs atomics.
 //
-// Parent words: the engine stores parent *refs*, rewritten to their
-// sealed ordinals before encoding, and delta-codes them (siblings
-// share a parent, so the common delta is 0 — one byte). A distributed
-// ShardStore's parent field is an intern-table index whose value
-// depends on mesh arrival order; delta-coding those would make the
-// arena *size* racy, so dist mode stores them as fixed 4-byte words
-// (parentIsRef == false) and keeps every byte count deterministic.
+// Parent words: a parent *ref* + 1 (0 = root), addressing the parent's
+// sealed ordinal, delta-coded against the previous record's (siblings
+// share a parent, so the common delta is 0 — one byte). The engine
+// rewrites a live parent ref to its sealed ordinal before encoding; a
+// distributed worker claims with its parents' sealed ordinals already
+// assigned (ShardStore.AssignRefs), so both write the same bytes.
 
 import (
 	"bytes"
@@ -126,23 +125,18 @@ func (ss *sealedShard) arenaEnsure(n int) {
 }
 
 // appendEntry seals one entry: enc with parent word pw, in batch (key)
-// order. parentIsRef selects the engine (varint delta) vs dist (fixed
-// word) parent layout. Returns the entry's sealed ordinal.
-func (ss *sealedShard) appendEntry(enc []byte, pw uint64, parentIsRef bool) uint32 {
+// order. Returns the entry's sealed ordinal.
+func (ss *sealedShard) appendEntry(enc []byte, pw uint64) uint32 {
 	ord := ss.count
 	restart := ord%sealedRestartEvery == 0
 	if restart {
 		ss.restarts = append(ss.restarts, uint32(len(ss.blob)))
 	}
-	ss.arenaEnsure(binary.MaxVarintLen64 + binary.MaxVarintLen32 + 4 + len(enc) + (len(enc)+7)/8)
-	if parentIsRef {
-		if restart {
-			ss.blob = binary.AppendUvarint(ss.blob, pw)
-		} else {
-			ss.blob = binary.AppendVarint(ss.blob, int64(pw)-int64(ss.lastPW))
-		}
+	ss.arenaEnsure(binary.MaxVarintLen64 + binary.MaxVarintLen32 + len(enc) + (len(enc)+7)/8)
+	if restart {
+		ss.blob = binary.AppendUvarint(ss.blob, pw)
 	} else {
-		ss.blob = binary.LittleEndian.AppendUint32(ss.blob, uint32(pw))
+		ss.blob = binary.AppendVarint(ss.blob, int64(pw)-int64(ss.lastPW))
 	}
 	ss.blob = binary.AppendUvarint(ss.blob, uint64(len(enc)))
 	if restart || len(enc) != len(ss.lastEnc) {
@@ -172,18 +166,16 @@ func (ss *sealedShard) appendEntry(enc []byte, pw uint64, parentIsRef bool) uint
 // sealedDecoder walks arena records sequentially, maintaining the
 // rolling encoding buffer and parent word the delta chain needs.
 type sealedDecoder struct {
-	ss          *sealedShard
-	parentIsRef bool
-	ord         uint32 // ordinal the next step() will produce
-	off         int
-	enc         []byte
-	pw          uint64
+	ss  *sealedShard
+	ord uint32 // ordinal the next step() will produce
+	off int
+	enc []byte
+	pw  uint64
 }
 
 // startAt positions the decoder on the restart block containing ord.
-func (d *sealedDecoder) startAt(ss *sealedShard, ord uint32, parentIsRef bool) {
+func (d *sealedDecoder) startAt(ss *sealedShard, ord uint32) {
 	d.ss = ss
-	d.parentIsRef = parentIsRef
 	d.ord = ord - ord%sealedRestartEvery
 	d.off = int(ss.restarts[d.ord/sealedRestartEvery])
 	d.enc = d.enc[:0]
@@ -195,19 +187,13 @@ func (d *sealedDecoder) startAt(ss *sealedShard, ord uint32, parentIsRef bool) {
 // (callers decoding untrusted bytes use stepChecked); slice bounds
 // remain the backstop.
 func (d *sealedDecoder) step() {
-	ss := d.ss
-	if d.parentIsRef {
-		v, n := uvarint(ss.blob[d.off:])
-		d.off += n
-		if d.ord%sealedRestartEvery == 0 {
-			d.pw = v
-		} else {
-			// Zig-zag delta, as binary.AppendVarint writes it.
-			d.pw = uint64(int64(d.pw) + (int64(v>>1) ^ -int64(v&1)))
-		}
+	v, n := uvarint(d.ss.blob[d.off:])
+	d.off += n
+	if d.ord%sealedRestartEvery == 0 {
+		d.pw = v
 	} else {
-		d.pw = uint64(binary.LittleEndian.Uint32(ss.blob[d.off:]))
-		d.off += 4
+		// Zig-zag delta, as binary.AppendVarint writes it.
+		d.pw = uint64(int64(d.pw) + (int64(v>>1) ^ -int64(v&1)))
 	}
 	d.stepEnc()
 }
@@ -218,15 +204,11 @@ func (d *sealedDecoder) step() {
 // encodings only and decodes up to sixteen records per candidate, so
 // the cumulative parent-delta arithmetic would be pure overhead there.
 func (d *sealedDecoder) skipStep() {
-	if d.parentIsRef {
-		blob := d.ss.blob
-		for blob[d.off] >= 0x80 {
-			d.off++
-		}
+	blob := d.ss.blob
+	for blob[d.off] >= 0x80 {
 		d.off++
-	} else {
-		d.off += 4
 	}
+	d.off++
 	d.stepEnc()
 }
 
@@ -294,28 +276,20 @@ func (d *sealedDecoder) stepChecked(maxEnc int) error {
 			return errSealedCorrupt
 		}
 	}
-	if d.parentIsRef {
-		if restart {
-			pw, n := binary.Uvarint(ss.blob[d.off:])
-			if n <= 0 {
-				return errSealedCorrupt
-			}
-			d.pw = pw
-			d.off += n
-		} else {
-			delta, n := binary.Varint(ss.blob[d.off:])
-			if n <= 0 {
-				return errSealedCorrupt
-			}
-			d.pw = uint64(int64(d.pw) + delta)
-			d.off += n
-		}
-	} else {
-		if d.off+4 > len(ss.blob) {
+	if restart {
+		pw, n := binary.Uvarint(ss.blob[d.off:])
+		if n <= 0 {
 			return errSealedCorrupt
 		}
-		d.pw = uint64(binary.LittleEndian.Uint32(ss.blob[d.off:]))
-		d.off += 4
+		d.pw = pw
+		d.off += n
+	} else {
+		delta, n := binary.Varint(ss.blob[d.off:])
+		if n <= 0 {
+			return errSealedCorrupt
+		}
+		d.pw = uint64(int64(d.pw) + delta)
+		d.off += n
 	}
 	encLen64, n := binary.Uvarint(ss.blob[d.off:])
 	if n <= 0 || encLen64 > uint64(maxEnc) {
@@ -353,8 +327,8 @@ func (d *sealedDecoder) stepChecked(maxEnc int) error {
 // decodeAt random-accesses ordinal ord: O(sealedRestartEvery) steps
 // from the preceding restart. The returned encoding aliases the
 // decoder's rolling buffer.
-func (d *sealedDecoder) decodeAt(ss *sealedShard, ord uint32, parentIsRef bool) (enc []byte, pw uint64) {
-	d.startAt(ss, ord, parentIsRef)
+func (d *sealedDecoder) decodeAt(ss *sealedShard, ord uint32) (enc []byte, pw uint64) {
+	d.startAt(ss, ord)
 	for d.ord <= ord {
 		d.step()
 	}
@@ -367,7 +341,7 @@ func (d *sealedDecoder) decodeAt(ss *sealedShard, ord uint32, parentIsRef bool) 
 // resolve exactly. The confirm decodes encodings only (skipStep): parent
 // words are stepped over, leaving d.pw meaningless. Returns the sealed
 // ordinal on a hit.
-func (ss *sealedShard) find(ph uint32, enc []byte, d *sealedDecoder, parentIsRef bool) (uint32, bool) {
+func (ss *sealedShard) find(ph uint32, enc []byte, d *sealedDecoder) (uint32, bool) {
 	cells := ss.index
 	if len(cells) == 0 {
 		return 0, false
@@ -381,7 +355,7 @@ func (ss *sealedShard) find(ph uint32, enc []byte, d *sealedDecoder, parentIsRef
 		}
 		if cell>>sealedRemShift == rem {
 			ord := cell&sealedOrdMask - 1
-			d.startAt(ss, ord, parentIsRef)
+			d.startAt(ss, ord)
 			for d.ord <= ord {
 				d.skipStep()
 			}
@@ -417,7 +391,7 @@ func (ss *sealedShard) indexNeedsGrow() bool {
 // over the growth schedule. Returns the resident bytes added (new cells) and freed
 // (old cells) separately so the caller can record the transient peak
 // while both tables are live.
-func (ss *sealedShard) indexGrow(parentIsRef bool, d *sealedDecoder) (added, freed int64) {
+func (ss *sealedShard) indexGrow(d *sealedDecoder) (added, freed int64) {
 	newLen := sealedInitialCells
 	for uint64(ss.count+1)*4 > uint64(newLen)*3 {
 		newLen = sealedGrow(newLen)
@@ -428,7 +402,7 @@ func (ss *sealedShard) indexGrow(parentIsRef bool, d *sealedDecoder) (added, fre
 	freed = int64(len(ss.index) * 4)
 	ss.index = make([]uint32, newLen)
 	if ss.count > 0 {
-		d.startAt(ss, 0, parentIsRef)
+		d.startAt(ss, 0)
 		for d.ord < ss.count {
 			ord := d.ord
 			d.skipStep()

@@ -169,8 +169,7 @@ func TestSealedIndexCollisionAdversary(t *testing.T) {
 // sealRec is one state of a seal scenario.
 type sealRec struct {
 	enc    []byte
-	parent int    // index into the scenario's records, -1 = none
-	pword  uint32 // parent value passed to claim; the dist layout stores it as is
+	parent int // index into the scenario's records, -1 = none
 }
 
 // sealTwin is one visited set driven through a seal scenario, with the
@@ -193,14 +192,13 @@ type sealTwin struct {
 // shard by shard (arena, restarts, quotiented index, count, live base,
 // ordinal count, live slots and live index), in the refs its seal
 // rewrote, and in its resident and peak byte counts.
-func runSealScenario(t *testing.T, seed uint64, maxLen, batch uint8, parentIsRef bool, workers ...int) ([]sealRec, []*sealTwin) {
+func runSealScenario(t *testing.T, seed uint64, maxLen, batch uint8, workers ...int) ([]sealRec, []*sealTwin) {
 	t.Helper()
 	maxLen, batch = max(maxLen, 1), max(batch, 1)
 	const n = 600
 	twins := make([]*sealTwin, len(workers))
 	for i, w := range workers {
 		twins[i] = &sealTwin{v: newVisitedSet(n + 1), workers: w}
-		twins[i].v.parentIsRef = parentIsRef
 	}
 	var pc probeCounter
 
@@ -248,7 +246,6 @@ func runSealScenario(t *testing.T, seed uint64, maxLen, batch uint8, parentIsRef
 		rec := sealRec{enc: enc, parent: -1}
 		if len(recs) > 0 && next()%4 != 0 {
 			rec.parent = int(next() % uint64(len(recs)))
-			rec.pword = twins[0].refs[rec.parent]
 		}
 		for _, tw := range twins {
 			var pref uint32
@@ -309,22 +306,18 @@ func requireSameSealTwins(t *testing.T, a, b *sealTwin) {
 
 // TestSealParallelMatchesSerial: a seal spread over 4 workers must leave
 // exactly the visited set, refs and resident counters a 1-worker seal
-// does, in both parent layouts. runSealScenario compares the sets after
-// every seal.
+// does. runSealScenario compares the sets after every seal.
 func TestSealParallelMatchesSerial(t *testing.T) {
-	for _, parentIsRef := range []bool{true, false} {
-		for seed := uint64(1); seed <= 6; seed++ {
-			for _, c := range []struct{ maxLen, batch uint8 }{{3, 40}, {16, 1}, {24, 200}, {255, 90}} {
-				runSealScenario(t, seed, c.maxLen, c.batch, parentIsRef, 1, 4)
-			}
+	for seed := uint64(1); seed <= 6; seed++ {
+		for _, c := range []struct{ maxLen, batch uint8 }{{3, 40}, {16, 1}, {24, 200}, {255, 90}} {
+			runSealScenario(t, seed, c.maxLen, c.batch, 1, 4)
 		}
 	}
 }
 
-// FuzzSealedTier feeds seal scenarios (runSealScenario) in both parent
-// layouts — the engine's delta-coded refs and the distributed store's
-// fixed 4-byte words — through a 1-worker and a 4-worker twin, which
-// must stay byte-identical, and cross-checks the serial twin against
+// FuzzSealedTier feeds seal scenarios (runSealScenario) through a
+// 1-worker and a 4-worker twin, which must stay byte-identical, and
+// cross-checks the serial twin against
 // the scenario's records: every state found at its ref, read back,
 // with its parent, and re-claimed as a duplicate. Finally every shard's
 // arena is swept by the checked decoder, the trusted one and the
@@ -336,10 +329,8 @@ func FuzzSealedTier(f *testing.F) {
 	f.Add(uint64(42), uint8(24), uint8(200))
 	f.Add(uint64(7), uint8(255), uint8(90))
 	f.Fuzz(func(t *testing.T, seed uint64, maxLen uint8, batch uint8) {
-		for _, parentIsRef := range []bool{true, false} {
-			recs, twins := runSealScenario(t, seed, maxLen, batch, parentIsRef, 1, 4)
-			checkSealedRecords(t, twins[0], recs, int(max(maxLen, 1)))
-		}
+		recs, twins := runSealScenario(t, seed, maxLen, batch, 1, 4)
+		checkSealedRecords(t, twins[0], recs, int(max(maxLen, 1)))
 	})
 }
 
@@ -362,20 +353,9 @@ func checkSealedRecords(t *testing.T, tw *sealTwin, recs []sealRec, maxEnc int) 
 		if got := v.bytesOf(ref); !bytes.Equal(got, r.enc) {
 			t.Fatalf("ref %d reads %q, want %q", j, got, r.enc)
 		}
-		if v.parentIsRef {
-			pref, has := v.parentOf(ref)
-			if has != (r.parent >= 0) || (has && pref != tw.refs[r.parent]) {
-				t.Fatalf("ref %d parent = (%d,%v), want (%v,%v)", j, pref, has, r.parent, r.parent >= 0)
-			}
-		} else {
-			// The dist layout stores the claim-time parent value as is.
-			want := uint64(0)
-			if r.parent >= 0 {
-				want = uint64(r.pword)<<1 | 1
-			}
-			if got := v.parentWordOf(ref); got != want {
-				t.Fatalf("ref %d parent word = %#x, want %#x", j, got, want)
-			}
+		pref, has := v.parentOf(ref)
+		if has != (r.parent >= 0) || (has && pref != tw.refs[r.parent]) {
+			t.Fatalf("ref %d parent = (%d,%v), want (%v,%v)", j, pref, has, r.parent, r.parent >= 0)
 		}
 		if st, _ := v.claim(r.enc, hashBytes(r.enc), 0, key, false, key, &pc); st != ClaimDup {
 			t.Fatalf("re-claim of %q = %d, want ClaimDup", r.enc, st)
@@ -387,9 +367,9 @@ func checkSealedRecords(t *testing.T, tw *sealTwin, recs []sealRec, maxEnc int) 
 		if ss.count == 0 {
 			continue
 		}
-		checked.startAt(ss, 0, v.parentIsRef)
-		trusted.startAt(ss, 0, v.parentIsRef)
-		encOnly.startAt(ss, 0, v.parentIsRef)
+		checked.startAt(ss, 0)
+		trusted.startAt(ss, 0)
+		encOnly.startAt(ss, 0)
 		for checked.ord < ss.count {
 			ord := checked.ord
 			if err := checked.stepChecked(maxEnc); err != nil {
@@ -581,8 +561,8 @@ func TestCheckpointV5RoundTrip(t *testing.T) {
 			for _, cut := range tc.cuts {
 				sealed := interruptSearch(t, tc.m, cut, filepath.Join(dir, "s"), Options{Workers: w})
 				plain := interruptSearch(t, tc.m, cut, filepath.Join(dir, "p"), Options{Workers: w, NoSeal: true})
-				if v := sealed[len(checkpointMagic)]; uint64(v) != checkpointVersionSealed {
-					t.Fatalf("%s workers=%d cut=%d: version %d, want %d", tc.name, w, cut, v, checkpointVersionSealed)
+				if v := sealed[len(checkpointMagic)]; uint64(v) != checkpointVersion {
+					t.Fatalf("%s workers=%d cut=%d: version %d, want %d", tc.name, w, cut, v, checkpointVersion)
 				}
 				if !bytes.Equal(sealed, plain) {
 					t.Fatalf("%s workers=%d cut=%d: sealed (%dB) and NoSeal (%dB) checkpoints differ",
@@ -668,7 +648,7 @@ func arenaRecords(t *testing.T, sn *sealedShardSnap) (encs [][]byte, pws []uint6
 	t.Helper()
 	ss := &sealedShard{count: sn.count, blob: sn.blob, restarts: sn.restarts}
 	var d sealedDecoder
-	d.startAt(ss, 0, true)
+	d.startAt(ss, 0)
 	for d.ord < ss.count {
 		if err := d.stepChecked(len(ss.blob)); err != nil {
 			t.Fatal(err)
@@ -683,7 +663,7 @@ func arenaRecords(t *testing.T, sn *sealedShardSnap) (encs [][]byte, pws []uint6
 func setArena(sn *sealedShardSnap, encs [][]byte, pws []uint64) {
 	var ss sealedShard
 	for i := range encs {
-		ss.appendEntry(encs[i], pws[i], true)
+		ss.appendEntry(encs[i], pws[i])
 	}
 	*sn = sealedShardSnap{count: ss.count, restarts: ss.restarts, blob: ss.blob}
 }
@@ -791,7 +771,7 @@ func TestResumeNoSealV5Refused(t *testing.T) {
 		}
 	}
 
-	if err := WriteCheckpoint(path, sampleCheckpoint()); err != nil {
+	if err := os.WriteFile(path, legacyBytes(4, sampleLegacy()), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, noSeal := range []bool{false, true} {
@@ -816,20 +796,14 @@ func TestCheckpointLegacyV4SealedResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cp")
 	interruptSealed(t, 40, 10, path, false)
 	s5 := readEngineSnap(t, path)
-	cp := &Checkpoint{Depth: s5.depth, ResultDepth: s5.resultDepth, Transitions: s5.transitions}
+	lc := &legacyCheckpoint{Depth: s5.depth, ResultDepth: s5.resultDepth, Transitions: s5.transitions}
 	for _, le := range s5.live {
-		cp.Frontier = append(cp.Frontier, State(le.enc))
-		cp.Visited = append(cp.Visited, VisitedEntry{State: State(le.enc)})
+		lc.Frontier = append(lc.Frontier, State(le.enc))
+		lc.Visited = append(lc.Visited, legacyEntry{State: State(le.enc)})
 	}
-	if err := WriteCheckpoint(path, cp); err != nil {
+	data := legacyBytes(4, lc)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := data[len(checkpointMagic)]; uint64(v) != checkpointVersion {
-		t.Fatalf("legacy fixture version = %d, want %d", v, checkpointVersion)
 	}
 	for _, w := range workerCounts {
 		for _, noSeal := range []bool{false, true} {

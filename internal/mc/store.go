@@ -11,17 +11,24 @@ package mc
 // the min-claim-key determinism argument carries across process
 // boundaries unchanged.
 //
-// The one representation difference from the engine's visitedSet: an
-// entry's parent field here is an intern-table index of the parent's
-// *encoding*, not a slot ref. A parent may live on another worker, so a
-// ref into the local log cannot name it — but its encoding can, and the
-// intern table dedupes the copies (a state's children share one parent
-// entry). That makes every worker's store self-contained: each level
-// barrier writes a per-state delta (WriteDelta, checkpoint version 4:
-// parent encodings are exactly what that format stores), and a fresh
-// process rebuilds the store from its delta chain alone (ReadCheckpoint,
-// then Merge or MergeSealed), which is what crash recovery needs. The
-// in-process engine's own checkpoints are version 5 (checkpoint.go).
+// The representation is the engine's: parents are refs, and sealed
+// arenas hold delta-coded parent words. A parent may live on another
+// worker, so a worker's refs are global: at each level barrier it gives
+// every new frontier state the sealed ordinal that state will take when
+// its level seals (AssignRefs). Sealed arenas are in key order per
+// shard, and a worker owns whole shards, so that ordinal is the one the
+// in-process engine gives the same state — the ref names one state on
+// every worker, resolved by its shard's owner (StateOf). Children claim
+// with it as their parent, and it is final when claimed: a seal never
+// rewrites it.
+//
+// At every barrier the worker writes a version-5 file (checkpoint.go)
+// for its own shards: the arena bytes appended since its last
+// successful write, plus its live frontier (WriteSnapshot). Arenas are
+// append-only and stay in memory, so a failed write is repaired by the
+// next one, whose segments reach back to the last good write. A fresh
+// process rebuilds the store from its acknowledged files (Restore),
+// through the engine's checked restore.
 
 import (
 	"fmt"
@@ -46,6 +53,9 @@ func ClaimKey(base uint64, slot, succ int) uint64 { return claimKey(base, slot, 
 // ShardOf maps a state hash to its shard index.
 func ShardOf(h uint64) uint32 { return uint32(h) & (numShards - 1) }
 
+// RefShard is the shard a global ref (see AssignRefs) addresses.
+func RefShard(ref uint32) uint32 { return ref & (numShards - 1) }
+
 // ExpanderFor returns the model's allocation-free expander when it
 // offers one, else an adapter over Model.Successors.
 func ExpanderFor(m Model) Expander { return expanderFor(m) }
@@ -65,62 +75,60 @@ const (
 	ClaimFull
 )
 
-// ShardStore is a worker-owned slice of the visited set, with parents
-// stored as interned encodings (see the package comment above). It is
-// NOT safe for concurrent use — a distributed worker is single-threaded
-// by design, process-level parallelism being the point.
+// ShardStore is a worker-owned slice of the visited set (see the
+// package comment above). It is NOT safe for concurrent use — a
+// distributed worker is single-threaded by design, process-level
+// parallelism being the point.
 type ShardStore struct {
 	v       *visitedSet
+	owned   uint64 // bit s set: shard s is this store's
+	noSeal  bool
 	claimed []uint32 // refs admitted since the last DrainLevel
 	pc      probeCounter
 
-	// One-entry parent-intern cache: successive claims overwhelmingly
-	// share a parent (a mesh batch group is one parent's successors),
-	// so remembering the last interned encoding turns the per-claim
-	// intern-map lookup into a short byte compare. lastParent is the
-	// table's canonical slab-backed string, so the compare needs no
-	// copy and the reference stays valid forever.
-	lastParent string
-	lastIdx    uint32
-	haveLast   bool
+	// A -no-seal store keeps every entry live, but snapshots the arenas
+	// its sealing twin would hold: carry encodes each closed level per
+	// shard (only the bytes not yet written are kept), and vlive maps a
+	// global ordinal to the live ordinal holding that state.
+	carry [numShards]sealedShard
+	vlive [numShards][]uint32
+
+	// written marks where each shard's arena stood at the last
+	// successful snapshot.
+	written [numShards]segMark
 }
 
-// NewShardStore returns an empty store bounded at maxStates admitted
-// states (<= 0 means the engine's default budget).
-func NewShardStore(maxStates int) *ShardStore {
+// segMark is a position in a shard's arena: entries, blob bytes and
+// restart offsets before it.
+type segMark struct{ count, off, nres uint32 }
+
+// NewShardStore returns an empty store for the shards set in owned,
+// bounded at maxStates admitted states (<= 0 means the engine's default
+// budget). A noSeal store keeps every entry live.
+func NewShardStore(maxStates int, owned uint64, noSeal bool) *ShardStore {
 	if maxStates <= 0 {
 		maxStates = defaultMaxStates
 	}
-	s := &ShardStore{v: newVisitedSet(maxStates)}
-	// Parents here are intern-table indexes, not refs: the sealed tier
-	// must store them as fixed-width words (their values depend on mesh
-	// arrival order, so delta-coding them would make arena *sizes* racy)
-	// and must never rewrite them at a seal.
-	s.v.parentIsRef = false
+	s := &ShardStore{v: newVisitedSet(maxStates), owned: owned, noSeal: noSeal}
+	s.v.refsFinal = true
 	return s
 }
 
-// Claim tries to admit enc under key, recording parentEnc (when
-// hasParent) as the trace parent. levelBase is the lowest key minted in
-// the current level, exactly as in the engine: a same-level duplicate
-// with a lower key takes over the parent record (min-key reduction),
-// an earlier-level duplicate is immutable. The returned ref is valid
-// only for ClaimNew.
-func (s *ShardStore) Claim(enc []byte, key uint64, parentEnc []byte, hasParent bool, levelBase uint64) (ClaimStatus, uint32) {
-	parent := uint32(0)
-	if hasParent {
-		if s.haveLast && string(parentEnc) == s.lastParent {
-			parent = s.lastIdx
-		} else {
-			idx, canon, added := s.v.overflow.intern(parentEnc)
-			if added > 0 {
-				s.v.resident.Add(added)
-				s.v.bumpPeak()
-			}
-			parent = idx
-			s.lastParent, s.lastIdx, s.haveLast = canon, idx, true
-		}
+// arena is the shard's sealed arena, or a -no-seal store's carry.
+func (s *ShardStore) arena(shard uint32) *sealedShard {
+	if s.noSeal {
+		return &s.carry[shard]
 	}
+	return &s.v.shards[shard].sealed
+}
+
+// Claim tries to admit enc under key, recording the global ref parent
+// (when hasParent) as the trace parent. levelBase is the lowest key
+// minted in the current level, exactly as in the engine: a same-level
+// duplicate with a lower key takes over the parent record (min-key
+// reduction), an earlier-level duplicate is immutable. The returned ref
+// is valid only for ClaimNew.
+func (s *ShardStore) Claim(enc []byte, key uint64, parent uint32, hasParent bool, levelBase uint64) (ClaimStatus, uint32) {
 	st, ref := s.v.claim(enc, hashBytes(enc), parent, key, hasParent, levelBase, &s.pc)
 	if st == ClaimNew {
 		s.claimed = append(s.claimed, ref)
@@ -147,176 +155,174 @@ func (s *ShardStore) DrainLevel() ([]uint32, []uint64) {
 // a fresh allocation.
 func (s *ShardStore) BytesOf(ref uint32) []byte { return s.v.bytesOf(ref) }
 
-// SealLevel migrates refs — a fully-expanded level's states, in the
+// SealLevel closes a fully-expanded level: refs are its states in the
 // order DrainLevel returned them (deterministic final-key order, so
-// every worker count builds identical arenas) — into the sealed tier,
-// and rewrites the live ref arrays passed as rewrite (the worker's
-// current frontier, typically) plus any refs claimed since the last
-// drain to the post-seal ordinal space. Must only be called at a level
-// barrier, after the sealed level can no longer be re-keyed: its
-// successors' level has fully drained. The seal runs on one goroutine:
-// a distributed search's workers are separate processes that already
-// seal their stores concurrently.
+// every worker count builds identical arenas). A sealing store migrates
+// them into the sealed tier and rewrites the live ref arrays passed as
+// rewrite (the worker's current frontier, typically) plus any refs
+// claimed since the last drain to the post-seal ordinal space; a
+// -no-seal store only encodes them into its snapshot carry. Must only be
+// called at a level barrier, after the level can no longer be re-keyed:
+// its successors' level has fully drained. The seal runs on one
+// goroutine: a distributed search's workers are separate processes that
+// already seal their stores concurrently.
 func (s *ShardStore) SealLevel(refs []uint32, rewrite ...[]uint32) {
+	if s.noSeal {
+		for _, r := range refs {
+			s.carry[RefShard(r)].appendEntry(s.v.bytesOf(r), s.v.parentWordOf(r))
+		}
+		return
+	}
 	if len(s.claimed) > 0 {
 		rewrite = append(rewrite, s.claimed)
 	}
 	s.v.seal(1, refs, rewrite...)
 }
 
+// AssignRefs returns, aligned with frontier (a new frontier in
+// DrainLevel order, after the previous level's SealLevel), each state's
+// global ref: makeRef(shard, n+rank), n the shard's arena count and
+// rank the state's position among the frontier's states of that shard.
+// That is the sealed ordinal the state takes when its level seals, so
+// children claim with it as their parent. Call it once per frontier.
+func (s *ShardStore) AssignRefs(frontier []uint32) []uint32 {
+	var next [numShards]uint32
+	for sh := range next {
+		next[sh] = s.arena(uint32(sh)).count
+	}
+	refs := make([]uint32, len(frontier))
+	for i, r := range frontier {
+		sh := RefShard(r)
+		refs[i] = makeRef(sh, next[sh])
+		next[sh]++
+		if s.noSeal {
+			s.vlive[sh] = append(s.vlive[sh], r>>shardBits)
+		}
+	}
+	return refs
+}
+
 // KeyOf returns the state's current (winning) claim key.
 func (s *ShardStore) KeyOf(ref uint32) uint64 { return s.v.keyOf(ref) }
 
-// ParentOf resolves a state's trace parent by encoding. found reports
-// whether enc is admitted at all; hasParent distinguishes roots. Works
-// for both tiers — trace queries reach arbitrarily old levels.
-func (s *ShardStore) ParentOf(enc []byte) (parent State, hasParent, found bool) {
+// ParentOf resolves a state's trace parent by encoding: the parent's
+// global ref, with hasParent false for a root. found reports whether
+// enc is admitted at all. Works for both tiers — trace queries reach
+// arbitrarily old levels.
+func (s *ShardStore) ParentOf(enc []byte) (parent uint32, hasParent, found bool) {
 	ref, ok := s.v.find(enc, hashBytes(enc))
 	if !ok {
-		return "", false, false
+		return 0, false, false
 	}
-	ps, has := s.parentStringOf(ref)
-	if !has {
-		return "", false, true
+	parent, hasParent = s.v.parentOf(ref)
+	return parent, hasParent, true
+}
+
+// StateOf resolves a global ref of a closed level — one whose arena
+// entry exists — to the state's encoding and trace parent. found is
+// false when the ref names no such state of this store.
+func (s *ShardStore) StateOf(ref uint32) (enc []byte, parent uint32, hasParent, found bool) {
+	sh, ord := RefShard(ref), ref>>shardBits
+	switch {
+	case s.owned&(1<<sh) == 0:
+		return nil, 0, false, false
+	case s.noSeal:
+		if ord >= uint32(len(s.vlive[sh])) {
+			return nil, 0, false, false
+		}
+		ref = makeRef(sh, s.vlive[sh][ord])
+	case ord >= s.v.shards[sh].sealed.count:
+		return nil, 0, false, false
 	}
-	return State(ps), true, true
+	parent, hasParent = s.v.parentOf(ref)
+	return s.v.bytesOf(ref), parent, hasParent, true
 }
 
 // Count returns the number of admitted states.
 func (s *ShardStore) Count() int64 { return s.v.count.Load() }
 
-// Resident returns the store's exact resident byte footprint.
+// Resident returns the store's exact resident byte footprint: the
+// visited set's, as the engine counts it (a -no-seal store's carry and
+// ref table are not counted, as the engine counts no checkpoint
+// scratch).
 func (s *ShardStore) Resident() int64 { return s.v.resident.Load() }
 
-// WriteDelta atomically writes a per-level delta snapshot: a
-// checkpoint-v4 file holding ONLY the states of levelRefs (the refs the
-// last DrainLevel returned) plus the worker's complete current
-// frontier. A worker's chain of delta files w-l0..lK therefore covers
-// exactly its visited set through level K, and each file is readable by
-// the ordinary ReadCheckpoint — restore replays the chain through
-// Merge. It streams straight from the entry log with no per-state
-// materialization or re-sorting, so barrier cost is O(level), not
-// O(visited) — and not O(level·log level) either.
-//
-// Entries keep levelRefs' order: DrainLevel's final-claim-key order,
-// which the min-key reduction makes deterministic for a deterministic
-// level (arrival order of mesh frames never reaches it). Delta bytes
-// are therefore run-to-run identical; readers (Merge/MergeSealed) are
-// order-blind.
-func (s *ShardStore) WriteDelta(path string, depth int32, reduced bool, fingerprint uint64, levelRefs, frontier []uint32) error {
-	v := s.v
-	refs := levelRefs
-	return writeCheckpointFile(path, checkpointVersion, func(w *cpWriter) {
-		w.uvarint(uint64(uint32(depth)))
-		w.uvarint(0) // ResultDepth: deltas never carry a verdict
-		w.uvarint(0) // Transitions: priced by the coordinator's ledger
-		flags := uint64(0)
-		if reduced {
-			flags |= checkpointFlagReduced
-		}
-		w.uvarint(flags)
-		w.uvarint(fingerprint)
-		w.uvarint(uint64(len(frontier)))
-		for _, r := range frontier {
-			w.bstr(v.bytesOf(r))
-		}
-		w.uvarint(uint64(len(refs)))
-		for _, r := range refs {
-			w.bstr(v.bytesOf(r))
-			pb, has := s.parentStringOf(r)
-			w.sstr(pb)
-			hp := byte(0)
-			if has {
-				hp = 1
-			}
-			w.byte1(hp)
-		}
-	})
-}
-
-// parentStringOf resolves an admitted state's interned parent encoding
-// without copying it. The parent word is internIdx<<1 | hasParent in
-// both tiers (parentIsRef == false here).
-func (s *ShardStore) parentStringOf(ref uint32) (string, bool) {
-	pw := s.v.parentWordOf(ref)
-	if pw&1 == 0 {
-		return "", false
+// WriteSnapshot atomically writes the barrier snapshot at path: a
+// version-5 file holding, for each owned shard, the arena bytes
+// appended since the last successful write, and frontier — the live
+// states, in DrainLevel order — with their keys and parent refs. depth
+// is the frontier's BFS depth and nextBase the claim-key base of the
+// level that expands it, as in an engine checkpoint. Work is
+// proportional to the level, not to the visited set. A failed write
+// changes nothing, so the next call covers its bytes too.
+func (s *ShardStore) WriteSnapshot(path string, depth int32, reduced bool, fingerprint, nextBase uint64, frontier []uint32) error {
+	s5 := &sealedSnap{
+		depth:       depth,
+		reduced:     reduced,
+		fingerprint: fingerprint,
+		nextBase:    nextBase,
+		live:        make([]liveSnapEntry, len(frontier)),
 	}
-	return s.v.overflow.lookup(uint32(pw >> 1)), true
-}
-
-// Merge loads one delta snapshot's states into a store — crash
-// recovery rebuilds a respawned worker by merging its delta chain in
-// level order. The incoming states must be disjoint from the store's
-// current contents.
-func (s *ShardStore) Merge(cp *Checkpoint) ([]uint32, error) {
-	if _, err := s.mergeClaims(cp); err != nil {
-		return nil, err
+	for sh := range s5.shards {
+		if s.owned&(1<<sh) == 0 {
+			continue
+		}
+		ss, m := s.arena(uint32(sh)), s.written[sh]
+		restarts := make([]uint32, len(ss.restarts)-int(m.nres))
+		for i, r := range ss.restarts[m.nres:] {
+			restarts[i] = r - m.off
+		}
+		s5.shards[sh] = sealedShardSnap{count: ss.count - m.count, restarts: restarts, blob: ss.blob[m.off:]}
 	}
-	return s.frontierRefs(cp)
+	for i, r := range frontier {
+		s5.live[i] = liveSnapEntry{enc: s.v.bytesOf(r), key: s.v.keyOf(r), pw: s.v.parentWordOf(r)}
+	}
+	if err := writeSealedSnap(path, s5); err != nil {
+		return err
+	}
+	for sh := range s.written {
+		ss := s.arena(uint32(sh))
+		if s.noSeal {
+			// The carry keeps only what is still unwritten.
+			ss.blob, ss.restarts = ss.blob[:0], ss.restarts[:0]
+		}
+		s.written[sh] = segMark{count: ss.count, off: uint32(len(ss.blob)), nres: uint32(len(ss.restarts))}
+	}
+	return nil
 }
 
-// MergeSealed is Merge for a sealed-tier store: the snapshot's visited
-// states are claimed and then migrated straight to the sealed tier.
-// Restored entries claim with key 0 — below every level base a running
-// search can mint — so they can never be re-keyed and owe no live
-// residency. The seal compacts the store's surviving live entries, so
-// every ref array the caller holds across the call must be passed as
-// rewrite (the store's own pending-drain list is rewritten implicitly).
-// The returned frontier refs address the sealed tier and remain valid
-// inputs to BytesOf and expansion.
-func (s *ShardStore) MergeSealed(cp *Checkpoint, rewrite ...[]uint32) ([]uint32, error) {
-	refs, err := s.mergeClaims(cp)
+// Restore rebuilds an empty store from its barrier files, in write
+// order: their segments concatenate into each owned shard's arena, and
+// the last file's frontier is returned as live refs (assign their
+// global refs with AssignRefs). Refusals wrap ErrCheckpointCorrupt (an
+// inconsistent or foreign file) or ErrStateLimit (over the budget); a
+// missing file wraps os.ErrNotExist.
+func (s *ShardStore) Restore(paths []string) ([]uint32, error) {
+	s5 := &sealedSnap{}
+	for _, p := range paths {
+		if err := s5.load(p); err != nil {
+			return nil, fmt.Errorf("%s: %w", p, err)
+		}
+	}
+	frontier, err := s.v.restore(s5, s.noSeal, s.owned)
 	if err != nil {
 		return nil, err
 	}
-	if len(refs) > 0 {
-		s.SealLevel(refs, rewrite...)
-	}
-	return s.frontierRefs(cp)
-}
-
-// mergeClaims claims every visited entry of the snapshot, returning the
-// admitted refs in snapshot order.
-func (s *ShardStore) mergeClaims(cp *Checkpoint) ([]uint32, error) {
-	v := s.v
-	refs := make([]uint32, 0, len(cp.Visited))
-	for _, e := range cp.Visited {
-		parent := uint32(0)
-		if e.HasParent {
-			idx, _, added := v.overflow.intern([]byte(e.Parent))
-			if added > 0 {
-				v.resident.Add(added)
+	var d sealedDecoder
+	for sh := range s5.shards {
+		sn := &s5.shards[sh]
+		if s.noSeal && sn.count > 0 {
+			// Seed the carry's delta chain with the last restored entry;
+			// restored entries are live at their arena ordinals.
+			c := &s.carry[sh]
+			enc, pw := d.decodeAt(&sealedShard{count: sn.count, blob: sn.blob, restarts: sn.restarts}, sn.count-1)
+			c.count, c.lastEnc, c.lastPW = sn.count, append(c.lastEnc[:0], enc...), pw
+			for o := uint32(0); o < sn.count; o++ {
+				s.vlive[sh] = append(s.vlive[sh], o)
 			}
-			parent = idx
 		}
-		enc := []byte(e.State)
-		st, ref := v.claim(enc, hashBytes(enc), parent, 0, e.HasParent, 1, &s.pc)
-		switch st {
-		case ClaimNew:
-			refs = append(refs, ref)
-		case ClaimFull:
-			return nil, fmt.Errorf("mc: merge over the %d-state budget: %w", v.max, ErrStateLimit)
-		default:
-			return nil, fmt.Errorf("%w: merged snapshot overlaps the store", ErrCheckpointCorrupt)
-		}
-	}
-	v.bumpPeak()
-	return refs, nil
-}
-
-// frontierRefs resolves the snapshot's frontier states to refs in the
-// store's current ordinal space.
-func (s *ShardStore) frontierRefs(cp *Checkpoint) ([]uint32, error) {
-	v := s.v
-	frontier := make([]uint32, len(cp.Frontier))
-	for i, st := range cp.Frontier {
-		enc := []byte(st)
-		ref, ok := v.find(enc, hashBytes(enc))
-		if !ok {
-			return nil, fmt.Errorf("%w: frontier state missing from visited set", ErrCheckpointCorrupt)
-		}
-		frontier[i] = ref
+		ss := s.arena(uint32(sh))
+		s.written[sh] = segMark{count: ss.count, off: uint32(len(ss.blob)), nres: uint32(len(ss.restarts))}
 	}
 	return frontier, nil
 }
