@@ -113,7 +113,6 @@ func run(args []string) error {
 	maxOOS := fs.Int("max-oos", 0, "limit total out-of-slot errors (0 = unlimited)")
 	noCSReplay := fs.Bool("no-cs-replay", false, "forbid replaying cold-start frames")
 	noReduce := fs.Bool("no-reduce", false, "disable the state-space reduction (oracle mode: concrete states, published counts)")
-	noSeal := fs.Bool("no-seal", false, "disable sealed-tier compaction of fully-expanded levels (oracle mode for memory: identical results, higher resident bytes)")
 	states := fs.Bool("states", false, "also dump raw state variables of the trace")
 	maxStates := fs.Int("max-states", 0, "state budget (0 = default)")
 	parallel := fs.Int("parallel", runtime.NumCPU(), "exploration worker-pool size (results are identical for any value)")
@@ -173,7 +172,6 @@ func run(args []string) error {
 		FallbackWalks:   *fallbackWalks,
 		FallbackDepth:   *fallbackDepth,
 		NoReduce:        *noReduce,
-		NoSeal:          *noSeal,
 	}
 	if *resume {
 		if *checkpoint == "" {
@@ -204,9 +202,13 @@ func run(args []string) error {
 				"ttamc: %d states in %v (%.0f states/s), %d levels, peak frontier %d, %d allocs (%d bytes)\n",
 				st.States, st.Duration.Round(time.Millisecond), st.StatesPerSec,
 				st.Levels, st.PeakFrontier, st.Allocs, st.AllocBytes)
-			fmt.Fprintf(os.Stderr,
-				"ttamc: visited set: load factor %.2f, resident %d bytes (peak %d), probe lengths %v\n",
-				st.LoadFactor, st.ResidentBytes, st.PeakResidentBytes, st.ProbeHist)
+			if st.LoadFactor > 0 {
+				fmt.Fprintf(os.Stderr,
+					"ttamc: visited set: load factor %.2f, resident %d bytes (peak %d), probe lengths %v\n",
+					st.LoadFactor, st.ResidentBytes, st.PeakResidentBytes, st.ProbeHist)
+			} else { // a distributed backend measures only the resident bytes
+				fmt.Fprintf(os.Stderr, "ttamc: visited set: resident %d bytes\n", st.ResidentBytes)
+			}
 			if st.SealedStates > 0 {
 				fmt.Fprintf(os.Stderr,
 					"ttamc: sealed tier: %d states, arena %d bytes (%.2f B/state), index %d bytes\n",

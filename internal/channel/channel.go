@@ -124,19 +124,6 @@ func NewMedium(sched *sim.Scheduler, id ID, name string) *Medium {
 // Attach subscribes r to all future deliveries.
 func (m *Medium) Attach(r Receiver) { m.receivers = append(m.receivers, r) }
 
-// Transmissions returns how many transmissions the medium has carried.
-func (m *Medium) Transmissions() uint64 { return m.count }
-
-// Busy reports whether any transmission occupies the wire at instant at.
-func (m *Medium) Busy(at sim.Time) bool {
-	for _, p := range m.active {
-		if !at.Before(p.tx.Start) && at.Before(p.tx.End()) {
-			return true
-		}
-	}
-	return false
-}
-
 // Transmit places tx on the wire. Transmissions must not start in the past.
 func (m *Medium) Transmit(tx Transmission) {
 	if tx.Start < m.sched.Now() {

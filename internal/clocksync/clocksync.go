@@ -9,8 +9,6 @@ package clocksync
 import (
 	"slices"
 	"time"
-
-	"ttastar/internal/sim"
 )
 
 // FTA computes the fault-tolerant average of the deviations: the k largest
@@ -60,9 +58,6 @@ func (s *Synchronizer) Observe(dev time.Duration) {
 	s.devs = append(s.devs, dev)
 }
 
-// Pending returns the number of measurements collected this interval.
-func (s *Synchronizer) Pending() int { return len(s.devs) }
-
 // Correction closes the current interval: it returns the clock correction
 // to apply (the FTA of the collected deviations) and clears the
 // measurement store for the next interval.
@@ -83,13 +78,4 @@ func (s *Synchronizer) Correction() time.Duration {
 // and the largest magnitude seen — observability for precision experiments.
 func (s *Synchronizer) Stats() (count int, last, maxAbs time.Duration) {
 	return s.corrections, s.lastCorr, s.maxAbsCorr
-}
-
-// PrecisionBound returns a worst-case bound on the offset between two
-// correct clocks that resynchronize every interval: accumulated relative
-// drift plus twice the reading error. This is the Π used to size acceptance
-// windows.
-func PrecisionBound(maxDrift sim.PPB, interval, readingError time.Duration) time.Duration {
-	drift := time.Duration(int64(interval) * 2 * int64(maxDrift) / 1_000_000_000)
-	return drift + 2*readingError
 }

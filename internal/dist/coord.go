@@ -439,7 +439,8 @@ func (c *coordinator) start() error {
 }
 
 // Close tears the fleet and the run's directories down, then records
-// the run's Report on the Checker and its wire totals in st.
+// the run's Report on the Checker and its wire totals and last barrier
+// footprint in st.
 func (c *coordinator) Close(st *mc.Stats) {
 	c.shutdown()
 	if c.meshDir != "" {
@@ -455,6 +456,7 @@ func (c *coordinator) Close(st *mc.Stats) {
 	if st != nil {
 		st.WireFrames = rep.Frames
 		st.WireBytes = rep.BytesOnWire
+		st.ResidentBytes = c.Resident()
 	}
 }
 
@@ -536,7 +538,6 @@ func (c *coordinator) startIncarnation(w *workerState) error {
 		SpecPayload: c.specPayload,
 		Reduced:     c.reduced,
 		CheckState:  c.stInv != nil,
-		NoSeal:      c.mopts.NoSeal,
 		MaxStates:   c.mopts.MaxStates,
 		Assign:      c.assign,
 		SnapshotDir: c.snapDir,

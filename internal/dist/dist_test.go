@@ -357,7 +357,7 @@ func TestDistKillTakeover(t *testing.T) {
 		t.Fatalf("report: %d respawns %d takeovers, want %d/0", rep.Respawns, rep.Takeovers, maxRespawns)
 	}
 	for w := 0; w < 3; w++ {
-		if _, err := restoreChain(dir, 3, w, false, 0, 1, 2); err != nil {
+		if _, err := restoreChain(dir, 3, w, 0, 1, 2); err != nil {
 			t.Fatalf("worker %d snapshots not intact: %v", w, err)
 		}
 	}
@@ -365,7 +365,7 @@ func TestDistKillTakeover(t *testing.T) {
 
 // restoreChain restores worker w's barrier snapshots of the given
 // levels from dir, as a respawn of it in a fleet of n would.
-func restoreChain(dir string, n, w int, noSeal bool, levels ...int) (*mc.ShardStore, error) {
+func restoreChain(dir string, n, w int, levels ...int) (*mc.ShardStore, error) {
 	owned := uint64(0)
 	for s := w; s < mc.NumShards; s += n {
 		owned |= 1 << s
@@ -374,7 +374,7 @@ func restoreChain(dir string, n, w int, noSeal bool, levels ...int) (*mc.ShardSt
 	for _, l := range levels {
 		paths = append(paths, filepath.Join(dir, fmt.Sprintf("w%d-l%d.mc", w, l)))
 	}
-	s := mc.NewShardStore(0, owned, noSeal)
+	s := mc.NewShardStore(0, owned)
 	_, err := s.Restore(paths)
 	return s, err
 }

@@ -454,7 +454,6 @@ type msgConfig struct {
 	SpecPayload string
 	Reduced     bool
 	CheckState  bool // check the spec's state invariant (else its transition invariant)
-	NoSeal      bool // keep every visited entry live (no sealed-tier compaction)
 	MaxStates   int
 	Assign      [mc.NumShards]uint8
 	SnapshotDir string
@@ -478,7 +477,6 @@ func (m *msgConfig) encode() (byte, []byte) {
 	w.str(m.SpecPayload)
 	w.boolean(m.Reduced)
 	w.boolean(m.CheckState)
-	w.boolean(m.NoSeal)
 	w.i(m.MaxStates)
 	w.raw(m.Assign[:])
 	w.str(m.SnapshotDir)
@@ -506,7 +504,6 @@ func decodeConfig(p []byte) (*msgConfig, error) {
 		SpecPayload: r.str(),
 		Reduced:     r.boolean(),
 		CheckState:  r.boolean(),
-		NoSeal:      r.boolean(),
 		MaxStates:   r.i(),
 	}
 	for i := range m.Assign {

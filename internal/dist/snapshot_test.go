@@ -225,6 +225,23 @@ func engineBoundaries(t *testing.T, m mc.Model, trInv mc.TransitionInvariantByte
 	return files
 }
 
+// boundedResident runs m to frontier depth depth, in-process or on the
+// dist fleet d, and returns the resident bytes its Stats report: the
+// footprint at that level boundary.
+func boundedResident(t *testing.T, m mc.Model, trInv mc.TransitionInvariantBytes, depth int, d mc.DistChecker) int64 {
+	t.Helper()
+	var st mc.Stats
+	opts := mc.Options{MaxDepth: depth, Stats: func(s mc.Stats) { st = s }}
+	if d != nil {
+		opts.Dist = d
+	}
+	res, err := mc.CheckTransitionInvariantBytes(m, trInv, opts)
+	if err != nil || !res.DepthBounded {
+		t.Fatalf("search bounded at depth %d: %+v, %v", depth, res, err)
+	}
+	return st.ResidentBytes
+}
+
 // workerFiles reads worker w's barrier files for levels 0..through.
 func workerFiles(t *testing.T, dir string, w, through int) [][]byte {
 	t.Helper()
@@ -244,7 +261,8 @@ func workerFiles(t *testing.T, dir string, w, through int) [][]byte {
 // barrier files — count, restart offsets and bytes — is byte-identical
 // to the in-process engine's arena for that shard at the same level;
 // the workers' live sections merge by key into the engine's live tier;
-// and a -no-seal fleet writes the same files byte for byte.
+// and the workers' resident bytes sum to the engine's, read from Stats
+// at the end of a search bounded at that depth.
 func TestDistArenasMatchEngine(t *testing.T) {
 	tta, err := model.New(model.Config{Nodes: 4, Authority: guardian.AuthoritySmallShift})
 	if err != nil {
@@ -263,23 +281,30 @@ func TestDistArenasMatchEngine(t *testing.T) {
 		if len(engine) < 3 {
 			t.Fatalf("%s: only %d engine boundaries", tc.name, len(engine))
 		}
+		engResident := map[int]int64{}
+		for depth := range engine {
+			if depth > 0 {
+				engResident[depth] = boundedResident(t, tc.m, tc.trInv, depth, nil)
+			}
+		}
 		for workers := 2; workers <= 4; workers++ {
-			dirs := map[bool]string{}
-			for _, noSeal := range []bool{false, true} {
-				dirs[noSeal] = t.TempDir()
-				if _, _, err := runDist(t, tc.m, nil, tc.trInv, mc.Options{NoSeal: noSeal},
-					Options{Workers: workers, SnapshotDir: dirs[noSeal]}); err != nil {
-					t.Fatalf("%s workers=%d noSeal=%v: %v", tc.name, workers, noSeal, err)
-				}
+			dir := t.TempDir()
+			if _, _, err := runDist(t, tc.m, nil, tc.trInv, mc.Options{},
+				Options{Workers: workers, SnapshotDir: dir}); err != nil {
+				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
 			}
 			for depth, eng := range engine {
+				if depth > 0 {
+					ck := &Checker{Opts: Options{Workers: workers, Launcher: newPipeLauncher(), SnapshotDir: t.TempDir()}}
+					if got := boundedResident(t, tc.m, tc.trInv, depth, ck); got != engResident[depth] {
+						t.Fatalf("%s workers=%d depth %d: workers' resident sums to %d bytes, engine's is %d",
+							tc.name, workers, depth, got, engResident[depth])
+					}
+				}
 				want := parseV5(t, eng, &[mc.NumShards]uint64{})
 				var live []v5Live
 				for w := 0; w < workers; w++ {
-					files := workerFiles(t, dirs[false], w, depth)
-					if plain := workerFiles(t, dirs[true], w, depth); !reflect.DeepEqual(plain, files) {
-						t.Fatalf("%s workers=%d worker %d depth %d: -no-seal files differ from sealed", tc.name, workers, w, depth)
-					}
+					files := workerFiles(t, dir, w, depth)
 					arenas, last := concatArenas(t, files)
 					for s := range arenas {
 						if s%workers != w {
@@ -312,9 +337,9 @@ func TestDistArenasMatchEngine(t *testing.T) {
 // FuzzRestoreWorkerSnapshot throws damaged barrier files at a worker's
 // restore: the fuzzed payload (checksummed by the harness, so mutations
 // reach the parser and the arena sweep) is restored as the last file of
-// a real chain from a 2-worker run, under both seal modes. The
-// contract: never panic, and refuse only with ErrCheckpointCorrupt or
-// ErrStateLimit; a restored store must resolve its frontier's refs.
+// a real chain from a 2-worker run. The contract: never panic, and
+// refuse only with ErrCheckpointCorrupt or ErrStateLimit; a restored
+// store must find every frontier state by its encoding.
 // Seeds are the real files of 2-worker diamond and colored (reduced)
 // runs, plus their truncations.
 func FuzzRestoreWorkerSnapshot(f *testing.F) {
@@ -361,20 +386,17 @@ func FuzzRestoreWorkerSnapshot(f *testing.F) {
 			paths = append(paths, filepath.Join(c.dir, fmt.Sprintf("w%d-l%d.mc", c.worker, l)))
 		}
 		paths = append(paths, last)
-		for _, noSeal := range []bool{false, true} {
-			s := mc.NewShardStore(1<<16, owned, noSeal)
-			frontier, err := s.Restore(paths)
-			if err != nil {
-				if !errors.Is(err, mc.ErrCheckpointCorrupt) && !errors.Is(err, mc.ErrStateLimit) {
-					t.Fatalf("noSeal=%v: restore refused with %v, want ErrCheckpointCorrupt or ErrStateLimit", noSeal, err)
-				}
-				continue
+		s := mc.NewShardStore(1<<16, owned)
+		frontier, err := s.Restore(paths)
+		if err != nil {
+			if !errors.Is(err, mc.ErrCheckpointCorrupt) && !errors.Is(err, mc.ErrStateLimit) {
+				t.Fatalf("restore refused with %v, want ErrCheckpointCorrupt or ErrStateLimit", err)
 			}
-			for i, ref := range s.AssignRefs(frontier) {
-				enc, _, _, found := s.StateOf(ref)
-				if noSeal && (!found || !bytes.Equal(enc, s.BytesOf(frontier[i]))) {
-					t.Fatalf("noSeal: frontier ref %#x resolves to (%q, %v)", ref, enc, found)
-				}
+			return
+		}
+		for _, ref := range frontier {
+			if _, _, found := s.ParentOf(s.BytesOf(ref)); !found {
+				t.Fatalf("frontier state %q not found by its encoding", s.BytesOf(ref))
 			}
 		}
 	})

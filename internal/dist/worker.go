@@ -404,7 +404,7 @@ func (w *worker) configure(cfg *msgConfig) error {
 			owned |= 1 << shard
 		}
 	}
-	w.store = mc.NewShardStore(cfg.MaxStates, owned, cfg.NoSeal)
+	w.store = mc.NewShardStore(cfg.MaxStates, owned)
 	w.buf.level = -1
 	if err := w.restore(cfg.Restore); err != nil {
 		return err

@@ -65,22 +65,6 @@ func (c *CampaignCell) AddRun(v RunVerdict) {
 	c.GuardianBlocked += v.GuardianBlocked
 }
 
-// Merge folds another cell's tallies into c, so shards of one campaign
-// cell (same label/topology) aggregated separately can be combined:
-// AddRun and Merge commute with any associative grouping of the runs.
-func (c *CampaignCell) Merge(o CampaignCell) {
-	c.Runs += o.Runs
-	c.RunsDisrupted += o.RunsDisrupted
-	c.HealthyFreezes += o.HealthyFreezes
-	c.GuardianBlocked += o.GuardianBlocked
-	c.Attempts += o.Attempts
-	c.Panics += o.Panics
-	c.Retried += o.Retried
-	c.Failed += o.Failed
-	c.Skipped += o.Skipped
-	c.CheckpointRetries += o.CheckpointRetries
-}
-
 // reduceVerdicts builds the campaign aggregate from ordered run verdicts,
 // folding only runs that completed: skipped and failed slots (non-nil
 // errs entries) hold zero values, not verdicts.

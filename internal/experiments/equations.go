@@ -20,20 +20,6 @@ func EquationTable() string {
 	return b.String()
 }
 
-// Figure3Curves computes the E7 series: the eq. (10) curve for several
-// minimum frame sizes (le = 4, as in the figure).
-func Figure3Curves(fMins []int, fMaxHi, step int) (map[int][]analysis.RatioPoint, error) {
-	out := make(map[int][]analysis.RatioPoint, len(fMins))
-	for _, fMin := range fMins {
-		series, err := analysis.Figure3Series(fMin, analysis.PaperLineEncodingBits, fMin, fMaxHi, step)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: figure 3 series for f_min=%d: %w", fMin, err)
-		}
-		out[fMin] = series
-	}
-	return out, nil
-}
-
 // AsciiPlot renders a Figure-3 style log-scale impression of a series as
 // rows of f_max versus a bar proportional to the allowable clock ratio.
 func AsciiPlot(series []analysis.RatioPoint, rows int) string {

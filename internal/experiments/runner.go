@@ -341,18 +341,3 @@ func RunSeededContext[T any](ctx context.Context, label string, runs int, base u
 	}
 	return out, errs, stats, err
 }
-
-// RunSeeded is RunSeededContext without cancellation or health tracking:
-// it fails on the lowest-indexed per-run error of any kind, preserving
-// the historical all-or-nothing contract for callers that want it.
-func RunSeeded[T any](label string, runs int, base uint64, runOne func(r int, s RunSeeds) (T, error)) ([]T, error) {
-	out, errs, _, err := RunSeededContext(context.Background(), label, runs, base, runOne)
-	if err == nil {
-		for _, e := range errs {
-			if e != nil {
-				return out, e
-			}
-		}
-	}
-	return out, err
-}

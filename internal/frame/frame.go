@@ -45,9 +45,6 @@ func (k Kind) String() string {
 	}
 }
 
-// Explicit reports whether the kind carries its C-state explicitly.
-func (k Kind) Explicit() bool { return k == KindColdStart || k == KindI || k == KindX }
-
 // Bit-layout constants. The header of N/I/X frames is 4 bits (1-bit
 // C-state-explicit flag + 3-bit mode change request); cold-start frames have
 // a 1-bit type flag, a 16-bit global time, and a 9-bit round-slot position,

@@ -46,9 +46,6 @@ func (a Authority) String() string {
 	}
 }
 
-// CanBlock reports whether the coupler can stop frames (close the bus).
-func (a Authority) CanBlock() bool { return a >= AuthorityTimeWindows }
-
 // CanReshape reports whether the coupler can adjust frame timing/signal.
 func (a Authority) CanReshape() bool { return a >= AuthoritySmallShift }
 

@@ -54,10 +54,3 @@ func PeakOccupancy(frameBits, thresholdBits int, inRate, outRate float64) float6
 	remaining := float64(frameBits - thresholdBits)
 	return float64(thresholdBits) + remaining*(1-outRate/inRate)
 }
-
-// MinBufferBits returns the §6 eq. (1) minimum buffer size
-// B_min = le + Δ·f_max for a guardian that must forward frames of up to
-// fMax bits across a relative clock-rate difference delta.
-func MinBufferBits(le int, delta float64, fMax int) float64 {
-	return float64(le) + delta*float64(fMax)
-}

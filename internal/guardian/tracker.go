@@ -203,9 +203,6 @@ func (p *PhaseTracker) anchorDeviation(newAnchor sim.LocalTime, slot int) time.D
 	return diff
 }
 
-// Desync drops the tracker back to unsynchronized (fault injection).
-func (p *PhaseTracker) Desync() { p.synced = false }
-
 // NextSlotStart returns the first instant at or after 'after' when the
 // given slot begins, per the tracker's phase view. Experiment scripts use
 // it to aim fault injections at specific slots.

@@ -18,10 +18,9 @@ package mc
 // differently-parameterized model fails loudly instead of silently
 // decoding garbage — the claim-key base the next level starts at, the
 // per-shard sealed arenas, and the live tier (the frontier, with its
-// claim keys and sealed parent refs). The file is a function of the
-// search state, not of the memory layout: a -no-seal engine writes the
-// arenas its sealing twin would hold at the same cut, so both modes
-// write the same bytes and either mode resumes either file.
+// claim keys and sealed parent refs). Only a sealing engine writes or
+// resumes one: at a level boundary its arenas are exactly the sealed
+// tier the file holds, so a capture copies nothing.
 //
 // A distributed worker writes the same layout at every level barrier
 // (ShardStore.WriteSnapshot), holding only its own shards and, per
@@ -40,7 +39,6 @@ package mc
 import (
 	"bufio"
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -48,7 +46,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"time"
 
 	"ttastar/internal/retry"
@@ -271,89 +268,39 @@ type liveSnapEntry struct {
 }
 
 // checkpointSnap captures the search at a level boundary, right after
-// NextLevel, where the frontier is the whole live tier of a sealing
-// engine. A sealing engine's arenas are referenced as they stand; a
-// -no-seal engine builds the ones its sealing twin would hold (see
-// sealedTwin), so both modes capture the same snapshot.
+// NextLevel, where the frontier is the whole live tier and every other
+// state is sealed: the arenas are referenced as they stand.
 func (b *localBackend) checkpointSnap(res Result, depth int32, fingerprint, nextBase uint64) *sealedSnap {
-	v := b.v
-	s5 := &sealedSnap{
-		depth:       depth,
-		resultDepth: res.Depth,
-		transitions: res.TransitionsExplored,
-		reduced:     res.Reduced,
-		fingerprint: fingerprint,
-		nextBase:    nextBase,
-		live:        make([]liveSnapEntry, len(b.frontier)),
-	}
-	remap := func(ref uint32) uint32 { return ref }
-	if b.noSeal {
-		remap = v.sealedTwin(b.frontier, &s5.shards)
-	} else {
-		for si := range s5.shards {
-			ss := &v.shards[si].sealed
-			s5.shards[si] = sealedShardSnap{count: ss.count, restarts: ss.restarts, blob: ss.blob}
-		}
-	}
-	for i, ref := range b.frontier {
-		le := liveSnapEntry{enc: v.bytesOf(ref), key: v.keyOf(ref)}
-		if p, ok := v.parentOf(ref); ok {
-			le.pw = uint64(remap(p)) + 1
-		}
-		s5.live[i] = le
-	}
+	s5 := b.v.capture(allShards, &[numShards]segMark{}, b.frontier)
+	s5.depth, s5.resultDepth, s5.transitions = depth, res.Depth, res.TransitionsExplored
+	s5.reduced, s5.fingerprint, s5.nextBase = res.Reduced, fingerprint, nextBase
 	return s5
 }
 
-// sealedTwin fills shards with the sealed tier a sealing engine would
-// hold at this boundary, for a set that seals nothing: every entry
-// outside the frontier, per shard in key order, with parent refs
-// remapped to their positions there. Keys rise across levels, so key
-// order is the order the level-by-level seals append in; entries
-// restored from a checkpoint carry key 0 and sit in arena order, which
-// the ordinal tie-break keeps. It returns the remap from a live ref to
-// its ref in the twin tier.
-func (v *visitedSet) sealedTwin(frontier []uint32, shards *[numShards]sealedShardSnap) func(uint32) uint32 {
-	// The frontier is in key order and holds exactly the keys at or above
-	// its first one.
-	split := uint64(keyMask) + 1
-	if len(frontier) > 0 {
-		split = v.keyOf(frontier[0])
+// capture snapshots the owned shards' arenas from the marks in from —
+// the segment appended since, restart offsets rebased to it — and
+// frontier's live states, in its order, with their keys and parent
+// words. An arena captured from its start is referenced, not copied.
+func (v *visitedSet) capture(owned uint64, from *[numShards]segMark, frontier []uint32) *sealedSnap {
+	s5 := &sealedSnap{live: make([]liveSnapEntry, len(frontier))}
+	for i, r := range frontier {
+		s5.live[i] = liveSnapEntry{enc: v.bytesOf(r), key: v.keyOf(r), pw: v.parentWordOf(r)}
 	}
-	var order [numShards][]keyedRef
-	var rank [numShards][]uint32
-	for si := range v.shards {
-		n := v.shards[si].ordCount
-		for o := uint32(0); o < n; o++ {
-			if k := v.keyOf(makeRef(uint32(si), o)); k < split {
-				order[si] = append(order[si], keyedRef{key: k, ref: o})
+	for sh := range s5.shards {
+		if owned&(1<<sh) == 0 {
+			continue
+		}
+		ss, m := &v.shards[sh].sealed, from[sh]
+		restarts := ss.restarts[m.nres:]
+		if m.off > 0 {
+			restarts = make([]uint32, len(restarts))
+			for i, r := range ss.restarts[m.nres:] {
+				restarts[i] = r - m.off
 			}
 		}
-		slices.SortFunc(order[si], func(a, b keyedRef) int {
-			return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.ref, b.ref))
-		})
-		rank[si] = make([]uint32, n)
-		for i, kr := range order[si] {
-			rank[si][kr.ref] = uint32(i)
-		}
+		s5.shards[sh] = sealedShardSnap{count: ss.count - m.count, restarts: restarts, blob: ss.blob[m.off:]}
 	}
-	remap := func(ref uint32) uint32 {
-		s := ref & (numShards - 1)
-		return makeRef(s, rank[s][ref>>shardBits])
-	}
-	for si := range order {
-		var ss sealedShard
-		for _, kr := range order[si] {
-			e := v.shards[si].entryAt(kr.ref)
-			var pw uint64
-			if e.meta&hasParentBit != 0 {
-				pw = uint64(remap(e.parent)) + 1
-			}
-			ss.appendEntry(v.encOfLive(e, e.meta), pw)
-		}
-		shards[si] = sealedShardSnap{count: ss.count, restarts: ss.restarts, blob: ss.blob}
-	}
-	return remap
+	return s5
 }
 
 // writeSealedSnap writes s5 as a version-5 file.
@@ -506,9 +453,6 @@ func (s5 *sealedSnap) load(path string) error {
 	return nil
 }
 
-// allShards is the ownership mask of a set holding the whole search.
-const allShards = ^uint64(0)
-
 // parentRef checks a parent word against the snapshot's sealed tier: a
 // parent is always sealed, whichever tier its child is in. A parent in
 // a shard owned elsewhere cannot be checked here; its owner refuses it
@@ -530,20 +474,17 @@ func (s5 *sealedSnap) parentRef(pw uint64, owned uint64) (ref uint32, hasParent 
 
 // restore loads a checkpoint into an empty set and returns the frontier
 // refs; with the snapshot's nextBase they continue the interrupted run
-// byte-for-byte, under either seal mode. owned is the set of shards the
-// set holds (allShards for the engine; a distributed worker's own).
+// byte-for-byte. owned is the set of shards the set holds (allShards
+// for the engine; a distributed worker's own).
 //
 // One checked decode sweep runs over each shard's arena. Every entry
 // must hash to the shard it is stored in, that shard must be owned,
-// and the entry must appear once. A sealing set
-// installs the arena wholesale and rebuilds its probe index, replaying
-// the writer's growth schedule so capacities — and resident bytes —
-// come out exactly as written. A set that seals nothing (noSeal)
-// claims each entry live with key 0, below every base a resumed level
-// mints; the entry lands on ref makeRef(shard, ordinal), so the sealed
-// parent refs stay valid. Both then claim the live tier with its real
-// keys in frontier order.
-func (v *visitedSet) restore(s5 *sealedSnap, noSeal bool, owned uint64) ([]uint32, error) {
+// and the entry must appear once: the arena is installed wholesale and
+// its probe index rebuilt as the sweep goes, each entry probed before
+// it is inserted. The index replays the writer's growth schedule, so
+// capacities — and resident bytes — come out exactly as written. The
+// live tier is then claimed with its real keys in frontier order.
+func (v *visitedSet) restore(s5 *sealedSnap, owned uint64) ([]uint32, error) {
 	total := int64(len(s5.live))
 	for i := range s5.shards {
 		total += int64(s5.shards[i].count)
@@ -562,15 +503,12 @@ func (v *visitedSet) restore(s5 *sealedSnap, noSeal bool, owned uint64) ([]uint3
 			return nil, fmt.Errorf("%w: arena for shard %d, which is not owned here", ErrCheckpointCorrupt, si)
 		}
 		sh := &v.shards[si]
-		ss := &sealedShard{}
-		if !noSeal {
-			ss = &sh.sealed
-			newLen := sealedInitialCells
-			for uint64(sn.count)*4 > uint64(newLen)*3 {
-				newLen = sealedGrow(newLen)
-			}
-			ss.index = make([]uint32, newLen)
+		ss := &sh.sealed
+		newLen := sealedInitialCells
+		for uint64(sn.count)*4 > uint64(newLen)*3 {
+			newLen = sealedGrow(newLen)
 		}
+		ss.index = make([]uint32, newLen)
 		ss.count, ss.blob, ss.restarts = sn.count, sn.blob, sn.restarts
 		d.startAt(ss, 0)
 		for d.ord < sn.count {
@@ -578,8 +516,7 @@ func (v *visitedSet) restore(s5 *sealedSnap, noSeal bool, owned uint64) ([]uint3
 			if err := d.stepChecked(len(ss.blob)); err != nil {
 				return nil, fmt.Errorf("%w: shard %d ordinal %d: %v", ErrCheckpointCorrupt, si, ord, err)
 			}
-			parent, hasParent, err := s5.parentRef(d.pw, owned)
-			if err != nil {
+			if _, _, err := s5.parentRef(d.pw, owned); err != nil {
 				return nil, err
 			}
 			h := hashBytes(d.enc)
@@ -587,25 +524,15 @@ func (v *visitedSet) restore(s5 *sealedSnap, noSeal bool, owned uint64) ([]uint3
 				return nil, fmt.Errorf("%w: shard %d ordinal %d: entry belongs in shard %d",
 					ErrCheckpointCorrupt, si, ord, ShardOf(h))
 			}
-			dup := false
-			if noSeal {
-				st, ref := v.claim(d.enc, h, parent, 0, hasParent, 1, nil)
-				dup = st != ClaimNew || ref != makeRef(uint32(si), ord)
-			} else {
-				_, dup = ss.find(uint32(h>>32), d.enc, &probe)
-				ss.indexInsert(uint32(h>>32), ord)
-			}
-			if dup {
+			if _, dup := ss.find(uint32(h>>32), d.enc, &probe); dup {
 				return nil, fmt.Errorf("%w: shard %d ordinal %d: duplicate sealed entry", ErrCheckpointCorrupt, si, ord)
 			}
+			ss.indexInsert(uint32(h>>32), ord)
 		}
 		if d.off != len(ss.blob) {
 			return nil, fmt.Errorf("%w: %d trailing arena bytes", ErrCheckpointCorrupt, len(ss.blob)-d.off)
 		}
-		if noSeal {
-			continue
-		}
-		// Seed the delta-chain carry so later seals append seamlessly.
+		// Seed the delta chain so later seals append seamlessly.
 		ss.lastEnc = append(ss.lastEnc[:0], d.enc...)
 		ss.lastPW = d.pw
 		sh.liveBase = sn.count

@@ -148,7 +148,7 @@ func (enospcWriter) Write(p []byte) (int, error) { return 0, syscall.ENOSPC }
 // search wrote.
 func TestWriteCheckpointRetryTransient(t *testing.T) {
 	dir := t.TempDir()
-	want := interruptSealed(t, 14, 5, filepath.Join(dir, "search"), false)
+	want := interruptSealed(t, 14, 5, filepath.Join(dir, "search"))
 	s5 := readEngineSnap(t, filepath.Join(dir, "search"))
 
 	path := filepath.Join(dir, "cp")
@@ -182,7 +182,7 @@ func TestWriteCheckpointRetryTransient(t *testing.T) {
 // retried: one attempt, the error surfaces as-is, and no file appears.
 func TestWriteCheckpointRetryPermanent(t *testing.T) {
 	dir := t.TempDir()
-	interruptSealed(t, 14, 5, filepath.Join(dir, "search"), false)
+	interruptSealed(t, 14, 5, filepath.Join(dir, "search"))
 	s5 := readEngineSnap(t, filepath.Join(dir, "search"))
 
 	path := filepath.Join(dir, "cp")
@@ -233,10 +233,10 @@ func TestReadCheckpointLeavesCorruptFileIntact(t *testing.T) {
 }
 
 // FuzzResumeCheckpoint throws arbitrary engine-checkpoint payloads at
-// the resume path: envelope, parse, then restore into a fresh set under
-// both seal modes. The fuzzed bytes are the checksummed payload — the
-// harness appends the FNV-64a trailer — so mutations reach the parser
-// and the arena decode instead of dying at the checksum. The contract:
+// the resume path: envelope, parse, then restore into a fresh set. The
+// fuzzed bytes are the checksummed payload — the harness appends the
+// FNV-64a trailer — so mutations reach the parser and the arena decode
+// instead of dying at the checksum. The contract:
 // never panic, and refuse only with ErrCheckpointCorrupt or
 // ErrStateLimit. Seeds are real checkpoints of interrupted diamond
 // (plain) and colored (reduced) searches, cut at several depths, plus
@@ -275,11 +275,9 @@ func FuzzResumeCheckpoint(f *testing.F) {
 			}
 			return
 		}
-		for _, noSeal := range []bool{false, true} {
-			err := restoreFresh(s5, noSeal, 1<<16)
-			if err != nil && !errors.Is(err, ErrCheckpointCorrupt) && !errors.Is(err, ErrStateLimit) {
-				t.Fatalf("noSeal=%v: restore refused with %v, want ErrCheckpointCorrupt or ErrStateLimit", noSeal, err)
-			}
+		err = restoreFresh(s5, 1<<16)
+		if err != nil && !errors.Is(err, ErrCheckpointCorrupt) && !errors.Is(err, ErrStateLimit) {
+			t.Fatalf("restore refused with %v, want ErrCheckpointCorrupt or ErrStateLimit", err)
 		}
 	})
 }

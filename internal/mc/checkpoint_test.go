@@ -104,9 +104,9 @@ func readEngineSnap(t testing.TB, path string) *sealedSnap {
 	return s5
 }
 
-// restoreFresh restores s5 into a fresh set under the given seal mode.
-func restoreFresh(s5 *sealedSnap, noSeal bool, maxStates int) error {
-	_, err := newVisitedSet(maxStates).restore(s5, noSeal, allShards)
+// restoreFresh restores s5 into a fresh set.
+func restoreFresh(s5 *sealedSnap, maxStates int) error {
+	_, err := newVisitedSet(maxStates, allShards).restore(s5, allShards)
 	return err
 }
 
@@ -244,7 +244,7 @@ func TestCheckpointMissingFile(t *testing.T) {
 	if s5, err := readSealedSnap(absent); s5 != nil || err != nil {
 		t.Fatalf("engine read: got (%v, %v), want nothing to resume", s5, err)
 	}
-	if _, err := NewShardStore(0, allShards, false).Restore([]string{absent}); !errors.Is(err, os.ErrNotExist) {
+	if _, err := NewShardStore(0, allShards).Restore([]string{absent}); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("worker restore: got %v, want os.ErrNotExist", err)
 	}
 }

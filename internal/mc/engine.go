@@ -444,12 +444,12 @@ type localBackend struct {
 func newLocalBackend(m Model, rm ReducibleModel, stInv StateInvariantBytes,
 	trInv TransitionInvariantBytes, opts Options) *localBackend {
 	return &localBackend{
-		v:       newVisitedSet(opts.MaxStates),
+		v:       newVisitedSet(opts.MaxStates, allShards),
 		sc:      newLevelScratch(m, opts.Workers, rm),
 		stInv:   stInv,
 		trInv:   trInv,
 		workers: opts.Workers,
-		noSeal:  opts.NoSeal,
+		noSeal:  opts.noSeal,
 	}
 }
 
@@ -549,7 +549,7 @@ func (b *localBackend) restore(res *Result, fingerprint uint64, opts Options) (d
 		return 0, 0, false, fmt.Errorf("%w: checkpoint is from a model with fingerprint %016x but this model's is %016x; match the -nodes/-couplers/-authority and option flags of the original run",
 			ErrModelMismatch, s5.fingerprint, fingerprint)
 	}
-	if b.frontier, err = b.v.restore(s5, b.noSeal, allShards); err != nil {
+	if b.frontier, err = b.v.restore(s5, allShards); err != nil {
 		return 0, 0, false, err
 	}
 	res.Depth = s5.resultDepth
@@ -619,8 +619,12 @@ func checkSearch(m Model, stInv StateInvariantBytes, trInv TransitionInvariantBy
 		fingerprint = fm.Fingerprint()
 	}
 
-	// Checkpoints and resume belong to the in-process backend (local);
-	// a distributed backend refuses them when it is made.
+	// Checkpoints and resume belong to the in-process sealing backend
+	// (local); a distributed backend refuses them when it is made, and
+	// the unsealed oracle here.
+	if opts.noSeal && (opts.CheckpointPath != "" || opts.ResumePath != "" || opts.Dist != nil) {
+		return res, errors.New("mc: the unsealed oracle cannot checkpoint, resume or run distributed")
+	}
 	var b LevelBackend
 	var local *localBackend
 	if opts.Dist != nil {

@@ -3,9 +3,11 @@ package mc
 // Hooks for the tests and benchmarks of package mc_test in this
 // directory that need the real TTA model: internal/model imports mc, so
 // only the external test package can build one, and these wrappers give
-// it a reduced search's visited set at a level boundary.
+// it a reduced search's visited set at a level boundary, the unsealed
+// oracle, and the internal tests' synthetic models.
 
 import (
+	"bytes"
 	"math/rand"
 	"slices"
 )
@@ -24,7 +26,7 @@ type SealFixture struct {
 // and the boundary stop accepted, or the finished search's set (every
 // level sealed) with nil frontiers if stop never did.
 func sealedSearch(m ReducibleModel, workers int, stop func(frontier, next []uint32) bool) (*visitedSet, []uint32, []uint32) {
-	v := newVisitedSet(defaultMaxStates)
+	v := newVisitedSet(defaultMaxStates, allShards)
 	sc := newLevelScratch(m, workers, m)
 	var frontier []uint32
 	inits := m.Initial()
@@ -155,8 +157,8 @@ func (f *SealedFinder) Find(i int) bool {
 }
 
 // CheckpointFixture is a reduced search held at the first level
-// boundary where it has admitted at least minStates states, with the
-// sealed tier on or off: the input of the checkpoint benchmarks.
+// boundary where it has admitted at least minStates states: the input
+// of the checkpoint benchmarks.
 type CheckpointFixture struct {
 	b        *localBackend
 	res      Result
@@ -166,8 +168,8 @@ type CheckpointFixture struct {
 
 // NewCheckpointFixture runs m's reduced search on one worker until it
 // holds at least minStates states at a level boundary, or ends.
-func NewCheckpointFixture(m ReducibleModel, noSeal bool, minStates int) *CheckpointFixture {
-	b := newLocalBackend(m, m, nil, nil, Options{Workers: 1, NoSeal: noSeal}.withDefaults())
+func NewCheckpointFixture(m ReducibleModel, minStates int) *CheckpointFixture {
+	b := newLocalBackend(m, m, nil, nil, Options{Workers: 1}.withDefaults())
 	inits := m.Initial()
 	for i, s := range inits {
 		b.AdmitInitial([]byte(s), i)
@@ -199,16 +201,93 @@ func (f *CheckpointFixture) Write(path string) error {
 }
 
 // ResumeCheckpoint reads the engine checkpoint at path and restores it
-// into a fresh visited set under the given seal mode, returning the
-// restored state count.
-func ResumeCheckpoint(path string, noSeal bool) (int, error) {
+// into a fresh visited set, returning the restored state count.
+func ResumeCheckpoint(path string) (int, error) {
 	s5, err := readSealedSnap(path)
 	if err != nil {
 		return 0, err
 	}
-	v := newVisitedSet(defaultMaxStates)
-	if _, err := v.restore(s5, noSeal, allShards); err != nil {
+	v := newVisitedSet(defaultMaxStates, allShards)
+	if _, err := v.restore(s5, allShards); err != nil {
 		return 0, err
 	}
 	return int(v.count.Load()), nil
+}
+
+// WithNoSeal returns o with the sealed tier off: the unsealed oracle.
+func WithNoSeal(o Options) Options {
+	o.noSeal = true
+	return o
+}
+
+// CollisionModel, DiamondModel and EncodeXY expose the internal tests'
+// synthetic models (engine_test.go) to package mc_test.
+func CollisionModel(n int) Model { return collisionModel{n: n} }
+func DiamondModel(k int) Model   { return diamondModel{k: k} }
+func EncodeXY(x, y int) State    { return encodeXY(x, y) }
+
+// SealedTwinLevels runs m's reduced search twice in lockstep, sealing
+// and unsealed, on the given worker count. At every level boundary,
+// after the sealing run's seal, it builds the sealed twin of the
+// unsealed set and calls check with the shard whose arena differs from
+// the sealing run's (or -1), and whether the live tiers — encodings,
+// keys and parent refs through the twin's remap — differ. It returns
+// the number of boundaries checked.
+func SealedTwinLevels(m ReducibleModel, workers int, check func(level, badShard int, liveDiffers bool)) int {
+	type run struct {
+		v        *visitedSet
+		sc       *levelScratch
+		frontier []uint32
+	}
+	runs := [2]*run{}
+	inits := m.Initial()
+	for i := range runs {
+		r := &run{v: newVisitedSet(defaultMaxStates, allShards), sc: newLevelScratch(m, workers, m)}
+		for k, s := range inits {
+			enc := []byte(s)
+			r.sc.canons[0].Canonicalize(enc)
+			if st, ref := r.v.claim(enc, hashBytes(enc), 0, uint64(k), false, 0, nil); st == ClaimNew {
+				r.frontier = append(r.frontier, ref)
+			}
+		}
+		runs[i] = r
+	}
+	sealing, plain := runs[0], runs[1]
+	base := uint64(len(inits)) << keySuccBits
+	levels := 0
+	for len(sealing.frontier) > 0 {
+		levelBase := base
+		base += uint64(len(sealing.frontier)) << keySuccBits
+		for i, r := range runs {
+			lvl := runLevel(r.sc, r.v, r.frontier, levelBase, nil, nil, workers)
+			next := nextFrontier(r.v, r.sc, lvl, nil)
+			if i == 0 {
+				r.v.seal(workers, r.frontier, next)
+			}
+			r.frontier = next
+		}
+		var twin [numShards]sealedShardSnap
+		remap := plain.v.sealedTwin(plain.frontier, &twin)
+		bad := -1
+		for s := range twin {
+			ss := &sealing.v.shards[s].sealed
+			if twin[s].count != ss.count || !slices.Equal(twin[s].restarts, ss.restarts) || !bytes.Equal(twin[s].blob, ss.blob) {
+				bad = s
+				break
+			}
+		}
+		liveDiffers := len(sealing.frontier) != len(plain.frontier)
+		for i := 0; !liveDiffers && i < len(plain.frontier); i++ {
+			sr, pr := sealing.frontier[i], plain.frontier[i]
+			pw := plain.v.parentWordOf(pr)
+			if pw != 0 {
+				pw = uint64(remap(uint32(pw-1))) + 1
+			}
+			liveDiffers = !bytes.Equal(sealing.v.bytesOf(sr), plain.v.bytesOf(pr)) ||
+				sealing.v.keyOf(sr) != plain.v.keyOf(pr) || sealing.v.parentWordOf(sr) != pw
+		}
+		levels++
+		check(levels, bad, liveDiffers)
+	}
+	return levels
 }

@@ -188,25 +188,38 @@ func (r *residentDelta) add(n int64) { r.net += n }
 
 func (r *residentDelta) bumpPeak() { r.hi = max(r.hi, r.net) }
 
-func newVisitedSet(maxStates int) *visitedSet {
+// allShards is the ownership mask of a set holding the whole search.
+const allShards = ^uint64(0)
+
+// newVisitedSet returns an empty set bounded at maxStates states that
+// holds the shards set in owned. Only owned shards get an initial probe
+// index and entry chunk: a distributed worker's set never touches the
+// others, so the fleet's resident bytes sum to the engine's.
+func newVisitedSet(maxStates int, owned uint64) *visitedSet {
 	v := &visitedSet{max: int64(maxStates)}
-	// Seed every shard's initial probe index and first entry chunk from
-	// two shared backing arrays: four allocations for the whole set
+	// Seed the owned shards' initial probe indexes and first entry chunks
+	// from two shared backing arrays: four allocations for the whole set
 	// instead of two per touched shard, which is what a 64-shard layout
 	// would otherwise cost even a 100-state model.
-	indexBacking := make([]uint64, numShards*initialIndexCells)
-	chunkBacking := make([]entry, numShards*entryChunkBase)
-	idxHeaders := make([][]uint64, numShards)
-	chunkHeaders := make([][]entry, numShards)
+	n := bits.OnesCount64(owned)
+	indexBacking := make([]uint64, n*initialIndexCells)
+	chunkBacking := make([]entry, n*entryChunkBase)
+	idxHeaders := make([][]uint64, n)
+	chunkHeaders := make([][]entry, n)
+	k := 0
 	for i := range v.shards {
-		lo, hi := i*initialIndexCells, (i+1)*initialIndexCells
-		idxHeaders[i] = indexBacking[lo:hi:hi]
-		v.shards[i].index.Store(&idxHeaders[i])
-		lo, hi = i*entryChunkBase, (i+1)*entryChunkBase
-		chunkHeaders[i] = chunkBacking[lo:hi:hi]
-		v.shards[i].chunks[0].Store(&chunkHeaders[i])
+		if owned&(1<<i) == 0 {
+			continue
+		}
+		lo, hi := k*initialIndexCells, (k+1)*initialIndexCells
+		idxHeaders[k] = indexBacking[lo:hi:hi]
+		v.shards[i].index.Store(&idxHeaders[k])
+		lo, hi = k*entryChunkBase, (k+1)*entryChunkBase
+		chunkHeaders[k] = chunkBacking[lo:hi:hi]
+		v.shards[i].chunks[0].Store(&chunkHeaders[k])
+		k++
 	}
-	v.resident.Store(numShards * (initialIndexCells*8 + entryChunkBase*32))
+	v.resident.Store(int64(n) * (initialIndexCells*8 + entryChunkBase*32))
 	v.bumpPeak()
 	return v
 }

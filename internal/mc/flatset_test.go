@@ -74,7 +74,7 @@ func TestFlatSetSingleShardAdversary(t *testing.T) {
 // threshold.
 func TestFlatSetGrowthUnderCollisions(t *testing.T) {
 	const n = 3000
-	v := newVisitedSet(n + 1)
+	v := newVisitedSet(n+1, allShards)
 	var pc probeCounter
 	encs := make([][]byte, n)
 	refs := make([]uint32, n)

@@ -183,8 +183,8 @@ type Options struct {
 	// error — the search simply starts fresh — so interrupt/resume loops
 	// need no existence checks. A resumed search is byte-identical —
 	// verdict, StatesExplored, TransitionsExplored, Depth and
-	// counterexample — to the uninterrupted run it was split from,
-	// whichever NoSeal setting wrote or resumes the file.
+	// counterexample — to the uninterrupted run it was split from, and
+	// its sealed tier is the one that run holds at the end.
 	ResumePath string
 	// FallbackWalks > 0 degrades an exhausted MaxStates budget into a
 	// bounded random-walk sampling pass instead of an ErrStateLimit
@@ -203,12 +203,12 @@ type Options struct {
 	// and depths match the published enumeration exactly. It has no
 	// effect on models without a reduction.
 	NoReduce bool
-	// NoSeal disables the sealed visited-set tier — the oracle mode for
-	// the two-tier memory layout: every admitted state stays in a live
-	// 32-byte slot forever. Results and checkpoint files are
-	// byte-identical either way (an unsealed search writes the arenas a
-	// sealing one would hold); only the resident footprint changes.
-	NoSeal bool
+	// noSeal disables the sealed visited-set tier: every admitted state
+	// stays in a live 32-byte slot forever. It is the oracle the sealed
+	// tier is tested against, set only by tests (export_test.go); a
+	// search that also asks to checkpoint, resume or run under Dist is
+	// refused.
+	noSeal bool
 	// Stats, when non-nil, receives a summary of the completed search —
 	// throughput, allocation churn, peak frontier — from the coordinating
 	// goroutine, after the Result is final. It is observability only:
@@ -338,14 +338,16 @@ type Stats struct {
 	// approximation: sealed arena slack capacity (bounded at ~25% by its
 	// growth policy) is not counted — the counter tracks bytes in use,
 	// which is also what survives a checkpoint round trip unchanged.
+	// A distributed backend reports only ResidentBytes, as its workers'
+	// sum at the last level barrier (equal to the engine's there); the
+	// other visited-set fields stay zero.
 	ResidentBytes     int64
 	PeakResidentBytes int64
 	// SealedStates is the number of visited states migrated into the
-	// sealed tier (all states of levels that finished expanding, unless
-	// Options.NoSeal). SealedArenaBytes is their delta-compressed
-	// encoding arena (blob + restart offsets); SealedIndexBytes the
-	// quotiented probe index over them. Live states are
-	// States − SealedStates.
+	// sealed tier (all states of levels that finished expanding).
+	// SealedArenaBytes is their delta-compressed encoding arena (blob +
+	// restart offsets); SealedIndexBytes the quotiented probe index over
+	// them. Live states are States − SealedStates.
 	SealedStates     int64
 	SealedArenaBytes int64
 	SealedIndexBytes int64

@@ -17,7 +17,7 @@ import (
 // must intern, not append blindly), and find must resolve to the same
 // ref.
 func TestClaimRoundTrip(t *testing.T) {
-	v := newVisitedSet(100)
+	v := newVisitedSet(100, allShards)
 	cases := []string{
 		"", "a", "exactly-twenty-byte!", // 0, 1, inlineStateBytes
 		strings.Repeat("x", inlineStateBytes+1),
@@ -71,7 +71,7 @@ func TestClaimRoundTrip(t *testing.T) {
 // steady-state exploration does. The bound is generous (0.5 allocs
 // averaged over 100 rounds) so GC bookkeeping noise cannot flake CI.
 func TestWarmClaimDoesNotAllocate(t *testing.T) {
-	v := newVisitedSet(1 << 20)
+	v := newVisitedSet(1<<20, allShards)
 	var pc probeCounter
 	const n = 64
 	encs := make([][]byte, n)
@@ -113,7 +113,7 @@ func TestWarmClaimDoesNotAllocate(t *testing.T) {
 // inline-sized encoding — the per-successor hot path — is
 // allocation-free.
 func TestHashInlineDoesNotAllocate(t *testing.T) {
-	v := newVisitedSet(100)
+	v := newVisitedSet(100, allShards)
 	enc := []byte("a-20-byte-state-key!")
 	if st, _ := v.claim(enc, hashBytes(enc), 0, 0, false, 0, nil); st != ClaimNew {
 		t.Fatal("setup claim failed")
@@ -172,7 +172,7 @@ func TestParallelClaimMinKey(t *testing.T) {
 			rng.Shuffle(pool, func(x, y int) { orders[w][x], orders[w][y] = orders[w][y], orders[w][x] })
 		}
 
-		v := newVisitedSet(pool)
+		v := newVisitedSet(pool, allShards)
 		var news atomic.Int64
 		var wg sync.WaitGroup
 		for _, args := range orders {
@@ -235,7 +235,7 @@ func BenchmarkClaimLive(b *testing.B) {
 	}
 	// claimed fills a set with the pool at key base+2^30+i.
 	claimed := func(b *testing.B) *visitedSet {
-		v := newVisitedSet(pool)
+		v := newVisitedSet(pool, allShards)
 		for i, enc := range encs {
 			if st, _ := v.claim(enc, hashBytes(enc), 0, base+1<<30+uint64(i), true, base, nil); st != ClaimNew {
 				b.Fatal("setup claim was not new")
@@ -266,7 +266,7 @@ func BenchmarkClaimLive(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if i%batch == 0 {
 				b.StopTimer()
-				v = newVisitedSet(batch)
+				v = newVisitedSet(batch, allShards)
 				b.StartTimer()
 			}
 			binary.BigEndian.PutUint64(enc[8:], uint64(i)*0x9E3779B97F4A7C15)

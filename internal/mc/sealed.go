@@ -87,7 +87,7 @@ type sealedShard struct {
 	restarts []uint32
 	index    []uint32
 
-	// Delta-chain carry across seal batches: the previous batch's final
+	// The delta chain across seal batches: the previous batch's final
 	// encoding and parent word, so a batch's first record (unless it
 	// falls on a restart) chains off the entry physically before it.
 	lastEnc []byte

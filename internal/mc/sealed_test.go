@@ -32,7 +32,7 @@ func sealFixtureState(level, id int) []byte {
 // chain, and reports duplicate claims as duplicates.
 func TestSealMigrationRoundTrip(t *testing.T) {
 	const levels, perLevel = 12, 90
-	v := newVisitedSet(levels*perLevel + 1)
+	v := newVisitedSet(levels*perLevel+1, allShards)
 	var pc probeCounter
 
 	type rec struct {
@@ -130,7 +130,7 @@ func sealedCollisionState(id int, pos, rem uint32) []byte {
 // confirm, so a false accept or probe-chain break shows up immediately.
 func TestSealedIndexCollisionAdversary(t *testing.T) {
 	const n = 20 // stays below the 32-cell index's growth threshold
-	v := newVisitedSet(n + 1)
+	v := newVisitedSet(n+1, allShards)
 	var pc probeCounter
 	encs := make([][]byte, n)
 	refs := make([]uint32, n)
@@ -198,7 +198,7 @@ func runSealScenario(t *testing.T, seed uint64, maxLen, batch uint8, workers ...
 	const n = 600
 	twins := make([]*sealTwin, len(workers))
 	for i, w := range workers {
-		twins[i] = &sealTwin{v: newVisitedSet(n + 1), workers: w}
+		twins[i] = &sealTwin{v: newVisitedSet(n+1, allShards), workers: w}
 	}
 	var pc probeCounter
 
@@ -392,58 +392,6 @@ func checkSealedRecords(t *testing.T, tw *sealTwin, recs []sealRec, maxEnc int) 
 	}
 }
 
-// TestSealNoSealEquivalence runs the same searches with the sealed tier
-// on and off: verdict, counts, depth and the full counterexample must
-// be identical, and the sealed run must not exceed the unsealed peak.
-func TestSealNoSealEquivalence(t *testing.T) {
-	cases := []struct {
-		name string
-		run  func(Options) (Result, error)
-		viol bool
-		// Fixed per-shard overheads (seal scratch, quotient index)
-		// only amortize on real populations; tiny early-stop searches
-		// skip the peak comparison.
-		wantSmaller bool
-	}{
-		{"collision-holds", func(o Options) (Result, error) {
-			return CheckTransitionInvariant(collisionModel{n: 3000},
-				func(from, to State) bool { return true }, o)
-		}, false, true},
-		{"diamond-violation", func(o Options) (Result, error) {
-			return CheckTransitionInvariant(diamondModel{k: 30},
-				func(from, to State) bool { return to != encodeXY(17, 17) }, o)
-		}, true, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var sealedStats, plainStats Stats
-			for _, w := range workerCounts {
-				sealedRes, err1 := tc.run(Options{Workers: w, Stats: func(s Stats) { sealedStats = s }})
-				plainRes, err2 := tc.run(Options{Workers: w, NoSeal: true, Stats: func(s Stats) { plainStats = s }})
-				if err1 != nil || err2 != nil {
-					t.Fatalf("workers=%d: errs %v / %v", w, err1, err2)
-				}
-				if !equalResults(sealedRes, plainRes) {
-					t.Fatalf("workers=%d: sealed %+v != unsealed %+v", w, sealedRes, plainRes)
-				}
-				if sealedRes.Holds == tc.viol {
-					t.Fatalf("workers=%d: verdict %v, want violation=%v", w, sealedRes.Holds, tc.viol)
-				}
-				if sealedStats.SealedStates == 0 {
-					t.Fatalf("workers=%d: sealed run reports no sealed states", w)
-				}
-				if plainStats.SealedStates != 0 {
-					t.Fatalf("workers=%d: NoSeal run reports %d sealed states", w, plainStats.SealedStates)
-				}
-				if tc.wantSmaller && sealedStats.PeakResidentBytes > plainStats.PeakResidentBytes {
-					t.Errorf("workers=%d: sealed peak %d > unsealed peak %d", w,
-						sealedStats.PeakResidentBytes, plainStats.PeakResidentBytes)
-				}
-			}
-		})
-	}
-}
-
 // TestResidentAccountingMemStats cross-checks the visited set's
 // self-reported resident bytes against the Go heap: claim and seal a
 // population large enough to dwarf fixture noise, then require the
@@ -459,7 +407,7 @@ func TestResidentAccountingMemStats(t *testing.T) {
 	runtime.ReadMemStats(&before)
 
 	const n = 120000
-	v := newVisitedSet(n + 1)
+	v := newVisitedSet(n+1, allShards)
 	var pc probeCounter
 	var enc [24]byte // > inlineStateBytes: every claim exercises the intern table too
 	var pending []uint32
@@ -529,19 +477,18 @@ func interruptSearch(t testing.TB, m Model, cutAt int, path string, opts Options
 
 // interruptSealed runs a diamond search cancelled after cutAt levels,
 // flushing a checkpoint to path, and returns the checkpoint file bytes.
-func interruptSealed(t testing.TB, k, cutAt int, path string, noSeal bool) []byte {
+func interruptSealed(t testing.TB, k, cutAt int, path string) []byte {
 	t.Helper()
-	return interruptSearch(t, diamondModel{k: k}, cutAt, path, Options{NoSeal: noSeal})
+	return interruptSearch(t, diamondModel{k: k}, cutAt, path, Options{})
 }
 
 // TestCheckpointV5RoundTrip: the checkpoint is a function of the search
-// state, not of the memory layout. A sealing search and a NoSeal search
-// cut at the same level write byte-identical version-5 files at every
-// worker count — including the depth-0 cut, before any seal — for a
-// plain, a reduced, a wide (levels span many steal chunks, so claims
-// arrive out of key order), an interned-encoding and an empty-encoding
-// model. A search resumed from such a file and cut again writes the
-// same bytes under either mode too.
+// state. A search cut at the same level writes a byte-identical
+// version-5 file at every worker count — including the depth-0 cut,
+// before any seal — for a plain, a reduced, a wide (levels span many
+// steal chunks, so claims arrive out of key order), an interned-encoding
+// and an empty-encoding model. A search resumed from such a file and cut
+// again writes the bytes of an uncut run's cut.
 func TestCheckpointV5RoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	models := []struct {
@@ -556,61 +503,44 @@ func TestCheckpointV5RoundTrip(t *testing.T) {
 		{"empty-encoding", emptyStringModel{}, []int{1}},
 	}
 	for _, tc := range models {
-		var want []byte
+		want := map[int][]byte{}
 		for _, w := range workerCounts {
 			for _, cut := range tc.cuts {
-				sealed := interruptSearch(t, tc.m, cut, filepath.Join(dir, "s"), Options{Workers: w})
-				plain := interruptSearch(t, tc.m, cut, filepath.Join(dir, "p"), Options{Workers: w, NoSeal: true})
-				if v := sealed[len(checkpointMagic)]; uint64(v) != checkpointVersion {
+				got := interruptSearch(t, tc.m, cut, filepath.Join(dir, "s"), Options{Workers: w})
+				if v := got[len(checkpointMagic)]; uint64(v) != checkpointVersion {
 					t.Fatalf("%s workers=%d cut=%d: version %d, want %d", tc.name, w, cut, v, checkpointVersion)
 				}
-				if !bytes.Equal(sealed, plain) {
-					t.Fatalf("%s workers=%d cut=%d: sealed (%dB) and NoSeal (%dB) checkpoints differ",
-						tc.name, w, cut, len(sealed), len(plain))
-				}
-				if cut == tc.cuts[len(tc.cuts)-1] {
-					if w == workerCounts[0] {
-						want = sealed
-					} else if !bytes.Equal(sealed, want) {
-						t.Fatalf("%s workers=%d cut=%d: checkpoint differs from workers=1", tc.name, w, cut)
-					}
+				if w == workerCounts[0] {
+					want[cut] = got
+				} else if !bytes.Equal(got, want[cut]) {
+					t.Fatalf("%s workers=%d cut=%d: checkpoint differs from workers=1", tc.name, w, cut)
 				}
 			}
 		}
 	}
 
-	// Second cuts: resume the wide search's level-5 file under each mode
-	// and cut it four levels later.
+	// Second cuts: resume the wide search's level-5 file and cut it four
+	// levels later.
 	first := filepath.Join(dir, "first")
 	interruptSearch(t, collisionModel{n: 3000}, 5, first, Options{})
 	for _, w := range workerCounts {
-		var recut [][]byte
-		for _, noSeal := range []bool{false, true} {
-			path := filepath.Join(dir, fmt.Sprintf("recut-%v", noSeal))
-			recut = append(recut, interruptSearch(t, collisionModel{n: 3000}, 4, path,
-				Options{Workers: w, NoSeal: noSeal, ResumePath: first}))
-		}
+		recut := interruptSearch(t, collisionModel{n: 3000}, 4, filepath.Join(dir, "recut"),
+			Options{Workers: w, ResumePath: first})
 		direct := interruptSearch(t, collisionModel{n: 3000}, 9, filepath.Join(dir, "direct"), Options{Workers: w})
-		if !bytes.Equal(recut[0], recut[1]) || !bytes.Equal(recut[0], direct) {
-			t.Fatalf("workers=%d: second cuts differ (sealed %dB, NoSeal %dB, uncut %dB)",
-				w, len(recut[0]), len(recut[1]), len(direct))
+		if !bytes.Equal(recut, direct) {
+			t.Fatalf("workers=%d: second cut (%dB) differs from the uncut run's (%dB)", w, len(recut), len(direct))
 		}
 	}
 }
 
-// resumeRefusal reads and restores the engine checkpoint at path under
-// both seal modes, returning the first refusal.
+// resumeRefusal reads and restores the engine checkpoint at path,
+// returning the refusal.
 func resumeRefusal(path string) error {
 	s5, err := readSealedSnap(path)
 	if err != nil {
 		return err
 	}
-	for _, noSeal := range []bool{false, true} {
-		if err := restoreFresh(s5, noSeal, 1<<20); err != nil {
-			return err
-		}
-	}
-	return nil
+	return restoreFresh(s5, 1<<20)
 }
 
 // TestCheckpointV5CorruptionDetected: every single-byte flip and every
@@ -618,7 +548,7 @@ func resumeRefusal(path string) error {
 // resume path.
 func TestCheckpointV5CorruptionDetected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cp")
-	data := interruptSealed(t, 14, 6, path, false)
+	data := interruptSealed(t, 14, 6, path)
 	if err := resumeRefusal(path); err != nil {
 		t.Fatalf("pristine file: %v", err)
 	}
@@ -672,21 +602,19 @@ func setArena(sn *sealedShardSnap, encs [][]byte, pws []uint64) {
 // the checksum — a truncated arena, a parent word aimed outside the
 // sealed tier, a live key at or above the minted base, an arena holding
 // one encoding twice, an entry stored in a shard its hash does not
-// select — and requires the restore to refuse it under both seal modes
-// rather than mis-index it.
+// select — and requires the restore to refuse it rather than mis-index
+// it.
 func TestSealedSnapStructuralCorruption(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cp")
-	interruptSealed(t, 20, 8, path, false)
+	interruptSealed(t, 20, 8, path)
 
 	check := func(name, want string, mutate func(*sealedSnap)) {
 		t.Helper()
-		for _, noSeal := range []bool{false, true} {
-			s5 := readEngineSnap(t, path)
-			mutate(s5)
-			err := restoreFresh(s5, noSeal, 1<<20)
-			if !errors.Is(err, ErrCheckpointCorrupt) || !strings.Contains(err.Error(), want) {
-				t.Errorf("%s, noSeal=%v: got %v, want ErrCheckpointCorrupt (%s)", name, noSeal, err, want)
-			}
+		s5 := readEngineSnap(t, path)
+		mutate(s5)
+		err := restoreFresh(s5, 1<<20)
+		if !errors.Is(err, ErrCheckpointCorrupt) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: got %v, want ErrCheckpointCorrupt (%s)", name, err, want)
 		}
 	}
 	// busiest returns the indexes of the two shards with the most sealed
@@ -738,11 +666,21 @@ func TestSealedSnapStructuralCorruption(t *testing.T) {
 	})
 }
 
-// TestResumeNoSealV5Refused pins the cross-mode resume: a checkpoint
-// written with sealing on or off resumes with sealing on or off, and
-// all four writer/resumer pairs reproduce the clean result at every
-// worker count. A version-4 (per-state delta) file is still refused,
-// and left in place.
+// refusingDist is a Dist backend that must never be made: the searches
+// handed it are refused before any backend exists.
+type refusingDist struct{ t *testing.T }
+
+func (d refusingDist) NewBackend(Model, StateInvariantBytes, TransitionInvariantBytes, bool, Options) (LevelBackend, error) {
+	d.t.Fatal("dist backend made for a search that should be refused")
+	return nil, nil
+}
+
+// TestResumeNoSealV5Refused: the unsealed oracle neither writes nor
+// resumes checkpoints, nor runs distributed. Asked to, it refuses before
+// exploring: it writes no file and leaves an existing one intact. A
+// sealing search resumes the same version-5 file to the clean result at
+// every worker count, and refuses a version-4 (per-state delta) file,
+// leaving it in place.
 func TestResumeNoSealV5Refused(t *testing.T) {
 	m := diamondModel{k: 40}
 	inv := func(from, to State) bool { return true }
@@ -750,35 +688,48 @@ func TestResumeNoSealV5Refused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "cp")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "cp")
+	data := interruptSealed(t, 40, 10, path)
+	fresh := filepath.Join(dir, "fresh")
+	for name, opts := range map[string]Options{
+		"checkpoint": {noSeal: true, CheckpointPath: fresh},
+		"resume":     {noSeal: true, ResumePath: path},
+		"both":       {noSeal: true, ResumePath: path, CheckpointPath: path},
+		"dist":       {noSeal: true, Dist: refusingDist{t}},
+	} {
+		res, err := CheckTransitionInvariant(m, inv, opts)
+		if err == nil || !strings.Contains(err.Error(), "unsealed oracle") || res.StatesExplored != 0 {
+			t.Fatalf("%s: oracle search got (%+v, %v), want a refusal before exploring", name, res, err)
+		}
+		if _, err := os.Stat(fresh); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s: refused oracle search wrote a checkpoint", name)
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, data) {
+			t.Fatalf("%s: refused oracle search modified or removed the checkpoint (%v)", name, err)
+		}
+	}
+
 	for _, w := range workerCounts {
-		for _, writer := range []bool{false, true} {
-			for _, resumer := range []bool{false, true} {
-				interruptSealed(t, 40, 10, path, writer)
-				resumed, err := CheckTransitionInvariant(m, inv,
-					Options{Workers: w, NoSeal: resumer, ResumePath: path, CheckpointPath: path})
-				if err != nil {
-					t.Fatalf("workers=%d noSeal %v→%v: resume: %v", w, writer, resumer, err)
-				}
-				if !equalResults(resumed, clean) {
-					t.Fatalf("workers=%d noSeal %v→%v: resumed %+v differs from clean %+v",
-						w, writer, resumer, resumed, clean)
-				}
-				if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-					t.Fatalf("workers=%d noSeal %v→%v: checkpoint left after conclusive resume", w, writer, resumer)
-				}
-			}
+		interruptSealed(t, 40, 10, path)
+		resumed, err := CheckTransitionInvariant(m, inv, Options{Workers: w, ResumePath: path, CheckpointPath: path})
+		if err != nil {
+			t.Fatalf("workers=%d: resume: %v", w, err)
+		}
+		if !equalResults(resumed, clean) {
+			t.Fatalf("workers=%d: resumed %+v differs from clean %+v", w, resumed, clean)
+		}
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("workers=%d: checkpoint left after conclusive resume", w)
 		}
 	}
 
 	if err := os.WriteFile(path, legacyBytes(4, sampleLegacy()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, noSeal := range []bool{false, true} {
-		_, err := CheckTransitionInvariant(m, inv, Options{NoSeal: noSeal, ResumePath: path})
-		if !errors.Is(err, ErrCheckpointCorrupt) || !strings.Contains(err.Error(), "unsupported version 4") {
-			t.Fatalf("noSeal=%v: v4 resume: got %v, want ErrCheckpointCorrupt (unsupported version 4)", noSeal, err)
-		}
+	_, err = CheckTransitionInvariant(m, inv, Options{ResumePath: path})
+	if !errors.Is(err, ErrCheckpointCorrupt) || !strings.Contains(err.Error(), "unsupported version 4") {
+		t.Fatalf("v4 resume: got %v, want ErrCheckpointCorrupt (unsupported version 4)", err)
 	}
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("checkpoint gone after refused resume: %v", err)
@@ -788,13 +739,13 @@ func TestResumeNoSealV5Refused(t *testing.T) {
 // TestCheckpointLegacyV4SealedResume: a version-4 file — what the engine
 // wrote for unsealed searches before every search wrote version 5,
 // here rebuilt from the live tier of a real mid-search checkpoint — is
-// refused as corrupt by both seal modes at every worker count, and the
-// file is left byte-for-byte intact.
+// refused as corrupt at every worker count, and the file is left
+// byte-for-byte intact.
 func TestCheckpointLegacyV4SealedResume(t *testing.T) {
 	m := diamondModel{k: 40}
 	inv := func(from, to State) bool { return true }
 	path := filepath.Join(t.TempDir(), "cp")
-	interruptSealed(t, 40, 10, path, false)
+	interruptSealed(t, 40, 10, path)
 	s5 := readEngineSnap(t, path)
 	lc := &legacyCheckpoint{Depth: s5.depth, ResultDepth: s5.resultDepth, Transitions: s5.transitions}
 	for _, le := range s5.live {
@@ -806,14 +757,12 @@ func TestCheckpointLegacyV4SealedResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range workerCounts {
-		for _, noSeal := range []bool{false, true} {
-			_, err := CheckTransitionInvariant(m, inv, Options{Workers: w, NoSeal: noSeal, ResumePath: path, CheckpointPath: path})
-			if !errors.Is(err, ErrCheckpointCorrupt) || !strings.Contains(err.Error(), "unsupported version 4") {
-				t.Fatalf("workers=%d noSeal=%v: legacy v4 resume: got %v, want ErrCheckpointCorrupt (unsupported version 4)", w, noSeal, err)
-			}
-			if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, data) {
-				t.Fatalf("workers=%d noSeal=%v: refused file was modified or removed (%v)", w, noSeal, err)
-			}
+		_, err := CheckTransitionInvariant(m, inv, Options{Workers: w, ResumePath: path, CheckpointPath: path})
+		if !errors.Is(err, ErrCheckpointCorrupt) || !strings.Contains(err.Error(), "unsupported version 4") {
+			t.Fatalf("workers=%d: legacy v4 resume: got %v, want ErrCheckpointCorrupt (unsupported version 4)", w, err)
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, data) {
+			t.Fatalf("workers=%d: refused file was modified or removed (%v)", w, err)
 		}
 	}
 }

@@ -81,17 +81,9 @@ const (
 // parallelism being the point.
 type ShardStore struct {
 	v       *visitedSet
-	owned   uint64 // bit s set: shard s is this store's
-	noSeal  bool
+	owned   uint64   // bit s set: shard s is this store's
 	claimed []uint32 // refs admitted since the last DrainLevel
 	pc      probeCounter
-
-	// A -no-seal store keeps every entry live, but snapshots the arenas
-	// its sealing twin would hold: carry encodes each closed level per
-	// shard (only the bytes not yet written are kept), and vlive maps a
-	// global ordinal to the live ordinal holding that state.
-	carry [numShards]sealedShard
-	vlive [numShards][]uint32
 
 	// written marks where each shard's arena stood at the last
 	// successful snapshot.
@@ -104,22 +96,14 @@ type segMark struct{ count, off, nres uint32 }
 
 // NewShardStore returns an empty store for the shards set in owned,
 // bounded at maxStates admitted states (<= 0 means the engine's default
-// budget). A noSeal store keeps every entry live.
-func NewShardStore(maxStates int, owned uint64, noSeal bool) *ShardStore {
+// budget).
+func NewShardStore(maxStates int, owned uint64) *ShardStore {
 	if maxStates <= 0 {
 		maxStates = defaultMaxStates
 	}
-	s := &ShardStore{v: newVisitedSet(maxStates), owned: owned, noSeal: noSeal}
+	s := &ShardStore{v: newVisitedSet(maxStates, owned), owned: owned}
 	s.v.refsFinal = true
 	return s
-}
-
-// arena is the shard's sealed arena, or a -no-seal store's carry.
-func (s *ShardStore) arena(shard uint32) *sealedShard {
-	if s.noSeal {
-		return &s.carry[shard]
-	}
-	return &s.v.shards[shard].sealed
 }
 
 // Claim tries to admit enc under key, recording the global ref parent
@@ -157,22 +141,15 @@ func (s *ShardStore) BytesOf(ref uint32) []byte { return s.v.bytesOf(ref) }
 
 // SealLevel closes a fully-expanded level: refs are its states in the
 // order DrainLevel returned them (deterministic final-key order, so
-// every worker count builds identical arenas). A sealing store migrates
-// them into the sealed tier and rewrites the live ref arrays passed as
-// rewrite (the worker's current frontier, typically) plus any refs
-// claimed since the last drain to the post-seal ordinal space; a
-// -no-seal store only encodes them into its snapshot carry. Must only be
+// every worker count builds identical arenas). It migrates them into
+// the sealed tier and rewrites the live ref arrays passed as rewrite
+// (the worker's current frontier, typically) plus any refs claimed
+// since the last drain to the post-seal ordinal space. Must only be
 // called at a level barrier, after the level can no longer be re-keyed:
 // its successors' level has fully drained. The seal runs on one
 // goroutine: a distributed search's workers are separate processes that
 // already seal their stores concurrently.
 func (s *ShardStore) SealLevel(refs []uint32, rewrite ...[]uint32) {
-	if s.noSeal {
-		for _, r := range refs {
-			s.carry[RefShard(r)].appendEntry(s.v.bytesOf(r), s.v.parentWordOf(r))
-		}
-		return
-	}
 	if len(s.claimed) > 0 {
 		rewrite = append(rewrite, s.claimed)
 	}
@@ -188,16 +165,13 @@ func (s *ShardStore) SealLevel(refs []uint32, rewrite ...[]uint32) {
 func (s *ShardStore) AssignRefs(frontier []uint32) []uint32 {
 	var next [numShards]uint32
 	for sh := range next {
-		next[sh] = s.arena(uint32(sh)).count
+		next[sh] = s.v.shards[sh].sealed.count
 	}
 	refs := make([]uint32, len(frontier))
 	for i, r := range frontier {
 		sh := RefShard(r)
 		refs[i] = makeRef(sh, next[sh])
 		next[sh]++
-		if s.noSeal {
-			s.vlive[sh] = append(s.vlive[sh], r>>shardBits)
-		}
 	}
 	return refs
 }
@@ -223,15 +197,7 @@ func (s *ShardStore) ParentOf(enc []byte) (parent uint32, hasParent, found bool)
 // false when the ref names no such state of this store.
 func (s *ShardStore) StateOf(ref uint32) (enc []byte, parent uint32, hasParent, found bool) {
 	sh, ord := RefShard(ref), ref>>shardBits
-	switch {
-	case s.owned&(1<<sh) == 0:
-		return nil, 0, false, false
-	case s.noSeal:
-		if ord >= uint32(len(s.vlive[sh])) {
-			return nil, 0, false, false
-		}
-		ref = makeRef(sh, s.vlive[sh][ord])
-	case ord >= s.v.shards[sh].sealed.count:
+	if s.owned&(1<<sh) == 0 || ord >= s.v.shards[sh].sealed.count {
 		return nil, 0, false, false
 	}
 	parent, hasParent = s.v.parentOf(ref)
@@ -242,9 +208,8 @@ func (s *ShardStore) StateOf(ref uint32) (enc []byte, parent uint32, hasParent, 
 func (s *ShardStore) Count() int64 { return s.v.count.Load() }
 
 // Resident returns the store's exact resident byte footprint: the
-// visited set's, as the engine counts it (a -no-seal store's carry and
-// ref table are not counted, as the engine counts no checkpoint
-// scratch).
+// visited set's, as the engine counts it. A store seeds only its own
+// shards, so the fleet's footprints sum to the engine's.
 func (s *ShardStore) Resident() int64 { return s.v.resident.Load() }
 
 // WriteSnapshot atomically writes the barrier snapshot at path: a
@@ -256,39 +221,21 @@ func (s *ShardStore) Resident() int64 { return s.v.resident.Load() }
 // proportional to the level, not to the visited set. A failed write
 // changes nothing, so the next call covers its bytes too.
 func (s *ShardStore) WriteSnapshot(path string, depth int32, reduced bool, fingerprint, nextBase uint64, frontier []uint32) error {
-	s5 := &sealedSnap{
-		depth:       depth,
-		reduced:     reduced,
-		fingerprint: fingerprint,
-		nextBase:    nextBase,
-		live:        make([]liveSnapEntry, len(frontier)),
-	}
-	for sh := range s5.shards {
-		if s.owned&(1<<sh) == 0 {
-			continue
-		}
-		ss, m := s.arena(uint32(sh)), s.written[sh]
-		restarts := make([]uint32, len(ss.restarts)-int(m.nres))
-		for i, r := range ss.restarts[m.nres:] {
-			restarts[i] = r - m.off
-		}
-		s5.shards[sh] = sealedShardSnap{count: ss.count - m.count, restarts: restarts, blob: ss.blob[m.off:]}
-	}
-	for i, r := range frontier {
-		s5.live[i] = liveSnapEntry{enc: s.v.bytesOf(r), key: s.v.keyOf(r), pw: s.v.parentWordOf(r)}
-	}
+	s5 := s.v.capture(s.owned, &s.written, frontier)
+	s5.depth, s5.reduced, s5.fingerprint, s5.nextBase = depth, reduced, fingerprint, nextBase
 	if err := writeSealedSnap(path, s5); err != nil {
 		return err
 	}
+	s.markWritten()
+	return nil
+}
+
+// markWritten records every shard's arena as written.
+func (s *ShardStore) markWritten() {
 	for sh := range s.written {
-		ss := s.arena(uint32(sh))
-		if s.noSeal {
-			// The carry keeps only what is still unwritten.
-			ss.blob, ss.restarts = ss.blob[:0], ss.restarts[:0]
-		}
+		ss := &s.v.shards[sh].sealed
 		s.written[sh] = segMark{count: ss.count, off: uint32(len(ss.blob)), nres: uint32(len(ss.restarts))}
 	}
-	return nil
 }
 
 // Restore rebuilds an empty store from its barrier files, in write
@@ -304,25 +251,10 @@ func (s *ShardStore) Restore(paths []string) ([]uint32, error) {
 			return nil, fmt.Errorf("%s: %w", p, err)
 		}
 	}
-	frontier, err := s.v.restore(s5, s.noSeal, s.owned)
+	frontier, err := s.v.restore(s5, s.owned)
 	if err != nil {
 		return nil, err
 	}
-	var d sealedDecoder
-	for sh := range s5.shards {
-		sn := &s5.shards[sh]
-		if s.noSeal && sn.count > 0 {
-			// Seed the carry's delta chain with the last restored entry;
-			// restored entries are live at their arena ordinals.
-			c := &s.carry[sh]
-			enc, pw := d.decodeAt(&sealedShard{count: sn.count, blob: sn.blob, restarts: sn.restarts}, sn.count-1)
-			c.count, c.lastEnc, c.lastPW = sn.count, append(c.lastEnc[:0], enc...), pw
-			for o := uint32(0); o < sn.count; o++ {
-				s.vlive[sh] = append(s.vlive[sh], o)
-			}
-		}
-		ss := s.arena(uint32(sh))
-		s.written[sh] = segMark{count: ss.count, off: uint32(len(ss.blob)), nres: uint32(len(ss.restarts))}
-	}
+	s.markWritten()
 	return frontier, nil
 }

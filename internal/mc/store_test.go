@@ -19,7 +19,7 @@ import (
 )
 
 func TestShardStoreClaimSemantics(t *testing.T) {
-	s := NewShardStore(10, allShards, false)
+	s := NewShardStore(10, allShards)
 
 	// First admission.
 	st, ref := s.Claim([]byte("a"), 100, 0, false, 100)
@@ -67,7 +67,7 @@ func TestShardStoreClaimSemantics(t *testing.T) {
 }
 
 func TestShardStoreClaimFull(t *testing.T) {
-	s := NewShardStore(2, allShards, false)
+	s := NewShardStore(2, allShards)
 	s.Claim([]byte("a"), 1, 0, false, 1)
 	s.Claim([]byte("b"), 2, 0, false, 1)
 	if st, _ := s.Claim([]byte("c"), 3, 0, false, 1); st != ClaimFull {
@@ -84,7 +84,7 @@ func TestShardStoreClaimFull(t *testing.T) {
 }
 
 func TestShardStoreDrainLevelKeyOrder(t *testing.T) {
-	s := NewShardStore(0, allShards, false)
+	s := NewShardStore(0, allShards)
 	// Admit out of key order; a takeover lowers one key after admission.
 	s.Claim([]byte("x"), 300, 0, false, 100)
 	s.Claim([]byte("y"), 100, 0, false, 100)
@@ -132,11 +132,11 @@ func ownedBy(i, n int) uint64 {
 }
 
 // newFleet admits m's initial states and closes level 0.
-func newFleet(t *testing.T, m Model, n int, noSeal bool, dir string) *fleet {
+func newFleet(t *testing.T, m Model, n int, dir string) *fleet {
 	f := &fleet{exp: expanderFor(m), dir: dir,
 		frontier: make([][]uint32, n), refs: make([][]uint32, n), keys: make([][]uint64, n)}
 	for i := 0; i < n; i++ {
-		f.stores = append(f.stores, NewShardStore(0, ownedBy(i, n), noSeal))
+		f.stores = append(f.stores, NewShardStore(0, ownedBy(i, n)))
 	}
 	inits := m.Initial()
 	for i, s := range inits {
@@ -232,78 +232,76 @@ func readAll(t *testing.T, paths ...string) [][]byte {
 // TestShardStoreSnapshotRestoreRoundTrip: a store restored from its
 // barrier files holds what the writer held — count, frontier, and every
 // state's trace parent, found by encoding and by global ref — and, run
-// on, writes byte-identical files, under either seal mode.
+// on, writes byte-identical files.
 func TestShardStoreSnapshotRestoreRoundTrip(t *testing.T) {
 	m := diamondModel{k: 14}
-	for _, noSeal := range []bool{false, true} {
-		const n, cut = 2, 6
-		f := newFleet(t, m, n, noSeal, t.TempDir())
-		f.run(t, cut)
-		for i, s := range f.stores {
-			r := NewShardStore(0, ownedBy(i, n), noSeal)
-			frontier, err := r.Restore(f.chain(i, cut))
-			if err != nil {
-				t.Fatalf("noSeal=%v store %d: restore: %v", noSeal, i, err)
-			}
-			if r.Count() != s.Count() || len(frontier) != len(f.frontier[i]) {
-				t.Fatalf("noSeal=%v store %d: restored %d states, %d frontier; want %d, %d",
-					noSeal, i, r.Count(), len(frontier), s.Count(), len(f.frontier[i]))
-			}
-			for j := range frontier {
-				if !bytes.Equal(r.BytesOf(frontier[j]), s.BytesOf(f.frontier[i][j])) ||
-					r.KeyOf(frontier[j]) != f.keys[i][j] {
-					t.Fatalf("noSeal=%v store %d: frontier[%d] differs", noSeal, i, j)
-				}
-			}
-			if refs := r.AssignRefs(frontier); !reflect.DeepEqual(refs, f.refs[i]) {
-				t.Fatalf("noSeal=%v store %d: restored global refs differ", noSeal, i)
-			}
-			for x := 0; x <= m.k; x++ {
-				for y := 0; y <= m.k; y++ {
-					enc := []byte(encodeXY(x, y))
-					if f.owner(enc) != s {
-						continue
-					}
-					p1, h1, ok1 := s.ParentOf(enc)
-					p2, h2, ok2 := r.ParentOf(enc)
-					if p1 != p2 || h1 != h2 || ok1 != ok2 {
-						t.Fatalf("noSeal=%v: parent of %s: (%d,%v,%v) restored as (%d,%v,%v)",
-							noSeal, enc, p1, h1, ok1, p2, h2, ok2)
-					}
-					if !h1 {
-						continue
-					}
-					// The global ref resolves, at its shard's owner, to a
-					// BFS predecessor.
-					pe, _, _, ok := f.stores[int(RefShard(p1))%n].StateOf(p1)
-					if px, py := decodeXY(State(pe)); !ok || px+py != x+y-1 {
-						t.Fatalf("noSeal=%v: parent ref %#x of %s resolves to (%q,%v)", noSeal, p1, enc, pe, ok)
-					}
-				}
-			}
-			f.stores[i] = r
-			f.frontier[i] = frontier
+	const n, cut = 2, 6
+	f := newFleet(t, m, n, t.TempDir())
+	f.run(t, cut)
+	for i, s := range f.stores {
+		r := NewShardStore(0, ownedBy(i, n))
+		frontier, err := r.Restore(f.chain(i, cut))
+		if err != nil {
+			t.Fatalf("store %d: restore: %v", i, err)
 		}
-		// Both fleets, the restored and (in a second run) the original,
-		// go on to write the same next files.
-		f.run(t, 1)
-		g := newFleet(t, m, n, noSeal, t.TempDir())
-		g.run(t, cut+1)
-		for i := range f.stores {
-			if !reflect.DeepEqual(readAll(t, f.path(i, cut+1)), readAll(t, g.path(i, cut+1))) {
-				t.Fatalf("noSeal=%v store %d: restored store's next file differs", noSeal, i)
+		if r.Count() != s.Count() || len(frontier) != len(f.frontier[i]) {
+			t.Fatalf("store %d: restored %d states, %d frontier; want %d, %d",
+				i, r.Count(), len(frontier), s.Count(), len(f.frontier[i]))
+		}
+		for j := range frontier {
+			if !bytes.Equal(r.BytesOf(frontier[j]), s.BytesOf(f.frontier[i][j])) ||
+				r.KeyOf(frontier[j]) != f.keys[i][j] {
+				t.Fatalf("store %d: frontier[%d] differs", i, j)
 			}
+		}
+		if refs := r.AssignRefs(frontier); !reflect.DeepEqual(refs, f.refs[i]) {
+			t.Fatalf("store %d: restored global refs differ", i)
+		}
+		for x := 0; x <= m.k; x++ {
+			for y := 0; y <= m.k; y++ {
+				enc := []byte(encodeXY(x, y))
+				if f.owner(enc) != s {
+					continue
+				}
+				p1, h1, ok1 := s.ParentOf(enc)
+				p2, h2, ok2 := r.ParentOf(enc)
+				if p1 != p2 || h1 != h2 || ok1 != ok2 {
+					t.Fatalf("parent of %s: (%d,%v,%v) restored as (%d,%v,%v)",
+						enc, p1, h1, ok1, p2, h2, ok2)
+				}
+				if !h1 {
+					continue
+				}
+				// The global ref resolves, at its shard's owner, to a
+				// BFS predecessor.
+				pe, _, _, ok := f.stores[int(RefShard(p1))%n].StateOf(p1)
+				if px, py := decodeXY(State(pe)); !ok || px+py != x+y-1 {
+					t.Fatalf("parent ref %#x of %s resolves to (%q,%v)", p1, enc, pe, ok)
+				}
+			}
+		}
+		f.stores[i] = r
+		f.frontier[i] = frontier
+	}
+	// Both fleets, the restored and (in a second run) the original,
+	// go on to write the same next files.
+	f.run(t, 1)
+	g := newFleet(t, m, n, t.TempDir())
+	g.run(t, cut+1)
+	for i := range f.stores {
+		if !reflect.DeepEqual(readAll(t, f.path(i, cut+1)), readAll(t, g.path(i, cut+1))) {
+			t.Fatalf("store %d: restored store's next file differs", i)
 		}
 	}
+
 }
 
 // TestShardStoreSnapshotCanonical: barrier files depend on the level's
-// keys, not on the order its states were admitted in, nor on the seal
-// mode.
+// keys, not on the order its states were admitted in.
 func TestShardStoreSnapshotCanonical(t *testing.T) {
 	dir := t.TempDir()
-	write := func(name string, noSeal bool, order []string) []byte {
-		s := NewShardStore(0, allShards, noSeal)
+	write := func(name string, order []string) []byte {
+		s := NewShardStore(0, allShards)
 		keys := map[string]uint64{"m": 5, "n": 6, "o": 7}
 		for _, e := range order {
 			s.Claim([]byte(e), keys[e], 0, false, 5)
@@ -328,12 +326,10 @@ func TestShardStoreSnapshotCanonical(t *testing.T) {
 		}
 		return data
 	}
-	want := write("a", false, []string{"m", "n", "o"})
+	want := write("a", []string{"m", "n", "o"})
 	for i, order := range [][]string{{"o", "n", "m"}, {"n", "o", "m"}} {
-		for _, noSeal := range []bool{false, true} {
-			if got := write(fmt.Sprint(i, noSeal), noSeal, order); !bytes.Equal(got, want) {
-				t.Fatalf("order %v noSeal=%v: snapshot bytes differ", order, noSeal)
-			}
+		if got := write(fmt.Sprint(i), order); !bytes.Equal(got, want) {
+			t.Fatalf("order %v: snapshot bytes differ", order)
 		}
 	}
 }
@@ -344,9 +340,9 @@ func TestShardStoreSnapshotCanonical(t *testing.T) {
 // as corrupt.
 func TestShardStoreMergeDisjointAndOverlap(t *testing.T) {
 	m := diamondModel{k: 10}
-	f := newFleet(t, m, 2, false, t.TempDir())
+	f := newFleet(t, m, 2, t.TempDir())
 	f.run(t, 5)
-	r := NewShardStore(0, ownedBy(0, 2), false)
+	r := NewShardStore(0, ownedBy(0, 2))
 	if _, err := r.Restore(f.chain(0, 5)); err != nil {
 		t.Fatalf("disjoint chain: %v", err)
 	}
@@ -376,7 +372,7 @@ func TestShardStoreMergeDisjointAndOverlap(t *testing.T) {
 		{"repeated-segment", ownedBy(0, 2), append(f.chain(0, rep), f.path(0, rep))},
 		{"foreign-store", ownedBy(0, 2), f.chain(1, 5)},
 	} {
-		if _, err := NewShardStore(0, tc.owned, false).Restore(tc.paths); !errors.Is(err, ErrCheckpointCorrupt) {
+		if _, err := NewShardStore(0, tc.owned).Restore(tc.paths); !errors.Is(err, ErrCheckpointCorrupt) {
 			t.Errorf("%s: got %v, want ErrCheckpointCorrupt", tc.name, err)
 		}
 	}
@@ -385,27 +381,24 @@ func TestShardStoreMergeDisjointAndOverlap(t *testing.T) {
 // TestShardStoreMergeOverBudget: a chain whose segments each fit the
 // budget but together exceed it is refused with ErrStateLimit.
 func TestShardStoreMergeOverBudget(t *testing.T) {
-	f := newFleet(t, diamondModel{k: 10}, 1, false, t.TempDir())
+	f := newFleet(t, diamondModel{k: 10}, 1, t.TempDir())
 	f.run(t, 6)
 	total := int(f.stores[0].Count())
-	if _, err := NewShardStore(total-1, allShards, false).Restore(f.chain(0, 6)); !errors.Is(err, ErrStateLimit) {
+	if _, err := NewShardStore(total-1, allShards).Restore(f.chain(0, 6)); !errors.Is(err, ErrStateLimit) {
 		t.Fatalf("over-budget chain: %v, want ErrStateLimit", err)
 	}
-	if _, err := NewShardStore(total, allShards, false).Restore(f.chain(0, 6)); err != nil {
+	if _, err := NewShardStore(total, allShards).Restore(f.chain(0, 6)); err != nil {
 		t.Fatalf("chain at the budget: %v", err)
 	}
 }
 
 // TestShardStoreRestoreOverBudget: rebuilding a store from a snapshot
-// that holds more states than its budget fails with ErrStateLimit,
-// whether the store seals or not.
+// that holds more states than its budget fails with ErrStateLimit.
 func TestShardStoreRestoreOverBudget(t *testing.T) {
-	f := newFleet(t, diamondModel{k: 10}, 1, false, t.TempDir())
+	f := newFleet(t, diamondModel{k: 10}, 1, t.TempDir())
 	f.run(t, 3)
-	for _, noSeal := range []bool{false, true} {
-		if _, err := NewShardStore(3, allShards, noSeal).Restore(f.chain(0, 3)); !errors.Is(err, ErrStateLimit) {
-			t.Fatalf("noSeal=%v: over-budget restore: %v, want ErrStateLimit", noSeal, err)
-		}
+	if _, err := NewShardStore(3, allShards).Restore(f.chain(0, 3)); !errors.Is(err, ErrStateLimit) {
+		t.Fatalf("over-budget restore: %v, want ErrStateLimit", err)
 	}
 }
 
@@ -415,25 +408,23 @@ func TestShardStoreRestoreOverBudget(t *testing.T) {
 // files are byte-identical to a run whose writes all succeeded.
 func TestShardStoreSnapshotRepair(t *testing.T) {
 	m := diamondModel{k: 12}
-	for _, noSeal := range []bool{false, true} {
-		f := newFleet(t, m, 2, noSeal, t.TempDir())
-		f.fail = func(store int, level int32) bool { return store == 1 && (level == 2 || level == 3) }
-		f.run(t, 6)
-		g := newFleet(t, m, 2, noSeal, t.TempDir())
-		g.run(t, 6)
-		if !reflect.DeepEqual(readAll(t, f.path(1, 5), f.path(1, 6)), readAll(t, g.path(1, 5), g.path(1, 6))) {
-			t.Fatalf("noSeal=%v: files after the repair differ", noSeal)
-		}
-		repaired := []string{f.path(1, 0), f.path(1, 1), f.path(1, 4), f.path(1, 5)}
-		a := NewShardStore(0, ownedBy(1, 2), noSeal)
-		b := NewShardStore(0, ownedBy(1, 2), noSeal)
-		fa, errA := a.Restore(repaired)
-		fb, errB := b.Restore(g.chain(1, 5))
-		if errA != nil || errB != nil {
-			t.Fatalf("noSeal=%v: restores: %v / %v", noSeal, errA, errB)
-		}
-		if a.Count() != b.Count() || len(fa) != len(fb) {
-			t.Fatalf("noSeal=%v: repaired chain restored %d states, full chain %d", noSeal, a.Count(), b.Count())
-		}
+	f := newFleet(t, m, 2, t.TempDir())
+	f.fail = func(store int, level int32) bool { return store == 1 && (level == 2 || level == 3) }
+	f.run(t, 6)
+	g := newFleet(t, m, 2, t.TempDir())
+	g.run(t, 6)
+	if !reflect.DeepEqual(readAll(t, f.path(1, 5), f.path(1, 6)), readAll(t, g.path(1, 5), g.path(1, 6))) {
+		t.Fatal("files after the repair differ")
+	}
+	repaired := []string{f.path(1, 0), f.path(1, 1), f.path(1, 4), f.path(1, 5)}
+	a := NewShardStore(0, ownedBy(1, 2))
+	b := NewShardStore(0, ownedBy(1, 2))
+	fa, errA := a.Restore(repaired)
+	fb, errB := b.Restore(g.chain(1, 5))
+	if errA != nil || errB != nil {
+		t.Fatalf("restores: %v / %v", errA, errB)
+	}
+	if a.Count() != b.Count() || len(fa) != len(fb) {
+		t.Fatalf("repaired chain restored %d states, full chain %d", a.Count(), b.Count())
 	}
 }

@@ -172,9 +172,6 @@ func (s *Schedule) TransmissionTime(bits int) time.Duration {
 	return time.Duration(int64(bits) * int64(time.Second) / s.BitRate)
 }
 
-// BitTime returns the duration of a single bit on the wire.
-func (s *Schedule) BitTime() time.Duration { return s.TransmissionTime(1) }
-
 // StartupTimeout returns node id's listen-timeout: one full round plus the
 // start offset of the node's own slot. Unique per node, so at most one node
 // leaves listen for cold-start at a time — the slot-count analogue is the

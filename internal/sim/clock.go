@@ -75,19 +75,6 @@ func (c *Clock) Adjust(correction time.Duration) {
 	c.offset += LocalTime(correction)
 }
 
-// SetLocal steps the clock so it reads l at the current instant. Nodes use
-// this when adopting the global time from a frame during integration.
-func (c *Clock) SetLocal(l LocalTime) {
-	c.rebase()
-	c.offset = l
-}
-
-// LocalDuration converts a reference duration to the local duration the
-// clock would measure over it.
-func (c *Clock) LocalDuration(d time.Duration) time.Duration {
-	return d + time.Duration(mulDivRound(int64(d), int64(c.drift), ppbScale))
-}
-
 // RefDuration converts a local duration to the reference duration it spans.
 func (c *Clock) RefDuration(d time.Duration) time.Duration {
 	return d - time.Duration(mulDivRound(int64(d), int64(c.drift), ppbScale+int64(c.drift)))

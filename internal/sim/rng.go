@@ -74,17 +74,6 @@ func (r *RNG) Range(lo, hi int64) int64 {
 	return lo + int64(r.Uint64n(uint64(hi-lo)+1))
 }
 
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Split returns a new generator whose stream is independent of r's.
 func (r *RNG) Split() *RNG {
 	return NewRNG(r.Uint64() ^ 0xA5A5A5A5A5A5A5A5)

@@ -86,19 +86,11 @@ func NewScheduler() *Scheduler {
 	return &Scheduler{}
 }
 
-// SetTracer installs a tracer that observes every fired event. A nil tracer
-// disables tracing.
-func (s *Scheduler) SetTracer(t Tracer) { s.tracer = t }
-
 // Now returns the current simulated reference time.
 func (s *Scheduler) Now() Time { return s.now }
 
 // Fired returns the number of events executed so far.
 func (s *Scheduler) Fired() uint64 { return s.fired }
-
-// Pending returns the number of events in the queue, counting cancelled
-// events that have not yet reached its head.
-func (s *Scheduler) Pending() int { return len(s.heap) }
 
 // At schedules fn to run at instant t. Scheduling in the past panics: it is
 // always a simulation bug, never a recoverable condition.

@@ -24,9 +24,6 @@ func (t Time) Add(d time.Duration) Time { return t + Time(d) }
 // Sub returns the duration from u to t.
 func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
 
-// Before reports whether t is strictly earlier than u.
-func (t Time) Before(u Time) bool { return t < u }
-
 // After reports whether t is strictly later than u.
 func (t Time) After(u Time) bool { return t > u }
 

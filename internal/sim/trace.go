@@ -48,18 +48,6 @@ func (r *Recorder) Trace(at Time, category, message string) {
 	r.entries = append(r.entries, TraceEntry{At: at, Category: category, Message: message})
 }
 
-// Tracef records a formatted message.
-func (r *Recorder) Tracef(at Time, category, format string, args ...any) {
-	r.Trace(at, category, fmt.Sprintf(format, args...))
-}
-
-// Entries returns the recorded entries in order.
-func (r *Recorder) Entries() []TraceEntry {
-	out := make([]TraceEntry, len(r.entries))
-	copy(out, r.entries)
-	return out
-}
-
 // Len returns the number of recorded entries.
 func (r *Recorder) Len() int { return len(r.entries) }
 

@@ -15,7 +15,7 @@ func fullShiftCounterexample(t *testing.T, cfg model.Config) (*model.Model, []mc
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mc.CheckTransitionInvariant(m, m.Property(), mc.Options{})
+	res, err := mc.CheckTransitionInvariantBytes(m, m.PropertyBytes(), mc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
