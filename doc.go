@@ -6,6 +6,7 @@
 //
 // The implementation lives under internal/; the binaries under cmd/ and
 // the runnable examples under examples/ are the public surface. The
-// benchmarks in bench_test.go regenerate every experiment (E1–E11 in
-// DESIGN.md).
+// tests of internal/experiments and internal/analysis regenerate every
+// experiment (E1–E11 in DESIGN.md) and pin its result; perfbench/ is the
+// repository benchmark.
 package ttastar

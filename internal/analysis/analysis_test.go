@@ -40,16 +40,16 @@ func TestEquationSix(t *testing.T) {
 func TestEquationEight(t *testing.T) {
 	// Δ = (28 − 1 − 4)/76 = 0.3026 → 30.26%.
 	got := MaxDelta(PaperFMin, PaperLineEncodingBits, PaperIFrameBits)
-	if !almost(got, 0.3026, 0.0001) {
-		t.Errorf("eq.(8): Δ = %g, want ≈0.3026", got)
+	if !almost(got, 23.0/76.0, 1e-12) {
+		t.Errorf("eq.(8): Δ = %g, want 23/76 ≈ 0.3026", got)
 	}
 }
 
 func TestEquationNine(t *testing.T) {
 	// Δ = (28 − 1 − 4)/2076 = 0.0111 → 1.11%.
 	got := MaxDelta(PaperFMin, PaperLineEncodingBits, PaperXFrameBits)
-	if !almost(got, 0.0111, 0.0001) {
-		t.Errorf("eq.(9): Δ = %g, want ≈0.0111", got)
+	if !almost(got, 23.0/2076.0, 1e-12) {
+		t.Errorf("eq.(9): Δ = %g, want 23/2076 ≈ 0.0111", got)
 	}
 }
 

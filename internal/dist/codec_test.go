@@ -159,7 +159,7 @@ func meshBenchGroups() []benchGroup {
 // decodes it again. "mesh" is the data-plane frame expansion traffic
 // rides (beginMeshBatch/appendMeshGroup, then decodeMeshBatchHeader and
 // walkMeshGroups); "control" is the same successors as a control-plane
-// msgBatch of roots (encode, then decodeBatch).
+// msgInit of roots (encode, then decodeInit).
 func BenchmarkMeshBatchCodec(b *testing.B) {
 	gs := meshBenchGroups()
 	const level, base = 12, 7 << 30
@@ -189,17 +189,18 @@ func BenchmarkMeshBatchCodec(b *testing.B) {
 		}
 	})
 	b.Run("control", func(b *testing.B) {
-		m := &msgBatch{Level: level, Base: base}
+		m := &msgInit{}
 		for k := range gs {
-			m.Groups = append(m.Groups, batchGroup{Js: gs[k].js, Encs: gs[k].encs})
+			m.Js = append(m.Js, gs[k].js...)
+			m.Encs = append(m.Encs, gs[k].encs...)
 		}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			_, p := m.encode()
 			b.SetBytes(int64(len(p)))
-			got, err := decodeBatch(p)
-			if err != nil || len(got.Groups) != len(m.Groups) {
-				b.Fatalf("decoded %d groups, %v", len(got.Groups), err)
+			got, err := decodeInit(p)
+			if err != nil || len(got.Js) != len(m.Js) {
+				b.Fatalf("decoded %d roots, %v", len(got.Js), err)
 			}
 		}
 	})

@@ -319,9 +319,9 @@ type coordinator struct {
 	anyFull     bool
 	trBest      *distViol
 	stViols     []distViol
-	viol        *distViol                 // the last expanded level's winner
-	initGroups  [mc.NumShards]*batchGroup // level-0 claims, kept for recovery re-delivery
-	acc         []map[int]*sentRec        // per destination: per sender, declared mesh groups
+	viol        *distViol              // the last expanded level's winner
+	inits       [mc.NumShards]*msgInit // level-0 claims, kept for recovery re-delivery
+	acc         []map[int]*sentRec     // per destination: per sender, declared mesh groups
 	replayOps   []*replayOp
 	sealSeq     uint32
 	next        uint64 // the claim-key base of the level after the current one

@@ -204,24 +204,38 @@ func TestDistMatchesEngine(t *testing.T) {
 	}
 }
 
+// TestDistMatchesEngineTTAModel: the TTA model's check, reduced and
+// oracle, on the 3-node passive cluster (3 workers) and the reduced
+// 4-node small-shifting one (2 and 4 workers) equals the engine's.
 func TestDistMatchesEngineTTAModel(t *testing.T) {
-	m, err := model.New(model.Config{Nodes: 3, Authority: guardian.AuthorityPassive})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, noReduce := range []bool{false, true} {
-		opts := mc.Options{NoReduce: noReduce}
-		want, err := runEngine(t, m, nil, m.PropertyBytes(), opts)
+	for _, tc := range []struct {
+		cfg       model.Config
+		workers   []int
+		noReduces []bool
+	}{
+		{model.Config{Nodes: 3, Authority: guardian.AuthorityPassive}, []int{3}, []bool{false, true}},
+		{model.Config{Nodes: 4, Authority: guardian.AuthoritySmallShift}, []int{2, 4}, []bool{false}},
+	} {
+		m, err := model.New(tc.cfg)
 		if err != nil {
-			t.Fatalf("engine (noReduce=%v): %v", noReduce, err)
+			t.Fatal(err)
 		}
-		got, _, err := runDist(t, m, nil, m.PropertyBytes(), opts, Options{Workers: 3})
-		if err != nil {
-			t.Fatalf("dist (noReduce=%v): %v", noReduce, err)
-		}
-		requireIdentical(t, got, want)
-		if noReduce == want.Reduced {
-			t.Fatalf("reduction gate mismatch: noReduce=%v but Reduced=%v", noReduce, want.Reduced)
+		for _, noReduce := range tc.noReduces {
+			opts := mc.Options{NoReduce: noReduce}
+			want, err := runEngine(t, m, nil, m.PropertyBytes(), opts)
+			if err != nil {
+				t.Fatalf("%+v engine (noReduce=%v): %v", tc.cfg, noReduce, err)
+			}
+			if noReduce == want.Reduced {
+				t.Fatalf("reduction gate mismatch: noReduce=%v but Reduced=%v", noReduce, want.Reduced)
+			}
+			for _, workers := range tc.workers {
+				got, _, err := runDist(t, m, nil, m.PropertyBytes(), opts, Options{Workers: workers})
+				if err != nil {
+					t.Fatalf("%+v dist workers=%d (noReduce=%v): %v", tc.cfg, workers, noReduce, err)
+				}
+				requireIdentical(t, got, want)
+			}
 		}
 	}
 }

@@ -61,7 +61,7 @@ import (
 const (
 	mtConfig     byte = iota + 1 // C→W: identity, model spec, shard map
 	mtExpand                     // C→W: expand a slice of the frontier
-	mtBatch                      // C→W: successor claims for your shards (level-0 init + its replay)
+	mtInit                       // C→W: level-0 initial-state claims for your shards (and their re-delivery)
 	mtSeal                       // C→W: level complete once Expect counts match
 	mtReplay                     // C→W: re-send buffered mesh batches to a recovered peer
 	mtPeerInc                    // C→W: a peer's current incarnation changed
@@ -568,62 +568,33 @@ func decodeExpand(p []byte) (*msgExpand, error) {
 	return m, r.done()
 }
 
-// batchGroup is a set of parentless claims bound for one receiver:
-// initial state Js[k] with encoding Encs[k], claimed under key
-// Base + Js[k].
-type batchGroup struct {
+// msgInit delivers the level-0 roots of one shard to its owner over the
+// control plane — the coordinator's initial-state routing and its
+// crash-recovery re-delivery; all expansion traffic rides the mesh
+// (mtMeshBatch). Initial state Js[k] has encoding Encs[k] and is claimed
+// under key Js[k].
+type msgInit struct {
 	Js   []uint32
 	Encs [][]byte
 }
 
-func (g *batchGroup) encode(w *wbuf) {
-	w.i(len(g.Js))
-	for k := range g.Js {
-		w.u32(g.Js[k])
-		w.bytes(g.Encs[k])
-	}
-}
-
-func decodeGroup(r *rbuf) batchGroup {
-	var g batchGroup
-	n := r.count()
-	g.Js = make([]uint32, 0, n)
-	g.Encs = make([][]byte, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		g.Js = append(g.Js, r.u32())
-		g.Encs = append(g.Encs, r.bytes())
-	}
-	return g
-}
-
-// msgBatch delivers the level-0 roots to the owner of their shards over
-// the control plane — the coordinator's initial-state routing and its
-// crash-recovery re-delivery; all expansion traffic rides the mesh
-// (mtMeshBatch).
-type msgBatch struct {
-	Level  int32
-	Base   uint64
-	Groups []batchGroup
-}
-
-func (m *msgBatch) encode() (byte, []byte) {
+func (m *msgInit) encode() (byte, []byte) {
 	var w wbuf
-	w.u32(uint32(m.Level))
-	w.u(m.Base)
-	w.i(len(m.Groups))
-	for i := range m.Groups {
-		m.Groups[i].encode(&w)
+	w.i(len(m.Js))
+	for k := range m.Js {
+		w.u32(m.Js[k])
+		w.bytes(m.Encs[k])
 	}
-	return mtBatch, w.b
+	return mtInit, w.b
 }
 
-func decodeBatch(p []byte) (*msgBatch, error) {
+func decodeInit(p []byte) (*msgInit, error) {
 	r := newRbuf(p)
-	m := &msgBatch{Level: int32(r.u32()), Base: r.u()}
 	n := r.count()
-	m.Groups = make([]batchGroup, 0, n)
+	m := &msgInit{Js: make([]uint32, 0, n), Encs: make([][]byte, 0, n)}
 	for i := 0; i < n && r.err == nil; i++ {
-		m.Groups = append(m.Groups, decodeGroup(r))
+		m.Js = append(m.Js, r.u32())
+		m.Encs = append(m.Encs, r.bytes())
 	}
 	return m, r.done()
 }

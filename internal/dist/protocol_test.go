@@ -59,12 +59,9 @@ func TestProtocolRoundTrips(t *testing.T) {
 		t.Fatalf("expand mismatch:\n got %+v\nwant %+v", got, exp)
 	}
 
-	batch := &msgBatch{Level: 0, Base: 99, Groups: []batchGroup{
-		{Js: []uint32{0, 2}, Encs: [][]byte{[]byte("s0"), []byte("s2")}},
-		{Js: []uint32{1}, Encs: [][]byte{[]byte("x")}},
-	}}
-	if got := roundTrip(t, batch, func(p []byte) (any, error) { return decodeBatch(p) }, mtBatch); !reflect.DeepEqual(got, batch) {
-		t.Fatalf("batch mismatch:\n got %+v\nwant %+v", got, batch)
+	init := &msgInit{Js: []uint32{0, 2, 1 << 20}, Encs: [][]byte{[]byte("s0"), []byte("s2"), []byte("x")}}
+	if got := roundTrip(t, init, func(p []byte) (any, error) { return decodeInit(p) }, mtInit); !reflect.DeepEqual(got, init) {
+		t.Fatalf("init mismatch:\n got %+v\nwant %+v", got, init)
 	}
 
 	seal := &msgSeal{Level: 4, Seq: 17, Next: 3 << 40,
@@ -205,8 +202,8 @@ func TestProtocolRejectsDamage(t *testing.T) {
 			func(p []byte) error { _, err := decodeSeal(p); return err }},
 		{"peerinc", &msgPeerInc{Index: 1, Inc: 2},
 			func(p []byte) error { _, err := decodePeerInc(p); return err }},
-		{"batch", &msgBatch{Level: 1, Groups: []batchGroup{{Js: []uint32{0}, Encs: [][]byte{[]byte("e")}}}},
-			func(p []byte) error { _, err := decodeBatch(p); return err }},
+		{"init", &msgInit{Js: []uint32{0}, Encs: [][]byte{[]byte("e")}},
+			func(p []byte) error { _, err := decodeInit(p); return err }},
 		{"report", &msgLevelReport{Level: 1, Keys: []uint64{5, 6}, States: 2},
 			func(p []byte) error { _, err := decodeLevelReport(p); return err }},
 		{"expanddone", &msgExpandDone{Level: 1, Counts: []uint32{1}, ViolFrom: []byte("f"), ViolTo: []byte("t")},
@@ -249,7 +246,7 @@ var controlDecoders = []struct {
 }{
 	{"config", func(p []byte) (encoder, error) { return decodeConfig(p) }},
 	{"expand", func(p []byte) (encoder, error) { return decodeExpand(p) }},
-	{"batch", func(p []byte) (encoder, error) { return decodeBatch(p) }},
+	{"init", func(p []byte) (encoder, error) { return decodeInit(p) }},
 	{"seal", func(p []byte) (encoder, error) { return decodeSeal(p) }},
 	{"replay", func(p []byte) (encoder, error) { return decodeReplay(p) }},
 	{"peerinc", func(p []byte) (encoder, error) { return decodePeerInc(p) }},
@@ -274,7 +271,7 @@ func FuzzDecodeControl(f *testing.F) {
 		&msgConfig{Index: 1, Inc: 2, Workers: 3, SpecName: "tta", SpecPayload: "{}", Reduced: true,
 			MaxStates: 9, Assign: assign, PeerIncs: []int{0, 2, 1}, Restore: []int32{0, 1}, Swifi: "kill@worker=1@level=2"},
 		&msgExpand{Level: 3, Base: 1 << 30, ID: 4, SelfOnly: true, Slots: []uint32{0, 7}},
-		&msgBatch{Level: 0, Groups: []batchGroup{{Js: []uint32{0, 3}, Encs: [][]byte{[]byte("a"), []byte("bc")}}}},
+		&msgInit{Js: []uint32{0, 3}, Encs: [][]byte{[]byte("a"), []byte("bc")}},
 		&msgSeal{Level: 2, Seq: 5, Next: 6 << 24, Expect: []expectCount{{Sender: 1, SenderInc: 1, Groups: 8}}},
 		&msgReplay{Level: 2, Dest: 1, ShardMask: [mc.NumShards / 8]byte{0xff, 1}},
 		&msgPeerInc{Index: 2, Inc: 1},

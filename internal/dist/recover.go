@@ -245,7 +245,7 @@ func (c *coordinator) maskFor(index int) (mask [mc.NumShards / 8]byte) {
 // buffered groups for dest's shards to dest: every other live worker is
 // commanded to replay (recovering ones owe it until their catch-up
 // rebuilds their buffers). Level 0 has no mesh traffic — its claims are
-// re-delivered from initGroups directly — so no op is opened.
+// re-delivered from inits directly — so no op is opened.
 func (c *coordinator) issueReplays(dest int) {
 	if c.level < 1 {
 		return
@@ -351,9 +351,9 @@ func (c *coordinator) flushOwed(w *workerState) error {
 // recovering worker's shards, straight from the coordinator's copy over
 // the control plane (uncounted: level 0 has no seal Expects).
 func (c *coordinator) resendInits(w *workerState) {
-	for shard, g := range c.initGroups {
+	for shard, g := range c.inits {
 		if g != nil && int(c.assign[shard]) == w.index {
-			c.sendTo(w, &msgBatch{Level: 0, Base: 0, Groups: []batchGroup{*g}})
+			c.sendTo(w, g)
 		}
 	}
 }

@@ -2,7 +2,7 @@ package dist
 
 // The coordinator as an mc.LevelBackend: mc's search loop decides, the
 // coordinator runs each level's barrier across the fleet. Admission
-// routes the initial states to their shard owners as batch claims;
+// routes the initial states to their shard owners as init claims;
 // Expand issues the level's Expands and collects its barrier; NextLevel
 // closes the barrier into the next frontier.
 
@@ -14,7 +14,7 @@ import (
 )
 
 // AdmitInitial dedups initial state i at the coordinator, charges it to
-// the state budget and queues it for its shard owner as a batch claim
+// the state budget and queues it for its shard owner as an init claim
 // with key i.
 func (c *coordinator) AdmitInitial(enc []byte, i int) mc.ClaimStatus {
 	c.next = mc.ClaimKey(0, i+1, 0)
@@ -29,10 +29,10 @@ func (c *coordinator) AdmitInitial(enc []byte, i int) mc.ClaimStatus {
 	}
 	c.initSeen[string(enc)] = struct{}{}
 	shard := mc.ShardOf(mc.HashState(enc))
-	g := c.initGroups[shard]
+	g := c.inits[shard]
 	if g == nil {
-		g = &batchGroup{}
-		c.initGroups[shard] = g
+		g = &msgInit{}
+		c.inits[shard] = g
 	}
 	g.Js = append(g.Js, uint32(i))
 	g.Encs = append(g.Encs, enc)
@@ -44,9 +44,9 @@ func (c *coordinator) AdmitInitial(enc []byte, i int) mc.ClaimStatus {
 func (c *coordinator) NextLevel() (int, error) {
 	if c.initSeen != nil {
 		c.initSeen = nil
-		for shard, g := range c.initGroups {
+		for shard, g := range c.inits {
 			if g != nil {
-				c.sendTo(c.workers[c.assign[shard]], &msgBatch{Level: 0, Base: 0, Groups: []batchGroup{*g}})
+				c.sendTo(c.workers[c.assign[shard]], g)
 			}
 		}
 		if err := c.collectLevel(); err != nil {

@@ -264,8 +264,8 @@ func RunWorker(conn io.ReadWriteCloser, opts WorkerOptions) error {
 				err = w.handleConfig(ev.payload)
 			case mtExpand:
 				err = w.handleExpand(ev.payload)
-			case mtBatch:
-				err = w.handleBatch(ev.payload)
+			case mtInit:
+				err = w.handleInit(ev.payload)
 			case mtSeal:
 				err = w.handleSeal(ev.payload)
 			case mtReplay:
@@ -722,19 +722,16 @@ func (w *worker) handleMeshBatch(ev wev) error {
 	return nil
 }
 
-func (w *worker) handleBatch(payload []byte) error {
-	m, err := decodeBatch(payload)
+func (w *worker) handleInit(payload []byte) error {
+	m, err := decodeInit(payload)
 	if err != nil {
 		return err
 	}
 	if w.store == nil {
-		return fmt.Errorf("dist: Batch before Config")
+		return fmt.Errorf("dist: Init before Config")
 	}
-	for gi := range m.Groups {
-		g := &m.Groups[gi]
-		for k := range g.Js {
-			w.claim(g.Encs[k], m.Base+uint64(g.Js[k]), 0, false, m.Base)
-		}
+	for k := range m.Js {
+		w.claim(m.Encs[k], uint64(m.Js[k]), 0, false, 0)
 	}
 	return nil
 }

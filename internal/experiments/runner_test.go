@@ -85,8 +85,8 @@ func TestRunSeededStreamsDistinct(t *testing.T) {
 }
 
 // TestCampaignParallelDeterminism is the engine's core guarantee: one
-// campaign run at -parallel 1, 4 and NumCPU produces byte-identical
-// formatted cells and identical counters.
+// campaign run at -parallel 1, 4 and NumCPU runs every run of its cells
+// and produces byte-identical formatted cells and identical counters.
 func TestCampaignParallelDeterminism(t *testing.T) {
 	defer SetParallelism(0)
 	type snapshot struct {
@@ -107,6 +107,9 @@ func TestCampaignParallelDeterminism(t *testing.T) {
 		star, err := BabblingIdiotCampaign(context.Background(), cluster.TopologyStar, guardian.AuthoritySmallShift, 4, 1)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if bus.Runs != 4 || star.Runs != 4 {
+			t.Fatalf("workers=%d: cells ran %d and %d of 4 runs", workers, bus.Runs, star.Runs)
 		}
 		snap := snapshot{
 			table:   FormatCampaign([]CampaignCell{bus, star}),

@@ -758,14 +758,16 @@ func (v *visitedSet) sealShard(s int, d *sealedDecoder) residentDelta {
 	ss := &sh.sealed
 
 	// Encode the batch into the arena and quotiented index. This reads
-	// live slots, so it runs before compaction moves them.
+	// live slots, so it runs before compaction moves them. A batch
+	// state's parent was sealed at an earlier boundary (or rewritten
+	// into the sealed space at compaction), so its ref is already final.
 	arenaBefore := int64(len(ss.blob)) + int64(len(ss.restarts)*4)
 	for _, ord := range g {
 		e := sh.entryAt(ord)
 		enc := v.encOfLive(e, e.meta)
 		var pw uint64
 		if e.meta&hasParentBit != 0 {
-			pw = uint64(v.remapRef(e.parent)) + 1
+			pw = uint64(e.parent) + 1
 		}
 		if ss.indexNeedsGrow() {
 			added, freed := ss.indexGrow(d)

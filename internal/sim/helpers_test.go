@@ -31,10 +31,6 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// SetTracer installs a tracer that observes every fired event. A nil tracer
-// disables tracing.
-func (s *Scheduler) SetTracer(t Tracer) { s.tracer = t }
-
 // Pending returns the number of events in the queue, counting cancelled
 // events that have not yet reached its head.
 func (s *Scheduler) Pending() int { return len(s.heap) }

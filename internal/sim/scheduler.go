@@ -31,14 +31,13 @@ func (e Event) Cancel() {
 	}
 }
 
-// record is one slab entry: the callback and label of a scheduled event.
+// record is one slab entry: the callback of a scheduled event.
 // gen advances every time the record is released, which invalidates the
 // handles given out for its previous occupant. A pending record with a nil
 // fn has been cancelled.
 type record struct {
-	fn   func()
-	name string
-	gen  uint32
+	fn  func()
+	gen uint32
 }
 
 // entry is one heap element. Ordering is by (at, seq); seq is unique, so
@@ -72,13 +71,12 @@ const arity = 4
 // Scheduler is not safe for concurrent use; a simulation is a single
 // logical thread of control.
 type Scheduler struct {
-	now    Time
-	heap   []entry
-	recs   []record
-	free   []int32
-	seq    uint64
-	fired  uint64
-	tracer Tracer
+	now   Time
+	heap  []entry
+	recs  []record
+	free  []int32
+	seq   uint64
+	fired uint64
 }
 
 // NewScheduler returns a scheduler positioned at time zero.
@@ -92,8 +90,9 @@ func (s *Scheduler) Now() Time { return s.now }
 // Fired returns the number of events executed so far.
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
-// At schedules fn to run at instant t. Scheduling in the past panics: it is
-// always a simulation bug, never a recoverable condition.
+// At schedules fn to run at instant t; name labels the event only in the
+// panic scheduling in the past raises: that is always a simulation bug,
+// never a recoverable condition.
 func (s *Scheduler) At(t Time, name string, fn func()) Event {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling %q at %v, before now %v", name, t, s.now))
@@ -107,7 +106,7 @@ func (s *Scheduler) At(t Time, name string, fn func()) Event {
 		s.recs = append(s.recs, record{})
 	}
 	r := &s.recs[slot]
-	r.fn, r.name = fn, name
+	r.fn = fn
 	s.push(entry{at: t, seq: s.seq, slot: slot})
 	s.seq++
 	return Event{s: s, slot: slot, gen: r.gen}
@@ -139,7 +138,7 @@ func (s *Scheduler) Step() bool {
 	for len(s.heap) > 0 {
 		top := s.pop()
 		r := &s.recs[top.slot]
-		fn, name := r.fn, r.name
+		fn := r.fn
 		// Release before running fn: fn may schedule into the record, and
 		// a handle to the firing event must already be stale inside it.
 		s.release(top.slot)
@@ -148,9 +147,6 @@ func (s *Scheduler) Step() bool {
 		}
 		s.now = top.at
 		s.fired++
-		if s.tracer != nil {
-			s.tracer.Trace(s.now, "event", name)
-		}
 		fn()
 		return true
 	}
@@ -189,7 +185,7 @@ func (s *Scheduler) Run(limit uint64) error {
 // release returns a record to the free list, invalidating its handles.
 func (s *Scheduler) release(slot int32) {
 	r := &s.recs[slot]
-	r.fn, r.name = nil, ""
+	r.fn = nil
 	r.gen++
 	s.free = append(s.free, slot)
 }

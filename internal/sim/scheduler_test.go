@@ -319,23 +319,6 @@ func TestSchedulerCounters(t *testing.T) {
 	}
 }
 
-func TestSchedulerTracer(t *testing.T) {
-	s := NewScheduler()
-	rec := NewRecorder()
-	s.SetTracer(rec)
-	s.At(7, "hello", func() {})
-	if err := s.Run(0); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	entries := rec.Entries()
-	if len(entries) != 1 {
-		t.Fatalf("recorded %d entries, want 1", len(entries))
-	}
-	if entries[0].At != 7 || entries[0].Category != "event" || entries[0].Message != "hello" {
-		t.Errorf("entry = %+v", entries[0])
-	}
-}
-
 func TestRecorderFilter(t *testing.T) {
 	rec := NewRecorder("keep")
 	rec.Trace(1, "keep", "a")
