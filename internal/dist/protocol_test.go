@@ -59,9 +59,9 @@ func TestProtocolRoundTrips(t *testing.T) {
 		t.Fatalf("expand mismatch:\n got %+v\nwant %+v", got, exp)
 	}
 
-	init := &msgInit{Js: []uint32{0, 2, 1 << 20}, Encs: [][]byte{[]byte("s0"), []byte("s2"), []byte("x")}}
-	if got := roundTrip(t, init, func(p []byte) (any, error) { return decodeInit(p) }, mtInit); !reflect.DeepEqual(got, init) {
-		t.Fatalf("init mismatch:\n got %+v\nwant %+v", got, init)
+	roots := &msgInit{Js: []uint32{0, 2, 1 << 20}, Encs: [][]byte{[]byte("s0"), []byte("s2"), []byte("x")}}
+	if got := roundTrip(t, roots, func(p []byte) (any, error) { return decodeInit(p) }, mtInit); !reflect.DeepEqual(got, roots) {
+		t.Fatalf("init mismatch:\n got %+v\nwant %+v", got, roots)
 	}
 
 	seal := &msgSeal{Level: 4, Seq: 17, Next: 3 << 40,
