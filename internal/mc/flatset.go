@@ -759,8 +759,7 @@ func (v *visitedSet) sealShard(s int, d *sealedDecoder) residentDelta {
 
 	// Encode the batch into the arena and quotiented index. This reads
 	// live slots, so it runs before compaction moves them. A batch
-	// state's parent was sealed at an earlier boundary (or rewritten
-	// into the sealed space at compaction), so its ref is already final.
+	// state's parent is already sealed, so its ref is final.
 	arenaBefore := int64(len(ss.blob)) + int64(len(ss.restarts)*4)
 	for _, ord := range g {
 		e := sh.entryAt(ord)

@@ -61,7 +61,11 @@ run() {
     tail -n 20 "$log" >&2
     exit 1
   fi
-  tail -n 1 "$log" | jq -c . >> "$tmp/$w.$side"
+  if ! tail -n 1 "$log" | jq -e -c 'objects' >> "$tmp/$w.$side" 2>/dev/null; then
+    echo "perfcompare: $side run of $w (seed $seed) printed no result line:" >&2
+    tail -n 20 "$log" >&2
+    exit 1
+  fi
 }
 
 status=0
