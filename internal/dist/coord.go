@@ -5,13 +5,12 @@ package dist
 // The run is a single-threaded event loop over one channel fed by
 // per-worker reader goroutines and a deadline ticker; sends go through
 // per-worker unbounded outboxes drained by writer goroutines, so the
-// loop never blocks on a slow worker. Since PR 9 the coordinator is
-// control-plane only: successor batches flow worker↔worker over the
-// mesh (mesh.go), and the coordinator instead runs the counting
-// barrier — it folds each ExpandDone's declared per-destination group
-// counts into an accounting table and ships each Seal with the exact
-// per-(sender, incarnation) counts the worker must have received
-// before draining. Each level: issue Expands, collect ExpandDones,
+// loop never blocks on a slow worker. The coordinator is control-plane
+// only: successor batches flow worker↔worker over the mesh (mesh.go),
+// and the coordinator instead runs the counting barrier — it folds each
+// ExpandDone's declared per-destination group counts into an accounting
+// table and ships each Seal with the exact per-sender counts the worker
+// must have received before draining. Each level: issue Expands, collect ExpandDones,
 // broadcast counted Seals once nothing is outstanding, collect
 // LevelReports, then close the barrier — merge the per-worker
 // claim-key lists into the global frontier order and reduce violations
@@ -20,12 +19,10 @@ package dist
 // search loop decides budgets, interrupts, counts and the Result.
 //
 // Crash recovery (recover.go) re-enters this loop through the same
-// events: a death respawns the worker from its chain of acknowledged
-// barrier snapshots and replays at most its share of the current level,
-// with the lost mesh traffic re-delivered from the surviving senders'
-// replay buffers and every replayed claim idempotent because it carries
-// the same key. Deaths outside that path end the run with
-// ErrUnrecoverable.
+// events: a death restarts the whole fleet as a new generation from its
+// chains of acknowledged barrier snapshots and redoes the current level
+// under the same claim keys. A death that rule cannot recover ends the
+// run with ErrUnrecoverable.
 
 import (
 	"fmt"
@@ -39,9 +36,9 @@ import (
 )
 
 // Options parameterize a distributed check. Crash recovery has no
-// knobs: a dead worker is respawned from its last barrier snapshot, at
-// most twice per index, and any death it cannot recover that way ends
-// the run with ErrUnrecoverable.
+// knobs: a death restarts the fleet from the last closed barrier, at
+// most twice per index that dies, and any death it cannot recover that
+// way ends the run with ErrUnrecoverable.
 type Options struct {
 	// Workers is the worker process count, 1..NumShards (default 2).
 	Workers int
@@ -51,8 +48,8 @@ type Options struct {
 	// SnapshotDir holds the per-level barrier snapshots; empty means a
 	// temporary directory removed when the run ends.
 	SnapshotDir string
-	// Swifi is the fault-injection script (see swifi.go); applied to
-	// first incarnations only.
+	// Swifi is the fault-injection script (see swifi.go); each injection
+	// fires at most once per run.
 	Swifi string
 	// HeartbeatInterval is the worker heartbeat cadence (default 250ms);
 	// HeartbeatDeadline is the silence span after which a worker is
@@ -65,24 +62,25 @@ type Options struct {
 
 // Recovery records one crash-recovery action for the work ledger.
 type Recovery struct {
-	// Level is the exploration level the death interrupted.
+	// Level is the exploration level the death interrupted, redone by
+	// the whole fleet.
 	Level int32
-	// Worker is the respawned worker's index.
+	// Worker is the index whose death the recovery answered.
 	Worker int
-	// SlotTransitions is the transition count of the frontier slots
-	// whose expansion had to be re-run — the paid recovery cost, bounded
-	// by the dead worker's share of one level.
+	// SlotTransitions is the transition count of the redone level — the
+	// paid recovery cost, bounded by one level of the search.
 	SlotTransitions uint64
 }
 
 // Report is the robustness ledger of a distributed run.
 type Report struct {
-	// Respawns counts recovery actions. Takeovers is always 0: a dead
-	// worker's shards are never reassigned to a survivor (the field stays
-	// for the readers that check it).
+	// Respawns counts recovery actions, one per death (not worker
+	// starts). Takeovers is always 0: a dead worker's shards are never
+	// reassigned to a survivor (the field stays for the readers that
+	// check it).
 	Respawns  int
 	Takeovers int
-	// WorkTransitions is the sum of all worker incarnations' generated-
+	// WorkTransitions is the sum of all worker processes' generated-
 	// transition counters; GeneratedTransitions is the logical total a
 	// crash-free run performs. Their difference, ReexpandedTransitions,
 	// is the work redone because of crashes.
@@ -91,7 +89,7 @@ type Report struct {
 	ReexpandedTransitions uint64
 	Recoveries            []Recovery
 	// Frames and BytesOnWire total the fleet's frame writes — mesh
-	// batches plus control traffic — across all incarnations.
+	// batches plus control traffic — across all generations.
 	Frames      uint64
 	BytesOnWire uint64
 }
@@ -145,7 +143,7 @@ func (ck *Checker) NewBackend(m mc.Model, stInv mc.StateInvariantBytes,
 // event is one occurrence delivered to the coordinator loop.
 type event struct {
 	kind    evKind
-	wi, inc int
+	wi, gen int
 	typ     byte
 	payload []byte
 	err     error
@@ -159,11 +157,11 @@ const (
 	evTick
 )
 
-// wconn is the coordinator-side transport of one worker incarnation:
-// an unbounded outbox drained by a writer goroutine (the event loop
-// never blocks on a send) and a reader goroutine feeding the loop.
+// wconn is the coordinator-side transport of one worker process: an
+// unbounded outbox drained by a writer goroutine (the event loop never
+// blocks on a send) and a reader goroutine feeding the loop.
 type wconn struct {
-	index, inc int
+	index, gen int
 	conn       interface {
 		Read(p []byte) (int, error)
 		Write(p []byte) (int, error)
@@ -201,33 +199,23 @@ func (wc *wconn) shut() {
 }
 
 // workerState is the coordinator's bookkeeping for one worker index,
-// across incarnations.
+// across generations.
 type workerState struct {
 	index   int
-	inc     int
 	conn    *wconn
 	alive   bool
 	helloed bool
 
-	respawns    int
-	needCatchup bool // respawned; catch-up messages enqueue on its Hello
+	respawns int // recoveries charged to deaths of this index
 	// acked lists, in order, the levels whose barrier snapshot this
-	// index wrote: the chain a respawn restores (see lastAck).
-	acked        []int32
-	redoSelfOnly bool // at last death: no sending expansion of its was in flight
+	// index wrote: the chain a restart restores (see lastAck).
+	acked []int32
 
-	expandedCur  uint64 // latest cumulative counter of the current incarnation
-	expandedDead uint64 // sum of final counters of dead incarnations
-
-	wireFramesCur  uint64 // wire counters, same cur/dead split
-	wireBytesCur   uint64
-	wireFramesDead uint64
-	wireBytesDead  uint64
-
-	// owed holds replay commands addressed to this index that arrived
-	// while it was itself recovering; they are flushed (or absorbed by a
-	// sending redo) during its catch-up.
-	owed []*replayOp
+	// Latest cumulative counters of the current process; a retired
+	// generation's are folded into the Report.
+	expandedCur   uint64
+	wireFramesCur uint64
+	wireBytesCur  uint64
 
 	// Per current level: the report the worker's Seal owes, whose keys
 	// are the worker's next frontier in its own order — all the barrier
@@ -246,30 +234,10 @@ type keySegment struct {
 	filled bool
 }
 
-// sentRec is one accounting cell: how many mesh groups one sender
-// incarnation has declared toward one destination this level.
-type sentRec struct {
-	inc      int
-	declared uint64
-}
-
-// replayOp tracks the re-delivery of buffered mesh traffic to a
-// respawned destination. Seals are withheld while any op is open, so
-// every Expect is computed from settled counts; the replay supersedes a
-// sender's earlier declarations toward the destination wholesale.
-type replayOp struct {
-	level   int32
-	dest    int
-	mask    [mc.NumShards / 8]byte // shards to re-deliver (the destination's)
-	waiting map[int]bool           // sender indices owing a ReplayDone
-	then    []func() error
-}
-
 // pendingExpand is an outstanding msgExpand of the current level.
 type pendingExpand struct {
-	wi       int
-	slots    []uint32
-	selfOnly bool
+	wi    int
+	slots []uint32
 }
 
 // distViol is a violation candidate at the coordinator.
@@ -292,6 +260,8 @@ type coordinator struct {
 	reduced               bool
 
 	launcher   Launcher
+	gen        int    // fleet generation: one more per recovery
+	swifi      string // the script the next generation gets
 	snapDir    string
 	ownSnapDir bool
 	meshDir    string
@@ -320,24 +290,16 @@ type coordinator struct {
 	trBest      *distViol
 	stViols     []distViol
 	viol        *distViol              // the last expanded level's winner
-	inits       [mc.NumShards]*msgInit // level-0 claims, kept for recovery re-delivery
-	acc         []map[int]*sentRec     // per destination: per sender, declared mesh groups
-	replayOps   []*replayOp
+	inits       [mc.NumShards]*msgInit // level-0 claims, kept for a redo of level 0
+	acc         [][]uint64             // per destination: per sender, declared mesh groups
 	sealSeq     uint32
-	next        uint64 // the claim-key base of the level after the current one
-	openRecs    []*openRecovery
+	next        uint64     // the claim-key base of the level after the current one
+	openRecs    []Recovery // priced when the current level's barrier closes
 
 	totalGen uint64
 	done     chan struct{}
 
 	rep Report
-}
-
-// openRecovery is a recovery whose re-expansion cost is priced at the
-// next barrier, when the level's per-slot transition counts are final.
-type openRecovery struct {
-	rec   Recovery
-	slots []uint32 // current-level slots re-expanded
 }
 
 func newCoordinator(ck *Checker, m mc.Model, sm SpeccedModel, stInv mc.StateInvariantBytes,
@@ -369,6 +331,7 @@ func newCoordinator(ck *Checker, m mc.Model, sm SpeccedModel, stInv mc.StateInva
 		specPayload: payload,
 		reduced:     reduced,
 		launcher:    o.Launcher,
+		swifi:       o.Swifi,
 		snapDir:     o.SnapshotDir,
 		events:      make(chan event, 256),
 		slots:       map[int][]uint32{},
@@ -385,16 +348,7 @@ func newCoordinator(ck *Checker, m mc.Model, sm SpeccedModel, stInv mc.StateInva
 	for i := range c.assign {
 		c.assign[i] = uint8(i % o.Workers)
 	}
-	c.acc = freshAcc(o.Workers)
 	return c, nil
-}
-
-func freshAcc(workers int) []map[int]*sentRec {
-	acc := make([]map[int]*sentRec, workers)
-	for i := range acc {
-		acc[i] = map[int]*sentRec{}
-	}
-	return acc
 }
 
 func (c *coordinator) logf(format string, args ...any) {
@@ -406,9 +360,9 @@ func (c *coordinator) logf(format string, args ...any) {
 func (c *coordinator) report() Report {
 	rep := c.rep
 	for _, w := range c.workers {
-		rep.WorkTransitions += w.expandedDead + w.expandedCur
-		rep.Frames += w.wireFramesDead + w.wireFramesCur
-		rep.BytesOnWire += w.wireBytesDead + w.wireBytesCur
+		rep.WorkTransitions += w.expandedCur
+		rep.Frames += w.wireFramesCur
+		rep.BytesOnWire += w.wireBytesCur
 	}
 	rep.GeneratedTransitions = c.totalGen
 	if rep.WorkTransitions > c.totalGen {
@@ -508,31 +462,23 @@ func (c *coordinator) allHelloed() bool {
 	return true
 }
 
-// startIncarnation launches the next incarnation of a worker index and
-// wires its transport into the event loop. The new process rebuilds its
-// store from its index's acknowledged barrier snapshots.
+// startIncarnation launches worker index w in the current generation
+// and wires its transport into the event loop. The new process rebuilds
+// its store from its index's acknowledged barrier snapshots.
 func (c *coordinator) startIncarnation(w *workerState) error {
-	conn, err := c.launcher.Start(w.index, w.inc)
+	conn, err := c.launcher.Start(w.index, c.gen)
 	if err != nil {
-		return fmt.Errorf("dist: starting worker %d (incarnation %d): %w", w.index, w.inc, err)
+		return fmt.Errorf("dist: starting worker %d (generation %d): %w", w.index, c.gen, err)
 	}
-	wc := &wconn{index: w.index, inc: w.inc, conn: conn}
+	wc := &wconn{index: w.index, gen: c.gen, conn: conn}
 	wc.cond = sync.NewCond(&wc.mu)
 	wc.lastHeard.Store(time.Now().UnixNano())
 	w.conn = wc
 	w.alive = true
 	w.helloed = false
-	swifi := ""
-	if w.inc == 0 {
-		swifi = c.o.Swifi
-	}
-	peerIncs := make([]int, c.o.Workers)
-	for _, v := range c.workers {
-		peerIncs[v.index] = v.inc
-	}
 	cfg := &msgConfig{
 		Index:       w.index,
-		Inc:         w.inc,
+		Gen:         c.gen,
 		Workers:     c.o.Workers,
 		SpecName:    c.specName,
 		SpecPayload: c.specPayload,
@@ -542,23 +488,11 @@ func (c *coordinator) startIncarnation(w *workerState) error {
 		Assign:      c.assign,
 		SnapshotDir: c.snapDir,
 		MeshDir:     c.meshDir,
-		PeerIncs:    peerIncs,
 		Restore:     w.acked,
-		Swifi:       swifi,
+		Swifi:       c.swifi,
 		HeartbeatMs: int(c.o.HeartbeatInterval / time.Millisecond),
 	}
 	c.sendTo(w, cfg)
-	if w.inc > 0 {
-		// Tell every other live worker to retarget its outbound link at
-		// this incarnation. Queued ahead of any replay command issued
-		// after this call, so replays always flow to the replacement —
-		// never to a stalled zombie's still-open listener.
-		for _, v := range c.workers {
-			if v != w && v.alive {
-				c.sendTo(v, &msgPeerInc{Index: w.index, Inc: w.inc})
-			}
-		}
-	}
 
 	go c.writeLoop(wc)
 	go c.readLoop(wc)
@@ -584,7 +518,7 @@ func (c *coordinator) writeLoop(wc *wconn) {
 		if err != nil {
 			// A worker we cannot write to is as dead as one we cannot
 			// hear from.
-			c.emit(event{kind: evDead, wi: wc.index, inc: wc.inc,
+			c.emit(event{kind: evDead, wi: wc.index, gen: wc.gen,
 				err: fmt.Errorf("write: %w", err)})
 			return
 		}
@@ -604,14 +538,14 @@ func (c *coordinator) readLoop(wc *wconn) {
 	for {
 		typ, payload, err := readFrame(wc.conn)
 		if err != nil {
-			c.emit(event{kind: evDead, wi: wc.index, inc: wc.inc, err: err})
+			c.emit(event{kind: evDead, wi: wc.index, gen: wc.gen, err: err})
 			return
 		}
 		wc.lastHeard.Store(time.Now().UnixNano())
 		if typ == mtHeartbeat {
 			continue
 		}
-		c.emit(event{kind: evMsg, wi: wc.index, inc: wc.inc, typ: typ, payload: payload})
+		c.emit(event{kind: evMsg, wi: wc.index, gen: wc.gen, typ: typ, payload: payload})
 	}
 }
 
@@ -674,14 +608,10 @@ func (c *coordinator) anyAwaitingBye() bool {
 }
 
 // eventWorker resolves an event to its worker iff it concerns the
-// current incarnation; stale events from killed incarnations are nil.
+// current generation; stale events from retired generations are nil.
 func (c *coordinator) eventWorker(ev event) *workerState {
-	if ev.wi < 0 || ev.wi >= len(c.workers) {
+	if ev.wi < 0 || ev.wi >= len(c.workers) || ev.gen != c.gen {
 		return nil
 	}
-	w := c.workers[ev.wi]
-	if w.inc != ev.inc || w.conn == nil {
-		return nil
-	}
-	return w
+	return c.workers[ev.wi]
 }

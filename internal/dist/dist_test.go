@@ -8,6 +8,7 @@ package dist
 // forking.
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -18,6 +19,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -337,22 +339,22 @@ func TestDistKillRespawn(t *testing.T) {
 	}
 }
 
-// closingLauncher starts every incarnation ≥ 1 of one worker index with
-// its connection already closed, so each respawn of it dies on arrival.
+// closingLauncher starts one worker index in every generation ≥ 1 with
+// its connection already closed, so each restart of it dies on arrival.
 type closingLauncher struct {
 	Launcher
 	index int
 }
 
-func (l closingLauncher) Start(index, inc int) (io.ReadWriteCloser, error) {
-	conn, err := l.Launcher.Start(index, inc)
-	if err == nil && index == l.index && inc >= 1 {
+func (l closingLauncher) Start(index, gen int) (io.ReadWriteCloser, error) {
+	conn, err := l.Launcher.Start(index, gen)
+	if err == nil && index == l.index && gen >= 1 {
 		conn.Close()
 	}
 	return conn, err
 }
 
-// TestDistKillTakeover: a worker that keeps dying is respawned exactly
+// TestDistKillTakeover: a worker that keeps dying is recovered exactly
 // maxRespawns times and then refused — its shards are never taken over
 // by a survivor — and the run's snapshot files are left intact.
 func TestDistKillTakeover(t *testing.T) {
@@ -409,12 +411,14 @@ func blockSnapshot(t *testing.T, dir string, victim, level int) {
 
 // TestDistSnapshotGapRefused: a worker whose level-L barrier snapshot
 // failed has no restore point past L-1 until its level-L+1 write
-// repairs the gap, so its death at level L+1 is refused with
-// ErrUnrecoverable — recovering it from the older snapshot would
-// silently lose states. The failed write on its own is survivable, and
-// once the next barrier has written its file (which reaches back to
-// the last good write) a death at level L+2 is recovered by one
-// respawn, identical to the engine.
+// repairs the gap, so a death at level L+1 — its own or a peer's, since
+// a recovery restarts every worker from level L — is refused with
+// ErrUnrecoverable naming the worker without the restore point:
+// recovering it from the older snapshot would silently lose states.
+// The failed write on its own is survivable, and once the next barrier
+// has written its file (which reaches back to the last good write) a
+// death at level L+2 is recovered by one respawn, identical to the
+// engine.
 func TestDistSnapshotGapRefused(t *testing.T) {
 	g := graphModel{N: 300, Target: 300}
 	for workers := 2; workers <= 4; workers++ {
@@ -453,6 +457,21 @@ func TestDistSnapshotGapRefused(t *testing.T) {
 						t.Fatalf("refused run reports %v, as much as the full search %v", got, want)
 					}
 				})
+				t.Run(name+"-peer", func(t *testing.T) {
+					stInv, trInv := g.invariants(st)
+					blocked := (p.victim + 1) % workers
+					dir := t.TempDir()
+					blockSnapshot(t, dir, blocked, p.level)
+					_, _, err := runDist(t, g, stInv, trInv, mc.Options{},
+						Options{Workers: workers, SnapshotDir: dir, Log: t.Logf,
+							Swifi: fmt.Sprintf("kill@worker=%d@level=%d", p.victim, p.level+1)})
+					if !errors.Is(err, ErrUnrecoverable) {
+						t.Fatalf("peer killed after worker %d's gap: %v, want ErrUnrecoverable", blocked, err)
+					}
+					if at := fmt.Sprintf("worker %d at level %d:", blocked, p.level+1); !strings.Contains(err.Error(), at) {
+						t.Fatalf("refusal %q does not name %q", err, at)
+					}
+				})
 				t.Run(name+"-repaired", func(t *testing.T) {
 					stInv, trInv := g.invariants(st)
 					want, err := runEngine(t, g, stInv, trInv, mc.Options{})
@@ -473,6 +492,135 @@ func TestDistSnapshotGapRefused(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// frameTap relays a coordinator-side worker connection frame by frame,
+// showing each frame to see before the coordinator reads it; an error
+// from see ends the connection instead.
+type frameTap struct {
+	io.ReadWriteCloser
+	see  func(typ byte, payload []byte) error
+	rest []byte
+}
+
+func (t *frameTap) Read(p []byte) (int, error) {
+	if len(t.rest) == 0 {
+		typ, payload, err := readFrame(t.ReadWriteCloser)
+		if err == nil {
+			err = t.see(typ, payload)
+		}
+		if err != nil {
+			return 0, err
+		}
+		var b bytes.Buffer
+		writeFrame(&b, typ, payload)
+		t.rest = b.Bytes()
+	}
+	n := copy(p, t.rest)
+	t.rest = t.rest[n:]
+	return n, nil
+}
+
+// sealPhaseLauncher kills worker 1 in the seal phase of level: it
+// closes worker 1's first connection once the coordinator has read
+// worker 0's LevelReport for the level, and holds worker 1's own report
+// of it back, so the barrier cannot close first. At that moment worker
+// 0's barrier file of the level is complete; it is hard-linked to first.
+type sealPhaseLauncher struct {
+	Launcher
+	level      int32
+	dir, first string
+
+	mu       sync.Mutex
+	w1       io.Closer
+	reported chan struct{}
+}
+
+func (l *sealPhaseLauncher) Start(index, gen int) (io.ReadWriteCloser, error) {
+	conn, err := l.Launcher.Start(index, gen)
+	if err != nil || gen > 0 || index > 1 {
+		return conn, err
+	}
+	isReport := func(typ byte, payload []byte) bool {
+		m, err := decodeLevelReport(payload)
+		return typ == mtLevelReport && err == nil && m.Level == l.level
+	}
+	if index == 1 {
+		l.mu.Lock()
+		l.w1 = conn
+		l.mu.Unlock()
+		return &frameTap{ReadWriteCloser: conn, see: func(typ byte, payload []byte) error {
+			if isReport(typ, payload) {
+				select {
+				case <-l.reported:
+				case <-time.After(10 * time.Second):
+				}
+				return io.ErrClosedPipe
+			}
+			return nil
+		}}, nil
+	}
+	return &frameTap{ReadWriteCloser: conn, see: func(typ byte, payload []byte) error {
+		if isReport(typ, payload) {
+			if err := os.Link(filepath.Join(l.dir, fmt.Sprintf("w0-l%d.mc", l.level)), l.first); err != nil {
+				return err
+			}
+			l.mu.Lock()
+			l.w1.Close()
+			l.mu.Unlock()
+			close(l.reported)
+		}
+		return nil
+	}}, nil
+}
+
+// TestDistDeathInSealPhase: a worker that dies after a peer has already
+// closed the level — written its barrier file and reported it — makes
+// the whole fleet redo the level. The result equals the engine's, and
+// the peer's rewritten barrier file is byte-identical to its first
+// write.
+func TestDistDeathInSealPhase(t *testing.T) {
+	g := graphModel{N: 300, Target: 300}
+	want, err := runEngine(t, g, nil, g.trInvBytes(), mc.Options{})
+	if err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	for _, workers := range []int{2, 3} {
+		for _, level := range []int32{0, 3} {
+			t.Run(fmt.Sprintf("w%d-l%d", workers, level), func(t *testing.T) {
+				dir := t.TempDir()
+				l := &sealPhaseLauncher{Launcher: newPipeLauncher(), level: level, dir: dir,
+					first: filepath.Join(t.TempDir(), "first.mc"), reported: make(chan struct{})}
+				got, rep, err := runDist(t, g, nil, g.trInvBytes(), mc.Options{},
+					Options{Workers: workers, SnapshotDir: dir, Launcher: l, Log: t.Logf})
+				if err != nil {
+					t.Fatalf("dist: %v", err)
+				}
+				requireIdentical(t, got, want)
+				if rep.Respawns != 1 || len(rep.Recoveries) != 1 || rep.Recoveries[0].Level != level {
+					t.Fatalf("report %+v, want one recovery at level %d", rep, level)
+				}
+				first, err := os.ReadFile(l.first)
+				if err != nil {
+					t.Fatal(err)
+				}
+				path := filepath.Join(dir, fmt.Sprintf("w0-l%d.mc", level))
+				again, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fi1, err1 := os.Stat(l.first)
+				fi2, err2 := os.Stat(path)
+				if err1 != nil || err2 != nil || os.SameFile(fi1, fi2) {
+					t.Fatalf("worker 0's level-%d file was not rewritten (%v, %v)", level, err1, err2)
+				}
+				if !bytes.Equal(first, again) {
+					t.Fatalf("worker 0's rewritten level-%d file (%d bytes) differs from its first write (%d bytes)",
+						level, len(again), len(first))
+				}
+			})
 		}
 	}
 }

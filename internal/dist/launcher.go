@@ -4,7 +4,7 @@ package dist
 //
 // ProcLauncher is the production path — it re-executes the current
 // binary with the hidden worker flag, wiring stdin/stdout as the
-// protocol stream and stderr to a per-incarnation log file (the CI
+// protocol stream and stderr to a per-process log file (the CI
 // crash-injection job uploads those on failure). pipeLauncher runs
 // workers as in-process goroutines over net.Pipe — same code, same
 // protocol bytes — for tests and benchmarks that must not fork.
@@ -21,11 +21,12 @@ import (
 )
 
 // Launcher starts and kills worker transports. Start is called once per
-// incarnation (index, attempt); Kill terminates the current incarnation
-// of index, reaping what there is to reap; Close tears down everything
+// worker index and fleet generation (a recovery starts every index
+// again, one generation on); Kill terminates the current process of
+// index, reaping what there is to reap; Close tears down everything
 // still running.
 type Launcher interface {
-	Start(index, incarnation int) (io.ReadWriteCloser, error)
+	Start(index, generation int) (io.ReadWriteCloser, error)
 	Kill(index int)
 	Close()
 }
@@ -39,7 +40,7 @@ type ProcLauncher struct {
 	// "-dist-worker".
 	Args       []string
 	WorkerFlag string
-	// LogDir receives worker-{index}-{incarnation}.log stderr captures;
+	// LogDir receives worker-{index}-{generation}.log stderr captures;
 	// empty discards stderr.
 	LogDir string
 
@@ -58,7 +59,7 @@ func (c procConn) Close() error {
 	return c.ReadCloser.Close()
 }
 
-func (l *ProcLauncher) Start(index, incarnation int) (io.ReadWriteCloser, error) {
+func (l *ProcLauncher) Start(index, generation int) (io.ReadWriteCloser, error) {
 	bin := l.Binary
 	if bin == "" {
 		exe, err := os.Executable()
@@ -73,7 +74,7 @@ func (l *ProcLauncher) Start(index, incarnation int) (io.ReadWriteCloser, error)
 	}
 	cmd := exec.Command(bin, append(append([]string{}, l.Args...), flag)...)
 	if l.LogDir != "" {
-		logPath := filepath.Join(l.LogDir, fmt.Sprintf("worker-%d-%d.log", index, incarnation))
+		logPath := filepath.Join(l.LogDir, fmt.Sprintf("worker-%d-%d.log", index, generation))
 		logFile, err := os.Create(logPath)
 		if err != nil {
 			return nil, fmt.Errorf("dist: worker log: %w", err)
@@ -147,7 +148,7 @@ func newPipeLauncher() *pipeLauncher {
 // fork. One launcher serves one coordinator run.
 func NewPipeLauncher() Launcher { return newPipeLauncher() }
 
-func (l *pipeLauncher) Start(index, incarnation int) (io.ReadWriteCloser, error) {
+func (l *pipeLauncher) Start(index, generation int) (io.ReadWriteCloser, error) {
 	coordEnd, workerEnd := net.Pipe()
 	l.mu.Lock()
 	l.conns[index] = coordEnd

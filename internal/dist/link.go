@@ -7,16 +7,12 @@ package dist
 // enqueued so far is on the wire before declaring it in ExpandDone.
 //
 // Failure model: the only way a write fails on these transports is the
-// destination dying, so a failed write marks the link down and every
-// queued and future frame is silently dropped — redialing here would
-// race the destination's respawn and deliver frames its replacement
-// also receives via replay, double-counting them. The coordinator's
-// mtPeerInc announcements (which call `revive` with the replacement's
-// incarnation) are the sole path back up: the replays that follow them
-// supersede the dropped traffic's declarations wholesale, keeping the
-// receiver's counts exact. Links address a specific (index,
-// incarnation) endpoint so a stalled-but-alive zombie can never steal
-// frames meant for its replacement.
+// destination dying, so a failed write marks the link down for good and
+// every queued and future frame is dropped. Nothing redials: a death
+// restarts the whole fleet (recover.go), and the new generation builds
+// new links. A link addresses the (index, generation) endpoint of its
+// own fleet, so a stalled-but-alive worker of an older generation can
+// never deliver into, or receive from, the current one.
 
 import (
 	"io"
@@ -34,19 +30,17 @@ type peerLink struct {
 	w    *worker
 	dest int
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	q       []linkItem
-	destInc int // incarnation of dest currently addressed
-	down    bool
-	gen     int
-	closed  bool
+	mu     sync.Mutex
+	cond   *sync.Cond
+	q      []linkItem
+	down   bool
+	closed bool
 
-	conn io.ReadWriteCloser // sender goroutine only, except revive/shut close
+	conn io.ReadWriteCloser // sender goroutine only, except markDown/shut close
 }
 
-func newPeerLink(w *worker, dest, destInc int) *peerLink {
-	l := &peerLink{w: w, dest: dest, destInc: destInc}
+func newPeerLink(w *worker, dest int) *peerLink {
+	l := &peerLink{w: w, dest: dest}
 	l.cond = sync.NewCond(&l.mu)
 	go l.run()
 	return l
@@ -83,33 +77,6 @@ func (l *peerLink) flush() chan struct{} {
 	return ch
 }
 
-// revive retargets the link at a fresh destination incarnation: main
-// loop only, on a coordinator mtPeerInc announcement. A no-op when
-// nothing changed (same incarnation, link healthy) so duplicate
-// announcements can't sever a live connection. Otherwise the
-// generation bump strands any in-flight markDown from the old conn,
-// and the queue is dropped: every frame ever enqueued was either
-// flush-synced before the handler that sent it returned (so the queue
-// is empty at control-message boundaries) or belongs to the dead
-// incarnation and is superseded by the replay that follows this
-// announcement.
-func (l *peerLink) revive(inc int) {
-	l.mu.Lock()
-	if l.closed || (inc == l.destInc && !l.down) {
-		l.mu.Unlock()
-		return
-	}
-	l.destInc = inc
-	l.gen++
-	l.down = false
-	if l.conn != nil {
-		l.conn.Close()
-		l.conn = nil
-	}
-	l.dropQueueLocked()
-	l.mu.Unlock()
-}
-
 // dropQueueLocked discards queued frames and releases flush waiters.
 func (l *peerLink) dropQueueLocked() {
 	for _, it := range l.q {
@@ -123,9 +90,9 @@ func (l *peerLink) dropQueueLocked() {
 	l.q = nil
 }
 
-func (l *peerLink) markDown(gen int) {
+func (l *peerLink) markDown() {
 	l.mu.Lock()
-	if l.gen == gen && !l.down {
+	if !l.down {
 		l.down = true
 		if l.conn != nil {
 			l.conn.Close()
@@ -159,7 +126,7 @@ func (l *peerLink) run() {
 		}
 		it := l.q[0]
 		l.q = l.q[1:]
-		down, gen, conn, destInc := l.down, l.gen, l.conn, l.destInc
+		down, conn := l.down, l.conn
 		l.mu.Unlock()
 
 		if it.flush != nil {
@@ -171,16 +138,15 @@ func (l *peerLink) run() {
 			continue
 		}
 		if conn == nil {
-			c, err := l.w.mesh.Dial(l.w.cfg.Index, l.w.cfg.Inc, l.dest, destInc)
+			c, err := l.w.mesh.Dial(l.w.cfg.Index, l.dest, l.w.cfg.Gen)
 			if err != nil {
-				l.markDown(gen)
+				l.markDown()
 				putFrame(it.fb)
 				continue
 			}
 			l.mu.Lock()
-			if l.gen != gen || l.closed {
-				// Revived or shut while dialing; this conn belongs to a
-				// dead generation.
+			if l.closed {
+				// Shut while dialing.
 				l.mu.Unlock()
 				c.Close()
 				putFrame(it.fb)
@@ -198,7 +164,7 @@ func (l *peerLink) run() {
 			return werr
 		})
 		if err != nil {
-			l.markDown(gen)
+			l.markDown()
 		} else {
 			l.w.wireFrames.Add(1)
 			l.w.wireBytes.Add(uint64(len(it.fb.b)))

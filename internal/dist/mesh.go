@@ -2,27 +2,25 @@ package dist
 
 // Mesh: the worker↔worker data plane.
 //
-// PR 8 relayed every successor batch through the coordinator star. The
-// mesh gives each ordered worker pair its own byte stream so
+// The mesh gives each ordered worker pair its own byte stream so
 // mtMeshBatch frames flow point-to-point by the 64-shard hash, and the
 // coordinator carries only control traffic. Two transports implement
 // it:
 //
-//   - socketMesh: one Unix domain socket listener per worker
-//     *incarnation* (w{index}-i{inc}.sock) in a shared rendezvous
+//   - socketMesh: one Unix domain socket listener per worker and fleet
+//     *generation* (w{index}-g{gen}.sock) in a shared rendezvous
 //     directory; subprocess workers dial their peers lazily on first
-//     send. Dialing retries until the peer listens, so spawn order (and
-//     respawn timing) doesn't matter.
+//     send. Dialing retries until the peer listens, so spawn order
+//     doesn't matter.
 //   - meshHub: the in-process analogue for pipe-launcher tests and
-//     benchmarks, built on bufferedPipe rather than net.Pipe — a
-//     sender's already-written frames stay readable after it dies,
-//     which is exactly the kernel socket-buffer semantics the recovery
-//     protocol's "declared ⇒ delivered" invariant leans on.
+//     benchmarks, built on bufferedPipe rather than net.Pipe — written
+//     frames wait in the pipe, as in a kernel socket buffer, instead of
+//     blocking the writer until the peer reads.
 //
 // Every mesh connection opens with a tiny dialer handshake (uvarint
-// sender index, uvarint sender incarnation) so the receiver can
-// attribute frame counts to (sender, incarnation) — stale zombies and
-// respawns are distinguished without trusting frame contents.
+// sender index, uvarint sender generation) so the receiver can
+// attribute frame counts to their sender and refuse a worker of another
+// generation without trusting frame contents.
 
 import (
 	"encoding/binary"
@@ -36,31 +34,31 @@ import (
 )
 
 // MeshNet is the worker-side factory for data-plane links. Endpoints
-// are per (index, incarnation): a stalled zombie's listener must never
-// swallow traffic meant for its replacement, so senders address the
-// exact incarnation the coordinator last told them about.
+// are per (index, generation): a stalled worker of a retired generation
+// must never swallow traffic meant for the current one, so workers only
+// ever dial the endpoints of their own generation.
 type MeshNet interface {
-	// Listen binds this incarnation's accept endpoint. A newer
-	// incarnation's Listen also retires any older endpoint of the index.
-	Listen(index, incarnation int) (MeshListener, error)
-	// Dial connects from worker `from` (incarnation fromInc) to worker
-	// `to`'s incarnation toInc, blocking (with retries) until that
-	// incarnation listens — failing fast once a newer incarnation of the
-	// index is observed (the target is then dead by definition).
-	Dial(from, fromInc, to, toInc int) (io.ReadWriteCloser, error)
+	// Listen binds the accept endpoint of worker index in generation
+	// gen. A newer generation's Listen also retires any older endpoint
+	// of the index.
+	Listen(index, gen int) (MeshListener, error)
+	// Dial connects worker `from` to worker `to`, both of generation
+	// gen, blocking (with retries) until `to` listens — failing fast
+	// once a newer generation of `to` is observed (gen is then retired).
+	Dial(from, to, gen int) (io.ReadWriteCloser, error)
 }
 
 // MeshListener accepts inbound peer connections, yielding the dialer's
 // identity from the handshake.
 type MeshListener interface {
-	Accept() (conn io.ReadWriteCloser, from, fromInc int, err error)
+	Accept() (conn io.ReadWriteCloser, from, fromGen int, err error)
 	Close() error
 }
 
 const (
 	// meshDialInterval × meshDialAttempts bounds how long a sender waits
-	// for a (re)spawning peer to listen; comfortably above the
-	// coordinator's respawn path, far below test timeouts.
+	// for a starting peer to listen; comfortably above a worker's start,
+	// far below test timeouts.
 	meshDialInterval = 10 * time.Millisecond
 	meshDialAttempts = 1000
 	// meshHandshakeTimeout caps how long Accept waits for the dialer's
@@ -79,13 +77,13 @@ type socketMesh struct{ dir string }
 // coordinator creates dir and passes it to workers via msgConfig.
 func NewSocketMesh(dir string) MeshNet { return &socketMesh{dir: dir} }
 
-func (m *socketMesh) sockPath(index, inc int) string {
-	return filepath.Join(m.dir, fmt.Sprintf("w%d-i%d.sock", index, inc))
+func (m *socketMesh) sockPath(index, gen int) string {
+	return filepath.Join(m.dir, fmt.Sprintf("w%d-g%d.sock", index, gen))
 }
 
-func (m *socketMesh) Listen(index, incarnation int) (MeshListener, error) {
-	path := m.sockPath(index, incarnation)
-	// A leftover file of the same incarnation would fail the bind; its
+func (m *socketMesh) Listen(index, gen int) (MeshListener, error) {
+	path := m.sockPath(index, gen)
+	// A leftover file of the same generation would fail the bind; its
 	// owner is dead by construction (the coordinator kills first).
 	os.Remove(path)
 	ln, err := net.Listen("unix", path)
@@ -95,18 +93,18 @@ func (m *socketMesh) Listen(index, incarnation int) (MeshListener, error) {
 	return &socketListener{ln: ln}, nil
 }
 
-// superseded reports whether a newer incarnation of `to` has (ever)
-// bound a socket — the moment one exists, dialing toInc is hopeless.
-func (m *socketMesh) superseded(to, toInc int) bool {
-	for inc := toInc + 1; ; inc++ {
-		if _, err := os.Stat(m.sockPath(to, inc)); err != nil {
-			return inc > toInc+1 // one gap ends the scan; any hit before it wins
+// superseded reports whether a newer generation of `to` has (ever)
+// bound a socket — the moment one exists, dialing gen is hopeless.
+func (m *socketMesh) superseded(to, gen int) bool {
+	for g := gen + 1; ; g++ {
+		if _, err := os.Stat(m.sockPath(to, g)); err != nil {
+			return g > gen+1 // one gap ends the scan; any hit before it wins
 		}
 	}
 }
 
-func (m *socketMesh) Dial(from, fromInc, to, toInc int) (io.ReadWriteCloser, error) {
-	path := m.sockPath(to, toInc)
+func (m *socketMesh) Dial(from, to, gen int) (io.ReadWriteCloser, error) {
+	path := m.sockPath(to, gen)
 	var conn net.Conn
 	var err error
 	for i := 0; i < meshDialAttempts; i++ {
@@ -114,8 +112,8 @@ func (m *socketMesh) Dial(from, fromInc, to, toInc int) (io.ReadWriteCloser, err
 		if err == nil {
 			break
 		}
-		if m.superseded(to, toInc) {
-			return nil, fmt.Errorf("dist: mesh dial w%d→w%d/i%d: incarnation superseded", from, to, toInc)
+		if m.superseded(to, gen) {
+			return nil, fmt.Errorf("dist: mesh dial w%d→w%d/g%d: generation superseded", from, to, gen)
 		}
 		time.Sleep(meshDialInterval)
 	}
@@ -124,7 +122,7 @@ func (m *socketMesh) Dial(from, fromInc, to, toInc int) (io.ReadWriteCloser, err
 	}
 	var hs [2 * binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(hs[:], uint64(from))
-	n += binary.PutUvarint(hs[n:], uint64(fromInc))
+	n += binary.PutUvarint(hs[n:], uint64(gen))
 	if _, err := conn.Write(hs[:n]); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("dist: mesh handshake w%d→w%d: %w", from, to, err)
@@ -145,7 +143,7 @@ func (l *socketListener) Accept() (io.ReadWriteCloser, int, int, error) {
 		}
 		br := &oneByteReader{r: conn}
 		from, err1 := binary.ReadUvarint(br)
-		fromInc, err2 := binary.ReadUvarint(br)
+		fromGen, err2 := binary.ReadUvarint(br)
 		if err1 != nil || err2 != nil {
 			// A dialer that died mid-handshake; drop it and keep serving.
 			conn.Close()
@@ -154,7 +152,7 @@ func (l *socketListener) Accept() (io.ReadWriteCloser, int, int, error) {
 		if d, ok := conn.(interface{ SetReadDeadline(time.Time) error }); ok {
 			d.SetReadDeadline(time.Time{})
 		}
-		return conn, int(from), int(fromInc), nil
+		return conn, int(from), int(fromGen), nil
 	}
 }
 
@@ -179,16 +177,16 @@ func (o *oneByteReader) ReadByte() (byte, error) {
 // In-process mesh hub (pipe-launcher workers)
 
 // meshHub is the in-memory rendezvous: Listen registers an accept
-// queue per (index, incarnation), Dial delivers a bufferedPipe end to
-// the exact incarnation requested. latest lets Dial fail fast when the
-// target incarnation has been superseded by a respawn.
+// queue per (index, generation), Dial delivers a bufferedPipe end to
+// the exact generation requested. latest lets Dial fail fast when the
+// target's generation has been retired by a recovery.
 type meshHub struct {
 	mu     sync.Mutex
 	ls     map[hubKey]*hubListener
 	latest map[int]int
 }
 
-type hubKey struct{ index, inc int }
+type hubKey struct{ index, gen int }
 
 func newMeshHub() *meshHub {
 	return &meshHub{ls: make(map[hubKey]*hubListener), latest: make(map[int]int)}
@@ -197,7 +195,7 @@ func newMeshHub() *meshHub {
 type hubInbound struct {
 	conn    io.ReadWriteCloser
 	from    int
-	fromInc int
+	fromGen int
 }
 
 type hubListener struct {
@@ -207,8 +205,8 @@ type hubListener struct {
 	closed  bool
 }
 
-func (h *meshHub) Listen(index, incarnation int) (MeshListener, error) {
-	key := hubKey{index, incarnation}
+func (h *meshHub) Listen(index, gen int) (MeshListener, error) {
+	key := hubKey{index, gen}
 	l := &hubListener{}
 	l.cond = sync.NewCond(&l.mu)
 	h.mu.Lock()
@@ -216,30 +214,29 @@ func (h *meshHub) Listen(index, incarnation int) (MeshListener, error) {
 		old.shut()
 	}
 	h.ls[key] = l
-	if incarnation > h.latest[index] {
-		h.latest[index] = incarnation
+	if gen > h.latest[index] {
+		h.latest[index] = gen
 	}
 	h.mu.Unlock()
 	return l, nil
 }
 
-func (h *meshHub) Dial(from, fromInc, to, toInc int) (io.ReadWriteCloser, error) {
+func (h *meshHub) Dial(from, to, gen int) (io.ReadWriteCloser, error) {
 	for i := 0; i < meshDialAttempts; i++ {
 		h.mu.Lock()
-		l := h.ls[hubKey{to, toInc}]
-		stale := h.latest[to] > toInc
+		l := h.ls[hubKey{to, gen}]
+		stale := h.latest[to] > gen
 		h.mu.Unlock()
 		if l != nil {
 			local, remote := newBufferedPipe()
-			if l.deliver(hubInbound{conn: remote, from: from, fromInc: fromInc}) {
+			if l.deliver(hubInbound{conn: remote, from: from, fromGen: gen}) {
 				return local, nil
 			}
-			// A closed listener's incarnation is dead: it never listens
-			// again.
-			return nil, fmt.Errorf("dist: mesh dial w%d→w%d/i%d: incarnation gone", from, to, toInc)
+			// A closed listener's worker is dead: it never listens again.
+			return nil, fmt.Errorf("dist: mesh dial w%d→w%d/g%d: listener gone", from, to, gen)
 		}
 		if stale {
-			return nil, fmt.Errorf("dist: mesh dial w%d→w%d/i%d: incarnation superseded", from, to, toInc)
+			return nil, fmt.Errorf("dist: mesh dial w%d→w%d/g%d: generation superseded", from, to, gen)
 		}
 		time.Sleep(meshDialInterval)
 	}
@@ -268,11 +265,11 @@ func (l *hubListener) Accept() (io.ReadWriteCloser, int, int, error) {
 	}
 	in := l.backlog[0]
 	l.backlog = l.backlog[1:]
-	return in.conn, in.from, in.fromInc, nil
+	return in.conn, in.from, in.fromGen, nil
 }
 
 // Close shuts the accept queue but leaves it registered, so later dials
-// of this incarnation fail at once instead of waiting for a listener
+// of this endpoint fail at once instead of waiting for a listener
 // that can never come back.
 func (l *hubListener) Close() error {
 	l.shut()
@@ -297,10 +294,9 @@ func (l *hubListener) shut() {
 // net.Pipe is a rendezvous: a write blocks until the peer reads, and a
 // close discards in-flight bytes. Kernel sockets do neither — written
 // data lives in the socket buffer and stays readable after the writer
-// dies. The recovery protocol counts on that (a sender flush-syncs its
-// frames before declaring them in ExpandDone; declared frames must be
-// receivable even if the sender is killed a microsecond later), so the
-// in-process mesh uses this pipe instead of net.Pipe.
+// dies. The in-process mesh uses this pipe instead of net.Pipe so it
+// behaves like the socket mesh: a sender's link goroutine never waits
+// on the receiver's reader.
 
 type bpHalf struct {
 	mu      sync.Mutex

@@ -6,17 +6,16 @@
 //
 // Topology is a control-plane/data-plane split. The coordinator star
 // carries only control traffic — config, expand commands, level
-// barriers, heartbeats, snapshot acks, recovery orchestration — while
-// successor batches flow point-to-point over an N×(N−1) worker↔worker
-// mesh (mesh.go), routed by the 64-shard hash. The star's barrier
-// property is preserved by counting instead of observing: a sender
-// declares in its mtExpandDone how many groups it generated for each
-// destination (having flushed those frames first), the coordinator sums
-// the declarations into each mtSeal's Expect list, and a worker closes
-// a level only once its per-(sender,incarnation) receive counts match.
-// Replay buffers likewise live in the sending workers (the current
-// level's, indexed by destination shard), so crash recovery re-requests
-// lost batches from their producers (mtReplay/mtReplayDone).
+// barriers, heartbeats, snapshot acks — while successor batches flow
+// point-to-point over an N×(N−1) worker↔worker mesh (mesh.go), routed
+// by the 64-shard hash. The star's barrier property is preserved by
+// counting instead of observing: a sender declares in its mtExpandDone
+// how many groups it generated for each destination, the coordinator
+// sums the declarations into each mtSeal's Expect list, and a worker
+// closes a level only once its per-sender receive counts match. Crash
+// recovery is central too: on any worker death the coordinator restarts
+// the whole fleet, one generation on, from the last closed level
+// barrier and redoes the interrupted level (recover.go).
 //
 // Determinism is the engine's own argument extended across process
 // boundaries: every successor carries the claim key the serial sweep
@@ -24,12 +23,11 @@
 // exactly one owning worker (its shard's), so all claims of a state meet
 // in one store and reduce by min key exactly as in the single-process
 // visited set. Claims are idempotent and keys are position-derived, so
-// neither mesh arrival order nor duplicated delivery after a recovery
-// can perturb the result. Verdicts, counts and counterexample traces
-// are byte-identical to the in-process engine for any worker count —
-// and, because levels are replayable from sender buffers plus
-// level-barrier snapshots, under injected worker crashes too (or the
-// run is refused with ErrUnrecoverable).
+// neither mesh arrival order nor a redone level can perturb the result.
+// Verdicts, counts and counterexample traces are byte-identical to the
+// in-process engine for any worker count — and, because every level is
+// redone from level-barrier snapshots, under injected worker crashes
+// too (or the run is refused with ErrUnrecoverable).
 package dist
 
 import (
@@ -61,16 +59,13 @@ import (
 const (
 	mtConfig     byte = iota + 1 // C→W: identity, model spec, shard map
 	mtExpand                     // C→W: expand a slice of the frontier
-	mtInit                       // C→W: level-0 initial-state claims for your shards (and their re-delivery)
+	mtInit                       // C→W: level-0 initial-state claims for your shards
 	mtSeal                       // C→W: level complete once Expect counts match
-	mtReplay                     // C→W: re-send buffered mesh batches to a recovered peer
-	mtPeerInc                    // C→W: a peer's current incarnation changed
 	mtTraceQuery                 // C→W: resolve a state's trace parent
 	mtStop                       // C→W: shut down
 
 	mtHello       // W→C: Config processed, ready
 	mtExpandDone  // W→C: per-slot counts, per-destination declarations, violation candidate
-	mtReplayDone  // W→C: replay command executed, group count
 	mtLevelReport // W→C: claimed keys, state-invariant violations, snapshot ack
 	mtTraceReply  // W→C: TraceQuery answer
 	mtHeartbeat   // W→C: liveness (sent from a side goroutine)
@@ -336,9 +331,7 @@ func (r *rbuf) done() error {
 // delta-coded; the first delta is the absolute index. Shard and
 // has-parent markers are dropped from the wire: the receiver owns
 // whatever arrives, and mesh groups always have parents (roots are
-// routed at level 0 over the control plane). The identical group byte
-// layout doubles as the sender-side replay buffer format, so replaying
-// to a recovered peer is a byte-range copy.
+// routed at level 0 over the control plane).
 
 // beginMeshBatch starts an mtMeshBatch frame in a pooled buffer: 4-byte
 // length placeholder, type byte, header, then groups appended raw;
@@ -396,7 +389,7 @@ func decodeMeshBatchHeader(p []byte) (level int32, base uint64, groups []byte, e
 }
 
 // walkMeshGroups parses a group sequence (a mesh batch payload after
-// its header, or a slice of a sender replay buffer), invoking visit per
+// its header), invoking visit per
 // successor with views into p. Malformed input is rejected with an
 // error; visit is never called past the first defect.
 func walkMeshGroups(p []byte, visit func(slot, parent, j uint32, enc []byte)) (groups int, err error) {
@@ -448,7 +441,7 @@ func walkMeshGroups(p []byte, visit func(slot, parent, j uint32, enc []byte)) (g
 // script and the heartbeat cadence.
 type msgConfig struct {
 	Index       int
-	Inc         int // incarnation; stamps this worker's mesh handshakes
+	Gen         int // fleet generation; addresses every mesh endpoint of this fleet
 	Workers     int
 	SpecName    string
 	SpecPayload string
@@ -458,7 +451,6 @@ type msgConfig struct {
 	Assign      [mc.NumShards]uint8
 	SnapshotDir string
 	MeshDir     string // Unix-socket rendezvous dir (subprocess workers)
-	PeerIncs    []int  // current incarnation per worker index; mesh sends address these
 	// Restore lists the levels of this worker index's acknowledged
 	// barrier snapshots, in order: their segments concatenate into the
 	// store, and the last one's frontier is the frontier. Empty starts
@@ -471,7 +463,7 @@ type msgConfig struct {
 func (m *msgConfig) encode() (byte, []byte) {
 	var w wbuf
 	w.i(m.Index)
-	w.i(m.Inc)
+	w.i(m.Gen)
 	w.i(m.Workers)
 	w.str(m.SpecName)
 	w.str(m.SpecPayload)
@@ -481,10 +473,6 @@ func (m *msgConfig) encode() (byte, []byte) {
 	w.raw(m.Assign[:])
 	w.str(m.SnapshotDir)
 	w.str(m.MeshDir)
-	w.i(len(m.PeerIncs))
-	for _, inc := range m.PeerIncs {
-		w.i(inc)
-	}
 	w.i(len(m.Restore))
 	for _, l := range m.Restore {
 		w.u32(uint32(l))
@@ -498,7 +486,7 @@ func decodeConfig(p []byte) (*msgConfig, error) {
 	r := newRbuf(p)
 	m := &msgConfig{
 		Index:       r.i(),
-		Inc:         r.i(),
+		Gen:         r.i(),
 		Workers:     r.i(),
 		SpecName:    r.str(),
 		SpecPayload: r.str(),
@@ -511,11 +499,6 @@ func decodeConfig(p []byte) (*msgConfig, error) {
 	}
 	m.SnapshotDir = r.str()
 	m.MeshDir = r.str()
-	np := r.count()
-	m.PeerIncs = make([]int, 0, np)
-	for i := 0; i < np && r.err == nil; i++ {
-		m.PeerIncs = append(m.PeerIncs, r.i())
-	}
 	nr := r.count()
 	for i := 0; i < nr && r.err == nil; i++ {
 		m.Restore = append(m.Restore, int32(r.u32()))
@@ -528,15 +511,11 @@ func decodeConfig(p []byte) (*msgConfig, error) {
 // msgExpand asks a worker to expand its first len(Slots) frontier
 // states — its whole frontier array. Slots[i] is the global frontier
 // slot of the i-th state, so claim keys are Base + Slots[i]<<24 + j.
-// SelfOnly suppresses foreign-shard forwarding — the re-expansion mode
-// for a respawned worker whose dead incarnation had already declared
-// (and so delivered) its mesh groups for the level.
 type msgExpand struct {
-	Level    int32
-	Base     uint64
-	ID       uint32
-	SelfOnly bool
-	Slots    []uint32
+	Level int32
+	Base  uint64
+	ID    uint32
+	Slots []uint32
 }
 
 func (m *msgExpand) encode() (byte, []byte) {
@@ -544,7 +523,6 @@ func (m *msgExpand) encode() (byte, []byte) {
 	w.u32(uint32(m.Level))
 	w.u(m.Base)
 	w.u32(m.ID)
-	w.boolean(m.SelfOnly)
 	w.i(len(m.Slots))
 	for _, s := range m.Slots {
 		w.u32(s)
@@ -554,12 +532,7 @@ func (m *msgExpand) encode() (byte, []byte) {
 
 func decodeExpand(p []byte) (*msgExpand, error) {
 	r := newRbuf(p)
-	m := &msgExpand{
-		Level:    int32(r.u32()),
-		Base:     r.u(),
-		ID:       r.u32(),
-		SelfOnly: r.boolean(),
-	}
+	m := &msgExpand{Level: int32(r.u32()), Base: r.u(), ID: r.u32()}
 	n := r.count()
 	m.Slots = make([]uint32, 0, n)
 	for i := 0; i < n && r.err == nil; i++ {
@@ -569,8 +542,8 @@ func decodeExpand(p []byte) (*msgExpand, error) {
 }
 
 // msgInit delivers the level-0 roots of one shard to its owner over the
-// control plane — the coordinator's initial-state routing and its
-// crash-recovery re-delivery; all expansion traffic rides the mesh
+// control plane (again to each fleet generation that redoes level 0);
+// all expansion traffic rides the mesh
 // (mtMeshBatch). Initial state Js[k] has encoding Encs[k] and is claimed
 // under key Js[k].
 type msgInit struct {
@@ -603,9 +576,8 @@ func decodeInit(p []byte) (*msgInit, error) {
 // Level: once the worker's receive counts reach every Expect entry it
 // can close the level — drain its claims, snapshot, and send its
 // mtLevelReport (stamped with Seq so the coordinator can match it).
-// Each Seq is executed at most once, so a re-delivered seal after a
-// recovery is harmless. Next is the claim-key base the next level
-// starts at, recorded in the barrier snapshot.
+// Next is the claim-key base the next level starts at, recorded in the
+// barrier snapshot.
 type msgSeal struct {
 	Level  int32
 	Seq    uint32
@@ -613,13 +585,12 @@ type msgSeal struct {
 	Expect []expectCount
 }
 
-// expectCount is one sender's cumulative declared group count for the
-// sealed level, keyed by incarnation: frames from other incarnations of
-// the same sender (stale zombies, superseded attempts) don't count.
+// expectCount is one sender's declared group count for the sealed
+// level. Only frames of the receiver's own fleet generation count: a
+// worker refuses mesh connections from any other.
 type expectCount struct {
-	Sender    int
-	SenderInc int
-	Groups    uint64
+	Sender int
+	Groups uint64
 }
 
 func (m *msgSeal) encode() (byte, []byte) {
@@ -630,7 +601,6 @@ func (m *msgSeal) encode() (byte, []byte) {
 	w.i(len(m.Expect))
 	for _, e := range m.Expect {
 		w.i(e.Sender)
-		w.i(e.SenderInc)
 		w.u(e.Groups)
 	}
 	return mtSeal, w.b
@@ -642,89 +612,8 @@ func decodeSeal(p []byte) (*msgSeal, error) {
 	n := r.count()
 	m.Expect = make([]expectCount, 0, n)
 	for i := 0; i < n && r.err == nil; i++ {
-		m.Expect = append(m.Expect, expectCount{
-			Sender:    r.i(),
-			SenderInc: r.i(),
-			Groups:    r.u(),
-		})
+		m.Expect = append(m.Expect, expectCount{Sender: r.i(), Groups: r.u()})
 	}
-	return m, r.done()
-}
-
-// msgReplay asks a worker to re-deliver its buffered mesh groups for
-// Level whose shards are set in ShardMask to Dest — the recovery path
-// for a respawned destination that lost in-flight frames. The worker
-// answers with mtReplayDone carrying the group count actually sent,
-// which the coordinator folds into the destination's Expect.
-type msgReplay struct {
-	Level     int32
-	Dest      int
-	ShardMask [mc.NumShards / 8]byte
-}
-
-func (m *msgReplay) maskSet(shard int) { m.ShardMask[shard/8] |= 1 << (shard % 8) }
-
-func (m *msgReplay) maskHas(shard int) bool {
-	return m.ShardMask[shard/8]&(1<<(shard%8)) != 0
-}
-
-func (m *msgReplay) encode() (byte, []byte) {
-	var w wbuf
-	w.u32(uint32(m.Level))
-	w.i(m.Dest)
-	w.raw(m.ShardMask[:])
-	return mtReplay, w.b
-}
-
-func decodeReplay(p []byte) (*msgReplay, error) {
-	r := newRbuf(p)
-	m := &msgReplay{Level: int32(r.u32()), Dest: r.i()}
-	for i := range m.ShardMask {
-		m.ShardMask[i] = r.byte1()
-	}
-	return m, r.done()
-}
-
-// msgReplayDone closes one msgReplay: Groups is the number of groups
-// re-sent over the mesh.
-type msgReplayDone struct {
-	Level  int32
-	Dest   int
-	Groups uint64
-}
-
-func (m *msgReplayDone) encode() (byte, []byte) {
-	var w wbuf
-	w.u32(uint32(m.Level))
-	w.i(m.Dest)
-	w.u(m.Groups)
-	return mtReplayDone, w.b
-}
-
-func decodeReplayDone(p []byte) (*msgReplayDone, error) {
-	r := newRbuf(p)
-	m := &msgReplayDone{Level: int32(r.u32()), Dest: r.i(), Groups: r.u()}
-	return m, r.done()
-}
-
-// msgPeerInc tells a worker that peer Index now runs as incarnation Inc
-// (a respawn): redirect the link there and drop anything still queued
-// for the dead incarnation.
-type msgPeerInc struct {
-	Index int
-	Inc   int
-}
-
-func (m *msgPeerInc) encode() (byte, []byte) {
-	var w wbuf
-	w.i(m.Index)
-	w.i(m.Inc)
-	return mtPeerInc, w.b
-}
-
-func decodePeerInc(p []byte) (*msgPeerInc, error) {
-	r := newRbuf(p)
-	m := &msgPeerInc{Index: r.i(), Inc: r.i()}
 	return m, r.done()
 }
 
@@ -782,8 +671,7 @@ func decodeHello(p []byte) (*msgHello, error) {
 // of Slots[i] (the serial sweep's per-slot transition count), SentTo
 // declares how many mesh groups this expansion generated per
 // destination (all of them flush-synced to the wire before this message
-// was sent — the "declared ⇒ delivered" invariant recovery counts on),
-// and the optional violation candidate is the worker's lowest-keyed
+// was sent), and the optional violation candidate is the worker's lowest-keyed
 // transition-invariant violation (ViolFrom/ViolTo are the raw from/to
 // encodings — ViolTo pre-canonicalization, exactly what the engine
 // reports).
@@ -860,8 +748,8 @@ type msgLevelReport struct {
 	Full        bool
 	SnapshotErr string // why the barrier snapshot failed to write; "" when it was written
 	Expanded    uint64
-	WireFrames  uint64 // cumulative frames this incarnation has written
-	WireBytes   uint64 // cumulative bytes this incarnation has written
+	WireFrames  uint64 // cumulative frames this worker process has written
+	WireBytes   uint64 // cumulative bytes this worker process has written
 }
 
 func (m *msgLevelReport) encode() (byte, []byte) {

@@ -43,18 +43,17 @@ func TestProtocolRoundTrips(t *testing.T) {
 	}
 
 	cfg := &msgConfig{
-		Index: 3, Inc: 2, Workers: 5, SpecName: "tta", SpecPayload: `{"Nodes":4}`,
+		Index: 3, Gen: 2, Workers: 5, SpecName: "tta", SpecPayload: `{"Nodes":4}`,
 		Reduced: true, CheckState: true, MaxStates: 1 << 20, Assign: assign,
 		SnapshotDir: "/tmp/snaps", MeshDir: "/tmp/mesh",
-		PeerIncs: []int{0, 2, 0, 1, 3},
-		Restore:  []int32{0, 1, 3, 5},
-		Swifi:    "kill@worker=1@level=2", HeartbeatMs: 250,
+		Restore: []int32{0, 1, 3, 5},
+		Swifi:   "kill@worker=1@level=2", HeartbeatMs: 250,
 	}
 	if got := roundTrip(t, cfg, func(p []byte) (any, error) { return decodeConfig(p) }, mtConfig); !reflect.DeepEqual(got, cfg) {
 		t.Fatalf("config mismatch:\n got %+v\nwant %+v", got, cfg)
 	}
 
-	exp := &msgExpand{Level: 7, Base: 1 << 40, ID: 42, SelfOnly: true, Slots: []uint32{0, 3, 1 << 20}}
+	exp := &msgExpand{Level: 7, Base: 1 << 40, ID: 42, Slots: []uint32{0, 3, 1 << 20}}
 	if got := roundTrip(t, exp, func(p []byte) (any, error) { return decodeExpand(p) }, mtExpand); !reflect.DeepEqual(got, exp) {
 		t.Fatalf("expand mismatch:\n got %+v\nwant %+v", got, exp)
 	}
@@ -65,7 +64,7 @@ func TestProtocolRoundTrips(t *testing.T) {
 	}
 
 	seal := &msgSeal{Level: 4, Seq: 17, Next: 3 << 40,
-		Expect: []expectCount{{Sender: 0, SenderInc: 2, Groups: 1 << 40}, {Sender: 4, Groups: 3}}}
+		Expect: []expectCount{{Sender: 0, Groups: 1 << 40}, {Sender: 4, Groups: 3}}}
 	if got := roundTrip(t, seal, func(p []byte) (any, error) { return decodeSeal(p) }, mtSeal); !reflect.DeepEqual(got, seal) {
 		t.Fatalf("seal mismatch: %+v", got)
 	}
@@ -100,24 +99,6 @@ func TestProtocolRoundTrips(t *testing.T) {
 	trp := &msgTraceReply{Found: true, HasParent: true, Parent: 1 << 31, Enc: []byte("state")}
 	if got := roundTrip(t, trp, func(p []byte) (any, error) { return decodeTraceReply(p) }, mtTraceReply); !reflect.DeepEqual(got, trp) {
 		t.Fatalf("trace reply mismatch: %+v", got)
-	}
-
-	rpl := &msgReplay{Level: 5, Dest: 2}
-	rpl.maskSet(0)
-	rpl.maskSet(13)
-	rpl.maskSet(63)
-	if got := roundTrip(t, rpl, func(p []byte) (any, error) { return decodeReplay(p) }, mtReplay); !reflect.DeepEqual(got, rpl) {
-		t.Fatalf("replay mismatch: %+v", got)
-	}
-
-	rpd := &msgReplayDone{Level: 5, Dest: 2, Groups: 1 << 36}
-	if got := roundTrip(t, rpd, func(p []byte) (any, error) { return decodeReplayDone(p) }, mtReplayDone); !reflect.DeepEqual(got, rpd) {
-		t.Fatalf("replay done mismatch: %+v", got)
-	}
-
-	pinc := &msgPeerInc{Index: 4, Inc: 7}
-	if got := roundTrip(t, pinc, func(p []byte) (any, error) { return decodePeerInc(p) }, mtPeerInc); !reflect.DeepEqual(got, pinc) {
-		t.Fatalf("peer inc mismatch: %+v", got)
 	}
 
 	bye := &msgBye{Expanded: 1 << 50, WireFrames: 321, WireBytes: 1 << 44}
@@ -196,12 +177,10 @@ func TestProtocolRejectsDamage(t *testing.T) {
 	}{
 		{"config", &msgConfig{Index: 1, SpecName: "x", Restore: []int32{0, 2}, Swifi: "s"},
 			func(p []byte) error { _, err := decodeConfig(p); return err }},
-		{"expand", &msgExpand{Level: 2, SelfOnly: true, Slots: []uint32{1, 2, 3}},
+		{"expand", &msgExpand{Level: 2, Slots: []uint32{1, 2, 3}},
 			func(p []byte) error { _, err := decodeExpand(p); return err }},
-		{"seal", &msgSeal{Level: 3, Seq: 9, Expect: []expectCount{{Sender: 1, SenderInc: 2, Groups: 7}}},
+		{"seal", &msgSeal{Level: 3, Seq: 9, Expect: []expectCount{{Sender: 1, Groups: 7}}},
 			func(p []byte) error { _, err := decodeSeal(p); return err }},
-		{"peerinc", &msgPeerInc{Index: 1, Inc: 2},
-			func(p []byte) error { _, err := decodePeerInc(p); return err }},
 		{"init", &msgInit{Js: []uint32{0}, Encs: [][]byte{[]byte("e")}},
 			func(p []byte) error { _, err := decodeInit(p); return err }},
 		{"report", &msgLevelReport{Level: 1, Keys: []uint64{5, 6}, States: 2},
@@ -248,12 +227,9 @@ var controlDecoders = []struct {
 	{"expand", func(p []byte) (encoder, error) { return decodeExpand(p) }},
 	{"init", func(p []byte) (encoder, error) { return decodeInit(p) }},
 	{"seal", func(p []byte) (encoder, error) { return decodeSeal(p) }},
-	{"replay", func(p []byte) (encoder, error) { return decodeReplay(p) }},
-	{"peerinc", func(p []byte) (encoder, error) { return decodePeerInc(p) }},
 	{"tracequery", func(p []byte) (encoder, error) { return decodeTraceQuery(p) }},
 	{"hello", func(p []byte) (encoder, error) { return decodeHello(p) }},
 	{"expanddone", func(p []byte) (encoder, error) { return decodeExpandDone(p) }},
-	{"replaydone", func(p []byte) (encoder, error) { return decodeReplayDone(p) }},
 	{"report", func(p []byte) (encoder, error) { return decodeLevelReport(p) }},
 	{"tracereply", func(p []byte) (encoder, error) { return decodeTraceReply(p) }},
 	{"bye", func(p []byte) (encoder, error) { return decodeBye(p) }},
@@ -268,18 +244,15 @@ func FuzzDecodeControl(f *testing.F) {
 	var assign [mc.NumShards]uint8
 	assign[5] = 2
 	seeds := []encoder{
-		&msgConfig{Index: 1, Inc: 2, Workers: 3, SpecName: "tta", SpecPayload: "{}", Reduced: true,
-			MaxStates: 9, Assign: assign, PeerIncs: []int{0, 2, 1}, Restore: []int32{0, 1}, Swifi: "kill@worker=1@level=2"},
-		&msgExpand{Level: 3, Base: 1 << 30, ID: 4, SelfOnly: true, Slots: []uint32{0, 7}},
+		&msgConfig{Index: 1, Gen: 2, Workers: 3, SpecName: "tta", SpecPayload: "{}", Reduced: true,
+			MaxStates: 9, Assign: assign, Restore: []int32{0, 1}, Swifi: "kill@worker=1@level=2"},
+		&msgExpand{Level: 3, Base: 1 << 30, ID: 4, Slots: []uint32{0, 7}},
 		&msgInit{Js: []uint32{0, 3}, Encs: [][]byte{[]byte("a"), []byte("bc")}},
-		&msgSeal{Level: 2, Seq: 5, Next: 6 << 24, Expect: []expectCount{{Sender: 1, SenderInc: 1, Groups: 8}}},
-		&msgReplay{Level: 2, Dest: 1, ShardMask: [mc.NumShards / 8]byte{0xff, 1}},
-		&msgPeerInc{Index: 2, Inc: 1},
+		&msgSeal{Level: 2, Seq: 5, Next: 6 << 24, Expect: []expectCount{{Sender: 1, Groups: 8}}},
 		&msgTraceQuery{ByRef: true, Ref: 0x41, Enc: []byte("enc")},
 		&msgHello{Index: 1, Err: "x"},
 		&msgExpandDone{Level: 1, ID: 2, Counts: []uint32{3}, SentTo: []sentCount{{Dest: 1, Groups: 2}},
 			HasViol: true, ViolKey: 9, ViolFrom: []byte("f"), ViolTo: []byte("t")},
-		&msgReplayDone{Level: 1, Dest: 0, Groups: 3},
 		&msgLevelReport{Level: 1, Seq: 2, Keys: []uint64{4, 9}, StViolKeys: []uint64{4},
 			StViolEncs: [][]byte{[]byte("s")}, States: 5, SnapshotErr: "x"},
 		&msgTraceReply{Found: true, HasParent: true, Parent: 0x81, Enc: []byte("p")},

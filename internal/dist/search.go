@@ -44,11 +44,7 @@ func (c *coordinator) AdmitInitial(enc []byte, i int) mc.ClaimStatus {
 func (c *coordinator) NextLevel() (int, error) {
 	if c.initSeen != nil {
 		c.initSeen = nil
-		for shard, g := range c.inits {
-			if g != nil {
-				c.sendTo(c.workers[c.assign[shard]], g)
-			}
-		}
+		c.issueLevel()
 		if err := c.collectLevel(); err != nil {
 			return 0, err
 		}
@@ -118,16 +114,28 @@ func (c *coordinator) Resident() int64 {
 	return total
 }
 
-// startLevel rotates the level state and issues the level's Expands —
-// one per worker (empty slot lists included, so SWIFI level triggers
-// fire on idle workers too).
+// startLevel rotates the level state and issues the level.
 func (c *coordinator) startLevel(level int32, base uint64) {
 	c.slots = c.lastSlots
 	c.lastSlots = nil
 	c.level = level
 	c.base = base
 	c.next = mc.ClaimKey(base, c.frontierLen, 0)
-	c.acc = freshAcc(c.o.Workers)
+	c.issueLevel()
+}
+
+// issueLevel starts the current level's accounting afresh and issues
+// the level to the fleet: its Expands — one per worker, empty slot
+// lists included, so SWIFI level triggers fire on idle workers too —
+// or, at level 0, each shard's admitted initial states to its owner
+// (once admission is over). A recovery calls it again to redo the
+// level on a new generation.
+func (c *coordinator) issueLevel() {
+	c.acc = make([][]uint64, c.o.Workers)
+	for i := range c.acc {
+		c.acc[i] = make([]uint64, c.o.Workers)
+	}
+	c.pending = map[uint32]pendingExpand{}
 	c.counts = make([]int, c.frontierLen)
 	c.sealed = false
 	c.anyFull = false
@@ -135,17 +143,26 @@ func (c *coordinator) startLevel(level int32, base uint64) {
 	c.stViols = nil
 	for _, w := range c.workers {
 		w.seg = nil
-		c.issueExpand(w, c.slots[w.index], false)
+		if c.level > 0 {
+			c.issueExpand(w, c.slots[w.index])
+		}
+	}
+	if c.level == 0 && c.initSeen == nil {
+		for shard, g := range c.inits {
+			if g != nil {
+				c.sendTo(c.workers[c.assign[shard]], g)
+			}
+		}
 	}
 }
 
 // issueExpand enqueues one msgExpand of the current level and registers
 // it as pending.
-func (c *coordinator) issueExpand(w *workerState, slots []uint32, selfOnly bool) {
+func (c *coordinator) issueExpand(w *workerState, slots []uint32) {
 	id := c.nextID
 	c.nextID++
-	c.pending[id] = pendingExpand{wi: w.index, slots: slots, selfOnly: selfOnly}
-	c.sendTo(w, &msgExpand{Level: c.level, Base: c.base, ID: id, SelfOnly: selfOnly, Slots: slots})
+	c.pending[id] = pendingExpand{wi: w.index, slots: slots}
+	c.sendTo(w, &msgExpand{Level: c.level, Base: c.base, ID: id, Slots: slots})
 }
 
 // collectLevel pumps events until the level's barrier is complete.
@@ -161,17 +178,11 @@ func (c *coordinator) collectLevel() error {
 	}
 }
 
-func (c *coordinator) anyRecovering() bool {
-	for _, w := range c.workers {
-		if w.alive && !w.helloed {
-			return true
-		}
-	}
-	return false
-}
-
+// trySeal broadcasts the level's Seals once no Expand is outstanding.
+// A Seal follows its worker's Config, inits and Expand in the same FIFO
+// outbox, so a restarted generation needs no further gating.
 func (c *coordinator) trySeal() {
-	if c.sealed || len(c.pending) != 0 || len(c.replayOps) != 0 || c.anyRecovering() {
+	if c.sealed || len(c.pending) != 0 {
 		return
 	}
 	for _, w := range c.workers {
@@ -188,9 +199,9 @@ func (c *coordinator) sealTo(w *workerState) {
 	seq := c.sealSeq
 	c.sealSeq++
 	m := &msgSeal{Level: c.level, Seq: seq, Next: c.next}
-	for sender, rec := range c.acc[w.index] {
-		if rec.declared > 0 {
-			m.Expect = append(m.Expect, expectCount{Sender: sender, SenderInc: rec.inc, Groups: rec.declared})
+	for sender, n := range c.acc[w.index] {
+		if n > 0 {
+			m.Expect = append(m.Expect, expectCount{Sender: sender, Groups: n})
 		}
 	}
 	c.sendTo(w, m)
@@ -198,7 +209,7 @@ func (c *coordinator) sealTo(w *workerState) {
 }
 
 func (c *coordinator) barrierReady() bool {
-	if !c.sealed || len(c.pending) != 0 || len(c.replayOps) != 0 || c.anyRecovering() {
+	if !c.sealed {
 		return false
 	}
 	for _, w := range c.workers {
@@ -226,13 +237,12 @@ func (c *coordinator) closeBarrier() int {
 		}
 		c.lastSlots[w.index] = slots
 	}
-	for _, or := range c.openRecs {
-		rec := or.rec
-		for _, s := range or.slots {
-			if int(s) < len(c.counts) {
-				rec.SlotTransitions += uint64(c.counts[s])
-			}
-		}
+	var level uint64
+	for _, n := range c.counts {
+		level += uint64(n)
+	}
+	for _, rec := range c.openRecs {
+		rec.SlotTransitions = level
 		c.rep.Recoveries = append(c.rep.Recoveries, rec)
 	}
 	c.openRecs = nil

@@ -10,8 +10,10 @@ package dist
 //	slowwrite@worker=1@level=4@delay=100ms  each write sleeps 100ms during level 4
 //
 // Injections are parsed coordinator-side for validation, shipped in
-// msgConfig, and filtered worker-side by index. A respawned worker gets
-// an empty script — a kill must not loop. kill and stall model process
+// msgConfig, and filtered worker-side by index. Each fires at most once
+// per run: a fleet generation restarted at level L gets only the
+// injections scheduled past L (swifiAfter), so a kill never loops while
+// a second kill at a later level still fires. kill and stall model process
 // crash/stall (the deadline-detection path); flakywrite and slowwrite
 // model a degraded filesystem/pipe (the bounded-backoff retry path).
 
@@ -110,6 +112,18 @@ func parseSwifi(spec string) ([]injection, error) {
 		out = append(out, inj)
 	}
 	return out, nil
+}
+
+// swifiAfter keeps the injections of a valid script that are scheduled
+// past level: the script of a fleet generation restarted at that level.
+func swifiAfter(spec string, level int32) string {
+	var kept []string
+	for _, part := range strings.Split(spec, ",") {
+		if injs, _ := parseSwifi(part); len(injs) == 1 && injs[0].Level > level {
+			kept = append(kept, strings.TrimSpace(part))
+		}
+	}
+	return strings.Join(kept, ",")
 }
 
 // injector is the worker-side runtime: armed with the injections for

@@ -17,15 +17,14 @@ package dist
 //
 // Ordering: control messages are handled strictly in arrival order —
 // except that a pending seal blocks later control traffic (other than
-// Stop) until its Expect counts are met, because messages behind it
-// (the next level's Expand, a Replay) assume the sealed level's claims
-// are drained. Mesh frames are applied whenever they arrive: claims
-// are idempotent and carry position-derived keys, so arrival order is
-// irrelevant, and per-(sender,incarnation) counting decides seal
-// readiness. Frames from stale incarnations (a killed worker's zombie
-// goroutine, a superseded attempt) re-claim content a redo also
-// produces — idempotent duplicates — and their counts sit under
-// incarnation keys no Expect lists.
+// Stop) until its Expect counts are met, because the messages behind it
+// (the next level's Expand) assume the sealed level's claims are
+// drained. Mesh frames are applied whenever they arrive: claims are
+// idempotent and carry position-derived keys, so arrival order is
+// irrelevant, and per-sender counting decides seal readiness. A worker
+// accepts mesh connections only from its own fleet generation, so a
+// zombie of an older generation (a stalled worker declared dead) can
+// never add to the counts.
 //
 // Level numbering: level 0 is the initial states (delivered as control
 // batches, never expanded); level L >= 1 is the expansion producing
@@ -73,7 +72,6 @@ type WorkerOptions struct {
 type wev struct {
 	mesh    bool
 	from    int
-	fromInc int
 	typ     byte
 	payload []byte
 	fb      *frameBuf
@@ -127,34 +125,6 @@ func (q *workerInbox) next(blockCoord bool) wev {
 	}
 }
 
-// sendBuf is the current level's replay buffer: every mesh group this
-// worker generated for the level, in wire layout, indexed by
-// destination shard. Expansion always appends here — even under
-// SelfOnly, which suppresses only the sending — so a respawned peer can
-// be re-fed from any live worker's buffer regardless of the recovery
-// sequence that produced it. Only the current level is ever replayed:
-// the barrier waits for every replay, and a death whose recovery would
-// need an older level is refused.
-type sendBuf struct {
-	level  int32
-	base   uint64
-	shards [mc.NumShards]shardLog
-}
-
-type shardLog struct {
-	data   []byte
-	groups uint64
-}
-
-func (b *sendBuf) reset(level int32, base uint64) {
-	b.level = level
-	b.base = base
-	for i := range b.shards {
-		b.shards[i].data = b.shards[i].data[:0]
-		b.shards[i].groups = 0
-	}
-}
-
 // groupAcc accumulates one frontier slot's successors bound for one
 // shard, in wire layout, before the group header can be written (the
 // successor count precedes the successors).
@@ -191,7 +161,6 @@ type worker struct {
 	mesh     MeshNet
 	listener MeshListener
 	links    []*peerLink
-	peerIncs []int // current incarnation per peer index (mtPeerInc updates)
 	inbox    *workerInbox
 	accepted struct {
 		mu    sync.Mutex
@@ -201,12 +170,10 @@ type worker struct {
 	wireBytes  atomic.Uint64
 
 	// seal/counting state
-	got          map[uint64]uint64 // level<<32|sender<<16|inc -> groups received
+	got          map[uint64]uint64 // level<<32|sender -> groups received
 	pendingSeals []*msgSeal
-	executedSeqs map[uint32]bool
 
-	// per-level state
-	buf       sendBuf
+	// per-expansion state
 	accs      [mc.NumShards]groupAcc
 	gcount    []uint64 // per-destination groups generated by the current expand
 	outFrames []*frameBuf
@@ -214,8 +181,8 @@ type worker struct {
 	hbStop chan struct{}
 }
 
-func gotKey(level int32, sender, inc int) uint64 {
-	return uint64(uint32(level))<<32 | uint64(uint16(sender))<<16 | uint64(uint16(inc))
+func gotKey(level int32, sender int) uint64 {
+	return uint64(uint32(level))<<32 | uint64(uint32(sender))
 }
 
 // RunWorker serves the coordinator protocol on conn until mtStop or
@@ -223,12 +190,11 @@ func gotKey(level int32, sender, inc int) uint64 {
 // mode and of the in-process pipe launcher.
 func RunWorker(conn io.ReadWriteCloser, opts WorkerOptions) error {
 	w := &worker{
-		conn:         conn,
-		exit:         opts.Exit,
-		mesh:         opts.Mesh,
-		inbox:        newWorkerInbox(),
-		got:          make(map[uint64]uint64),
-		executedSeqs: make(map[uint32]bool),
+		conn:  conn,
+		exit:  opts.Exit,
+		mesh:  opts.Mesh,
+		inbox: newWorkerInbox(),
+		got:   make(map[uint64]uint64),
 	}
 	if w.exit == nil {
 		w.exit = os.Exit
@@ -268,10 +234,6 @@ func RunWorker(conn io.ReadWriteCloser, opts WorkerOptions) error {
 				err = w.handleInit(ev.payload)
 			case mtSeal:
 				err = w.handleSeal(ev.payload)
-			case mtReplay:
-				err = w.handleReplay(ev.payload)
-			case mtPeerInc:
-				err = w.handlePeerInc(ev.payload)
 			case mtTraceQuery:
 				err = w.handleTraceQuery(ev.payload)
 			case mtStop:
@@ -405,7 +367,6 @@ func (w *worker) configure(cfg *msgConfig) error {
 		}
 	}
 	w.store = mc.NewShardStore(cfg.MaxStates, owned)
-	w.buf.level = -1
 	if err := w.restore(cfg.Restore); err != nil {
 		return err
 	}
@@ -418,14 +379,12 @@ func (w *worker) configure(cfg *msgConfig) error {
 		}
 		w.mesh = NewSocketMesh(cfg.MeshDir)
 	}
-	ln, err := w.mesh.Listen(cfg.Index, cfg.Inc)
+	ln, err := w.mesh.Listen(cfg.Index, cfg.Gen)
 	if err != nil {
 		return err
 	}
 	w.listener = ln
 	w.links = make([]*peerLink, cfg.Workers)
-	w.peerIncs = make([]int, cfg.Workers)
-	copy(w.peerIncs, cfg.PeerIncs)
 	w.gcount = make([]uint64, cfg.Workers)
 	w.outFrames = make([]*frameBuf, cfg.Workers)
 	go w.acceptLoop(ln)
@@ -457,27 +416,33 @@ func (w *worker) restore(levels []int32) error {
 	return nil
 }
 
+// acceptLoop serves inbound mesh connections, refusing any dialed by a
+// worker of another fleet generation.
 func (w *worker) acceptLoop(ln MeshListener) {
 	for {
-		conn, from, fromInc, err := ln.Accept()
+		conn, from, fromGen, err := ln.Accept()
 		if err != nil {
 			return
+		}
+		if fromGen != w.cfg.Gen {
+			conn.Close()
+			continue
 		}
 		w.accepted.mu.Lock()
 		w.accepted.conns = append(w.accepted.conns, conn)
 		w.accepted.mu.Unlock()
-		go w.readMesh(conn, from, fromInc)
+		go w.readMesh(conn, from)
 	}
 }
 
-func (w *worker) readMesh(conn io.ReadWriteCloser, from, fromInc int) {
+func (w *worker) readMesh(conn io.ReadWriteCloser, from int) {
 	for {
 		typ, payload, fb, err := readFramePooled(conn)
 		if err != nil {
 			conn.Close()
 			return
 		}
-		w.inbox.push(wev{mesh: true, from: from, fromInc: fromInc, typ: typ, payload: payload, fb: fb})
+		w.inbox.push(wev{mesh: true, from: from, typ: typ, payload: payload, fb: fb})
 	}
 }
 
@@ -513,31 +478,10 @@ const batchFlushBytes = 256 << 10
 func (w *worker) link(dest int) *peerLink {
 	l := w.links[dest]
 	if l == nil {
-		l = newPeerLink(w, dest, w.peerIncs[dest])
+		l = newPeerLink(w, dest)
 		w.links[dest] = l
 	}
 	return l
-}
-
-// handlePeerInc retargets the outbound link to a peer whose
-// incarnation changed. The coordinator sends it before any
-// replay command that would use the link, so by the time frames flow
-// the link addresses the replacement, never the dead incarnation.
-func (w *worker) handlePeerInc(payload []byte) error {
-	m, err := decodePeerInc(payload)
-	if err != nil {
-		return err
-	}
-	if w.cfg == nil || m.Index < 0 || m.Index >= len(w.peerIncs) {
-		return fmt.Errorf("dist: bad PeerInc index")
-	}
-	if m.Inc > w.peerIncs[m.Index] {
-		w.peerIncs[m.Index] = m.Inc
-		if l := w.links[m.Index]; l != nil {
-			l.revive(m.Inc)
-		}
-	}
-	return nil
 }
 
 // frameFor returns the open outgoing frame for dest, starting one if
@@ -562,11 +506,6 @@ func (w *worker) handleExpand(payload []byte) error {
 	w.inj.atLevel(m.Level, w.exit)
 	if len(m.Slots) > len(w.frontier) {
 		return fmt.Errorf("dist: Expand of %d slots exceeds frontier of %d", len(m.Slots), len(w.frontier))
-	}
-	// A new level recycles the replay buffer's arrays.
-	buf := &w.buf
-	if buf.level != m.Level {
-		buf.reset(m.Level, m.Base)
 	}
 	me := uint8(w.cfg.Index)
 	counts := make([]uint32, len(m.Slots))
@@ -620,34 +559,27 @@ func (w *worker) handleExpand(payload []byte) error {
 				acc.njs++
 			}
 		}
-		// Close this slot's groups: append to the replay buffer and, when
-		// sending, to the destination's open frame.
+		// Close this slot's groups straight into their destinations'
+		// open frames.
 		for _, shard := range touched {
 			acc := &w.accs[shard]
-			log := &buf.shards[shard]
-			glen := len(log.data)
-			log.data = appendUvarint(log.data, uint64(slot))
-			log.data = appendUvarint(log.data, uint64(parent))
-			log.data = appendUvarint(log.data, uint64(acc.njs))
-			log.data = append(log.data, acc.succs...)
-			log.groups++
 			acc.active = false
-			if m.SelfOnly {
-				continue
-			}
 			dest := int(w.assign[shard])
 			w.gcount[dest]++
 			fb := w.frameFor(dest, m.Level, m.Base)
-			fb.raw(log.data[glen:])
+			fb.u(uint64(slot))
+			fb.u(uint64(parent))
+			fb.u(uint64(acc.njs))
+			fb.raw(acc.succs)
 			if fb.payloadLen() >= batchFlushBytes {
 				w.outFrames[dest] = nil
 				w.link(dest).enqueue(fb)
 			}
 		}
 	}
-	// Flush every open frame and sync the links: once ExpandDone
-	// declares these groups, they must already be on the wire (the
-	// receiver can then count on draining them even if we die next).
+	// Flush every open frame and sync the links, so ExpandDone declares
+	// only groups already on the wire and every link queue is empty
+	// between control messages.
 	for dest, fb := range w.outFrames {
 		if fb == nil {
 			continue
@@ -698,8 +630,8 @@ func (w *worker) claim(enc []byte, key uint64, parent uint32, hasParent bool, ba
 }
 
 // handleMeshBatch applies one inbound mesh frame: claim every
-// successor, then credit the (sender, incarnation) count the level's
-// seal is waiting on.
+// successor, then credit the sender's count the level's seal is
+// waiting on.
 func (w *worker) handleMeshBatch(ev wev) error {
 	if ev.typ != mtMeshBatch {
 		return fmt.Errorf("dist: unexpected mesh message type %d", ev.typ)
@@ -718,7 +650,7 @@ func (w *worker) handleMeshBatch(ev wev) error {
 	if err != nil {
 		return err
 	}
-	w.got[gotKey(level, ev.from, ev.fromInc)] += uint64(n)
+	w.got[gotKey(level, ev.from)] += uint64(n)
 	return nil
 }
 
@@ -737,8 +669,7 @@ func (w *worker) handleInit(payload []byte) error {
 }
 
 // handleSeal parks the seal until its Expect counts are met (see
-// tryExecSeals); re-delivered or superseded seals are deduplicated by
-// sequence number.
+// tryExecSeals).
 func (w *worker) handleSeal(payload []byte) error {
 	m, err := decodeSeal(payload)
 	if err != nil {
@@ -746,15 +677,6 @@ func (w *worker) handleSeal(payload []byte) error {
 	}
 	if w.store == nil {
 		return fmt.Errorf("dist: Seal before Config")
-	}
-	if w.executedSeqs[m.Seq] {
-		return nil
-	}
-	for i, s := range w.pendingSeals {
-		if s.Seq == m.Seq {
-			w.pendingSeals[i] = m
-			return nil
-		}
 	}
 	w.pendingSeals = append(w.pendingSeals, m)
 	return nil
@@ -768,10 +690,10 @@ func (w *worker) tryExecSeals() error {
 		m := w.pendingSeals[0]
 		ready := true
 		for _, e := range m.Expect {
-			got := w.got[gotKey(m.Level, e.Sender, e.SenderInc)]
+			got := w.got[gotKey(m.Level, e.Sender)]
 			if got > e.Groups {
-				return fmt.Errorf("dist: worker %d level %d: got %d groups from worker %d inc %d, expected %d",
-					w.cfg.Index, m.Level, got, e.Sender, e.SenderInc, e.Groups)
+				return fmt.Errorf("dist: worker %d level %d: got %d groups from worker %d, expected %d",
+					w.cfg.Index, m.Level, got, e.Sender, e.Groups)
 			}
 			if got < e.Groups {
 				ready = false
@@ -791,7 +713,6 @@ func (w *worker) tryExecSeals() error {
 
 func (w *worker) execSeal(m *msgSeal) error {
 	w.inj.levelDone(m.Level)
-	w.executedSeqs[m.Seq] = true
 	rep := &msgLevelReport{
 		Level: m.Level,
 		Seq:   m.Seq,
@@ -805,9 +726,8 @@ func (w *worker) execSeal(m *msgSeal) error {
 	}
 	w.stViol = w.stViol[:0]
 	frontier, keys := w.store.DrainLevel()
-	// The frontier just expanded is past any re-keying window
-	// (stale-incarnation redeliveries are idempotent under the min-key
-	// reduction), so it closes into the arenas here; the seal compacts
+	// The frontier just expanded is past any re-keying window (the level
+	// has drained), so it closes into the arenas here; the seal compacts
 	// the live tier, rewriting the refs just drained in place. The new
 	// frontier then takes the global refs its children claim with.
 	w.store.SealLevel(w.frontier, frontier)
@@ -841,46 +761,6 @@ func (w *worker) execSeal(m *msgSeal) error {
 	}
 	w.send(rep)
 	return nil
-}
-
-// handleReplay re-delivers this worker's buffered groups for the
-// requested level and shards to a respawned peer. The coordinator folds
-// the returned group count into the destination's Expect.
-func (w *worker) handleReplay(payload []byte) error {
-	m, err := decodeReplay(payload)
-	if err != nil {
-		return err
-	}
-	buf := &w.buf
-	if buf.level != m.Level || m.Dest == w.cfg.Index || m.Dest < 0 || m.Dest >= len(w.links) {
-		return fmt.Errorf("dist: worker %d: replay of level %d to worker %d, but its buffer holds level %d",
-			w.cfg.Index, m.Level, m.Dest, buf.level)
-	}
-	l := w.link(m.Dest)
-	groups := uint64(0)
-	var fb *frameBuf
-	for shard := 0; shard < mc.NumShards; shard++ {
-		log := &buf.shards[shard]
-		if !m.maskHas(shard) || log.groups == 0 {
-			continue
-		}
-		if fb == nil {
-			fb = beginMeshBatch(buf.level, buf.base)
-		}
-		fb.raw(log.data)
-		groups += log.groups
-		if fb.payloadLen() >= batchFlushBytes {
-			l.enqueue(fb)
-			fb = nil
-		}
-	}
-	if fb != nil {
-		l.enqueue(fb)
-	}
-	if ch := l.flush(); ch != nil {
-		<-ch
-	}
-	return w.send(&msgReplayDone{Level: m.Level, Dest: m.Dest, Groups: groups})
 }
 
 func (w *worker) handleTraceQuery(payload []byte) error {
