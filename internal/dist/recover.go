@@ -22,6 +22,7 @@ package dist
 //   - some worker's acknowledged chain does not reach L−1 (a barrier
 //     snapshot failed to write, and no later barrier has repaired it
 //     yet) — the dead worker's or a survivor's alike.
+
 import (
 	"errors"
 	"fmt"

@@ -5,9 +5,12 @@
 #
 #   scripts/perfcompare.sh <base-ref> [pairs]
 #
-# The base is checked out into a temporary git worktree. For every
-# workload, pairs (default 3) base/head pairs run interleaved, each side
-# from its own tree with
+# Both sides run from fresh temporary copies made the same way, so
+# neither runs from the checkout itself: the base from its commit's
+# files, the head from the working tree's tracked and untracked,
+# non-ignored files. Each copy builds into its own .bench_build. For
+# every workload, pairs (default 3) base/head pairs run interleaved,
+# each side from its own copy with
 #
 #   bash perfbench/run.sh --workload W --seed S --seconds <run_seconds> --trace 0
 #
@@ -32,19 +35,19 @@ if ! [[ $pairs =~ ^[1-9][0-9]*$ ]]; then
   exit 2
 fi
 
-head=$(git rev-parse --show-toplevel)
-cd "$head"
+cd "$(git rev-parse --show-toplevel)"
 base_rev=$(git rev-parse --verify "$1^{commit}")
 
 tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
 base="$tmp/base"
-cleanup() {
-  git -C "$head" worktree remove --force "$base" 2>/dev/null || true
-  git -C "$head" worktree prune
-  rm -rf "$tmp"
-}
-trap cleanup EXIT
-git worktree add --detach --quiet "$base" "$base_rev"
+head="$tmp/head"
+mkdir "$base" "$head"
+git archive "$base_rev" | tar -x -C "$base"
+git ls-files -z --cached --others --exclude-standard |
+  while IFS= read -r -d '' f; do
+    if [ -e "$f" ] || [ -L "$f" ]; then printf '%s\0' "$f"; fi
+  done | tar -c --null -T - | tar -x -C "$head"
 
 bench=$head/BENCHMARK.json
 seconds=$(jq -r '.run_seconds' "$bench")
