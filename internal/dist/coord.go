@@ -10,11 +10,11 @@ package dist
 // and the coordinator instead runs the counting barrier — it folds each
 // ExpandDone's declared per-destination group counts into an accounting
 // table and ships each Seal with the exact per-sender counts the worker
-// must have received before draining. Each level: issue Expands, collect ExpandDones,
-// broadcast counted Seals once nothing is outstanding, collect
-// LevelReports, then close the barrier — merge the per-worker
-// claim-key lists into the global frontier order and reduce violations
-// by minimum claim key. The search around the levels is not run here:
+// must have received before draining. Each level: issue Expands,
+// collect ExpandDones, broadcast counted Seals once nothing is
+// outstanding, collect LevelReports, then close the barrier — merge the
+// per-worker claim-key lists into the global frontier order and reduce
+// violations by minimum claim key. The search around the levels is not run here:
 // the coordinator is an mc.LevelBackend (search.go), and mc's one
 // search loop decides budgets, interrupts, counts and the Result.
 //
