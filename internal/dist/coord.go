@@ -211,8 +211,10 @@ type workerState struct {
 	// index wrote: the chain a restart restores (see lastAck).
 	acked []int32
 
-	// Latest cumulative counters of the current process; a retired
-	// generation's are folded into the Report.
+	// Latest cumulative counters of the current process — expansion
+	// from its last ExpandDone, wire traffic from its last LevelReport,
+	// both from its Bye; a retired generation's are folded into the
+	// Report.
 	expandedCur   uint64
 	wireFramesCur uint64
 	wireBytesCur  uint64

@@ -602,6 +602,13 @@ func TestDistDeathInSealPhase(t *testing.T) {
 				if rep.Respawns != 1 || len(rep.Recoveries) != 1 || rep.Recoveries[0].Level != level {
 					t.Fatalf("report %+v, want one recovery at level %d", rep, level)
 				}
+				// Every ExpandDone of the level was in before the death,
+				// so the new generation re-expands the whole level.
+				if rec := rep.Recoveries[0]; rep.ReexpandedTransitions != rec.SlotTransitions ||
+					(level > 0 && rec.SlotTransitions == 0) {
+					t.Fatalf("reexpanded %d transitions, want the redone level's %d",
+						rep.ReexpandedTransitions, rec.SlotTransitions)
+				}
 				first, err := os.ReadFile(l.first)
 				if err != nil {
 					t.Fatal(err)

@@ -88,11 +88,19 @@ func (l *ProcLauncher) Start(index, generation int) (io.ReadWriteCloser, error) 
 	if err != nil {
 		return nil, err
 	}
-	stdout, err := cmd.StdoutPipe()
+	// Not cmd.StdoutPipe: Wait closes that pipe once the child exits,
+	// and the reaper below could then drop frames the child wrote just
+	// before exiting that the coordinator has not read yet. This read end
+	// is ours alone, so the coordinator reads up to the child's EOF.
+	stdout, childOut, err := os.Pipe()
 	if err != nil {
 		return nil, err
 	}
-	if err := cmd.Start(); err != nil {
+	cmd.Stdout = childOut
+	err = cmd.Start()
+	childOut.Close()
+	if err != nil {
+		stdout.Close()
 		return nil, fmt.Errorf("dist: starting worker %d: %w", index, err)
 	}
 	l.mu.Lock()

@@ -674,7 +674,10 @@ func decodeHello(p []byte) (*msgHello, error) {
 // was sent), and the optional violation candidate is the worker's lowest-keyed
 // transition-invariant violation (ViolFrom/ViolTo are the raw from/to
 // encodings — ViolTo pre-canonicalization, exactly what the engine
-// reports).
+// reports). Expanded is the worker process's cumulative generated-
+// transition counter once this expansion is done (the recovery-cost
+// ledger): expansion is the only work it counts, so the counter a level
+// ends with is known before the level's seal.
 type msgExpandDone struct {
 	Level    int32
 	ID       uint32
@@ -684,6 +687,7 @@ type msgExpandDone struct {
 	ViolKey  uint64
 	ViolFrom []byte
 	ViolTo   []byte
+	Expanded uint64
 }
 
 // sentCount is one destination's generated-group declaration.
@@ -709,6 +713,7 @@ func (m *msgExpandDone) encode() (byte, []byte) {
 	w.u(m.ViolKey)
 	w.bytes(m.ViolFrom)
 	w.bytes(m.ViolTo)
+	w.u(m.Expanded)
 	return mtExpandDone, w.b
 }
 
@@ -729,14 +734,15 @@ func decodeExpandDone(p []byte) (*msgExpandDone, error) {
 	m.ViolKey = r.u()
 	m.ViolFrom = r.bytes()
 	m.ViolTo = r.bytes()
+	m.Expanded = r.u()
 	return m, r.done()
 }
 
 // msgLevelReport closes a worker's level: the final (min-key)
 // claim keys of the states it admitted this level in ascending order
 // (delta-encoded), any state-invariant violations with their final keys,
-// totals, the barrier snapshot ack, and the worker's cumulative
-// generated-transition counter (the recovery-cost ledger).
+// totals, the barrier snapshot ack, and the worker process's cumulative
+// wire counters.
 type msgLevelReport struct {
 	Level       int32
 	Seq         uint32 // the executed seal's sequence number
@@ -747,7 +753,6 @@ type msgLevelReport struct {
 	Resident    int64
 	Full        bool
 	SnapshotErr string // why the barrier snapshot failed to write; "" when it was written
-	Expanded    uint64
 	WireFrames  uint64 // cumulative frames this worker process has written
 	WireBytes   uint64 // cumulative bytes this worker process has written
 }
@@ -771,7 +776,6 @@ func (m *msgLevelReport) encode() (byte, []byte) {
 	w.u(uint64(m.Resident))
 	w.boolean(m.Full)
 	w.str(m.SnapshotErr)
-	w.u(m.Expanded)
 	w.u(m.WireFrames)
 	w.u(m.WireBytes)
 	return mtLevelReport, w.b
@@ -798,7 +802,6 @@ func decodeLevelReport(p []byte) (*msgLevelReport, error) {
 	m.Resident = int64(r.u())
 	m.Full = r.boolean()
 	m.SnapshotErr = r.str()
-	m.Expanded = r.u()
 	m.WireFrames = r.u()
 	m.WireBytes = r.u()
 	return m, r.done()

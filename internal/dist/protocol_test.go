@@ -82,7 +82,7 @@ func TestProtocolRoundTrips(t *testing.T) {
 
 	ed := &msgExpandDone{Level: 3, ID: 9, Counts: []uint32{4, 0, 17},
 		SentTo:  []sentCount{{Dest: 0, Groups: 12}, {Dest: 2, Groups: 1 << 33}},
-		HasViol: true, ViolKey: 123456, ViolFrom: []byte("from"), ViolTo: []byte("to")}
+		HasViol: true, ViolKey: 123456, ViolFrom: []byte("from"), ViolTo: []byte("to"), Expanded: 98765}
 	if got := roundTrip(t, ed, func(p []byte) (any, error) { return decodeExpandDone(p) }, mtExpandDone); !reflect.DeepEqual(got, ed) {
 		t.Fatalf("expand done mismatch:\n got %+v\nwant %+v", got, ed)
 	}
@@ -90,8 +90,7 @@ func TestProtocolRoundTrips(t *testing.T) {
 	lr := &msgLevelReport{Level: 6, Seq: 42, Keys: []uint64{10, 11, 500, 1 << 30},
 		StViolKeys: []uint64{77}, StViolEncs: [][]byte{[]byte("bad")},
 		States: 12345, Resident: 1 << 22, Full: true,
-		SnapshotErr: "disk full", Expanded: 98765,
-		WireFrames: 4096, WireBytes: 1 << 34}
+		SnapshotErr: "disk full", WireFrames: 4096, WireBytes: 1 << 34}
 	if got := roundTrip(t, lr, func(p []byte) (any, error) { return decodeLevelReport(p) }, mtLevelReport); !reflect.DeepEqual(got, lr) {
 		t.Fatalf("level report mismatch:\n got %+v\nwant %+v", got, lr)
 	}
@@ -252,7 +251,7 @@ func FuzzDecodeControl(f *testing.F) {
 		&msgTraceQuery{ByRef: true, Ref: 0x41, Enc: []byte("enc")},
 		&msgHello{Index: 1, Err: "x"},
 		&msgExpandDone{Level: 1, ID: 2, Counts: []uint32{3}, SentTo: []sentCount{{Dest: 1, Groups: 2}},
-			HasViol: true, ViolKey: 9, ViolFrom: []byte("f"), ViolTo: []byte("t")},
+			HasViol: true, ViolKey: 9, ViolFrom: []byte("f"), ViolTo: []byte("t"), Expanded: 3},
 		&msgLevelReport{Level: 1, Seq: 2, Keys: []uint64{4, 9}, StViolKeys: []uint64{4},
 			StViolEncs: [][]byte{[]byte("s")}, States: 5, SnapshotErr: "x"},
 		&msgTraceReply{Found: true, HasParent: true, Parent: 0x81, Enc: []byte("p")},

@@ -136,6 +136,7 @@ func (c *coordinator) onExpandDone(w *workerState, m *msgExpandDone) error {
 	for i, s := range pe.slots {
 		c.counts[s] = int(m.Counts[i])
 	}
+	w.expandedCur = m.Expanded
 	// Fold the declared mesh-group counts into the barrier accounting.
 	for _, st := range m.SentTo {
 		if st.Dest < 0 || st.Dest >= len(c.acc) {
@@ -151,7 +152,6 @@ func (c *coordinator) onExpandDone(w *workerState, m *msgExpandDone) error {
 }
 
 func (c *coordinator) onReport(w *workerState, m *msgLevelReport) error {
-	w.expandedCur = m.Expanded
 	w.wireFramesCur = m.WireFrames
 	w.wireBytesCur = m.WireBytes
 	// A written snapshot joins the restore chain. A failed one leaves
@@ -203,7 +203,10 @@ func (c *coordinator) handleDeath(w *workerState, cause error) error {
 	c.rep.Respawns++
 	c.openRecs = append(c.openRecs, Recovery{Level: c.level, Worker: w.index})
 	c.gen++
-	c.swifi = swifiAfter(c.swifi, c.level)
+	var dropped string
+	if c.swifi, dropped = swifiAfter(c.swifi, c.level); dropped != "" {
+		c.logf("dist: generation %d drops the injections at level %d, fired or not: %s", c.gen, c.level, dropped)
+	}
 	for _, v := range c.workers {
 		if err := c.startIncarnation(v); err != nil {
 			return err

@@ -13,7 +13,10 @@ package dist
 // msgConfig, and filtered worker-side by index. Each fires at most once
 // per run: a fleet generation restarted at level L gets only the
 // injections scheduled past L (swifiAfter), so a kill never loops while
-// a second kill at a later level still fires. kill and stall model process
+// a second kill at a later level still fires. Only one injection per
+// level can be relied on: the others scheduled at L are dropped with the
+// retired generation whether they fired or not, and the coordinator logs
+// them. kill and stall model process
 // crash/stall (the deadline-detection path); flakywrite and slowwrite
 // model a degraded filesystem/pipe (the bounded-backoff retry path).
 
@@ -114,16 +117,25 @@ func parseSwifi(spec string) ([]injection, error) {
 	return out, nil
 }
 
-// swifiAfter keeps the injections of a valid script that are scheduled
-// past level: the script of a fleet generation restarted at that level.
-func swifiAfter(spec string, level int32) string {
-	var kept []string
+// swifiAfter splits a valid script at level: kept holds the injections
+// scheduled past it, the script of a fleet generation restarted at that
+// level; dropped holds those scheduled at it, which the retired
+// generation may or may not have fired.
+func swifiAfter(spec string, level int32) (kept, dropped string) {
+	var k, d []string
 	for _, part := range strings.Split(spec, ",") {
-		if injs, _ := parseSwifi(part); len(injs) == 1 && injs[0].Level > level {
-			kept = append(kept, strings.TrimSpace(part))
+		injs, _ := parseSwifi(part)
+		if len(injs) != 1 {
+			continue
+		}
+		switch {
+		case injs[0].Level > level:
+			k = append(k, strings.TrimSpace(part))
+		case injs[0].Level == level:
+			d = append(d, strings.TrimSpace(part))
 		}
 	}
-	return strings.Join(kept, ",")
+	return strings.Join(k, ","), strings.Join(d, ",")
 }
 
 // injector is the worker-side runtime: armed with the injections for

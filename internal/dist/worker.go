@@ -593,7 +593,7 @@ func (w *worker) handleExpand(payload []byte) error {
 	}
 	w.flushLinks()
 	done := &msgExpandDone{Level: m.Level, ID: m.ID, Counts: counts,
-		HasViol: hasViol, ViolKey: violKey, ViolFrom: violFrom, ViolTo: violTo}
+		HasViol: hasViol, ViolKey: violKey, ViolFrom: violFrom, ViolTo: violTo, Expanded: w.expanded}
 	for dest, n := range w.gcount {
 		if n > 0 {
 			done.SentTo = append(done.SentTo, sentCount{Dest: dest, Groups: n})
@@ -736,7 +736,6 @@ func (w *worker) execSeal(m *msgSeal) error {
 	rep.Keys = keys
 	rep.States = w.store.Count()
 	rep.Resident = w.store.Resident()
-	rep.Expanded = w.expanded
 	rep.WireFrames = w.wireFrames.Load()
 	rep.WireBytes = w.wireBytes.Load()
 	// The barrier snapshot. Files are kept for the run's lifetime: each
