@@ -5,6 +5,7 @@ package bitstr
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"strings"
 )
@@ -35,6 +36,12 @@ func FromBits(bits ...bool) *String {
 	return s
 }
 
+// Reset empties the string and keeps its storage for the next appends.
+func (s *String) Reset() {
+	s.data = s.data[:0]
+	s.n = 0
+}
+
 // Len returns the number of bits in the string.
 func (s *String) Len() int { return s.n }
 
@@ -59,10 +66,27 @@ func (s *String) AppendUint(v uint64, width int) *String {
 	if width < 64 && v>>uint(width) != 0 {
 		panic(fmt.Sprintf("bitstr: value %d does not fit in %d bits", v, width))
 	}
+	if width == 0 {
+		return s
+	}
+	v <<= uint(64 - width) // left-aligned: the next bit to append on top
+	if r := s.n % 8; r != 0 {
+		// Fill the free low bits of the last byte first.
+		s.data[len(s.data)-1] |= byte(v >> uint(56+r))
+		if width <= 8-r {
+			s.n += width
+			return s
+		}
+		v <<= uint(8 - r)
+		width -= 8 - r
+		s.n += 8 - r
+	}
 	for width > 0 {
 		take := min(8, width)
+		s.data = append(s.data, byte(v>>56))
+		v <<= 8
+		s.n += take
 		width -= take
-		s.appendByte(byte(v>>uint(width))<<uint(8-take), take)
 	}
 	return s
 }
@@ -134,7 +158,8 @@ func (s *String) Flip(i int) { s.SetBit(i, !s.Bit(i)) }
 
 // Uint reads width bits starting at offset, most significant first. It
 // panics if width is outside [0, 64] or the bits run outside the string;
-// a zero-width read is 0 at any offset.
+// a zero-width read is 0 at any offset. The read is one big-endian 64-bit
+// load at the first byte, plus the next byte when the bits spill past it.
 func (s *String) Uint(offset, width int) uint64 {
 	if width < 0 || width > 64 {
 		panic(fmt.Sprintf("bitstr: Uint width %d out of range", width))
@@ -148,14 +173,22 @@ func (s *String) Uint(offset, width int) uint64 {
 	if offset > s.n-width {
 		panic(fmt.Sprintf("bitstr: index %d out of range [0,%d)", s.n, s.n))
 	}
-	var v uint64
-	for i, end := uint(offset), uint(offset+width); i < end; {
-		sh := i % 8
-		take := min(8-sh, end-i)
-		v = v<<take | uint64(s.data[i/8]<<sh>>(8-take))
-		i += take
+	k, sh := offset/8, uint(offset%8)
+	var w uint64
+	if k+8 <= len(s.data) {
+		w = binary.BigEndian.Uint64(s.data[k:])
+		if sh+uint(width) > 64 {
+			// The read ends in the byte past the window.
+			w = w<<sh | uint64(s.data[k+8])>>(8-sh)
+			return w >> (64 - uint(width))
+		}
+	} else {
+		// Fewer than eight bytes left: the read ends inside them.
+		for i, b := range s.data[k:] {
+			w |= uint64(b) << (56 - 8*uint(i))
+		}
 	}
-	return v
+	return w << sh >> (64 - uint(width))
 }
 
 // Slice returns a copy of bits [from, to).

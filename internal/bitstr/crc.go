@@ -1,6 +1,9 @@
 package bitstr
 
-import "sync/atomic"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // CRCParams describes a CRC computed most-significant-bit first over a bit
 // string of arbitrary (not necessarily byte-aligned) length.
@@ -22,30 +25,75 @@ var CRC16 = CRCParams{Width: 16, Poly: 0x1021, Init: 0xFFFF, Name: "CRC-16/CCITT
 
 // Checksum computes the CRC of the bit string under p.
 func (p CRCParams) Checksum(s *String) uint64 {
-	return p.checksum(s, s.n)
+	return p.Begin().Bits(s, 0, s.n).Sum()
 }
 
-// checksum computes the CRC of the first n bits of s in place: whole
-// bytes through the (Width, Poly) table, eight bits per step, then the
-// final n%8 bits through the shift register one at a time. The register is
-// kept left-aligned in 64 bits so one table shape serves every width.
-func (p CRCParams) checksum(s *String, n int) uint64 {
+// CRC is a checksum part way through its message: the shift register of
+// one CRCParams after the bits fed so far. It is a small value, so a
+// register saved after a common prefix can be continued with different
+// suffixes. Begin one with CRCParams.Begin.
+//
+// The register is kept left-aligned in 64 bits so one table shape serves
+// every width: whole bytes go through the (Width, Poly) table eight bits
+// per step, and the remaining bits through the shift register one at a
+// time.
+type CRC struct {
+	t     *[256]uint64
+	poly  uint64 // left-aligned
+	reg   uint64 // left-aligned
+	shift uint
+}
+
+// Begin returns p's register before any bits.
+func (p CRCParams) Begin() CRC {
 	shift := uint(64 - p.Width)
-	poly := p.Poly << shift
-	reg := p.Init << shift
-	t := p.table()
-	whole := n / 8
-	for _, b := range s.data[:whole] {
-		reg = reg<<8 ^ t[byte(reg>>56)^b]
+	return CRC{t: p.table(), poly: p.Poly << shift, reg: p.Init << shift, shift: shift}
+}
+
+// Sum returns the checksum of the bits fed so far.
+func (c CRC) Sum() uint64 { return c.reg >> c.shift }
+
+// Bits feeds bits [from, to) of s. It reads s in place: a byte-aligned
+// start steps over s's bytes directly, any other start over 64-bit reads.
+// It panics if the range runs outside s.
+func (c CRC) Bits(s *String, from, to int) CRC {
+	if from < 0 || to > s.n || from > to {
+		panic(fmt.Sprintf("bitstr: CRC range [%d,%d) out of range [0,%d)", from, to, s.n))
 	}
-	for i := whole * 8; i < n; i++ {
-		feedback := reg>>63 ^ uint64(s.data[i/8]>>(7-uint(i%8))&1)
-		reg <<= 1
-		if feedback == 1 {
-			reg ^= poly
+	i := from
+	if i%8 == 0 {
+		for _, b := range s.data[i/8 : to/8] {
+			c.reg = c.reg<<8 ^ c.t[byte(c.reg>>56)^b]
+		}
+		i = to / 8 * 8
+	} else {
+		for ; i+64 <= to; i += 64 {
+			c = c.Uint(s.Uint(i, 64), 64)
 		}
 	}
-	return reg >> shift
+	if i < to {
+		c = c.Uint(s.Uint(i, to-i), to-i)
+	}
+	return c
+}
+
+// Uint feeds the low width bits of v, most significant first (width in
+// [0, 64]).
+func (c CRC) Uint(v uint64, width int) CRC {
+	v <<= uint(64 - width)
+	for ; width >= 8; width -= 8 {
+		c.reg = c.reg<<8 ^ c.t[byte(c.reg>>56)^byte(v>>56)]
+		v <<= 8
+	}
+	for ; width > 0; width-- {
+		feedback := (c.reg ^ v) >> 63
+		c.reg <<= 1
+		if feedback == 1 {
+			c.reg ^= c.poly
+		}
+		v <<= 1
+	}
+	return c
 }
 
 // AppendChecksum computes the CRC of s and appends it, returning s.
@@ -60,7 +108,7 @@ func (p CRCParams) Verify(s *String) bool {
 		return false
 	}
 	body := s.Len() - p.Width
-	return p.checksum(s, body) == s.Uint(body, p.Width)
+	return p.Begin().Bits(s, 0, body).Sum() == s.Uint(body, p.Width)
 }
 
 // crcTable is the byte-step table of one (Width, Poly): entry b is the

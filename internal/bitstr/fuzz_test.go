@@ -62,6 +62,23 @@ func checkAgainstReference(t *testing.T, s *String, a, b, c int) {
 		if !p.Verify(sealed) || !refVerify(p, sealed) {
 			t.Fatalf("%s: checksummed %d-bit string does not verify", p.Name, n)
 		}
+		// A register continued at any split, over the string in place or
+		// over the suffix's bits fed as words, sums the whole string.
+		split := 0
+		if n > 0 {
+			split = c % (n + 1)
+		}
+		head := p.Begin().Bits(s, 0, split)
+		if got, want := head.Bits(s, split, n).Sum(), refChecksum(p, s); got != want {
+			t.Fatalf("%s Bits split at %d of %d = %#x, want %#x", p.Name, split, n, got, want)
+		}
+		for i, w := split, 1+b%64; i < n; i += w {
+			w = min(w, n-i)
+			head = head.Uint(refUint(s, i, w), w)
+		}
+		if got, want := head.Sum(), refChecksum(p, s); got != want {
+			t.Fatalf("%s Uint feed from %d of %d = %#x, want %#x", p.Name, split, n, got, want)
+		}
 	}
 
 	// Uint at an offset and width picked by a and b.
@@ -101,6 +118,15 @@ func checkAgainstReference(t *testing.T, s *String, a, b, c int) {
 	checkInvariant(t, "AppendUint", gotU)
 	if !identical(gotU, wantU) {
 		t.Fatalf("AppendUint(%#x, %d) onto %d bits differs from reference", v, w, prefix.n)
+	}
+
+	// Reset keeps the storage and leaves a string the appends refill
+	// exactly.
+	reused := s.Clone()
+	reused.Reset()
+	checkInvariant(t, "Reset", reused)
+	if reused.Append(prefix).Append(s); !identical(reused, refAppend(prefix.Clone(), s)) {
+		t.Fatalf("Append after Reset differs from reference (%d + %d bits)", prefix.n, n)
 	}
 
 	// Equal against an identical copy, a flipped copy and a shorter one.
@@ -175,6 +201,7 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 			}
 		},
 		"Uint": func() { sink = s.Uint(13, 64) },
+		"CRC":  func() { sink = CRC24.Begin().Bits(s, 0, 101).Bits(s, 101, 2000).Uint(sink, 40).Sum() },
 	} {
 		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", name, allocs)

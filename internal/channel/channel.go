@@ -11,6 +11,7 @@ import (
 
 	"ttastar/internal/bitstr"
 	"ttastar/internal/cstate"
+	"ttastar/internal/frame"
 	"ttastar/internal/sim"
 )
 
@@ -36,8 +37,12 @@ type Transmission struct {
 	// Origin is the physical source node (NoNode for guardian-generated
 	// signals such as noise).
 	Origin cstate.NodeID
-	// Bits is the transmitted bit string (nil for pure noise).
-	Bits *bitstr.String
+	// Bits is the transmitted bit string with its cached parse (nil for
+	// pure noise). Every receiver of the transmission, on both channels,
+	// shares it: receivers read it and never change it, and its sender
+	// leaves it untouched until every receiver has judged the slot it was
+	// sent in (see frame.Wire).
+	Bits *frame.Wire
 	// Start is when the first bit hits the wire.
 	Start sim.Time
 	// Duration is the time the signal occupies the wire.

@@ -6,6 +6,7 @@ import (
 
 	"ttastar/internal/bitstr"
 	"ttastar/internal/cstate"
+	"ttastar/internal/frame"
 	"ttastar/internal/sim"
 )
 
@@ -20,7 +21,7 @@ func (c *captureReceiver) Receive(rx Reception) { c.got = append(c.got, rx) }
 func tx(origin int, start sim.Time, dur time.Duration) Transmission {
 	return Transmission{
 		Origin:   cstateID(origin),
-		Bits:     bitstr.FromBits(true, false, true),
+		Bits:     frame.NewWire(bitstr.FromBits(true, false, true)),
 		Start:    start,
 		Duration: dur,
 		Strength: NominalStrength,

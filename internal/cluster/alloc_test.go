@@ -29,11 +29,10 @@ func replicaConfig(tb testing.TB, seed uint64) Config {
 }
 
 // roundAllocs is the pinned heap-allocation count of one steady-state
-// TDMA round of the warm replica cluster: each of the four nodes encodes
-// the one I-frame it sends (a bit string and its bytes). Scheduling,
-// delivery, forwarding, judging and clock synchronization allocate
-// nothing.
-const roundAllocs = 8
+// TDMA round of the warm replica cluster. Each node encodes its I-frame
+// into one of its two reused wires, and scheduling, delivery, forwarding,
+// judging and clock synchronization allocate nothing.
+const roundAllocs = 0
 
 // TestSteadyStateRoundAllocs pins the allocations of whole TDMA rounds of
 // an integrated star cluster, so a per-slot allocation creeping back into

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ttastar/internal/channel"
+	"ttastar/internal/frame"
 	"ttastar/internal/node"
 	"ttastar/internal/sim"
 )
@@ -21,7 +22,7 @@ func TestInjectorStarUsesCouplerPort(t *testing.T) {
 	c.Medium(channel.ChannelA).Attach(rc)
 	w.Transmit(channel.Transmission{
 		Origin:   3,
-		Bits:     channel.NoiseBits(sim.NewRNG(1), 30),
+		Bits:     frame.NewWire(channel.NoiseBits(sim.NewRNG(1), 30)),
 		Start:    c.Sched.Now(),
 		Duration: 30 * time.Microsecond,
 		Strength: channel.NominalStrength,
@@ -43,7 +44,7 @@ func TestInjectorBusUsesLocalGuardian(t *testing.T) {
 	}
 	w.Transmit(channel.Transmission{
 		Origin:   2,
-		Bits:     channel.NoiseBits(sim.NewRNG(2), 30),
+		Bits:     frame.NewWire(channel.NoiseBits(sim.NewRNG(2), 30)),
 		Start:    c.Sched.Now(),
 		Duration: 30 * time.Microsecond,
 		Strength: channel.NominalStrength,

@@ -123,6 +123,15 @@ func (c CState) AppendFull(s *bitstr.String) *bitstr.String {
 	return s
 }
 
+// FeedFull feeds the full encoding of c, the bits AppendFull appends,
+// into a running CRC. Implicit-C-state checksums use it to continue a
+// frame's register over the C-state without building the covered string.
+func (c CState) FeedFull(r bitstr.CRC) bitstr.CRC {
+	return r.Uint(uint64(c.GlobalTime)<<48|uint64(c.RoundSlot)<<32|uint64(c.ClusterMode)<<16|uint64(c.DMC),
+		GlobalTimeBits+RoundSlotBits+ClusterModeBits+DMCBits).
+		Uint(uint64(c.Membership), MembershipBits)
+}
+
 // DecodeFull reads a 96-bit C-state from s at offset.
 func DecodeFull(s *bitstr.String, offset int) CState {
 	return CState{

@@ -93,6 +93,22 @@ func TestCStateFullRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFeedFullMatchesAppendFull: feeding a C-state into a register that
+// has already taken a prefix gives the checksum of the prefix followed by
+// the C-state's full encoding.
+func TestFeedFullMatchesAppendFull(t *testing.T) {
+	f := func(gt, rs, mode, dmc uint16, mem uint32, prefix uint32, plen uint8) bool {
+		c := CState{GlobalTime: gt, RoundSlot: rs, ClusterMode: mode, DMC: dmc, Membership: Membership(mem)}
+		w := int(plen % 33)
+		head := bitstr.New(w).AppendUint(uint64(prefix)&(1<<uint(w)-1), w)
+		want := bitstr.CRC24.Checksum(c.AppendFull(head.Clone()))
+		return c.FeedFull(bitstr.CRC24.Begin().Bits(head, 0, w)).Sum() == want
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestCStateCompactRoundTrip(t *testing.T) {
 	c := CState{GlobalTime: 1234, RoundSlot: 7, Membership: Membership(0xF00D)}
 	s := bitstr.New(CompactBits)

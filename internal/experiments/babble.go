@@ -8,6 +8,7 @@ import (
 	"ttastar/internal/channel"
 	"ttastar/internal/cluster"
 	"ttastar/internal/cstate"
+	"ttastar/internal/frame"
 	"ttastar/internal/guardian"
 	"ttastar/internal/node"
 	"ttastar/internal/sim"
@@ -77,7 +78,7 @@ func startBabbler(c *cluster.Cluster, id cstate.NodeID, rng *sim.RNG) func() {
 		if stopped {
 			return
 		}
-		bits := channel.NoiseBits(rng, 40+rng.Intn(80))
+		bits := frame.NewWire(channel.NoiseBits(rng, 40+rng.Intn(80)))
 		tx := channel.Transmission{
 			Origin:   id,
 			Bits:     bits,

@@ -282,10 +282,11 @@ func MasqueradeCampaign(ctx context.Context, top cluster.Topology, authority gua
 		}
 		// Rogue cold-start frames claiming node 2, at random times across
 		// the start-up window.
-		bits, err := frame.NewColdStart(2, uint16(s.RNG.Intn(100))).Encode()
+		rogue, err := frame.NewColdStart(2, uint16(s.RNG.Intn(100))).Encode()
 		if err != nil {
 			return RunVerdict{}, err
 		}
+		bits := frame.NewWire(rogue)
 		for k := 0; k < 3; k++ {
 			at := sim.Time(600*time.Microsecond) +
 				sim.Time(s.RNG.Int63n(int64(3*time.Millisecond))) +
@@ -413,10 +414,11 @@ func startBadCStateRogue(c *cluster.Cluster, tr *guardian.PhaseTracker) func() {
 				RoundSlot:  1,
 				Membership: cstate.Membership(0).With(1).With(2).With(3),
 			}
-			bits, err := frame.NewI(1, cs).Encode()
+			rogue, err := frame.NewI(1, cs).Encode()
 			if err != nil {
 				return
 			}
+			bits := frame.NewWire(rogue)
 			tx := channel.Transmission{
 				Origin:   1,
 				Bits:     bits,

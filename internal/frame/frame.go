@@ -2,10 +2,15 @@
 // decoding, and the validity/correctness checks receivers apply.
 //
 // Frames are not self-describing: the MEDL tells every node which frame kind
-// and length to expect in each slot, so Decode takes the expected kind. The
-// C-state is carried explicitly by I- and X-frames and cold-start frames,
-// and implicitly by N-frames (mixed into the CRC), so receivers whose
-// C-state disagrees with the sender's see an incorrect frame.
+// and length to expect in each slot, so Wire.Decode takes the expected
+// kind. The C-state is carried explicitly by I- and X-frames and cold-start
+// frames, and implicitly by N-frames (mixed into the CRC), so receivers
+// whose C-state disagrees with the sender's see an incorrect frame.
+//
+// Decoding is split in two: a parse that depends only on the bits, made
+// at most once per transmitted string and kept with it in a Wire, and a
+// per-receiver judgement that compares the parsed C-state with the
+// receiver's own.
 package frame
 
 import (
@@ -156,23 +161,58 @@ func (f Frame) EncodedBits() int {
 // the wire; for N-frames the C-state is folded into the CRC but not
 // transmitted.
 func (f Frame) Encode() (*bitstr.String, error) {
+	if err := f.check(); err != nil {
+		return nil, err
+	}
+	s := bitstr.New(f.EncodedBits())
+	f.appendTo(s)
+	return s, nil
+}
+
+// EncodeTo serializes the frame into w, replacing its bits and dropping
+// its cached parse. A sender that encodes into wires of its own reuses
+// their storage, so a warm sender encodes without allocating. On an error
+// w is left as it was.
+func (f Frame) EncodeTo(w *Wire) error {
+	if err := f.check(); err != nil {
+		return err
+	}
+	w.reset()
+	f.appendTo(&w.bits)
+	return nil
+}
+
+// check reports why the frame cannot be encoded, or nil.
+func (f Frame) check() error {
 	if f.ModeChangeRequest > 7 {
-		return nil, ErrBadModeRequest
+		return ErrBadModeRequest
 	}
 	switch f.Kind {
 	case KindColdStart:
-		s := bitstr.New(ColdStartBits)
+	case KindN, KindX:
+		if f.dataLen() > MaxDataBits {
+			return ErrDataTooLong
+		}
+	case KindI:
+		if f.Data != nil && f.Data.Len() > 0 {
+			return ErrDataOnIFrame
+		}
+	default:
+		return fmt.Errorf("%w: %d", ErrUnknownKind, uint8(f.Kind))
+	}
+	return nil
+}
+
+// appendTo appends the encoding of the checked frame to the empty s.
+func (f Frame) appendTo(s *bitstr.String) {
+	switch f.Kind {
+	case KindColdStart:
 		s.AppendUint(1, ColdStartTypeBits)
 		s.AppendUint(uint64(f.CState.GlobalTime), cstate.GlobalTimeBits)
 		s.AppendUint(uint64(f.Sender)&0x1FF, ColdStartRoundSlotPos)
 		bitstr.CRC24.AppendChecksum(s)
-		return s, nil
 
 	case KindN:
-		if f.dataLen() > MaxDataBits {
-			return nil, ErrDataTooLong
-		}
-		s := bitstr.New(HeaderBits + f.dataLen() + CRCBits)
 		s.AppendUint(0, 1) // implicit C-state
 		s.AppendUint(uint64(f.ModeChangeRequest), 3)
 		if f.Data != nil {
@@ -180,45 +220,27 @@ func (f Frame) Encode() (*bitstr.String, error) {
 		}
 		// Implicit C-state: the CRC covers body ++ C-state, but only the
 		// body ++ CRC is transmitted.
-		covered := s.Clone()
-		f.CState.AppendFull(covered)
-		s.AppendUint(bitstr.CRC24.Checksum(covered), CRCBits)
-		return s, nil
+		crc := f.CState.FeedFull(bitstr.CRC24.Begin().Bits(s, 0, s.Len()))
+		s.AppendUint(crc.Sum(), CRCBits)
 
 	case KindI:
-		if f.Data != nil && f.Data.Len() > 0 {
-			return nil, ErrDataOnIFrame
-		}
-		s := bitstr.New(MinIFrameBits)
 		s.AppendUint(1, 1) // explicit C-state
 		s.AppendUint(uint64(f.ModeChangeRequest), 3)
 		f.CState.AppendCompact(s)
 		bitstr.CRC24.AppendChecksum(s)
-		return s, nil
 
 	case KindX:
-		if f.dataLen() > MaxDataBits {
-			return nil, ErrDataTooLong
-		}
-		s := bitstr.New(f.EncodedBits())
 		s.AppendUint(1, 1)
 		s.AppendUint(uint64(f.ModeChangeRequest), 3)
 		f.CState.AppendFull(s)
 		bitstr.CRC24.AppendChecksum(s) // header CRC over header + C-state
+		crc := bitstr.CRC24.Begin()
 		if f.Data != nil {
 			s.Append(f.Data)
+			crc = crc.Bits(f.Data, 0, f.Data.Len())
 		}
 		// Data CRC covers the data and, implicitly, the C-state again.
-		covered := bitstr.New(f.dataLen() + cstate.FullBits)
-		if f.Data != nil {
-			covered.Append(f.Data)
-		}
-		f.CState.AppendFull(covered)
-		s.AppendUint(bitstr.CRC24.Checksum(covered), DataCRCBits)
+		s.AppendUint(f.CState.FeedFull(crc).Sum(), DataCRCBits)
 		s.AppendUint(0, XFramePadBits)
-		return s, nil
-
-	default:
-		return nil, fmt.Errorf("%w: %d", ErrUnknownKind, uint8(f.Kind))
 	}
 }

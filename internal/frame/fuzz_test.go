@@ -123,6 +123,37 @@ func sameDecoded(a, b Frame) bool {
 	return a.Data == nil || a.Data.Equal(b.Data)
 }
 
+// sameResult reports whether two judgements agree in status and frame.
+func sameResult(a, b DecodeResult) bool {
+	return a.Status == b.Status && sameDecoded(a.Frame, b.Frame)
+}
+
+// checkCached fails unless every judgement and the integration decode
+// from w's cached parse equal the uncached ones on a fresh copy of want,
+// the bits w should carry. Each kind is judged under every C-state in
+// turn, so later receivers are judged from the parse the first one made.
+func checkCached(t *testing.T, what string, w *Wire, want *bitstr.String, rxs ...cstate.CState) {
+	t.Helper()
+	if w.Len() != want.Len() {
+		t.Fatalf("%s: wire has %d bits, want %d", what, w.Len(), want.Len())
+	}
+	for _, k := range []Kind{KindColdStart, KindN, KindI, KindX, Kind(0), Kind(9)} {
+		for _, rx := range rxs {
+			if got, fresh := w.Decode(k, rx), Decode(k, want.Clone(), rx); !sameResult(got, fresh) {
+				t.Fatalf("%s: cached %v judgement under %v: %v %+v, fresh copy: %v %+v", what, k, rx, got.Status, got.Frame, fresh.Status, fresh.Frame)
+			}
+		}
+	}
+	got, ok := w.Integration()
+	fresh, freshOK := DecodeForIntegration(want.Clone())
+	if ok != freshOK || !sameDecoded(got, fresh) {
+		t.Fatalf("%s: cached integration %v %+v, fresh copy %v %+v", what, ok, got, freshOK, fresh)
+	}
+	if w.LooksLikeFrame() != LooksLikeFrame(want) {
+		t.Fatalf("%s: cached LooksLikeFrame differs", what)
+	}
+}
+
 // FuzzDecode checks the decoders on arbitrary bits and on frames built
 // from arbitrary fields:
 //   - Decode and DecodeForIntegration never panic;
@@ -130,7 +161,10 @@ func sameDecoded(a, b Frame) bool {
 //     (for DecodeForIntegration: exactly when it reports ok);
 //   - Encode followed by Decode returns the original frame for every kind,
 //     and DecodeForIntegration returns it for the kinds a listening node
-//     integrates on.
+//     integrates on;
+//   - on one Wire, the cached judgements under two receiver C-states, and
+//     again after a bit flip and after re-encoding another frame into the
+//     same wire, equal decodes of a fresh copy of the bits.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0xA5, 0x5A, 0xFF, 0x00, 0x13}, uint8(3), uint16(77), uint16(2), uint16(0), uint16(0), uint32(0b1011), uint8(2), uint8(5))
 	f.Add([]byte{}, uint8(0), uint16(0), uint16(0), uint16(0), uint16(0), uint32(0), uint8(0), uint8(0))
@@ -147,6 +181,19 @@ func FuzzDecode(f *testing.F) {
 		}
 		if fr, ok := DecodeForIntegration(bits); ok != (fr != Frame{}) {
 			t.Fatalf("DecodeForIntegration(%d bits): ok %v with frame %+v", bits.Len(), ok, fr)
+		}
+
+		// The cached parse, under the fuzzed C-state and a second one that
+		// differs in every field, then after a flip of one bit.
+		other := cstate.CState{GlobalTime: rs, RoundSlot: gt, ClusterMode: dmc, DMC: mode, Membership: ^cstate.Membership(mem)}
+		w := NewWire(bits.Clone())
+		checkCached(t, "arbitrary bits", w, bits, cs, other)
+		if bits.Len() > 0 {
+			i := (int(sender)<<8 | int(mcr)) % bits.Len()
+			w.Flip(i)
+			flipped := bits.Clone()
+			flipped.Flip(i)
+			checkCached(t, "after a flip", w, flipped, other, cs)
 		}
 
 		// Encode then decode: each kind built from only the fields it
@@ -180,6 +227,12 @@ func FuzzDecode(f *testing.F) {
 			if ok != orig.Kind.Explicit() || (ok && !sameDecoded(got, orig)) {
 				t.Fatalf("%v DecodeForIntegration: %v %+v, want %v %+v", orig.Kind, ok, got, orig.Kind.Explicit(), orig)
 			}
+			// A sender reusing its wire: EncodeTo replaces the bits and the
+			// parse, whatever the wire carried before.
+			if err := orig.EncodeTo(w); err != nil {
+				t.Fatalf("%v EncodeTo: %v", orig.Kind, err)
+			}
+			checkCached(t, orig.Kind.String()+" re-encoded", w, enc, orig.CState, other)
 		}
 	})
 }

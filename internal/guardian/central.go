@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"ttastar/internal/bitstr"
 	"ttastar/internal/channel"
 	"ttastar/internal/cstate"
 	"ttastar/internal/frame"
@@ -120,7 +119,7 @@ type Central struct {
 
 	fault    FaultMode
 	noiseEv  sim.Event
-	buffered *bufferedFrame
+	buffered bufferedFrame
 	stats    CentralStats
 
 	// Scheduler labels, built once, and the bound noise callback.
@@ -128,6 +127,9 @@ type Central struct {
 	noiseTick                             func()
 	// forwards holds idle forwarding records for reuse.
 	forwards []*forwarding
+	// ports are the input ports handed out so far, one per node: fault
+	// injectors ask for a port on every rogue transmission.
+	ports []*inputPort
 }
 
 // forwarding is one transmission the coupler has accepted and will place
@@ -139,8 +141,12 @@ type forwarding struct {
 	fire func()
 }
 
+// bufferedFrame is the last frame a full-shifting coupler forwarded, kept
+// in the coupler's own reused storage: the sender rewrites its wire two
+// transmissions later, the coupler its copy only at the next forward.
 type bufferedFrame struct {
-	bits     *bitstr.String
+	ok       bool // a frame has been buffered
+	bits     frame.Wire
 	origin   cstate.NodeID
 	duration time.Duration
 }
@@ -218,7 +224,7 @@ func (g *Central) emitNoise() {
 	burst := 30 + g.rng.Intn(20)
 	g.out.Transmit(channel.Transmission{
 		Origin:   cstate.NoNode,
-		Bits:     channel.NoiseBits(g.rng, burst),
+		Bits:     frame.NewWire(channel.NoiseBits(g.rng, burst)),
 		Start:    g.sched.Now(),
 		Duration: g.cfg.Schedule.TransmissionTime(burst),
 		Strength: channel.NominalStrength,
@@ -240,18 +246,21 @@ func (g *Central) ReplayBuffered(delay time.Duration) error {
 	if !g.cfg.Authority.CanBufferFrames() {
 		return fmt.Errorf("%w: %v coupler", ErrFaultImpossible, g.cfg.Authority)
 	}
-	if g.buffered == nil {
+	b := &g.buffered
+	if !b.ok {
 		return ErrNoBufferedFrame
 	}
-	b := *g.buffered
+	// The replay sends the frame buffered now; later forwards overwrite
+	// the buffer before it fires.
+	bits, origin, duration := b.bits.Clone(), b.origin, b.duration
 	g.sched.After(delay, g.replayLabel, func() {
 		g.stats.Replays++
-		g.trace("out_of_slot: replaying %d-bit frame from %v", b.bits.Len(), b.origin)
+		g.trace("out_of_slot: replaying %d-bit frame from %v", bits.Len(), origin)
 		g.out.Transmit(channel.Transmission{
-			Origin:   b.origin,
-			Bits:     b.bits.Clone(),
+			Origin:   origin,
+			Bits:     bits,
 			Start:    g.sched.Now(),
-			Duration: b.duration,
+			Duration: duration,
 			Strength: channel.NominalStrength,
 		})
 	})
@@ -262,7 +271,14 @@ func (g *Central) ReplayBuffered(delay time.Duration) error {
 // physical identity of the attached node, which is what lets semantic
 // analysis catch masquerading.
 func (g *Central) InputPort(id cstate.NodeID) channel.Wire {
-	return &inputPort{g: g, attached: id}
+	for _, p := range g.ports {
+		if p.attached == id {
+			return p
+		}
+	}
+	p := &inputPort{g: g, attached: id}
+	g.ports = append(g.ports, p)
+	return p
 }
 
 type inputPort struct {
@@ -302,8 +318,11 @@ func (g *Central) handle(port cstate.NodeID, tx channel.Transmission) {
 	reshaped := false
 
 	bits := tx.Bits
-	slot, off, synced := g.tracker.SlotAt(tx.Start)
-	if synced {
+	// One reading of the tracker serves the window, semantic analysis and
+	// the phase evidence below.
+	ph := g.tracker.phaseAt(tx.Start)
+	if ph.ok {
+		slot, off := ph.slot, ph.offset
 		sl := g.cfg.Schedule.Slot(slot)
 		if sl.Owner != port {
 			g.stats.WrongSlot++
@@ -349,7 +368,7 @@ func (g *Central) handle(port cstate.NodeID, tx channel.Transmission) {
 		}
 	}
 
-	if g.cfg.SemanticAnalysis && !g.semanticCheck(port, tx) {
+	if g.cfg.SemanticAnalysis && !g.semanticCheck(port, tx.Bits, ph) {
 		return
 	}
 
@@ -385,20 +404,27 @@ func (g *Central) handle(port cstate.NodeID, tx channel.Transmission) {
 	}
 
 	if g.cfg.Authority.CanBufferFrames() {
-		g.buffered = &bufferedFrame{bits: bits.Clone(), origin: tx.Origin, duration: outDur}
+		b := &g.buffered
+		b.bits.CopyFrom(bits)
+		b.ok, b.origin, b.duration = true, tx.Origin, outDur
 	}
 
 	g.forward(tx.Origin, bits, outStart, outDur, outStrength, reshaped)
 	// Anchor on the input timing: the nodes' grid, free of our own
 	// forwarding latency (anchoring on the output would accumulate the
-	// latency on every re-anchor).
-	g.tracker.Observe(bits, tx.Start)
+	// latency on every re-anchor). The frame comes from the parse semantic
+	// analysis already made, unless the forward was cut and is a string
+	// of its own.
+	if f, slot := g.tracker.evidence(bits); slot != 0 {
+		g.tracker.observe(f, slot, ph)
+	}
 }
 
-// semanticCheck vets frame content the way [2]'s central guardian does.
-// It reports whether the frame may pass.
-func (g *Central) semanticCheck(port cstate.NodeID, tx channel.Transmission) bool {
-	f, ok := frame.DecodeForIntegration(tx.Bits)
+// semanticCheck vets frame content the way [2]'s central guardian does,
+// against the tracker's reading ph of the frame's start. It reports
+// whether the frame may pass.
+func (g *Central) semanticCheck(port cstate.NodeID, bits *frame.Wire, ph phase) bool {
+	f, ok := bits.Integration()
 	if !ok {
 		return true // not a frame the guardian interprets; timing rules apply
 	}
@@ -410,23 +436,24 @@ func (g *Central) semanticCheck(port cstate.NodeID, tx channel.Transmission) boo
 			return false
 		}
 	case frame.KindI:
-		if gt, ok := g.tracker.GlobalTimeAt(tx.Start); ok {
-			if diff := int16(f.CState.GlobalTime - gt); diff < -1 || diff > 1 {
-				g.stats.SemanticBlocked++
-				g.trace("semantic block: I-frame global time %d vs guardian view %d", f.CState.GlobalTime, gt)
-				return false
-			}
+		if !ph.ok {
+			break
 		}
-		if slot, _, ok := g.tracker.SlotAt(tx.Start); ok && int(f.CState.RoundSlot) != slot {
+		if diff := int16(f.CState.GlobalTime - ph.gt); diff < -1 || diff > 1 {
 			g.stats.SemanticBlocked++
-			g.trace("semantic block: I-frame round slot %d in slot %d", f.CState.RoundSlot, slot)
+			g.trace("semantic block: I-frame global time %d vs guardian view %d", f.CState.GlobalTime, ph.gt)
+			return false
+		}
+		if int(f.CState.RoundSlot) != ph.slot {
+			g.stats.SemanticBlocked++
+			g.trace("semantic block: I-frame round slot %d in slot %d", f.CState.RoundSlot, ph.slot)
 			return false
 		}
 	}
 	return true
 }
 
-func (g *Central) forward(origin cstate.NodeID, bits *bitstr.String, start sim.Time, dur time.Duration, strength float64, reshaped bool) {
+func (g *Central) forward(origin cstate.NodeID, bits *frame.Wire, start sim.Time, dur time.Duration, strength float64, reshaped bool) {
 	if start < g.sched.Now() {
 		start = g.sched.Now()
 	}

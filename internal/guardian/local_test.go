@@ -176,7 +176,7 @@ func TestLocalIgnoresNoiseForPhase(t *testing.T) {
 	f.g.Receive(channel.Reception{
 		Channel: channel.ChannelA,
 		Transmission: channel.Transmission{
-			Bits: channel.NoiseBits(sim.NewRNG(1), 40), Start: 0,
+			Bits: frame.NewWire(channel.NoiseBits(sim.NewRNG(1), 40)), Start: 0,
 			Duration: 40 * time.Microsecond, Strength: channel.NominalStrength,
 		},
 	})

@@ -3,7 +3,6 @@ package guardian
 import (
 	"time"
 
-	"ttastar/internal/bitstr"
 	"ttastar/internal/clocksync"
 	"ttastar/internal/frame"
 	"ttastar/internal/medl"
@@ -51,13 +50,22 @@ func NewPhaseTracker(clock *sim.Clock, schedule *medl.Schedule, staleAfter time.
 // default, leaves it unbounded). Guardians set it to the cluster precision.
 func (p *PhaseTracker) SetMaxCorrection(d time.Duration) { p.maxCorrection = d }
 
-// Observe lets the tracker inspect a frame that started at start. Valid
-// cold-start and I-frames either anchor the phase (when unsynchronized) or
-// feed the tracker's clock-synchronization deviations.
-func (p *PhaseTracker) Observe(bits *bitstr.String, start sim.Time) {
-	f, ok := frame.DecodeForIntegration(bits)
+// Observe lets the tracker inspect the transmission w that started at
+// start. Valid cold-start and I-frames either anchor the phase (when
+// unsynchronized) or feed the tracker's clock-synchronization deviations.
+func (p *PhaseTracker) Observe(w *frame.Wire, start sim.Time) {
+	if f, slot := p.evidence(w); slot != 0 {
+		p.observe(f, slot, p.phaseAt(start))
+	}
+}
+
+// evidence returns the frame on w and the slot it claims to be sent in
+// when it is phase evidence: a cold-start or I-frame with an intact CRC
+// claiming a slot of the schedule. The slot is 0 for anything else.
+func (p *PhaseTracker) evidence(w *frame.Wire) (frame.Frame, int) {
+	f, ok := w.Integration()
 	if !ok {
-		return
+		return f, 0
 	}
 	var slot int
 	switch f.Kind {
@@ -65,17 +73,19 @@ func (p *PhaseTracker) Observe(bits *bitstr.String, start sim.Time) {
 		slot = int(f.Sender)
 	case frame.KindI:
 		slot = int(f.CState.RoundSlot)
-	default:
-		return
 	}
 	if slot < 1 || slot > p.schedule.NumSlots() {
-		return
+		return f, 0
 	}
-	l := p.clock.At(start)
-	newAnchor := l - sim.LocalTime(p.schedule.Slot(slot).ActionOffset)
+	return f, slot
+}
 
-	if !p.Synced(start) {
-		p.anchorLocal = newAnchor
+// observe takes frame f, claiming slot, as phase evidence; ph is the
+// tracker's reading of the frame's start.
+func (p *PhaseTracker) observe(f frame.Frame, slot int, ph phase) {
+	l := ph.local
+	if !ph.synced {
+		p.anchorLocal = l - sim.LocalTime(p.schedule.Slot(slot).ActionOffset)
 		p.anchorSlot = slot
 		p.anchorTime = f.CState.GlobalTime
 		p.lastSeen = l
@@ -86,7 +96,7 @@ func (p *PhaseTracker) Observe(bits *bitstr.String, start sim.Time) {
 	}
 
 	round := p.schedule.RoundDuration()
-	dev := p.anchorDeviation(newAnchor, slot)
+	dev := p.deviation(ph, slot)
 	if dev.Abs() > round/4 {
 		return // implausible as phase evidence; ignore entirely
 	}
@@ -143,57 +153,81 @@ func (p *PhaseTracker) Synced(at sim.Time) bool {
 	return time.Duration(p.clock.At(at)-p.lastSeen) <= p.staleAfter
 }
 
+// phase is the tracker's reading of one instant.
+type phase struct {
+	local  sim.LocalTime // the instant on the guardian's clock
+	synced bool          // the tracker has a usable phase at the instant
+	// ok is set when the tracker is synced and the instant is not before
+	// the anchor: gt is then the global time at the instant. Whenever the
+	// tracker is synced, slot is the slot in progress at the instant (the
+	// grid runs periodically both ways from the anchor) and offset the
+	// time into it.
+	ok     bool
+	slot   int
+	offset time.Duration
+	gt     uint16
+}
+
+// phaseAt reads the instant at by free-running the guardian clock from the
+// anchor: one walk over the slots of at most one round gives the slot, the
+// offset into it and the global time.
+func (p *PhaseTracker) phaseAt(at sim.Time) phase {
+	ph := phase{local: p.clock.At(at)}
+	ph.synced = p.synced && time.Duration(ph.local-p.lastSeen) <= p.staleAfter
+	if !ph.synced {
+		return ph
+	}
+	elapsed := time.Duration(ph.local - p.anchorLocal)
+	round := p.schedule.RoundDuration()
+	ph.ok = elapsed >= 0
+	into := elapsed % round
+	if into < 0 {
+		into += round
+	}
+	slots := p.schedule.Slots
+	gt := p.anchorTime + uint16(int64(len(slots))*int64(elapsed/round))
+	slot := p.anchorSlot
+	for into >= slots[slot-1].Duration {
+		into -= slots[slot-1].Duration
+		slot = p.schedule.NextSlot(slot)
+		gt++
+	}
+	ph.slot, ph.offset, ph.gt = slot, into, gt
+	return ph
+}
+
 // SlotAt returns the TDMA slot in progress at instant at and the offset
 // into it, by free-running the guardian clock from the anchor.
 func (p *PhaseTracker) SlotAt(at sim.Time) (slot int, offset time.Duration, ok bool) {
-	if !p.Synced(at) {
+	ph := p.phaseAt(at)
+	if !ph.ok {
 		return 0, 0, false
 	}
-	elapsed := time.Duration(p.clock.At(at) - p.anchorLocal)
-	if elapsed < 0 {
-		return 0, 0, false
-	}
-	round := p.schedule.RoundDuration()
-	elapsed %= round
-	slot = p.anchorSlot
-	for elapsed >= p.schedule.Slot(slot).Duration {
-		elapsed -= p.schedule.Slot(slot).Duration
-		slot = p.schedule.NextSlot(slot)
-	}
-	return slot, elapsed, true
+	return ph.slot, ph.offset, true
 }
 
 // GlobalTimeAt returns the tracker's estimate of the cluster global time at
 // instant at (slots elapsed since the anchor).
 func (p *PhaseTracker) GlobalTimeAt(at sim.Time) (uint16, bool) {
-	if !p.Synced(at) {
+	ph := p.phaseAt(at)
+	if !ph.ok {
 		return 0, false
 	}
-	elapsed := time.Duration(p.clock.At(at) - p.anchorLocal)
-	if elapsed < 0 {
-		return 0, false
-	}
-	gt := p.anchorTime
-	slot := p.anchorSlot
-	for elapsed >= p.schedule.Slot(slot).Duration {
-		elapsed -= p.schedule.Slot(slot).Duration
-		slot = p.schedule.NextSlot(slot)
-		gt++
-	}
-	return gt, true
+	return ph.gt, true
 }
 
-// anchorDeviation returns how far newAnchor (a claimed start of the given
-// slot) deviates from the current phase prediction, normalized to
-// (−round/2, round/2].
-func (p *PhaseTracker) anchorDeviation(newAnchor sim.LocalTime, slot int) time.Duration {
-	offset := time.Duration(0)
-	for s := p.anchorSlot; s != slot; s = p.schedule.NextSlot(s) {
-		offset += p.schedule.Slot(s).Duration
+// deviation returns how far a frame claiming slot, whose start the
+// tracker read as ph, deviates from the slot's predicted action time,
+// normalized to (−round/2, round/2]. The prediction is periodic, so the
+// distance between the slot in progress and the claimed one is their
+// start offsets' difference within the round.
+func (p *PhaseTracker) deviation(ph phase, slot int) time.Duration {
+	diff := ph.offset - p.schedule.Slot(slot).ActionOffset
+	if slot != ph.slot {
+		diff += p.schedule.SlotStart(ph.slot) - p.schedule.SlotStart(slot)
 	}
-	predicted := p.anchorLocal + sim.LocalTime(offset)
 	round := p.schedule.RoundDuration()
-	diff := time.Duration(newAnchor-predicted) % round
+	diff %= round
 	if diff > round/2 {
 		diff -= round
 	}

@@ -11,13 +11,13 @@ import (
 	"ttastar/internal/sim"
 )
 
-func encodeFrame(t *testing.T, f frame.Frame) *bitstr.String {
+func encodeFrame(t *testing.T, f frame.Frame) *frame.Wire {
 	t.Helper()
 	bits, err := f.Encode()
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	return bits
+	return frame.NewWire(bits)
 }
 
 func trackerFixture(t *testing.T) (*sim.Scheduler, *medl.Schedule, *PhaseTracker) {
@@ -103,7 +103,7 @@ func TestTrackerGoesStale(t *testing.T) {
 
 func TestTrackerIgnoresGarbage(t *testing.T) {
 	_, _, tr := trackerFixture(t)
-	tr.Observe(bitstr.FromBits(true, false, true), 0)
+	tr.Observe(frame.NewWire(bitstr.FromBits(true, false, true)), 0)
 	if tr.Synced(0) {
 		t.Error("tracker synced on noise")
 	}
@@ -136,5 +136,68 @@ func TestTrackerBeforeAnchorNotOK(t *testing.T) {
 	tr.Observe(encodeFrame(t, frame.NewColdStart(1, 0)), sim.Time(time.Millisecond))
 	if _, _, ok := tr.SlotAt(0); ok {
 		t.Error("SlotAt before the anchor reported ok")
+	}
+}
+
+// TestPhaseReadingMatchesWalks holds the tracker's one-walk reading to
+// the three walks it replaces — the slot walk of the elapsed time modulo
+// a round, the global-time walk of the whole elapsed time, and the
+// deviation walk from the anchor slot to the claimed one — on a schedule
+// with unequal slots, at instants before and after the anchor, including
+// ones before it where only the deviation is defined.
+func TestPhaseReadingMatchesWalks(t *testing.T) {
+	sched := sim.NewScheduler()
+	s := medl.Default4Node()
+	s.Slots[1].Duration += 7 * time.Microsecond
+	s.Slots[3].Duration += 3 * time.Microsecond
+	tr := NewPhaseTracker(sim.NewClock(sched, 0), s, 100*s.RoundDuration())
+	round := s.RoundDuration()
+	rng := sim.NewRNG(5)
+	for i := 0; i < 5000; i++ {
+		tr.synced = true
+		tr.anchorSlot = 1 + rng.Intn(s.NumSlots())
+		tr.anchorTime = uint16(rng.Uint64())
+		tr.anchorLocal = sim.LocalTime(3*round) + sim.LocalTime(rng.Range(0, int64(round)))
+		tr.lastSeen = tr.anchorLocal
+		at := sim.Time(rng.Range(int64(2*round), int64(7*round)))
+		elapsed := time.Duration(tr.clock.At(at) - tr.anchorLocal)
+
+		ph := tr.phaseAt(at)
+		if ph.ok != (elapsed >= 0) || !ph.synced {
+			t.Fatalf("elapsed %v: reading ok %v synced %v", elapsed, ph.ok, ph.synced)
+		}
+		if elapsed >= 0 {
+			slot, rest := tr.anchorSlot, elapsed%round
+			for rest >= s.Slot(slot).Duration {
+				rest -= s.Slot(slot).Duration
+				slot = s.NextSlot(slot)
+			}
+			gt, all, walk := tr.anchorTime, elapsed, tr.anchorSlot
+			for all >= s.Slot(walk).Duration {
+				all -= s.Slot(walk).Duration
+				walk = s.NextSlot(walk)
+				gt++
+			}
+			if ph.slot != slot || ph.offset != rest || ph.gt != gt {
+				t.Fatalf("elapsed %v: reading slot %d +%v gt %d, walks give slot %d +%v gt %d", elapsed, ph.slot, ph.offset, ph.gt, slot, rest, gt)
+			}
+		}
+
+		claimed := 1 + rng.Intn(s.NumSlots())
+		newAnchor := tr.clock.At(at) - sim.LocalTime(s.Slot(claimed).ActionOffset)
+		var offset time.Duration
+		for sl := tr.anchorSlot; sl != claimed; sl = s.NextSlot(sl) {
+			offset += s.Slot(sl).Duration
+		}
+		want := time.Duration(newAnchor-tr.anchorLocal-sim.LocalTime(offset)) % round
+		if want > round/2 {
+			want -= round
+		}
+		if want <= -round/2 {
+			want += round
+		}
+		if got := tr.deviation(ph, claimed); got != want {
+			t.Fatalf("elapsed %v, slot %d claimed: deviation %v, walk gives %v", elapsed, claimed, got, want)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ttastar/internal/channel"
+	"ttastar/internal/frame"
 	"ttastar/internal/sim"
 )
 
@@ -22,7 +23,7 @@ func TestCarrierSenseDefersColdStart(t *testing.T) {
 	expiry := tc.medl.Slot(1).Duration + tc.medl.StartupTimeout(1)
 
 	// Arrange a foreign transmission that is on the wire exactly then.
-	bits := channel.NoiseBits(sim.NewRNG(1), 40)
+	bits := frame.NewWire(channel.NoiseBits(sim.NewRNG(1), 40))
 	txStart := sim.Time(expiry - 20*time.Microsecond)
 	tc.sched.At(txStart, "inflight", func() {
 		tc.media[0].Transmit(channel.Transmission{
@@ -72,7 +73,7 @@ func TestOwnSlotContentionBacksOff(t *testing.T) {
 		tc.sched.At(at, "contention", func() {
 			tc.media[0].Transmit(channel.Transmission{
 				Origin:   2,
-				Bits:     channel.NoiseBits(sim.NewRNG(7), 60),
+				Bits:     frame.NewWire(channel.NoiseBits(sim.NewRNG(7), 60)),
 				Start:    tc.sched.Now(),
 				Duration: 60 * time.Microsecond,
 				Strength: channel.NominalStrength,

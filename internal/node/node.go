@@ -49,9 +49,13 @@ type Node struct {
 	skipJudge      bool // current slot already consumed by integration
 
 	// txFrame is the frame the pending tx event sends; txBits is its
-	// encoding.
+	// encoding, one of the node's two wires. The node encodes into them in
+	// turn, so a wire is rewritten only two transmissions after it was
+	// sent, long after every receiver judged it.
 	txFrame frame.Frame
-	txBits  *bitstr.String
+	txBits  *frame.Wire
+	txWires [2]frame.Wire
+	txNext  int
 
 	rxs       [channel.NumChannels][]channel.Reception
 	busyUntil [channel.NumChannels]sim.Time

@@ -63,9 +63,9 @@ func (n *Node) listenReceive(rx channel.Reception) {
 	if rx.Collided || rx.Strength < n.cfg.StrengthThreshold {
 		return // noise; does not reset the timeout
 	}
-	f, ok := frame.DecodeForIntegration(rx.Bits)
+	f, ok := rx.Bits.Integration()
 	if !ok {
-		if frame.LooksLikeFrame(rx.Bits) {
+		if rx.Bits.LooksLikeFrame() {
 			// Traffic exists (e.g. N-frames we cannot verify): keep
 			// listening rather than cold-starting into a running cluster.
 			n.restartListenTimeout()
@@ -365,11 +365,11 @@ func (n *Node) judgeChannel(ch channel.ID, slot int) (frame.Status, frame.Frame)
 	expectedCS := n.cs
 	expectedCS.RoundSlot = uint16(slot)
 	expectedCS.Membership = expectedCS.Membership.With(sl.Owner)
-	res := frame.Decode(sl.Kind, rx.Bits, expectedCS)
+	res := rx.Bits.Decode(sl.Kind, expectedCS)
 	if res.Status == frame.StatusInvalid {
 		// Not the scheduled layout; a well-formed cold-start frame in a
 		// scheduled slot is a valid frame with unexpected content.
-		if cs := frame.Decode(frame.KindColdStart, rx.Bits, expectedCS); cs.Status == frame.StatusCorrect {
+		if cs := rx.Bits.Decode(frame.KindColdStart, expectedCS); cs.Status == frame.StatusCorrect {
 			return frame.StatusIncorrect, cs.Frame
 		}
 		return frame.StatusInvalid, frame.Frame{}
@@ -427,14 +427,14 @@ func (n *Node) payload(bits int) *bitstr.String {
 	return s
 }
 
-// transmitAtAction encodes txFrame and schedules its transmission at the
-// current slot's action time.
+// transmitAtAction encodes txFrame into the node's next wire and schedules
+// its transmission at the current slot's action time.
 func (n *Node) transmitAtAction() {
-	bits, err := n.txFrame.Encode()
-	if err != nil {
+	w := &n.txWires[n.txNext]
+	if err := n.txFrame.EncodeTo(w); err != nil {
 		panic(fmt.Sprintf("node %v: encoding scheduled frame: %v", n.cfg.ID, err))
 	}
-	n.txBits = bits
+	n.txBits, n.txNext = w, 1-n.txNext
 	action := n.slotStartLocal + sim.LocalTime(n.cfg.Schedule.Slot(n.ownSlot).ActionOffset)
 	n.txTimer = n.scheduleAtLocal(action, n.labels.tx, n.bound.tx)
 }
