@@ -98,6 +98,7 @@ type Medium struct {
 	id        ID
 	name      string
 	receivers []Receiver
+	sensers   []CarrierSenser // the receivers that carrier-sense, resolved in Attach
 	active    []*pendingTx
 	free      []*pendingTx
 	count     uint64
@@ -126,8 +127,14 @@ func NewMedium(sched *sim.Scheduler, id ID, name string) *Medium {
 		carrierLabel: name + " carrier", deliveryLabel: name + " delivery"}
 }
 
-// Attach subscribes r to all future deliveries.
-func (m *Medium) Attach(r Receiver) { m.receivers = append(m.receivers, r) }
+// Attach subscribes r to all future deliveries, and to carrier-sense
+// notifications when r is a CarrierSenser.
+func (m *Medium) Attach(r Receiver) {
+	m.receivers = append(m.receivers, r)
+	if cs, ok := r.(CarrierSenser); ok {
+		m.sensers = append(m.sensers, cs)
+	}
+}
 
 // Transmit places tx on the wire. Transmissions must not start in the past.
 func (m *Medium) Transmit(tx Transmission) {
@@ -165,10 +172,8 @@ func (m *Medium) pending(tx Transmission) *pendingTx {
 // carrier tells carrier-sensing receivers the wire is busy until the
 // transmission ends. It fires at the start, always before the delivery.
 func (p *pendingTx) carrier() {
-	for _, r := range p.m.receivers {
-		if cs, ok := r.(CarrierSenser); ok {
-			cs.CarrierSense(p.m.id, p.tx.End())
-		}
+	for _, cs := range p.m.sensers {
+		cs.CarrierSense(p.m.id, p.tx.End())
 	}
 }
 

@@ -125,9 +125,18 @@ func (s *Schedule) NumSlots() int { return len(s.Slots) }
 // is always a caller bug.
 func (s *Schedule) Slot(num int) Slot {
 	if num < 1 || num > len(s.Slots) {
-		panic(fmt.Sprintf("medl: slot %d out of range [1,%d]", num, len(s.Slots)))
+		slotOutOfRange(num, len(s.Slots))
 	}
 	return s.Slots[num-1]
+}
+
+// slotOutOfRange panics for Slot. Kept out of line so Slot stays within
+// the inliner's budget: it runs several times per slot in every node and
+// coupler.
+//
+//go:noinline
+func slotOutOfRange(num, n int) {
+	panic(fmt.Sprintf("medl: slot %d out of range [1,%d]", num, n))
 }
 
 // NextSlot returns the slot number after num, wrapping to 1 at the end of

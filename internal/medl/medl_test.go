@@ -3,6 +3,7 @@ package medl
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -44,8 +45,11 @@ func TestSlotPanicsOutOfRange(t *testing.T) {
 		n := n
 		func() {
 			defer func() {
-				if recover() == nil {
+				r := recover()
+				if r == nil {
 					t.Errorf("Slot(%d) did not panic", n)
+				} else if want := fmt.Sprintf("medl: slot %d out of range [1,4]", n); r != want {
+					t.Errorf("Slot(%d) panicked with %v, want %q", n, r, want)
 				}
 			}()
 			s.Slot(n)

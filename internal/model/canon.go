@@ -143,6 +143,13 @@ func (k ffKey) store(enc []byte) {
 	copy(enc, p[:])
 }
 
+// storeAll writes all candBytes bytes of the key into enc.
+func (k ffKey) storeAll(enc []byte) {
+	binary.BigEndian.PutUint64(enc[0:8], k[0])
+	binary.BigEndian.PutUint64(enc[8:16], k[1])
+	binary.BigEndian.PutUint64(enc[16:24], k[2])
+}
+
 // less orders keys as bytes.Compare orders their encodings.
 func (k ffKey) less(o ffKey) bool {
 	if k[0] != o[0] {
@@ -258,25 +265,31 @@ func (e *Expander) memoize(rep ffKey, dist int) {
 }
 
 // record reads node i's 20-bit record word out of the key.
-func (k *ffKey) record(i int) uint32 {
-	pos := bitsPerNode * i
-	sh := 64 - pos&63 - bitsPerNode
+func (k *ffKey) record(i int) uint32 { return k.field(bitsPerNode*i, bitsPerNode) }
+
+// field reads the width-bit field (width <= 32) that starts pos bits
+// into the key.
+func (k *ffKey) field(pos, width int) uint32 {
+	sh := 64 - pos&63 - width
 	var w uint64
 	if sh >= 0 {
 		w = k[pos>>6] >> sh
-	} else { // the record straddles two words
+	} else { // the field straddles two words
 		w = k[pos>>6]<<-sh | k[pos>>6+1]>>(64+sh)
 	}
-	return uint32(w) & (1<<bitsPerNode - 1)
+	return uint32(w) & (1<<width - 1)
 }
 
 // orRecord ors w into node i's record, which must be zero.
-func (k *ffKey) orRecord(i int, w uint32) {
-	pos := bitsPerNode * i
-	sh := 64 - pos&63 - bitsPerNode
+func (k *ffKey) orRecord(i int, w uint32) { k.orField(bitsPerNode*i, bitsPerNode, w) }
+
+// orField ors w into the width-bit field (width <= 32) that starts pos
+// bits into the key, which must be zero.
+func (k *ffKey) orField(pos, width int, w uint32) {
+	sh := 64 - pos&63 - width
 	if sh >= 0 {
 		k[pos>>6] |= uint64(w) << sh
-	} else { // the record straddles two words
+	} else { // the field straddles two words
 		k[pos>>6] |= uint64(w) >> -sh
 		k[pos>>6+1] |= uint64(w) << (64 + sh)
 	}

@@ -12,13 +12,19 @@ import (
 )
 
 // FuzzExpander checks the packed codec and the expander on 3–5 node
-// small-shifting and passive clusters, with the big-bang rule on and off.
-// The fuzzed bytes are read twice:
+// small-shifting and passive clusters, with the big-bang rule on and off,
+// and on 4-node full-shifting clusters with 2 and 3 couplers. The fuzzed
+// bytes are read twice:
 //
 //   - as an encoding (cut or zero-padded to the model's width):
 //     decoding it and encoding the result gives the input back, up to
 //     the zero padding past the last field, and decoding that again
-//     gives the same state — decode∘encode is the identity;
+//     gives the same state — decode∘encode is the identity. Expanding
+//     it, through the rig's reduced and oracle expanders, gives what
+//     referenceSuccessors gives: the tables key on raw record words and
+//     tail bits, so out-of-range fields (phase 0 or 10–15, slot 0 or
+//     past the cluster, unknown frame kinds in the coupler buffers) must
+//     take the direct path's answer too;
 //   - as a walk: from the initial state, each byte picks one successor
 //     to step to. Along the walk every successor Expander.Successors
 //     returns re-encodes to itself, and Canonicalize is idempotent on
@@ -27,20 +33,28 @@ import (
 // Seeds are the configurations' initial states.
 func FuzzExpander(f *testing.F) {
 	type rig struct {
-		m   *Model
-		exp mc.CanonicalExpander
+		m           *Model
+		exp         mc.CanonicalExpander
+		oracle, ref *Expander
 	}
-	var rigs []rig
+	var cfgs []Config
 	for _, a := range []guardian.Authority{guardian.AuthorityPassive, guardian.AuthoritySmallShift} {
 		for _, nobb := range []bool{false, true} {
 			for n := 3; n <= 5; n++ {
-				m, err := New(Config{Nodes: n, Authority: a, DisableBigBang: nobb})
-				if err != nil {
-					f.Fatal(err)
-				}
-				rigs = append(rigs, rig{m, m.NewReducedExpander()})
+				cfgs = append(cfgs, Config{Nodes: n, Authority: a, DisableBigBang: nobb})
 			}
 		}
+	}
+	cfgs = append(cfgs,
+		Config{Authority: guardian.AuthorityFullShift, MaxOutOfSlot: 2},
+		Config{Authority: guardian.AuthorityFullShift, Couplers: 3, NoColdStartReplay: true})
+	var rigs []rig
+	for _, cfg := range cfgs {
+		m, err := New(cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		rigs = append(rigs, rig{m, m.NewReducedExpander(), m.newExpander(), m.newExpander()})
 	}
 	for i, r := range rigs {
 		f.Add(uint8(i), []byte(r.m.Initial()[0]))
@@ -52,7 +66,7 @@ func FuzzExpander(f *testing.F) {
 		r := rigs[int(pick)%len(rigs)]
 		m := r.m
 		name := func() string {
-			return fmt.Sprintf("%d nodes, %v, nobigbang=%v", m.cfg.Nodes, m.cfg.Authority, m.cfg.DisableBigBang)
+			return fmt.Sprintf("%d nodes, %d couplers, %v, nobigbang=%v", m.cfg.Nodes, m.cfg.Couplers, m.cfg.Authority, m.cfg.DisableBigBang)
 		}
 
 		size := binarySize(m.cfg.Nodes, m.cfg.Couplers)
@@ -71,6 +85,18 @@ func FuzzExpander(f *testing.F) {
 		}
 		if again := m.DecodeBinary(mc.State(re)); !reflect.DeepEqual(again, s) {
 			t.Fatalf("%s: decode(encode(%+v)) = %+v", name(), s, again)
+		}
+		for _, e := range []*Expander{r.exp.(*Expander), r.oracle} {
+			got := e.Successors(enc)
+			want := referenceSuccessors(m, r.ref, enc, e.reduce)
+			if len(got) != len(want) {
+				t.Fatalf("%s reduce=%v: %x has %d successors, reference %d", name(), e.reduce, enc, len(got), len(want))
+			}
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("%s reduce=%v: %x successor %d is %x, reference %x", name(), e.reduce, enc, i, got[i], want[i])
+				}
+			}
 		}
 
 		cur := []byte(m.Initial()[0])

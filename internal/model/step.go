@@ -49,19 +49,29 @@ func (m *Model) Explain(from, to mc.State) (StepInfo, bool) {
 }
 
 // nominalContent computes the fault-free channel content for this slot —
-// the frame each sending node puts on both channels (§4.3's frame_sent):
-// cold-starting nodes send cold-start frames, active nodes send frames
-// with explicit C-state — and whether any real sender transmitted.
+// the frame each sending node puts on both channels (§4.3's frame_sent) —
+// and whether any real sender transmitted; see nominalFromWords.
 func (m *Model) nominalContent(s *State) (Content, bool) {
+	var words [maxNodes]uint32
+	for i := range s.Nodes {
+		words[i] = nodeWord(&s.Nodes[i])
+	}
+	return m.nominalFromWords(words[:len(s.Nodes)])
+}
+
+// nominalFromWords is nominalContent over node record words, the form
+// the Expander reads straight out of a packed encoding: cold-starting
+// nodes send cold-start frames and active nodes frames with explicit
+// C-state ("other" frames in data slots), each only in its own slot.
+func (m *Model) nominalFromWords(words []uint32) (Content, bool) {
 	var first Content
 	senders := 0
-	for i := range s.Nodes {
-		n := &s.Nodes[i]
+	for i, w := range words {
 		own := uint8(i + 1)
-		if n.Slot != own {
+		if uint8(w&recSlot>>shSlot) != own {
 			continue
 		}
-		switch n.Phase {
+		switch Phase(w >> shPhase) {
 		case PhaseColdStart:
 			if senders == 0 {
 				first = Content{Kind: FrameColdStart, ID: own}
