@@ -3,12 +3,92 @@ package main
 import (
 	"errors"
 	"flag"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
+	"ttastar/internal/dist"
+	"ttastar/internal/guardian"
 	"ttastar/internal/mc"
+	"ttastar/internal/model"
 )
+
+// TestMain lets the test binary serve as its own dist worker:
+// -dist-workers re-executes the running binary with -dist-worker.
+func TestMain(m *testing.M) {
+	if len(os.Args) == 2 && os.Args[1] == "-dist-worker" {
+		if err := run(os.Args[1:]); err != nil {
+			fmt.Fprintln(os.Stderr, "ttamc:", err)
+			os.Exit(1)
+		}
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// captureStdout returns what f prints to os.Stdout.
+func captureStdout(t *testing.T, f func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	err = f()
+	os.Stdout = stdout
+	w.Close()
+	s := <-out
+	r.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestDistLongTMPDIR: the dist worker mesh does not depend on TMPDIR.
+// Under a TMPDIR longer than a Unix socket path may be (107 bytes), a
+// pipe-launcher check equals the engine's result and the -dist-workers
+// subprocess path prints what -parallel prints.
+func TestDistLongTMPDIR(t *testing.T) {
+	tmp := filepath.Join(t.TempDir(), strings.Repeat("t", 120))
+	if err := os.Mkdir(tmp, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv("TMPDIR", tmp)
+
+	m, err := model.New(model.Config{Nodes: 3, Authority: guardian.AuthoritySmallShift})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := mc.CheckTransitionInvariantBytes(m, m.PropertyBytes(), mc.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := &dist.Checker{Opts: dist.Options{Workers: 2, Launcher: dist.NewPipeLauncher()}}
+	got, err := mc.CheckTransitionInvariantBytes(m, m.PropertyBytes(), mc.Options{Dist: ck})
+	if err != nil {
+		t.Fatalf("pipe workers: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("pipe workers: %+v, engine %+v", got, want)
+	}
+
+	sp := captureStdout(t, func() error { return run([]string{"-nodes", "3", "-parallel", "2"}) })
+	d2 := captureStdout(t, func() error { return run([]string{"-nodes", "3", "-dist-workers", "2"}) })
+	if sp == "" || d2 != sp {
+		t.Fatalf("-dist-workers 2 printed\n%s\n-parallel 2 printed\n%s", d2, sp)
+	}
+}
 
 func TestRunMatrix(t *testing.T) {
 	if err := run([]string{"-matrix"}); err != nil {

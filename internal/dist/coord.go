@@ -68,7 +68,9 @@ type Recovery struct {
 	// Worker is the index whose death the recovery answered.
 	Worker int
 	// SlotTransitions is the transition count of the redone level — the
-	// paid recovery cost, bounded by one level of the search.
+	// paid recovery cost, bounded by one level of the search. It is
+	// priced as soon as the redone level is collected, before its
+	// barrier closes.
 	SlotTransitions uint64
 }
 
@@ -80,10 +82,13 @@ type Report struct {
 	// check it).
 	Respawns  int
 	Takeovers int
-	// WorkTransitions is the sum of all worker processes' generated-
-	// transition counters; GeneratedTransitions is the logical total a
-	// crash-free run performs. Their difference, ReexpandedTransitions,
-	// is the work redone because of crashes.
+	// GeneratedTransitions is the logical total a crash-free run
+	// performs. ReexpandedTransitions, the work redone because of
+	// crashes, is the sum of the Recoveries' SlotTransitions: a restart
+	// redoes exactly one level, so the price is a function of the run
+	// and its kill plan, not of timing. WorkTransitions is their sum.
+	// What a retired generation expanded before it died is not counted;
+	// only a counter outside the fleet sees that.
 	WorkTransitions       uint64
 	GeneratedTransitions  uint64
 	ReexpandedTransitions uint64
@@ -211,11 +216,9 @@ type workerState struct {
 	// index wrote: the chain a restart restores (see lastAck).
 	acked []int32
 
-	// Latest cumulative counters of the current process — expansion
-	// from its last ExpandDone, wire traffic from its last LevelReport,
-	// both from its Bye; a retired generation's are folded into the
-	// Report.
-	expandedCur   uint64
+	// Latest cumulative wire counters of the current process — from its
+	// last LevelReport, then its Bye; a retired generation's are folded
+	// into the Report.
 	wireFramesCur uint64
 	wireBytesCur  uint64
 
@@ -266,7 +269,7 @@ type coordinator struct {
 	swifi      string // the script the next generation gets
 	snapDir    string
 	ownSnapDir bool
-	meshDir    string
+	meshName   string // names the run's socket mesh (mesh.go)
 	assign     [mc.NumShards]uint8
 	workers    []*workerState
 	events     chan event
@@ -296,7 +299,7 @@ type coordinator struct {
 	acc         [][]uint64             // per destination: per sender, declared mesh groups
 	sealSeq     uint32
 	next        uint64     // the claim-key base of the level after the current one
-	openRecs    []Recovery // priced when the current level's barrier closes
+	openRecs    []Recovery // priced once the current level is collected
 
 	totalGen uint64
 	done     chan struct{}
@@ -322,6 +325,10 @@ func newCoordinator(ck *Checker, m mc.Model, sm SpeccedModel, stInv mc.StateInva
 	if _, err := parseSwifi(o.Swifi); err != nil {
 		return nil, err
 	}
+	meshName, err := newMeshName()
+	if err != nil {
+		return nil, err
+	}
 	name, payload := sm.DistSpec()
 	c := &coordinator{
 		ck:          ck,
@@ -335,6 +342,7 @@ func newCoordinator(ck *Checker, m mc.Model, sm SpeccedModel, stInv mc.StateInva
 		launcher:    o.Launcher,
 		swifi:       o.Swifi,
 		snapDir:     o.SnapshotDir,
+		meshName:    meshName,
 		events:      make(chan event, 256),
 		slots:       map[int][]uint32{},
 		pending:     map[uint32]pendingExpand{},
@@ -362,18 +370,18 @@ func (c *coordinator) logf(format string, args ...any) {
 func (c *coordinator) report() Report {
 	rep := c.rep
 	for _, w := range c.workers {
-		rep.WorkTransitions += w.expandedCur
 		rep.Frames += w.wireFramesCur
 		rep.BytesOnWire += w.wireBytesCur
 	}
 	rep.GeneratedTransitions = c.totalGen
-	if rep.WorkTransitions > c.totalGen {
-		rep.ReexpandedTransitions = rep.WorkTransitions - c.totalGen
+	for _, rec := range rep.Recoveries {
+		rep.ReexpandedTransitions += rec.SlotTransitions
 	}
+	rep.WorkTransitions = rep.GeneratedTransitions + rep.ReexpandedTransitions
 	return rep
 }
 
-// start makes the run's directories and brings up the fleet.
+// start makes the run's snapshot directory and brings up the fleet.
 func (c *coordinator) start() error {
 	if c.snapDir == "" {
 		dir, err := os.MkdirTemp("", "ttamc-dist-*")
@@ -383,25 +391,14 @@ func (c *coordinator) start() error {
 		c.snapDir = dir
 		c.ownSnapDir = true
 	}
-	// The mesh rendezvous directory is always a fresh temp dir (not the
-	// snapshot dir, which callers may point at long paths — Unix socket
-	// addresses have a ~100-byte limit).
-	meshDir, err := os.MkdirTemp("", "ttamc-mesh-*")
-	if err != nil {
-		return fmt.Errorf("dist: mesh dir: %w", err)
-	}
-	c.meshDir = meshDir
 	return c.launchAll()
 }
 
-// Close tears the fleet and the run's directories down, then records
-// the run's Report on the Checker and its wire totals and last barrier
-// footprint in st.
+// Close tears the fleet and its own snapshot directory down, then
+// records the run's Report on the Checker and its wire totals and last
+// barrier footprint in st.
 func (c *coordinator) Close(st *mc.Stats) {
 	c.shutdown()
-	if c.meshDir != "" {
-		os.RemoveAll(c.meshDir)
-	}
 	if c.ownSnapDir {
 		os.RemoveAll(c.snapDir)
 	}
@@ -489,7 +486,7 @@ func (c *coordinator) startIncarnation(w *workerState) error {
 		MaxStates:   c.mopts.MaxStates,
 		Assign:      c.assign,
 		SnapshotDir: c.snapDir,
-		MeshDir:     c.meshDir,
+		MeshName:    c.meshName,
 		Restore:     w.acked,
 		Swifi:       c.swifi,
 		HeartbeatMs: int(c.o.HeartbeatInterval / time.Millisecond),
@@ -557,7 +554,7 @@ func (c *coordinator) sendTo(w *workerState, m encoder) {
 }
 
 // shutdown stops the fleet: Stop everyone, collect Byes briefly so the
-// work ledger gets final counters, then tear down transports.
+// wire totals are final, then tear down transports.
 func (c *coordinator) shutdown() {
 	for _, w := range c.workers {
 		if w.alive && w.conn != nil {
@@ -571,7 +568,6 @@ func (c *coordinator) shutdown() {
 			if ev.kind == evMsg && ev.typ == mtBye {
 				if w := c.eventWorker(ev); w != nil {
 					if bye, err := decodeBye(ev.payload); err == nil {
-						w.expandedCur = bye.Expanded
 						w.wireFramesCur = bye.WireFrames
 						w.wireBytesCur = bye.WireBytes
 					}

@@ -3,9 +3,10 @@ package dist
 // End-to-end tests of the distributed checker against the in-process
 // engine: the contract under test is byte-identical Results — verdict,
 // counts, depth, counterexample — for any worker count, with and without
-// injected worker crashes. Workers run as in-process goroutines over
-// net.Pipe (pipeLauncher), so the full protocol is exercised without
-// forking.
+// injected worker crashes. Workers run as in-process goroutines
+// (pipeLauncher) linked to the coordinator over net.Pipe and to each
+// other over the Unix-socket mesh that subprocess workers use, so the
+// full protocol is exercised without forking.
 
 import (
 	"bytes"
@@ -298,33 +299,29 @@ func TestDistKillRespawn(t *testing.T) {
 			}
 			requireIdentical(t, got, want)
 			// A kill fires when its worker receives that level's Expand:
-			// levels 1..levels are expanded, level 0 never is. A recovery
-			// is priced when its level's barrier closes, which the level
-			// holding the violation never does.
-			kills, priced := 0, 0
+			// levels 1..levels are expanded, level 0 never is. Every
+			// recovery is priced, the one at the level holding the
+			// violation too.
+			kills := 0
 			for _, l := range tc.levels {
 				if l >= 1 && l <= levels {
 					kills++
-					if want.Holds || l < levels {
-						priced++
-					}
 				}
 			}
 			if rep.Respawns != kills || rep.Takeovers != 0 {
 				t.Fatalf("report: %d respawns %d takeovers, want %d/0", rep.Respawns, rep.Takeovers, kills)
 			}
-			if len(rep.Recoveries) != priced {
-				t.Fatalf("recoveries: %d entries, want %d", len(rep.Recoveries), priced)
+			if len(rep.Recoveries) != kills {
+				t.Fatalf("recoveries: %d entries, want %d", len(rep.Recoveries), kills)
 			}
 			var budget uint64
 			for _, rec := range rep.Recoveries {
 				budget += rec.SlotTransitions
 			}
-			// The crash-recovery cost bound: work redone never exceeds the
-			// lost slots' transitions (the priced recovery budget).
-			if kills == priced && rep.ReexpandedTransitions > budget {
-				t.Fatalf("reexpanded %d transitions, over the %d priced by recoveries",
-					rep.ReexpandedTransitions, budget)
+			// The price of recovery is exactly the redone levels.
+			if rep.ReexpandedTransitions != budget || rep.WorkTransitions != rep.GeneratedTransitions+budget {
+				t.Fatalf("reexpanded %d, work %d, generated %d: want the %d priced by recoveries on top",
+					rep.ReexpandedTransitions, rep.WorkTransitions, rep.GeneratedTransitions, budget)
 			}
 			// On HOLDS the ledger's logical total equals the engine's
 			// count; a FAILS run truncates TransitionsExplored at the
@@ -334,6 +331,63 @@ func TestDistKillRespawn(t *testing.T) {
 			}
 			if !want.Holds && rep.GeneratedTransitions < uint64(want.TransitionsExplored) {
 				t.Fatalf("generated %d, below the engine's %d", rep.GeneratedTransitions, want.TransitionsExplored)
+			}
+		})
+	}
+}
+
+// TestDistRecoveryLedgerDeterministic: a level-L kill has one price.
+// The ledger — respawns, recoveries and the transition totals — is the
+// same across repeated runs and across 1, 2 and 3 workers, and the
+// recovery costs exactly the engine's transitions at level L. It holds
+// for a kill mid-search and for one at the level whose violation ends
+// the search.
+func TestDistRecoveryLedgerDeterministic(t *testing.T) {
+	// The engine's cumulative transitions per depth. Successor lists do
+	// not depend on the target, and a violating transition is still
+	// counted, so the HOLDS run prices every level, a violating one too.
+	trans := map[int]int{}
+	holds := graphModel{N: 300, Target: 300}
+	if _, err := runEngine(t, holds, nil, holds.trInvBytes(), mc.Options{
+		Progress: func(p mc.Progress) { trans[p.Depth] = p.Transitions }}); err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	for _, target := range []int{300, 97} {
+		g := graphModel{N: 300, Target: target}
+		var levels int
+		want, err := runEngine(t, g, nil, g.trInvBytes(), mc.Options{Stats: func(s mc.Stats) { levels = s.Levels }})
+		if err != nil {
+			t.Fatalf("engine: %v", err)
+		}
+		level := 3
+		if !want.Holds {
+			level = levels
+		}
+		t.Run(fmt.Sprintf("t%d-l%d", target, level), func(t *testing.T) {
+			var first *Report
+			for _, workers := range []int{1, 2, 3} {
+				for run := 0; run < 3; run++ {
+					got, rep, err := runDist(t, g, nil, g.trInvBytes(), mc.Options{},
+						Options{Workers: workers, Swifi: fmt.Sprintf("kill@worker=0@level=%d", level)})
+					if err != nil {
+						t.Fatalf("workers=%d run %d: %v", workers, run, err)
+					}
+					requireIdentical(t, got, want)
+					rep.Frames, rep.BytesOnWire = 0, 0 // traffic depends on the fleet size
+					if first == nil {
+						first = &rep
+						continue
+					}
+					if !reflect.DeepEqual(rep, *first) {
+						t.Fatalf("workers=%d run %d ledger %+v, first run's %+v", workers, run, rep, *first)
+					}
+				}
+			}
+			rec := Recovery{Level: int32(level), Worker: 0, SlotTransitions: uint64(trans[level] - trans[level-1])}
+			if first.Respawns != 1 || !reflect.DeepEqual(first.Recoveries, []Recovery{rec}) ||
+				first.ReexpandedTransitions != rec.SlotTransitions ||
+				first.WorkTransitions != first.GeneratedTransitions+rec.SlotTransitions {
+				t.Fatalf("ledger %+v, want one recovery %+v priced on top of the generated work", *first, rec)
 			}
 		})
 	}
@@ -602,12 +656,13 @@ func TestDistDeathInSealPhase(t *testing.T) {
 				if rep.Respawns != 1 || len(rep.Recoveries) != 1 || rep.Recoveries[0].Level != level {
 					t.Fatalf("report %+v, want one recovery at level %d", rep, level)
 				}
-				// Every ExpandDone of the level was in before the death,
-				// so the new generation re-expands the whole level.
+				// The new generation re-expands the whole level, and that
+				// level is the price.
 				if rec := rep.Recoveries[0]; rep.ReexpandedTransitions != rec.SlotTransitions ||
+					rep.WorkTransitions != rep.GeneratedTransitions+rec.SlotTransitions ||
 					(level > 0 && rec.SlotTransitions == 0) {
-					t.Fatalf("reexpanded %d transitions, want the redone level's %d",
-						rep.ReexpandedTransitions, rec.SlotTransitions)
+					t.Fatalf("reexpanded %d, work %d, generated %d transitions, want the redone level's %d on top",
+						rep.ReexpandedTransitions, rep.WorkTransitions, rep.GeneratedTransitions, rec.SlotTransitions)
 				}
 				first, err := os.ReadFile(l.first)
 				if err != nil {

@@ -7,7 +7,9 @@ package dist
 // protocol stream and stderr to a per-process log file (the CI
 // crash-injection job uploads those on failure). pipeLauncher runs
 // workers as in-process goroutines over net.Pipe — same code, same
-// protocol bytes — for tests and benchmarks that must not fork.
+// protocol bytes — for tests and benchmarks that must not fork. Only
+// the coordinator link differs: workers of either kind exchange
+// successor batches over the same Unix-socket mesh (mesh.go).
 
 import (
 	"fmt"
@@ -141,13 +143,12 @@ func (l *ProcLauncher) Close() {
 // benchmarks and single-binary embedding; the protocol bytes are
 // identical to the subprocess path.
 type pipeLauncher struct {
-	hub   *meshHub // in-process worker↔worker mesh shared by this run's workers
 	mu    sync.Mutex
 	conns map[int]net.Conn // coordinator-side ends, for Kill
 }
 
 func newPipeLauncher() *pipeLauncher {
-	return &pipeLauncher{hub: newMeshHub(), conns: make(map[int]net.Conn)}
+	return &pipeLauncher{conns: make(map[int]net.Conn)}
 }
 
 // NewPipeLauncher returns a Launcher that runs workers as in-process
@@ -170,7 +171,7 @@ func (l *pipeLauncher) Start(index, generation int) (io.ReadWriteCloser, error) 
 			workerEnd.Close()
 			runtime.Goexit()
 		}
-		RunWorker(workerEnd, WorkerOptions{Exit: exit, Mesh: l.hub})
+		RunWorker(workerEnd, WorkerOptions{Exit: exit})
 		workerEnd.Close()
 	}()
 	return coordEnd, nil

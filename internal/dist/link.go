@@ -6,7 +6,7 @@ package dist
 // ring); `flush` tokens let the main loop wait until everything
 // enqueued so far is on the wire before declaring it in ExpandDone.
 //
-// Failure model: the only way a write fails on these transports is the
+// Failure model: the only way a write fails on a mesh socket is the
 // destination dying, so a failed write marks the link down for good and
 // every queued and future frame is dropped. Nothing redials: a death
 // restarts the whole fleet (recover.go), and the new generation builds
@@ -15,7 +15,7 @@ package dist
 // never deliver into, or receive from, the current one.
 
 import (
-	"io"
+	"net"
 	"sync"
 
 	"ttastar/internal/retry"
@@ -36,7 +36,7 @@ type peerLink struct {
 	down   bool
 	closed bool
 
-	conn io.ReadWriteCloser // sender goroutine only, except markDown/shut close
+	conn net.Conn // sender goroutine only, except markDown/shut close
 }
 
 func newPeerLink(w *worker, dest int) *peerLink {
@@ -138,7 +138,7 @@ func (l *peerLink) run() {
 			continue
 		}
 		if conn == nil {
-			c, err := l.w.mesh.Dial(l.w.cfg.Index, l.dest, l.w.cfg.Gen)
+			c, err := l.w.mesh.dial(l.w.cfg.Index, l.dest, l.w.cfg.Gen, l.w.retired)
 			if err != nil {
 				l.markDown()
 				putFrame(it.fb)

@@ -41,8 +41,8 @@ import (
 )
 
 // Wire format: length-prefixed frames over an arbitrary byte stream
-// (subprocess stdio pipes and Unix-socket mesh links in production,
-// in-memory pipes in tests).
+// (Unix-socket mesh links, and subprocess stdio pipes or in-memory
+// pipes to the coordinator).
 //
 //	frame   := length:u32le  type:u8  payload
 //	payload := uvarint fields, strings/byte-slices length-prefixed
@@ -450,7 +450,7 @@ type msgConfig struct {
 	MaxStates   int
 	Assign      [mc.NumShards]uint8
 	SnapshotDir string
-	MeshDir     string // Unix-socket rendezvous dir (subprocess workers)
+	MeshName    string // the run's mesh: every worker's socket address derives from it
 	// Restore lists the levels of this worker index's acknowledged
 	// barrier snapshots, in order: their segments concatenate into the
 	// store, and the last one's frontier is the frontier. Empty starts
@@ -472,7 +472,7 @@ func (m *msgConfig) encode() (byte, []byte) {
 	w.i(m.MaxStates)
 	w.raw(m.Assign[:])
 	w.str(m.SnapshotDir)
-	w.str(m.MeshDir)
+	w.str(m.MeshName)
 	w.i(len(m.Restore))
 	for _, l := range m.Restore {
 		w.u32(uint32(l))
@@ -498,7 +498,7 @@ func decodeConfig(p []byte) (*msgConfig, error) {
 		m.Assign[i] = r.byte1()
 	}
 	m.SnapshotDir = r.str()
-	m.MeshDir = r.str()
+	m.MeshName = r.str()
 	nr := r.count()
 	for i := 0; i < nr && r.err == nil; i++ {
 		m.Restore = append(m.Restore, int32(r.u32()))
@@ -674,10 +674,7 @@ func decodeHello(p []byte) (*msgHello, error) {
 // was sent), and the optional violation candidate is the worker's lowest-keyed
 // transition-invariant violation (ViolFrom/ViolTo are the raw from/to
 // encodings — ViolTo pre-canonicalization, exactly what the engine
-// reports). Expanded is the worker process's cumulative generated-
-// transition counter once this expansion is done (the recovery-cost
-// ledger): expansion is the only work it counts, so the counter a level
-// ends with is known before the level's seal.
+// reports).
 type msgExpandDone struct {
 	Level    int32
 	ID       uint32
@@ -687,7 +684,6 @@ type msgExpandDone struct {
 	ViolKey  uint64
 	ViolFrom []byte
 	ViolTo   []byte
-	Expanded uint64
 }
 
 // sentCount is one destination's generated-group declaration.
@@ -713,7 +709,6 @@ func (m *msgExpandDone) encode() (byte, []byte) {
 	w.u(m.ViolKey)
 	w.bytes(m.ViolFrom)
 	w.bytes(m.ViolTo)
-	w.u(m.Expanded)
 	return mtExpandDone, w.b
 }
 
@@ -734,7 +729,6 @@ func decodeExpandDone(p []byte) (*msgExpandDone, error) {
 	m.ViolKey = r.u()
 	m.ViolFrom = r.bytes()
 	m.ViolTo = r.bytes()
-	m.Expanded = r.u()
 	return m, r.done()
 }
 
@@ -836,18 +830,15 @@ type msgHeartbeat struct{}
 
 func (m *msgHeartbeat) encode() (byte, []byte) { return mtHeartbeat, nil }
 
-// msgBye is a worker's final word: its cumulative generated-transition
-// counter and wire totals, so the coordinator's recovery-cost ledger
-// and traffic accounting are complete.
+// msgBye is a worker's final word: its wire totals, so the
+// coordinator's traffic accounting is complete.
 type msgBye struct {
-	Expanded   uint64
 	WireFrames uint64
 	WireBytes  uint64
 }
 
 func (m *msgBye) encode() (byte, []byte) {
 	var w wbuf
-	w.u(m.Expanded)
 	w.u(m.WireFrames)
 	w.u(m.WireBytes)
 	return mtBye, w.b
@@ -855,7 +846,7 @@ func (m *msgBye) encode() (byte, []byte) {
 
 func decodeBye(p []byte) (*msgBye, error) {
 	r := newRbuf(p)
-	m := &msgBye{Expanded: r.u(), WireFrames: r.u(), WireBytes: r.u()}
+	m := &msgBye{WireFrames: r.u(), WireBytes: r.u()}
 	return m, r.done()
 }
 

@@ -45,7 +45,7 @@ func TestProtocolRoundTrips(t *testing.T) {
 	cfg := &msgConfig{
 		Index: 3, Gen: 2, Workers: 5, SpecName: "tta", SpecPayload: `{"Nodes":4}`,
 		Reduced: true, CheckState: true, MaxStates: 1 << 20, Assign: assign,
-		SnapshotDir: "/tmp/snaps", MeshDir: "/tmp/mesh",
+		SnapshotDir: "/tmp/snaps", MeshName: "0123456789abcdef01234567",
 		Restore: []int32{0, 1, 3, 5},
 		Swifi:   "kill@worker=1@level=2", HeartbeatMs: 250,
 	}
@@ -82,7 +82,7 @@ func TestProtocolRoundTrips(t *testing.T) {
 
 	ed := &msgExpandDone{Level: 3, ID: 9, Counts: []uint32{4, 0, 17},
 		SentTo:  []sentCount{{Dest: 0, Groups: 12}, {Dest: 2, Groups: 1 << 33}},
-		HasViol: true, ViolKey: 123456, ViolFrom: []byte("from"), ViolTo: []byte("to"), Expanded: 98765}
+		HasViol: true, ViolKey: 123456, ViolFrom: []byte("from"), ViolTo: []byte("to")}
 	if got := roundTrip(t, ed, func(p []byte) (any, error) { return decodeExpandDone(p) }, mtExpandDone); !reflect.DeepEqual(got, ed) {
 		t.Fatalf("expand done mismatch:\n got %+v\nwant %+v", got, ed)
 	}
@@ -100,7 +100,7 @@ func TestProtocolRoundTrips(t *testing.T) {
 		t.Fatalf("trace reply mismatch: %+v", got)
 	}
 
-	bye := &msgBye{Expanded: 1 << 50, WireFrames: 321, WireBytes: 1 << 44}
+	bye := &msgBye{WireFrames: 321, WireBytes: 1 << 44}
 	if got := roundTrip(t, bye, func(p []byte) (any, error) { return decodeBye(p) }, mtBye); !reflect.DeepEqual(got, bye) {
 		t.Fatalf("bye mismatch: %+v", got)
 	}
@@ -251,11 +251,11 @@ func FuzzDecodeControl(f *testing.F) {
 		&msgTraceQuery{ByRef: true, Ref: 0x41, Enc: []byte("enc")},
 		&msgHello{Index: 1, Err: "x"},
 		&msgExpandDone{Level: 1, ID: 2, Counts: []uint32{3}, SentTo: []sentCount{{Dest: 1, Groups: 2}},
-			HasViol: true, ViolKey: 9, ViolFrom: []byte("f"), ViolTo: []byte("t"), Expanded: 3},
+			HasViol: true, ViolKey: 9, ViolFrom: []byte("f"), ViolTo: []byte("t")},
 		&msgLevelReport{Level: 1, Seq: 2, Keys: []uint64{4, 9}, StViolKeys: []uint64{4},
 			StViolEncs: [][]byte{[]byte("s")}, States: 5, SnapshotErr: "x"},
 		&msgTraceReply{Found: true, HasParent: true, Parent: 0x81, Enc: []byte("p")},
-		&msgBye{Expanded: 7},
+		&msgBye{WireFrames: 7},
 		&msgFatal{Err: "boom"},
 	}
 	f.Add([]byte{})

@@ -136,7 +136,6 @@ func (c *coordinator) onExpandDone(w *workerState, m *msgExpandDone) error {
 	for i, s := range pe.slots {
 		c.counts[s] = int(m.Counts[i])
 	}
-	w.expandedCur = m.Expanded
 	// Fold the declared mesh-group counts into the barrier accounting.
 	for _, st := range m.SentTo {
 		if st.Dest < 0 || st.Dest >= len(c.acc) {
@@ -217,7 +216,7 @@ func (c *coordinator) handleDeath(w *workerState, cause error) error {
 }
 
 // retireFleet kills every worker process of the current generation and
-// folds their last reported counters into the ledger.
+// folds their last reported wire counters into the ledger.
 func (c *coordinator) retireFleet() {
 	for _, v := range c.workers {
 		c.launcher.Kill(v.index)
@@ -226,10 +225,9 @@ func (c *coordinator) retireFleet() {
 		}
 		v.alive = false
 		v.helloed = false
-		c.rep.WorkTransitions += v.expandedCur
 		c.rep.Frames += v.wireFramesCur
 		c.rep.BytesOnWire += v.wireBytesCur
-		v.expandedCur, v.wireFramesCur, v.wireBytesCur = 0, 0, 0
+		v.wireFramesCur, v.wireBytesCur = 0, 0
 	}
 }
 

@@ -59,9 +59,6 @@ func (c *coordinator) Expand(base uint64) (mc.Level, error) {
 	if err := c.collectLevel(); err != nil {
 		return mc.Level{}, err
 	}
-	for _, n := range c.counts {
-		c.totalGen += uint64(n)
-	}
 	lvl := mc.Level{Counts: c.counts, Full: c.anyFull}
 	if c.viol = c.reduceViolation(); c.viol != nil {
 		lvl.Viol = &mc.Violation{Key: c.viol.key, IsState: c.viol.isState}
@@ -165,17 +162,32 @@ func (c *coordinator) issueExpand(w *workerState, slots []uint32) {
 	c.sendTo(w, &msgExpand{Level: c.level, Base: c.base, ID: id, Slots: slots})
 }
 
-// collectLevel pumps events until the level's barrier is complete.
+// collectLevel pumps events until the level's barrier is complete,
+// then books the level's transitions and prices the recoveries that
+// redid it. The counts are final once the Expands have all reported,
+// so a recovery is priced even at the level whose violation ends the
+// search, which never closes its barrier.
 func (c *coordinator) collectLevel() error {
 	for {
 		c.trySeal()
 		if c.barrierReady() {
-			return nil
+			break
 		}
 		if err := c.step(); err != nil {
 			return err
 		}
 	}
+	var level uint64
+	for _, n := range c.counts {
+		level += uint64(n)
+	}
+	c.totalGen += level
+	for _, rec := range c.openRecs {
+		rec.SlotTransitions = level
+		c.rep.Recoveries = append(c.rep.Recoveries, rec)
+	}
+	c.openRecs = nil
+	return nil
 }
 
 // trySeal broadcasts the level's Seals once no Expand is outstanding.
@@ -221,8 +233,8 @@ func (c *coordinator) barrierReady() bool {
 }
 
 // closeBarrier merges the per-worker key sequences into the global
-// frontier order, assigns next-level slots and prices open recoveries.
-// It returns the global frontier's length.
+// frontier order and assigns next-level slots. It returns the global
+// frontier's length.
 func (c *coordinator) closeBarrier() int {
 	var sorted []uint64
 	for _, w := range c.workers {
@@ -237,15 +249,6 @@ func (c *coordinator) closeBarrier() int {
 		}
 		c.lastSlots[w.index] = slots
 	}
-	var level uint64
-	for _, n := range c.counts {
-		level += uint64(n)
-	}
-	for _, rec := range c.openRecs {
-		rec.SlotTransitions = level
-		c.rep.Recoveries = append(c.rep.Recoveries, rec)
-	}
-	c.openRecs = nil
 	return len(sorted)
 }
 

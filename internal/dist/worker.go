@@ -38,6 +38,7 @@ package dist
 import (
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"sync"
@@ -56,15 +57,13 @@ const (
 	workerWriteBackoff  = 5 * time.Millisecond
 )
 
-// WorkerOptions parameterize RunWorker for its two habitats.
+// WorkerOptions parameterize RunWorker for its two habitats, a
+// subprocess and a pipe-launcher goroutine. Both reach their peers over
+// the same Unix-socket mesh (mesh.go), named by msgConfig.
 type WorkerOptions struct {
 	// Exit is the kill-injection primitive: os.Exit for a subprocess
 	// (the default), connection teardown + goroutine exit in-process.
 	Exit func(code int)
-	// Mesh overrides the data-plane transport; nil builds a Unix-socket
-	// mesh from msgConfig.MeshDir (the subprocess path). The pipe
-	// launcher injects its in-memory hub here.
-	Mesh MeshNet
 }
 
 // wev is one inbox event: a control frame, a mesh frame, or a
@@ -155,11 +154,10 @@ type worker struct {
 	refs     []uint32 // the frontier's global refs, aligned
 	stViol   []uint32
 	full     bool
-	expanded uint64
 
 	// data plane
-	mesh     MeshNet
-	listener MeshListener
+	mesh     socketMesh
+	listener net.Listener
 	links    []*peerLink
 	inbox    *workerInbox
 	accepted struct {
@@ -179,6 +177,10 @@ type worker struct {
 	outFrames []*frameBuf
 
 	hbStop chan struct{}
+	// retired is closed once the coordinator is gone: the worker's
+	// generation is over, and its mesh dials give up (see mesh.go).
+	retired     chan struct{}
+	retiredOnce sync.Once
 }
 
 func gotKey(level int32, sender int) uint64 {
@@ -190,11 +192,11 @@ func gotKey(level int32, sender int) uint64 {
 // mode and of the in-process pipe launcher.
 func RunWorker(conn io.ReadWriteCloser, opts WorkerOptions) error {
 	w := &worker{
-		conn:  conn,
-		exit:  opts.Exit,
-		mesh:  opts.Mesh,
-		inbox: newWorkerInbox(),
-		got:   make(map[uint64]uint64),
+		conn:    conn,
+		exit:    opts.Exit,
+		inbox:   newWorkerInbox(),
+		got:     make(map[uint64]uint64),
+		retired: make(chan struct{}),
 	}
 	if w.exit == nil {
 		w.exit = os.Exit
@@ -206,6 +208,7 @@ func RunWorker(conn io.ReadWriteCloser, opts WorkerOptions) error {
 		for {
 			typ, payload, fb, err := readFramePooled(conn)
 			if err != nil {
+				w.retire()
 				w.inbox.push(wev{err: err})
 				return
 			}
@@ -238,8 +241,7 @@ func RunWorker(conn io.ReadWriteCloser, opts WorkerOptions) error {
 				err = w.handleTraceQuery(ev.payload)
 			case mtStop:
 				putFrame(ev.fb)
-				w.send(&msgBye{Expanded: w.expanded,
-					WireFrames: w.wireFrames.Load(), WireBytes: w.wireBytes.Load()})
+				w.send(&msgBye{WireFrames: w.wireFrames.Load(), WireBytes: w.wireBytes.Load()})
 				return nil
 			default:
 				err = fmt.Errorf("dist: worker got unexpected message type %d", ev.typ)
@@ -256,7 +258,10 @@ func RunWorker(conn io.ReadWriteCloser, opts WorkerOptions) error {
 	}
 }
 
+func (w *worker) retire() { w.retiredOnce.Do(func() { close(w.retired) }) }
+
 func (w *worker) teardown() {
+	w.retire()
 	if w.hbStop != nil {
 		close(w.hbStop)
 	}
@@ -373,13 +378,11 @@ func (w *worker) configure(cfg *msgConfig) error {
 
 	// Data plane: listen, then accept in the background; peers are
 	// dialed lazily on first send.
-	if w.mesh == nil {
-		if cfg.MeshDir == "" {
-			return fmt.Errorf("dist: config names no mesh directory")
-		}
-		w.mesh = NewSocketMesh(cfg.MeshDir)
+	if cfg.MeshName == "" {
+		return fmt.Errorf("dist: config names no mesh")
 	}
-	ln, err := w.mesh.Listen(cfg.Index, cfg.Gen)
+	w.mesh = socketMesh{run: cfg.MeshName, uid: os.Getuid()}
+	ln, err := w.mesh.listen(cfg.Index, cfg.Gen)
 	if err != nil {
 		return err
 	}
@@ -418,9 +421,9 @@ func (w *worker) restore(levels []int32) error {
 
 // acceptLoop serves inbound mesh connections, refusing any dialed by a
 // worker of another fleet generation.
-func (w *worker) acceptLoop(ln MeshListener) {
+func (w *worker) acceptLoop(ln net.Listener) {
 	for {
-		conn, from, fromGen, err := ln.Accept()
+		conn, from, fromGen, err := w.mesh.accept(ln)
 		if err != nil {
 			return
 		}
@@ -435,7 +438,7 @@ func (w *worker) acceptLoop(ln MeshListener) {
 	}
 }
 
-func (w *worker) readMesh(conn io.ReadWriteCloser, from int) {
+func (w *worker) readMesh(conn net.Conn, from int) {
 	for {
 		typ, payload, fb, err := readFramePooled(conn)
 		if err != nil {
@@ -521,7 +524,6 @@ func (w *worker) handleExpand(payload []byte) error {
 		parent := w.refs[i]
 		succs := w.exp.Successors(sb)
 		counts[i] = uint32(len(succs))
-		w.expanded += uint64(len(succs))
 		touched = touched[:0]
 		for j, succ := range succs {
 			key := mc.ClaimKey(m.Base, int(slot), j)
@@ -593,7 +595,7 @@ func (w *worker) handleExpand(payload []byte) error {
 	}
 	w.flushLinks()
 	done := &msgExpandDone{Level: m.Level, ID: m.ID, Counts: counts,
-		HasViol: hasViol, ViolKey: violKey, ViolFrom: violFrom, ViolTo: violTo, Expanded: w.expanded}
+		HasViol: hasViol, ViolKey: violKey, ViolFrom: violFrom, ViolTo: violTo}
 	for dest, n := range w.gcount {
 		if n > 0 {
 			done.SentTo = append(done.SentTo, sentCount{Dest: dest, Groups: n})

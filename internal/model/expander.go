@@ -83,7 +83,10 @@ type Expander struct {
 	faSigs []uint32          // (channels, activity, oos) signatures already kept by a fill
 
 	// The two lookup tables (see the header): outcomes has
-	// outcomeTableSize entries, choices choiceTableSize.
+	// outcomeTableSize entries, choices choiceTableSize. The first
+	// Successors call allocates them, so an expander that only explains
+	// or canonicalizes (Model's pooled ones, a dist coordinator's) never
+	// holds them.
 	outcomes []outcomeEntry
 	choices  []choiceEntry
 
@@ -150,8 +153,6 @@ func (m *Model) newExpander() *Expander {
 		tailBits: int32(bitsPerCoupler*m.cfg.Couplers + bitsOOS),
 		s:        State{Nodes: make([]NodeState, m.cfg.Nodes)},
 		next:     State{Nodes: make([]NodeState, m.cfg.Nodes)},
-		outcomes: make([]outcomeEntry, outcomeTableSize),
-		choices:  make([]choiceEntry, choiceTableSize),
 		dcells:   make([]uint64, 64),
 		dgen:     1,
 	}
@@ -170,6 +171,10 @@ func (m *Model) newExpander() *Expander {
 func (e *Expander) Successors(enc []byte) [][]byte {
 	if len(enc) != e.size {
 		panic(fmt.Sprintf("model: binary state is %d bytes, want %d", len(enc), e.size))
+	}
+	if e.outcomes == nil {
+		e.outcomes = make([]outcomeEntry, outcomeTableSize)
+		e.choices = make([]choiceEntry, choiceTableSize)
 	}
 	k := loadKey(enc)
 	n := len(e.next.Nodes)

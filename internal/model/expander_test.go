@@ -96,6 +96,37 @@ func TestExpanderMatchesModelSuccessors(t *testing.T) {
 	}
 }
 
+// TestTablesAllocatedOnFirstSuccessors: an expander that only explains
+// or canonicalizes — a pooled one behind Model.Explain and
+// Model.Canonicalize, or a dist coordinator's canonicalizer — never
+// allocates the lookup tables; its first Successors call does.
+func TestTablesAllocatedOnFirstSuccessors(t *testing.T) {
+	m := mustModel(t, Config{Authority: guardian.AuthoritySmallShift})
+	if !m.Reducible() {
+		t.Fatal("small shifting should be reducible")
+	}
+	states := collectLevels(t, m, m.newExpander(), 4, 0)
+	walker := m.newExpander()
+	explainer := m.newExpander()
+	canon := m.NewReducedExpander().(*Expander)
+	for _, s := range states {
+		if _, ok := explainer.explain(s, walker.Successors(s)[0]); !ok {
+			t.Fatalf("state %x: its first successor is not explained", s)
+		}
+		canon.Canonicalize(append([]byte(nil), s...))
+	}
+	for name, e := range map[string]*Expander{"explain": explainer, "canonicalize": canon} {
+		if e.outcomes != nil || e.choices != nil {
+			t.Errorf("%s-only expander holds the lookup tables", name)
+		}
+	}
+	canon.Successors(states[0])
+	if len(canon.outcomes) != outcomeTableSize || len(canon.choices) != choiceTableSize {
+		t.Errorf("after Successors: %d outcome and %d choice entries, want %d and %d",
+			len(canon.outcomes), len(canon.choices), outcomeTableSize, choiceTableSize)
+	}
+}
+
 // referenceSuccessors re-implements the pre-table enumeration: decode
 // the state, assemble each successor State choice by choice, pack it
 // with appendBinary (the reference bit writer), and dedup with a map,
