@@ -27,9 +27,11 @@
 // -matrix and -trace experiments always report oracle counts).
 //
 // Long runs are resilient: -timeout, SIGINT and SIGTERM cancel the search
-// cooperatively at level granularity, flush a checkpoint (-checkpoint),
-// print the partial result and exit nonzero; -resume continues from the
-// checkpoint and produces byte-identical results to an uninterrupted run.
+// cooperatively at level granularity, flush a checkpoint (-checkpoint: a
+// manifest plus segment and frontier files), print the partial result
+// and exit nonzero; -resume continues from the checkpoint, in-process or
+// under -dist-workers whichever mode wrote it, and produces
+// byte-identical results to an uninterrupted run.
 // -fallback-walks degrades an exhausted -max-states or -mem-budget
 // budget into seeded random-walk sampling with an explicit INCONCLUSIVE
 // verdict.
@@ -118,9 +120,9 @@ func run(args []string) error {
 	parallel := fs.Int("parallel", runtime.NumCPU(), "exploration worker-pool size (results are identical for any value)")
 	verbose := fs.Bool("v", false, "print per-level exploration progress to stderr")
 	timeout := fs.Duration("timeout", 0, "cancel the search after this long (0 = none); partial results are printed")
-	checkpoint := fs.String("checkpoint", "", "write a resumable search snapshot here on interrupt and every -checkpoint-every levels")
-	checkpointEvery := fs.Int("checkpoint-every", 10, "levels between periodic checkpoint snapshots (needs -checkpoint)")
-	resume := fs.Bool("resume", false, "restore the search from the -checkpoint file if it exists")
+	checkpoint := fs.String("checkpoint", "", "keep a resumable checkpoint here: a manifest plus the segment and frontier files next to it, written on interrupt and every -checkpoint-every levels (every level barrier under -dist-workers)")
+	checkpointEvery := fs.Int("checkpoint-every", 10, "levels between in-process checkpoints, each adding only the states sealed since the last (needs -checkpoint)")
+	resume := fs.Bool("resume", false, "restore the search from the -checkpoint manifest if it exists, in either mode at any worker count")
 	interruptAfter := fs.Int("interrupt-after", 0, "cancel the search after N completed levels (testing aid; 0 = never)")
 	memBudget := fs.Int64("mem-budget", 0, "visited-set resident byte budget, checked at level boundaries (0 = unlimited); exhaustion degrades like -max-states")
 	fallbackWalks := fs.Int("fallback-walks", 0, "on -max-states or -mem-budget exhaustion, fall back to this many seeded random walks instead of failing (0 = off)")
@@ -131,7 +133,7 @@ func run(args []string) error {
 	traceFile := fs.String("traceprofile", "", "write a runtime execution trace to this file")
 	distWorkers := fs.Int("dist-workers", 0, "explore across N worker processes with crash recovery (0 = in-process engine); results are identical for any value")
 	swifi := fs.String("swifi", "", "software-implemented fault injection script for -dist-workers, e.g. 'kill@worker=1@level=5;flakywrite@worker=0@level=3@fails=2'")
-	distLog := fs.String("dist-log", "", "directory for distributed worker logs and barrier snapshots (empty = temporary)")
+	distLog := fs.String("dist-log", "", "directory for distributed worker logs and, without -checkpoint, the barrier checkpoint (empty = temporary)")
 	distWorker := fs.Bool("dist-worker", false, "run as a distributed worker process on stdin/stdout (internal; spawned by -dist-workers)")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -165,6 +165,32 @@ func TestRunInterruptResume(t *testing.T) {
 	}
 }
 
+// TestRunCrossModeResume: a -trace coldstart search cut in one mode and
+// resumed in the other — distributed to in-process, in-process to
+// distributed — prints what a clean run prints, and the finished run
+// leaves none of the checkpoint's files behind.
+func TestRunCrossModeResume(t *testing.T) {
+	clean := captureStdout(t, func() error { return run([]string{"-trace", "coldstart", "-parallel", "2"}) })
+	for _, mode := range [][2]string{{"-dist-workers=2", "-parallel=2"}, {"-parallel=2", "-dist-workers=4"}} {
+		dir := t.TempDir()
+		args := []string{"-trace", "coldstart", "-checkpoint", filepath.Join(dir, "cp.mc")}
+		var cutErr error
+		captureStdout(t, func() error {
+			cutErr = run(append(args, mode[0], "-interrupt-after", "6"))
+			return nil
+		})
+		if !errors.Is(cutErr, mc.ErrInterrupted) {
+			t.Fatalf("%s cut run returned %v, want mc.ErrInterrupted", mode[0], cutErr)
+		}
+		if resumed := captureStdout(t, func() error { return run(append(args, mode[1], "-resume")) }); resumed != clean {
+			t.Fatalf("%s cut, %s resumed printed\n%s\nclean run printed\n%s", mode[0], mode[1], resumed, clean)
+		}
+		if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+			t.Fatalf("%s cut, %s resumed left %v behind (%v)", mode[0], mode[1], left, err)
+		}
+	}
+}
+
 func TestRunFallbackFlags(t *testing.T) {
 	// A tiny -max-states budget without fallback fails; with
 	// -fallback-walks it degrades to an inconclusive sampled verdict.

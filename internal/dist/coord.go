@@ -18,15 +18,16 @@ package dist
 // the coordinator is an mc.LevelBackend (search.go), and mc's one
 // search loop decides budgets, interrupts, counts and the Result.
 //
-// Crash recovery (recover.go) re-enters this loop through the same
-// events: a death restarts the whole fleet as a new generation from its
-// chains of acknowledged barrier snapshots and redoes the current level
-// under the same claim keys. A death that rule cannot recover ends the
-// run with ErrUnrecoverable.
+// The barrier also closes on disk, as a rename of the checkpoint chain's
+// manifest (commit). Crash recovery (recover.go) re-enters this loop
+// through the same events: a death restarts the whole fleet as a new
+// generation from that manifest and redoes the current level under the
+// same claim keys, or ends the run with ErrUnrecoverable.
 
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,8 +46,9 @@ type Options struct {
 	// Launcher provides worker transports; nil means a ProcLauncher
 	// re-executing this binary with -dist-worker.
 	Launcher Launcher
-	// SnapshotDir holds the per-level barrier snapshots; empty means a
-	// temporary directory removed when the run ends.
+	// SnapshotDir holds the run's checkpoint chain (chain.mc and its
+	// files) when mc.Options.CheckpointPath names none, and the worker
+	// logs; empty means a temporary directory removed when the run ends.
 	SnapshotDir string
 	// Swifi is the fault-injection script (see swifi.go); each injection
 	// fires at most once per run.
@@ -70,7 +72,8 @@ type Recovery struct {
 	// SlotTransitions is the transition count of the redone level — the
 	// paid recovery cost, bounded by one level of the search. It is
 	// priced as soon as the redone level is collected, before its
-	// barrier closes.
+	// barrier closes. A recovery whose redone level was never collected —
+	// the run was refused first — carries 0.
 	SlotTransitions uint64
 }
 
@@ -121,13 +124,8 @@ func (ck *Checker) Report() Report {
 // coordinator as the search's level backend; closing the backend stops
 // the fleet and records the run's Report.
 func (ck *Checker) NewBackend(m mc.Model, stInv mc.StateInvariantBytes,
-	trInv mc.TransitionInvariantBytes, reduced bool, opts mc.Options) (mc.LevelBackend, error) {
-	switch {
-	case opts.ResumePath != "":
-		return nil, fmt.Errorf("dist: -resume is not supported with -dist-workers (recovery is built in)")
-	case opts.CheckpointPath != "":
-		return nil, fmt.Errorf("dist: -checkpoint is not supported with -dist-workers (workers snapshot every level barrier)")
-	case (stInv == nil) == (trInv == nil):
+	trInv mc.TransitionInvariantBytes, reduced bool, resume *mc.Chain, opts mc.Options) (mc.LevelBackend, error) {
+	if (stInv == nil) == (trInv == nil) {
 		return nil, fmt.Errorf("dist: exactly one invariant kind per distributed check")
 	}
 	sm, ok := m.(SpeccedModel)
@@ -138,7 +136,7 @@ func (ck *Checker) NewBackend(m mc.Model, stInv mc.StateInvariantBytes,
 	if err != nil {
 		return nil, err
 	}
-	if err := c.start(); err != nil {
+	if err := c.start(resume); err != nil {
 		c.Close(nil)
 		return nil, err
 	}
@@ -212,9 +210,6 @@ type workerState struct {
 	helloed bool
 
 	respawns int // recoveries charged to deaths of this index
-	// acked lists, in order, the levels whose barrier snapshot this
-	// index wrote: the chain a restart restores (see lastAck).
-	acked []int32
 
 	// Latest cumulative wire counters of the current process — from its
 	// last LevelReport, then its Bye; a retired generation's are folded
@@ -263,13 +258,16 @@ type coordinator struct {
 
 	specName, specPayload string
 	reduced               bool
+	fingerprint           uint64
 
 	launcher   Launcher
 	gen        int    // fleet generation: one more per recovery
 	swifi      string // the script the next generation gets
 	snapDir    string
 	ownSnapDir bool
-	meshName   string // names the run's socket mesh (mesh.go)
+	chain      *mc.Chain // the run's checkpoint chain (checkpoint.go in mc)
+	restore    string    // the manifest a new generation restores from; "" starts empty
+	meshName   string    // names the run's socket mesh (mesh.go)
 	assign     [mc.NumShards]uint8
 	workers    []*workerState
 	events     chan event
@@ -339,6 +337,7 @@ func newCoordinator(ck *Checker, m mc.Model, sm SpeccedModel, stInv mc.StateInva
 		specName:    name,
 		specPayload: payload,
 		reduced:     reduced,
+		fingerprint: mc.FingerprintOf(m),
 		launcher:    o.Launcher,
 		swifi:       o.Swifi,
 		snapDir:     o.SnapshotDir,
@@ -381,8 +380,9 @@ func (c *coordinator) report() Report {
 	return rep
 }
 
-// start makes the run's snapshot directory and brings up the fleet.
-func (c *coordinator) start() error {
+// start makes the run's snapshot directory, opens the chain the fleet
+// writes (continuing resume, if any) and brings up the fleet.
+func (c *coordinator) start(resume *mc.Chain) error {
 	if c.snapDir == "" {
 		dir, err := os.MkdirTemp("", "ttamc-dist-*")
 		if err != nil {
@@ -391,7 +391,21 @@ func (c *coordinator) start() error {
 		c.snapDir = dir
 		c.ownSnapDir = true
 	}
-	return c.launchAll()
+	path := c.mopts.CheckpointPath
+	if path == "" {
+		path = filepath.Join(c.snapDir, "chain.mc")
+	}
+	var err error
+	if c.chain, err = mc.ContinueChain(path, resume); err != nil {
+		return err
+	}
+	if resume != nil {
+		c.restore = resume.Path()
+	}
+	if err := c.launchAll(); err != nil || resume == nil {
+		return err
+	}
+	return c.resumeAt(resume)
 }
 
 // Close tears the fleet and its own snapshot directory down, then
@@ -463,7 +477,7 @@ func (c *coordinator) allHelloed() bool {
 
 // startIncarnation launches worker index w in the current generation
 // and wires its transport into the event loop. The new process rebuilds
-// its store from its index's acknowledged barrier snapshots.
+// its store from the last closed barrier's manifest, if there is one.
 func (c *coordinator) startIncarnation(w *workerState) error {
 	conn, err := c.launcher.Start(w.index, c.gen)
 	if err != nil {
@@ -485,9 +499,9 @@ func (c *coordinator) startIncarnation(w *workerState) error {
 		CheckState:  c.stInv != nil,
 		MaxStates:   c.mopts.MaxStates,
 		Assign:      c.assign,
-		SnapshotDir: c.snapDir,
+		Chain:       c.chain.Path(),
+		Restore:     c.restore,
 		MeshName:    c.meshName,
-		Restore:     w.acked,
 		Swifi:       c.swifi,
 		HeartbeatMs: int(c.o.HeartbeatInterval / time.Millisecond),
 	}

@@ -410,7 +410,10 @@ func (l closingLauncher) Start(index, gen int) (io.ReadWriteCloser, error) {
 
 // TestDistKillTakeover: a worker that keeps dying is recovered exactly
 // maxRespawns times and then refused — its shards are never taken over
-// by a survivor — and the run's snapshot files are left intact.
+// by a survivor. Every recovery is booked, the ones still open at the
+// refusal with 0 transitions, since their redone level was never
+// collected; and the run's checkpoint chain is left intact at the last
+// closed barrier.
 func TestDistKillTakeover(t *testing.T) {
 	g := graphModel{N: 300, Target: 97}
 	dir := t.TempDir()
@@ -426,124 +429,136 @@ func TestDistKillTakeover(t *testing.T) {
 	if rep.Respawns != maxRespawns || rep.Takeovers != 0 {
 		t.Fatalf("report: %d respawns %d takeovers, want %d/0", rep.Respawns, rep.Takeovers, maxRespawns)
 	}
-	for w := 0; w < 3; w++ {
-		if _, err := restoreChain(dir, 3, w, 0, 1, 2); err != nil {
-			t.Fatalf("worker %d snapshots not intact: %v", w, err)
+	rec := Recovery{Level: 3, Worker: 1}
+	if len(rep.Recoveries) != rep.Respawns || rep.Recoveries[0] != rec || rep.Recoveries[1] != rec {
+		t.Fatalf("recoveries %+v, want %d of %+v", rep.Recoveries, rep.Respawns, rec)
+	}
+	requireChain(t, filepath.Join(dir, "chain.mc"), 3, 2)
+}
+
+// requireChain restores the checkpoint chain at manifest as every
+// worker of a fleet of n would, and requires its barrier at depth.
+func requireChain(t *testing.T, manifest string, n int, depth int32) {
+	t.Helper()
+	c, err := mc.OpenChain(manifest)
+	if err != nil || c == nil || c.Depth != depth {
+		t.Fatalf("chain %s: %v (nil=%v), want the barrier at depth %d", manifest, err, c == nil, depth)
+	}
+	for w := 0; w < n; w++ {
+		owned := uint64(0)
+		for s := w; s < mc.NumShards; s += n {
+			owned |= 1 << s
+		}
+		if _, err := mc.NewShardStore(0, owned).Resume(c); err != nil {
+			t.Fatalf("worker %d of %d cannot restore the chain: %v", w, n, err)
 		}
 	}
 }
 
-// restoreChain restores worker w's barrier snapshots of the given
-// levels from dir, as a respawn of it in a fleet of n would.
-func restoreChain(dir string, n, w int, levels ...int) (*mc.ShardStore, error) {
-	owned := uint64(0)
-	for s := w; s < mc.NumShards; s += n {
-		owned |= 1 << s
-	}
-	var paths []string
-	for _, l := range levels {
-		paths = append(paths, filepath.Join(dir, fmt.Sprintf("w%d-l%d.mc", w, l)))
-	}
-	s := mc.NewShardStore(0, owned)
-	_, err := s.Restore(paths)
-	return s, err
-}
-
-// blockSnapshot makes worker victim's level-level snapshot write fail
-// for good: a non-empty directory squats on the file name, so the
-// atomic rename fails with a non-transient error.
-func blockSnapshot(t *testing.T, dir string, victim, level int) {
+// blockSegment makes worker victim's level-level segment write fail: a
+// non-empty directory squats on the file name, so the atomic rename
+// fails with an error no retry absorbs. It returns the squat's path.
+func blockSegment(t *testing.T, dir string, victim, level int) string {
 	t.Helper()
-	block := filepath.Join(dir, fmt.Sprintf("w%d-l%d.mc", victim, level))
+	block, _ := mc.BarrierFiles(filepath.Join(dir, "chain.mc"), victim, int32(level))
 	if err := os.Mkdir(block, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(block, "squat"), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return block
 }
 
-// TestDistSnapshotGapRefused: a worker whose level-L barrier snapshot
-// failed has no restore point past L-1 until its level-L+1 write
-// repairs the gap, so a death at level L+1 — its own or a peer's, since
-// a recovery restarts every worker from level L — is refused with
-// ErrUnrecoverable naming the worker without the restore point:
-// recovering it from the older snapshot would silently lose states.
-// The failed write on its own is survivable, and once the next barrier
-// has written its file (which reaches back to the last good write) a
-// death at level L+2 is recovered by one respawn, identical to the
-// engine.
+// unblockingLauncher removes a squat once a later fleet generation
+// starts: the write it blocks fails in generation 0 only.
+type unblockingLauncher struct {
+	Launcher
+	squat string
+}
+
+func (l unblockingLauncher) Start(index, gen int) (io.ReadWriteCloser, error) {
+	if fi, err := os.Stat(l.squat); err == nil && fi.IsDir() && gen > 0 {
+		os.RemoveAll(l.squat)
+	}
+	return l.Launcher.Start(index, gen)
+}
+
+// TestDistSnapshotGapRefused: a worker whose barrier files cannot be
+// written dies, and the one recovery rule restarts the fleet from the
+// last closed barrier — so no worker's chain ever has a gap to refuse.
+//   - A segment blocked in generation 0 only costs one respawn, priced
+//     at its level and worker, and the result equals the engine's.
+//   - -peer: a peer's segment blocked so, then the victim killed a level
+//     later — a death after a failed write, refused before — costs two
+//     respawns, and the result equals the engine's.
+//   - -repaired: the victim's own segment blocked so, then the victim
+//     killed two levels later: two respawns, the engine's result.
+//   - -refused: a segment blocked for good kills its worker in every
+//     generation, so the run is refused with ErrUnrecoverable for the
+//     spent respawn budget, naming that worker and level, with the chain
+//     left intact at the barrier before.
 func TestDistSnapshotGapRefused(t *testing.T) {
 	g := graphModel{N: 300, Target: 300}
 	for workers := 2; workers <= 4; workers++ {
 		for _, p := range []struct{ victim, level int }{{1, 1}, {1, 2}, {0, 3}} {
 			for _, st := range []bool{false, true} {
+				stInv, trInv := g.invariants(st)
+				want, err := runEngine(t, g, stInv, trInv, mc.Options{})
+				if err != nil {
+					t.Fatalf("engine: %v", err)
+				}
+				// recovered runs the check with worker blocked's segment
+				// of level p.level blocked in generation 0 and the swifi
+				// script, and requires the engine's result and recs,
+				// each priced.
+				recovered := func(t *testing.T, blocked int, swifi string, recs ...Recovery) {
+					dir := t.TempDir()
+					squat := blockSegment(t, dir, blocked, p.level)
+					got, rep, err := runDist(t, g, stInv, trInv, mc.Options{},
+						Options{Workers: workers, SnapshotDir: dir, Swifi: swifi, Log: t.Logf,
+							Launcher: unblockingLauncher{Launcher: newPipeLauncher(), squat: squat}})
+					if err != nil {
+						t.Fatalf("dist: %v", err)
+					}
+					requireIdentical(t, got, want)
+					if rep.Respawns != len(recs) || len(rep.Recoveries) != len(recs) {
+						t.Fatalf("report %+v, want the recoveries %+v", rep, recs)
+					}
+					for i, rec := range recs {
+						if got := rep.Recoveries[i]; got.Level != rec.Level || got.Worker != rec.Worker || got.SlotTransitions == 0 {
+							t.Fatalf("recovery %d: %+v, want %+v priced", i, got, rec)
+						}
+					}
+				}
 				name := fmt.Sprintf("w%d-v%d-l%d-%s", workers, p.victim, p.level, invKind(st))
 				t.Run(name, func(t *testing.T) {
-					stInv, trInv := g.invariants(st)
-					want, err := runEngine(t, g, stInv, trInv, mc.Options{})
-					if err != nil {
-						t.Fatalf("engine: %v", err)
-					}
-					dir := t.TempDir()
-					blockSnapshot(t, dir, p.victim, p.level)
-					got, rep, err := runDist(t, g, stInv, trInv, mc.Options{},
-						Options{Workers: workers, SnapshotDir: dir, Log: t.Logf})
-					if err != nil {
-						t.Fatalf("blocked snapshot alone: %v", err)
-					}
-					requireIdentical(t, got, want)
-					if rep.Respawns != 0 {
-						t.Fatalf("blocked snapshot alone respawned %d workers", rep.Respawns)
-					}
-
-					dir = t.TempDir()
-					blockSnapshot(t, dir, p.victim, p.level)
-					got, _, err = runDist(t, g, stInv, trInv, mc.Options{},
-						Options{Workers: workers, SnapshotDir: dir, Log: t.Logf,
-							Swifi: fmt.Sprintf("kill@worker=%d@level=%d", p.victim, p.level+1)})
-					if !errors.Is(err, ErrUnrecoverable) {
-						t.Fatalf("kill after the gap: %v (result %v), want ErrUnrecoverable", err, got)
-					}
-					// The cut search is no verdict: it explored less than the
-					// whole space.
-					if got.StatesExplored >= want.StatesExplored {
-						t.Fatalf("refused run reports %v, as much as the full search %v", got, want)
-					}
+					recovered(t, p.victim, "", Recovery{Level: int32(p.level), Worker: p.victim})
 				})
 				t.Run(name+"-peer", func(t *testing.T) {
-					stInv, trInv := g.invariants(st)
-					blocked := (p.victim + 1) % workers
-					dir := t.TempDir()
-					blockSnapshot(t, dir, blocked, p.level)
-					_, _, err := runDist(t, g, stInv, trInv, mc.Options{},
-						Options{Workers: workers, SnapshotDir: dir, Log: t.Logf,
-							Swifi: fmt.Sprintf("kill@worker=%d@level=%d", p.victim, p.level+1)})
-					if !errors.Is(err, ErrUnrecoverable) {
-						t.Fatalf("peer killed after worker %d's gap: %v, want ErrUnrecoverable", blocked, err)
-					}
-					if at := fmt.Sprintf("worker %d at level %d:", blocked, p.level+1); !strings.Contains(err.Error(), at) {
-						t.Fatalf("refusal %q does not name %q", err, at)
-					}
+					peer := (p.victim + 1) % workers
+					recovered(t, peer, fmt.Sprintf("kill@worker=%d@level=%d", p.victim, p.level+1),
+						Recovery{Level: int32(p.level), Worker: peer}, Recovery{Level: int32(p.level + 1), Worker: p.victim})
 				})
 				t.Run(name+"-repaired", func(t *testing.T) {
-					stInv, trInv := g.invariants(st)
-					want, err := runEngine(t, g, stInv, trInv, mc.Options{})
-					if err != nil {
-						t.Fatalf("engine: %v", err)
-					}
+					recovered(t, p.victim, fmt.Sprintf("kill@worker=%d@level=%d", p.victim, p.level+2),
+						Recovery{Level: int32(p.level), Worker: p.victim}, Recovery{Level: int32(p.level + 2), Worker: p.victim})
+				})
+				t.Run(name+"-refused", func(t *testing.T) {
 					dir := t.TempDir()
-					blockSnapshot(t, dir, p.victim, p.level)
-					got, rep, err := runDist(t, g, stInv, trInv, mc.Options{},
-						Options{Workers: workers, SnapshotDir: dir, Log: t.Logf,
-							Swifi: fmt.Sprintf("kill@worker=%d@level=%d", p.victim, p.level+2)})
-					if err != nil {
-						t.Fatalf("kill after the repair: %v", err)
+					blockSegment(t, dir, p.victim, p.level)
+					_, rep, err := runDist(t, g, stInv, trInv, mc.Options{},
+						Options{Workers: workers, SnapshotDir: dir, Log: t.Logf})
+					if !errors.Is(err, ErrUnrecoverable) || !strings.Contains(err.Error(), "respawn budget") {
+						t.Fatalf("segment blocked for good: %v, want ErrUnrecoverable (respawn budget)", err)
 					}
-					requireIdentical(t, got, want)
-					if rep.Respawns != 1 {
-						t.Fatalf("kill after the repair: %d respawns, want 1", rep.Respawns)
+					if at := fmt.Sprintf("worker %d at level %d:", p.victim, p.level); !strings.Contains(err.Error(), at) {
+						t.Fatalf("refusal %q does not name %q", err, at)
 					}
+					if rep.Respawns != maxRespawns || len(rep.Recoveries) != maxRespawns {
+						t.Fatalf("report %+v, want %d booked recoveries", rep, maxRespawns)
+					}
+					requireChain(t, filepath.Join(dir, "chain.mc"), workers, int32(p.level-1))
 				})
 			}
 		}
@@ -581,7 +596,7 @@ func (t *frameTap) Read(p []byte) (int, error) {
 // closes worker 1's first connection once the coordinator has read
 // worker 0's LevelReport for the level, and holds worker 1's own report
 // of it back, so the barrier cannot close first. At that moment worker
-// 0's barrier file of the level is complete; it is hard-linked to first.
+// 0's segment of the level is complete; it is hard-linked to first.
 type sealPhaseLauncher struct {
 	Launcher
 	level      int32
@@ -618,7 +633,8 @@ func (l *sealPhaseLauncher) Start(index, gen int) (io.ReadWriteCloser, error) {
 	}
 	return &frameTap{ReadWriteCloser: conn, see: func(typ byte, payload []byte) error {
 		if isReport(typ, payload) {
-			if err := os.Link(filepath.Join(l.dir, fmt.Sprintf("w0-l%d.mc", l.level)), l.first); err != nil {
+			seg, _ := mc.BarrierFiles(filepath.Join(l.dir, "chain.mc"), 0, l.level)
+			if err := os.Link(seg, l.first); err != nil {
 				return err
 			}
 			l.mu.Lock()
@@ -631,10 +647,9 @@ func (l *sealPhaseLauncher) Start(index, gen int) (io.ReadWriteCloser, error) {
 }
 
 // TestDistDeathInSealPhase: a worker that dies after a peer has already
-// closed the level — written its barrier file and reported it — makes
+// closed the level — written its barrier files and reported it — makes
 // the whole fleet redo the level. The result equals the engine's, and
-// the peer's rewritten barrier file is byte-identical to its first
-// write.
+// the peer's rewritten segment is byte-identical to its first write.
 func TestDistDeathInSealPhase(t *testing.T) {
 	g := graphModel{N: 300, Target: 300}
 	want, err := runEngine(t, g, nil, g.trInvBytes(), mc.Options{})
@@ -668,7 +683,7 @@ func TestDistDeathInSealPhase(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				path := filepath.Join(dir, fmt.Sprintf("w0-l%d.mc", level))
+				path, _ := mc.BarrierFiles(filepath.Join(dir, "chain.mc"), 0, level)
 				again, err := os.ReadFile(path)
 				if err != nil {
 					t.Fatal(err)
@@ -704,6 +719,27 @@ func TestDistFlakyAndSlowWrites(t *testing.T) {
 	// recovery machinery fires, nothing is re-expanded.
 	if rep.Respawns != 0 || rep.Takeovers != 0 || rep.ReexpandedTransitions != 0 {
 		t.Fatalf("writes should be retried, not recovered: %+v", rep)
+	}
+}
+
+// TestDistWritePastRetriesIsDeath: a worker whose writes keep failing
+// past the retry budget dies and is recovered by one fleet restart. It
+// used to live on without the dropped control message, and the
+// coordinator waited for it for ever.
+func TestDistWritePastRetriesIsDeath(t *testing.T) {
+	g := graphModel{N: 300, Target: 300}
+	want, err := runEngine(t, g, nil, g.trInvBytes(), mc.Options{})
+	if err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	got, rep, err := runDist(t, g, nil, g.trInvBytes(), mc.Options{},
+		Options{Workers: 2, Swifi: "flakywrite@worker=0@level=2@fails=50", Log: t.Logf})
+	if err != nil {
+		t.Fatalf("dist: %v", err)
+	}
+	requireIdentical(t, got, want)
+	if rep.Respawns != 1 || len(rep.Recoveries) != 1 || rep.Recoveries[0].Level != 2 || rep.Recoveries[0].Worker != 0 {
+		t.Fatalf("report %+v, want one recovery of worker 0 at level 2", rep)
 	}
 }
 
@@ -885,15 +921,13 @@ func TestDistRejectsUnsupportedOptions(t *testing.T) {
 		trInv mc.TransitionInvariantBytes
 		opts  mc.Options
 	}{
-		{"resume-path", g, nil, tr, mc.Options{ResumePath: "x"}},
-		{"checkpoint", g, nil, tr, mc.Options{CheckpointPath: "x"}},
 		{"both-invariants", g, st, tr, mc.Options{}},
 		{"no-invariant", g, nil, nil, mc.Options{}},
 		{"unspecced", unspeccedModel{}, nil, tr, mc.Options{}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if b, err := ck.NewBackend(tc.model, tc.stInv, tc.trInv, false, tc.opts); err == nil {
+			if b, err := ck.NewBackend(tc.model, tc.stInv, tc.trInv, false, nil, tc.opts); err == nil {
 				b.Close(nil)
 				t.Fatal("accepted, want refusal")
 			}
@@ -934,6 +968,84 @@ func TestSwifiParse(t *testing.T) {
 	for _, spec := range bad {
 		if _, err := parseSwifi(spec); err == nil {
 			t.Errorf("accepted %q", spec)
+		}
+	}
+}
+
+// TestDistResumeCrossMode: one checkpoint chain serves every mode. A
+// search cut by its context and resumed — a 2-worker chain in-process,
+// an in-process chain at 2 and 4 workers, a 2-worker chain at 3 workers
+// — returns the straight run's Result byte for byte (verdict, counts,
+// depth, counterexample) on the graph fixture with either invariant kind
+// and on the TTA cold-start trace model, and the finished run leaves no
+// checkpoint file behind.
+func TestDistResumeCrossMode(t *testing.T) {
+	coldstart, err := model.New(model.Config{Authority: guardian.AuthorityFullShift, MaxOutOfSlot: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graphModel{N: 300, Target: 211}
+	cases := []struct {
+		name  string
+		m     mc.Model
+		stInv mc.StateInvariantBytes
+		trInv mc.TransitionInvariantBytes
+		cut   int
+	}{
+		{"graph-st", g, g.stInvBytes(), nil, 4},
+		{"graph-tr", g, nil, g.trInvBytes(), 4},
+		{"tta-coldstart", coldstart, nil, coldstart.PropertyBytes(), 6},
+	}
+	// Worker counts of the cut run and of the resumed one; 0 is the
+	// in-process engine. A fleet resumed without a CheckpointPath
+	// continues the chain in place.
+	modes := []struct {
+		cut, resume int
+		inPlace     bool
+	}{{2, 0, false}, {0, 2, false}, {0, 4, true}, {2, 3, false}}
+	for _, tc := range cases {
+		want, err := runEngine(t, tc.m, tc.stInv, tc.trInv, mc.Options{})
+		if err != nil {
+			t.Fatalf("%s: engine: %v", tc.name, err)
+		}
+		for _, mode := range modes {
+			t.Run(fmt.Sprintf("%s-%d-%d", tc.name, mode.cut, mode.resume), func(t *testing.T) {
+				run := func(workers int, opts mc.Options) (mc.Result, error) {
+					if workers == 0 {
+						return runEngine(t, tc.m, tc.stInv, tc.trInv, opts)
+					}
+					res, _, err := runDist(t, tc.m, tc.stInv, tc.trInv, opts, Options{Workers: workers})
+					return res, err
+				}
+				dir := t.TempDir()
+				path := filepath.Join(dir, "cp.mc")
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				levels := 0
+				_, err := run(mode.cut, mc.Options{Context: ctx, CheckpointPath: path, Progress: func(mc.Progress) {
+					if levels++; levels == tc.cut {
+						cancel()
+					}
+				}})
+				if !errors.Is(err, mc.ErrInterrupted) {
+					t.Fatalf("cut run: %v, want ErrInterrupted", err)
+				}
+				if c, err := mc.OpenChain(path); c == nil || c.Depth != int32(tc.cut) {
+					t.Fatalf("cut run left no checkpoint at depth %d (%v)", tc.cut, err)
+				}
+				opts := mc.Options{ResumePath: path, CheckpointPath: path}
+				if mode.inPlace {
+					opts.CheckpointPath = ""
+				}
+				got, err := run(mode.resume, opts)
+				if err != nil {
+					t.Fatalf("resumed run: %v", err)
+				}
+				requireIdentical(t, got, want)
+				if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+					t.Fatalf("finished run left %v behind (%v)", left, err)
+				}
+			})
 		}
 	}
 }

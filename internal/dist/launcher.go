@@ -145,6 +145,7 @@ func (l *ProcLauncher) Close() {
 type pipeLauncher struct {
 	mu    sync.Mutex
 	conns map[int]net.Conn // coordinator-side ends, for Kill
+	live  sync.WaitGroup   // running worker goroutines, awaited by Close
 }
 
 func newPipeLauncher() *pipeLauncher {
@@ -162,7 +163,9 @@ func (l *pipeLauncher) Start(index, generation int) (io.ReadWriteCloser, error) 
 	l.mu.Lock()
 	l.conns[index] = coordEnd
 	l.mu.Unlock()
+	l.live.Add(1)
 	go func() {
+		defer l.live.Done()
 		// A goroutine "process": kill injection closes the conn and
 		// unwinds via Goexit — the closest in-process analogue of
 		// os.Exit, observable coordinator-side as the same EOF a dead
@@ -195,4 +198,6 @@ func (l *pipeLauncher) Close() {
 	for _, c := range conns {
 		c.Close()
 	}
+	// Like a reaped process, a closed worker writes no more files.
+	l.live.Wait()
 }

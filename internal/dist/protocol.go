@@ -6,7 +6,7 @@
 //
 // Topology is a control-plane/data-plane split. The coordinator star
 // carries only control traffic — config, expand commands, level
-// barriers, heartbeats, snapshot acks — while successor batches flow
+// barriers, heartbeats — while successor batches flow
 // point-to-point over an N×(N−1) worker↔worker mesh (mesh.go), routed
 // by the 64-shard hash. The star's barrier property is preserved by
 // counting instead of observing: a sender declares in its mtExpandDone
@@ -15,7 +15,8 @@
 // closes a level only once its per-sender receive counts match. Crash
 // recovery is central too: on any worker death the coordinator restarts
 // the whole fleet, one generation on, from the last closed level
-// barrier and redoes the interrupted level (recover.go).
+// barrier — the checkpoint chain's manifest — and redoes the
+// interrupted level (recover.go).
 //
 // Determinism is the engine's own argument extended across process
 // boundaries: every successor carries the claim key the serial sweep
@@ -26,8 +27,10 @@
 // neither mesh arrival order nor a redone level can perturb the result.
 // Verdicts, counts and counterexample traces are byte-identical to the
 // in-process engine for any worker count — and, because every level is
-// redone from level-barrier snapshots, under injected worker crashes
-// too (or the run is refused with ErrUnrecoverable).
+// redone from the last closed barrier, under injected worker crashes
+// too (or the run is refused with ErrUnrecoverable). The barriers are
+// the engine's own checkpoint chain, so a run of either kind resumes
+// the other's checkpoint.
 package dist
 
 import (
@@ -66,7 +69,7 @@ const (
 
 	mtHello       // W→C: Config processed, ready
 	mtExpandDone  // W→C: per-slot counts, per-destination declarations, violation candidate
-	mtLevelReport // W→C: claimed keys, state-invariant violations, snapshot ack
+	mtLevelReport // W→C: claimed keys, state-invariant violations, totals
 	mtTraceReply  // W→C: TraceQuery answer
 	mtHeartbeat   // W→C: liveness (sent from a side goroutine)
 	mtBye         // W→C: final counters, shutting down
@@ -436,9 +439,9 @@ func walkMeshGroups(p []byte, visit func(slot, parent, j uint32, enc []byte)) (g
 }
 
 // msgConfig initializes a worker: identity, the model spec to rebuild,
-// the invariant kind to check, the shard ownership map, snapshot
-// location, how much of its own snapshot chain to restore, the SWIFI
-// script and the heartbeat cadence.
+// the invariant kind to check, the shard ownership map, the checkpoint
+// chain it writes its barrier files to and the one it restores from, the
+// SWIFI script and the heartbeat cadence.
 type msgConfig struct {
 	Index       int
 	Gen         int // fleet generation; addresses every mesh endpoint of this fleet
@@ -449,13 +452,9 @@ type msgConfig struct {
 	CheckState  bool // check the spec's state invariant (else its transition invariant)
 	MaxStates   int
 	Assign      [mc.NumShards]uint8
-	SnapshotDir string
+	Chain       string // the manifest path the worker's barrier files go next to
+	Restore     string // the manifest of the barrier to restore; "" starts empty
 	MeshName    string // the run's mesh: every worker's socket address derives from it
-	// Restore lists the levels of this worker index's acknowledged
-	// barrier snapshots, in order: their segments concatenate into the
-	// store, and the last one's frontier is the frontier. Empty starts
-	// empty.
-	Restore     []int32
 	Swifi       string
 	HeartbeatMs int
 }
@@ -471,12 +470,9 @@ func (m *msgConfig) encode() (byte, []byte) {
 	w.boolean(m.CheckState)
 	w.i(m.MaxStates)
 	w.raw(m.Assign[:])
-	w.str(m.SnapshotDir)
+	w.str(m.Chain)
+	w.str(m.Restore)
 	w.str(m.MeshName)
-	w.i(len(m.Restore))
-	for _, l := range m.Restore {
-		w.u32(uint32(l))
-	}
 	w.str(m.Swifi)
 	w.i(m.HeartbeatMs)
 	return mtConfig, w.b
@@ -497,12 +493,9 @@ func decodeConfig(p []byte) (*msgConfig, error) {
 	for i := range m.Assign {
 		m.Assign[i] = r.byte1()
 	}
-	m.SnapshotDir = r.str()
+	m.Chain = r.str()
+	m.Restore = r.str()
 	m.MeshName = r.str()
-	nr := r.count()
-	for i := 0; i < nr && r.err == nil; i++ {
-		m.Restore = append(m.Restore, int32(r.u32()))
-	}
 	m.Swifi = r.str()
 	m.HeartbeatMs = r.i()
 	return m, r.done()
@@ -574,14 +567,12 @@ func decodeInit(p []byte) (*msgInit, error) {
 
 // msgSeal tells a worker every sender has declared its mesh traffic for
 // Level: once the worker's receive counts reach every Expect entry it
-// can close the level — drain its claims, snapshot, and send its
-// mtLevelReport (stamped with Seq so the coordinator can match it).
-// Next is the claim-key base the next level starts at, recorded in the
-// barrier snapshot.
+// can close the level — drain its claims, write its barrier files, and
+// send its mtLevelReport (stamped with Seq so the coordinator can match
+// it).
 type msgSeal struct {
 	Level  int32
 	Seq    uint32
-	Next   uint64
 	Expect []expectCount
 }
 
@@ -597,7 +588,6 @@ func (m *msgSeal) encode() (byte, []byte) {
 	var w wbuf
 	w.u32(uint32(m.Level))
 	w.u32(m.Seq)
-	w.u(m.Next)
 	w.i(len(m.Expect))
 	for _, e := range m.Expect {
 		w.i(e.Sender)
@@ -608,7 +598,7 @@ func (m *msgSeal) encode() (byte, []byte) {
 
 func decodeSeal(p []byte) (*msgSeal, error) {
 	r := newRbuf(p)
-	m := &msgSeal{Level: int32(r.u32()), Seq: r.u32(), Next: r.u()}
+	m := &msgSeal{Level: int32(r.u32()), Seq: r.u32()}
 	n := r.count()
 	m.Expect = make([]expectCount, 0, n)
 	for i := 0; i < n && r.err == nil; i++ {
@@ -646,24 +636,28 @@ type msgStop struct{}
 
 func (m *msgStop) encode() (byte, []byte) { return mtStop, nil }
 
-// msgHello acknowledges a processed msgConfig. Err is a config-stage
-// failure (unknown spec, unreadable restore snapshot, ...) — fatal for
-// the run.
+// msgHello acknowledges a processed msgConfig with the restored store's
+// totals. Err is a config-stage failure (unknown spec, unreadable
+// checkpoint, ...) — fatal for the run.
 type msgHello struct {
-	Index int
-	Err   string
+	Index    int
+	Err      string
+	States   int64
+	Resident int64
 }
 
 func (m *msgHello) encode() (byte, []byte) {
 	var w wbuf
 	w.i(m.Index)
 	w.str(m.Err)
+	w.u(uint64(m.States))
+	w.u(uint64(m.Resident))
 	return mtHello, w.b
 }
 
 func decodeHello(p []byte) (*msgHello, error) {
 	r := newRbuf(p)
-	m := &msgHello{Index: r.i(), Err: r.str()}
+	m := &msgHello{Index: r.i(), Err: r.str(), States: int64(r.u()), Resident: int64(r.u())}
 	return m, r.done()
 }
 
@@ -735,20 +729,19 @@ func decodeExpandDone(p []byte) (*msgExpandDone, error) {
 // msgLevelReport closes a worker's level: the final (min-key)
 // claim keys of the states it admitted this level in ascending order
 // (delta-encoded), any state-invariant violations with their final keys,
-// totals, the barrier snapshot ack, and the worker process's cumulative
-// wire counters.
+// totals, and the worker process's cumulative wire counters. It is sent
+// once the worker's barrier files of the level are written.
 type msgLevelReport struct {
-	Level       int32
-	Seq         uint32 // the executed seal's sequence number
-	Keys        []uint64
-	StViolKeys  []uint64
-	StViolEncs  [][]byte
-	States      int64
-	Resident    int64
-	Full        bool
-	SnapshotErr string // why the barrier snapshot failed to write; "" when it was written
-	WireFrames  uint64 // cumulative frames this worker process has written
-	WireBytes   uint64 // cumulative bytes this worker process has written
+	Level      int32
+	Seq        uint32 // the executed seal's sequence number
+	Keys       []uint64
+	StViolKeys []uint64
+	StViolEncs [][]byte
+	States     int64
+	Resident   int64
+	Full       bool
+	WireFrames uint64 // cumulative frames this worker process has written
+	WireBytes  uint64 // cumulative bytes this worker process has written
 }
 
 func (m *msgLevelReport) encode() (byte, []byte) {
@@ -769,7 +762,6 @@ func (m *msgLevelReport) encode() (byte, []byte) {
 	w.u(uint64(m.States))
 	w.u(uint64(m.Resident))
 	w.boolean(m.Full)
-	w.str(m.SnapshotErr)
 	w.u(m.WireFrames)
 	w.u(m.WireBytes)
 	return mtLevelReport, w.b
@@ -795,7 +787,6 @@ func decodeLevelReport(p []byte) (*msgLevelReport, error) {
 	m.States = int64(r.u())
 	m.Resident = int64(r.u())
 	m.Full = r.boolean()
-	m.SnapshotErr = r.str()
 	m.WireFrames = r.u()
 	m.WireBytes = r.u()
 	return m, r.done()

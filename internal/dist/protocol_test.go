@@ -45,9 +45,9 @@ func TestProtocolRoundTrips(t *testing.T) {
 	cfg := &msgConfig{
 		Index: 3, Gen: 2, Workers: 5, SpecName: "tta", SpecPayload: `{"Nodes":4}`,
 		Reduced: true, CheckState: true, MaxStates: 1 << 20, Assign: assign,
-		SnapshotDir: "/tmp/snaps", MeshName: "0123456789abcdef01234567",
-		Restore: []int32{0, 1, 3, 5},
-		Swifi:   "kill@worker=1@level=2", HeartbeatMs: 250,
+		Chain: "/tmp/snaps/chain.mc", Restore: "/tmp/snaps/chain.mc",
+		MeshName: "0123456789abcdef01234567",
+		Swifi:    "kill@worker=1@level=2", HeartbeatMs: 250,
 	}
 	if got := roundTrip(t, cfg, func(p []byte) (any, error) { return decodeConfig(p) }, mtConfig); !reflect.DeepEqual(got, cfg) {
 		t.Fatalf("config mismatch:\n got %+v\nwant %+v", got, cfg)
@@ -63,7 +63,7 @@ func TestProtocolRoundTrips(t *testing.T) {
 		t.Fatalf("init mismatch:\n got %+v\nwant %+v", got, roots)
 	}
 
-	seal := &msgSeal{Level: 4, Seq: 17, Next: 3 << 40,
+	seal := &msgSeal{Level: 4, Seq: 17,
 		Expect: []expectCount{{Sender: 0, Groups: 1 << 40}, {Sender: 4, Groups: 3}}}
 	if got := roundTrip(t, seal, func(p []byte) (any, error) { return decodeSeal(p) }, mtSeal); !reflect.DeepEqual(got, seal) {
 		t.Fatalf("seal mismatch: %+v", got)
@@ -75,7 +75,7 @@ func TestProtocolRoundTrips(t *testing.T) {
 		}
 	}
 
-	hello := &msgHello{Index: 2, Err: "no builder"}
+	hello := &msgHello{Index: 2, Err: "no builder", States: 1 << 33, Resident: 1 << 40}
 	if got := roundTrip(t, hello, func(p []byte) (any, error) { return decodeHello(p) }, mtHello); !reflect.DeepEqual(got, hello) {
 		t.Fatalf("hello mismatch: %+v", got)
 	}
@@ -90,7 +90,7 @@ func TestProtocolRoundTrips(t *testing.T) {
 	lr := &msgLevelReport{Level: 6, Seq: 42, Keys: []uint64{10, 11, 500, 1 << 30},
 		StViolKeys: []uint64{77}, StViolEncs: [][]byte{[]byte("bad")},
 		States: 12345, Resident: 1 << 22, Full: true,
-		SnapshotErr: "disk full", WireFrames: 4096, WireBytes: 1 << 34}
+		WireFrames: 4096, WireBytes: 1 << 34}
 	if got := roundTrip(t, lr, func(p []byte) (any, error) { return decodeLevelReport(p) }, mtLevelReport); !reflect.DeepEqual(got, lr) {
 		t.Fatalf("level report mismatch:\n got %+v\nwant %+v", got, lr)
 	}
@@ -174,7 +174,7 @@ func TestProtocolRejectsDamage(t *testing.T) {
 		m      encoder
 		decode func([]byte) error
 	}{
-		{"config", &msgConfig{Index: 1, SpecName: "x", Restore: []int32{0, 2}, Swifi: "s"},
+		{"config", &msgConfig{Index: 1, SpecName: "x", Restore: "r.mc", Swifi: "s"},
 			func(p []byte) error { _, err := decodeConfig(p); return err }},
 		{"expand", &msgExpand{Level: 2, Slots: []uint32{1, 2, 3}},
 			func(p []byte) error { _, err := decodeExpand(p); return err }},
@@ -244,16 +244,16 @@ func FuzzDecodeControl(f *testing.F) {
 	assign[5] = 2
 	seeds := []encoder{
 		&msgConfig{Index: 1, Gen: 2, Workers: 3, SpecName: "tta", SpecPayload: "{}", Reduced: true,
-			MaxStates: 9, Assign: assign, Restore: []int32{0, 1}, Swifi: "kill@worker=1@level=2"},
+			MaxStates: 9, Assign: assign, Chain: "c.mc", Restore: "c.mc", Swifi: "kill@worker=1@level=2"},
 		&msgExpand{Level: 3, Base: 1 << 30, ID: 4, Slots: []uint32{0, 7}},
 		&msgInit{Js: []uint32{0, 3}, Encs: [][]byte{[]byte("a"), []byte("bc")}},
-		&msgSeal{Level: 2, Seq: 5, Next: 6 << 24, Expect: []expectCount{{Sender: 1, Groups: 8}}},
+		&msgSeal{Level: 2, Seq: 5, Expect: []expectCount{{Sender: 1, Groups: 8}}},
 		&msgTraceQuery{ByRef: true, Ref: 0x41, Enc: []byte("enc")},
-		&msgHello{Index: 1, Err: "x"},
+		&msgHello{Index: 1, Err: "x", States: 3, Resident: 4},
 		&msgExpandDone{Level: 1, ID: 2, Counts: []uint32{3}, SentTo: []sentCount{{Dest: 1, Groups: 2}},
 			HasViol: true, ViolKey: 9, ViolFrom: []byte("f"), ViolTo: []byte("t")},
 		&msgLevelReport{Level: 1, Seq: 2, Keys: []uint64{4, 9}, StViolKeys: []uint64{4},
-			StViolEncs: [][]byte{[]byte("s")}, States: 5, SnapshotErr: "x"},
+			StViolEncs: [][]byte{[]byte("s")}, States: 5, Full: true},
 		&msgTraceReply{Found: true, HasParent: true, Parent: 0x81, Enc: []byte("p")},
 		&msgBye{WireFrames: 7},
 		&msgFatal{Err: "boom"},

@@ -3,25 +3,19 @@ package dist
 // Event dispatch and crash recovery.
 //
 // Every worker death is recovered the same way: the coordinator retires
-// the whole fleet and restarts it, one generation on, from the barrier
-// that closed the level before the interrupted one, then redoes that
-// level. A death at level L kills every worker process, starts each
-// index again with its chain of acknowledged barrier snapshots cut at
-// L−1 (restored through the engine's checked sweep), re-sends the
-// level-0 inits when L = 0, and reissues level L's Expands to the whole
-// fleet with fresh accounting. Claims carry position-derived keys, so
-// the redo is deterministic: the level's barrier files come out
-// byte-identical to the ones a first attempt may have written, and the
-// verdict is untouched.
-//
-// Two deaths end the run with ErrUnrecoverable instead, naming the
-// worker, the level and the reason — a crash is recovered or reported,
-// never guessed at:
-//   - the index that died has spent its respawn budget (maxRespawns
-//     recoveries charged to it);
-//   - some worker's acknowledged chain does not reach L−1 (a barrier
-//     snapshot failed to write, and no later barrier has repaired it
-//     yet) — the dead worker's or a survivor's alike.
+// the whole fleet and restarts it, one generation on, from the last
+// closed barrier — L−1 while level L runs, since the manifest closing L
+// is renamed only once every level-L report is in (search.go) — then
+// redoes level L: every index restores from that manifest, level 0's
+// inits are re-sent when L = 0, and level L's Expands go to the whole
+// fleet with fresh accounting. Claims carry position-derived keys, so the
+// redo is deterministic: the level's files come out byte-identical to the
+// ones a first attempt may have written, and the verdict is untouched. A
+// worker whose barrier files or control messages still fail to write
+// after its retries exits, and is recovered the same way. Only a death of an index that has spent
+// its respawn budget (maxRespawns recoveries charged to it) ends the run,
+// with ErrUnrecoverable naming the worker and the level: a crash is
+// recovered or reported, never guessed at.
 
 import (
 	"errors"
@@ -35,22 +29,8 @@ const maxRespawns = 2
 
 // ErrUnrecoverable reports a worker death the distributed checker
 // refuses to recover from (see recover.go's header for the cases). The
-// run ends without a verdict; snapshot files are left in place.
+// run ends without a verdict; the checkpoint chain is left in place.
 var ErrUnrecoverable = errors.New("dist: unrecoverable worker death")
-
-// lastAck is the last level whose barrier snapshot the index wrote (-1:
-// none).
-func (w *workerState) lastAck() int32 {
-	if len(w.acked) == 0 {
-		return -1
-	}
-	return w.acked[len(w.acked)-1]
-}
-
-func (c *coordinator) unrecoverable(w *workerState, format string, args ...any) error {
-	return fmt.Errorf("%w: worker %d at level %d: %s",
-		ErrUnrecoverable, w.index, c.level, fmt.Sprintf(format, args...))
-}
 
 // step processes exactly one event.
 func (c *coordinator) step() error {
@@ -98,6 +78,7 @@ func (c *coordinator) dispatch(w *workerState, typ byte, payload []byte) error {
 			return fmt.Errorf("dist: worker %d failed to start: %s", w.index, m.Err)
 		}
 		w.helloed = true
+		w.states, w.resident = m.States, m.Resident
 	case mtExpandDone:
 		m, err := decodeExpandDone(payload)
 		if err != nil {
@@ -153,16 +134,6 @@ func (c *coordinator) onExpandDone(w *workerState, m *msgExpandDone) error {
 func (c *coordinator) onReport(w *workerState, m *msgLevelReport) error {
 	w.wireFramesCur = m.WireFrames
 	w.wireBytesCur = m.WireBytes
-	// A written snapshot joins the restore chain. A failed one leaves
-	// the chain at the last good write, and the next barrier's file —
-	// whose segments reach back to that write — repairs it: the levels
-	// in between are restorable again from then on.
-	switch {
-	case m.SnapshotErr != "":
-		c.logf("dist: worker %d level %d snapshot failed: %s", w.index, m.Level, m.SnapshotErr)
-	case m.Level > w.lastAck():
-		w.acked = append(w.acked, m.Level)
-	}
 	if m.Level != c.level || w.seg == nil || w.seg.filled || w.seg.seq != m.Seq {
 		return fmt.Errorf("dist: worker %d: level %d report (seq %d) with no seal outstanding", w.index, m.Level, m.Seq)
 	}
@@ -183,20 +154,17 @@ func (c *coordinator) onReport(w *workerState, m *msgLevelReport) error {
 // Death handling
 
 // handleDeath recovers from worker w's death at the current level L: it
-// retires the fleet, restarts every index from its acknowledged chain
-// cut at L−1, and redoes level L — or refuses with ErrUnrecoverable.
+// retires the fleet, restarts every index from the last closed barrier,
+// L−1, and redoes level L — or refuses with ErrUnrecoverable, booking
+// the recoveries still open with the level and worker they answered.
 func (c *coordinator) handleDeath(w *workerState, cause error) error {
 	c.logf("dist: worker %d (generation %d) died at level %d: %v", w.index, c.gen, c.level, cause)
 	c.retireFleet()
 	if w.respawns >= maxRespawns {
-		return c.unrecoverable(w, "respawn budget (%d) spent", maxRespawns)
-	}
-	for _, v := range c.workers {
-		v.acked = cutChain(v.acked, c.level-1)
-		if ack := v.lastAck(); ack < c.level-1 {
-			return c.unrecoverable(v, "last acknowledged barrier snapshot is level %d, %d levels behind (worker %d died)",
-				ack, c.level-ack, w.index)
-		}
+		c.rep.Recoveries = append(c.rep.Recoveries, c.openRecs...)
+		c.openRecs = nil
+		return fmt.Errorf("%w: worker %d at level %d: respawn budget (%d) spent",
+			ErrUnrecoverable, w.index, c.level, maxRespawns)
 	}
 	w.respawns++
 	c.rep.Respawns++
@@ -229,13 +197,4 @@ func (c *coordinator) retireFleet() {
 		c.rep.BytesOnWire += v.wireBytesCur
 		v.wireFramesCur, v.wireBytesCur = 0, 0
 	}
-}
-
-// cutChain drops the acknowledged levels past through: their files are
-// rewritten by the redo.
-func cutChain(acked []int32, through int32) []int32 {
-	for len(acked) > 0 && acked[len(acked)-1] > through {
-		acked = acked[:len(acked)-1]
-	}
-	return acked
 }

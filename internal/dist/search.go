@@ -8,9 +8,11 @@ package dist
 
 import (
 	"fmt"
+	"os"
 	"sort"
 
 	"ttastar/internal/mc"
+	"ttastar/internal/retry"
 )
 
 // AdmitInitial dedups initial state i at the coordinator, charges it to
@@ -163,10 +165,10 @@ func (c *coordinator) issueExpand(w *workerState, slots []uint32) {
 }
 
 // collectLevel pumps events until the level's barrier is complete,
-// then books the level's transitions and prices the recoveries that
-// redid it. The counts are final once the Expands have all reported,
-// so a recovery is priced even at the level whose violation ends the
-// search, which never closes its barrier.
+// then books the level's transitions, prices the recoveries that redid
+// it and closes the barrier on disk. The counts are final once the
+// Expands have all reported, so a recovery is priced even at the level
+// whose violation ends the search.
 func (c *coordinator) collectLevel() error {
 	for {
 		c.trySeal()
@@ -187,7 +189,50 @@ func (c *coordinator) collectLevel() error {
 		c.rep.Recoveries = append(c.rep.Recoveries, rec)
 	}
 	c.openRecs = nil
+	return c.commit()
+}
+
+// commit closes the level's barrier on disk before any Expand of the
+// next level: one rename of the manifest, which appends every worker's
+// segment of the level and names their frontier files. A level that ends
+// the search (a violation, a spent budget, no frontier) is no restore
+// point: its files are deleted instead.
+func (c *coordinator) commit() error {
+	var segs, fronts []string
+	frontier := 0
+	for i, w := range c.workers {
+		seg, front := mc.BarrierFiles(c.chain.Path(), i, c.level)
+		segs, fronts = append(segs, seg), append(fronts, front)
+		frontier += len(w.seg.keys)
+	}
+	if c.anyFull || c.trBest != nil || len(c.stViols) > 0 || frontier == 0 {
+		for _, f := range append(segs, fronts...) {
+			os.Remove(f)
+		}
+		return nil
+	}
+	h := mc.ChainHeader{Depth: c.level, ResultDepth: int(c.level), Transitions: int(c.totalGen),
+		Reduced: c.reduced, Fingerprint: c.fingerprint, NextBase: c.next}
+	if _, err := retry.Do(workerWriteAttempts, workerWriteBackoff, nil, func() error {
+		return c.chain.Commit(h, segs, fronts)
+	}); err != nil {
+		return fmt.Errorf("dist: closing the level-%d barrier: %w", c.level, err)
+	}
+	c.restore = c.chain.Path()
 	return nil
+}
+
+// resumeAt makes chain r's barrier the fleet's: its level, transitions
+// and each worker's share of its frontier keys, which NextLevel slots.
+func (c *coordinator) resumeAt(r *mc.Chain) error {
+	c.level, c.totalGen, c.initSeen = r.Depth, uint64(r.Transitions), nil
+	for _, w := range c.workers {
+		w.seg = &keySegment{filled: true}
+	}
+	return r.FrontierKeys(func(key uint64, shard uint32) {
+		w := c.workers[c.assign[shard]]
+		w.seg.keys = append(w.seg.keys, key)
+	})
 }
 
 // trySeal broadcasts the level's Seals once no Expand is outstanding.
@@ -210,7 +255,7 @@ func (c *coordinator) trySeal() {
 func (c *coordinator) sealTo(w *workerState) {
 	seq := c.sealSeq
 	c.sealSeq++
-	m := &msgSeal{Level: c.level, Seq: seq, Next: c.next}
+	m := &msgSeal{Level: c.level, Seq: seq}
 	for sender, n := range c.acc[w.index] {
 		if n > 0 {
 			m.Expect = append(m.Expect, expectCount{Sender: sender, Groups: n})

@@ -1,10 +1,10 @@
 package dist
 
-// Barrier-snapshot tests: a worker's files are the engine's checkpoint
-// format, sliced by shard and by level. Concatenated, a worker's
-// segments must be byte-identical to the in-process engine's arenas for
-// its shards at every barrier, and the restore that reads them must
-// refuse damage with a typed error, never panic.
+// Barrier-file tests: the fleet's barriers are the engine's checkpoint
+// chain, its segments sliced by shard and by level. Concatenated, a
+// worker's segments must be byte-identical to the in-process engine's
+// arenas for its shards at every barrier, and the one restore that reads
+// them must refuse damage with a typed error, never panic.
 
 import (
 	"bytes"
@@ -128,94 +128,121 @@ type v5Live struct {
 	key, pw uint64
 }
 
-// v5File is a parsed version-5 checkpoint: the header words, per-shard
-// arena sections and the live tier.
+// v5File is a parsed checkpoint at one barrier: the manifest's header
+// words, per-shard arenas concatenated from the segments of each writer
+// (by writer index; -1 for the engine), and the frontier files' entries
+// merged by key.
 type v5File struct {
-	header [6]uint64 // depth, result depth, transitions, flags, fingerprint, next base
-	shards [mc.NumShards]v5Shard
-	live   []v5Live
+	header  [6]uint64 // depth, result depth, transitions, flags, fingerprint, next base
+	writers map[int]*[mc.NumShards]v5Shard
+	live    []v5Live
 }
 
-// parseV5 parses a checkpoint file whose sections append to arenas
-// already holding prior[s] entries (zero for an engine checkpoint).
-func parseV5(t *testing.T, data []byte, prior *[mc.NumShards]uint64) *v5File {
+// parseChainFile opens one chain file of the given kind — magic,
+// version 6, kind, then the body, less its checksum trailer — and
+// returns readers of its body: a uvarint, a byte string, the bytes left.
+func parseChainFile(t *testing.T, path string, kind uint64) (u func() uint64, bstr func() []byte, rest func() int) {
 	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(data) < 16 || string(data[:8]) != "TTAMCCP\x00" {
-		t.Fatalf("not a checkpoint file")
+		t.Fatalf("%s: not a checkpoint file", path)
 	}
 	p := data[8 : len(data)-8]
-	u := func() uint64 {
+	u = func() uint64 {
 		v, n := binary.Uvarint(p)
 		if n <= 0 {
-			t.Fatalf("truncated checkpoint")
+			t.Fatalf("%s: truncated", path)
 		}
 		p = p[n:]
 		return v
 	}
-	bstr := func() []byte {
+	bstr = func() []byte {
 		n := u()
 		b := p[:n]
 		p = p[n:]
 		return b
 	}
-	if v := u(); v != 5 {
-		t.Fatalf("version %d, want 5", v)
+	if v, k := u(), u(); v != 6 || k != kind {
+		t.Fatalf("%s: version %d kind %d, want 6, %d", path, v, k, kind)
 	}
-	f := &v5File{}
+	return u, bstr, func() int { return len(p) }
+}
+
+// parseChain parses the checkpoint whose manifest is at manifest.
+func parseChain(t *testing.T, manifest string) *v5File {
+	t.Helper()
+	u, bstr, rest := parseChainFile(t, manifest, 1)
+	f := &v5File{writers: map[int]*[mc.NumShards]v5Shard{}}
 	for i := range f.header {
 		f.header[i] = u()
 	}
-	ceil := func(n uint64) uint64 { return (n + arenaRestartEvery - 1) / arenaRestartEvery }
-	for s := range f.shards {
-		sh := &f.shards[s]
-		sh.count = u()
-		prev := uint64(0)
-		for i := ceil(prior[s]); i < ceil(prior[s]+sh.count); i++ {
-			prev += u()
-			sh.restarts = append(sh.restarts, prev)
+	var segs, fronts []string
+	for _, list := range []*[]string{&segs, &fronts} {
+		for n := u(); n > 0; n-- {
+			*list = append(*list, filepath.Join(filepath.Dir(manifest), string(bstr())))
+			u()
 		}
-		sh.blob = bstr()
 	}
-	for n := u(); n > 0; n-- {
-		f.live = append(f.live, v5Live{enc: bstr(), key: u(), pw: u()})
+	if rest() != 0 {
+		t.Fatalf("%s: trailing bytes", manifest)
 	}
-	if len(p) != 0 {
-		t.Fatalf("%d trailing bytes", len(p))
+	ceil := func(n uint64) uint64 { return (n + arenaRestartEvery - 1) / arenaRestartEvery }
+	for _, seg := range segs {
+		writer := -1
+		if _, tag, ok := strings.Cut(strings.TrimPrefix(seg, manifest), ".w"); ok {
+			writer, _ = strconv.Atoi(tag[:strings.IndexByte(tag, '-')])
+		}
+		arenas := f.writers[writer]
+		if arenas == nil {
+			arenas = &[mc.NumShards]v5Shard{}
+			f.writers[writer] = arenas
+		}
+		u, bstr, rest := parseChainFile(t, seg, 2)
+		for s := range arenas {
+			a := &arenas[s]
+			from, count := u(), u()
+			if count > 0 && from != a.count {
+				t.Fatalf("%s: shard %d section from %d, arena holds %d", seg, s, from, a.count)
+			}
+			prev := uint64(0)
+			for i := ceil(from); i < ceil(from+count); i++ {
+				prev += u()
+				a.restarts = append(a.restarts, prev+uint64(len(a.blob)))
+			}
+			a.count += count
+			a.blob = append(a.blob, bstr()...)
+		}
+		if rest() != 0 {
+			t.Fatalf("%s: trailing bytes", seg)
+		}
 	}
+	for _, front := range fronts {
+		u, bstr, rest := parseChainFile(t, front, 3)
+		for n := u(); n > 0; n-- {
+			f.live = append(f.live, v5Live{enc: bstr(), key: u(), pw: u()})
+		}
+		if rest() != 0 {
+			t.Fatalf("%s: trailing bytes", front)
+		}
+	}
+	sort.Slice(f.live, func(i, j int) bool { return f.live[i].key < f.live[j].key })
 	return f
 }
 
-// concatArenas concatenates a worker's barrier files, in order, into
-// per-shard arenas.
-func concatArenas(t *testing.T, files [][]byte) (arenas [mc.NumShards]v5Shard, last *v5File) {
-	t.Helper()
-	var prior [mc.NumShards]uint64
-	for _, data := range files {
-		last = parseV5(t, data, &prior)
-		for s := range last.shards {
-			sec, a := &last.shards[s], &arenas[s]
-			for _, r := range sec.restarts {
-				a.restarts = append(a.restarts, r+uint64(len(a.blob)))
-			}
-			a.count += sec.count
-			a.blob = append(a.blob, sec.blob...)
-			prior[s] = a.count
-		}
-	}
-	return arenas, last
-}
-
 // engineBoundaries runs m in-process with a checkpoint after every
-// level and returns the file at each boundary, by frontier depth.
-func engineBoundaries(t *testing.T, m mc.Model, trInv mc.TransitionInvariantBytes) map[int][]byte {
+// level and returns the checkpoint at each boundary, by frontier depth.
+func engineBoundaries(t *testing.T, m mc.Model, trInv mc.TransitionInvariantBytes) map[int]*v5File {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "engine.mc")
-	files := map[int][]byte{}
-	// At Progress(d) the file on disk is the boundary written after the
-	// previous level: frontier depth d-1.
+	files := map[int]*v5File{}
+	// At Progress(d) the checkpoint on disk is the boundary written after
+	// the previous level: frontier depth d-1.
 	progress := func(p mc.Progress) {
-		if data, err := os.ReadFile(path); err == nil {
-			files[p.Depth-1] = data
+		if _, err := os.Stat(path); err == nil {
+			files[p.Depth-1] = parseChain(t, path)
 		}
 	}
 	if _, err := mc.CheckTransitionInvariantBytes(m, trInv,
@@ -242,27 +269,13 @@ func boundedResident(t *testing.T, m mc.Model, trInv mc.TransitionInvariantBytes
 	return st.ResidentBytes
 }
 
-// workerFiles reads worker w's barrier files for levels 0..through.
-func workerFiles(t *testing.T, dir string, w, through int) [][]byte {
-	t.Helper()
-	var files [][]byte
-	for l := 0; l <= through; l++ {
-		data, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("w%d-l%d.mc", w, l)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, data)
-	}
-	return files
-}
-
 // TestDistArenasMatchEngine: at every barrier of a sealed 2-, 3- and
 // 4-worker run, each shard's arena concatenated from its owner's
-// barrier files — count, restart offsets and bytes — is byte-identical
-// to the in-process engine's arena for that shard at the same level;
-// the workers' live sections merge by key into the engine's live tier;
-// and the workers' resident bytes sum to the engine's, read from Stats
-// at the end of a search bounded at that depth.
+// segments — count, restart offsets and bytes — is byte-identical to the
+// in-process engine's arena for that shard at the same level; the
+// workers' frontier files merge by key into the engine's live tier; and
+// the workers' resident bytes sum to the engine's, read from Stats at the
+// end of a search bounded at that depth.
 func TestDistArenasMatchEngine(t *testing.T) {
 	tta, err := model.New(model.Config{Nodes: 4, Authority: guardian.AuthoritySmallShift})
 	if err != nil {
@@ -288,12 +301,15 @@ func TestDistArenasMatchEngine(t *testing.T) {
 			}
 		}
 		for workers := 2; workers <= 4; workers++ {
+			// At Progress(d) the fleet has closed the barrier at depth d.
 			dir := t.TempDir()
-			if _, _, err := runDist(t, tc.m, nil, tc.trInv, mc.Options{},
+			barriers := map[int]*v5File{}
+			progress := func(p mc.Progress) { barriers[p.Depth] = parseChain(t, filepath.Join(dir, "chain.mc")) }
+			if _, _, err := runDist(t, tc.m, nil, tc.trInv, mc.Options{Progress: progress},
 				Options{Workers: workers, SnapshotDir: dir}); err != nil {
 				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
 			}
-			for depth, eng := range engine {
+			for depth, want := range engine {
 				if depth > 0 {
 					ck := &Checker{Opts: Options{Workers: workers, Launcher: newPipeLauncher(), SnapshotDir: t.TempDir()}}
 					if got := boundedResident(t, tc.m, tc.trInv, depth, ck); got != engResident[depth] {
@@ -301,11 +317,13 @@ func TestDistArenasMatchEngine(t *testing.T) {
 							tc.name, workers, depth, got, engResident[depth])
 					}
 				}
-				want := parseV5(t, eng, &[mc.NumShards]uint64{})
-				var live []v5Live
+				got := barriers[depth]
+				if got == nil {
+					t.Fatalf("%s workers=%d: no barrier at depth %d", tc.name, workers, depth)
+				}
+				eng := want.writers[-1]
 				for w := 0; w < workers; w++ {
-					files := workerFiles(t, dir, w, depth)
-					arenas, last := concatArenas(t, files)
+					arenas := got.writers[w]
 					for s := range arenas {
 						if s%workers != w {
 							if arenas[s].count != 0 {
@@ -313,91 +331,170 @@ func TestDistArenasMatchEngine(t *testing.T) {
 							}
 							continue
 						}
-						if got, eng := arenas[s], want.shards[s]; got.count != eng.count ||
+						if got, eng := arenas[s], eng[s]; got.count != eng.count ||
 							!slices.Equal(got.restarts, eng.restarts) || !bytes.Equal(got.blob, eng.blob) {
 							t.Fatalf("%s workers=%d depth %d shard %d: worker arena (%d entries, %dB) differs from the engine's (%d entries, %dB)",
-								tc.name, workers, depth, s, arenas[s].count, len(arenas[s].blob), want.shards[s].count, len(want.shards[s].blob))
+								tc.name, workers, depth, s, arenas[s].count, len(arenas[s].blob), eng.count, len(eng.blob))
 						}
 					}
-					if last.header[0] != want.header[0] || last.header[3] != want.header[3] ||
-						last.header[4] != want.header[4] || last.header[5] != want.header[5] {
-						t.Fatalf("%s workers=%d depth %d: header %v, engine's %v", tc.name, workers, depth, last.header, want.header)
-					}
-					live = append(live, last.live...)
 				}
-				sort.Slice(live, func(i, j int) bool { return live[i].key < live[j].key })
-				if !reflect.DeepEqual(live, want.live) {
-					t.Fatalf("%s workers=%d depth %d: workers' live sections differ from the engine's live tier", tc.name, workers, depth)
+				if got.header[0] != want.header[0] || got.header[3] != want.header[3] ||
+					got.header[4] != want.header[4] || got.header[5] != want.header[5] {
+					t.Fatalf("%s workers=%d depth %d: header %v, engine's %v", tc.name, workers, depth, got.header, want.header)
+				}
+				if !reflect.DeepEqual(got.live, want.live) {
+					t.Fatalf("%s workers=%d depth %d: workers' frontier files differ from the engine's live tier", tc.name, workers, depth)
 				}
 			}
 		}
 	}
 }
 
-// FuzzRestoreWorkerSnapshot throws damaged barrier files at a worker's
-// restore: the fuzzed payload (checksummed by the harness, so mutations
-// reach the parser and the arena sweep) is restored as the last file of
-// a real chain from a 2-worker run. The contract: never panic, and
-// refuse only with ErrCheckpointCorrupt or ErrStateLimit; a restored
-// store must find every frontier state by its encoding.
-// Seeds are the real files of 2-worker diamond and colored (reduced)
-// runs, plus their truncations.
+// FuzzRestoreWorkerSnapshot throws damaged files of real fleet-written
+// chains at the one restore call, as FuzzResumeCheckpoint (package mc)
+// does with engine and miniature-fleet chains: the fuzzed payload
+// replaces one file of a 2-worker run's chain — its manifest, a
+// segment or a frontier file — checksummed by the harness, with the
+// manifest re-listing the files, so mutations reach the parsers, the
+// chain-order checks and the arena sweep. The chain is then restored as
+// every owner of a 1- to 4-way shard split. The contract: never panic;
+// refuse only with ErrCheckpointCorrupt, ErrStateLimit or
+// os.ErrNotExist; leave every file byte-intact; and a restored store
+// finds every frontier state by its encoding. Seeds are every file of
+// 2-worker diamond and colored (reduced) runs, plus their truncations.
 func FuzzRestoreWorkerSnapshot(f *testing.F) {
-	type chain struct {
-		dir    string
-		worker int
-		level  int
+	type file struct {
+		dir  string // a fleet's snapshot directory
+		name string // the file the payload replaces
 	}
-	var chains []chain
+	var files []file
 	for _, m := range []mc.Model{diamondModel{K: 6}, coloredModel{Max: 12}} {
 		dir := f.TempDir()
 		ck := &Checker{Opts: Options{Workers: 2, Launcher: newPipeLauncher(), SnapshotDir: dir}}
 		if _, err := mc.CheckTransitionInvariantBytes(m, allowAll, mc.Options{Dist: ck}); err != nil {
 			f.Fatal(err)
 		}
-		for w := 0; w < 2; w++ {
-			for l := 0; l < 6; l++ {
-				data, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("w%d-l%d.mc", w, l)))
-				if err != nil {
-					f.Fatal(err)
-				}
-				payload := data[:len(data)-8]
-				for _, p := range [][]byte{payload, payload[:len(payload)/2], payload[:len(payload)-1]} {
-					f.Add(uint8(len(chains)), p)
-				}
-				chains = append(chains, chain{dir, w, l})
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				f.Fatal(err)
 			}
+			payload := data[:len(data)-8]
+			for _, p := range [][]byte{payload, payload[:len(payload)/2], payload[:len(payload)-1]} {
+				f.Add(uint8(len(files)), p)
+			}
+			files = append(files, file{dir, e.Name()})
 		}
 	}
-	f.Fuzz(func(t *testing.T, ci uint8, payload []byte) {
-		c := chains[int(ci)%len(chains)]
-		h := fnv.New64a()
-		h.Write(payload)
-		last := filepath.Join(t.TempDir(), "cp")
-		if err := os.WriteFile(last, binary.BigEndian.AppendUint64(append([]byte(nil), payload...), h.Sum64()), 0o644); err != nil {
+	f.Fuzz(func(t *testing.T, fi uint8, payload []byte) {
+		src := files[int(fi)%len(files)]
+		dir := t.TempDir()
+		entries, err := os.ReadDir(src.dir)
+		if err != nil {
 			t.Fatal(err)
 		}
-		owned := uint64(0)
-		for s := c.worker; s < mc.NumShards; s += 2 {
-			owned |= 1 << s
-		}
-		var paths []string
-		for l := 0; l < c.level; l++ {
-			paths = append(paths, filepath.Join(c.dir, fmt.Sprintf("w%d-l%d.mc", c.worker, l)))
-		}
-		paths = append(paths, last)
-		s := mc.NewShardStore(1<<16, owned)
-		frontier, err := s.Restore(paths)
-		if err != nil {
-			if !errors.Is(err, mc.ErrCheckpointCorrupt) && !errors.Is(err, mc.ErrStateLimit) {
-				t.Fatalf("restore refused with %v, want ErrCheckpointCorrupt or ErrStateLimit", err)
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(src.dir, e.Name()))
+			if err == nil {
+				err = os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644)
 			}
-			return
-		}
-		for _, ref := range frontier {
-			if _, _, found := s.ParentOf(s.BytesOf(ref)); !found {
-				t.Fatalf("frontier state %q not found by its encoding", s.BytesOf(ref))
+			if err != nil {
+				t.Fatal(err)
 			}
+		}
+		h := fnv.New64a()
+		h.Write(payload)
+		if err := os.WriteFile(filepath.Join(dir, src.name), binary.BigEndian.AppendUint64(append([]byte(nil), payload...), h.Sum64()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		manifest := filepath.Join(dir, "chain.mc")
+		if src.name != "chain.mc" {
+			// Re-list the same files, so the manifest carries the new sum.
+			c, err := mc.OpenChain(manifest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			relist(t, c, manifest)
+		}
+		before := snapshotDir(t, dir)
+		n := 1 + int(fi)%4
+		for i := 0; i < n; i++ {
+			c, err := mc.OpenChain(manifest)
+			if err == nil {
+				owned := uint64(0)
+				for s := i; s < mc.NumShards; s += n {
+					owned |= 1 << s
+				}
+				s := mc.NewShardStore(1<<16, owned)
+				var frontier []uint32
+				if frontier, err = s.Resume(c); err == nil {
+					for _, ref := range frontier {
+						if _, _, found := s.ParentOf(s.BytesOf(ref)); !found {
+							t.Fatalf("frontier state %q not found by its encoding", s.BytesOf(ref))
+						}
+					}
+				}
+			}
+			if err != nil && !errors.Is(err, mc.ErrCheckpointCorrupt) && !errors.Is(err, mc.ErrStateLimit) &&
+				!errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("restore refused with %v, want ErrCheckpointCorrupt, ErrStateLimit or os.ErrNotExist", err)
+			}
+		}
+		if !reflect.DeepEqual(snapshotDir(t, dir), before) {
+			t.Fatal("the restore changed a file")
 		}
 	})
+}
+
+// relist rewrites the manifest at path to list c's files, with their
+// checksums as they stand now.
+func relist(t *testing.T, c *mc.Chain, path string) {
+	t.Helper()
+	segs, fronts := chainPaths(t, path)
+	n, err := mc.ContinueChain(path, nil)
+	if err == nil {
+		err = n.Commit(c.ChainHeader, segs, fronts)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// chainPaths lists the segment and frontier files the manifest at path
+// names, parsed without checking them.
+func chainPaths(t *testing.T, path string) (segs, fronts []string) {
+	t.Helper()
+	u, bstr, _ := parseChainFile(t, path, 1)
+	for range 6 {
+		u()
+	}
+	for _, list := range []*[]string{&segs, &fronts} {
+		for n := u(); n > 0; n-- {
+			*list = append(*list, filepath.Join(filepath.Dir(path), string(bstr())))
+			u()
+		}
+	}
+	return segs, fronts
+}
+
+// snapshotDir reads every file in dir.
+func snapshotDir(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(data)
+	}
+	return out
 }

@@ -16,9 +16,10 @@ package dist
 // a second kill at a later level still fires. Only one injection per
 // level can be relied on: the others scheduled at L are dropped with the
 // retired generation whether they fired or not, and the coordinator logs
-// them. kill and stall model process
-// crash/stall (the deadline-detection path); flakywrite and slowwrite
-// model a degraded filesystem/pipe (the bounded-backoff retry path).
+// them. kill and stall model process crash/stall (the deadline-detection
+// path); flakywrite and slowwrite model a degraded filesystem/pipe (the
+// bounded-backoff retry path). A flakywrite that outlasts the retry
+// budget of a write is the worker's death (recover.go).
 
 import (
 	"fmt"

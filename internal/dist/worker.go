@@ -29,18 +29,17 @@ package dist
 // Level numbering: level 0 is the initial states (delivered as control
 // batches, never expanded); level L >= 1 is the expansion producing
 // depth-L states. The barrier at Seal(L) closes level L-1 into the
-// store's arenas, gives the new frontier its global refs, and writes a
-// snapshot — w{i}-l{L}.mc, holding the arena bytes appended since the
-// last successful write plus the worker's current frontier — so a
-// worker's chain of written files is its whole store, and barrier cost
-// is proportional to the level, not the visited set.
+// store's arenas, gives the new frontier its global refs, and writes the
+// worker's files of the checkpoint chain (mc.BarrierFiles): its segment —
+// the arena bytes appended since its last write, so barrier cost is
+// proportional to the level, not the visited set — and its frontier. A
+// failed write is the worker's death (recover.go).
 
 import (
 	"fmt"
 	"io"
 	"net"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -140,15 +139,14 @@ type worker struct {
 	exit    func(code int)
 	inj     *injector
 
-	cfg         *msgConfig
-	spec        ModelSpec
-	exp         mc.Expander
-	canon       mc.CanonicalExpander
-	stInv       mc.StateInvariantBytes
-	trInv       mc.TransitionInvariantBytes
-	fingerprint uint64
-	store       *mc.ShardStore
-	assign      [mc.NumShards]uint8
+	cfg    *msgConfig
+	spec   ModelSpec
+	exp    mc.Expander
+	canon  mc.CanonicalExpander
+	stInv  mc.StateInvariantBytes
+	trInv  mc.TransitionInvariantBytes
+	store  *mc.ShardStore
+	assign [mc.NumShards]uint8
 
 	frontier []uint32 // live refs, in DrainLevel order
 	refs     []uint32 // the frontier's global refs, aligned
@@ -285,28 +283,23 @@ func (w *worker) teardown() {
 type encoder interface{ encode() (byte, []byte) }
 
 // send writes one control message with bounded-backoff retry on
-// transient failures. A persistent failure is not fatal here — the
-// coordinator's deadline/EOF detection owns the verdict on this
-// worker's life.
-func (w *worker) send(m encoder) error {
+// transient failures. A message that still cannot be written is this
+// process's death, as a barrier file is: a worker living on without it
+// would leave the coordinator waiting for it.
+func (w *worker) send(m encoder) {
 	typ, payload := m.encode()
-	return w.sendRaw(typ, payload)
-}
-
-func (w *worker) sendRaw(typ byte, payload []byte) error {
-	_, err := retry.Do(workerWriteAttempts, workerWriteBackoff, nil, func() error {
+	if _, err := retry.Do(workerWriteAttempts, workerWriteBackoff, nil, func() error {
 		if err := w.inj.beforeWrite(); err != nil {
 			return err
 		}
 		w.writeMu.Lock()
 		defer w.writeMu.Unlock()
 		return writeFrame(w.conn, typ, payload)
-	})
-	if err == nil {
-		w.wireFrames.Add(1)
-		w.wireBytes.Add(uint64(5 + len(payload)))
+	}); err != nil {
+		w.exit(1)
 	}
-	return err
+	w.wireFrames.Add(1)
+	w.wireBytes.Add(uint64(5 + len(payload)))
 }
 
 func (w *worker) handleConfig(payload []byte) error {
@@ -321,9 +314,7 @@ func (w *worker) handleConfig(payload []byte) error {
 		w.send(&msgHello{Index: cfg.Index, Err: err.Error()})
 		return err
 	}
-	if err := w.send(&msgHello{Index: cfg.Index}); err != nil {
-		return err
-	}
+	w.send(&msgHello{Index: cfg.Index, States: w.store.Count(), Resident: w.store.Resident()})
 	w.startHeartbeat()
 	return nil
 }
@@ -362,9 +353,6 @@ func (w *worker) configure(cfg *msgConfig) error {
 	} else {
 		w.exp = mc.ExpanderFor(spec.Model)
 	}
-	if fm, ok := spec.Model.(mc.FingerprintedModel); ok {
-		w.fingerprint = fm.Fingerprint()
-	}
 	owned := uint64(0)
 	for shard, o := range cfg.Assign {
 		if int(o) == cfg.Index {
@@ -372,8 +360,10 @@ func (w *worker) configure(cfg *msgConfig) error {
 		}
 	}
 	w.store = mc.NewShardStore(cfg.MaxStates, owned)
-	if err := w.restore(cfg.Restore); err != nil {
-		return err
+	if cfg.Restore != "" {
+		if err := w.restore(cfg.Restore); err != nil {
+			return err
+		}
 	}
 
 	// Data plane: listen, then accept in the background; peers are
@@ -394,28 +384,18 @@ func (w *worker) configure(cfg *msgConfig) error {
 	return nil
 }
 
-// snapshotPath names this worker index's barrier snapshot of a level.
-func (w *worker) snapshotPath(level int32) string {
-	return filepath.Join(w.cfg.SnapshotDir, fmt.Sprintf("w%d-l%d.mc", w.cfg.Index, level))
-}
-
-// restore rebuilds the store from this worker index's acknowledged
-// barrier snapshots of the given levels, in order: the last one's
-// frontier becomes the frontier, with its global refs.
-func (w *worker) restore(levels []int32) error {
-	if len(levels) == 0 {
-		return nil
+// restore rebuilds the store from the chain whose manifest is at path:
+// its own shards' arenas, and its share of the barrier's frontier, with
+// their global refs.
+func (w *worker) restore(path string) error {
+	c, err := mc.OpenChain(path)
+	if err == nil {
+		w.frontier, err = w.store.Resume(c)
 	}
-	paths := make([]string, len(levels))
-	for i, l := range levels {
-		paths[i] = w.snapshotPath(l)
-	}
-	frontier, err := w.store.Restore(paths)
 	if err != nil {
-		return fmt.Errorf("dist: restoring worker %d: %w", w.cfg.Index, err)
+		return fmt.Errorf("dist: restoring worker %d from %s: %w", w.cfg.Index, path, err)
 	}
-	w.frontier = frontier
-	w.refs = w.store.AssignRefs(frontier)
+	w.refs = w.store.AssignRefs(w.frontier)
 	return nil
 }
 
@@ -740,18 +720,16 @@ func (w *worker) execSeal(m *msgSeal) error {
 	rep.Resident = w.store.Resident()
 	rep.WireFrames = w.wireFrames.Load()
 	rep.WireBytes = w.wireBytes.Load()
-	// The barrier snapshot. Files are kept for the run's lifetime: each
-	// holds the only copy of its segment.
-	_, werr := retry.Do(workerWriteAttempts, workerWriteBackoff, nil, func() error {
+	// The barrier files. A write that fails for good is this process's
+	// death: the next generation writes the level again.
+	if _, err := retry.Do(workerWriteAttempts, workerWriteBackoff, nil, func() error {
 		if err := w.inj.beforeWrite(); err != nil {
 			return err
 		}
-		return w.store.WriteSnapshot(w.snapshotPath(m.Level), m.Level, w.cfg.Reduced, w.fingerprint, m.Next, w.frontier)
-	})
-	if werr != nil {
-		// A failed snapshot is reported, not fatal: the next barrier's
-		// file repairs it (recover.go refuses a death before then).
-		rep.SnapshotErr = werr.Error()
+		return w.store.WriteBarrier(w.cfg.Chain, w.cfg.Index, m.Level, w.frontier)
+	}); err != nil {
+		fmt.Fprintf(os.Stderr, "dist: worker %d level %d: barrier files: %v\n", w.cfg.Index, m.Level, err)
+		w.exit(1)
 	}
 	// Counts for levels this seal closes can no longer be referenced by
 	// any future Expect.
@@ -778,7 +756,8 @@ func (w *worker) handleTraceQuery(payload []byte) error {
 	} else {
 		reply.Parent, reply.HasParent, reply.Found = w.store.ParentOf(m.Enc)
 	}
-	return w.send(reply)
+	w.send(reply)
+	return nil
 }
 
 // appendUvarint appends v to dst in varint encoding.

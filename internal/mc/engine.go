@@ -62,7 +62,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"slices"
 	"sync"
@@ -439,6 +438,7 @@ type localBackend struct {
 	lvl      levelOut   // the last expanded level
 	pending  bool       // lvl's claims are not yet the frontier
 	viol     *violation // lvl's winning violation
+	chain    *Chain     // the chain the search writes; nil without a CheckpointPath
 }
 
 func newLocalBackend(m Model, rm ReducibleModel, stInv StateInvariantBytes,
@@ -531,35 +531,39 @@ func (b *localBackend) Close(st *Stats) {
 	st.SealedStates, st.SealedArenaBytes, st.SealedIndexBytes = b.v.sealedStats()
 }
 
-// restore loads the checkpoint at opts.ResumePath, if any, into the
-// visited set as the frontier to resume from. It returns the depth and
-// claim-key base the resumed search continues at, with res carrying the
-// completed levels' counters; ok is false when there is nothing to
-// resume.
-func (b *localBackend) restore(res *Result, fingerprint uint64, opts Options) (depth int32, nextBase uint64, ok bool, err error) {
-	s5, err := readSealedSnap(opts.ResumePath)
-	if err != nil || s5 == nil {
-		return 0, 0, false, err
+// resume restores chain c, when the search resumes from it, as the
+// frontier to continue from, and opens the chain the search writes at
+// path (none when path is empty): c continued, or an empty one.
+func (b *localBackend) resume(c *Chain, path string) error {
+	if c != nil {
+		var err error
+		if b.frontier, err = b.v.resume(c, allShards); err != nil {
+			return err
+		}
 	}
-	if s5.reduced != res.Reduced {
-		return 0, 0, false, fmt.Errorf("mc: checkpoint is from a %s search but this search is %s; match the NoReduce option (-no-reduce) of the original run",
-			reductionMode(s5.reduced), reductionMode(res.Reduced))
+	if path == "" {
+		return nil
 	}
-	if s5.fingerprint != 0 && fingerprint != 0 && s5.fingerprint != fingerprint {
-		return 0, 0, false, fmt.Errorf("%w: checkpoint is from a model with fingerprint %016x but this model's is %016x; match the -nodes/-couplers/-authority and option flags of the original run",
-			ErrModelMismatch, s5.fingerprint, fingerprint)
-	}
-	if b.frontier, err = b.v.restore(s5, allShards); err != nil {
-		return 0, 0, false, err
-	}
-	res.Depth = s5.resultDepth
-	res.TransitionsExplored = s5.transitions
-	return s5.depth, s5.nextBase, true, nil
+	var err error
+	b.chain, err = ContinueChain(path, c)
+	return err
 }
 
-// snapshot writes the search's checkpoint to opts.CheckpointPath.
-func (b *localBackend) snapshot(res Result, depth int32, fingerprint, nextBase uint64, opts Options) (int, error) {
-	return writeSealedSnapRetry(opts.CheckpointPath, b.checkpointSnap(res, depth, fingerprint, nextBase))
+// snapshot closes the barrier h describes on the search's chain: one
+// all-shard segment of the arena bytes sealed since the last write, the
+// frontier and the manifest. A failed write leaves the marks, so the
+// next one reaches back over it.
+func (b *localBackend) snapshot(h ChainHeader) (int, error) {
+	if b.chain == nil || b.chain.closed(h.Depth) {
+		return 0, nil
+	}
+	s5 := b.v.capture(allShards, b.frontier)
+	s5.ChainHeader = h
+	retries, err := b.chain.writeBarrierRetry(s5)
+	if err == nil {
+		b.v.markWritten()
+	}
+	return retries, err
 }
 
 // check is the engine entry point shared by the four Check* functions.
@@ -614,21 +618,31 @@ func checkSearch(m Model, stInv StateInvariantBytes, trInv TransitionInvariantBy
 	// fingerprint so a resume against a differently-parameterized model
 	// (other node/coupler count, authority, option bits — and therefore a
 	// different packed encoding) fails loudly instead of decoding garbage.
-	fingerprint := uint64(0)
-	if fm, ok := m.(FingerprintedModel); ok {
-		fingerprint = fm.Fingerprint()
-	}
+	fingerprint := FingerprintOf(m)
 
-	// Checkpoints and resume belong to the in-process sealing backend
-	// (local); a distributed backend refuses them when it is made, and
-	// the unsealed oracle here.
+	// Checkpoints and resume belong to the sealing backends; the unsealed
+	// oracle refuses them.
 	if opts.noSeal && (opts.CheckpointPath != "" || opts.ResumePath != "" || opts.Dist != nil) {
 		return res, errors.New("mc: the unsealed oracle cannot checkpoint, resume or run distributed")
+	}
+	// The one resume point: a chain either backend restores, checked here
+	// against this search's mode and model.
+	resume, err := OpenChain(opts.ResumePath)
+	if err == nil && resume != nil {
+		err = resume.Check(res.Reduced, fingerprint)
+	}
+	if err != nil {
+		return res, err
+	}
+	if opts.Dist != nil && opts.CheckpointPath == "" {
+		// A fleet closes a barrier at every level: resumed, it continues
+		// its chain in place.
+		opts.CheckpointPath = opts.ResumePath
 	}
 	var b LevelBackend
 	var local *localBackend
 	if opts.Dist != nil {
-		db, err := opts.Dist.NewBackend(m, stInv, trInv, res.Reduced, opts)
+		db, err := opts.Dist.NewBackend(m, stInv, trInv, res.Reduced, resume, opts)
 		if err != nil {
 			return res, err
 		}
@@ -638,20 +652,26 @@ func checkSearch(m Model, stInv StateInvariantBytes, trInv TransitionInvariantBy
 		b = local
 	}
 	defer b.Close(st)
+	if local != nil {
+		if err := local.resume(resume, opts.CheckpointPath); err != nil {
+			return res, err
+		}
+	}
+	// header is the barrier record of the frontier at depth.
+	header := func(depth int32, nextBase uint64) ChainHeader {
+		return ChainHeader{Depth: depth, ResultDepth: res.Depth, Transitions: res.TransitionsExplored,
+			Reduced: res.Reduced, Fingerprint: fingerprint, NextBase: nextBase}
+	}
 
 	startDepth := int32(0)
 	// nextBase is the levelBase the next level's claim keys start at; it
 	// advances by len(frontier) << keySuccBits per level, keeping claim
 	// keys globally monotone across the whole search.
 	var nextBase uint64
-	resumed := false
-	if local != nil {
-		var err error
-		if startDepth, nextBase, resumed, err = local.restore(&res, fingerprint, opts); err != nil {
-			return res, err
-		}
-	}
-	if !resumed {
+	if resume != nil {
+		startDepth, nextBase = resume.Depth, resume.NextBase
+		res.Depth, res.TransitionsExplored = resume.ResultDepth, resume.Transitions
+	} else {
 		// Level 0: admit the initial states in index order — their claim
 		// keys are their indices — counting them against the state budget
 		// and checking the state invariant before any expansion.
@@ -685,7 +705,7 @@ func checkSearch(m Model, stInv StateInvariantBytes, trInv TransitionInvariantBy
 	levelsSinceCheckpoint := 0
 	for depth := startDepth; frontier > 0; depth++ {
 		if err := ctx.Err(); err != nil {
-			return interrupted(local, res, b.States(), depth, fingerprint, nextBase, err, opts)
+			return interrupted(local, res, b.States(), header(depth, nextBase), err)
 		}
 		if opts.MaxDepth > 0 && int(depth) >= opts.MaxDepth {
 			res.DepthBounded = true
@@ -763,15 +783,16 @@ func checkSearch(m Model, stInv StateInvariantBytes, trInv TransitionInvariantBy
 			})
 		}
 		levelsSinceCheckpoint++
-		if local != nil && opts.CheckpointPath != "" && opts.CheckpointEvery > 0 &&
+		if local != nil && opts.CheckpointEvery > 0 &&
 			levelsSinceCheckpoint >= opts.CheckpointEvery && frontier > 0 {
-			// A periodic snapshot is an optimization, not a correctness
+			// A periodic checkpoint is an optimization, not a correctness
 			// requirement: transient write failures are retried with
-			// bounded backoff, and a snapshot that still cannot be
-			// written is dropped — surfaced through Stats — rather than
-			// killing the search. Any earlier snapshot stays in place,
-			// so a later resume is merely older, never wrong.
-			retries, err := local.snapshot(res, depth+1, fingerprint, nextBase, opts)
+			// bounded backoff, and a barrier that still cannot be written
+			// is dropped — surfaced through Stats — rather than killing
+			// the search. The last manifest stays valid, so a later resume
+			// is merely older, never wrong, and the next segment reaches
+			// back over the dropped one.
+			retries, err := local.snapshot(header(depth+1, nextBase))
 			if st != nil {
 				st.CheckpointRetries += retries
 				if err != nil {
@@ -801,34 +822,35 @@ func reductionMode(reduced bool) string {
 }
 
 // conclusive finalizes a search that reached a definite verdict: any
-// checkpoint on disk is now stale and is removed so it can never shadow
-// this result. An Inconclusive verdict is NOT definite — the budget ran
-// out and the sampling pass proved nothing — so its checkpoint survives
-// for a re-run with a larger budget. A failed removal is surfaced rather
-// than swallowed: a stale checkpoint a later -resume run silently picks
-// up would shadow the fresh search.
+// checkpoint on disk — the manifest and every file it lists — is now
+// stale and is removed so it can never shadow this result. An
+// Inconclusive verdict is NOT definite — the budget ran out and the
+// sampling pass proved nothing — so its checkpoint survives for a re-run
+// with a larger budget. A failed removal is surfaced rather than
+// swallowed: a stale checkpoint a later -resume run silently picks up
+// would shadow the fresh search.
 func conclusive(res Result, opts Options) (Result, error) {
 	if opts.CheckpointPath == "" || res.Inconclusive {
 		return res, nil
 	}
-	if err := os.Remove(opts.CheckpointPath); err != nil && !errors.Is(err, os.ErrNotExist) {
+	if err := removeChain(opts.CheckpointPath); err != nil {
 		return res, fmt.Errorf("mc: removing stale checkpoint after conclusive verdict: %w", err)
 	}
 	return res, nil
 }
 
 // interrupted finalizes a cancelled search: the partial Result keeps
-// everything explored so far, a checkpoint is flushed if requested, and
+// everything explored so far, the in-process search closes the barrier
+// h describes on its chain (a distributed one closed it already), and
 // the context's cause is surfaced as ErrDeadline or ErrInterrupted.
-func interrupted(local *localBackend, res Result, states int, depth int32,
-	fingerprint, nextBase uint64, cause error, opts Options) (Result, error) {
+func interrupted(local *localBackend, res Result, states int, h ChainHeader, cause error) (Result, error) {
 	res.Interrupted = true
 	res.StatesExplored = states
-	if local != nil && opts.CheckpointPath != "" {
-		// Unlike a periodic snapshot, the interrupt snapshot is the
+	if local != nil {
+		// Unlike a periodic checkpoint, the interrupt checkpoint is the
 		// run's only surviving artifact — a write failure here is fatal
 		// after the transient-retry budget is spent.
-		if _, err := local.snapshot(res, depth, fingerprint, nextBase, opts); err != nil {
+		if _, err := local.snapshot(h); err != nil {
 			return res, err
 		}
 	}

@@ -194,21 +194,28 @@ func NewCheckpointFixture(m ReducibleModel, minStates int) *CheckpointFixture {
 func (f *CheckpointFixture) States() int { return f.b.States() }
 
 // Write writes the fixture's checkpoint to path the way the engine
-// does: capture, then the retrying writer.
+// does: capture, then the retrying writer, as a fresh chain.
 func (f *CheckpointFixture) Write(path string) error {
-	_, err := f.b.snapshot(f.res, f.depth, 0, f.nextBase, Options{CheckpointPath: path})
+	c, err := ContinueChain(path, nil)
+	if err != nil {
+		return err
+	}
+	s5 := f.b.v.capture(allShards, f.b.frontier)
+	s5.ChainHeader = ChainHeader{Depth: f.depth, ResultDepth: f.res.Depth,
+		Transitions: f.res.TransitionsExplored, Reduced: true, NextBase: f.nextBase}
+	_, err = c.writeBarrierRetry(s5)
 	return err
 }
 
 // ResumeCheckpoint reads the engine checkpoint at path and restores it
 // into a fresh visited set, returning the restored state count.
 func ResumeCheckpoint(path string) (int, error) {
-	s5, err := readSealedSnap(path)
+	c, err := OpenChain(path)
 	if err != nil {
 		return 0, err
 	}
 	v := newVisitedSet(defaultMaxStates, allShards)
-	if _, err := v.restore(s5, allShards); err != nil {
+	if _, err := v.resume(c, allShards); err != nil {
 		return 0, err
 	}
 	return int(v.count.Load()), nil

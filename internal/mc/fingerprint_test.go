@@ -37,7 +37,7 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("interrupted run: got %v, want ErrInterrupted", err)
 	}
-	if fp := readEngineSnap(t, path).fingerprint; fp != 0x1111 {
+	if fp := readEngineSnap(t, path).Fingerprint; fp != 0x1111 {
 		t.Fatalf("checkpoint fingerprint = %#x, want 0x1111", fp)
 	}
 
@@ -87,10 +87,10 @@ func TestCheckpointLegacyV3Load(t *testing.T) {
 	cancel()
 	_ = err // only the checkpoint matters; rewrite its live tier as v3 below
 	s5 := readEngineSnap(t, path)
-	if !s5.reduced || len(s5.live) == 0 {
-		t.Fatalf("interrupted search left reduced=%v with %d live, want a reduced non-empty snapshot", s5.reduced, len(s5.live))
+	if !s5.Reduced || len(s5.live) == 0 {
+		t.Fatalf("interrupted search left reduced=%v with %d live, want a reduced non-empty snapshot", s5.Reduced, len(s5.live))
 	}
-	lc := &legacyCheckpoint{Depth: s5.depth, ResultDepth: s5.resultDepth, Transitions: s5.transitions, Reduced: true}
+	lc := &legacyCheckpoint{Depth: s5.Depth, ResultDepth: s5.ResultDepth, Transitions: s5.Transitions, Reduced: true}
 	for _, le := range s5.live {
 		lc.Frontier = append(lc.Frontier, State(le.enc))
 		lc.Visited = append(lc.Visited, legacyEntry{State: State(le.enc)})

@@ -164,6 +164,10 @@ type visitedSet struct {
 	// a seal must not remap the surviving live entries' parents.
 	refsFinal bool
 
+	// written marks where each shard's arena stood at the last
+	// successful checkpoint write: the next segment starts there.
+	written [numShards]segMark
+
 	// Seal scratch, reused across level boundaries; scratchBytes is its
 	// counted capacity so migration transients stay in the resident
 	// audit. sealGroups, sealRemap and sealBase are written before the

@@ -102,6 +102,14 @@ type FingerprintedModel interface {
 	Fingerprint() uint64
 }
 
+// FingerprintOf is m's fingerprint, or 0 when m has none.
+func FingerprintOf(m Model) uint64 {
+	if fm, ok := m.(FingerprintedModel); ok {
+		return fm.Fingerprint()
+	}
+	return 0
+}
+
 // TransitionInvariant is a predicate over a transition; the checker
 // searches for a reachable transition where it is false.
 type TransitionInvariant func(from, to State) bool
@@ -167,24 +175,33 @@ type Options struct {
 	// ErrInterrupted — or ErrDeadline when the context's deadline
 	// expired.
 	Context context.Context
-	// CheckpointPath, when non-empty, is where the engine writes a
-	// resumable snapshot of the search: always when the context
-	// interrupts it, and additionally every CheckpointEvery completed
-	// levels. The file is removed again when the search ends with a
-	// definite verdict, so a stale snapshot can never shadow a finished
-	// run; an Inconclusive degraded verdict keeps it, so the search can
-	// be resumed with a larger budget.
+	// CheckpointPath, when non-empty, is where the search keeps a
+	// resumable checkpoint: a manifest at this path plus the segment and
+	// frontier files it lists, next to it (checkpoint.go). The in-process
+	// engine closes a barrier there when the context interrupts it, and
+	// additionally every CheckpointEvery completed levels; a distributed
+	// backend closes one at every level barrier. The manifest and its files
+	// are removed again when the search ends with a definite verdict, so a
+	// stale checkpoint can never shadow a finished run; an Inconclusive
+	// degraded verdict keeps them, so the search can be resumed with a
+	// larger budget.
 	CheckpointPath string
 	// CheckpointEvery is the number of completed BFS levels between
-	// periodic snapshots (0 = only on interrupt).
+	// the in-process engine's periodic checkpoints (0 = only on
+	// interrupt). Each writes only the states sealed since the last one.
 	CheckpointEvery int
 	// ResumePath, when non-empty, restores the search from the
-	// checkpoint at this path before exploring. A missing file is not an
-	// error — the search simply starts fresh — so interrupt/resume loops
-	// need no existence checks. A resumed search is byte-identical —
-	// verdict, StatesExplored, TransitionsExplored, Depth and
-	// counterexample — to the uninterrupted run it was split from, and
-	// its sealed tier is the one that run holds at the end.
+	// checkpoint whose manifest is at this path before exploring, on
+	// either backend at any worker count, whichever wrote it. A missing
+	// manifest is not an error — the search simply starts fresh — so
+	// interrupt/resume loops need no existence checks. A resumed search
+	// is byte-identical — verdict, StatesExplored, TransitionsExplored,
+	// Depth and counterexample — to the uninterrupted run it was split
+	// from, and its sealed tier is the one that run holds at the end. A
+	// search that resumes and also checkpoints continues the resumed
+	// chain, so CheckpointPath must then be in the same directory; a
+	// distributed search, which checkpoints every level, resumed without
+	// a CheckpointPath continues the chain at ResumePath.
 	ResumePath string
 	// FallbackWalks > 0 degrades an exhausted MaxStates budget into a
 	// bounded random-walk sampling pass instead of an ErrStateLimit
@@ -230,19 +247,21 @@ type Options struct {
 type DistChecker interface {
 	// NewBackend readies a backend for one search of m. Exactly one of
 	// stInv and trInv is set; reduced tells whether the search explores
-	// the model's reduction quotient (the engine's gate decides); opts
-	// carry the engine's defaults.
+	// the model's reduction quotient (the engine's gate decides); resume,
+	// when non-nil, is the checked chain the search continues from, whose
+	// frontier the backend's first NextLevel returns; opts carry the
+	// engine's defaults.
 	NewBackend(m Model, stInv StateInvariantBytes, trInv TransitionInvariantBytes,
-		reduced bool, opts Options) (LevelBackend, error)
+		reduced bool, resume *Chain, opts Options) (LevelBackend, error)
 }
 
 // LevelBackend stores a search's states and expands its levels; the
 // engine's search loop (checkSearch) makes every decision around it.
 // The in-process backend runs over the sharded visited set, and
 // Options.Dist supplies others. Calls come from one goroutine, in
-// order: AdmitInitial per initial state, then NextLevel, then Expand
-// and NextLevel per level until the frontier is empty or the loop
-// stops; Close always ends the search.
+// order: AdmitInitial per initial state (none on a resume), then
+// NextLevel, then Expand and NextLevel per level until the frontier is
+// empty or the loop stops; Close always ends the search.
 type LevelBackend interface {
 	// AdmitInitial admits initial state i under claim key i, first
 	// canonicalizing enc in place when the search is reduced. The

@@ -189,7 +189,7 @@ func TestResumeModeMismatch(t *testing.T) {
 		if !errors.Is(err, ErrInterrupted) {
 			t.Fatalf("NoReduce=%v: got %v, want ErrInterrupted", first, err)
 		}
-		if reduced := readEngineSnap(t, path).reduced; reduced != !first {
+		if reduced := readEngineSnap(t, path).Reduced; reduced != !first {
 			t.Fatalf("NoReduce=%v: checkpoint Reduced=%v", first, reduced)
 		}
 		if _, err := CheckTransitionInvariant(m, inv, Options{
@@ -222,7 +222,7 @@ func TestCheckpointReducedRoundTrip(t *testing.T) {
 	for _, noReduce := range []bool{false, true} {
 		path := filepath.Join(t.TempDir(), "cp")
 		interruptSearch(t, coloredModel{max: 30}, 3, path, Options{NoReduce: noReduce})
-		if got := readEngineSnap(t, path).reduced; got == noReduce {
+		if got := readEngineSnap(t, path).Reduced; got == noReduce {
 			t.Fatalf("NoReduce=%v search wrote reduced=%v", noReduce, got)
 		}
 	}

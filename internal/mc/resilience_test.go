@@ -152,24 +152,15 @@ func TestPeriodicCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	cp := filepath.Join(dir, "cp")
-	saved := filepath.Join(dir, "saved")
+	cp := filepath.Join(t.TempDir(), "cp")
+	saved := filepath.Join(t.TempDir(), "cp")
 	copied := false
 	res, err := CheckTransitionInvariant(m, inv, Options{
 		CheckpointPath:  cp,
 		CheckpointEvery: 3,
 		Progress: func(p Progress) {
 			if p.Depth == 10 && !copied {
-				data, err := os.ReadFile(cp)
-				if err != nil {
-					t.Errorf("no periodic checkpoint at depth 10: %v", err)
-					return
-				}
-				if err := os.WriteFile(saved, data, 0o644); err != nil {
-					t.Error(err)
-					return
-				}
+				copyChain(t, cp, saved)
 				copied = true
 			}
 		},
@@ -177,8 +168,8 @@ func TestPeriodicCheckpointResume(t *testing.T) {
 	if err != nil || !equalResults(res, clean) {
 		t.Fatalf("checkpointing run diverged: %+v, %v", res, err)
 	}
-	if _, err := os.Stat(cp); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("checkpoint not removed after conclusive run")
+	if names := dirNames(t, filepath.Dir(cp)); len(names) != 0 {
+		t.Fatalf("checkpoint files %v left after conclusive run", names)
 	}
 	if !copied {
 		t.Fatal("periodic checkpoint was never observed")

@@ -452,7 +452,7 @@ func TestResidentAccountingMemStats(t *testing.T) {
 
 // interruptSearch runs a transition-invariant search of m under opts,
 // cancelled after cutAt levels (0: before the first), flushing a
-// checkpoint to path, and returns the checkpoint file bytes.
+// checkpoint to path, and returns the checkpoint's bytes (chainBytes).
 func interruptSearch(t testing.TB, m Model, cutAt int, path string, opts Options) []byte {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -468,27 +468,25 @@ func interruptSearch(t testing.TB, m Model, cutAt int, path string, opts Options
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("interrupted run: got %v, want ErrInterrupted", err)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
+	return chainBytes(t, path)
 }
 
 // interruptSealed runs a diamond search cancelled after cutAt levels,
-// flushing a checkpoint to path, and returns the checkpoint file bytes.
+// flushing a checkpoint to path, and returns the checkpoint's bytes.
 func interruptSealed(t testing.TB, k, cutAt int, path string) []byte {
 	t.Helper()
 	return interruptSearch(t, diamondModel{k: k}, cutAt, path, Options{})
 }
 
 // TestCheckpointV5RoundTrip: the checkpoint is a function of the search
-// state. A search cut at the same level writes a byte-identical
-// version-5 file at every worker count — including the depth-0 cut,
-// before any seal — for a plain, a reduced, a wide (levels span many
-// steal chunks, so claims arrive out of key order), an interned-encoding
-// and an empty-encoding model. A search resumed from such a file and cut
-// again writes the bytes of an uncut run's cut.
+// state. A search cut at the same level writes byte-identical chain
+// files at every worker count — including the depth-0 cut, before any
+// seal — for a plain, a reduced, a wide (levels span many steal chunks,
+// so claims arrive out of key order), an interned-encoding and an
+// empty-encoding model. A search resumed from such a chain and cut again
+// continues it into the checkpoint an uncut run's cut holds: the same
+// arenas, frontier and header, its own segment holding only the levels
+// since the first cut.
 func TestCheckpointV5RoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	models := []struct {
@@ -519,16 +517,19 @@ func TestCheckpointV5RoundTrip(t *testing.T) {
 		}
 	}
 
-	// Second cuts: resume the wide search's level-5 file and cut it four
+	// Second cuts: resume the wide search's level-5 chain and cut it four
 	// levels later.
 	first := filepath.Join(dir, "first")
 	interruptSearch(t, collisionModel{n: 3000}, 5, first, Options{})
 	for _, w := range workerCounts {
-		recut := interruptSearch(t, collisionModel{n: 3000}, 4, filepath.Join(dir, "recut"),
-			Options{Workers: w, ResumePath: first})
-		direct := interruptSearch(t, collisionModel{n: 3000}, 9, filepath.Join(dir, "direct"), Options{Workers: w})
-		if !bytes.Equal(recut, direct) {
-			t.Fatalf("workers=%d: second cut (%dB) differs from the uncut run's (%dB)", w, len(recut), len(direct))
+		recut, direct := filepath.Join(dir, "recut"), filepath.Join(dir, "direct")
+		interruptSearch(t, collisionModel{n: 3000}, 4, recut, Options{Workers: w, ResumePath: first})
+		interruptSearch(t, collisionModel{n: 3000}, 9, direct, Options{Workers: w})
+		if got, want := readEngineSnap(t, recut), readEngineSnap(t, direct); !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: second cut differs from the uncut run's", w)
+		}
+		if files := chainFiles(t, recut); len(files) != 4 || filepath.Base(files[1]) != "first.l5.seg" {
+			t.Fatalf("workers=%d: second cut's chain %v, want the first cut's segment and its own", w, files)
 		}
 	}
 }
@@ -544,32 +545,23 @@ func resumeRefusal(path string) error {
 }
 
 // TestCheckpointV5CorruptionDetected: every single-byte flip and every
-// truncation of a version-5 file must be refused by the engine's
-// resume path.
+// truncation of any file of an engine chain — resumed and cut again, so
+// it holds two segments — must be refused by the engine's resume path.
 func TestCheckpointV5CorruptionDetected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cp")
-	data := interruptSealed(t, 14, 6, path)
+	interruptSealed(t, 14, 3, path)
+	interruptSearch(t, diamondModel{k: 14}, 3, path, Options{ResumePath: path})
 	if err := resumeRefusal(path); err != nil {
-		t.Fatalf("pristine file: %v", err)
+		t.Fatalf("pristine chain: %v", err)
 	}
-	for i := range data {
-		bad := append([]byte(nil), data...)
-		bad[i] ^= 0x40
-		if err := os.WriteFile(path, bad, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	if n := len(chainFiles(t, path)); n != 4 {
+		t.Fatalf("chain of %d files, want a manifest, two segments and a frontier", n)
+	}
+	eachChainDamage(t, path, func(what string) {
 		if err := resumeRefusal(path); !errors.Is(err, ErrCheckpointCorrupt) {
-			t.Fatalf("flip at byte %d: got %v, want ErrCheckpointCorrupt", i, err)
+			t.Fatalf("%s: got %v, want ErrCheckpointCorrupt", what, err)
 		}
-	}
-	for _, n := range []int{0, 1, len(checkpointMagic), len(data) / 2, len(data) - 1} {
-		if err := os.WriteFile(path, data[:n], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := resumeRefusal(path); !errors.Is(err, ErrCheckpointCorrupt) {
-			t.Fatalf("truncation to %d bytes: got %v, want ErrCheckpointCorrupt", n, err)
-		}
-	}
+	})
 }
 
 // arenaRecords decodes a snapshot shard's arena into its encodings and
@@ -650,7 +642,7 @@ func TestSealedSnapStructuralCorruption(t *testing.T) {
 		if len(s5.live) == 0 {
 			t.Fatal("fixture has no live entries")
 		}
-		s5.live[0].key = s5.nextBase
+		s5.live[0].key = s5.NextBase
 	})
 	check("duplicate-entry", "duplicate sealed entry", func(s5 *sealedSnap) {
 		a, _ := busiest(s5)
@@ -670,7 +662,7 @@ func TestSealedSnapStructuralCorruption(t *testing.T) {
 // handed it are refused before any backend exists.
 type refusingDist struct{ t *testing.T }
 
-func (d refusingDist) NewBackend(Model, StateInvariantBytes, TransitionInvariantBytes, bool, Options) (LevelBackend, error) {
+func (d refusingDist) NewBackend(Model, StateInvariantBytes, TransitionInvariantBytes, bool, *Chain, Options) (LevelBackend, error) {
 	d.t.Fatal("dist backend made for a search that should be refused")
 	return nil, nil
 }
@@ -678,7 +670,7 @@ func (d refusingDist) NewBackend(Model, StateInvariantBytes, TransitionInvariant
 // TestResumeNoSealV5Refused: the unsealed oracle neither writes nor
 // resumes checkpoints, nor runs distributed. Asked to, it refuses before
 // exploring: it writes no file and leaves an existing one intact. A
-// sealing search resumes the same version-5 file to the clean result at
+// sealing search resumes the same checkpoint to the clean result at
 // every worker count, and refuses a version-4 (per-state delta) file,
 // leaving it in place.
 func TestResumeNoSealV5Refused(t *testing.T) {
@@ -705,8 +697,8 @@ func TestResumeNoSealV5Refused(t *testing.T) {
 		if _, err := os.Stat(fresh); !errors.Is(err, os.ErrNotExist) {
 			t.Fatalf("%s: refused oracle search wrote a checkpoint", name)
 		}
-		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, data) {
-			t.Fatalf("%s: refused oracle search modified or removed the checkpoint (%v)", name, err)
+		if after := chainBytes(t, path); !bytes.Equal(after, data) {
+			t.Fatalf("%s: refused oracle search modified the checkpoint", name)
 		}
 	}
 
@@ -747,7 +739,7 @@ func TestCheckpointLegacyV4SealedResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cp")
 	interruptSealed(t, 40, 10, path)
 	s5 := readEngineSnap(t, path)
-	lc := &legacyCheckpoint{Depth: s5.depth, ResultDepth: s5.resultDepth, Transitions: s5.transitions}
+	lc := &legacyCheckpoint{Depth: s5.Depth, ResultDepth: s5.ResultDepth, Transitions: s5.Transitions}
 	for _, le := range s5.live {
 		lc.Frontier = append(lc.Frontier, State(le.enc))
 		lc.Visited = append(lc.Visited, legacyEntry{State: State(le.enc)})

@@ -22,18 +22,16 @@ package mc
 // with it as their parent, and it is final when claimed: a seal never
 // rewrites it.
 //
-// At every barrier the worker writes a version-5 file (checkpoint.go)
-// for its own shards: the arena bytes appended since its last
-// successful write, plus its live frontier (WriteSnapshot). Arenas are
-// append-only and stay in memory, so a failed write is repaired by the
-// next one, whose segments reach back to the last good write. A fresh
-// process rebuilds the store from its acknowledged files (Restore),
-// through the engine's checked restore.
+// At every barrier the worker writes its own-shard segment and its
+// frontier as files of the run's checkpoint chain (checkpoint.go;
+// WriteBarrier): the segment holds the arena bytes appended since its
+// last successful write, so barrier cost is proportional to the level,
+// not to the visited set. A fresh process rebuilds the store from a
+// chain's manifest (Resume), through the engine's one restore call, at
+// any worker count: it keeps the segments' sections and the frontier
+// entries of its own shards.
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // NumShards is the visited-set shard count. The distributed layer
 // assigns ownership per shard, so it is the unit of partitioning and of
@@ -84,15 +82,7 @@ type ShardStore struct {
 	owned   uint64   // bit s set: shard s is this store's
 	claimed []uint32 // refs admitted since the last DrainLevel
 	pc      probeCounter
-
-	// written marks where each shard's arena stood at the last
-	// successful snapshot.
-	written [numShards]segMark
 }
-
-// segMark is a position in a shard's arena: entries, blob bytes and
-// restart offsets before it.
-type segMark struct{ count, off, nres uint32 }
 
 // NewShardStore returns an empty store for the shards set in owned,
 // bounded at maxStates admitted states (<= 0 means the engine's default
@@ -212,49 +202,26 @@ func (s *ShardStore) Count() int64 { return s.v.count.Load() }
 // shards, so the fleet's footprints sum to the engine's.
 func (s *ShardStore) Resident() int64 { return s.v.resident.Load() }
 
-// WriteSnapshot atomically writes the barrier snapshot at path: a
-// version-5 file holding, for each owned shard, the arena bytes
-// appended since the last successful write, and frontier — the live
-// states, in DrainLevel order — with their keys and parent refs. depth
-// is the frontier's BFS depth and nextBase the claim-key base of the
-// level that expands it, as in an engine checkpoint. Work is
+// WriteBarrier writes this store's files of the barrier at level to the
+// chain whose manifest is at manifest, as writer index writer (see
+// BarrierFiles): the segment of the owned shards' arena bytes appended
+// since the last successful write, and frontier — the live states, in
+// DrainLevel order — with their keys and parent refs. Work is
 // proportional to the level, not to the visited set. A failed write
 // changes nothing, so the next call covers its bytes too.
-func (s *ShardStore) WriteSnapshot(path string, depth int32, reduced bool, fingerprint, nextBase uint64, frontier []uint32) error {
-	s5 := s.v.capture(s.owned, &s.written, frontier)
-	s5.depth, s5.reduced, s5.fingerprint, s5.nextBase = depth, reduced, fingerprint, nextBase
-	if err := writeSealedSnap(path, s5); err != nil {
+func (s *ShardStore) WriteBarrier(manifest string, writer int, level int32, frontier []uint32) error {
+	seg, front := BarrierFiles(manifest, writer, level)
+	if err := writeBarrierFiles(seg, front, s.v.capture(s.owned, frontier)); err != nil {
 		return err
 	}
-	s.markWritten()
+	s.v.markWritten()
 	return nil
 }
 
-// markWritten records every shard's arena as written.
-func (s *ShardStore) markWritten() {
-	for sh := range s.written {
-		ss := &s.v.shards[sh].sealed
-		s.written[sh] = segMark{count: ss.count, off: uint32(len(ss.blob)), nres: uint32(len(ss.restarts))}
-	}
-}
-
-// Restore rebuilds an empty store from its barrier files, in write
-// order: their segments concatenate into each owned shard's arena, and
-// the last file's frontier is returned as live refs (assign their
-// global refs with AssignRefs). Refusals wrap ErrCheckpointCorrupt (an
-// inconsistent or foreign file) or ErrStateLimit (over the budget); a
-// missing file wraps os.ErrNotExist.
-func (s *ShardStore) Restore(paths []string) ([]uint32, error) {
-	s5 := &sealedSnap{}
-	for _, p := range paths {
-		if err := s5.load(p); err != nil {
-			return nil, fmt.Errorf("%s: %w", p, err)
-		}
-	}
-	frontier, err := s.v.restore(s5, s.owned)
-	if err != nil {
-		return nil, err
-	}
-	s.markWritten()
-	return frontier, nil
-}
+// Resume rebuilds an empty store from chain c: the owned shards'
+// sections of its segments, and its frontier entries of the owned shards
+// returned as live refs, in key order (assign their global refs with
+// AssignRefs). Refusals wrap ErrCheckpointCorrupt (an inconsistent or
+// foreign chain) or ErrStateLimit (over the budget); a missing file
+// wraps os.ErrNotExist.
+func (s *ShardStore) Resume(c *Chain) ([]uint32, error) { return s.v.resume(c, s.owned) }
