@@ -11,8 +11,8 @@
 //	ttafi -experiment all -runs 20
 //	ttafi -experiment sos-timing -runs 50 -seed 7 -parallel 8
 //	ttafi -experiment failover -runs 20
-//	ttafi -experiment all -runs 500 -timeout 2m -checkpoint /tmp/fi.json
-//	ttafi -experiment all -runs 500 -checkpoint /tmp/fi.json -resume
+//	ttafi -experiment all -runs 500 -timeout 2m -checkpoint /tmp/fi.cp
+//	ttafi -experiment all -runs 500 -checkpoint /tmp/fi.cp -resume
 //
 // Campaign runs fan out over a bounded worker pool (-parallel, default
 // NumCPU); every run owns an independent simulator and a seed stream

@@ -47,7 +47,7 @@ func TestRunErrors(t *testing.T) {
 // TestRunTimeoutPartial: a hopeless deadline surfaces the typed deadline
 // error and, with -checkpoint, leaves a resumable progress file behind.
 func TestRunTimeoutPartial(t *testing.T) {
-	cp := filepath.Join(t.TempDir(), "fi.json")
+	cp := filepath.Join(t.TempDir(), "fi.cp")
 	err := run([]string{"-experiment", "sos-timing", "-runs", "4", "-timeout", "1ns", "-checkpoint", cp})
 	if !errors.Is(err, experiments.ErrDeadline) {
 		t.Fatalf("got %v, want ErrDeadline", err)

@@ -254,13 +254,7 @@ func runReplicas(ctx context.Context, cfg cluster.Config, runs int, seed uint64,
 	fmt.Printf("all-active=%d/%d healthy freezes=%d startup regressions=%d\n",
 		allActive, completed, freezes, regressions)
 	fmt.Printf("frames sent per replica: %v\n", sent.String())
-	if st.Panics > 0 || st.Failed > 0 {
-		fmt.Printf("! %d panics across %d attempts, %d runs retried, %d runs failed\n",
-			st.Panics, st.Attempts, st.Retried, st.Failed)
-	}
-	if st.Skipped > 0 {
-		fmt.Printf("! partial — %d replicas skipped by cancellation\n", st.Skipped)
-	}
+	st.Footer(os.Stdout, "", "replicas")
 	return err
 }
 

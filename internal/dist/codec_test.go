@@ -5,8 +5,9 @@ package dist
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
+
+	"ttastar/internal/codec"
 )
 
 // appendMeshGroup appends one group in mesh layout to dst: the group
@@ -14,20 +15,11 @@ import (
 // worker's send path builds incrementally. js must be strictly
 // ascending.
 func appendMeshGroup(dst []byte, slot, parent uint32, js []uint32, encs [][]byte) []byte {
-	var s [binary.MaxVarintLen64]byte
-	put := func(v uint64) {
-		n := binary.PutUvarint(s[:], v)
-		dst = append(dst, s[:n]...)
-	}
-	put(uint64(slot))
-	put(uint64(parent))
-	put(uint64(len(js)))
+	dst = codec.AppendUvarint(dst, uint64(slot), uint64(parent), uint64(len(js)))
 	prev := uint32(0)
 	for k, j := range js {
-		put(uint64(j - prev))
+		dst = codec.AppendBytes(codec.AppendUvarint(dst, uint64(j-prev)), encs[k])
 		prev = j
-		put(uint64(len(encs[k])))
-		dst = append(dst, encs[k]...)
 	}
 	return dst
 }
@@ -79,7 +71,7 @@ func TestMeshBatchFramePoolAllocs(t *testing.T) {
 	round := func() {
 		fb := beginMeshBatch(3, 1<<30)
 		for fb.payloadLen() < batchFlushBytes {
-			fb.raw(group)
+			fb.b = append(fb.b, group...)
 		}
 		putFrame(fb)
 	}
@@ -102,7 +94,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	groups = appendMeshGroup(groups, 63, 0, []uint32{0}, [][]byte{[]byte("x")})
 	groups = appendMeshGroup(groups, 1<<20, 1<<31, []uint32{0, 1}, [][]byte{[]byte("yy"), []byte("zzz")})
 	fb := beginMeshBatch(12, 1<<30)
-	fb.raw(groups)
+	fb.b = append(fb.b, groups...)
 	payload := append([]byte(nil), fb.b[5:]...) // after length+type
 	putFrame(fb)
 
@@ -173,7 +165,7 @@ func BenchmarkMeshBatchCodec(b *testing.B) {
 				g := &gs[k]
 				groups = appendMeshGroup(groups, g.slot, g.parent, g.js, g.encs)
 			}
-			fb.raw(groups)
+			fb.b = append(fb.b, groups...)
 			payload := fb.b[5:]
 			b.SetBytes(int64(len(payload)))
 			_, _, body, err := decodeMeshBatchHeader(payload)

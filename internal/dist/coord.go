@@ -525,7 +525,7 @@ func (c *coordinator) writeLoop(wc *wconn) {
 		m := wc.queue[0]
 		wc.queue = wc.queue[1:]
 		wc.mu.Unlock()
-		_, err := retry.Do(workerWriteAttempts, workerWriteBackoff, nil, func() error {
+		_, err := retry.Do(func() error {
 			return writeFrame(wc.conn, m.typ, m.payload)
 		})
 		if err != nil {

@@ -546,7 +546,7 @@ func TestDistSnapshotGapRefused(t *testing.T) {
 				})
 				t.Run(name+"-refused", func(t *testing.T) {
 					dir := t.TempDir()
-					blockSegment(t, dir, p.victim, p.level)
+					block := blockSegment(t, dir, p.victim, p.level)
 					_, rep, err := runDist(t, g, stInv, trInv, mc.Options{},
 						Options{Workers: workers, SnapshotDir: dir, Log: t.Logf})
 					if !errors.Is(err, ErrUnrecoverable) || !strings.Contains(err.Error(), "respawn budget") {
@@ -554,6 +554,12 @@ func TestDistSnapshotGapRefused(t *testing.T) {
 					}
 					if at := fmt.Sprintf("worker %d at level %d:", p.victim, p.level); !strings.Contains(err.Error(), at) {
 						t.Fatalf("refusal %q does not name %q", err, at)
+					}
+					// The cause is the worker's own report of its failed
+					// write, not the EOF its exit leaves.
+					if cause := "barrier files: "; !strings.Contains(err.Error(), cause) ||
+						!strings.Contains(err.Error(), filepath.Base(block)) {
+						t.Fatalf("refusal %q does not quote the cause, %q of %s", err, cause, filepath.Base(block))
 					}
 					if rep.Respawns != maxRespawns || len(rep.Recoveries) != maxRespawns {
 						t.Fatalf("report %+v, want %d booked recoveries", rep, maxRespawns)

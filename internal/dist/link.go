@@ -156,7 +156,7 @@ func (l *peerLink) run() {
 			conn = c
 			l.mu.Unlock()
 		}
-		_, err := retry.Do(workerWriteAttempts, workerWriteBackoff, nil, func() error {
+		_, err := retry.Do(func() error {
 			if err := l.w.inj.beforeWrite(); err != nil {
 				return err
 			}

@@ -34,12 +34,13 @@
 package dist
 
 import (
-	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
 
+	"ttastar/internal/codec"
 	"ttastar/internal/mc"
 )
 
@@ -50,13 +51,16 @@ import (
 //	frame   := length:u32le  type:u8  payload
 //	payload := uvarint fields, strings/byte-slices length-prefixed
 //
-// The payload codec mirrors the checkpoint file codec: hand-rolled
-// uvarints, length guards on every count, and a sticky error so decoders
-// read straight through without per-field checks. The data-plane frame
-// (mtMeshBatch) additionally delta-codes successor indices and drops
-// per-group framing the receiver can infer, and both directions run
-// over a size-classed frame-buffer free list so the steady state is
-// allocation-free.
+// The payload codec is internal/codec, the one the checkpoint files use:
+// encoders append, and decoders read through a codec.Reader whose length
+// guards and sticky error wrap errBadFrame, so they read straight through
+// without per-field checks. Byte fields decode as views of the frame; a
+// worker releases a pooled frame once its handler returns, so a handler
+// that keeps bytes past that copies them (the store's claims do). The
+// data-plane frame (mtMeshBatch) additionally delta-codes successor
+// indices and drops per-group framing the receiver can infer, and both
+// directions run over a size-classed frame-buffer free list so the
+// steady state is allocation-free.
 
 // Message types. Control (C→W, W→C) and mesh (W→W) share one tag space.
 const (
@@ -151,19 +155,6 @@ func putFrame(fb *frameBuf) {
 	framePools[c-frameClassMin].Put(fb)
 }
 
-func (fb *frameBuf) u(v uint64) {
-	var s [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(s[:], v)
-	fb.b = append(fb.b, s[:n]...)
-}
-
-func (fb *frameBuf) raw(p []byte) { fb.b = append(fb.b, p...) }
-
-func (fb *frameBuf) bytes(p []byte) {
-	fb.u(uint64(len(p)))
-	fb.raw(p)
-}
-
 // payloadLen is the number of payload bytes appended so far.
 func (fb *frameBuf) payloadLen() int { return len(fb.b) - 5 }
 
@@ -227,100 +218,6 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 	return typ, out, nil
 }
 
-// wbuf serializes a payload with uvarints.
-type wbuf struct {
-	b       []byte
-	scratch [binary.MaxVarintLen64]byte
-}
-
-func (w *wbuf) u(v uint64) {
-	n := binary.PutUvarint(w.scratch[:], v)
-	w.b = append(w.b, w.scratch[:n]...)
-}
-func (w *wbuf) i(v int)      { w.u(uint64(v)) }
-func (w *wbuf) u32(v uint32) { w.u(uint64(v)) }
-func (w *wbuf) byte1(v byte) { w.b = append(w.b, v) }
-func (w *wbuf) boolean(v bool) {
-	if v {
-		w.byte1(1)
-	} else {
-		w.byte1(0)
-	}
-}
-func (w *wbuf) bytes(p []byte) { w.u(uint64(len(p))); w.b = append(w.b, p...) }
-func (w *wbuf) str(s string)   { w.bytes([]byte(s)) }
-func (w *wbuf) raw(p []byte)   { w.b = append(w.b, p...) }
-
-// rbuf parses a payload with length guards and a sticky error.
-type rbuf struct {
-	r   *bytes.Reader
-	err error
-}
-
-func newRbuf(p []byte) *rbuf { return &rbuf{r: bytes.NewReader(p)} }
-
-func (r *rbuf) u() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		// ReadUvarint returns the partial value of an overflowing
-		// varint; a count read from it must not size an allocation.
-		r.err = fmt.Errorf("dist: truncated message")
-		return 0
-	}
-	return v
-}
-func (r *rbuf) i() int      { return int(r.u()) }
-func (r *rbuf) u32() uint32 { return uint32(r.u()) }
-func (r *rbuf) byte1() byte {
-	if r.err != nil {
-		return 0
-	}
-	b, err := r.r.ReadByte()
-	if err != nil {
-		r.err = fmt.Errorf("dist: truncated message")
-	}
-	return b
-}
-func (r *rbuf) boolean() bool { return r.byte1() != 0 }
-func (r *rbuf) bytes() []byte {
-	n := r.u()
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(r.r.Len()) {
-		r.err = fmt.Errorf("dist: length %d exceeds remaining payload", n)
-		return nil
-	}
-	buf := make([]byte, n)
-	io.ReadFull(r.r, buf)
-	return buf
-}
-func (r *rbuf) str() string { return string(r.bytes()) }
-
-// count guards an element count against the remaining payload (every
-// element costs at least one byte).
-func (r *rbuf) count() int {
-	n := r.u()
-	if r.err == nil && n > uint64(r.r.Len()) {
-		r.err = fmt.Errorf("dist: element count %d exceeds remaining payload", n)
-		return 0
-	}
-	return int(n)
-}
-
-func (r *rbuf) done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.r.Len() != 0 {
-		return fmt.Errorf("dist: %d trailing bytes", r.r.Len())
-	}
-	return nil
-}
-
 // ---------------------------------------------------------------------
 // Mesh data-plane codec (mtMeshBatch)
 //
@@ -344,94 +241,56 @@ func (r *rbuf) done() error {
 // it to the class the next batch draws from.
 func beginMeshBatch(level int32, base uint64) *frameBuf {
 	fb := grabFrame(2 * batchFlushBytes)
-	fb.b = append(fb.b, 0, 0, 0, 0, mtMeshBatch)
-	fb.u(uint64(uint32(level)))
-	fb.u(base)
+	fb.b = codec.AppendUvarint(append(fb.b, 0, 0, 0, 0, mtMeshBatch), uint64(uint32(level)), base)
 	return fb
 }
 
-// bdec is the lean zero-copy decoder for the data plane: explicit
-// bounds checks, views instead of copies, no bytes.Reader.
-type bdec struct {
-	p   []byte
-	off int
-}
+// errBadFrame is the sentinel every refused payload wraps.
+var errBadFrame = errors.New("dist: malformed frame")
 
-func (d *bdec) more() bool { return d.off < len(d.p) }
-
-func (d *bdec) uvarint() (uint64, bool) {
-	v, n := binary.Uvarint(d.p[d.off:])
-	if n <= 0 {
-		return 0, false
+// flag is a bool's wire value.
+func flag(v bool) uint64 {
+	if v {
+		return 1
 	}
-	d.off += n
-	return v, true
+	return 0
 }
-
-func (d *bdec) view(n uint64) ([]byte, bool) {
-	if n > uint64(len(d.p)-d.off) {
-		return nil, false
-	}
-	v := d.p[d.off : d.off+int(n)]
-	d.off += int(n)
-	return v, true
-}
-
-var errMeshBatchCorrupt = fmt.Errorf("dist: corrupt mesh batch")
 
 // decodeMeshBatchHeader splits an mtMeshBatch payload into its level,
 // base and the raw group sequence.
 func decodeMeshBatchHeader(p []byte) (level int32, base uint64, groups []byte, err error) {
-	d := bdec{p: p}
-	lv, ok1 := d.uvarint()
-	b, ok2 := d.uvarint()
-	if !ok1 || !ok2 || lv > 1<<31 {
-		return 0, 0, nil, errMeshBatchCorrupt
+	r := codec.NewReader(p, errBadFrame)
+	lv, b := r.Uvarint(), r.Uvarint()
+	if r.Err() == nil && lv > 1<<31 {
+		r.Fail("level %d", lv)
 	}
-	return int32(uint32(lv)), b, p[d.off:], nil
+	return int32(uint32(lv)), b, r.View(uint64(r.Len())), r.Err()
 }
 
 // walkMeshGroups parses a group sequence (a mesh batch payload after
-// its header), invoking visit per
-// successor with views into p. Malformed input is rejected with an
-// error; visit is never called past the first defect.
+// its header), invoking visit per successor with views into p.
+// Malformed input is refused; visit is never called past the first
+// defect.
 func walkMeshGroups(p []byte, visit func(slot, parent, j uint32, enc []byte)) (groups int, err error) {
-	d := bdec{p: p}
-	for d.more() {
-		slot, ok := d.uvarint()
-		if !ok || slot > 1<<32-1 {
-			return groups, errMeshBatchCorrupt
-		}
-		parent, ok := d.uvarint()
-		if !ok || parent > 1<<32-1 {
-			return groups, errMeshBatchCorrupt
-		}
-		nsucc, ok := d.uvarint()
-		// Each successor costs at least two bytes (jdelta + encLen).
-		if !ok || nsucc > uint64(len(d.p)-d.off) {
-			return groups, errMeshBatchCorrupt
+	r := codec.NewReader(p, errBadFrame)
+	for r.Len() > 0 {
+		slot, parent, nsucc := r.Uvarint(), r.Uvarint(), r.Count()
+		if r.Err() == nil && (slot > 1<<32-1 || parent > 1<<32-1) {
+			r.Fail("group slot %d parent %d", slot, parent)
 		}
 		j := uint64(0)
-		for k := uint64(0); k < nsucc; k++ {
-			jd, ok := d.uvarint()
-			if !ok {
-				return groups, errMeshBatchCorrupt
+		for k := 0; k < nsucc && r.Err() == nil; k++ {
+			j += r.Uvarint()
+			enc := r.Bytes()
+			if r.Err() == nil && j > 1<<32-1 {
+				r.Fail("successor index %d", j)
 			}
-			j += jd
-			if j > 1<<32-1 {
-				return groups, errMeshBatchCorrupt
-			}
-			elen, ok := d.uvarint()
-			if !ok {
-				return groups, errMeshBatchCorrupt
-			}
-			enc, ok := d.view(elen)
-			if !ok {
-				return groups, errMeshBatchCorrupt
-			}
-			if visit != nil {
+			if r.Err() == nil && visit != nil {
 				visit(uint32(slot), uint32(parent), uint32(j), enc)
 			}
+		}
+		if r.Err() != nil {
+			return groups, r.Err()
 		}
 		groups++
 	}
@@ -460,45 +319,24 @@ type msgConfig struct {
 }
 
 func (m *msgConfig) encode() (byte, []byte) {
-	var w wbuf
-	w.i(m.Index)
-	w.i(m.Gen)
-	w.i(m.Workers)
-	w.str(m.SpecName)
-	w.str(m.SpecPayload)
-	w.boolean(m.Reduced)
-	w.boolean(m.CheckState)
-	w.i(m.MaxStates)
-	w.raw(m.Assign[:])
-	w.str(m.Chain)
-	w.str(m.Restore)
-	w.str(m.MeshName)
-	w.str(m.Swifi)
-	w.i(m.HeartbeatMs)
-	return mtConfig, w.b
+	b := codec.AppendUvarint(nil, uint64(m.Index), uint64(m.Gen), uint64(m.Workers))
+	b = codec.AppendBytes(codec.AppendBytes(b, m.SpecName), m.SpecPayload)
+	b = append(codec.AppendUvarint(b, flag(m.Reduced), flag(m.CheckState), uint64(m.MaxStates)), m.Assign[:]...)
+	for _, s := range []string{m.Chain, m.Restore, m.MeshName, m.Swifi} {
+		b = codec.AppendBytes(b, s)
+	}
+	return mtConfig, codec.AppendUvarint(b, uint64(m.HeartbeatMs))
 }
 
 func decodeConfig(p []byte) (*msgConfig, error) {
-	r := newRbuf(p)
-	m := &msgConfig{
-		Index:       r.i(),
-		Gen:         r.i(),
-		Workers:     r.i(),
-		SpecName:    r.str(),
-		SpecPayload: r.str(),
-		Reduced:     r.boolean(),
-		CheckState:  r.boolean(),
-		MaxStates:   r.i(),
-	}
-	for i := range m.Assign {
-		m.Assign[i] = r.byte1()
-	}
-	m.Chain = r.str()
-	m.Restore = r.str()
-	m.MeshName = r.str()
-	m.Swifi = r.str()
-	m.HeartbeatMs = r.i()
-	return m, r.done()
+	r := codec.NewReader(p, errBadFrame)
+	m := &msgConfig{Index: int(r.Uvarint()), Gen: int(r.Uvarint()), Workers: int(r.Uvarint()),
+		SpecName: string(r.Bytes()), SpecPayload: string(r.Bytes()),
+		Reduced: r.Byte() != 0, CheckState: r.Byte() != 0, MaxStates: int(r.Uvarint())}
+	copy(m.Assign[:], r.View(mc.NumShards))
+	m.Chain, m.Restore, m.MeshName, m.Swifi = string(r.Bytes()), string(r.Bytes()), string(r.Bytes()), string(r.Bytes())
+	m.HeartbeatMs = int(r.Uvarint())
+	return m, r.Done()
 }
 
 // msgExpand asks a worker to expand its first len(Slots) frontier
@@ -512,26 +350,21 @@ type msgExpand struct {
 }
 
 func (m *msgExpand) encode() (byte, []byte) {
-	var w wbuf
-	w.u32(uint32(m.Level))
-	w.u(m.Base)
-	w.u32(m.ID)
-	w.i(len(m.Slots))
+	b := codec.AppendUvarint(nil, uint64(uint32(m.Level)), m.Base, uint64(m.ID), uint64(len(m.Slots)))
 	for _, s := range m.Slots {
-		w.u32(s)
+		b = codec.AppendUvarint(b, uint64(s))
 	}
-	return mtExpand, w.b
+	return mtExpand, b
 }
 
 func decodeExpand(p []byte) (*msgExpand, error) {
-	r := newRbuf(p)
-	m := &msgExpand{Level: int32(r.u32()), Base: r.u(), ID: r.u32()}
-	n := r.count()
-	m.Slots = make([]uint32, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		m.Slots = append(m.Slots, r.u32())
+	r := codec.NewReader(p, errBadFrame)
+	m := &msgExpand{Level: int32(uint32(r.Uvarint())), Base: r.Uvarint(), ID: uint32(r.Uvarint())}
+	m.Slots = make([]uint32, r.Count())
+	for i := range m.Slots {
+		m.Slots[i] = uint32(r.Uvarint())
 	}
-	return m, r.done()
+	return m, r.Done()
 }
 
 // msgInit delivers the level-0 roots of one shard to its owner over the
@@ -545,24 +378,21 @@ type msgInit struct {
 }
 
 func (m *msgInit) encode() (byte, []byte) {
-	var w wbuf
-	w.i(len(m.Js))
-	for k := range m.Js {
-		w.u32(m.Js[k])
-		w.bytes(m.Encs[k])
+	b := codec.AppendUvarint(nil, uint64(len(m.Js)))
+	for k, j := range m.Js {
+		b = codec.AppendBytes(codec.AppendUvarint(b, uint64(j)), m.Encs[k])
 	}
-	return mtInit, w.b
+	return mtInit, b
 }
 
 func decodeInit(p []byte) (*msgInit, error) {
-	r := newRbuf(p)
-	n := r.count()
-	m := &msgInit{Js: make([]uint32, 0, n), Encs: make([][]byte, 0, n)}
-	for i := 0; i < n && r.err == nil; i++ {
-		m.Js = append(m.Js, r.u32())
-		m.Encs = append(m.Encs, r.bytes())
+	r := codec.NewReader(p, errBadFrame)
+	n := r.Count()
+	m := &msgInit{Js: make([]uint32, n), Encs: make([][]byte, n)}
+	for i := range m.Js {
+		m.Js[i], m.Encs[i] = uint32(r.Uvarint()), r.Bytes()
 	}
-	return m, r.done()
+	return m, r.Done()
 }
 
 // msgSeal tells a worker every sender has declared its mesh traffic for
@@ -585,26 +415,21 @@ type expectCount struct {
 }
 
 func (m *msgSeal) encode() (byte, []byte) {
-	var w wbuf
-	w.u32(uint32(m.Level))
-	w.u32(m.Seq)
-	w.i(len(m.Expect))
+	b := codec.AppendUvarint(nil, uint64(uint32(m.Level)), uint64(m.Seq), uint64(len(m.Expect)))
 	for _, e := range m.Expect {
-		w.i(e.Sender)
-		w.u(e.Groups)
+		b = codec.AppendUvarint(b, uint64(e.Sender), e.Groups)
 	}
-	return mtSeal, w.b
+	return mtSeal, b
 }
 
 func decodeSeal(p []byte) (*msgSeal, error) {
-	r := newRbuf(p)
-	m := &msgSeal{Level: int32(r.u32()), Seq: r.u32()}
-	n := r.count()
-	m.Expect = make([]expectCount, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		m.Expect = append(m.Expect, expectCount{Sender: r.i(), Groups: r.u()})
+	r := codec.NewReader(p, errBadFrame)
+	m := &msgSeal{Level: int32(uint32(r.Uvarint())), Seq: uint32(r.Uvarint())}
+	m.Expect = make([]expectCount, r.Count())
+	for i := range m.Expect {
+		m.Expect[i] = expectCount{Sender: int(r.Uvarint()), Groups: r.Uvarint()}
 	}
-	return m, r.done()
+	return m, r.Done()
 }
 
 // msgTraceQuery resolves one step of counterexample reconstruction: the
@@ -618,17 +443,13 @@ type msgTraceQuery struct {
 }
 
 func (m *msgTraceQuery) encode() (byte, []byte) {
-	var w wbuf
-	w.boolean(m.ByRef)
-	w.u32(m.Ref)
-	w.bytes(m.Enc)
-	return mtTraceQuery, w.b
+	return mtTraceQuery, codec.AppendBytes(codec.AppendUvarint(nil, flag(m.ByRef), uint64(m.Ref)), m.Enc)
 }
 
 func decodeTraceQuery(p []byte) (*msgTraceQuery, error) {
-	r := newRbuf(p)
-	m := &msgTraceQuery{ByRef: r.boolean(), Ref: r.u32(), Enc: r.bytes()}
-	return m, r.done()
+	r := codec.NewReader(p, errBadFrame)
+	m := &msgTraceQuery{ByRef: r.Byte() != 0, Ref: uint32(r.Uvarint()), Enc: r.Bytes()}
+	return m, r.Done()
 }
 
 // msgStop asks a worker to send its mtBye and exit.
@@ -647,18 +468,14 @@ type msgHello struct {
 }
 
 func (m *msgHello) encode() (byte, []byte) {
-	var w wbuf
-	w.i(m.Index)
-	w.str(m.Err)
-	w.u(uint64(m.States))
-	w.u(uint64(m.Resident))
-	return mtHello, w.b
+	b := codec.AppendBytes(codec.AppendUvarint(nil, uint64(m.Index)), m.Err)
+	return mtHello, codec.AppendUvarint(b, uint64(m.States), uint64(m.Resident))
 }
 
 func decodeHello(p []byte) (*msgHello, error) {
-	r := newRbuf(p)
-	m := &msgHello{Index: r.i(), Err: r.str(), States: int64(r.u()), Resident: int64(r.u())}
-	return m, r.done()
+	r := codec.NewReader(p, errBadFrame)
+	m := &msgHello{Index: int(r.Uvarint()), Err: string(r.Bytes()), States: int64(r.Uvarint()), Resident: int64(r.Uvarint())}
+	return m, r.Done()
 }
 
 // msgExpandDone closes one msgExpand: Counts[i] is the successor count
@@ -687,43 +504,31 @@ type sentCount struct {
 }
 
 func (m *msgExpandDone) encode() (byte, []byte) {
-	var w wbuf
-	w.u32(uint32(m.Level))
-	w.u32(m.ID)
-	w.i(len(m.Counts))
+	b := codec.AppendUvarint(nil, uint64(uint32(m.Level)), uint64(m.ID), uint64(len(m.Counts)))
 	for _, c := range m.Counts {
-		w.u32(c)
+		b = codec.AppendUvarint(b, uint64(c))
 	}
-	w.i(len(m.SentTo))
+	b = codec.AppendUvarint(b, uint64(len(m.SentTo)))
 	for _, s := range m.SentTo {
-		w.i(s.Dest)
-		w.u(s.Groups)
+		b = codec.AppendUvarint(b, uint64(s.Dest), s.Groups)
 	}
-	w.boolean(m.HasViol)
-	w.u(m.ViolKey)
-	w.bytes(m.ViolFrom)
-	w.bytes(m.ViolTo)
-	return mtExpandDone, w.b
+	b = codec.AppendUvarint(b, flag(m.HasViol), m.ViolKey)
+	return mtExpandDone, codec.AppendBytes(codec.AppendBytes(b, m.ViolFrom), m.ViolTo)
 }
 
 func decodeExpandDone(p []byte) (*msgExpandDone, error) {
-	r := newRbuf(p)
-	m := &msgExpandDone{Level: int32(r.u32()), ID: r.u32()}
-	n := r.count()
-	m.Counts = make([]uint32, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		m.Counts = append(m.Counts, r.u32())
+	r := codec.NewReader(p, errBadFrame)
+	m := &msgExpandDone{Level: int32(uint32(r.Uvarint())), ID: uint32(r.Uvarint())}
+	m.Counts = make([]uint32, r.Count())
+	for i := range m.Counts {
+		m.Counts[i] = uint32(r.Uvarint())
 	}
-	n = r.count()
-	m.SentTo = make([]sentCount, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		m.SentTo = append(m.SentTo, sentCount{Dest: r.i(), Groups: r.u()})
+	m.SentTo = make([]sentCount, r.Count())
+	for i := range m.SentTo {
+		m.SentTo[i] = sentCount{Dest: int(r.Uvarint()), Groups: r.Uvarint()}
 	}
-	m.HasViol = r.boolean()
-	m.ViolKey = r.u()
-	m.ViolFrom = r.bytes()
-	m.ViolTo = r.bytes()
-	return m, r.done()
+	m.HasViol, m.ViolKey, m.ViolFrom, m.ViolTo = r.Byte() != 0, r.Uvarint(), r.Bytes(), r.Bytes()
+	return m, r.Done()
 }
 
 // msgLevelReport closes a worker's level: the final (min-key)
@@ -745,51 +550,37 @@ type msgLevelReport struct {
 }
 
 func (m *msgLevelReport) encode() (byte, []byte) {
-	var w wbuf
-	w.u32(uint32(m.Level))
-	w.u32(m.Seq)
-	w.i(len(m.Keys))
+	b := codec.AppendUvarint(nil, uint64(uint32(m.Level)), uint64(m.Seq), uint64(len(m.Keys)))
 	prev := uint64(0)
 	for _, k := range m.Keys {
-		w.u(k - prev)
+		b = codec.AppendUvarint(b, k-prev)
 		prev = k
 	}
-	w.i(len(m.StViolKeys))
-	for i := range m.StViolKeys {
-		w.u(m.StViolKeys[i])
-		w.bytes(m.StViolEncs[i])
+	b = codec.AppendUvarint(b, uint64(len(m.StViolKeys)))
+	for i, k := range m.StViolKeys {
+		b = codec.AppendBytes(codec.AppendUvarint(b, k), m.StViolEncs[i])
 	}
-	w.u(uint64(m.States))
-	w.u(uint64(m.Resident))
-	w.boolean(m.Full)
-	w.u(m.WireFrames)
-	w.u(m.WireBytes)
-	return mtLevelReport, w.b
+	b = codec.AppendUvarint(b, uint64(m.States), uint64(m.Resident), flag(m.Full), m.WireFrames, m.WireBytes)
+	return mtLevelReport, b
 }
 
 func decodeLevelReport(p []byte) (*msgLevelReport, error) {
-	r := newRbuf(p)
-	m := &msgLevelReport{Level: int32(r.u32()), Seq: r.u32()}
-	n := r.count()
-	m.Keys = make([]uint64, 0, n)
+	r := codec.NewReader(p, errBadFrame)
+	m := &msgLevelReport{Level: int32(uint32(r.Uvarint())), Seq: uint32(r.Uvarint())}
+	m.Keys = make([]uint64, r.Count())
 	prev := uint64(0)
-	for i := 0; i < n && r.err == nil; i++ {
-		prev += r.u()
-		m.Keys = append(m.Keys, prev)
+	for i := range m.Keys {
+		prev += r.Uvarint()
+		m.Keys[i] = prev
 	}
-	n = r.count()
-	m.StViolKeys = make([]uint64, 0, n)
-	m.StViolEncs = make([][]byte, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		m.StViolKeys = append(m.StViolKeys, r.u())
-		m.StViolEncs = append(m.StViolEncs, r.bytes())
+	n := r.Count()
+	m.StViolKeys, m.StViolEncs = make([]uint64, n), make([][]byte, n)
+	for i := range m.StViolKeys {
+		m.StViolKeys[i], m.StViolEncs[i] = r.Uvarint(), r.Bytes()
 	}
-	m.States = int64(r.u())
-	m.Resident = int64(r.u())
-	m.Full = r.boolean()
-	m.WireFrames = r.u()
-	m.WireBytes = r.u()
-	return m, r.done()
+	m.States, m.Resident = int64(r.Uvarint()), int64(r.Uvarint())
+	m.Full, m.WireFrames, m.WireBytes = r.Byte() != 0, r.Uvarint(), r.Uvarint()
+	return m, r.Done()
 }
 
 // msgTraceReply answers a msgTraceQuery: the state's parent as a
@@ -802,18 +593,13 @@ type msgTraceReply struct {
 }
 
 func (m *msgTraceReply) encode() (byte, []byte) {
-	var w wbuf
-	w.boolean(m.Found)
-	w.boolean(m.HasParent)
-	w.u32(m.Parent)
-	w.bytes(m.Enc)
-	return mtTraceReply, w.b
+	return mtTraceReply, codec.AppendBytes(codec.AppendUvarint(nil, flag(m.Found), flag(m.HasParent), uint64(m.Parent)), m.Enc)
 }
 
 func decodeTraceReply(p []byte) (*msgTraceReply, error) {
-	r := newRbuf(p)
-	m := &msgTraceReply{Found: r.boolean(), HasParent: r.boolean(), Parent: r.u32(), Enc: r.bytes()}
-	return m, r.done()
+	r := codec.NewReader(p, errBadFrame)
+	m := &msgTraceReply{Found: r.Byte() != 0, HasParent: r.Byte() != 0, Parent: uint32(r.Uvarint()), Enc: r.Bytes()}
+	return m, r.Done()
 }
 
 // msgHeartbeat carries no payload.
@@ -829,31 +615,25 @@ type msgBye struct {
 }
 
 func (m *msgBye) encode() (byte, []byte) {
-	var w wbuf
-	w.u(m.WireFrames)
-	w.u(m.WireBytes)
-	return mtBye, w.b
+	return mtBye, codec.AppendUvarint(nil, m.WireFrames, m.WireBytes)
 }
 
 func decodeBye(p []byte) (*msgBye, error) {
-	r := newRbuf(p)
-	m := &msgBye{WireFrames: r.u(), WireBytes: r.u()}
-	return m, r.done()
+	r := codec.NewReader(p, errBadFrame)
+	m := &msgBye{WireFrames: r.Uvarint(), WireBytes: r.Uvarint()}
+	return m, r.Done()
 }
 
-// msgFatal reports an unrecoverable worker-side error (protocol
-// violation, claim-key overflow, state budget exceeded). The coordinator
-// aborts the run.
+// msgFatal is a worker's last word before it exits on an error: a
+// protocol violation, or barrier files that failed to write past their
+// retries. The coordinator books it as the worker's death, with Err as
+// the cause.
 type msgFatal struct{ Err string }
 
-func (m *msgFatal) encode() (byte, []byte) {
-	var w wbuf
-	w.str(m.Err)
-	return mtFatal, w.b
-}
+func (m *msgFatal) encode() (byte, []byte) { return mtFatal, codec.AppendBytes(nil, m.Err) }
 
 func decodeFatal(p []byte) (*msgFatal, error) {
-	r := newRbuf(p)
-	m := &msgFatal{Err: r.str()}
-	return m, r.done()
+	r := codec.NewReader(p, errBadFrame)
+	m := &msgFatal{Err: string(r.Bytes())}
+	return m, r.Done()
 }

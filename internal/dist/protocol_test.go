@@ -118,7 +118,7 @@ func TestMeshBatchCodec(t *testing.T) {
 	g := appendMeshGroup(nil, 3, 0x2a5, []uint32{0, 2, 7}, [][]byte{[]byte("a"), []byte("bb"), []byte("ccc")})
 	g1len := len(g)
 	g = appendMeshGroup(g, 1<<20, 1<<32-1, []uint32{5}, [][]byte{[]byte("zz")})
-	fb.raw(g)
+	fb.b = append(fb.b, g...)
 	wire := fb.finish()
 	if int(wire[0])|int(wire[1])<<8|int(wire[2])<<16|int(wire[3])<<24 != len(wire)-4 {
 		t.Fatalf("length header %v does not match frame size %d", wire[:4], len(wire))

@@ -10,12 +10,18 @@ package dist
 // inits are re-sent when L = 0, and level L's Expands go to the whole
 // fleet with fresh accounting. Claims carry position-derived keys, so the
 // redo is deterministic: the level's files come out byte-identical to the
-// ones a first attempt may have written, and the verdict is untouched. A
-// worker whose barrier files or control messages still fail to write
-// after its retries exits, and is recovered the same way. Only a death of an index that has spent
-// its respawn budget (maxRespawns recoveries charged to it) ends the run,
-// with ErrUnrecoverable naming the worker and the level: a crash is
-// recovered or reported, never guessed at.
+// ones a first attempt may have written, and the verdict is untouched.
+//
+// A death is a broken or silent connection, or a worker's msgFatal. A
+// worker whose barrier files still fail to write after its retries, or
+// that hits a protocol error, sends the cause in a msgFatal before it
+// exits, and the coordinator logs that cause. One whose control write
+// fails past its retries cannot report over the stream that failed: it
+// just exits, and its death is logged as the connection's EOF. Only a
+// death of an index that has spent its respawn budget (maxRespawns
+// recoveries charged to it) ends the run, with ErrUnrecoverable naming
+// the worker, the level and the cause: a crash is recovered or reported,
+// never guessed at.
 
 import (
 	"errors"
@@ -96,7 +102,7 @@ func (c *coordinator) dispatch(w *workerState, typ byte, payload []byte) error {
 		if err != nil {
 			return fmt.Errorf("dist: worker %d: %w", w.index, err)
 		}
-		return fmt.Errorf("dist: worker %d: %s", w.index, m.Err)
+		return c.handleDeath(w, errors.New(m.Err))
 	case mtTraceReply, mtBye:
 		// Stray: a trace reply outside reconstruction, a Bye outside
 		// shutdown. Harmless.
@@ -163,8 +169,8 @@ func (c *coordinator) handleDeath(w *workerState, cause error) error {
 	if w.respawns >= maxRespawns {
 		c.rep.Recoveries = append(c.rep.Recoveries, c.openRecs...)
 		c.openRecs = nil
-		return fmt.Errorf("%w: worker %d at level %d: respawn budget (%d) spent",
-			ErrUnrecoverable, w.index, c.level, maxRespawns)
+		return fmt.Errorf("%w: worker %d at level %d: respawn budget (%d) spent; the last death: %v",
+			ErrUnrecoverable, w.index, c.level, maxRespawns, cause)
 	}
 	w.respawns++
 	c.rep.Respawns++

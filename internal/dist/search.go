@@ -213,7 +213,7 @@ func (c *coordinator) commit() error {
 	}
 	h := mc.ChainHeader{Depth: c.level, ResultDepth: int(c.level), Transitions: int(c.totalGen),
 		Reduced: c.reduced, Fingerprint: c.fingerprint, NextBase: c.next}
-	if _, err := retry.Do(workerWriteAttempts, workerWriteBackoff, nil, func() error {
+	if _, err := retry.Do(func() error {
 		return c.chain.Commit(h, segs, fronts)
 	}); err != nil {
 		return fmt.Errorf("dist: closing the level-%d barrier: %w", c.level, err)

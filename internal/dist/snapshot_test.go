@@ -22,6 +22,7 @@ import (
 	"strings"
 	"testing"
 
+	"ttastar/internal/codec"
 	"ttastar/internal/guardian"
 	"ttastar/internal/mc"
 	"ttastar/internal/model"
@@ -138,57 +139,33 @@ type v5File struct {
 	live    []v5Live
 }
 
-// parseChainFile opens one chain file of the given kind — magic,
-// version 6, kind, then the body, less its checksum trailer — and
-// returns readers of its body: a uvarint, a byte string, the bytes left.
-func parseChainFile(t *testing.T, path string, kind uint64) (u func() uint64, bstr func() []byte, rest func() int) {
+// chainEnvelope is the checkpoint chain's file envelope.
+var chainEnvelope = codec.Format{Magic: "TTAMCCP\x00", Version: 6, Corrupt: mc.ErrCheckpointCorrupt}
+
+// parseChainFile opens one chain file of the given kind through the
+// envelope and returns a reader of its body.
+func parseChainFile(t *testing.T, path string, kind uint64) *codec.Reader {
 	t.Helper()
-	data, err := os.ReadFile(path)
+	r, _, err := chainEnvelope.ReadFile(path, kind)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) < 16 || string(data[:8]) != "TTAMCCP\x00" {
-		t.Fatalf("%s: not a checkpoint file", path)
+	return &r
+}
+
+// done fails the test unless r read its whole body cleanly.
+func done(t *testing.T, r *codec.Reader, path string) {
+	t.Helper()
+	if err := r.Done(); err != nil {
+		t.Fatalf("%s: %v", path, err)
 	}
-	p := data[8 : len(data)-8]
-	u = func() uint64 {
-		v, n := binary.Uvarint(p)
-		if n <= 0 {
-			t.Fatalf("%s: truncated", path)
-		}
-		p = p[n:]
-		return v
-	}
-	bstr = func() []byte {
-		n := u()
-		b := p[:n]
-		p = p[n:]
-		return b
-	}
-	if v, k := u(), u(); v != 6 || k != kind {
-		t.Fatalf("%s: version %d kind %d, want 6, %d", path, v, k, kind)
-	}
-	return u, bstr, func() int { return len(p) }
 }
 
 // parseChain parses the checkpoint whose manifest is at manifest.
 func parseChain(t *testing.T, manifest string) *v5File {
 	t.Helper()
-	u, bstr, rest := parseChainFile(t, manifest, 1)
 	f := &v5File{writers: map[int]*[mc.NumShards]v5Shard{}}
-	for i := range f.header {
-		f.header[i] = u()
-	}
-	var segs, fronts []string
-	for _, list := range []*[]string{&segs, &fronts} {
-		for n := u(); n > 0; n-- {
-			*list = append(*list, filepath.Join(filepath.Dir(manifest), string(bstr())))
-			u()
-		}
-	}
-	if rest() != 0 {
-		t.Fatalf("%s: trailing bytes", manifest)
-	}
+	segs, fronts := chainPaths(t, manifest, &f.header)
 	ceil := func(n uint64) uint64 { return (n + arenaRestartEvery - 1) / arenaRestartEvery }
 	for _, seg := range segs {
 		writer := -1
@@ -200,33 +177,29 @@ func parseChain(t *testing.T, manifest string) *v5File {
 			arenas = &[mc.NumShards]v5Shard{}
 			f.writers[writer] = arenas
 		}
-		u, bstr, rest := parseChainFile(t, seg, 2)
+		r := parseChainFile(t, seg, 2)
 		for s := range arenas {
 			a := &arenas[s]
-			from, count := u(), u()
+			from, count := r.Uvarint(), r.Uvarint()
 			if count > 0 && from != a.count {
 				t.Fatalf("%s: shard %d section from %d, arena holds %d", seg, s, from, a.count)
 			}
 			prev := uint64(0)
 			for i := ceil(from); i < ceil(from+count); i++ {
-				prev += u()
+				prev += r.Uvarint()
 				a.restarts = append(a.restarts, prev+uint64(len(a.blob)))
 			}
 			a.count += count
-			a.blob = append(a.blob, bstr()...)
+			a.blob = append(a.blob, r.Bytes()...)
 		}
-		if rest() != 0 {
-			t.Fatalf("%s: trailing bytes", seg)
-		}
+		done(t, r, seg)
 	}
 	for _, front := range fronts {
-		u, bstr, rest := parseChainFile(t, front, 3)
-		for n := u(); n > 0; n-- {
-			f.live = append(f.live, v5Live{enc: bstr(), key: u(), pw: u()})
+		r := parseChainFile(t, front, 3)
+		for n := r.Count(); n > 0; n-- {
+			f.live = append(f.live, v5Live{enc: r.Bytes(), key: r.Uvarint(), pw: r.Uvarint()})
 		}
-		if rest() != 0 {
-			t.Fatalf("%s: trailing bytes", front)
-		}
+		done(t, r, front)
 	}
 	sort.Slice(f.live, func(i, j int) bool { return f.live[i].key < f.live[j].key })
 	return f
@@ -454,7 +427,7 @@ func FuzzRestoreWorkerSnapshot(f *testing.F) {
 // checksums as they stand now.
 func relist(t *testing.T, c *mc.Chain, path string) {
 	t.Helper()
-	segs, fronts := chainPaths(t, path)
+	segs, fronts := chainPaths(t, path, nil)
 	n, err := mc.ContinueChain(path, nil)
 	if err == nil {
 		err = n.Commit(c.ChainHeader, segs, fronts)
@@ -465,19 +438,25 @@ func relist(t *testing.T, c *mc.Chain, path string) {
 }
 
 // chainPaths lists the segment and frontier files the manifest at path
-// names, parsed without checking them.
-func chainPaths(t *testing.T, path string) (segs, fronts []string) {
+// names, without checking them, and reads its header words into header
+// when that is not nil.
+func chainPaths(t *testing.T, path string, header *[6]uint64) (segs, fronts []string) {
 	t.Helper()
-	u, bstr, _ := parseChainFile(t, path, 1)
-	for range 6 {
-		u()
+	r := parseChainFile(t, path, 1)
+	var words [6]uint64
+	for i := range words {
+		words[i] = r.Uvarint()
+	}
+	if header != nil {
+		*header = words
 	}
 	for _, list := range []*[]string{&segs, &fronts} {
-		for n := u(); n > 0; n-- {
-			*list = append(*list, filepath.Join(filepath.Dir(path), string(bstr())))
-			u()
+		for n := r.Count(); n > 0; n-- {
+			*list = append(*list, filepath.Join(filepath.Dir(path), string(r.Bytes())))
+			r.Uvarint()
 		}
 	}
+	done(t, r, path)
 	return segs, fronts
 }
 

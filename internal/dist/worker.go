@@ -44,16 +44,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ttastar/internal/codec"
 	"ttastar/internal/mc"
 	"ttastar/internal/retry"
-)
-
-// Worker-side write retry budget: transient failures (including SWIFI
-// flakywrite injections) back off 5, 10, 20ms before giving up and
-// letting the coordinator's crash detection take over.
-const (
-	workerWriteAttempts = 4
-	workerWriteBackoff  = 5 * time.Millisecond
 )
 
 // WorkerOptions parameterize RunWorker for its two habitats, a
@@ -288,7 +281,7 @@ type encoder interface{ encode() (byte, []byte) }
 // would leave the coordinator waiting for it.
 func (w *worker) send(m encoder) {
 	typ, payload := m.encode()
-	if _, err := retry.Do(workerWriteAttempts, workerWriteBackoff, nil, func() error {
+	if _, err := retry.Do(func() error {
 		if err := w.inj.beforeWrite(); err != nil {
 			return err
 		}
@@ -534,10 +527,8 @@ func (w *worker) handleExpand(payload []byte) error {
 					acc.succs = acc.succs[:0]
 					touched = append(touched, uint8(shard))
 				}
-				acc.succs = appendUvarint(acc.succs, uint64(uint32(j)-acc.prevJ))
+				acc.succs = codec.AppendBytes(codec.AppendUvarint(acc.succs, uint64(uint32(j)-acc.prevJ)), succ)
 				acc.prevJ = uint32(j)
-				acc.succs = appendUvarint(acc.succs, uint64(len(succ)))
-				acc.succs = append(acc.succs, succ...)
 				acc.njs++
 			}
 		}
@@ -549,10 +540,7 @@ func (w *worker) handleExpand(payload []byte) error {
 			dest := int(w.assign[shard])
 			w.gcount[dest]++
 			fb := w.frameFor(dest, m.Level, m.Base)
-			fb.u(uint64(slot))
-			fb.u(uint64(parent))
-			fb.u(uint64(acc.njs))
-			fb.raw(acc.succs)
+			fb.b = append(codec.AppendUvarint(fb.b, uint64(slot), uint64(parent), uint64(acc.njs)), acc.succs...)
 			if fb.payloadLen() >= batchFlushBytes {
 				w.outFrames[dest] = nil
 				w.link(dest).enqueue(fb)
@@ -721,14 +709,15 @@ func (w *worker) execSeal(m *msgSeal) error {
 	rep.WireFrames = w.wireFrames.Load()
 	rep.WireBytes = w.wireBytes.Load()
 	// The barrier files. A write that fails for good is this process's
-	// death: the next generation writes the level again.
-	if _, err := retry.Do(workerWriteAttempts, workerWriteBackoff, nil, func() error {
+	// death, whose cause it reports before it exits: the next generation
+	// writes the level again.
+	if _, err := retry.Do(func() error {
 		if err := w.inj.beforeWrite(); err != nil {
 			return err
 		}
 		return w.store.WriteBarrier(w.cfg.Chain, w.cfg.Index, m.Level, w.frontier)
 	}); err != nil {
-		fmt.Fprintf(os.Stderr, "dist: worker %d level %d: barrier files: %v\n", w.cfg.Index, m.Level, err)
+		w.send(&msgFatal{Err: fmt.Sprintf("barrier files: %v", err)})
 		w.exit(1)
 	}
 	// Counts for levels this seal closes can no longer be referenced by
@@ -758,13 +747,4 @@ func (w *worker) handleTraceQuery(payload []byte) error {
 	}
 	w.send(reply)
 	return nil
-}
-
-// appendUvarint appends v to dst in varint encoding.
-func appendUvarint(dst []byte, v uint64) []byte {
-	for v >= 0x80 {
-		dst = append(dst, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(dst, byte(v))
 }

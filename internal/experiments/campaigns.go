@@ -111,13 +111,8 @@ func FormatCampaign(cells []CampaignCell) string {
 	// Health footers only when something went wrong, so clean campaigns
 	// render the historical byte-identical tables.
 	for _, c := range cells {
-		if c.Panics > 0 || c.Failed > 0 {
-			fmt.Fprintf(&b, "! %s: %d panics across %d attempts, %d runs retried, %d runs failed\n",
-				c.Label, c.Panics, c.Attempts, c.Retried, c.Failed)
-		}
-		if c.Skipped > 0 {
-			fmt.Fprintf(&b, "! %s: partial — %d runs skipped by cancellation\n", c.Label, c.Skipped)
-		}
+		h := RunStats{Attempts: c.Attempts, Panics: c.Panics, Retried: c.Retried, Failed: c.Failed, Skipped: c.Skipped}
+		h.Footer(&b, c.Label, "runs")
 	}
 	return b.String()
 }

@@ -1,31 +1,28 @@
 package experiments
 
-// Campaign checkpointing: a JSON store of completed run verdicts keyed by
+// Campaign checkpointing: a store of completed run verdicts keyed by
 // (cell label, run index). When a checkpoint is active, RunSeededContext
 // replays recorded verdicts instead of re-simulating — and because run
 // verdicts are pure values derived from deterministic seed streams, a
 // resumed campaign's tables are byte-identical to an uninterrupted run's.
 //
-// The file is versioned and carries an FNV-64a checksum over the
-// (key-sorted, hence canonical) cells payload; writes are atomic via
-// temp-file + rename.
+// The file is the shared envelope of internal/codec — magic, version,
+// kind, FNV-64a trailer, written to a temp file and renamed into place —
+// around one length-prefixed body: the cells as JSON, key-sorted and
+// hence canonical. Version 1, a bare JSON file, is refused.
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"os"
-	"path/filepath"
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
+	"ttastar/internal/codec"
 	"ttastar/internal/retry"
 )
-
-const campaignCheckpointVersion = 1
 
 // flushEvery is how many newly recorded runs accumulate between automatic
 // flushes to disk.
@@ -35,12 +32,11 @@ const flushEvery = 64
 // validation.
 var ErrBadCheckpoint = errors.New("experiments: invalid checkpoint")
 
-// flushAttempts / flushBackoff bound the retry loop around a transient
-// Flush failure (ENOSPC, EINTR, ...): 4 attempts backing off 5, 10, 20ms.
-const (
-	flushAttempts = 4
-	flushBackoff  = 5 * time.Millisecond
-)
+// campaignFormat is the campaign checkpoint's envelope; its one file kind
+// is kindCells.
+var campaignFormat = codec.Format{Magic: "TTAFICP\x00", Version: 2, Corrupt: ErrBadCheckpoint}
+
+const kindCells = 1
 
 // Checkpoint is a persistent store of completed campaign run verdicts.
 // It is safe for concurrent use by the worker pool.
@@ -52,18 +48,6 @@ type Checkpoint struct {
 	retries    atomic.Int64 // transient-failure retries spent in Flush
 }
 
-type checkpointFile struct {
-	Version  int             `json:"version"`
-	Checksum string          `json:"checksum"`
-	Cells    json.RawMessage `json:"cells"`
-}
-
-func cellsChecksum(cells []byte) string {
-	h := fnv.New64a()
-	h.Write(cells)
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
 // OpenCheckpoint opens the store at path. With resume set, an existing
 // file is loaded and validated (a missing file is not an error — the
 // campaign simply starts fresh); without it any prior progress is
@@ -73,25 +57,18 @@ func OpenCheckpoint(path string, resume bool) (*Checkpoint, error) {
 	if !resume {
 		return cp, nil
 	}
-	data, err := os.ReadFile(path)
+	r, _, err := campaignFormat.ReadFile(path, kindCells)
 	if errors.Is(err, os.ErrNotExist) {
 		return cp, nil
 	}
+	if err == nil {
+		cells := r.Bytes()
+		if err = r.Done(); err == nil && json.Unmarshal(cells, &cp.cells) != nil {
+			err = fmt.Errorf("%w: cells are not JSON", ErrBadCheckpoint)
+		}
+	}
 	if err != nil {
-		return nil, fmt.Errorf("experiments: checkpoint: %w", err)
-	}
-	var f checkpointFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
-	}
-	if f.Version != campaignCheckpointVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadCheckpoint, f.Version)
-	}
-	if cellsChecksum(f.Cells) != f.Checksum {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadCheckpoint)
-	}
-	if err := json.Unmarshal(f.Cells, &cp.cells); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
+		return nil, err
 	}
 	return cp, nil
 }
@@ -148,42 +125,12 @@ func (cp *Checkpoint) Flush() error {
 	if err != nil {
 		return fmt.Errorf("experiments: checkpoint: %w", err)
 	}
-	data, err := json.Marshal(checkpointFile{
-		Version:  campaignCheckpointVersion,
-		Checksum: cellsChecksum(cells),
-		Cells:    cells,
-	})
-	if err != nil {
-		return fmt.Errorf("experiments: checkpoint: %w", err)
-	}
-	n, err := retry.Do(flushAttempts, flushBackoff, nil, func() error {
-		return cp.writeFile(data)
+	n, err := retry.Do(func() error {
+		return campaignFormat.WriteFile(cp.path, kindCells, func(w codec.Writer) { w.Bytes(cells) })
 	})
 	cp.retries.Add(int64(n))
 	if err != nil {
 		return fmt.Errorf("experiments: checkpoint: %w", err)
-	}
-	return nil
-}
-
-// writeFile is one atomic write attempt: temp file, write, rename.
-func (cp *Checkpoint) writeFile(data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(cp.path), ".campaign-checkpoint-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), cp.path); err != nil {
-		os.Remove(tmp.Name())
-		return err
 	}
 	return nil
 }

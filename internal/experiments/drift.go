@@ -140,14 +140,7 @@ func FormatDriftStress(results []DriftStressResult) string {
 			r.HealthyFreezes, r.Resyncs.Mean(), r.WorstCorrectionUS.Max())
 	}
 	for _, r := range results {
-		h := r.Health
-		if h.Panics > 0 || h.Failed > 0 {
-			fmt.Fprintf(&b, "! %gppm: %d panics across %d attempts, %d runs retried, %d runs failed\n",
-				r.DriftPPM, h.Panics, h.Attempts, h.Retried, h.Failed)
-		}
-		if h.Skipped > 0 {
-			fmt.Fprintf(&b, "! %gppm: partial — %d runs skipped by cancellation\n", r.DriftPPM, h.Skipped)
-		}
+		r.Health.Footer(&b, fmt.Sprintf("%gppm", r.DriftPPM), "runs")
 	}
 	return b.String()
 }

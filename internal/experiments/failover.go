@@ -248,14 +248,7 @@ func FormatFailover(results []FailoverResult) string {
 			r.RecoverySlots.Mean(), r.RecoverySlots.Max())
 	}
 	for _, r := range results {
-		h := r.Health
-		if h.Panics > 0 || h.Failed > 0 {
-			fmt.Fprintf(&b, "! %s: %d panics across %d attempts, %d runs retried, %d runs failed\n",
-				r.Phase, h.Panics, h.Attempts, h.Retried, h.Failed)
-		}
-		if h.Skipped > 0 {
-			fmt.Fprintf(&b, "! %s: partial — %d runs skipped by cancellation\n", r.Phase, h.Skipped)
-		}
+		r.Health.Footer(&b, r.Phase, "runs")
 	}
 	return b.String()
 }

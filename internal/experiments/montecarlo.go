@@ -150,14 +150,7 @@ func FormatMonteCarlo(results []MonteCarloResult) string {
 			r.HealthyFreezes)
 	}
 	for _, r := range results {
-		h := r.Health
-		if h.Panics > 0 || h.Failed > 0 {
-			fmt.Fprintf(&b, "! p=%g: %d panics across %d attempts, %d runs retried, %d runs failed\n",
-				r.PerSlotFaultProb, h.Panics, h.Attempts, h.Retried, h.Failed)
-		}
-		if h.Skipped > 0 {
-			fmt.Fprintf(&b, "! p=%g: partial — %d runs skipped by cancellation\n", r.PerSlotFaultProb, h.Skipped)
-		}
+		r.Health.Footer(&b, fmt.Sprintf("p=%g", r.PerSlotFaultProb), "runs")
 	}
 	return b.String()
 }

@@ -7,7 +7,10 @@ package experiments
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -227,11 +230,12 @@ func TestCheckpointStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointStoreValidation: corruption, version skew and missing
-// files are each handled explicitly.
+// TestCheckpointStoreValidation: a damaged body, a future version, a
+// foreign magic, a version-1 JSON file and a truncated file are each
+// refused with ErrBadCheckpoint; a missing file starts fresh.
 func TestCheckpointStoreValidation(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "cp.json")
+	path := filepath.Join(dir, "cp")
 	cp, err := OpenCheckpoint(path, false)
 	if err != nil {
 		t.Fatal(err)
@@ -246,34 +250,54 @@ func TestCheckpointStoreValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the payload (keep it parseable JSON so the checksum is what
-	// catches it).
-	bad := strings.Replace(string(data), "42", "43", 1)
-	if bad == string(data) {
+	re, err := OpenCheckpoint(path, true)
+	if err != nil {
+		t.Fatalf("intact checkpoint: %v", err)
+	}
+	var got int
+	if hit, _ := re.lookup("cell", 0, &got); !hit || got != 42 {
+		t.Fatalf("intact checkpoint replays hit=%v %d, want 42", hit, got)
+	}
+	// reseal gives a payload a valid checksum, so the check under test is
+	// not the checksum's.
+	reseal := func(payload []byte) []byte {
+		h := fnv.New64a()
+		h.Write(payload)
+		return binary.BigEndian.AppendUint64(append([]byte(nil), payload...), h.Sum64())
+	}
+	payload := data[:len(data)-8]
+	future := append([]byte(nil), payload...)
+	future[len(campaignFormat.Magic)]++ // the version, one uvarint byte
+	foreign := append([]byte("TTAMCCP\x00"), payload[len(campaignFormat.Magic):]...)
+	// A version-1 file: JSON whose checksum is the FNV-64a of its cells.
+	cells := `{"cell":{"0":42}}`
+	h := fnv.New64a()
+	h.Write([]byte(cells))
+	v1 := fmt.Sprintf(`{"version":1,"checksum":"%016x","cells":%s}`+"\n", h.Sum64(), cells)
+	damaged := strings.Replace(string(data), "42", "43", 1)
+	if damaged == string(data) {
 		t.Fatal("corruption did not change the file")
 	}
-	if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenCheckpoint(path, true); !errors.Is(err, ErrBadCheckpoint) {
-		t.Errorf("corrupted checkpoint: got %v, want ErrBadCheckpoint", err)
-	}
-	// Version skew.
-	if err := os.WriteFile(path, []byte(`{"version":99,"checksum":"00","cells":{}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenCheckpoint(path, true); !errors.Is(err, ErrBadCheckpoint) {
-		t.Errorf("future version: got %v, want ErrBadCheckpoint", err)
-	}
-	// Not JSON at all.
-	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenCheckpoint(path, true); !errors.Is(err, ErrBadCheckpoint) {
-		t.Errorf("garbage file: got %v, want ErrBadCheckpoint", err)
+	for _, tc := range []struct {
+		name string
+		file []byte
+	}{
+		{"damaged body", []byte(damaged)},
+		{"future version", reseal(future)},
+		{"foreign magic", reseal(foreign)},
+		{"version-1 JSON", []byte(v1)},
+		{"truncated", data[:len(data)-3]},
+		{"shorter than its envelope", data[:4]},
+	} {
+		if err := os.WriteFile(path, tc.file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenCheckpoint(path, true); !errors.Is(err, ErrBadCheckpoint) {
+			t.Errorf("%s: got %v, want ErrBadCheckpoint", tc.name, err)
+		}
 	}
 	// Missing file with resume: start fresh.
-	missing := filepath.Join(dir, "nope.json")
+	missing := filepath.Join(dir, "nope")
 	if _, err := OpenCheckpoint(missing, true); err != nil {
 		t.Errorf("missing checkpoint should start fresh: %v", err)
 	}

@@ -130,13 +130,6 @@ func FormatRestart(r RestartResult) string {
 		fmt.Sprintf("%d/%d", r.Reintegrated.Successes, r.Reintegrated.Trials), lo, hi,
 		r.BoundSlots, r.RecoverySlots.Mean(), r.RecoverySlots.Max(),
 		r.DeadlineMisses, r.HealthyFreezes)
-	h := r.Health
-	if h.Panics > 0 || h.Failed > 0 {
-		fmt.Fprintf(&b, "! %d panics across %d attempts, %d runs retried, %d runs failed\n",
-			h.Panics, h.Attempts, h.Retried, h.Failed)
-	}
-	if h.Skipped > 0 {
-		fmt.Fprintf(&b, "! partial — %d runs skipped by cancellation\n", h.Skipped)
-	}
+	r.Health.Footer(&b, "", "runs")
 	return b.String()
 }

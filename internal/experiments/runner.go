@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -119,6 +120,22 @@ type RunStats struct {
 	// CheckpointRetries counts transient checkpoint-flush failures
 	// (ENOSPC, EINTR, ...) retried away while these runs recorded.
 	CheckpointRetries int
+}
+
+// Footer writes the health lines a table ends with, only when something
+// went wrong: panics or failed runs, then the runs cancellation skipped.
+// label, when not empty, names the table row; noun names what a run is.
+func (s RunStats) Footer(w io.Writer, label, noun string) {
+	if label != "" {
+		label += ": "
+	}
+	if s.Panics > 0 || s.Failed > 0 {
+		fmt.Fprintf(w, "! %s%d panics across %d attempts, %d runs retried, %d runs failed\n",
+			label, s.Panics, s.Attempts, s.Retried, s.Failed)
+	}
+	if s.Skipped > 0 {
+		fmt.Fprintf(w, "! %spartial — %d %s skipped by cancellation\n", label, s.Skipped, noun)
+	}
 }
 
 func (s *RunStats) add(o RunStats) {

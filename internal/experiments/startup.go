@@ -102,15 +102,7 @@ func FormatStartup(results []StartupResult) string {
 			r.Latency.N()+r.Failures, r.Latency.Mean(), r.Latency.Min(), r.Latency.Max(), r.Failures, r.Retries)
 	}
 	for _, r := range results {
-		h := r.Health
-		if h.Panics > 0 || h.Failed > 0 {
-			fmt.Fprintf(&b, "! %v / %v: %d panics across %d attempts, %d runs retried, %d runs failed\n",
-				r.Topology, r.Authority, h.Panics, h.Attempts, h.Retried, h.Failed)
-		}
-		if h.Skipped > 0 {
-			fmt.Fprintf(&b, "! %v / %v: partial — %d runs skipped by cancellation\n",
-				r.Topology, r.Authority, h.Skipped)
-		}
+		r.Health.Footer(&b, fmt.Sprintf("%v / %v", r.Topology, r.Authority), "runs")
 	}
 	return b.String()
 }

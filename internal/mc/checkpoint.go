@@ -34,33 +34,25 @@ package mc
 // resumed results are byte-identical to uninterrupted ones for any
 // worker count, in-process or distributed, whichever wrote the chain.
 //
-// Every file is versioned, length-guarded and closed by an FNV-64a
-// checksum over its payload, and written to a temp file in the target
-// directory, then renamed into place, so a crash mid-write never leaves a
-// truncated file where a valid one was. Checkpoints are transient resume
-// files: any other version — the retired single-file formats 1–5
-// included — is refused as corrupt.
+// Every file goes through internal/codec, the one byte format of the
+// repo's process and file boundaries: the shared envelope (magic,
+// version 6, kind, FNV-64a trailer; written to a temp file in the target
+// directory and renamed into place, so a crash mid-write never leaves a
+// truncated file where a valid one was) around a body read through a
+// length-guarded codec.Reader. Checkpoints are transient resume files:
+// any other version — the retired single-file formats 1–5 included — is
+// refused as corrupt.
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
-	"time"
 
+	"ttastar/internal/codec"
 	"ttastar/internal/retry"
-)
-
-const (
-	checkpointMagic   = "TTAMCCP\x00"
-	checkpointVersion = 6
 )
 
 // The kind word after the version tells a chain's files apart.
@@ -87,200 +79,8 @@ var ErrCheckpointCorrupt = errors.New("mc: checkpoint corrupt")
 // would decode as garbage.
 var ErrModelMismatch = errors.New("mc: checkpoint model mismatch")
 
-// cpWriter serializes with uvarints and a sticky error.
-type cpWriter struct {
-	w       io.Writer
-	scratch [binary.MaxVarintLen64]byte
-	err     error
-}
-
-func (w *cpWriter) raw(b []byte) {
-	if w.err == nil {
-		_, w.err = w.w.Write(b)
-	}
-}
-
-func (w *cpWriter) uvarint(v uint64) {
-	n := binary.PutUvarint(w.scratch[:], v)
-	w.raw(w.scratch[:n])
-}
-
-// bstr writes a length-prefixed byte string.
-func (w *cpWriter) bstr(b []byte) {
-	w.uvarint(uint64(len(b)))
-	w.raw(b)
-}
-
-// checkpointWrapWriter is a test seam: when non-nil, writeCheckpointFile
-// routes every byte destined for the temp file through the returned
-// writer, letting crash-consistency tests inject mid-write failures at
-// arbitrary offsets without touching the filesystem layer.
-var checkpointWrapWriter func(io.Writer) io.Writer
-
-// Bounded backoff for transient checkpoint-write failures (S2): four
-// attempts at 10ms, 20ms, 40ms keeps the worst-case stall under 100ms —
-// negligible next to a level expansion — while riding out EINTR storms
-// and momentary disk-pressure blips.
-const (
-	checkpointWriteAttempts = 4
-	checkpointWriteBackoff  = 10 * time.Millisecond
-)
-
-// writeCheckpointFile owns the file envelope — temp file, magic, version
-// and kind header, FNV-64a trailer, atomic rename — around a
-// caller-supplied body. Every chain file goes through here so the
-// envelope, the test write-wrap seam and the crash-consistency guarantees
-// stay identical.
-func writeCheckpointFile(path string, kind uint64, body func(w *cpWriter)) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".mc-checkpoint-*")
-	if err != nil {
-		return fmt.Errorf("mc: checkpoint: %w", err)
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-
-	var out io.Writer = tmp
-	if checkpointWrapWriter != nil {
-		out = checkpointWrapWriter(tmp)
-	}
-	h := fnv.New64a()
-	bw := bufio.NewWriterSize(io.MultiWriter(out, h), 1<<16)
-	w := &cpWriter{w: bw}
-	w.raw([]byte(checkpointMagic))
-	w.uvarint(checkpointVersion)
-	w.uvarint(kind)
-	body(w)
-	if w.err == nil {
-		w.err = bw.Flush()
-	}
-	if w.err == nil {
-		var sum [8]byte
-		binary.BigEndian.PutUint64(sum[:], h.Sum64())
-		_, w.err = out.Write(sum[:])
-	}
-	if w.err == nil {
-		w.err = tmp.Close()
-	}
-	if w.err != nil {
-		return fmt.Errorf("mc: checkpoint: %w", w.err)
-	}
-	name := tmp.Name()
-	tmp = nil // past the point of no return; the deferred cleanup must not fire
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("mc: checkpoint: %w", err)
-	}
-	return nil
-}
-
-// cpReader parses with uvarints, allocation guards and a sticky error.
-type cpReader struct {
-	r   *bytes.Reader
-	err error
-}
-
-func (r *cpReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		r.err = fmt.Errorf("%w: truncated", ErrCheckpointCorrupt)
-	}
-	return v
-}
-
-func (r *cpReader) count() int {
-	n := r.uvarint()
-	// Every counted element occupies at least one payload byte.
-	if r.err == nil && n > uint64(r.r.Len()) {
-		r.err = fmt.Errorf("%w: element count %d exceeds remaining payload", ErrCheckpointCorrupt, n)
-		return 0
-	}
-	return int(n)
-}
-
-// bytes reads a length-prefixed byte blob with an allocation guard.
-func (r *cpReader) bytes() []byte {
-	n := r.uvarint()
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(r.r.Len()) {
-		r.err = fmt.Errorf("%w: blob length %d exceeds remaining payload", ErrCheckpointCorrupt, n)
-		return nil
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r.r, buf); err != nil {
-		r.err = fmt.Errorf("%w: truncated", ErrCheckpointCorrupt)
-		return nil
-	}
-	return buf
-}
-
-// done is the reader's error, or a refusal of bytes left past the body.
-func (r *cpReader) done() error {
-	if r.err == nil && r.r.Len() != 0 {
-		r.err = fmt.Errorf("%w: %d trailing bytes", ErrCheckpointCorrupt, r.r.Len())
-	}
-	return r.err
-}
-
-// readCheckpointFile loads a chain file, validates its envelope (magic,
-// checksum, version, kind) and returns a reader positioned at the body
-// and the file's checksum.
-func readCheckpointFile(path string, kind uint64) (*cpReader, uint64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("mc: checkpoint: %w", err)
-	}
-	if len(data) < len(checkpointMagic)+8 {
-		return nil, 0, fmt.Errorf("%w: file too short", ErrCheckpointCorrupt)
-	}
-	payload, trailer := data[:len(data)-8], data[len(data)-8:]
-	h := fnv.New64a()
-	h.Write(payload)
-	sum := binary.BigEndian.Uint64(trailer)
-	if h.Sum64() != sum {
-		return nil, 0, fmt.Errorf("%w: checksum mismatch", ErrCheckpointCorrupt)
-	}
-	if string(payload[:len(checkpointMagic)]) != checkpointMagic {
-		return nil, 0, fmt.Errorf("%w: bad magic", ErrCheckpointCorrupt)
-	}
-	r := &cpReader{r: bytes.NewReader(payload[len(checkpointMagic):])}
-	if got := r.uvarint(); r.err == nil && got != checkpointVersion {
-		return nil, 0, fmt.Errorf("%w: unsupported version %d", ErrCheckpointCorrupt, got)
-	}
-	if got := r.uvarint(); r.err == nil && got != kind {
-		return nil, 0, fmt.Errorf("%w: file kind %d, want %d", ErrCheckpointCorrupt, got, kind)
-	}
-	return r, sum, r.err
-}
-
-// fileSum is a chain file's checksum: its trailer.
-func fileSum(path string) (uint64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, fmt.Errorf("mc: checkpoint: %w", err)
-	}
-	defer f.Close()
-	var sum [8]byte
-	fi, err := f.Stat()
-	if err == nil && fi.Size() < 8 {
-		err = fmt.Errorf("%w: %s too short", ErrCheckpointCorrupt, path)
-	}
-	if err == nil {
-		_, err = f.ReadAt(sum[:], fi.Size()-8)
-	}
-	if err != nil {
-		return 0, fmt.Errorf("mc: checkpoint: %w", err)
-	}
-	return binary.BigEndian.Uint64(sum[:]), nil
-}
+// chainFormat is the envelope of every chain file.
+var chainFormat = codec.Format{Magic: "TTAMCCP\x00", Version: 6, Corrupt: ErrCheckpointCorrupt}
 
 // ChainHeader is the search state a closed barrier records besides its
 // states: the frontier's BFS depth, the Result counters at the barrier,
@@ -325,7 +125,7 @@ func OpenChain(path string) (*Chain, error) {
 	if path == "" {
 		return nil, nil
 	}
-	r, _, err := readCheckpointFile(path, kindManifest)
+	r, _, err := chainFormat.ReadFile(path, kindManifest)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
 	}
@@ -333,15 +133,15 @@ func OpenChain(path string) (*Chain, error) {
 		return nil, err
 	}
 	c := &Chain{path: path, own: true}
-	c.Depth = int32(r.uvarint())
-	c.ResultDepth = int(r.uvarint())
-	c.Transitions = int(r.uvarint())
-	c.Reduced = r.uvarint()&checkpointFlagReduced != 0
-	c.Fingerprint = r.uvarint()
-	c.NextBase = r.uvarint()
-	c.segs = r.files(".seg")
-	c.fronts = r.files(".front")
-	if err := r.done(); err != nil {
+	c.Depth = int32(r.Uvarint())
+	c.ResultDepth = int(r.Uvarint())
+	c.Transitions = int(r.Uvarint())
+	c.Reduced = r.Uvarint()&checkpointFlagReduced != 0
+	c.Fingerprint = r.Uvarint()
+	c.NextBase = r.Uvarint()
+	c.segs = readFiles(&r, ".seg")
+	c.fronts = readFiles(&r, ".front")
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	seen := map[string]bool{}
@@ -354,20 +154,18 @@ func OpenChain(path string) (*Chain, error) {
 	return c, nil
 }
 
-// files reads a manifest's list of file names and checksums. A name is a
-// plain file name in the manifest's directory with the kind's suffix, so
-// a manifest can never make a reader — or a conclusive search's cleanup —
-// touch a file elsewhere.
-func (r *cpReader) files(suffix string) []chainFile {
-	n := r.count()
-	out := make([]chainFile, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		f := chainFile{name: string(r.bytes()), sum: r.uvarint()}
-		if r.err == nil && (f.name != filepath.Base(f.name) || !strings.HasSuffix(f.name, suffix) ||
-			strings.ContainsAny(f.name, `/\`)) {
-			r.err = fmt.Errorf("%w: listed file name %q", ErrCheckpointCorrupt, f.name)
+// readFiles reads a manifest's list of file names and checksums. A name
+// is a plain file name in the manifest's directory with the kind's
+// suffix, so a manifest can never make a reader — or a conclusive
+// search's cleanup — touch a file elsewhere.
+func readFiles(r *codec.Reader, suffix string) []chainFile {
+	out := make([]chainFile, r.Count())
+	for i := range out {
+		out[i] = chainFile{name: string(r.Bytes()), sum: r.Uvarint()}
+		if name := out[i].name; r.Err() == nil && (name != filepath.Base(name) ||
+			!strings.HasSuffix(name, suffix) || strings.ContainsAny(name, `/\`)) {
+			r.Fail("listed file name %q", name)
 		}
-		out = append(out, f)
 	}
 	return out
 }
@@ -419,7 +217,7 @@ func (c *Chain) Commit(h ChainHeader, segs, fronts []string) error {
 			if filepath.Dir(p) != filepath.Dir(c.path) {
 				return nil, fmt.Errorf("mc: checkpoint: %s is not next to the manifest %s", p, c.path)
 			}
-			sum, err := fileSum(p)
+			sum, err := chainFormat.Sum(p)
 			if err != nil {
 				return nil, err
 			}
@@ -435,22 +233,22 @@ func (c *Chain) Commit(h ChainHeader, segs, fronts []string) error {
 	if err != nil {
 		return err
 	}
-	err = writeCheckpointFile(c.path, kindManifest, func(w *cpWriter) {
-		w.uvarint(uint64(uint32(h.Depth)))
-		w.uvarint(uint64(h.ResultDepth))
-		w.uvarint(uint64(h.Transitions))
+	err = chainFormat.WriteFile(c.path, kindManifest, func(w codec.Writer) {
+		w.Uvarint(uint64(uint32(h.Depth)))
+		w.Uvarint(uint64(h.ResultDepth))
+		w.Uvarint(uint64(h.Transitions))
 		flags := uint64(0)
 		if h.Reduced {
 			flags |= checkpointFlagReduced
 		}
-		w.uvarint(flags)
-		w.uvarint(h.Fingerprint)
-		w.uvarint(h.NextBase)
+		w.Uvarint(flags)
+		w.Uvarint(h.Fingerprint)
+		w.Uvarint(h.NextBase)
 		for _, l := range [][]chainFile{newSegs, newFronts} {
-			w.uvarint(uint64(len(l)))
+			w.Uvarint(uint64(len(l)))
 			for _, f := range l {
-				w.bstr([]byte(f.name))
-				w.uvarint(f.sum)
+				w.Bytes([]byte(f.name))
+				w.Uvarint(f.sum)
 			}
 		}
 	})
@@ -510,13 +308,13 @@ func (c *Chain) Check(reduced bool, fingerprint uint64) error {
 
 // open reads listed file f, of the given kind, refusing a file whose
 // checksum is not the one the manifest lists.
-func (c *Chain) open(f chainFile, kind uint64) (*cpReader, error) {
-	r, sum, err := readCheckpointFile(filepath.Join(filepath.Dir(c.path), f.name), kind)
+func (c *Chain) open(f chainFile, kind uint64) (codec.Reader, error) {
+	r, sum, err := chainFormat.ReadFile(filepath.Join(filepath.Dir(c.path), f.name), kind)
 	if err == nil && sum != f.sum {
 		err = fmt.Errorf("%w: not the file the manifest lists", ErrCheckpointCorrupt)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", f.name, err)
+		return r, fmt.Errorf("%s: %w", f.name, err)
 	}
 	return r, nil
 }
@@ -596,28 +394,28 @@ func (v *visitedSet) markWritten() {
 
 // writeBarrierFiles writes s5's segment and frontier files.
 func writeBarrierFiles(seg, front string, s5 *sealedSnap) error {
-	err := writeCheckpointFile(seg, kindSegment, func(w *cpWriter) {
+	err := chainFormat.WriteFile(seg, kindSegment, func(w codec.Writer) {
 		for si := range s5.shards {
 			sn := &s5.shards[si]
-			w.uvarint(uint64(sn.from))
-			w.uvarint(uint64(sn.count))
+			w.Uvarint(uint64(sn.from))
+			w.Uvarint(uint64(sn.count))
 			prev := uint32(0)
 			for _, r := range sn.restarts {
-				w.uvarint(uint64(r - prev))
+				w.Uvarint(uint64(r - prev))
 				prev = r
 			}
-			w.bstr(sn.blob)
+			w.Bytes(sn.blob)
 		}
 	})
 	if err != nil {
 		return err
 	}
-	return writeCheckpointFile(front, kindFrontier, func(w *cpWriter) {
-		w.uvarint(uint64(len(s5.live)))
+	return chainFormat.WriteFile(front, kindFrontier, func(w codec.Writer) {
+		w.Uvarint(uint64(len(s5.live)))
 		for _, le := range s5.live {
-			w.bstr(le.enc)
-			w.uvarint(le.key)
-			w.uvarint(le.pw)
+			w.Bytes(le.enc)
+			w.Uvarint(le.key)
+			w.Uvarint(le.pw)
 		}
 	})
 }
@@ -644,7 +442,7 @@ func (c *Chain) writeBarrier(s5 *sealedSnap) error {
 // can surface "the checkpoint needed retries" or "the checkpoint was
 // ultimately dropped" in their stats instead of losing it silently.
 func (c *Chain) writeBarrierRetry(s5 *sealedSnap) (int, error) {
-	return retry.Do(checkpointWriteAttempts, checkpointWriteBackoff, nil, func() error {
+	return retry.Do(func() error {
 		return c.writeBarrier(s5)
 	})
 }
@@ -671,9 +469,9 @@ func (c *Chain) load(owned uint64) (*sealedSnap, error) {
 			return nil, err
 		}
 		for si := range s5.shards {
-			from, cnt := r.uvarint(), r.uvarint()
-			if r.err != nil {
-				return nil, r.err
+			from, cnt := r.Uvarint(), r.Uvarint()
+			if r.Err() != nil {
+				return nil, fmt.Errorf("%s: %w", f.name, r.Err())
 			}
 			if cnt > 0 && from != counts[si] {
 				return nil, fmt.Errorf("%w: %s: shard %d section starts at entry %d, the chain holds %d",
@@ -684,22 +482,22 @@ func (c *Chain) load(owned uint64) (*sealedSnap, error) {
 			}
 			first := (from + sealedRestartEvery - 1) / sealedRestartEvery
 			nres := (from+cnt+sealedRestartEvery-1)/sealedRestartEvery - first
-			if nres > uint64(r.r.Len()) {
+			if nres > uint64(r.Len()) {
 				return nil, fmt.Errorf("%w: restart count exceeds remaining payload", ErrCheckpointCorrupt)
 			}
 			sn := &s5.shards[si]
 			base, prev := uint64(len(sn.blob)), uint64(0)
 			restarts := make([]uint32, 0, nres)
 			for i := uint64(0); i < nres; i++ {
-				prev += r.uvarint()
+				prev += r.Uvarint()
 				if base+prev > uint64(1)<<32-1 {
 					return nil, fmt.Errorf("%w: restart offset overflow", ErrCheckpointCorrupt)
 				}
 				restarts = append(restarts, uint32(base+prev))
 			}
-			blob := r.bytes()
-			if r.err != nil {
-				return nil, r.err
+			blob := r.Bytes()
+			if r.Err() != nil {
+				return nil, fmt.Errorf("%s: %w", f.name, r.Err())
 			}
 			if nres > 0 && ((from%sealedRestartEvery == 0 && restarts[0] != uint32(base)) || prev >= uint64(len(blob))) {
 				return nil, fmt.Errorf("%w: restart offsets out of range", ErrCheckpointCorrupt)
@@ -719,13 +517,15 @@ func (c *Chain) load(owned uint64) (*sealedSnap, error) {
 			}
 			sn.count += uint32(cnt)
 			sn.restarts = append(sn.restarts, restarts...)
+			// blob is a view of the file, capped: a later section's
+			// append copies into a new array, never over the file.
 			if sn.blob == nil {
 				sn.blob = blob
 			} else {
 				sn.blob = append(sn.blob, blob...)
 			}
 		}
-		if err := r.done(); err != nil {
+		if err := r.Done(); err != nil {
 			return nil, fmt.Errorf("%s: %w", f.name, err)
 		}
 	}
@@ -746,19 +546,17 @@ func (c *Chain) loadFrontier(owned uint64) ([]liveSnapEntry, error) {
 		if err != nil {
 			return nil, err
 		}
-		n := r.count()
-		for i := 0; i < n && r.err == nil; i++ {
-			le := liveSnapEntry{enc: r.bytes()}
-			le.key = r.uvarint()
-			le.pw = r.uvarint()
-			if r.err == nil && le.key > keyMask {
+		n := r.Count()
+		for i := 0; i < n && r.Err() == nil; i++ {
+			le := liveSnapEntry{enc: r.Bytes(), key: r.Uvarint(), pw: r.Uvarint()}
+			if r.Err() == nil && le.key > keyMask {
 				return nil, fmt.Errorf("%w: %s: live claim key out of range", ErrCheckpointCorrupt, f.name)
 			}
 			if owned&(1<<ShardOf(hashBytes(le.enc))) != 0 {
 				live = append(live, le)
 			}
 		}
-		if err := r.done(); err != nil {
+		if err := r.Done(); err != nil {
 			return nil, fmt.Errorf("%s: %w", f.name, err)
 		}
 	}

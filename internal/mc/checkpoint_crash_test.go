@@ -4,7 +4,7 @@ package mc
 // ANY byte offset must leave the previous snapshot readable and the
 // directory free of temp litter, and a reader handed a damaged file must
 // reject it without modifying it. The mid-write failures are injected
-// through the checkpointWrapWriter seam, so every offset of the real
+// through the chainFormat.Wrap seam, so every offset of the real
 // serialization stream is exercised without filesystem tricks.
 
 import (
@@ -94,10 +94,10 @@ func TestCheckpointTornWriteKeepsOldSnapshot(t *testing.T) {
 	total := len(chainBytes(t, scratch))
 
 	oldBack := readBack(t, old)
-	defer func() { checkpointWrapWriter = nil }()
+	defer func() { chainFormat.Wrap = nil }()
 	for cut := 0; cut < total; cut++ {
 		budget := cut
-		checkpointWrapWriter = func(w io.Writer) io.Writer {
+		chainFormat.Wrap = func(w io.Writer) io.Writer {
 			tw := &tornWriter{w: w, limit: budget}
 			return writerFunc(func(p []byte) (int, error) {
 				n, err := tw.Write(p)
@@ -123,7 +123,7 @@ func TestCheckpointTornWriteKeepsOldSnapshot(t *testing.T) {
 		}
 	}
 
-	checkpointWrapWriter = nil
+	chainFormat.Wrap = nil
 	if err := writeSealedSnap(path, repl); err != nil {
 		t.Fatalf("final write: %v", err)
 	}
@@ -168,14 +168,14 @@ func TestWriteCheckpointRetryTransient(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "cp")
 	fails := 2
-	checkpointWrapWriter = func(w io.Writer) io.Writer {
+	chainFormat.Wrap = func(w io.Writer) io.Writer {
 		if fails > 0 {
 			fails--
 			return enospcWriter{}
 		}
 		return w
 	}
-	defer func() { checkpointWrapWriter = nil }()
+	defer func() { chainFormat.Wrap = nil }()
 
 	c, err := ContinueChain(path, nil)
 	if err != nil {
@@ -202,11 +202,11 @@ func TestWriteCheckpointRetryPermanent(t *testing.T) {
 
 	dir := t.TempDir()
 	calls := 0
-	checkpointWrapWriter = func(w io.Writer) io.Writer {
+	chainFormat.Wrap = func(w io.Writer) io.Writer {
 		calls++
 		return &tornWriter{w: io.Discard, limit: 0}
 	}
-	defer func() { checkpointWrapWriter = nil }()
+	defer func() { chainFormat.Wrap = nil }()
 
 	c, err := ContinueChain(filepath.Join(dir, "cp"), nil)
 	if err != nil {
@@ -339,7 +339,7 @@ func FuzzResumeCheckpoint(f *testing.F) {
 			}
 		}
 	}
-	f.Add(uint8(0), uint8(0), uint8(0), []byte(checkpointMagic))
+	f.Add(uint8(0), uint8(0), uint8(0), []byte(chainFormat.Magic))
 
 	f.Fuzz(func(t *testing.T, ci, fi, owners uint8, payload []byte) {
 		fc := chains[int(ci)%len(chains)]

@@ -39,7 +39,7 @@ type legacyEntry struct {
 // adds a claim key and a depth per entry, version 2 has no flags word,
 // version 3 no fingerprint, version 4 has both.
 func legacyBytes(version uint64, lc *legacyCheckpoint) []byte {
-	payload := []byte(checkpointMagic)
+	payload := []byte(chainFormat.Magic)
 	u := func(v uint64) { payload = binary.AppendUvarint(payload, v) }
 	str := func(s State) {
 		u(uint64(len(s)))
@@ -101,7 +101,7 @@ func sampleLegacy() *legacyCheckpoint {
 // byte for byte what a build of that version wrote: the header words,
 // every shard's arena section, then the live tier.
 func legacyV5Bytes(s5 *sealedSnap) []byte {
-	payload := []byte(checkpointMagic)
+	payload := []byte(chainFormat.Magic)
 	u := func(v uint64) { payload = binary.AppendUvarint(payload, v) }
 	bstr := func(b []byte) {
 		u(uint64(len(b)))
@@ -224,7 +224,7 @@ func eachChainDamage(t *testing.T, path string, check func(what string)) {
 			bad[i] ^= 0x40
 			damage(bad, fmt.Sprintf("flip at byte %d", i))
 		}
-		for _, n := range []int{0, 1, len(checkpointMagic), len(data) / 2, len(data) - 1} {
+		for _, n := range []int{0, 1, len(chainFormat.Magic), len(data) / 2, len(data) - 1} {
 			damage(data[:n], fmt.Sprintf("truncation to %d bytes", n))
 		}
 		if err := os.WriteFile(f, data, 0o644); err != nil {
@@ -323,7 +323,7 @@ func TestCheckpointTruncationDetected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, n := range []int{0, 1, len(checkpointMagic), len(data) / 2, len(data) - 1} {
+		for _, n := range []int{0, 1, len(chainFormat.Magic), len(data) / 2, len(data) - 1} {
 			if err := os.WriteFile(f, data[:n], 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -338,7 +338,7 @@ func TestCheckpointTruncationDetected(t *testing.T) {
 }
 
 func TestCheckpointVersionMismatch(t *testing.T) {
-	payload := []byte(checkpointMagic)
+	payload := []byte(chainFormat.Magic)
 	payload = binary.AppendUvarint(payload, 99)
 	h := fnv.New64a()
 	h.Write(payload)
@@ -498,13 +498,13 @@ func TestCheckpointFailedWriteReachesBack(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "cp")
 	failing := false
-	checkpointWrapWriter = func(w io.Writer) io.Writer {
+	chainFormat.Wrap = func(w io.Writer) io.Writer {
 		if failing {
 			return &tornWriter{w: io.Discard}
 		}
 		return w
 	}
-	defer func() { checkpointWrapWriter = nil }()
+	defer func() { chainFormat.Wrap = nil }()
 	frontiers := map[int]int{}
 	var st Stats
 	ctx, cancel := context.WithCancel(context.Background())
@@ -519,7 +519,7 @@ func TestCheckpointFailedWriteReachesBack(t *testing.T) {
 			}
 		},
 	})
-	checkpointWrapWriter = nil
+	chainFormat.Wrap = nil
 	if !errors.Is(err, ErrInterrupted) || !strings.Contains(st.CheckpointWriteErr, errTorn.Error()) {
 		t.Fatalf("got %v, write error %q; want ErrInterrupted and the dropped write surfaced", err, st.CheckpointWriteErr)
 	}

@@ -505,8 +505,8 @@ func TestCheckpointV5RoundTrip(t *testing.T) {
 		for _, w := range workerCounts {
 			for _, cut := range tc.cuts {
 				got := interruptSearch(t, tc.m, cut, filepath.Join(dir, "s"), Options{Workers: w})
-				if v := got[len(checkpointMagic)]; uint64(v) != checkpointVersion {
-					t.Fatalf("%s workers=%d cut=%d: version %d, want %d", tc.name, w, cut, v, checkpointVersion)
+				if v := got[len(chainFormat.Magic)]; uint64(v) != chainFormat.Version {
+					t.Fatalf("%s workers=%d cut=%d: version %d, want %d", tc.name, w, cut, v, chainFormat.Version)
 				}
 				if w == workerCounts[0] {
 					want[cut] = got

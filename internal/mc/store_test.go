@@ -358,20 +358,20 @@ func TestShardStoreSnapshotCanonical(t *testing.T) {
 // section of the segment at path.
 func sections(t testing.TB, path string) (counts [numShards]uint64, blobs [numShards]int) {
 	t.Helper()
-	r, _, err := readCheckpointFile(path, kindSegment)
+	r, _, err := chainFormat.ReadFile(path, kindSegment)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for s := range counts {
-		from := r.uvarint()
-		counts[s] = r.uvarint()
+		from := r.Uvarint()
+		counts[s] = r.Uvarint()
 		first := (from + sealedRestartEvery - 1) / sealedRestartEvery
 		for n := (from+counts[s]+sealedRestartEvery-1)/sealedRestartEvery - first; n > 0; n-- {
-			r.uvarint()
+			r.Uvarint()
 		}
-		blobs[s] = len(r.bytes())
+		blobs[s] = len(r.Bytes())
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		t.Fatal(err)
 	}
 	return counts, blobs
