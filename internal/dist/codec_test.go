@@ -86,7 +86,8 @@ func TestMeshBatchFramePoolAllocs(t *testing.T) {
 // FuzzDecodeBatch throws arbitrary bytes at the mesh batch decoder:
 // any input must either parse or be rejected with an error — never
 // panic, never call visit past the first defect. Seeds cover the empty
-// payload, well-formed batches, and every truncation of one.
+// payload, well-formed batches, truncations of one, and groups whose
+// successor indices repeat or wrap.
 func FuzzDecodeBatch(f *testing.F) {
 	var groups []byte
 	groups = appendMeshGroup(groups, 7, 0x12345,
@@ -102,6 +103,10 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add(payload)
 	for i := 0; i < len(payload); i += 3 {
 		f.Add(append([]byte(nil), payload[:i]...))
+	}
+	// Successor indices that repeat or wrap: refused.
+	for _, g := range [][]byte{meshGroupOfDeltas(5, 0), meshGroupOfDeltas(5, 1<<64-1)} {
+		f.Add(append(codec.AppendUvarint(nil, 12, 1<<30), g...))
 	}
 	f.Fuzz(func(t *testing.T, p []byte) {
 		_, _, groups, err := decodeMeshBatchHeader(p)

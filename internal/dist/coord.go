@@ -234,12 +234,6 @@ type keySegment struct {
 	filled bool
 }
 
-// pendingExpand is an outstanding msgExpand of the current level.
-type pendingExpand struct {
-	wi    int
-	slots []uint32
-}
-
 // distViol is a violation candidate at the coordinator.
 type distViol struct {
 	key     uint64
@@ -273,20 +267,17 @@ type coordinator struct {
 	events     chan event
 	tickStop   chan struct{}
 
-	// Admission: the distinct initial states so far, and the
-	// canonicalizer of a reduced search.
+	// Admission: the distinct initial states so far.
 	initSeen map[string]struct{}
-	canon    mc.CanonicalExpander
 
 	// Level state. level is the exploration level being built: 0 is the
 	// initial states, level L>=1 expands the depth-(L-1) frontier.
 	level       int32
 	base        uint64
 	frontierLen int
-	slots       map[int][]uint32 // per worker: global slots of its frontier, in its frontier order
-	lastSlots   map[int][]uint32 // computed at the barrier, promoted to slots by startLevel
-	counts      []int            // per global slot of the current level
-	pending     map[uint32]pendingExpand
+	slots       [][]uint32     // per worker: global slots of its frontier, in its frontier order
+	counts      []int          // per global slot of the current level
+	pending     map[uint32]int // outstanding Expands of the current level: ID -> worker index
 	nextID      uint32
 	sealed      bool
 	anyFull     bool
@@ -343,13 +334,8 @@ func newCoordinator(ck *Checker, m mc.Model, sm SpeccedModel, stInv mc.StateInva
 		snapDir:     o.SnapshotDir,
 		meshName:    meshName,
 		events:      make(chan event, 256),
-		slots:       map[int][]uint32{},
-		pending:     map[uint32]pendingExpand{},
 		initSeen:    map[string]struct{}{},
 		done:        make(chan struct{}),
-	}
-	if reduced {
-		c.canon = m.(mc.ReducibleModel).NewReducedExpander()
 	}
 	if c.launcher == nil {
 		c.launcher = &ProcLauncher{LogDir: o.SnapshotDir}

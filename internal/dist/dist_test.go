@@ -16,9 +16,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -151,6 +153,30 @@ func requireIdentical(t *testing.T, got, want mc.Result) {
 	}
 }
 
+// distFleet is one fleet shape an equivalence test runs: its worker
+// count, GOMAXPROCS while it runs (0 keeps the host's), and its SWIFI
+// script.
+type distFleet struct {
+	workers, procs int
+	swifi          string
+}
+
+// raiseProcs sets GOMAXPROCS to the fleet's procs, if any, and returns
+// the call that restores it.
+func (f distFleet) raiseProcs() func() {
+	if f.procs == 0 {
+		return func() {}
+	}
+	prev := runtime.GOMAXPROCS(f.procs)
+	return func() { runtime.GOMAXPROCS(prev) }
+}
+
+// distFleets are the fleets TestDistMatchesEngine checks. The last runs
+// 4 kernel goroutines on each of its 2 pipe workers on any host, through
+// a fleet restart.
+var distFleets = []distFleet{{workers: 1}, {workers: 2}, {workers: 5},
+	{workers: 2, procs: 8, swifi: "kill@worker=1@level=2"}}
+
 func TestDistMatchesEngine(t *testing.T) {
 	cases := []struct {
 		name string
@@ -189,9 +215,14 @@ func TestDistMatchesEngine(t *testing.T) {
 			want, wantProg, wantSt := observed(func(o mc.Options) (mc.Result, error) {
 				return runEngine(t, tc.g, stInv, trInv, o)
 			})
-			for _, workers := range []int{1, 2, 5} {
+			for _, fleet := range distFleets {
+				workers := fleet.workers
 				got, prog, st := observed(func(o mc.Options) (mc.Result, error) {
-					res, _, err := runDist(t, tc.g, stInv, trInv, o, Options{Workers: workers})
+					defer fleet.raiseProcs()()
+					res, rep, err := runDist(t, tc.g, stInv, trInv, o, Options{Workers: workers, Swifi: fleet.swifi})
+					if want := strings.Count(fleet.swifi, "kill"); err == nil && rep.Respawns != want {
+						t.Fatalf("dist workers=%d swifi %q: %d respawns, want %d", workers, fleet.swifi, rep.Respawns, want)
+					}
 					return res, err
 				})
 				requireIdentical(t, got, want)
@@ -938,6 +969,63 @@ func TestDistRejectsUnsupportedOptions(t *testing.T) {
 				t.Fatal("accepted, want refusal")
 			}
 		})
+	}
+}
+
+// TestWorkerRefusesShortExpand: an Expand names a slot for every state
+// of the worker's frontier. A worker refuses one that names fewer with
+// a Fatal, instead of leaving states unexpanded.
+func TestWorkerRefusesShortExpand(t *testing.T) {
+	meshName, err := newMeshName()
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, end := net.Pipe()
+	defer coord.Close()
+	done := make(chan error, 1)
+	go func() {
+		defer end.Close()
+		done <- RunWorker(end, WorkerOptions{Exit: func(int) { end.Close(); runtime.Goexit() }})
+	}()
+	send := func(m encoder) {
+		t.Helper()
+		typ, payload := m.encode()
+		if err := writeFrame(coord, typ, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// reply reads the worker's next message other than a heartbeat.
+	reply := func() byte {
+		t.Helper()
+		for {
+			typ, _, err := readFrame(coord)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if typ != mtHeartbeat {
+				return typ
+			}
+		}
+	}
+	g := graphModel{N: 40, Target: 40}
+	name, payload := g.DistSpec()
+	send(&msgConfig{Workers: 1, SpecName: name, SpecPayload: payload, MaxStates: 1000,
+		Chain: filepath.Join(t.TempDir(), "chain.mc"), MeshName: meshName, HeartbeatMs: 1000})
+	if typ := reply(); typ != mtHello {
+		t.Fatalf("config answered with type %d", typ)
+	}
+	// Level 0: one root, so the worker's frontier is one state.
+	send(&msgInit{Js: []uint32{0}, Encs: [][]byte{[]byte(g.enc(0))}})
+	send(&msgSeal{})
+	if typ := reply(); typ != mtLevelReport {
+		t.Fatalf("seal answered with type %d", typ)
+	}
+	send(&msgExpand{Level: 1, Base: 1 << 24})
+	if typ := reply(); typ != mtFatal {
+		t.Fatalf("an Expand of no slots for a frontier of one answered with type %d, want mtFatal", typ)
+	}
+	if err := <-done; err == nil {
+		t.Fatal("worker returned nil after refusing the Expand")
 	}
 }
 

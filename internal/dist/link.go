@@ -1,10 +1,10 @@
 package dist
 
-// peerLink: one outbound mesh connection, fed by the worker main loop,
-// drained by a dedicated sender goroutine. The queue is unbounded for
-// the same reason as the inbox (no backpressure cycles across the
-// ring); `flush` tokens let the main loop wait until everything
-// enqueued so far is on the wire before declaring it in ExpandDone.
+// peerLink: one outbound mesh connection, fed by the kernel goroutines
+// and drained by a sender goroutine. The queue is unbounded for the
+// same reason as the inbox (no backpressure cycles across the ring);
+// `flush` tokens let the main loop wait until everything enqueued so
+// far is on the wire before declaring it in ExpandDone.
 //
 // Failure model: the only way a write fails on a mesh socket is the
 // destination dying, so a failed write marks the link down for good and

@@ -280,11 +280,13 @@ func walkMeshGroups(p []byte, visit func(slot, parent, j uint32, enc []byte)) (g
 		}
 		j := uint64(0)
 		for k := 0; k < nsucc && r.Err() == nil; k++ {
-			j += r.Uvarint()
+			next := j + r.Uvarint()
 			enc := r.Bytes()
-			if r.Err() == nil && j > 1<<32-1 {
-				r.Fail("successor index %d", j)
+			// Indices ascend strictly: a later 0 delta or a wrap is damage.
+			if r.Err() == nil && (next > 1<<32-1 || k > 0 && next <= j) {
+				r.Fail("successor index %d after %d", next, j)
 			}
+			j = next
 			if r.Err() == nil && visit != nil {
 				visit(uint32(slot), uint32(parent), uint32(j), enc)
 			}
@@ -339,9 +341,10 @@ func decodeConfig(p []byte) (*msgConfig, error) {
 	return m, r.Done()
 }
 
-// msgExpand asks a worker to expand its first len(Slots) frontier
-// states — its whole frontier array. Slots[i] is the global frontier
-// slot of the i-th state, so claim keys are Base + Slots[i]<<24 + j.
+// msgExpand asks a worker to expand its whole frontier: Slots[i] is the
+// global frontier slot of its i-th state, so claim keys are
+// Base + Slots[i]<<24 + j. A worker refuses an Expand whose slot count
+// is not its frontier's.
 type msgExpand struct {
 	Level int32
 	Base  uint64
@@ -570,8 +573,11 @@ func decodeLevelReport(p []byte) (*msgLevelReport, error) {
 	m.Keys = make([]uint64, r.Count())
 	prev := uint64(0)
 	for i := range m.Keys {
-		prev += r.Uvarint()
-		m.Keys[i] = prev
+		// Keys ascend strictly: a later 0 delta or a wrap is damage.
+		if m.Keys[i] = prev + r.Uvarint(); i > 0 && m.Keys[i] <= prev {
+			r.Fail("claim key %d after %d", m.Keys[i], prev)
+		}
+		prev = m.Keys[i]
 	}
 	n := r.Count()
 	m.StViolKeys, m.StViolEncs = make([]uint64, n), make([][]byte, n)

@@ -6,9 +6,11 @@ package dist
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 
+	"ttastar/internal/codec"
 	"ttastar/internal/mc"
 )
 
@@ -199,6 +201,33 @@ func TestProtocolRejectsDamage(t *testing.T) {
 			t.Errorf("%s: trailing byte accepted", tc.name)
 		}
 	}
+	// Successor indices and claim keys ascend strictly: a repeated one,
+	// or a delta that wraps the 64-bit sum below its predecessor, is
+	// refused.
+	for name, p := range map[string][]byte{
+		"index-repeat": meshGroupOfDeltas(5, 0),
+		"index-wrap":   meshGroupOfDeltas(5, 1<<64-1),
+	} {
+		if _, err := walkMeshGroups(p, nil); !errors.Is(err, errBadFrame) {
+			t.Errorf("mesh group %s: %v, want errBadFrame", name, err)
+		}
+	}
+	for name, keys := range map[string][]uint64{"key-repeat": {5, 5}, "key-wrap": {5, 4}} {
+		_, p := (&msgLevelReport{Keys: keys}).encode()
+		if _, err := decodeLevelReport(p); !errors.Is(err, errBadFrame) {
+			t.Errorf("level report %s: %v, want errBadFrame", name, err)
+		}
+	}
+}
+
+// meshGroupOfDeltas is one mesh group whose successors carry the raw
+// index deltas given.
+func meshGroupOfDeltas(deltas ...uint64) []byte {
+	b := codec.AppendUvarint(nil, 3, 7, uint64(len(deltas)))
+	for _, d := range deltas {
+		b = codec.AppendBytes(codec.AppendUvarint(b, d), "s")
+	}
+	return b
 }
 
 // TestFrameLengthGuard: a corrupt length prefix may not allocate
@@ -262,6 +291,8 @@ func FuzzDecodeControl(f *testing.F) {
 	// A truncated varint where a count belongs: its partial value once
 	// sized an allocation of terabytes.
 	f.Add([]byte("0\x13\x03000\x98\x98\x98\x98\x98\xef"))
+	// Level reports whose keys repeat or wrap: refused.
+	seeds = append(seeds, &msgLevelReport{Keys: []uint64{5, 5}}, &msgLevelReport{Keys: []uint64{5, 4}})
 	for _, m := range seeds {
 		_, p := m.encode()
 		f.Add(p)

@@ -111,16 +111,16 @@ func (c *coordinator) dispatch(w *workerState, typ byte, payload []byte) error {
 }
 
 func (c *coordinator) onExpandDone(w *workerState, m *msgExpandDone) error {
-	pe, ok := c.pending[m.ID]
-	if !ok || pe.wi != w.index {
+	if wi, ok := c.pending[m.ID]; !ok || wi != w.index {
 		return fmt.Errorf("dist: worker %d: ExpandDone for expand %d, which it does not owe", w.index, m.ID)
 	}
 	delete(c.pending, m.ID)
-	if len(m.Counts) != len(pe.slots) {
+	slots := c.slots[w.index]
+	if len(m.Counts) != len(slots) {
 		return fmt.Errorf("dist: worker %d: expand %d returned %d counts for %d slots",
-			w.index, m.ID, len(m.Counts), len(pe.slots))
+			w.index, m.ID, len(m.Counts), len(slots))
 	}
-	for i, s := range pe.slots {
+	for i, s := range slots {
 		c.counts[s] = int(m.Counts[i])
 	}
 	// Fold the declared mesh-group counts into the barrier accounting.

@@ -9,7 +9,6 @@ package dist
 import (
 	"fmt"
 	"os"
-	"sort"
 
 	"ttastar/internal/mc"
 	"ttastar/internal/retry"
@@ -20,9 +19,6 @@ import (
 // with key i.
 func (c *coordinator) AdmitInitial(enc []byte, i int) mc.ClaimStatus {
 	c.next = mc.ClaimKey(0, i+1, 0)
-	if c.canon != nil {
-		c.canon.Canonicalize(enc)
-	}
 	if _, dup := c.initSeen[string(enc)]; dup {
 		return mc.ClaimDup
 	}
@@ -113,10 +109,8 @@ func (c *coordinator) Resident() int64 {
 	return total
 }
 
-// startLevel rotates the level state and issues the level.
+// startLevel sets the level state and issues the level.
 func (c *coordinator) startLevel(level int32, base uint64) {
-	c.slots = c.lastSlots
-	c.lastSlots = nil
 	c.level = level
 	c.base = base
 	c.next = mc.ClaimKey(base, c.frontierLen, 0)
@@ -134,7 +128,7 @@ func (c *coordinator) issueLevel() {
 	for i := range c.acc {
 		c.acc[i] = make([]uint64, c.o.Workers)
 	}
-	c.pending = map[uint32]pendingExpand{}
+	c.pending = map[uint32]int{}
 	c.counts = make([]int, c.frontierLen)
 	c.sealed = false
 	c.anyFull = false
@@ -143,7 +137,9 @@ func (c *coordinator) issueLevel() {
 	for _, w := range c.workers {
 		w.seg = nil
 		if c.level > 0 {
-			c.issueExpand(w, c.slots[w.index])
+			c.pending[c.nextID] = w.index
+			c.sendTo(w, &msgExpand{Level: c.level, Base: c.base, ID: c.nextID, Slots: c.slots[w.index]})
+			c.nextID++
 		}
 	}
 	if c.level == 0 && c.initSeen == nil {
@@ -153,15 +149,6 @@ func (c *coordinator) issueLevel() {
 			}
 		}
 	}
-}
-
-// issueExpand enqueues one msgExpand of the current level and registers
-// it as pending.
-func (c *coordinator) issueExpand(w *workerState, slots []uint32) {
-	id := c.nextID
-	c.nextID++
-	c.pending[id] = pendingExpand{wi: w.index, slots: slots}
-	c.sendTo(w, &msgExpand{Level: c.level, Base: c.base, ID: id, Slots: slots})
 }
 
 // collectLevel pumps events until the level's barrier is complete,
@@ -279,22 +266,25 @@ func (c *coordinator) barrierReady() bool {
 
 // closeBarrier merges the per-worker key sequences into the global
 // frontier order and assigns next-level slots. It returns the global
-// frontier's length.
+// frontier's length. Each worker's keys ascend (a worker drains in key
+// order, and decodeLevelReport refuses any other), and no key is two
+// workers', so one W-way merge ranks every key.
 func (c *coordinator) closeBarrier() int {
-	var sorted []uint64
-	for _, w := range c.workers {
-		sorted = append(sorted, w.seg.keys...)
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	c.lastSlots = map[int][]uint32{}
-	for _, w := range c.workers {
-		slots := make([]uint32, 0, len(w.seg.keys))
-		for _, k := range w.seg.keys {
-			slots = append(slots, uint32(sort.Search(len(sorted), func(i int) bool { return sorted[i] >= k })))
+	// A worker's head is its next unranked key: keys[len(slots)].
+	c.slots = make([][]uint32, len(c.workers))
+	for slot := 0; ; slot++ {
+		best := -1
+		for i, w := range c.workers {
+			if h := len(c.slots[i]); h < len(w.seg.keys) &&
+				(best < 0 || w.seg.keys[h] < c.workers[best].seg.keys[len(c.slots[best])]) {
+				best = i
+			}
 		}
-		c.lastSlots[w.index] = slots
+		if best < 0 {
+			return slot
+		}
+		c.slots[best] = append(c.slots[best], uint32(slot))
 	}
-	return len(sorted)
 }
 
 // reduceViolation picks the level's winner: lowest claim key, transition

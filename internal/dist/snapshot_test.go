@@ -243,7 +243,8 @@ func boundedResident(t *testing.T, m mc.Model, trInv mc.TransitionInvariantBytes
 }
 
 // TestDistArenasMatchEngine: at every barrier of a sealed 2-, 3- and
-// 4-worker run, each shard's arena concatenated from its owner's
+// 4-worker run, and of a 2-worker run with 4 kernel goroutines per
+// worker through a fleet restart, each shard's arena concatenated from its owner's
 // segments — count, restart offsets and bytes — is byte-identical to the
 // in-process engine's arena for that shard at the same level; the
 // workers' frontier files merge by key into the engine's live tier; and
@@ -273,52 +274,57 @@ func TestDistArenasMatchEngine(t *testing.T) {
 				engResident[depth] = boundedResident(t, tc.m, tc.trInv, depth, nil)
 			}
 		}
-		for workers := 2; workers <= 4; workers++ {
-			// At Progress(d) the fleet has closed the barrier at depth d.
-			dir := t.TempDir()
-			barriers := map[int]*v5File{}
-			progress := func(p mc.Progress) { barriers[p.Depth] = parseChain(t, filepath.Join(dir, "chain.mc")) }
-			if _, _, err := runDist(t, tc.m, nil, tc.trInv, mc.Options{Progress: progress},
-				Options{Workers: workers, SnapshotDir: dir}); err != nil {
-				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
-			}
-			for depth, want := range engine {
-				if depth > 0 {
-					ck := &Checker{Opts: Options{Workers: workers, Launcher: newPipeLauncher(), SnapshotDir: t.TempDir()}}
-					if got := boundedResident(t, tc.m, tc.trInv, depth, ck); got != engResident[depth] {
-						t.Fatalf("%s workers=%d depth %d: workers' resident sums to %d bytes, engine's is %d",
-							tc.name, workers, depth, got, engResident[depth])
+		for _, fleet := range []distFleet{{workers: 2}, {workers: 3}, {workers: 4},
+			{workers: 2, procs: 8, swifi: "kill@worker=1@level=2"}} {
+			workers := fleet.workers
+			func() {
+				defer fleet.raiseProcs()()
+				// At Progress(d) the fleet has closed the barrier at depth d.
+				dir := t.TempDir()
+				barriers := map[int]*v5File{}
+				progress := func(p mc.Progress) { barriers[p.Depth] = parseChain(t, filepath.Join(dir, "chain.mc")) }
+				if _, _, err := runDist(t, tc.m, nil, tc.trInv, mc.Options{Progress: progress},
+					Options{Workers: workers, SnapshotDir: dir, Swifi: fleet.swifi}); err != nil {
+					t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
+				}
+				for depth, want := range engine {
+					if depth > 0 {
+						ck := &Checker{Opts: Options{Workers: workers, Launcher: newPipeLauncher(), SnapshotDir: t.TempDir()}}
+						if got := boundedResident(t, tc.m, tc.trInv, depth, ck); got != engResident[depth] {
+							t.Fatalf("%s workers=%d depth %d: workers' resident sums to %d bytes, engine's is %d",
+								tc.name, workers, depth, got, engResident[depth])
+						}
 					}
-				}
-				got := barriers[depth]
-				if got == nil {
-					t.Fatalf("%s workers=%d: no barrier at depth %d", tc.name, workers, depth)
-				}
-				eng := want.writers[-1]
-				for w := 0; w < workers; w++ {
-					arenas := got.writers[w]
-					for s := range arenas {
-						if s%workers != w {
-							if arenas[s].count != 0 {
-								t.Fatalf("%s: worker %d wrote an arena for shard %d", tc.name, w, s)
+					got := barriers[depth]
+					if got == nil {
+						t.Fatalf("%s workers=%d: no barrier at depth %d", tc.name, workers, depth)
+					}
+					eng := want.writers[-1]
+					for w := 0; w < workers; w++ {
+						arenas := got.writers[w]
+						for s := range arenas {
+							if s%workers != w {
+								if arenas[s].count != 0 {
+									t.Fatalf("%s: worker %d wrote an arena for shard %d", tc.name, w, s)
+								}
+								continue
 							}
-							continue
-						}
-						if got, eng := arenas[s], eng[s]; got.count != eng.count ||
-							!slices.Equal(got.restarts, eng.restarts) || !bytes.Equal(got.blob, eng.blob) {
-							t.Fatalf("%s workers=%d depth %d shard %d: worker arena (%d entries, %dB) differs from the engine's (%d entries, %dB)",
-								tc.name, workers, depth, s, arenas[s].count, len(arenas[s].blob), eng.count, len(eng.blob))
+							if got, eng := arenas[s], eng[s]; got.count != eng.count ||
+								!slices.Equal(got.restarts, eng.restarts) || !bytes.Equal(got.blob, eng.blob) {
+								t.Fatalf("%s workers=%d depth %d shard %d: worker arena (%d entries, %dB) differs from the engine's (%d entries, %dB)",
+									tc.name, workers, depth, s, arenas[s].count, len(arenas[s].blob), eng.count, len(eng.blob))
+							}
 						}
 					}
+					if got.header[0] != want.header[0] || got.header[3] != want.header[3] ||
+						got.header[4] != want.header[4] || got.header[5] != want.header[5] {
+						t.Fatalf("%s workers=%d depth %d: header %v, engine's %v", tc.name, workers, depth, got.header, want.header)
+					}
+					if !reflect.DeepEqual(got.live, want.live) {
+						t.Fatalf("%s workers=%d depth %d: workers' frontier files differ from the engine's live tier", tc.name, workers, depth)
+					}
 				}
-				if got.header[0] != want.header[0] || got.header[3] != want.header[3] ||
-					got.header[4] != want.header[4] || got.header[5] != want.header[5] {
-					t.Fatalf("%s workers=%d depth %d: header %v, engine's %v", tc.name, workers, depth, got.header, want.header)
-				}
-				if !reflect.DeepEqual(got.live, want.live) {
-					t.Fatalf("%s workers=%d depth %d: workers' frontier files differ from the engine's live tier", tc.name, workers, depth)
-				}
-			}
+			}()
 		}
 	}
 }

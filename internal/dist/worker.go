@@ -5,11 +5,14 @@ package dist
 // coordinator's control protocol while exchanging successor batches
 // directly with its peers over the mesh (mesh.go).
 //
-// Concurrency shape: the exploration itself is single-threaded — one
-// main loop owns the store, the frontier and all protocol state.
-// Around it run only I/O pumps: a reader per inbound connection
-// (coordinator + accepted mesh links) feeding one unbounded two-lane
-// inbox, a sender goroutine per outbound mesh link, and the heartbeat.
+// Concurrency shape: one main loop owns the store, the frontier and all
+// protocol state, and handles one event at a time. An Expand runs the
+// engine's level kernel (mc.ShardStore.RunLevel) on
+// max(1, GOMAXPROCS/workers) goroutines, each filling its own mesh
+// frames (meshEmitter), and returns when they are done. Around the loop
+// run only I/O pumps: a reader per inbound connection (coordinator +
+// accepted mesh links) feeding one unbounded two-lane inbox, a sender
+// goroutine per outbound mesh link, and the heartbeat.
 // The inbox is unbounded on purpose: a bounded queue would close a
 // backpressure cycle across the worker ring (everyone blocked sending
 // into everyone's full queue); unbounded, memory is bounded by a
@@ -40,6 +43,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -120,10 +124,63 @@ func (q *workerInbox) next(blockCoord bool) wev {
 // shard, in wire layout, before the group header can be written (the
 // successor count precedes the successors).
 type groupAcc struct {
-	active bool
-	njs    int
-	prevJ  uint32
-	succs  []byte
+	njs   int
+	prevJ uint32
+	succs []byte
+}
+
+// meshEmitter is one kernel goroutine's mc.Emitter: it groups a slot's
+// successors by shard, closes each group into its owner's open frame,
+// and sends a frame once it passes batchFlushBytes.
+type meshEmitter struct {
+	w       *worker
+	accs    [mc.NumShards]groupAcc
+	touched []uint8     // shards the current slot emitted to
+	frames  []*frameBuf // per destination: the open frame
+	groups  []uint64    // per destination: groups closed this level
+}
+
+func (e *meshEmitter) Emit(shard uint32, j int, succ []byte) {
+	acc := &e.accs[shard]
+	if acc.njs == 0 {
+		e.touched = append(e.touched, uint8(shard))
+	}
+	acc.succs = codec.AppendBytes(codec.AppendUvarint(acc.succs, uint64(uint32(j)-acc.prevJ)), succ)
+	acc.prevJ = uint32(j)
+	acc.njs++
+}
+
+func (e *meshEmitter) EndSlot(slot, parent uint32) {
+	for _, shard := range e.touched {
+		acc := &e.accs[shard]
+		dest := int(e.w.cfg.Assign[shard])
+		e.groups[dest]++
+		fb := e.frames[dest]
+		if fb == nil {
+			fb = beginMeshBatch(e.w.expand.Level, e.w.expand.Base)
+			e.frames[dest] = fb
+		}
+		fb.b = append(codec.AppendUvarint(fb.b, uint64(slot), uint64(parent), uint64(acc.njs)), acc.succs...)
+		if fb.payloadLen() >= batchFlushBytes {
+			e.frames[dest] = nil
+			e.w.links[dest].enqueue(fb)
+		}
+		*acc = groupAcc{succs: acc.succs[:0]}
+	}
+	e.touched = e.touched[:0]
+}
+
+// flush hands every open frame to its link and moves the level's group
+// counts into groups.
+func (e *meshEmitter) flush(groups []uint64) {
+	for dest, fb := range e.frames {
+		if fb != nil {
+			e.frames[dest] = nil
+			e.w.links[dest].enqueue(fb)
+		}
+		groups[dest] += e.groups[dest]
+		e.groups[dest] = 0
+	}
 }
 
 type worker struct {
@@ -133,23 +190,17 @@ type worker struct {
 	inj     *injector
 
 	cfg    *msgConfig
-	spec   ModelSpec
-	exp    mc.Expander
-	canon  mc.CanonicalExpander
-	stInv  mc.StateInvariantBytes
-	trInv  mc.TransitionInvariantBytes
 	store  *mc.ShardStore
-	assign [mc.NumShards]uint8
+	ems    []*meshEmitter // one per kernel goroutine
+	expand *msgExpand     // the Expand the kernel runs
 
 	frontier []uint32 // live refs, in DrainLevel order
 	refs     []uint32 // the frontier's global refs, aligned
-	stViol   []uint32
-	full     bool
 
 	// data plane
 	mesh     socketMesh
 	listener net.Listener
-	links    []*peerLink
+	links    []*peerLink // per destination; nil for this worker's own index
 	inbox    *workerInbox
 	accepted struct {
 		mu    sync.Mutex
@@ -161,11 +212,6 @@ type worker struct {
 	// seal/counting state
 	got          map[uint64]uint64 // level<<32|sender -> groups received
 	pendingSeals []*msgSeal
-
-	// per-expansion state
-	accs      [mc.NumShards]groupAcc
-	gcount    []uint64 // per-destination groups generated by the current expand
-	outFrames []*frameBuf
 
 	hbStop chan struct{}
 	// retired is closed once the coordinator is gone: the worker's
@@ -322,29 +368,21 @@ func (w *worker) configure(cfg *msgConfig) error {
 		return err
 	}
 	w.cfg = cfg
-	w.spec = spec
 	w.inj = newInjector(injs, cfg.Index)
-	w.assign = cfg.Assign
+	stInv, trInv, kind := spec.StInv, spec.TrInv, "transition"
 	if cfg.CheckState {
-		if spec.StInv == nil {
-			return fmt.Errorf("dist: model %q defines no state invariant", cfg.SpecName)
-		}
-		w.stInv = spec.StInv
+		trInv, kind = nil, "state"
 	} else {
-		if spec.TrInv == nil {
-			return fmt.Errorf("dist: model %q defines no transition invariant", cfg.SpecName)
-		}
-		w.trInv = spec.TrInv
+		stInv = nil
 	}
-	if cfg.Reduced {
-		rm, ok := spec.Model.(mc.ReducibleModel)
-		if !ok || !rm.Reducible() {
-			return fmt.Errorf("dist: reduced search requested but model %q is not reducible", cfg.SpecName)
-		}
-		ce := rm.NewReducedExpander()
-		w.exp, w.canon = ce, ce
-	} else {
-		w.exp = mc.ExpanderFor(spec.Model)
+	if stInv == nil && trInv == nil {
+		return fmt.Errorf("dist: model %q defines no %s invariant", cfg.SpecName, kind)
+	}
+	rm, _ := spec.Model.(mc.ReducibleModel)
+	if !cfg.Reduced {
+		rm = nil
+	} else if rm == nil || !rm.Reducible() {
+		return fmt.Errorf("dist: reduced search requested but model %q is not reducible", cfg.SpecName)
 	}
 	owned := uint64(0)
 	for shard, o := range cfg.Assign {
@@ -352,15 +390,23 @@ func (w *worker) configure(cfg *msgConfig) error {
 			owned |= 1 << shard
 		}
 	}
+	// The fleet's workers share the host: together their kernels run
+	// about one goroutine per CPU.
+	emit := make([]mc.Emitter, max(1, runtime.GOMAXPROCS(0)/cfg.Workers))
+	for g := range emit {
+		e := &meshEmitter{w: w, frames: make([]*frameBuf, cfg.Workers), groups: make([]uint64, cfg.Workers)}
+		w.ems, emit[g] = append(w.ems, e), e
+	}
 	w.store = mc.NewShardStore(cfg.MaxStates, owned)
+	w.store.UseKernel(spec.Model, rm, stInv, trInv, emit)
 	if cfg.Restore != "" {
 		if err := w.restore(cfg.Restore); err != nil {
 			return err
 		}
 	}
 
-	// Data plane: listen, then accept in the background; peers are
-	// dialed lazily on first send.
+	// Data plane: listen, then accept in the background. Each peer's
+	// link exists before the kernel sends on it, and dials lazily.
 	if cfg.MeshName == "" {
 		return fmt.Errorf("dist: config names no mesh")
 	}
@@ -371,8 +417,11 @@ func (w *worker) configure(cfg *msgConfig) error {
 	}
 	w.listener = ln
 	w.links = make([]*peerLink, cfg.Workers)
-	w.gcount = make([]uint64, cfg.Workers)
-	w.outFrames = make([]*frameBuf, cfg.Workers)
+	for dest := range w.links {
+		if dest != cfg.Index {
+			w.links[dest] = newPeerLink(w, dest)
+		}
+	}
 	go w.acceptLoop(ln)
 	return nil
 }
@@ -446,30 +495,10 @@ func (w *worker) startHeartbeat() {
 }
 
 // batchFlushBytes bounds an outgoing mtMeshBatch frame's payload. The
-// threshold is per destination — a destination whose frames sit below
-// it keeps accumulating across the whole expansion and is flushed once
-// at the end, not once per frontier chunk.
+// threshold is per destination and kernel goroutine — a frame below it
+// keeps accumulating across the whole expansion and is flushed once at
+// the end, not once per frontier chunk.
 const batchFlushBytes = 256 << 10
-
-func (w *worker) link(dest int) *peerLink {
-	l := w.links[dest]
-	if l == nil {
-		l = newPeerLink(w, dest)
-		w.links[dest] = l
-	}
-	return l
-}
-
-// frameFor returns the open outgoing frame for dest, starting one if
-// needed.
-func (w *worker) frameFor(dest int, level int32, base uint64) *frameBuf {
-	fb := w.outFrames[dest]
-	if fb == nil {
-		fb = beginMeshBatch(level, base)
-		w.outFrames[dest] = fb
-	}
-	return fb
-}
 
 func (w *worker) handleExpand(payload []byte) error {
 	m, err := decodeExpand(payload)
@@ -480,123 +509,39 @@ func (w *worker) handleExpand(payload []byte) error {
 		return fmt.Errorf("dist: Expand before Config")
 	}
 	w.inj.atLevel(m.Level, w.exit)
-	if len(m.Slots) > len(w.frontier) {
-		return fmt.Errorf("dist: Expand of %d slots exceeds frontier of %d", len(m.Slots), len(w.frontier))
+	if len(m.Slots) != len(w.frontier) {
+		return fmt.Errorf("dist: Expand of %d slots for a frontier of %d", len(m.Slots), len(w.frontier))
 	}
-	me := uint8(w.cfg.Index)
-	counts := make([]uint32, len(m.Slots))
-	for i := range w.gcount {
-		w.gcount[i] = 0
+	w.expand = m
+	counts, viol, from, to := w.store.RunLevel(w.frontier, m.Slots, w.refs, m.Base)
+	done := &msgExpandDone{Level: m.Level, ID: m.ID, Counts: make([]uint32, len(counts))}
+	for i, n := range counts {
+		done.Counts[i] = uint32(n)
 	}
-	var violKey uint64
-	var violFrom, violTo []byte
-	hasViol := false
-	var touched []uint8 // shards this slot produced foreign successors for
-	for i, slot := range m.Slots {
-		sb := w.store.BytesOf(w.frontier[i])
-		parent := w.refs[i]
-		succs := w.exp.Successors(sb)
-		counts[i] = uint32(len(succs))
-		touched = touched[:0]
-		for j, succ := range succs {
-			key := mc.ClaimKey(m.Base, int(slot), j)
-			// The invariant sees the raw successor before
-			// canonicalization, exactly as in the engine; a violating
-			// transition is never claimed or forwarded.
-			if w.trInv != nil && !w.trInv(sb, succ) {
-				if !hasViol || key < violKey {
-					hasViol = true
-					violKey = key
-					violFrom = append(violFrom[:0], sb...)
-					violTo = append(violTo[:0], succ...)
-				}
-				continue
-			}
-			if w.canon != nil {
-				w.canon.Canonicalize(succ)
-			}
-			shard := mc.ShardOf(mc.HashState(succ))
-			if w.assign[shard] == me {
-				w.claim(succ, key, parent, true, m.Base)
-			} else {
-				acc := &w.accs[shard]
-				if !acc.active {
-					acc.active = true
-					acc.njs = 0
-					acc.prevJ = 0
-					acc.succs = acc.succs[:0]
-					touched = append(touched, uint8(shard))
-				}
-				acc.succs = codec.AppendBytes(codec.AppendUvarint(acc.succs, uint64(uint32(j)-acc.prevJ)), succ)
-				acc.prevJ = uint32(j)
-				acc.njs++
-			}
-		}
-		// Close this slot's groups straight into their destinations'
-		// open frames.
-		for _, shard := range touched {
-			acc := &w.accs[shard]
-			acc.active = false
-			dest := int(w.assign[shard])
-			w.gcount[dest]++
-			fb := w.frameFor(dest, m.Level, m.Base)
-			fb.b = append(codec.AppendUvarint(fb.b, uint64(slot), uint64(parent), uint64(acc.njs)), acc.succs...)
-			if fb.payloadLen() >= batchFlushBytes {
-				w.outFrames[dest] = nil
-				w.link(dest).enqueue(fb)
-			}
-		}
+	if viol != nil {
+		done.HasViol, done.ViolKey, done.ViolFrom, done.ViolTo = true, viol.Key, from, to
 	}
 	// Flush every open frame and sync the links, so ExpandDone declares
 	// only groups already on the wire and every link queue is empty
 	// between control messages.
-	for dest, fb := range w.outFrames {
-		if fb == nil {
-			continue
-		}
-		w.outFrames[dest] = nil
-		if fb.payloadLen() == 0 {
-			putFrame(fb)
-			continue
-		}
-		w.link(dest).enqueue(fb)
+	groups := make([]uint64, w.cfg.Workers)
+	for _, e := range w.ems {
+		e.flush(groups)
 	}
-	w.flushLinks()
-	done := &msgExpandDone{Level: m.Level, ID: m.ID, Counts: counts,
-		HasViol: hasViol, ViolKey: violKey, ViolFrom: violFrom, ViolTo: violTo}
-	for dest, n := range w.gcount {
+	for _, l := range w.links {
+		if l != nil {
+			if ch := l.flush(); ch != nil {
+				<-ch
+			}
+		}
+	}
+	for dest, n := range groups {
 		if n > 0 {
 			done.SentTo = append(done.SentTo, sentCount{Dest: dest, Groups: n})
 		}
 	}
 	w.send(done)
 	return nil
-}
-
-func (w *worker) flushLinks() {
-	var waits []chan struct{}
-	for _, l := range w.links {
-		if l != nil {
-			if ch := l.flush(); ch != nil {
-				waits = append(waits, ch)
-			}
-		}
-	}
-	for _, ch := range waits {
-		<-ch
-	}
-}
-
-// claim admits one successor into the store: a new state is checked
-// against the state invariant, and a spent budget marks the level full.
-func (w *worker) claim(enc []byte, key uint64, parent uint32, hasParent bool, base uint64) {
-	st, ref := w.store.Claim(enc, key, parent, hasParent, base)
-	if st == mc.ClaimNew && w.stInv != nil && !w.stInv(enc) {
-		w.stViol = append(w.stViol, ref)
-	}
-	if st == mc.ClaimFull {
-		w.full = true
-	}
 }
 
 // handleMeshBatch applies one inbound mesh frame: claim every
@@ -614,8 +559,7 @@ func (w *worker) handleMeshBatch(ev wev) error {
 		return err
 	}
 	n, err := walkMeshGroups(groups, func(slot, parent, j uint32, enc []byte) {
-		key := mc.ClaimKey(base, int(slot), int(j))
-		w.claim(enc, key, parent, true, base)
+		w.store.Claim(enc, mc.ClaimKey(base, int(slot), int(j)), parent, true, base)
 	})
 	if err != nil {
 		return err
@@ -633,7 +577,7 @@ func (w *worker) handleInit(payload []byte) error {
 		return fmt.Errorf("dist: Init before Config")
 	}
 	for k := range m.Js {
-		w.claim(m.Encs[k], uint64(m.Js[k]), 0, false, 0)
+		w.store.Claim(m.Encs[k], uint64(m.Js[k]), 0, false, 0)
 	}
 	return nil
 }
@@ -683,18 +627,13 @@ func (w *worker) tryExecSeals() error {
 
 func (w *worker) execSeal(m *msgSeal) error {
 	w.inj.levelDone(m.Level)
-	rep := &msgLevelReport{
-		Level: m.Level,
-		Seq:   m.Seq,
-		Full:  w.full,
-	}
-	w.full = false
-	// Keys are final once the level has drained.
-	for _, ref := range w.stViol {
+	stViol, full := w.store.LevelFaults()
+	rep := &msgLevelReport{Level: m.Level, Seq: m.Seq, Full: full}
+	// Keys are final once the level's claims are all in.
+	for _, ref := range stViol {
 		rep.StViolKeys = append(rep.StViolKeys, w.store.KeyOf(ref))
 		rep.StViolEncs = append(rep.StViolEncs, w.store.BytesOf(ref))
 	}
-	w.stViol = w.stViol[:0]
 	frontier, keys := w.store.DrainLevel()
 	// The frontier just expanded is past any re-keying window (the level
 	// has drained), so it closes into the arenas here; the seal compacts

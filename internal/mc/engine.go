@@ -110,6 +110,39 @@ type levelAcc struct {
 	full    bool       // the worker hit the state budget
 }
 
+// book records a claim of enc: a new state (checked by stInv) or a spent budget.
+func (acc *levelAcc) book(st ClaimStatus, ref uint32, enc []byte, stInv StateInvariantBytes) {
+	switch st {
+	case ClaimNew:
+		acc.claimed = append(acc.claimed, ref)
+		if stInv != nil && !stInv(enc) {
+			acc.stViol = append(acc.stViol, ref)
+		}
+	case ClaimFull:
+		acc.full = true
+	}
+}
+
+// Emitter takes the successors a ShardStore's kernel goroutine does not
+// claim, those of shards the store does not own; each goroutine has its
+// own. Emit takes successor j (canonical when the search is reduced,
+// valid only during the call) of the slot being expanded, bound for
+// shard; EndSlot closes the slot, naming its global slot and ref.
+type Emitter interface {
+	Emit(shard uint32, j int, succ []byte)
+	EndSlot(slot, parent uint32)
+}
+
+// levelRoute is a ShardStore's level (RunLevel): frontier state i has
+// global slot slots[i] and global ref parents[i], and a successor of a
+// shard not in owned goes to the goroutine's emitter. The engine, which
+// owns every shard, passes none: slot i is index i and a parent its
+// frontier ref.
+type levelRoute struct {
+	slots, parents []uint32
+	owned          uint64
+}
+
 // levelScratch is the per-search reusable exploration state: worker
 // accumulators, per-worker expanders and probe counters, the
 // double-buffered frontier and the sort scratch. It is what makes the
@@ -120,6 +153,7 @@ type levelScratch struct {
 	counts []int
 	exps   []Expander
 	canons []CanonicalExpander // paired with exps; non-nil only in reduced searches
+	emits  []Emitter           // paired with exps; nil except in a ShardStore's kernel
 	probes []probeCounter
 	spare  []uint32     // the frontier buffer not currently being expanded
 	keyed  []keyedRef   // nextFrontier's per-worker sort segments, back to back
@@ -175,6 +209,7 @@ func newLevelScratch(m Model, workers int, rm ReducibleModel) *levelScratch {
 		accs:   make([]levelAcc, workers),
 		exps:   make([]Expander, workers),
 		canons: make([]CanonicalExpander, workers),
+		emits:  make([]Emitter, workers),
 		probes: make([]probeCounter, workers),
 	}
 	for i := range sc.exps {
@@ -198,11 +233,12 @@ type levelOut struct {
 }
 
 // runLevel expands every frontier slot across the worker pool; base is
-// the levelBase the minted claim keys start at. The whole level is
+// the levelBase the minted claim keys start at, and rt routes a
+// distributed worker's level (nil in the engine). The whole level is
 // always completed — even after a violation or budget hit — because
 // deterministic reduction needs every claim key of the level.
 func runLevel(sc *levelScratch, v *visitedSet, frontier []uint32, base uint64,
-	stInv StateInvariantBytes, trInv TransitionInvariantBytes, workers int) levelOut {
+	stInv StateInvariantBytes, trInv TransitionInvariantBytes, workers int, rt *levelRoute) levelOut {
 	n := len(frontier)
 	if workers > n {
 		workers = n
@@ -218,13 +254,17 @@ func runLevel(sc *levelScratch, v *visitedSet, frontier []uint32, base uint64,
 		acc.trBest = nil
 		acc.full = false
 	}
-	expand := func(acc *levelAcc, exp Expander, can CanonicalExpander, pc *probeCounter, i int) {
+	expand := func(acc *levelAcc, exp Expander, can CanonicalExpander, pc *probeCounter, em Emitter, i int) {
 		ref := frontier[i]
+		slot, parent := i, ref
+		if rt != nil {
+			slot, parent = int(rt.slots[i]), rt.parents[i]
+		}
 		sb := v.bytesOf(ref)
 		succs := exp.Successors(sb)
 		out.counts[i] = len(succs)
 		for j, succ := range succs {
-			key := claimKey(base, i, j)
+			key := claimKey(base, slot, j)
 			// The invariant sees the raw successor — canonicalization may
 			// rewrite exactly the components a violation lives in (e.g. a
 			// freeze phase) — and only then is the survivor folded onto its
@@ -240,21 +280,23 @@ func runLevel(sc *levelScratch, v *visitedSet, frontier []uint32, base uint64,
 			if can != nil {
 				can.Canonicalize(succ)
 			}
-			st, sref := v.claim(succ, hashBytes(succ), ref, key, true, base, pc)
-			switch st {
-			case ClaimNew:
-				acc.claimed = append(acc.claimed, sref)
-				if stInv != nil && !stInv(succ) {
-					acc.stViol = append(acc.stViol, sref)
+			h := hashBytes(succ)
+			if em != nil {
+				if sh := uint32(h) & (numShards - 1); rt.owned&(1<<sh) == 0 {
+					em.Emit(sh, j, succ)
+					continue
 				}
-			case ClaimFull:
-				acc.full = true
 			}
+			st, sref := v.claim(succ, h, parent, key, true, base, pc)
+			acc.book(st, sref, succ, stInv)
+		}
+		if em != nil {
+			em.EndSlot(uint32(slot), parent)
 		}
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			expand(&out.accs[0], sc.exps[0], sc.canons[0], &sc.probes[0], i)
+			expand(&out.accs[0], sc.exps[0], sc.canons[0], &sc.probes[0], sc.emits[0], i)
 		}
 	} else {
 		// Chunked work-stealing: each worker repeatedly claims the next
@@ -266,7 +308,7 @@ func runLevel(sc *levelScratch, v *visitedSet, frontier []uint32, base uint64,
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				acc, exp, can, pc := &out.accs[w], sc.exps[w], sc.canons[w], &sc.probes[w]
+				acc, exp, can, pc, em := &out.accs[w], sc.exps[w], sc.canons[w], &sc.probes[w], sc.emits[w]
 				for {
 					start := int(cursor.Add(stealChunk)) - stealChunk
 					if start >= n {
@@ -277,7 +319,7 @@ func runLevel(sc *levelScratch, v *visitedSet, frontier []uint32, base uint64,
 						end = n
 					}
 					for i := start; i < end; i++ {
-						expand(acc, exp, can, pc, i)
+						expand(acc, exp, can, pc, em, i)
 					}
 				}
 			}(w)
@@ -351,11 +393,6 @@ func statesThrough(v *visitedSet, out levelOut, limit uint64) int {
 // nothing here but the goroutines.
 func nextFrontier(v *visitedSet, sc *levelScratch, out levelOut, dst []uint32) []uint32 {
 	dst = dst[:0]
-	if len(out.accs) == 1 {
-		// A single worker claims in ascending key order, so no claim is
-		// ever re-keyed and its list is already the sorted frontier.
-		return append(dst, out.accs[0].claimed...)
-	}
 	keyed := slices.Grow(sc.keyed[:0], out.claimed)[:out.claimed]
 	segs := sc.segs[:0]
 	off := 0
@@ -454,9 +491,6 @@ func newLocalBackend(m Model, rm ReducibleModel, stInv StateInvariantBytes,
 }
 
 func (b *localBackend) AdmitInitial(enc []byte, i int) ClaimStatus {
-	if can := b.sc.canons[0]; can != nil {
-		can.Canonicalize(enc)
-	}
 	st, ref := b.v.claim(enc, hashBytes(enc), 0, uint64(i), false, 0, &b.sc.probes[0])
 	if st == ClaimNew {
 		b.frontier = append(b.frontier, ref)
@@ -465,7 +499,7 @@ func (b *localBackend) AdmitInitial(enc []byte, i int) ClaimStatus {
 }
 
 func (b *localBackend) Expand(base uint64) (Level, error) {
-	b.lvl = runLevel(b.sc, b.v, b.frontier, base, b.stInv, b.trInv, b.workers)
+	b.lvl = runLevel(b.sc, b.v, b.frontier, base, b.stInv, b.trInv, b.workers, nil)
 	b.pending = true
 	lvl := Level{Counts: b.lvl.counts}
 	for i := range b.lvl.accs {
@@ -497,8 +531,14 @@ func (b *localBackend) NextLevel() (int, error) {
 	}
 	b.pending = false
 	// Double-buffer the frontier: build the next generation into the
-	// spare buffer, then recycle the one just expanded.
-	next := nextFrontier(b.v, b.sc, b.lvl, b.sc.spare)
+	// spare buffer, then recycle the one just expanded. A lone worker's
+	// claims are ascending and never re-keyed: already the frontier.
+	var next []uint32
+	if len(b.lvl.accs) == 1 {
+		next = append(b.sc.spare[:0], b.lvl.accs[0].claimed...)
+	} else {
+		next = nextFrontier(b.v, b.sc, b.lvl, b.sc.spare)
+	}
 	if !b.noSeal {
 		// The frontier just expanded is immutable now — takeovers only
 		// ever touch current-level claims — so migrate it into the
@@ -672,13 +712,20 @@ func checkSearch(m Model, stInv StateInvariantBytes, trInv TransitionInvariantBy
 		startDepth, nextBase = resume.Depth, resume.NextBase
 		res.Depth, res.TransitionsExplored = resume.ResultDepth, resume.Transitions
 	} else {
-		// Level 0: admit the initial states in index order — their claim
-		// keys are their indices — counting them against the state budget
-		// and checking the state invariant before any expansion.
+		// Level 0: admit the initial states in index order (their claim
+		// keys), canonical when reduced, counting them against the state
+		// budget and checking the state invariant before any expansion.
+		var can CanonicalExpander
+		if rm != nil {
+			can = rm.NewReducedExpander()
+		}
 		inits := m.Initial()
 		admitted := 0
 		for i, s := range inits {
 			enc := []byte(s) // fresh copy, safe to canonicalize in place
+			if can != nil {
+				can.Canonicalize(enc)
+			}
 			switch b.AdmitInitial(enc, i) {
 			case ClaimFull:
 				return exhausted(m, admitted, res, stInv, trInv, opts)

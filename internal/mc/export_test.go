@@ -39,7 +39,7 @@ func sealedSearch(m ReducibleModel, workers int, stop func(frontier, next []uint
 	}
 	base := uint64(len(inits)) << keySuccBits
 	for len(frontier) > 0 {
-		lvl := runLevel(sc, v, frontier, base, nil, nil, workers)
+		lvl := runLevel(sc, v, frontier, base, nil, nil, workers, nil)
 		base += uint64(len(frontier)) << keySuccBits
 		next := nextFrontier(v, sc, lvl, nil)
 		if stop(frontier, next) {
@@ -172,7 +172,9 @@ func NewCheckpointFixture(m ReducibleModel, minStates int) *CheckpointFixture {
 	b := newLocalBackend(m, m, nil, nil, Options{Workers: 1}.withDefaults())
 	inits := m.Initial()
 	for i, s := range inits {
-		b.AdmitInitial([]byte(s), i)
+		enc := []byte(s)
+		b.sc.canons[0].Canonicalize(enc)
+		b.AdmitInitial(enc, i)
 	}
 	f := &CheckpointFixture{b: b, res: Result{Reduced: true}}
 	f.nextBase = uint64(len(inits)) << keySuccBits
@@ -266,7 +268,7 @@ func SealedTwinLevels(m ReducibleModel, workers int, check func(level, badShard 
 		levelBase := base
 		base += uint64(len(sealing.frontier)) << keySuccBits
 		for i, r := range runs {
-			lvl := runLevel(r.sc, r.v, r.frontier, levelBase, nil, nil, workers)
+			lvl := runLevel(r.sc, r.v, r.frontier, levelBase, nil, nil, workers, nil)
 			next := nextFrontier(r.v, r.sc, lvl, nil)
 			if i == 0 {
 				r.v.seal(workers, r.frontier, next)

@@ -250,11 +250,6 @@ func (v *visitedSet) refShard(ref uint32) (sh *flatShard, ord uint32, sealed boo
 	return sh, ord, ord < sh.liveBase
 }
 
-// entryOf returns the live slot for ref, which must not be sealed.
-func (v *visitedSet) entryOf(ref uint32) *entry {
-	return v.shards[ref&(numShards-1)].entryAt(ref >> shardBits)
-}
-
 // encOfLive returns the encoding of a live entry (aliases the slot or
 // the intern table).
 func (v *visitedSet) encOfLive(e *entry, m uint64) []byte {

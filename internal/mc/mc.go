@@ -263,9 +263,9 @@ type DistChecker interface {
 // NextLevel, then Expand and NextLevel per level until the frontier is
 // empty or the loop stops; Close always ends the search.
 type LevelBackend interface {
-	// AdmitInitial admits initial state i under claim key i, first
-	// canonicalizing enc in place when the search is reduced. The
-	// backend may keep enc.
+	// AdmitInitial admits initial state i under claim key i; enc is
+	// canonical already when the search is reduced. The backend may keep
+	// enc.
 	AdmitInitial(enc []byte, i int) ClaimStatus
 	// Expand expands the whole frontier; base is the claim key of its
 	// first slot's first successor. The whole level is expanded even

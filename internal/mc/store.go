@@ -31,8 +31,6 @@ package mc
 // any worker count: it keeps the segments' sections and the frontier
 // entries of its own shards.
 
-import "sort"
-
 // NumShards is the visited-set shard count. The distributed layer
 // assigns ownership per shard, so it is the unit of partitioning and of
 // crash recovery.
@@ -54,10 +52,6 @@ func ShardOf(h uint64) uint32 { return uint32(h) & (numShards - 1) }
 // RefShard is the shard a global ref (see AssignRefs) addresses.
 func RefShard(ref uint32) uint32 { return ref & (numShards - 1) }
 
-// ExpanderFor returns the model's allocation-free expander when it
-// offers one, else an adapter over Model.Successors.
-func ExpanderFor(m Model) Expander { return expanderFor(m) }
-
 // ClaimStatus is the outcome of a visited-set claim: a ShardStore's, the
 // engine's own, or a LevelBackend's initial admission.
 type ClaimStatus int
@@ -74,26 +68,41 @@ const (
 )
 
 // ShardStore is a worker-owned slice of the visited set (see the
-// package comment above). It is NOT safe for concurrent use — a
-// distributed worker is single-threaded by design, process-level
-// parallelism being the point.
+// package comment above). Its methods are called from one goroutine at
+// a time; RunLevel expands on several, as the engine does.
 type ShardStore struct {
-	v       *visitedSet
-	owned   uint64   // bit s set: shard s is this store's
-	claimed []uint32 // refs admitted since the last DrainLevel
-	pc      probeCounter
+	v     *visitedSet
+	owned uint64 // bit s set: shard s is this store's
+	sc    *levelScratch
+	stInv StateInvariantBytes
+	trInv TransitionInvariantBytes
+	lvl   levelOut // the last RunLevel's claims, until DrainLevel
+	// in books Claim's claims since the last DrainLevel. RunLevel never
+	// resets it: a peer's claims of a level may precede its expansion.
+	in levelAcc
+	pc probeCounter // Claim's; its sealed-tier decoder is reused
 }
 
 // NewShardStore returns an empty store for the shards set in owned,
 // bounded at maxStates admitted states (<= 0 means the engine's default
-// budget).
+// budget). It has no level kernel until UseKernel.
 func NewShardStore(maxStates int, owned uint64) *ShardStore {
 	if maxStates <= 0 {
 		maxStates = defaultMaxStates
 	}
-	s := &ShardStore{v: newVisitedSet(maxStates, owned), owned: owned}
+	s := &ShardStore{v: newVisitedSet(maxStates, owned), owned: owned, sc: &levelScratch{}}
 	s.v.refsFinal = true
 	return s
+}
+
+// UseKernel gives the store its level kernel: a goroutine per emitter,
+// each with an expander of m (reduced when rm is non-nil), and the
+// search's one invariant, which every claim is checked against.
+func (s *ShardStore) UseKernel(m Model, rm ReducibleModel, stInv StateInvariantBytes,
+	trInv TransitionInvariantBytes, emit []Emitter) {
+	s.sc = newLevelScratch(m, len(emit), rm)
+	s.sc.emits = emit
+	s.stInv, s.trInv = stInv, trInv
 }
 
 // Claim tries to admit enc under key, recording the global ref parent
@@ -104,23 +113,50 @@ func NewShardStore(maxStates int, owned uint64) *ShardStore {
 // is valid only for ClaimNew.
 func (s *ShardStore) Claim(enc []byte, key uint64, parent uint32, hasParent bool, levelBase uint64) (ClaimStatus, uint32) {
 	st, ref := s.v.claim(enc, hashBytes(enc), parent, key, hasParent, levelBase, &s.pc)
-	if st == ClaimNew {
-		s.claimed = append(s.claimed, ref)
-	}
+	s.in.book(st, ref, enc, s.stInv)
 	return st, ref
+}
+
+// RunLevel expands frontier (live refs; global slots and refs aligned)
+// through the engine's level kernel under claim-key base base, holding
+// own claims for DrainLevel. It returns each state's successor count
+// and the lowest-keyed transition violation, if any, with its raw from
+// and to encodings, valid until the next RunLevel.
+func (s *ShardStore) RunLevel(frontier, slots, parents []uint32, base uint64) (counts []int, viol *Violation, from, to []byte) {
+	s.lvl = runLevel(s.sc, s.v, frontier, base, s.stInv, s.trInv, len(s.sc.exps),
+		&levelRoute{slots: slots, parents: parents, owned: s.owned})
+	// A store checks one invariant; state violations are LevelFaults'.
+	if best := reduceViolation(s.v, s.lvl); best != nil && !best.isState {
+		return s.lvl.counts, &Violation{Key: best.key}, s.v.bytesOf(best.fromRef), []byte(best.to)
+	}
+	return s.lvl.counts, nil, nil, nil
+}
+
+// LevelFaults returns the states admitted since the last DrainLevel
+// that fail the state invariant, and whether a claim found the state
+// budget spent. Call it before DrainLevel.
+func (s *ShardStore) LevelFaults() (stViol []uint32, full bool) {
+	for _, acc := range append(s.lvl.accs[:len(s.lvl.accs):len(s.lvl.accs)], s.in) {
+		stViol = append(stViol, acc.stViol...)
+		full = full || acc.full
+	}
+	return stViol, full
 }
 
 // DrainLevel returns the states admitted since the previous drain,
 // ordered by their final (post-takeover) claim keys — the worker's
 // contribution to the next frontier — plus those keys, aligned.
 func (s *ShardStore) DrainLevel() ([]uint32, []uint64) {
-	refs := s.claimed
-	s.claimed = nil
-	sort.Slice(refs, func(i, j int) bool { return s.v.keyOf(refs[i]) < s.v.keyOf(refs[j]) })
+	out := s.lvl
+	out.accs = append(out.accs[:len(out.accs):len(out.accs)], s.in)
+	out.claimed += len(s.in.claimed)
+	refs := nextFrontier(s.v, s.sc, out, nil)
 	keys := make([]uint64, len(refs))
 	for i, r := range refs {
 		keys[i] = s.v.keyOf(r)
 	}
+	s.lvl = levelOut{}
+	s.in = levelAcc{claimed: s.in.claimed[:0], stViol: s.in.stViol[:0]}
 	return refs, keys
 }
 
@@ -136,14 +172,11 @@ func (s *ShardStore) BytesOf(ref uint32) []byte { return s.v.bytesOf(ref) }
 // (the worker's current frontier, typically) plus any refs claimed
 // since the last drain to the post-seal ordinal space. Must only be
 // called at a level barrier, after the level can no longer be re-keyed:
-// its successors' level has fully drained. The seal runs on one
-// goroutine: a distributed search's workers are separate processes that
-// already seal their stores concurrently.
+// its successors' level has fully drained. The seal runs on the
+// kernel's goroutines, as the engine's runs on its workers.
 func (s *ShardStore) SealLevel(refs []uint32, rewrite ...[]uint32) {
-	if len(s.claimed) > 0 {
-		rewrite = append(rewrite, s.claimed)
-	}
-	s.v.seal(1, refs, rewrite...)
+	rewrite = append(rewrite, s.in.claimed, s.in.stViol)
+	s.v.seal(len(s.sc.exps), refs, rewrite...)
 }
 
 // AssignRefs returns, aligned with frontier (a new frontier in
