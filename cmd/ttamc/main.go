@@ -132,7 +132,7 @@ func run(args []string) error {
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	traceFile := fs.String("traceprofile", "", "write a runtime execution trace to this file")
 	distWorkers := fs.Int("dist-workers", 0, "explore across N worker processes with crash recovery (0 = in-process engine); results are identical for any value")
-	swifi := fs.String("swifi", "", "software-implemented fault injection script for -dist-workers, e.g. 'kill@worker=1@level=5;flakywrite@worker=0@level=3@fails=2'")
+	swifi := fs.String("swifi", "", "software-implemented fault injection script for -dist-workers, e.g. 'kill@worker=1@level=5,flakywrite@worker=0@level=3@fails=2'")
 	distLog := fs.String("dist-log", "", "directory for distributed worker logs and, without -checkpoint, the barrier checkpoint (empty = temporary)")
 	distWorker := fs.Bool("dist-worker", false, "run as a distributed worker process on stdin/stdout (internal; spawned by -dist-workers)")
 	if err := fs.Parse(args); err != nil {

@@ -83,11 +83,12 @@ func TestMeshBatchFramePoolAllocs(t *testing.T) {
 	}
 }
 
-// FuzzDecodeBatch throws arbitrary bytes at the mesh batch decoder:
-// any input must either parse or be rejected with an error — never
-// panic, never call visit past the first defect. Seeds cover the empty
-// payload, well-formed batches, truncations of one, and groups whose
-// successor indices repeat or wrap.
+// FuzzDecodeBatch throws arbitrary bytes at the mesh decoders: a batch
+// must either parse or be rejected with an error — never panic, never
+// call visit past the first defect — and an End that parses must
+// survive re-encoding. Seeds cover the empty payload, well-formed
+// batches, truncations of one, groups whose successor indices repeat or
+// wrap, and End frames.
 func FuzzDecodeBatch(f *testing.F) {
 	var groups []byte
 	groups = appendMeshGroup(groups, 7, 0x12345,
@@ -108,7 +109,17 @@ func FuzzDecodeBatch(f *testing.F) {
 	for _, g := range [][]byte{meshGroupOfDeltas(5, 0), meshGroupOfDeltas(5, 1<<64-1)} {
 		f.Add(append(codec.AppendUvarint(nil, 12, 1<<30), g...))
 	}
+	for _, m := range []*msgEnd{{}, {Level: 12, Groups: 3}, {Level: 1 << 30, Groups: 1 << 63}} {
+		_, p := m.encode()
+		f.Add(p)
+	}
 	f.Fuzz(func(t *testing.T, p []byte) {
+		if m, err := decodeEnd(p); err == nil {
+			_, again := m.encode()
+			if m2, err := decodeEnd(again); err != nil || *m2 != *m {
+				t.Fatalf("End %+v re-decodes as %+v, %v", m, m2, err)
+			}
+		}
 		_, _, groups, err := decodeMeshBatchHeader(p)
 		if err != nil {
 			return
@@ -155,8 +166,8 @@ func meshBenchGroups() []benchGroup {
 // BenchmarkMeshBatchCodec: one op encodes a representative batch and
 // decodes it again. "mesh" is the data-plane frame expansion traffic
 // rides (beginMeshBatch/appendMeshGroup, then decodeMeshBatchHeader and
-// walkMeshGroups); "control" is the same successors as a control-plane
-// msgInit of roots (encode, then decodeInit).
+// walkMeshGroups); "control" is the same successors as the roots of a
+// control-plane level-0 msgExpand (encode, then decodeExpand).
 func BenchmarkMeshBatchCodec(b *testing.B) {
 	gs := meshBenchGroups()
 	const level, base = 12, 7 << 30
@@ -186,18 +197,19 @@ func BenchmarkMeshBatchCodec(b *testing.B) {
 		}
 	})
 	b.Run("control", func(b *testing.B) {
-		m := &msgInit{}
+		m := &msgExpand{}
 		for k := range gs {
-			m.Js = append(m.Js, gs[k].js...)
-			m.Encs = append(m.Encs, gs[k].encs...)
+			for i, j := range gs[k].js {
+				m.Roots = append(m.Roots, root{J: j, Enc: gs[k].encs[i]})
+			}
 		}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			_, p := m.encode()
 			b.SetBytes(int64(len(p)))
-			got, err := decodeInit(p)
-			if err != nil || len(got.Js) != len(m.Js) {
-				b.Fatalf("decoded %d roots, %v", len(got.Js), err)
+			got, err := decodeExpand(p)
+			if err != nil || len(got.Roots) != len(m.Roots) {
+				b.Fatalf("decoded %d roots, %v", len(got.Roots), err)
 			}
 		}
 	})

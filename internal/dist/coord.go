@@ -1,22 +1,21 @@
 package dist
 
-// The coordinator: owner of the level barrier and of worker lifecycles.
+// The coordinator: owner of the level barrier's outcome and of worker
+// lifecycles.
 //
 // The run is a single-threaded event loop over one channel fed by
 // per-worker reader goroutines and a deadline ticker; sends go through
 // per-worker unbounded outboxes drained by writer goroutines, so the
 // loop never blocks on a slow worker. The coordinator is control-plane
 // only: successor batches flow worker↔worker over the mesh (mesh.go),
-// and the coordinator instead runs the counting barrier — it folds each
-// ExpandDone's declared per-destination group counts into an accounting
-// table and ships each Seal with the exact per-sender counts the worker
-// must have received before draining. Each level: issue Expands,
-// collect ExpandDones, broadcast counted Seals once nothing is
-// outstanding, collect LevelReports, then close the barrier — merge the
-// per-worker claim-key lists into the global frontier order and reduce
-// violations by minimum claim key. The search around the levels is not run here:
-// the coordinator is an mc.LevelBackend (search.go), and mc's one
-// search loop decides budgets, interrupts, counts and the Result.
+// and the workers close each level's barrier among themselves, on the
+// mesh links (worker.go). Per level the coordinator makes one round
+// trip per worker: it issues the Expands, collects one LevelReport from
+// each worker, then closes the barrier — merges the per-worker
+// claim-key lists into the global frontier order and reduces
+// violations by minimum claim key. The search around the levels is not
+// run here: the coordinator is an mc.LevelBackend (search.go), and mc's
+// one search loop decides budgets, interrupts, counts and the Result.
 //
 // The barrier also closes on disk, as a rename of the checkpoint chain's
 // manifest (commit). Crash recovery (recover.go) re-enters this loop
@@ -217,21 +216,12 @@ type workerState struct {
 	wireFramesCur uint64
 	wireBytesCur  uint64
 
-	// Per current level: the report the worker's Seal owes, whose keys
-	// are the worker's next frontier in its own order — all the barrier
-	// needs.
-	seg      *keySegment
+	// The worker's frontier for the next level, as the final claim keys
+	// of its states: its last LevelReport's, all the barrier needs.
+	keys     []uint64
+	reported bool  // its report of the current level is in
 	states   int64 // latest report totals
 	resident int64
-}
-
-// keySegment is a worker's frontier for the next level, identified by
-// the final claim keys of its states. seq ties it to the Seal that owes
-// it (reports echo the seal's sequence number).
-type keySegment struct {
-	seq    uint32
-	keys   []uint64
-	filled bool
 }
 
 // distViol is a violation candidate at the coordinator.
@@ -275,18 +265,13 @@ type coordinator struct {
 	level       int32
 	base        uint64
 	frontierLen int
-	slots       [][]uint32     // per worker: global slots of its frontier, in its frontier order
-	counts      []int          // per global slot of the current level
-	pending     map[uint32]int // outstanding Expands of the current level: ID -> worker index
-	nextID      uint32
-	sealed      bool
+	slots       [][]uint32 // per worker: global slots of its frontier, in its frontier order
+	roots       [][]root   // per worker: the level-0 claims, kept for a redo of level 0
+	counts      []int      // per global slot of the current level
 	anyFull     bool
 	trBest      *distViol
 	stViols     []distViol
-	viol        *distViol              // the last expanded level's winner
-	inits       [mc.NumShards]*msgInit // level-0 claims, kept for a redo of level 0
-	acc         [][]uint64             // per destination: per sender, declared mesh groups
-	sealSeq     uint32
+	viol        *distViol  // the last expanded level's winner
 	next        uint64     // the claim-key base of the level after the current one
 	openRecs    []Recovery // priced once the current level is collected
 
@@ -335,6 +320,8 @@ func newCoordinator(ck *Checker, m mc.Model, sm SpeccedModel, stInv mc.StateInva
 		meshName:    meshName,
 		events:      make(chan event, 256),
 		initSeen:    map[string]struct{}{},
+		slots:       make([][]uint32, o.Workers),
+		roots:       make([][]root, o.Workers),
 		done:        make(chan struct{}),
 	}
 	if c.launcher == nil {

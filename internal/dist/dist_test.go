@@ -293,6 +293,7 @@ func TestDistKillRespawn(t *testing.T) {
 		{"kill-st-fails", 3, graphModel{N: 300, Target: 97}, true, "kill@worker=2@level=2", []int{2}},
 		{"double-kill", 3, graphModel{N: 300, Target: 300}, false,
 			"kill@worker=0@level=2,kill@worker=2@level=4", []int{2, 4}},
+		{"kill-level0", 2, graphModel{N: 300, Target: 97}, false, "kill@worker=1@level=0", []int{0}},
 	}
 	for workers := 2; workers <= 4; workers++ {
 		for victim := 0; victim < workers; victim++ {
@@ -330,20 +331,26 @@ func TestDistKillRespawn(t *testing.T) {
 			}
 			requireIdentical(t, got, want)
 			// A kill fires when its worker receives that level's Expand:
-			// levels 1..levels are expanded, level 0 never is. Every
-			// recovery is priced, the one at the level holding the
-			// violation too.
-			kills := 0
+			// levels 0..levels each have one, level 0's carrying the
+			// initial states. Every recovery is priced, the one at the
+			// level holding the violation too.
+			var kills []int
 			for _, l := range tc.levels {
-				if l >= 1 && l <= levels {
-					kills++
+				if l <= levels {
+					kills = append(kills, l)
 				}
 			}
-			if rep.Respawns != kills || rep.Takeovers != 0 {
-				t.Fatalf("report: %d respawns %d takeovers, want %d/0", rep.Respawns, rep.Takeovers, kills)
+			if rep.Respawns != len(kills) || rep.Takeovers != 0 {
+				t.Fatalf("report: %d respawns %d takeovers, want %d/0", rep.Respawns, rep.Takeovers, len(kills))
 			}
-			if len(rep.Recoveries) != kills {
-				t.Fatalf("recoveries: %d entries, want %d", len(rep.Recoveries), kills)
+			if len(rep.Recoveries) != len(kills) {
+				t.Fatalf("recoveries: %d entries, want %d", len(rep.Recoveries), len(kills))
+			}
+			for i, rec := range rep.Recoveries {
+				// Level 0 expands nothing: redoing it costs no transitions.
+				if rec.Level != int32(kills[i]) || (rec.Level == 0) != (rec.SlotTransitions == 0) {
+					t.Fatalf("recovery %d: %+v, want one at level %d priced at its transitions", i, rec, kills[i])
+				}
 			}
 			var budget uint64
 			for _, rec := range rep.Recoveries {
@@ -972,62 +979,166 @@ func TestDistRejectsUnsupportedOptions(t *testing.T) {
 	}
 }
 
-// TestWorkerRefusesShortExpand: an Expand names a slot for every state
-// of the worker's frontier. A worker refuses one that names fewer with
-// a Fatal, instead of leaving states unexpanded.
-func TestWorkerRefusesShortExpand(t *testing.T) {
+// bareWorker is one RunWorker on a pipe, the test speaking the
+// coordinator's side of it and, over the worker's mesh, its peers'.
+type bareWorker struct {
+	t     *testing.T
+	coord net.Conn
+	mesh  socketMesh
+	done  chan error
+}
+
+// startBareWorker configures worker index of a fleet of workers on the
+// 40-state graph and waits for its Hello.
+func startBareWorker(t *testing.T, index, workers int) *bareWorker {
+	t.Helper()
 	meshName, err := newMeshName()
 	if err != nil {
 		t.Fatal(err)
 	}
 	coord, end := net.Pipe()
-	defer coord.Close()
-	done := make(chan error, 1)
+	t.Cleanup(func() { coord.Close() })
+	b := &bareWorker{t: t, coord: coord, mesh: socketMesh{run: meshName, uid: os.Getuid()}, done: make(chan error, 1)}
 	go func() {
 		defer end.Close()
-		done <- RunWorker(end, WorkerOptions{Exit: func(int) { end.Close(); runtime.Goexit() }})
+		b.done <- RunWorker(end, WorkerOptions{Exit: func(int) { end.Close(); runtime.Goexit() }})
 	}()
-	send := func(m encoder) {
-		t.Helper()
-		typ, payload := m.encode()
-		if err := writeFrame(coord, typ, payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// reply reads the worker's next message other than a heartbeat.
-	reply := func() byte {
-		t.Helper()
-		for {
-			typ, _, err := readFrame(coord)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if typ != mtHeartbeat {
-				return typ
-			}
-		}
-	}
-	g := graphModel{N: 40, Target: 40}
-	name, payload := g.DistSpec()
-	send(&msgConfig{Workers: 1, SpecName: name, SpecPayload: payload, MaxStates: 1000,
+	name, payload := graphModel{N: 40, Target: 40}.DistSpec()
+	b.send(&msgConfig{Index: index, Workers: workers, SpecName: name, SpecPayload: payload, MaxStates: 1000,
 		Chain: filepath.Join(t.TempDir(), "chain.mc"), MeshName: meshName, HeartbeatMs: 1000})
-	if typ := reply(); typ != mtHello {
+	if typ, _ := b.reply(); typ != mtHello {
 		t.Fatalf("config answered with type %d", typ)
 	}
-	// Level 0: one root, so the worker's frontier is one state.
-	send(&msgInit{Js: []uint32{0}, Encs: [][]byte{[]byte(g.enc(0))}})
-	send(&msgSeal{})
-	if typ := reply(); typ != mtLevelReport {
-		t.Fatalf("seal answered with type %d", typ)
-	}
-	send(&msgExpand{Level: 1, Base: 1 << 24})
-	if typ := reply(); typ != mtFatal {
-		t.Fatalf("an Expand of no slots for a frontier of one answered with type %d, want mtFatal", typ)
-	}
-	if err := <-done; err == nil {
-		t.Fatal("worker returned nil after refusing the Expand")
+	return b
+}
+
+func (b *bareWorker) send(m encoder) {
+	b.t.Helper()
+	typ, payload := m.encode()
+	if err := writeFrame(b.coord, typ, payload); err != nil {
+		b.t.Fatal(err)
 	}
 }
+
+// reply reads the worker's next message other than a heartbeat.
+func (b *bareWorker) reply() (byte, []byte) {
+	b.t.Helper()
+	for {
+		typ, payload, err := readFrame(b.coord)
+		if err != nil {
+			b.t.Fatal(err)
+		}
+		if typ != mtHeartbeat {
+			return typ, payload
+		}
+	}
+}
+
+// refused requires the worker's next message to be a Fatal quoting
+// cause, and the worker to have stopped with an error.
+func (b *bareWorker) refused(cause string) {
+	b.t.Helper()
+	typ, payload := b.reply()
+	m, err := decodeFatal(payload)
+	if typ != mtFatal || err != nil || !strings.Contains(m.Err, cause) {
+		b.t.Fatalf("answered with type %d (%+v, %v), want a Fatal quoting %q", typ, m, err, cause)
+	}
+	if err := <-b.done; err == nil {
+		b.t.Fatal("worker returned nil after its Fatal")
+	}
+}
+
+// TestWorkerRefusesShortExpand: an Expand names a slot for every state
+// of the worker's frontier. A worker refuses one that names fewer with
+// a Fatal, instead of leaving states unexpanded.
+func TestWorkerRefusesShortExpand(t *testing.T) {
+	b := startBareWorker(t, 0, 1)
+	// Level 0: one root, so the worker's frontier is one state. A worker
+	// with no peers seals on its own Expand.
+	b.send(&msgExpand{Roots: []root{{J: 0, Enc: []byte(graphModel{N: 40}.enc(0))}}})
+	if typ, _ := b.reply(); typ != mtLevelReport {
+		t.Fatalf("the level-0 Expand answered with type %d", typ)
+	}
+	b.send(&msgExpand{Level: 1, Base: 1 << 24})
+	b.refused("Expand of 0 slots for a frontier of 1")
+}
+
+// TestWorkerBarrierRefusals: worker 0 of two closes a level on the mesh
+// link from worker 1, played by the test. It ends the level toward
+// worker 1 with the groups it sent, seals once worker 1's End is in, and
+// refuses with a Fatal an End whose count is not the groups received
+// from that sender, a batch behind an End, and a batch or End of a
+// level it has already sealed.
+func TestWorkerBarrierRefusals(t *testing.T) {
+	endFrom := func(t *testing.T, b *bareWorker, frames ...encoder) {
+		t.Helper()
+		conn, err := b.mesh.dial(1, 0, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		for _, m := range frames {
+			typ, payload := m.encode()
+			if err := writeFrame(conn, typ, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	batch := &rawFrame{typ: mtMeshBatch, payload: beginMeshBatch(0, 0).b[5:]}
+	// sealed drives level 0 through its barrier: the worker's own Expand,
+	// then worker 1's End of no groups, answered by the LevelReport.
+	sealed := func(t *testing.T) *bareWorker {
+		b := startBareWorker(t, 0, 2)
+		ln, err := b.mesh.listen(1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		b.send(&msgExpand{})
+		conn, from, _, err := b.mesh.accept(ln)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		typ, payload, err := readFrame(conn)
+		if end, derr := decodeEnd(payload); err != nil || from != 0 || typ != mtMeshEnd || derr != nil || *end != (msgEnd{}) {
+			t.Fatalf("worker 0 ended level 0 with type %d %x from %d (%v), want End(0) of no groups", typ, payload, from, err)
+		}
+		endFrom(t, b, &msgEnd{})
+		if typ, _ := b.reply(); typ != mtLevelReport {
+			t.Fatalf("the sealed level answered with type %d", typ)
+		}
+		return b
+	}
+	t.Run("end-count", func(t *testing.T) {
+		b := startBareWorker(t, 0, 2)
+		endFrom(t, b, &msgEnd{Groups: 1})
+		b.refused("End of 1 groups from worker 1, which sent 0")
+	})
+	t.Run("batch-behind-end", func(t *testing.T) {
+		b := startBareWorker(t, 0, 2)
+		endFrom(t, b, &msgEnd{}, batch)
+		b.refused("mesh frame of level 0 from worker 1, with level 0 open (its End in: true)")
+	})
+	t.Run("batch-of-sealed-level", func(t *testing.T) {
+		b := sealed(t)
+		endFrom(t, b, batch)
+		b.refused("mesh frame of level 0 from worker 1, with level 1 open")
+	})
+	t.Run("end-of-sealed-level", func(t *testing.T) {
+		b := sealed(t)
+		endFrom(t, b, &msgEnd{})
+		b.refused("mesh frame of level 0 from worker 1, with level 1 open")
+	})
+}
+
+// rawFrame is an encoded frame as an encoder.
+type rawFrame struct {
+	typ     byte
+	payload []byte
+}
+
+func (f *rawFrame) encode() (byte, []byte) { return f.typ, f.payload }
 
 func TestDistWorkerCountBounds(t *testing.T) {
 	g := graphModel{N: 10, Target: 10}
@@ -1049,6 +1160,10 @@ func TestSwifiParse(t *testing.T) {
 	}
 	if injs[1].Kind != injStall || injs[1].For != 2*time.Second {
 		t.Fatalf("stall parsed as %+v", injs[1])
+	}
+	// The example of ttamc's -swifi usage.
+	if injs, err := parseSwifi("kill@worker=1@level=5,flakywrite@worker=0@level=3@fails=2"); err != nil || len(injs) != 2 {
+		t.Fatalf("the -swifi usage example parses as %+v, %v", injs, err)
 	}
 	bad := []string{
 		"explode@worker=1@level=1",   // unknown action

@@ -2,9 +2,12 @@ package dist
 
 // peerLink: one outbound mesh connection, fed by the kernel goroutines
 // and drained by a sender goroutine. The queue is unbounded for the
-// same reason as the inbox (no backpressure cycles across the ring);
-// `flush` tokens let the main loop wait until everything enqueued so
-// far is on the wire before declaring it in ExpandDone.
+// same reason as the inbox (no backpressure cycles across the ring).
+// A link is one FIFO stream that is dialed once and never redialed, so
+// the End frame the main loop enqueues behind a level's last batch
+// reaches the destination after every batch of that level: nobody waits
+// for the queue to drain, and the receiver's count of the groups before
+// the End is the whole level's.
 //
 // Failure model: the only way a write fails on a mesh socket is the
 // destination dying, so a failed write marks the link down for good and
@@ -21,18 +24,13 @@ import (
 	"ttastar/internal/retry"
 )
 
-type linkItem struct {
-	fb    *frameBuf
-	flush chan struct{}
-}
-
 type peerLink struct {
 	w    *worker
 	dest int
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	q      []linkItem
+	q      []*frameBuf
 	down   bool
 	closed bool
 
@@ -47,47 +45,22 @@ func newPeerLink(w *worker, dest int) *peerLink {
 }
 
 // enqueue hands a finished frame to the sender; ownership of fb
-// transfers (it is pooled after the write, or on drop).
+// transfers (it is pooled after the write, or on drop). The worker's
+// wire counters count it here, so a LevelReport counts every frame of
+// its level.
 func (l *peerLink) enqueue(fb *frameBuf) {
-	fb.finish()
+	wire := fb.finish()
 	l.mu.Lock()
 	if l.closed || l.down {
 		l.mu.Unlock()
 		putFrame(fb)
 		return
 	}
-	l.q = append(l.q, linkItem{fb: fb})
+	l.w.wireFrames.Add(1)
+	l.w.wireBytes.Add(uint64(len(wire)))
+	l.q = append(l.q, fb)
 	l.cond.Broadcast()
 	l.mu.Unlock()
-}
-
-// flush returns a channel closed once every previously enqueued frame
-// has been written or dropped; nil if the link was never started on
-// anything (idle fast path).
-func (l *peerLink) flush() chan struct{} {
-	l.mu.Lock()
-	if l.closed || len(l.q) == 0 {
-		l.mu.Unlock()
-		return nil
-	}
-	ch := make(chan struct{})
-	l.q = append(l.q, linkItem{flush: ch})
-	l.cond.Broadcast()
-	l.mu.Unlock()
-	return ch
-}
-
-// dropQueueLocked discards queued frames and releases flush waiters.
-func (l *peerLink) dropQueueLocked() {
-	for _, it := range l.q {
-		if it.fb != nil {
-			putFrame(it.fb)
-		}
-		if it.flush != nil {
-			close(it.flush)
-		}
-	}
-	l.q = nil
 }
 
 func (l *peerLink) markDown() {
@@ -109,7 +82,10 @@ func (l *peerLink) shut() {
 		l.conn.Close()
 		l.conn = nil
 	}
-	l.dropQueueLocked()
+	for _, fb := range l.q {
+		putFrame(fb)
+	}
+	l.q = nil
 	l.cond.Broadcast()
 	l.mu.Unlock()
 }
@@ -124,24 +100,20 @@ func (l *peerLink) run() {
 			l.mu.Unlock()
 			return
 		}
-		it := l.q[0]
+		fb := l.q[0]
 		l.q = l.q[1:]
 		down, conn := l.down, l.conn
 		l.mu.Unlock()
 
-		if it.flush != nil {
-			close(it.flush)
-			continue
-		}
 		if down {
-			putFrame(it.fb)
+			putFrame(fb)
 			continue
 		}
 		if conn == nil {
 			c, err := l.w.mesh.dial(l.w.cfg.Index, l.dest, l.w.cfg.Gen, l.w.retired)
 			if err != nil {
 				l.markDown()
-				putFrame(it.fb)
+				putFrame(fb)
 				continue
 			}
 			l.mu.Lock()
@@ -149,7 +121,7 @@ func (l *peerLink) run() {
 				// Shut while dialing.
 				l.mu.Unlock()
 				c.Close()
-				putFrame(it.fb)
+				putFrame(fb)
 				continue
 			}
 			l.conn = c
@@ -160,15 +132,12 @@ func (l *peerLink) run() {
 			if err := l.w.inj.beforeWrite(); err != nil {
 				return err
 			}
-			_, werr := conn.Write(it.fb.b)
+			_, werr := conn.Write(fb.b)
 			return werr
 		})
 		if err != nil {
 			l.markDown()
-		} else {
-			l.w.wireFrames.Add(1)
-			l.w.wireBytes.Add(uint64(len(it.fb.b)))
 		}
-		putFrame(it.fb)
+		putFrame(fb)
 	}
 }

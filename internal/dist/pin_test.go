@@ -30,22 +30,20 @@ func TestWireAndChainFormatsPinned(t *testing.T) {
 		{"config", &msgConfig{Index: 2, Gen: 1, Workers: 3, SpecName: "tta", SpecPayload: `{"n":4}`,
 			Reduced: true, CheckState: false, MaxStates: 1000, Assign: assign, Chain: "c.mc", Restore: "r.mc",
 			MeshName: "mesh", Swifi: "kill@worker=1@level=2", HeartbeatMs: 250}, "0102010303747461077b226e223a347d0100e8070001020001020001020001020001020001020001020001020001020001020001020001020001020001020001020001020001020001020001020001020001020004632e6d6304722e6d63046d657368156b696c6c40776f726b65723d31406c6576656c3d32fa01"},
-		{"expand", &msgExpand{Level: 3, Base: 1 << 40, ID: 300, Slots: []uint32{0, 127, 128, 1 << 20}}, "0203808080808020ac0204007f8001808040"},
-		{"init", &msgInit{Js: []uint32{0, 5}, Encs: [][]byte{[]byte("ab"), {}}}, "0302000261620500"},
-		{"seal", &msgSeal{Level: 4, Seq: 9, Expect: []expectCount{{Sender: 0, Groups: 0}, {Sender: 2, Groups: 1 << 33}}}, "040409020000028080808020"},
+		{"expand", &msgExpand{Level: 3, Base: 1 << 40, Slots: []uint32{0, 127, 128, 1 << 20}}, "020380808080802004007f800180804000"},
+		{"expand0", &msgExpand{Roots: []root{{J: 0, Enc: []byte("ab")}, {J: 5, Enc: []byte{}}}}, "0200000002000261620500"},
 		{"tracequery", &msgTraceQuery{ByRef: true, Ref: 0xdeadbeef, Enc: []byte{0, 0xff}}, "0501effdb6f50d0200ff"},
 		{"stop", &msgStop{}, "06"},
 		{"hello", &msgHello{Index: 1, Err: "no spec", States: 12345, Resident: 1 << 30}, "0701076e6f2073706563b9608080808004"},
-		{"expanddone", &msgExpandDone{Level: 2, ID: 7, Counts: []uint32{3, 0, 200},
-			SentTo: []sentCount{{Dest: 1, Groups: 5}}, HasViol: true, ViolKey: 1<<48 + 3,
-			ViolFrom: []byte("from"), ViolTo: []byte("to")}, "080207030300c80101010501838080808080400466726f6d02746f"},
-		{"report", &msgLevelReport{Level: 5, Seq: 11, Keys: []uint64{3, 130, 1 << 35},
+		{"report", &msgLevelReport{Level: 5, Counts: []uint32{3, 0, 200}, HasViol: true, ViolKey: 1<<48 + 3,
+			ViolFrom: []byte("from"), ViolTo: []byte("to"), Keys: []uint64{3, 130, 1 << 35},
 			StViolKeys: []uint64{130}, StViolEncs: [][]byte{[]byte("bad")}, States: 77, Resident: 4096,
-			Full: true, WireFrames: 19, WireBytes: 1 << 22}, "09050b03037ffefeffff7f018201036261644d8020011380808002"},
+			Full: true, WireFrames: 19, WireBytes: 1 << 22}, "0905030300c80101838080808080400466726f6d02746f03037ffefeffff7f018201036261644d8020011380808002"},
 		{"tracereply", &msgTraceReply{Found: true, HasParent: false, Parent: 64, Enc: []byte("st")}, "0a010040027374"},
 		{"heartbeat", &msgHeartbeat{}, "0b"},
 		{"bye", &msgBye{WireFrames: 300, WireBytes: 1 << 20}, "0cac02808040"},
 		{"fatal", &msgFatal{Err: "level 3: barrier files: boom"}, "0d1c6c6576656c20333a20626172726965722066696c65733a20626f6f6d"},
+		{"end", &msgEnd{Level: 4, Groups: 1 << 33}, "0f048080808020"},
 	}
 	for _, tc := range msgs {
 		typ, payload := tc.m.encode()

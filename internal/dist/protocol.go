@@ -1,22 +1,23 @@
 // Package dist is the crash-tolerant multi-process exploration layer: a
 // coordinator/worker protocol that partitions the visited set by the
 // engine's shard hash across OS processes, exchanges frontier batches in
-// the packed state encoding, and synchronizes on level barriers at the
-// coordinator.
+// the packed state encoding, and closes every level barrier on the mesh
+// links themselves.
 //
 // Topology is a control-plane/data-plane split. The coordinator star
-// carries only control traffic — config, expand commands, level
-// barriers, heartbeats — while successor batches flow
+// carries only control traffic — config, one Expand and one LevelReport
+// per worker and level, heartbeats — while successor batches flow
 // point-to-point over an N×(N−1) worker↔worker mesh (mesh.go), routed
-// by the 64-shard hash. The star's barrier property is preserved by
-// counting instead of observing: a sender declares in its mtExpandDone
-// how many groups it generated for each destination, the coordinator
-// sums the declarations into each mtSeal's Expect list, and a worker
-// closes a level only once its per-sender receive counts match. Crash
-// recovery is central too: on any worker death the coordinator restarts
-// the whole fleet, one generation on, from the last closed level
-// barrier — the checkpoint chain's manifest — and redoes the
-// interrupted level (recover.go).
+// by the 64-shard hash. Each mesh link is one FIFO socket per sender and
+// destination that is never redialed, so a worker closes its own
+// barrier: behind its last batch of a level it sends each peer an End
+// frame naming the level and the groups it sent that peer, and it seals
+// the level once its own Expand is done and every peer's End is in,
+// each End's count matching the groups received from that sender. Crash
+// recovery is central: on any worker death the coordinator restarts the
+// whole fleet, one generation on, from the last closed level barrier —
+// the checkpoint chain's manifest — and redoes the interrupted level
+// (recover.go).
 //
 // Determinism is the engine's own argument extended across process
 // boundaries: every successor carries the claim key the serial sweep
@@ -63,23 +64,20 @@ import (
 // steady state is allocation-free.
 
 // Message types. Control (C→W, W→C) and mesh (W→W) share one tag space.
+// A retired tag (3, 4 and 8) is never reused.
 const (
-	mtConfig     byte = iota + 1 // C→W: identity, model spec, shard map
-	mtExpand                     // C→W: expand a slice of the frontier
-	mtInit                       // C→W: level-0 initial-state claims for your shards
-	mtSeal                       // C→W: level complete once Expect counts match
-	mtTraceQuery                 // C→W: resolve a state's trace parent
-	mtStop                       // C→W: shut down
-
-	mtHello       // W→C: Config processed, ready
-	mtExpandDone  // W→C: per-slot counts, per-destination declarations, violation candidate
-	mtLevelReport // W→C: claimed keys, state-invariant violations, totals
-	mtTraceReply  // W→C: TraceQuery answer
-	mtHeartbeat   // W→C: liveness (sent from a side goroutine)
-	mtBye         // W→C: final counters, shutting down
-	mtFatal       // W→C: unrecoverable worker error
-
-	mtMeshBatch // W→W: successor claim groups for the receiver's shards
+	mtConfig      byte = 1  // C→W: identity, model spec, shard map
+	mtExpand      byte = 2  // C→W: expand your frontier (level 0: claim your roots)
+	mtTraceQuery  byte = 5  // C→W: resolve a state's trace parent
+	mtStop        byte = 6  // C→W: shut down
+	mtHello       byte = 7  // W→C: Config processed, ready
+	mtLevelReport byte = 9  // W→C: the sealed level: counts, violations, claimed keys, totals
+	mtTraceReply  byte = 10 // W→C: TraceQuery answer
+	mtHeartbeat   byte = 11 // W→C: liveness (sent from a side goroutine)
+	mtBye         byte = 12 // W→C: final counters, shutting down
+	mtFatal       byte = 13 // W→C: unrecoverable worker error
+	mtMeshBatch   byte = 14 // W→W: successor claim groups for the receiver's shards
+	mtMeshEnd     byte = 15 // W→W: the sender's last batch of a level is in
 )
 
 // maxFrame bounds a single frame so a corrupt length prefix cannot ask
@@ -164,13 +162,18 @@ func (fb *frameBuf) finish() []byte {
 	return fb.b
 }
 
+// frameOf assembles one frame, header and payload, in a pooled buffer.
+func frameOf(typ byte, payload []byte) *frameBuf {
+	fb := grabFrame(5 + len(payload))
+	fb.b = append(append(fb.b, 0, 0, 0, 0, typ), payload...)
+	return fb
+}
+
 func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	// Assemble header+payload in a pooled buffer and write once: a frame
 	// is never interleaved even on a shared stream, and the send path
 	// does not allocate.
-	fb := grabFrame(5 + len(payload))
-	fb.b = append(fb.b, 0, 0, 0, 0, typ)
-	fb.b = append(fb.b, payload...)
+	fb := frameOf(typ, payload)
 	_, err := w.Write(fb.finish())
 	putFrame(fb)
 	return err
@@ -230,8 +233,8 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 // a group are strictly ascending (the serial sweep order), so they are
 // delta-coded; the first delta is the absolute index. Shard and
 // has-parent markers are dropped from the wire: the receiver owns
-// whatever arrives, and mesh groups always have parents (roots are
-// routed at level 0 over the control plane).
+// whatever arrives, and mesh groups always have parents (roots reach
+// their owners in the level-0 Expand).
 
 // beginMeshBatch starts an mtMeshBatch frame in a pooled buffer: 4-byte
 // length placeholder, type byte, header, then groups appended raw;
@@ -299,6 +302,25 @@ func walkMeshGroups(p []byte, visit func(slot, parent, j uint32, enc []byte)) (g
 	return groups, nil
 }
 
+// msgEnd closes a sender's share of a level on one mesh link: it
+// follows the sender's last batch of the level, and Groups is the number
+// of groups those batches carried. The link is FIFO, so on arrival the
+// receiver must hold exactly Groups groups from the sender.
+type msgEnd struct {
+	Level  int32
+	Groups uint64
+}
+
+func (m *msgEnd) encode() (byte, []byte) {
+	return mtMeshEnd, codec.AppendUvarint(nil, uint64(uint32(m.Level)), m.Groups)
+}
+
+func decodeEnd(p []byte) (*msgEnd, error) {
+	r := codec.NewReader(p, errBadFrame)
+	m := &msgEnd{Level: int32(uint32(r.Uvarint())), Groups: r.Uvarint()}
+	return m, r.Done()
+}
+
 // msgConfig initializes a worker: identity, the model spec to rebuild,
 // the invariant kind to check, the shard ownership map, the checkpoint
 // chain it writes its barrier files to and the one it restores from, the
@@ -344,93 +366,43 @@ func decodeConfig(p []byte) (*msgConfig, error) {
 // msgExpand asks a worker to expand its whole frontier: Slots[i] is the
 // global frontier slot of its i-th state, so claim keys are
 // Base + Slots[i]<<24 + j. A worker refuses an Expand whose slot count
-// is not its frontier's.
+// is not its frontier's. The level-0 Expand has no slots: it carries the
+// initial states the worker owns, root J claimed under key J.
 type msgExpand struct {
 	Level int32
 	Base  uint64
-	ID    uint32
 	Slots []uint32
+	Roots []root
+}
+
+// root is one initial state: its index and encoding.
+type root struct {
+	J   uint32
+	Enc []byte
 }
 
 func (m *msgExpand) encode() (byte, []byte) {
-	b := codec.AppendUvarint(nil, uint64(uint32(m.Level)), m.Base, uint64(m.ID), uint64(len(m.Slots)))
+	b := codec.AppendUvarint(nil, uint64(uint32(m.Level)), m.Base, uint64(len(m.Slots)))
 	for _, s := range m.Slots {
 		b = codec.AppendUvarint(b, uint64(s))
+	}
+	b = codec.AppendUvarint(b, uint64(len(m.Roots)))
+	for _, r := range m.Roots {
+		b = codec.AppendBytes(codec.AppendUvarint(b, uint64(r.J)), r.Enc)
 	}
 	return mtExpand, b
 }
 
 func decodeExpand(p []byte) (*msgExpand, error) {
 	r := codec.NewReader(p, errBadFrame)
-	m := &msgExpand{Level: int32(uint32(r.Uvarint())), Base: r.Uvarint(), ID: uint32(r.Uvarint())}
+	m := &msgExpand{Level: int32(uint32(r.Uvarint())), Base: r.Uvarint()}
 	m.Slots = make([]uint32, r.Count())
 	for i := range m.Slots {
 		m.Slots[i] = uint32(r.Uvarint())
 	}
-	return m, r.Done()
-}
-
-// msgInit delivers the level-0 roots of one shard to its owner over the
-// control plane (again to each fleet generation that redoes level 0);
-// all expansion traffic rides the mesh
-// (mtMeshBatch). Initial state Js[k] has encoding Encs[k] and is claimed
-// under key Js[k].
-type msgInit struct {
-	Js   []uint32
-	Encs [][]byte
-}
-
-func (m *msgInit) encode() (byte, []byte) {
-	b := codec.AppendUvarint(nil, uint64(len(m.Js)))
-	for k, j := range m.Js {
-		b = codec.AppendBytes(codec.AppendUvarint(b, uint64(j)), m.Encs[k])
-	}
-	return mtInit, b
-}
-
-func decodeInit(p []byte) (*msgInit, error) {
-	r := codec.NewReader(p, errBadFrame)
-	n := r.Count()
-	m := &msgInit{Js: make([]uint32, n), Encs: make([][]byte, n)}
-	for i := range m.Js {
-		m.Js[i], m.Encs[i] = uint32(r.Uvarint()), r.Bytes()
-	}
-	return m, r.Done()
-}
-
-// msgSeal tells a worker every sender has declared its mesh traffic for
-// Level: once the worker's receive counts reach every Expect entry it
-// can close the level — drain its claims, write its barrier files, and
-// send its mtLevelReport (stamped with Seq so the coordinator can match
-// it).
-type msgSeal struct {
-	Level  int32
-	Seq    uint32
-	Expect []expectCount
-}
-
-// expectCount is one sender's declared group count for the sealed
-// level. Only frames of the receiver's own fleet generation count: a
-// worker refuses mesh connections from any other.
-type expectCount struct {
-	Sender int
-	Groups uint64
-}
-
-func (m *msgSeal) encode() (byte, []byte) {
-	b := codec.AppendUvarint(nil, uint64(uint32(m.Level)), uint64(m.Seq), uint64(len(m.Expect)))
-	for _, e := range m.Expect {
-		b = codec.AppendUvarint(b, uint64(e.Sender), e.Groups)
-	}
-	return mtSeal, b
-}
-
-func decodeSeal(p []byte) (*msgSeal, error) {
-	r := codec.NewReader(p, errBadFrame)
-	m := &msgSeal{Level: int32(uint32(r.Uvarint())), Seq: uint32(r.Uvarint())}
-	m.Expect = make([]expectCount, r.Count())
-	for i := range m.Expect {
-		m.Expect[i] = expectCount{Sender: int(r.Uvarint()), Groups: r.Uvarint()}
+	m.Roots = make([]root, r.Count())
+	for i := range m.Roots {
+		m.Roots[i] = root{J: uint32(r.Uvarint()), Enc: r.Bytes()}
 	}
 	return m, r.Done()
 }
@@ -481,79 +453,41 @@ func decodeHello(p []byte) (*msgHello, error) {
 	return m, r.Done()
 }
 
-// msgExpandDone closes one msgExpand: Counts[i] is the successor count
-// of Slots[i] (the serial sweep's per-slot transition count), SentTo
-// declares how many mesh groups this expansion generated per
-// destination (all of them flush-synced to the wire before this message
-// was sent), and the optional violation candidate is the worker's lowest-keyed
-// transition-invariant violation (ViolFrom/ViolTo are the raw from/to
-// encodings — ViolTo pre-canonicalization, exactly what the engine
-// reports).
-type msgExpandDone struct {
-	Level    int32
-	ID       uint32
-	Counts   []uint32
-	SentTo   []sentCount
-	HasViol  bool
-	ViolKey  uint64
-	ViolFrom []byte
-	ViolTo   []byte
-}
-
-// sentCount is one destination's generated-group declaration.
-type sentCount struct {
-	Dest   int
-	Groups uint64
-}
-
-func (m *msgExpandDone) encode() (byte, []byte) {
-	b := codec.AppendUvarint(nil, uint64(uint32(m.Level)), uint64(m.ID), uint64(len(m.Counts)))
-	for _, c := range m.Counts {
-		b = codec.AppendUvarint(b, uint64(c))
-	}
-	b = codec.AppendUvarint(b, uint64(len(m.SentTo)))
-	for _, s := range m.SentTo {
-		b = codec.AppendUvarint(b, uint64(s.Dest), s.Groups)
-	}
-	b = codec.AppendUvarint(b, flag(m.HasViol), m.ViolKey)
-	return mtExpandDone, codec.AppendBytes(codec.AppendBytes(b, m.ViolFrom), m.ViolTo)
-}
-
-func decodeExpandDone(p []byte) (*msgExpandDone, error) {
-	r := codec.NewReader(p, errBadFrame)
-	m := &msgExpandDone{Level: int32(uint32(r.Uvarint())), ID: uint32(r.Uvarint())}
-	m.Counts = make([]uint32, r.Count())
-	for i := range m.Counts {
-		m.Counts[i] = uint32(r.Uvarint())
-	}
-	m.SentTo = make([]sentCount, r.Count())
-	for i := range m.SentTo {
-		m.SentTo[i] = sentCount{Dest: int(r.Uvarint()), Groups: r.Uvarint()}
-	}
-	m.HasViol, m.ViolKey, m.ViolFrom, m.ViolTo = r.Byte() != 0, r.Uvarint(), r.Bytes(), r.Bytes()
-	return m, r.Done()
-}
-
-// msgLevelReport closes a worker's level: the final (min-key)
-// claim keys of the states it admitted this level in ascending order
-// (delta-encoded), any state-invariant violations with their final keys,
-// totals, and the worker process's cumulative wire counters. It is sent
-// once the worker's barrier files of the level are written.
+// msgLevelReport is a worker's sealed level: Counts[i] is the successor
+// count of its Expand's Slots[i] (the serial sweep's per-slot transition
+// count); the optional transition-invariant violation candidate is its
+// lowest-keyed one (ViolFrom/ViolTo are the raw from/to encodings —
+// ViolTo pre-canonicalization, exactly what the engine reports); then
+// the final (min-key) claim keys of the states it admitted this level in
+// ascending order (delta-encoded), any state-invariant violations with
+// their final keys, totals, and the worker process's cumulative wire
+// counters. It is sent once the worker's barrier files of the level are
+// written.
 type msgLevelReport struct {
 	Level      int32
-	Seq        uint32 // the executed seal's sequence number
+	Counts     []uint32
+	HasViol    bool
+	ViolKey    uint64
+	ViolFrom   []byte
+	ViolTo     []byte
 	Keys       []uint64
 	StViolKeys []uint64
 	StViolEncs [][]byte
 	States     int64
 	Resident   int64
 	Full       bool
-	WireFrames uint64 // cumulative frames this worker process has written
-	WireBytes  uint64 // cumulative bytes this worker process has written
+	WireFrames uint64 // cumulative frames this worker process has sent
+	WireBytes  uint64 // cumulative bytes this worker process has sent
 }
 
 func (m *msgLevelReport) encode() (byte, []byte) {
-	b := codec.AppendUvarint(nil, uint64(uint32(m.Level)), uint64(m.Seq), uint64(len(m.Keys)))
+	b := codec.AppendUvarint(nil, uint64(uint32(m.Level)), uint64(len(m.Counts)))
+	for _, c := range m.Counts {
+		b = codec.AppendUvarint(b, uint64(c))
+	}
+	b = codec.AppendUvarint(b, flag(m.HasViol), m.ViolKey)
+	b = codec.AppendBytes(codec.AppendBytes(b, m.ViolFrom), m.ViolTo)
+	b = codec.AppendUvarint(b, uint64(len(m.Keys)))
 	prev := uint64(0)
 	for _, k := range m.Keys {
 		b = codec.AppendUvarint(b, k-prev)
@@ -569,7 +503,12 @@ func (m *msgLevelReport) encode() (byte, []byte) {
 
 func decodeLevelReport(p []byte) (*msgLevelReport, error) {
 	r := codec.NewReader(p, errBadFrame)
-	m := &msgLevelReport{Level: int32(uint32(r.Uvarint())), Seq: uint32(r.Uvarint())}
+	m := &msgLevelReport{Level: int32(uint32(r.Uvarint()))}
+	m.Counts = make([]uint32, r.Count())
+	for i := range m.Counts {
+		m.Counts[i] = uint32(r.Uvarint())
+	}
+	m.HasViol, m.ViolKey, m.ViolFrom, m.ViolTo = r.Byte() != 0, r.Uvarint(), r.Bytes(), r.Bytes()
 	m.Keys = make([]uint64, r.Count())
 	prev := uint64(0)
 	for i := range m.Keys {

@@ -55,20 +55,18 @@ func TestProtocolRoundTrips(t *testing.T) {
 		t.Fatalf("config mismatch:\n got %+v\nwant %+v", got, cfg)
 	}
 
-	exp := &msgExpand{Level: 7, Base: 1 << 40, ID: 42, Slots: []uint32{0, 3, 1 << 20}}
-	if got := roundTrip(t, exp, func(p []byte) (any, error) { return decodeExpand(p) }, mtExpand); !reflect.DeepEqual(got, exp) {
-		t.Fatalf("expand mismatch:\n got %+v\nwant %+v", got, exp)
+	for _, exp := range []*msgExpand{
+		{Level: 7, Base: 1 << 40, Slots: []uint32{0, 3, 1 << 20}, Roots: []root{}},
+		{Level: 0, Slots: []uint32{}, Roots: []root{{J: 0, Enc: []byte("s0")}, {J: 2, Enc: []byte("s2")}, {J: 1 << 20, Enc: []byte("x")}}},
+	} {
+		if got := roundTrip(t, exp, func(p []byte) (any, error) { return decodeExpand(p) }, mtExpand); !reflect.DeepEqual(got, exp) {
+			t.Fatalf("expand mismatch:\n got %+v\nwant %+v", got, exp)
+		}
 	}
 
-	roots := &msgInit{Js: []uint32{0, 2, 1 << 20}, Encs: [][]byte{[]byte("s0"), []byte("s2"), []byte("x")}}
-	if got := roundTrip(t, roots, func(p []byte) (any, error) { return decodeInit(p) }, mtInit); !reflect.DeepEqual(got, roots) {
-		t.Fatalf("init mismatch:\n got %+v\nwant %+v", got, roots)
-	}
-
-	seal := &msgSeal{Level: 4, Seq: 17,
-		Expect: []expectCount{{Sender: 0, Groups: 1 << 40}, {Sender: 4, Groups: 3}}}
-	if got := roundTrip(t, seal, func(p []byte) (any, error) { return decodeSeal(p) }, mtSeal); !reflect.DeepEqual(got, seal) {
-		t.Fatalf("seal mismatch: %+v", got)
+	end := &msgEnd{Level: 4, Groups: 1 << 40}
+	if got := roundTrip(t, end, func(p []byte) (any, error) { return decodeEnd(p) }, mtMeshEnd); !reflect.DeepEqual(got, end) {
+		t.Fatalf("end mismatch: %+v", got)
 	}
 
 	for _, tq := range []*msgTraceQuery{{Enc: []byte("state-enc")}, {ByRef: true, Ref: 0xfedcba98, Enc: []byte{}}} {
@@ -82,14 +80,9 @@ func TestProtocolRoundTrips(t *testing.T) {
 		t.Fatalf("hello mismatch: %+v", got)
 	}
 
-	ed := &msgExpandDone{Level: 3, ID: 9, Counts: []uint32{4, 0, 17},
-		SentTo:  []sentCount{{Dest: 0, Groups: 12}, {Dest: 2, Groups: 1 << 33}},
-		HasViol: true, ViolKey: 123456, ViolFrom: []byte("from"), ViolTo: []byte("to")}
-	if got := roundTrip(t, ed, func(p []byte) (any, error) { return decodeExpandDone(p) }, mtExpandDone); !reflect.DeepEqual(got, ed) {
-		t.Fatalf("expand done mismatch:\n got %+v\nwant %+v", got, ed)
-	}
-
-	lr := &msgLevelReport{Level: 6, Seq: 42, Keys: []uint64{10, 11, 500, 1 << 30},
+	lr := &msgLevelReport{Level: 6, Counts: []uint32{4, 0, 17},
+		HasViol: true, ViolKey: 123456, ViolFrom: []byte("from"), ViolTo: []byte("to"),
+		Keys:       []uint64{10, 11, 500, 1 << 30},
 		StViolKeys: []uint64{77}, StViolEncs: [][]byte{[]byte("bad")},
 		States: 12345, Resident: 1 << 22, Full: true,
 		WireFrames: 4096, WireBytes: 1 << 34}
@@ -180,14 +173,13 @@ func TestProtocolRejectsDamage(t *testing.T) {
 			func(p []byte) error { _, err := decodeConfig(p); return err }},
 		{"expand", &msgExpand{Level: 2, Slots: []uint32{1, 2, 3}},
 			func(p []byte) error { _, err := decodeExpand(p); return err }},
-		{"seal", &msgSeal{Level: 3, Seq: 9, Expect: []expectCount{{Sender: 1, Groups: 7}}},
-			func(p []byte) error { _, err := decodeSeal(p); return err }},
-		{"init", &msgInit{Js: []uint32{0}, Encs: [][]byte{[]byte("e")}},
-			func(p []byte) error { _, err := decodeInit(p); return err }},
-		{"report", &msgLevelReport{Level: 1, Keys: []uint64{5, 6}, States: 2},
+		{"expand-roots", &msgExpand{Roots: []root{{J: 0, Enc: []byte("e")}, {J: 4, Enc: []byte("fg")}}},
+			func(p []byte) error { _, err := decodeExpand(p); return err }},
+		{"end", &msgEnd{Level: 3, Groups: 300},
+			func(p []byte) error { _, err := decodeEnd(p); return err }},
+		{"report", &msgLevelReport{Level: 1, Counts: []uint32{1}, HasViol: true, ViolFrom: []byte("f"), ViolTo: []byte("t"),
+			Keys: []uint64{5, 6}, States: 2},
 			func(p []byte) error { _, err := decodeLevelReport(p); return err }},
-		{"expanddone", &msgExpandDone{Level: 1, Counts: []uint32{1}, ViolFrom: []byte("f"), ViolTo: []byte("t")},
-			func(p []byte) error { _, err := decodeExpandDone(p); return err }},
 	}
 	for _, tc := range msgs {
 		_, payload := tc.m.encode()
@@ -245,19 +237,18 @@ func TestFrameLengthGuard(t *testing.T) {
 	}
 }
 
-// controlDecoders lists every control-message decoder, each returning
-// its message as an encoder so a decoded value can be re-encoded.
+// controlDecoders lists every control-message decoder and the mesh
+// End's, each returning its message as an encoder so a decoded value
+// can be re-encoded.
 var controlDecoders = []struct {
 	name   string
 	decode func([]byte) (encoder, error)
 }{
 	{"config", func(p []byte) (encoder, error) { return decodeConfig(p) }},
 	{"expand", func(p []byte) (encoder, error) { return decodeExpand(p) }},
-	{"init", func(p []byte) (encoder, error) { return decodeInit(p) }},
-	{"seal", func(p []byte) (encoder, error) { return decodeSeal(p) }},
 	{"tracequery", func(p []byte) (encoder, error) { return decodeTraceQuery(p) }},
 	{"hello", func(p []byte) (encoder, error) { return decodeHello(p) }},
-	{"expanddone", func(p []byte) (encoder, error) { return decodeExpandDone(p) }},
+	{"end", func(p []byte) (encoder, error) { return decodeEnd(p) }},
 	{"report", func(p []byte) (encoder, error) { return decodeLevelReport(p) }},
 	{"tracereply", func(p []byte) (encoder, error) { return decodeTraceReply(p) }},
 	{"bye", func(p []byte) (encoder, error) { return decodeBye(p) }},
@@ -274,15 +265,14 @@ func FuzzDecodeControl(f *testing.F) {
 	seeds := []encoder{
 		&msgConfig{Index: 1, Gen: 2, Workers: 3, SpecName: "tta", SpecPayload: "{}", Reduced: true,
 			MaxStates: 9, Assign: assign, Chain: "c.mc", Restore: "c.mc", Swifi: "kill@worker=1@level=2"},
-		&msgExpand{Level: 3, Base: 1 << 30, ID: 4, Slots: []uint32{0, 7}},
-		&msgInit{Js: []uint32{0, 3}, Encs: [][]byte{[]byte("a"), []byte("bc")}},
-		&msgSeal{Level: 2, Seq: 5, Expect: []expectCount{{Sender: 1, Groups: 8}}},
+		&msgExpand{Level: 3, Base: 1 << 30, Slots: []uint32{0, 7}},
+		&msgExpand{Roots: []root{{J: 0, Enc: []byte("a")}, {J: 3, Enc: []byte("bc")}}},
+		&msgEnd{Level: 2, Groups: 8},
 		&msgTraceQuery{ByRef: true, Ref: 0x41, Enc: []byte("enc")},
 		&msgHello{Index: 1, Err: "x", States: 3, Resident: 4},
-		&msgExpandDone{Level: 1, ID: 2, Counts: []uint32{3}, SentTo: []sentCount{{Dest: 1, Groups: 2}},
-			HasViol: true, ViolKey: 9, ViolFrom: []byte("f"), ViolTo: []byte("t")},
-		&msgLevelReport{Level: 1, Seq: 2, Keys: []uint64{4, 9}, StViolKeys: []uint64{4},
-			StViolEncs: [][]byte{[]byte("s")}, States: 5, Full: true},
+		&msgLevelReport{Level: 1, Counts: []uint32{3}, HasViol: true, ViolKey: 9, ViolFrom: []byte("f"), ViolTo: []byte("t"),
+			Keys: []uint64{4, 9}, StViolKeys: []uint64{4}, StViolEncs: [][]byte{[]byte("s")}, States: 5, Full: true},
+		&msgLevelReport{Level: 2, Counts: []uint32{0, 5}, Keys: []uint64{1 << 24}, States: 6},
 		&msgTraceReply{Found: true, HasParent: true, Parent: 0x81, Enc: []byte("p")},
 		&msgBye{WireFrames: 7},
 		&msgFatal{Err: "boom"},

@@ -6,11 +6,13 @@ package dist
 // the whole fleet and restarts it, one generation on, from the last
 // closed barrier — L−1 while level L runs, since the manifest closing L
 // is renamed only once every level-L report is in (search.go) — then
-// redoes level L: every index restores from that manifest, level 0's
-// inits are re-sent when L = 0, and level L's Expands go to the whole
-// fleet with fresh accounting. Claims carry position-derived keys, so the
-// redo is deterministic: the level's files come out byte-identical to the
-// ones a first attempt may have written, and the verdict is untouched.
+// redoes level L: every index restores from that manifest and gets level
+// L's Expand again (at L = 0, with its initial states). The new
+// generation's mesh links are new, so its End frames close the redone
+// level from scratch; a retired worker cannot dial them. Claims carry
+// position-derived keys, so the redo is deterministic: the level's files
+// come out byte-identical to the ones a first attempt may have written,
+// and the verdict is untouched.
 //
 // A death is a broken or silent connection, or a worker's msgFatal. A
 // worker whose barrier files still fail to write after its retries, or
@@ -85,12 +87,6 @@ func (c *coordinator) dispatch(w *workerState, typ byte, payload []byte) error {
 		}
 		w.helloed = true
 		w.states, w.resident = m.States, m.Resident
-	case mtExpandDone:
-		m, err := decodeExpandDone(payload)
-		if err != nil {
-			return fmt.Errorf("dist: worker %d: %w", w.index, err)
-		}
-		return c.onExpandDone(w, m)
 	case mtLevelReport:
 		m, err := decodeLevelReport(payload)
 		if err != nil {
@@ -110,41 +106,28 @@ func (c *coordinator) dispatch(w *workerState, typ byte, payload []byte) error {
 	return nil
 }
 
-func (c *coordinator) onExpandDone(w *workerState, m *msgExpandDone) error {
-	if wi, ok := c.pending[m.ID]; !ok || wi != w.index {
-		return fmt.Errorf("dist: worker %d: ExpandDone for expand %d, which it does not owe", w.index, m.ID)
+// onReport books worker w's report of the current level: its slots'
+// successor counts, its violation candidates and its share of the next
+// frontier.
+func (c *coordinator) onReport(w *workerState, m *msgLevelReport) error {
+	w.wireFramesCur = m.WireFrames
+	w.wireBytesCur = m.WireBytes
+	if m.Level != c.level || w.reported {
+		return fmt.Errorf("dist: worker %d: level %d report with no Expand outstanding", w.index, m.Level)
 	}
-	delete(c.pending, m.ID)
 	slots := c.slots[w.index]
 	if len(m.Counts) != len(slots) {
-		return fmt.Errorf("dist: worker %d: expand %d returned %d counts for %d slots",
-			w.index, m.ID, len(m.Counts), len(slots))
+		return fmt.Errorf("dist: worker %d: level %d report of %d counts for %d slots",
+			w.index, m.Level, len(m.Counts), len(slots))
 	}
 	for i, s := range slots {
 		c.counts[s] = int(m.Counts[i])
 	}
-	// Fold the declared mesh-group counts into the barrier accounting.
-	for _, st := range m.SentTo {
-		if st.Dest < 0 || st.Dest >= len(c.acc) {
-			return fmt.Errorf("dist: worker %d declared groups for worker %d, which does not exist",
-				w.index, st.Dest)
-		}
-		c.acc[st.Dest][w.index] += st.Groups
-	}
 	if m.HasViol && (c.trBest == nil || m.ViolKey < c.trBest.key) {
 		c.trBest = &distViol{key: m.ViolKey, from: m.ViolFrom, to: m.ViolTo}
 	}
-	return nil
-}
-
-func (c *coordinator) onReport(w *workerState, m *msgLevelReport) error {
-	w.wireFramesCur = m.WireFrames
-	w.wireBytesCur = m.WireBytes
-	if m.Level != c.level || w.seg == nil || w.seg.filled || w.seg.seq != m.Seq {
-		return fmt.Errorf("dist: worker %d: level %d report (seq %d) with no seal outstanding", w.index, m.Level, m.Seq)
-	}
-	w.seg.keys = m.Keys
-	w.seg.filled = true
+	w.keys = m.Keys
+	w.reported = true
 	w.states = m.States
 	w.resident = m.Resident
 	if m.Full {

@@ -1,10 +1,10 @@
 package dist
 
 // The coordinator as an mc.LevelBackend: mc's search loop decides, the
-// coordinator runs each level's barrier across the fleet. Admission
-// routes the initial states to their shard owners as init claims;
-// Expand issues the level's Expands and collects its barrier; NextLevel
-// closes the barrier into the next frontier.
+// coordinator runs each level across the fleet. Admission routes the
+// initial states to their shard owners, whose level-0 Expands carry
+// them; Expand issues the level's Expands and collects their reports;
+// NextLevel closes the barrier into the next frontier.
 
 import (
 	"fmt"
@@ -15,8 +15,8 @@ import (
 )
 
 // AdmitInitial dedups initial state i at the coordinator, charges it to
-// the state budget and queues it for its shard owner as an init claim
-// with key i.
+// the state budget and queues it for its shard owner's level-0 Expand,
+// to be claimed with key i.
 func (c *coordinator) AdmitInitial(enc []byte, i int) mc.ClaimStatus {
 	c.next = mc.ClaimKey(0, i+1, 0)
 	if _, dup := c.initSeen[string(enc)]; dup {
@@ -26,19 +26,13 @@ func (c *coordinator) AdmitInitial(enc []byte, i int) mc.ClaimStatus {
 		return mc.ClaimFull
 	}
 	c.initSeen[string(enc)] = struct{}{}
-	shard := mc.ShardOf(mc.HashState(enc))
-	g := c.inits[shard]
-	if g == nil {
-		g = &msgInit{}
-		c.inits[shard] = g
-	}
-	g.Js = append(g.Js, uint32(i))
-	g.Encs = append(g.Encs, enc)
+	w := c.assign[mc.ShardOf(mc.HashState(enc))]
+	c.roots[w] = append(c.roots[w], root{J: uint32(i), Enc: enc})
 	return mc.ClaimNew
 }
 
 // NextLevel closes the current level's barrier. At level 0 it first
-// ships the admitted initial states and collects their barrier.
+// issues the level, which claims the admitted initial states.
 func (c *coordinator) NextLevel() (int, error) {
 	if c.initSeen != nil {
 		c.initSeen = nil
@@ -69,7 +63,7 @@ func (c *coordinator) Expand(base uint64) (mc.Level, error) {
 func (c *coordinator) StatesBefore(limit uint64) int {
 	n := c.States()
 	for _, w := range c.workers {
-		for _, k := range w.seg.keys {
+		for _, k := range w.keys {
 			if k >= limit {
 				n--
 			}
@@ -117,37 +111,26 @@ func (c *coordinator) startLevel(level int32, base uint64) {
 	c.issueLevel()
 }
 
-// issueLevel starts the current level's accounting afresh and issues
-// the level to the fleet: its Expands — one per worker, empty slot
-// lists included, so SWIFI level triggers fire on idle workers too —
-// or, at level 0, each shard's admitted initial states to its owner
-// (once admission is over). A recovery calls it again to redo the
-// level on a new generation.
+// issueLevel starts the current level's accounting afresh and sends
+// every worker its Expand — empty slot lists included, so SWIFI level
+// triggers fire on idle workers too; at level 0 each carries the
+// worker's admitted initial states, once admission is over. A recovery
+// calls it again to redo the level on a new generation.
 func (c *coordinator) issueLevel() {
-	c.acc = make([][]uint64, c.o.Workers)
-	for i := range c.acc {
-		c.acc[i] = make([]uint64, c.o.Workers)
-	}
-	c.pending = map[uint32]int{}
 	c.counts = make([]int, c.frontierLen)
-	c.sealed = false
 	c.anyFull = false
 	c.trBest = nil
 	c.stViols = nil
-	for _, w := range c.workers {
-		w.seg = nil
-		if c.level > 0 {
-			c.pending[c.nextID] = w.index
-			c.sendTo(w, &msgExpand{Level: c.level, Base: c.base, ID: c.nextID, Slots: c.slots[w.index]})
-			c.nextID++
-		}
+	if c.initSeen != nil {
+		return
 	}
-	if c.level == 0 && c.initSeen == nil {
-		for shard, g := range c.inits {
-			if g != nil {
-				c.sendTo(c.workers[c.assign[shard]], g)
-			}
+	for _, w := range c.workers {
+		w.reported = false
+		m := &msgExpand{Level: c.level, Base: c.base, Slots: c.slots[w.index]}
+		if c.level == 0 {
+			m.Roots = c.roots[w.index]
 		}
+		c.sendTo(w, m)
 	}
 }
 
@@ -157,11 +140,7 @@ func (c *coordinator) issueLevel() {
 // Expands have all reported, so a recovery is priced even at the level
 // whose violation ends the search.
 func (c *coordinator) collectLevel() error {
-	for {
-		c.trySeal()
-		if c.barrierReady() {
-			break
-		}
+	for !c.allReported() {
 		if err := c.step(); err != nil {
 			return err
 		}
@@ -190,7 +169,7 @@ func (c *coordinator) commit() error {
 	for i, w := range c.workers {
 		seg, front := mc.BarrierFiles(c.chain.Path(), i, c.level)
 		segs, fronts = append(segs, seg), append(fronts, front)
-		frontier += len(w.seg.keys)
+		frontier += len(w.keys)
 	}
 	if c.anyFull || c.trBest != nil || len(c.stViols) > 0 || frontier == 0 {
 		for _, f := range append(segs, fronts...) {
@@ -213,51 +192,15 @@ func (c *coordinator) commit() error {
 // and each worker's share of its frontier keys, which NextLevel slots.
 func (c *coordinator) resumeAt(r *mc.Chain) error {
 	c.level, c.totalGen, c.initSeen = r.Depth, uint64(r.Transitions), nil
-	for _, w := range c.workers {
-		w.seg = &keySegment{filled: true}
-	}
 	return r.FrontierKeys(func(key uint64, shard uint32) {
 		w := c.workers[c.assign[shard]]
-		w.seg.keys = append(w.seg.keys, key)
+		w.keys = append(w.keys, key)
 	})
 }
 
-// trySeal broadcasts the level's Seals once no Expand is outstanding.
-// A Seal follows its worker's Config, inits and Expand in the same FIFO
-// outbox, so a restarted generation needs no further gating.
-func (c *coordinator) trySeal() {
-	if c.sealed || len(c.pending) != 0 {
-		return
-	}
+func (c *coordinator) allReported() bool {
 	for _, w := range c.workers {
-		c.sealTo(w)
-	}
-	c.sealed = true
-}
-
-// sealTo enqueues a Seal quoting exactly the mesh groups declared
-// toward the worker this level, and registers the report it owes. The
-// worker executes the seal only once its received counts match the
-// Expects — the counting half of the level barrier.
-func (c *coordinator) sealTo(w *workerState) {
-	seq := c.sealSeq
-	c.sealSeq++
-	m := &msgSeal{Level: c.level, Seq: seq}
-	for sender, n := range c.acc[w.index] {
-		if n > 0 {
-			m.Expect = append(m.Expect, expectCount{Sender: sender, Groups: n})
-		}
-	}
-	c.sendTo(w, m)
-	w.seg = &keySegment{seq: seq}
-}
-
-func (c *coordinator) barrierReady() bool {
-	if !c.sealed {
-		return false
-	}
-	for _, w := range c.workers {
-		if w.seg == nil || !w.seg.filled {
+		if !w.reported {
 			return false
 		}
 	}
@@ -275,8 +218,8 @@ func (c *coordinator) closeBarrier() int {
 	for slot := 0; ; slot++ {
 		best := -1
 		for i, w := range c.workers {
-			if h := len(c.slots[i]); h < len(w.seg.keys) &&
-				(best < 0 || w.seg.keys[h] < c.workers[best].seg.keys[len(c.slots[best])]) {
+			if h := len(c.slots[i]); h < len(w.keys) &&
+				(best < 0 || w.keys[h] < c.workers[best].keys[len(c.slots[best])]) {
 				best = i
 			}
 		}

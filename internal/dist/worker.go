@@ -6,37 +6,43 @@ package dist
 // directly with its peers over the mesh (mesh.go).
 //
 // Concurrency shape: one main loop owns the store, the frontier and all
-// protocol state, and handles one event at a time. An Expand runs the
-// engine's level kernel (mc.ShardStore.RunLevel) on
+// protocol state, and handles one event at a time, in arrival order. An
+// Expand runs the engine's level kernel (mc.ShardStore.RunLevel) on
 // max(1, GOMAXPROCS/workers) goroutines, each filling its own mesh
 // frames (meshEmitter), and returns when they are done. Around the loop
 // run only I/O pumps: a reader per inbound connection (coordinator +
-// accepted mesh links) feeding one unbounded two-lane inbox, a sender
+// accepted mesh links) feeding one unbounded FIFO inbox, a sender
 // goroutine per outbound mesh link, and the heartbeat.
 // The inbox is unbounded on purpose: a bounded queue would close a
 // backpressure cycle across the worker ring (everyone blocked sending
 // into everyone's full queue); unbounded, memory is bounded by a
 // level's frame volume, which the level barrier already bounds.
 //
-// Ordering: control messages are handled strictly in arrival order —
-// except that a pending seal blocks later control traffic (other than
-// Stop) until its Expect counts are met, because the messages behind it
-// (the next level's Expand) assume the sealed level's claims are
-// drained. Mesh frames are applied whenever they arrive: claims are
-// idempotent and carry position-derived keys, so arrival order is
-// irrelevant, and per-sender counting decides seal readiness. A worker
-// accepts mesh connections only from its own fleet generation, so a
-// zombie of an older generation (a stalled worker declared dead) can
-// never add to the counts.
+// The barrier is closed on the links. A worker has one open level, the
+// one after the last it sealed. Once its Expand of that level is done
+// it sends each peer, behind its last batch, an End naming the groups
+// it sent that peer; it seals the level once its own Expand is done and
+// it holds every peer's End. Mesh batches are claimed whenever they
+// arrive — claims are idempotent and carry position-derived keys, so
+// arrival order is irrelevant — and may precede the worker's own
+// Expand. A link is FIFO, so an End's count must equal the groups
+// received from its sender; a mismatch, a second End, a batch behind
+// an End, or a mesh frame of any level but the open one is a protocol
+// violation, and the worker dies of it (msgFatal). No frame of the next
+// level can come early: the coordinator issues its Expands only once
+// every worker has reported this one. A worker accepts mesh connections
+// only from its own fleet generation, so a zombie of an older
+// generation (a stalled worker declared dead) can never add to the
+// counts.
 //
-// Level numbering: level 0 is the initial states (delivered as control
-// batches, never expanded); level L >= 1 is the expansion producing
-// depth-L states. The barrier at Seal(L) closes level L-1 into the
-// store's arenas, gives the new frontier its global refs, and writes the
-// worker's files of the checkpoint chain (mc.BarrierFiles): its segment —
-// the arena bytes appended since its last write, so barrier cost is
-// proportional to the level, not the visited set — and its frontier. A
-// failed write is the worker's death (recover.go).
+// Level numbering: level 0 claims the initial states its Expand carries
+// and expands nothing; level L >= 1 is the expansion producing depth-L
+// states. Sealing level L closes level L-1 into the store's arenas,
+// gives the new frontier its global refs, and writes the worker's files
+// of the checkpoint chain (mc.BarrierFiles): its segment — the arena
+// bytes appended since its last write, so barrier cost is proportional
+// to the level, not the visited set — and its frontier. A failed write
+// is the worker's death (recover.go).
 
 import (
 	"fmt"
@@ -73,14 +79,11 @@ type wev struct {
 	err     error
 }
 
-// workerInbox is the two-lane unbounded event queue. Mesh events are
-// always deliverable; control events can be held behind a pending seal
-// (Stop and connection errors jump the queue).
+// workerInbox is the unbounded FIFO event queue.
 type workerInbox struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	mesh  []wev
-	coord []wev
+	mu   sync.Mutex
+	cond *sync.Cond
+	q    []wev
 }
 
 func newWorkerInbox() *workerInbox {
@@ -91,33 +94,20 @@ func newWorkerInbox() *workerInbox {
 
 func (q *workerInbox) push(ev wev) {
 	q.mu.Lock()
-	if ev.mesh {
-		q.mesh = append(q.mesh, ev)
-	} else {
-		q.coord = append(q.coord, ev)
-	}
-	q.cond.Broadcast()
+	q.q = append(q.q, ev)
+	q.cond.Signal()
 	q.mu.Unlock()
 }
 
-func (q *workerInbox) next(blockCoord bool) wev {
+func (q *workerInbox) next() wev {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for {
-		if len(q.mesh) > 0 {
-			ev := q.mesh[0]
-			q.mesh = q.mesh[1:]
-			return ev
-		}
-		if len(q.coord) > 0 {
-			ev := q.coord[0]
-			if !blockCoord || ev.err != nil || ev.typ == mtStop {
-				q.coord = q.coord[1:]
-				return ev
-			}
-		}
+	for len(q.q) == 0 {
 		q.cond.Wait()
 	}
+	ev := q.q[0]
+	q.q = q.q[1:]
+	return ev
 }
 
 // groupAcc accumulates one frontier slot's successors bound for one
@@ -197,6 +187,13 @@ type worker struct {
 	frontier []uint32 // live refs, in DrainLevel order
 	refs     []uint32 // the frontier's global refs, aligned
 
+	// The open level's barrier: the level after sealed.
+	sealed int32           // the last level sealed; -1 before level 0
+	report *msgLevelReport // set once the level's own Expand is done
+	sent   []uint64        // per destination: groups sent this level
+	recv   []uint64        // per sender: groups received this level
+	ended  []bool          // per sender: its End of this level is in
+
 	// data plane
 	mesh     socketMesh
 	listener net.Listener
@@ -209,19 +206,11 @@ type worker struct {
 	wireFrames atomic.Uint64
 	wireBytes  atomic.Uint64
 
-	// seal/counting state
-	got          map[uint64]uint64 // level<<32|sender -> groups received
-	pendingSeals []*msgSeal
-
 	hbStop chan struct{}
 	// retired is closed once the coordinator is gone: the worker's
 	// generation is over, and its mesh dials give up (see mesh.go).
 	retired     chan struct{}
 	retiredOnce sync.Once
-}
-
-func gotKey(level int32, sender int) uint64 {
-	return uint64(uint32(level))<<32 | uint64(uint32(sender))
 }
 
 // RunWorker serves the coordinator protocol on conn until mtStop or
@@ -232,7 +221,6 @@ func RunWorker(conn io.ReadWriteCloser, opts WorkerOptions) error {
 		conn:    conn,
 		exit:    opts.Exit,
 		inbox:   newWorkerInbox(),
-		got:     make(map[uint64]uint64),
 		retired: make(chan struct{}),
 	}
 	if w.exit == nil {
@@ -254,7 +242,7 @@ func RunWorker(conn io.ReadWriteCloser, opts WorkerOptions) error {
 	}()
 
 	for {
-		ev := w.inbox.next(len(w.pendingSeals) > 0)
+		ev := w.inbox.next()
 		if ev.err != nil {
 			// Coordinator gone: nothing to report to and no one to
 			// outlive. EOF after mtStop never reaches here (Stop returns
@@ -263,17 +251,13 @@ func RunWorker(conn io.ReadWriteCloser, opts WorkerOptions) error {
 		}
 		var err error
 		if ev.mesh {
-			err = w.handleMeshBatch(ev)
+			err = w.handleMesh(ev)
 		} else {
 			switch ev.typ {
 			case mtConfig:
 				err = w.handleConfig(ev.payload)
 			case mtExpand:
 				err = w.handleExpand(ev.payload)
-			case mtInit:
-				err = w.handleInit(ev.payload)
-			case mtSeal:
-				err = w.handleSeal(ev.payload)
 			case mtTraceQuery:
 				err = w.handleTraceQuery(ev.payload)
 			case mtStop:
@@ -285,9 +269,6 @@ func RunWorker(conn io.ReadWriteCloser, opts WorkerOptions) error {
 			}
 		}
 		putFrame(ev.fb)
-		if err == nil {
-			err = w.tryExecSeals()
-		}
 		if err != nil {
 			w.send(&msgFatal{Err: err.Error()})
 			return err
@@ -369,6 +350,8 @@ func (w *worker) configure(cfg *msgConfig) error {
 	}
 	w.cfg = cfg
 	w.inj = newInjector(injs, cfg.Index)
+	w.sealed = -1
+	w.sent, w.recv, w.ended = make([]uint64, cfg.Workers), make([]uint64, cfg.Workers), make([]bool, cfg.Workers)
 	stInv, trInv, kind := spec.StInv, spec.TrInv, "transition"
 	if cfg.CheckState {
 		trInv, kind = nil, "state"
@@ -438,18 +421,19 @@ func (w *worker) restore(path string) error {
 		return fmt.Errorf("dist: restoring worker %d from %s: %w", w.cfg.Index, path, err)
 	}
 	w.refs = w.store.AssignRefs(w.frontier)
+	w.sealed = c.Depth
 	return nil
 }
 
 // acceptLoop serves inbound mesh connections, refusing any dialed by a
-// worker of another fleet generation.
+// worker of another fleet generation or naming no peer's index.
 func (w *worker) acceptLoop(ln net.Listener) {
 	for {
 		conn, from, fromGen, err := w.mesh.accept(ln)
 		if err != nil {
 			return
 		}
-		if fromGen != w.cfg.Gen {
+		if fromGen != w.cfg.Gen || from >= w.cfg.Workers || from == w.cfg.Index {
 			conn.Close()
 			continue
 		}
@@ -500,6 +484,9 @@ func (w *worker) startHeartbeat() {
 // the end, not once per frontier chunk.
 const batchFlushBytes = 256 << 10
 
+// handleExpand runs the open level's Expand: it claims the level-0
+// roots, expands the frontier, ends the level on every outbound link and
+// seals it if every peer's End is already in.
 func (w *worker) handleExpand(payload []byte) error {
 	m, err := decodeExpand(payload)
 	if err != nil {
@@ -509,126 +496,99 @@ func (w *worker) handleExpand(payload []byte) error {
 		return fmt.Errorf("dist: Expand before Config")
 	}
 	w.inj.atLevel(m.Level, w.exit)
+	if m.Level != w.sealed+1 || w.report != nil {
+		return fmt.Errorf("dist: Expand of level %d, with level %d open (expanded: %v)", m.Level, w.sealed+1, w.report != nil)
+	}
 	if len(m.Slots) != len(w.frontier) {
 		return fmt.Errorf("dist: Expand of %d slots for a frontier of %d", len(m.Slots), len(w.frontier))
 	}
+	for _, r := range m.Roots {
+		w.store.Claim(r.Enc, uint64(r.J), 0, false, 0)
+	}
 	w.expand = m
 	counts, viol, from, to := w.store.RunLevel(w.frontier, m.Slots, w.refs, m.Base)
-	done := &msgExpandDone{Level: m.Level, ID: m.ID, Counts: make([]uint32, len(counts))}
+	rep := &msgLevelReport{Level: m.Level, Counts: make([]uint32, len(counts))}
 	for i, n := range counts {
-		done.Counts[i] = uint32(n)
+		rep.Counts[i] = uint32(n)
 	}
 	if viol != nil {
-		done.HasViol, done.ViolKey, done.ViolFrom, done.ViolTo = true, viol.Key, from, to
+		// from aliases the live tier, which the seal compacts.
+		rep.HasViol, rep.ViolKey, rep.ViolFrom, rep.ViolTo = true, viol.Key, append([]byte(nil), from...), to
 	}
-	// Flush every open frame and sync the links, so ExpandDone declares
-	// only groups already on the wire and every link queue is empty
-	// between control messages.
-	groups := make([]uint64, w.cfg.Workers)
 	for _, e := range w.ems {
-		e.flush(groups)
+		e.flush(w.sent)
 	}
-	for _, l := range w.links {
+	for dest, l := range w.links {
 		if l != nil {
-			if ch := l.flush(); ch != nil {
-				<-ch
-			}
+			l.enqueue(frameOf((&msgEnd{Level: m.Level, Groups: w.sent[dest]}).encode()))
 		}
 	}
-	for dest, n := range groups {
-		if n > 0 {
-			done.SentTo = append(done.SentTo, sentCount{Dest: dest, Groups: n})
-		}
-	}
-	w.send(done)
+	w.report = rep
+	w.maybeSeal()
 	return nil
 }
 
-// handleMeshBatch applies one inbound mesh frame: claim every
-// successor, then credit the sender's count the level's seal is
-// waiting on.
-func (w *worker) handleMeshBatch(ev wev) error {
-	if ev.typ != mtMeshBatch {
-		return fmt.Errorf("dist: unexpected mesh message type %d", ev.typ)
-	}
-	if w.store == nil {
-		return fmt.Errorf("dist: mesh batch before Config")
-	}
-	level, base, groups, err := decodeMeshBatchHeader(ev.payload)
-	if err != nil {
-		return err
-	}
-	n, err := walkMeshGroups(groups, func(slot, parent, j uint32, enc []byte) {
-		w.store.Claim(enc, mc.ClaimKey(base, int(slot), int(j)), parent, true, base)
-	})
-	if err != nil {
-		return err
-	}
-	w.got[gotKey(level, ev.from)] += uint64(n)
-	return nil
-}
-
-func (w *worker) handleInit(payload []byte) error {
-	m, err := decodeInit(payload)
-	if err != nil {
-		return err
-	}
-	if w.store == nil {
-		return fmt.Errorf("dist: Init before Config")
-	}
-	for k := range m.Js {
-		w.store.Claim(m.Encs[k], uint64(m.Js[k]), 0, false, 0)
-	}
-	return nil
-}
-
-// handleSeal parks the seal until its Expect counts are met (see
-// tryExecSeals).
-func (w *worker) handleSeal(payload []byte) error {
-	m, err := decodeSeal(payload)
-	if err != nil {
-		return err
-	}
-	if w.store == nil {
-		return fmt.Errorf("dist: Seal before Config")
-	}
-	w.pendingSeals = append(w.pendingSeals, m)
-	return nil
-}
-
-// tryExecSeals executes pending seals, in order, whose Expect counts
-// have been met. A count exceeding its Expect is a protocol bug and is
-// surfaced loudly rather than masked.
-func (w *worker) tryExecSeals() error {
-	for len(w.pendingSeals) > 0 {
-		m := w.pendingSeals[0]
-		ready := true
-		for _, e := range m.Expect {
-			got := w.got[gotKey(m.Level, e.Sender)]
-			if got > e.Groups {
-				return fmt.Errorf("dist: worker %d level %d: got %d groups from worker %d, expected %d",
-					w.cfg.Index, m.Level, got, e.Sender, e.Groups)
-			}
-			if got < e.Groups {
-				ready = false
-				break
-			}
+// handleMesh applies one inbound mesh frame of the open level: a batch's
+// successors are claimed and counted to their sender; an End must match
+// that count, and may complete the barrier.
+func (w *worker) handleMesh(ev wev) error {
+	// open refuses a frame of another level, or one behind the sender's End.
+	open := func(level int32) error {
+		if level != w.sealed+1 || w.ended[ev.from] {
+			return fmt.Errorf("dist: worker %d: mesh frame of level %d from worker %d, with level %d open (its End in: %v)",
+				w.cfg.Index, level, ev.from, w.sealed+1, w.ended[ev.from])
 		}
-		if !ready {
-			return nil
+		return nil
+	}
+	switch ev.typ {
+	case mtMeshBatch:
+		level, base, groups, err := decodeMeshBatchHeader(ev.payload)
+		if err == nil {
+			err = open(level)
 		}
-		w.pendingSeals = w.pendingSeals[1:]
-		if err := w.execSeal(m); err != nil {
+		if err != nil {
 			return err
 		}
+		n, err := walkMeshGroups(groups, func(slot, parent, j uint32, enc []byte) {
+			w.store.Claim(enc, mc.ClaimKey(base, int(slot), int(j)), parent, true, base)
+		})
+		w.recv[ev.from] += uint64(n)
+		return err
+	case mtMeshEnd:
+		m, err := decodeEnd(ev.payload)
+		if err == nil {
+			err = open(m.Level)
+		}
+		if err == nil && m.Groups != w.recv[ev.from] {
+			err = fmt.Errorf("dist: worker %d level %d: End of %d groups from worker %d, which sent %d",
+				w.cfg.Index, m.Level, m.Groups, ev.from, w.recv[ev.from])
+		}
+		if err != nil {
+			return err
+		}
+		w.ended[ev.from] = true
+		w.maybeSeal()
+		return nil
 	}
-	return nil
+	return fmt.Errorf("dist: unexpected mesh message type %d", ev.typ)
 }
 
-func (w *worker) execSeal(m *msgSeal) error {
-	w.inj.levelDone(m.Level)
+// maybeSeal seals the open level once its own Expand is done and every
+// peer's End is in: it closes the level into the store, writes the
+// barrier files and sends the LevelReport.
+func (w *worker) maybeSeal() {
+	if w.report == nil {
+		return
+	}
+	for from, l := range w.links {
+		if l != nil && !w.ended[from] {
+			return
+		}
+	}
+	rep := w.report
+	w.inj.levelDone(rep.Level)
 	stViol, full := w.store.LevelFaults()
-	rep := &msgLevelReport{Level: m.Level, Seq: m.Seq, Full: full}
+	rep.Full = full
 	// Keys are final once the level's claims are all in.
 	for _, ref := range stViol {
 		rep.StViolKeys = append(rep.StViolKeys, w.store.KeyOf(ref))
@@ -654,20 +614,16 @@ func (w *worker) execSeal(m *msgSeal) error {
 		if err := w.inj.beforeWrite(); err != nil {
 			return err
 		}
-		return w.store.WriteBarrier(w.cfg.Chain, w.cfg.Index, m.Level, w.frontier)
+		return w.store.WriteBarrier(w.cfg.Chain, w.cfg.Index, rep.Level, w.frontier)
 	}); err != nil {
 		w.send(&msgFatal{Err: fmt.Sprintf("barrier files: %v", err)})
 		w.exit(1)
 	}
-	// Counts for levels this seal closes can no longer be referenced by
-	// any future Expect.
-	for k := range w.got {
-		if int32(k>>32) < m.Level {
-			delete(w.got, k)
-		}
-	}
+	w.sealed, w.report = rep.Level, nil
+	clear(w.sent)
+	clear(w.recv)
+	clear(w.ended)
 	w.send(rep)
-	return nil
 }
 
 func (w *worker) handleTraceQuery(payload []byte) error {

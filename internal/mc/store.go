@@ -81,6 +81,10 @@ type ShardStore struct {
 	// resets it: a peer's claims of a level may precede its expansion.
 	in levelAcc
 	pc probeCounter // Claim's; its sealed-tier decoder is reused
+	// DrainLevel's keys and AssignRefs' refs, reused level over level;
+	// the frontier is double-buffered in sc.spare, as in the engine.
+	keys []uint64
+	refs []uint32
 }
 
 // NewShardStore returns an empty store for the shards set in owned,
@@ -145,19 +149,22 @@ func (s *ShardStore) LevelFaults() (stViol []uint32, full bool) {
 
 // DrainLevel returns the states admitted since the previous drain,
 // ordered by their final (post-takeover) claim keys — the worker's
-// contribution to the next frontier — plus those keys, aligned.
+// contribution to the next frontier — plus those keys, aligned. The
+// frontier is built in the buffer the last SealLevel retired; the keys
+// are valid until the next DrainLevel.
 func (s *ShardStore) DrainLevel() ([]uint32, []uint64) {
 	out := s.lvl
 	out.accs = append(out.accs[:len(out.accs):len(out.accs)], s.in)
 	out.claimed += len(s.in.claimed)
-	refs := nextFrontier(s.v, s.sc, out, nil)
-	keys := make([]uint64, len(refs))
-	for i, r := range refs {
-		keys[i] = s.v.keyOf(r)
+	refs := nextFrontier(s.v, s.sc, out, s.sc.spare)
+	s.sc.spare = nil
+	s.keys = s.keys[:0]
+	for _, r := range refs {
+		s.keys = append(s.keys, s.v.keyOf(r))
 	}
 	s.lvl = levelOut{}
 	s.in = levelAcc{claimed: s.in.claimed[:0], stViol: s.in.stViol[:0]}
-	return refs, keys
+	return refs, s.keys
 }
 
 // BytesOf returns the encoding of an admitted state. For a live state
@@ -173,10 +180,12 @@ func (s *ShardStore) BytesOf(ref uint32) []byte { return s.v.bytesOf(ref) }
 // since the last drain to the post-seal ordinal space. Must only be
 // called at a level barrier, after the level can no longer be re-keyed:
 // its successors' level has fully drained. The seal runs on the
-// kernel's goroutines, as the engine's runs on its workers.
+// kernel's goroutines, as the engine's runs on its workers. refs is
+// retired: the next DrainLevel builds its frontier in it.
 func (s *ShardStore) SealLevel(refs []uint32, rewrite ...[]uint32) {
 	rewrite = append(rewrite, s.in.claimed, s.in.stViol)
 	s.v.seal(len(s.sc.exps), refs, rewrite...)
+	s.sc.spare = refs[:0]
 }
 
 // AssignRefs returns, aligned with frontier (a new frontier in
@@ -184,13 +193,17 @@ func (s *ShardStore) SealLevel(refs []uint32, rewrite ...[]uint32) {
 // global ref: makeRef(shard, n+rank), n the shard's arena count and
 // rank the state's position among the frontier's states of that shard.
 // That is the sealed ordinal the state takes when its level seals, so
-// children claim with it as their parent. Call it once per frontier.
+// children claim with it as their parent. Call it once per frontier;
+// the refs are valid until the next call.
 func (s *ShardStore) AssignRefs(frontier []uint32) []uint32 {
 	var next [numShards]uint32
 	for sh := range next {
 		next[sh] = s.v.shards[sh].sealed.count
 	}
-	refs := make([]uint32, len(frontier))
+	if s.refs == nil || cap(s.refs) < len(frontier) {
+		s.refs = make([]uint32, len(frontier))
+	}
+	refs := s.refs[:len(frontier)]
 	for i, r := range frontier {
 		sh := RefShard(r)
 		refs[i] = makeRef(sh, next[sh])
