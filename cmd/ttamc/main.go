@@ -37,7 +37,8 @@
 // verdict.
 //
 // Performance is observable: -stats prints per-search throughput and
-// allocation figures, and -cpuprofile/-memprofile/-traceprofile write
+// allocation figures, with the process's peak RSS beside the visited
+// set's counted peak, and -cpuprofile/-memprofile/-traceprofile write
 // standard pprof / execution-trace files (see README "Profiling").
 package main
 
@@ -210,6 +211,10 @@ func run(args []string) error {
 					st.LoadFactor, st.ResidentBytes, st.PeakResidentBytes, st.ProbeHist)
 			} else { // a distributed backend measures only the resident bytes
 				fmt.Fprintf(os.Stderr, "ttamc: visited set: resident %d bytes\n", st.ResidentBytes)
+			}
+			// What the process really holds, beside what the budget counts.
+			if rss, ok := peakRSS(); ok {
+				fmt.Fprintf(os.Stderr, "ttamc: process: peak RSS %d bytes\n", rss)
 			}
 			if st.SealedStates > 0 {
 				fmt.Fprintf(os.Stderr,

@@ -138,10 +138,17 @@ type Writer struct{ b *bufio.Writer }
 // Uvarint writes v as a uvarint.
 func (w Writer) Uvarint(v uint64) { w.b.Write(binary.AppendUvarint(w.b.AvailableBuffer(), v)) }
 
-// Bytes writes p, prefixed by its length.
-func (w Writer) Bytes(p []byte) {
-	w.Uvarint(uint64(len(p)))
-	w.b.Write(p)
+// Bytes writes the concatenation of ps, prefixed by its length: one
+// byte string, whatever pieces it is held in.
+func (w Writer) Bytes(ps ...[]byte) {
+	n := 0
+	for _, p := range ps {
+		n += len(p)
+	}
+	w.Uvarint(uint64(n))
+	for _, p := range ps {
+		w.b.Write(p)
+	}
 }
 
 // Format is a file envelope: its magic, its version, the sentinel its

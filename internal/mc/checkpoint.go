@@ -340,10 +340,13 @@ type sealedSnap struct {
 }
 
 // sealedShardSnap is one shard's arena section: from entries precede it.
+// Its bytes are the concatenation of pieces — the arena blocks a capture
+// views, or the sections a load read — and restarts are offsets into
+// that concatenation.
 type sealedShardSnap struct {
 	from, count uint32
 	restarts    []uint32
-	blob        []byte
+	pieces      [][]byte
 }
 
 type liveSnapEntry struct {
@@ -353,10 +356,9 @@ type liveSnapEntry struct {
 }
 
 // capture snapshots the owned shards' arenas from the marks of the last
-// successful write — the segment appended since, restart offsets rebased
-// to it — and frontier's live states, in its order, with their keys and
-// parent words. An arena captured from its start is referenced, not
-// copied.
+// successful write — the segment appended since, as views of the arena
+// blocks, restart offsets rebased to it — and frontier's live states, in
+// its order, with their keys and parent words.
 func (v *visitedSet) capture(owned uint64, frontier []uint32) *sealedSnap {
 	s5 := &sealedSnap{live: make([]liveSnapEntry, len(frontier))}
 	for i, r := range frontier {
@@ -367,20 +369,14 @@ func (v *visitedSet) capture(owned uint64, frontier []uint32) *sealedSnap {
 			continue
 		}
 		ss, m := &v.shards[sh].sealed, v.written[sh]
-		restarts := ss.restarts[m.nres:]
-		if m.off > 0 {
-			restarts = make([]uint32, len(restarts))
-			for i, r := range ss.restarts[m.nres:] {
-				restarts[i] = r - m.off
-			}
-		}
-		s5.shards[sh] = sealedShardSnap{from: m.count, count: ss.count - m.count, restarts: restarts, blob: ss.blob[m.off:]}
+		pieces, restarts := ss.segment(int(m.off), m.nres)
+		s5.shards[sh] = sealedShardSnap{from: m.count, count: ss.count - m.count, restarts: restarts, pieces: pieces}
 	}
 	return s5
 }
 
-// segMark is a position in a shard's arena: entries, blob bytes and
-// restart offsets before it.
+// segMark is a position in a shard's arena: entries, arena bytes (of its
+// logical stream) and restart offsets before it.
 type segMark struct{ count, off, nres uint32 }
 
 // markWritten records every shard's arena as written: the next capture's
@@ -388,7 +384,7 @@ type segMark struct{ count, off, nres uint32 }
 func (v *visitedSet) markWritten() {
 	for sh := range v.written {
 		ss := &v.shards[sh].sealed
-		v.written[sh] = segMark{count: ss.count, off: uint32(len(ss.blob)), nres: uint32(len(ss.restarts))}
+		v.written[sh] = segMark{count: ss.count, off: uint32(ss.size), nres: uint32(len(ss.restarts))}
 	}
 }
 
@@ -404,7 +400,7 @@ func writeBarrierFiles(seg, front string, s5 *sealedSnap) error {
 				w.Uvarint(uint64(r - prev))
 				prev = r
 			}
-			w.Bytes(sn.blob)
+			w.Bytes(sn.pieces...)
 		}
 	})
 	if err != nil {
@@ -462,7 +458,7 @@ const minSealedRecord = 2
 // enforces structural bounds.
 func (c *Chain) load(owned uint64) (*sealedSnap, error) {
 	s5 := &sealedSnap{ChainHeader: c.ChainHeader}
-	var counts [numShards]uint64
+	var counts, sizes [numShards]uint64
 	for _, f := range c.segs {
 		r, err := c.open(f, kindSegment)
 		if err != nil {
@@ -486,7 +482,7 @@ func (c *Chain) load(owned uint64) (*sealedSnap, error) {
 				return nil, fmt.Errorf("%w: restart count exceeds remaining payload", ErrCheckpointCorrupt)
 			}
 			sn := &s5.shards[si]
-			base, prev := uint64(len(sn.blob)), uint64(0)
+			base, prev := sizes[si], uint64(0)
 			restarts := make([]uint32, 0, nres)
 			for i := uint64(0); i < nres; i++ {
 				prev += r.Uvarint()
@@ -517,13 +513,8 @@ func (c *Chain) load(owned uint64) (*sealedSnap, error) {
 			}
 			sn.count += uint32(cnt)
 			sn.restarts = append(sn.restarts, restarts...)
-			// blob is a view of the file, capped: a later section's
-			// append copies into a new array, never over the file.
-			if sn.blob == nil {
-				sn.blob = blob
-			} else {
-				sn.blob = append(sn.blob, blob...)
-			}
+			sn.pieces = append(sn.pieces, blob) // a view of the file
+			sizes[si] += uint64(len(blob))
 		}
 		if err := r.Done(); err != nil {
 			return nil, fmt.Errorf("%s: %w", f.name, err)
@@ -618,11 +609,12 @@ func (v *visitedSet) resume(c *Chain, owned uint64) ([]uint32, error) {
 //
 // One checked decode sweep runs over each shard's arena. Every entry
 // must hash to the shard it is stored in, that shard must be owned,
-// and the entry must appear once: the arena is installed wholesale and
-// its probe index rebuilt as the sweep goes, each entry probed before
-// it is inserted. The index replays the writer's growth schedule, so
-// capacities — and resident bytes — come out exactly as written. The
-// live tier is then claimed with its real keys in frontier order.
+// and the entry must appear once: the arena is adopted as blocks that
+// view the file's bytes (sealedShard.adopt) and its probe index rebuilt
+// as the sweep goes, each entry probed before it is inserted. The index
+// replays the writer's growth schedule, so capacities — and resident
+// bytes — come out exactly as written. The live tier is then claimed
+// with its real keys in frontier order.
 func (v *visitedSet) restore(s5 *sealedSnap, owned uint64) ([]uint32, error) {
 	total := int64(len(s5.live))
 	for i := range s5.shards {
@@ -648,11 +640,13 @@ func (v *visitedSet) restore(s5 *sealedSnap, owned uint64) ([]uint32, error) {
 			newLen = sealedGrow(newLen)
 		}
 		ss.index = make([]uint32, newLen)
-		ss.count, ss.blob, ss.restarts = sn.count, sn.blob, sn.restarts
+		if err := ss.adopt(sn.count, sn.pieces, sn.restarts); err != nil {
+			return nil, fmt.Errorf("%w: shard %d: restart offsets out of range", ErrCheckpointCorrupt, si)
+		}
 		d.startAt(ss, 0)
 		for d.ord < sn.count {
 			ord := d.ord
-			if err := d.stepChecked(len(ss.blob)); err != nil {
+			if err := d.stepChecked(ss.size); err != nil {
 				return nil, fmt.Errorf("%w: shard %d ordinal %d: %v", ErrCheckpointCorrupt, si, ord, err)
 			}
 			if _, _, err := s5.parentRef(d.pw, owned); err != nil {
@@ -668,8 +662,8 @@ func (v *visitedSet) restore(s5 *sealedSnap, owned uint64) ([]uint32, error) {
 			}
 			ss.indexInsert(uint32(h>>32), ord)
 		}
-		if d.off != len(ss.blob) {
-			return nil, fmt.Errorf("%w: %d trailing arena bytes", ErrCheckpointCorrupt, len(ss.blob)-d.off)
+		if n := d.unread(); n != 0 {
+			return nil, fmt.Errorf("%w: %d trailing arena bytes", ErrCheckpointCorrupt, n)
 		}
 		// Seed the delta chain so later seals append seamlessly.
 		ss.lastEnc = append(ss.lastEnc[:0], d.enc...)

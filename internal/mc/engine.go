@@ -243,9 +243,7 @@ func runLevel(sc *levelScratch, v *visitedSet, frontier []uint32, base uint64,
 	if workers > n {
 		workers = n
 	}
-	if cap(sc.counts) < n {
-		sc.counts = make([]int, n)
-	}
+	sc.counts = roomFor(sc.counts, n)
 	out := levelOut{counts: sc.counts[:n], accs: sc.accs[:workers]}
 	for i := range out.accs {
 		acc := &out.accs[i]
@@ -392,8 +390,8 @@ func statesThrough(v *visitedSet, out levelOut, limit uint64) int {
 // what. Both buffers only grow, so a steady-state level allocates
 // nothing here but the goroutines.
 func nextFrontier(v *visitedSet, sc *levelScratch, out levelOut, dst []uint32) []uint32 {
-	dst = dst[:0]
-	keyed := slices.Grow(sc.keyed[:0], out.claimed)[:out.claimed]
+	dst = roomFor(dst, out.claimed)
+	keyed := roomFor(sc.keyed, out.claimed)[:out.claimed]
 	segs := sc.segs[:0]
 	off := 0
 	for i := range out.accs {
@@ -441,6 +439,18 @@ func nextFrontier(v *visitedSet, sc *levelScratch, out levelOut, dst []uint32) [
 	}
 	sc.keyed, sc.segs = keyed, segs
 	return dst
+}
+
+// roomFor returns s emptied, with capacity for n elements. It
+// reallocates at twice the old capacity or more, so a buffer that
+// follows a run of growing levels allocates a small multiple of its
+// final size in all, where growing to each level's size would allocate
+// the sum of the run.
+func roomFor[S ~[]E, E any](s S, n int) S {
+	if cap(s) >= n {
+		return s[:0]
+	}
+	return make(S, 0, max(n, 2*cap(s)))
 }
 
 // siftDown restores the min-heap order of h (segments by head key)

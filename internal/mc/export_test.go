@@ -93,11 +93,12 @@ func (f *SealFixture) Clone() *SealFixture {
 				dst.chunks[c].Store(&chunk)
 			}
 		}
-		dst.ordCount, dst.liveBase = src.ordCount, src.liveBase
+		dst.ordCount, dst.liveBase, dst.chunksUsed = src.ordCount, src.liveBase, src.chunksUsed
 		ss := src.sealed
 		dst.sealed = sealedShard{
 			count:    ss.count,
-			blob:     append(make([]byte, 0, cap(ss.blob)), ss.blob...),
+			blocks:   cloneBlocks(ss.blocks),
+			size:     ss.size,
 			restarts: slices.Clone(ss.restarts),
 			index:    slices.Clone(ss.index),
 			lastEnc:  slices.Clone(ss.lastEnc),
@@ -107,6 +108,22 @@ func (f *SealFixture) Clone() *SealFixture {
 		v.sealRemap[s] = make([]uint32, 0, cap(f.v.sealRemap[s]))
 	}
 	return &SealFixture{v: v, batch: slices.Clone(f.batch), next: slices.Clone(f.next)}
+}
+
+// cloneBlocks deep-copies arena blocks, keeping each one's capacity.
+func cloneBlocks(blocks [][]byte) [][]byte {
+	out := make([][]byte, len(blocks))
+	for i, b := range blocks {
+		out[i] = append(make([]byte, 0, cap(b)), b...)
+	}
+	return out
+}
+
+// snap is the whole arena as a checkpoint section: its logical byte
+// stream, in the blocks' pieces, and its restart offsets there.
+func (ss *sealedShard) snap() sealedShardSnap {
+	pieces, restarts := ss.segment(0, 0)
+	return sealedShardSnap{count: ss.count, restarts: restarts, pieces: pieces}
 }
 
 // Seal runs the fixture's boundary seal with the given worker count.
@@ -134,6 +151,7 @@ func NewSealedFinder(m ReducibleModel, workers int) *SealedFinder {
 		}
 		f.dec.startAt(ss, 0)
 		for f.dec.ord < ss.count {
+			f.dec.seat()
 			f.dec.step()
 			f.encs = append(f.encs, slices.Clone(f.dec.enc))
 		}
@@ -223,6 +241,15 @@ func ResumeCheckpoint(path string) (int, error) {
 	return int(v.count.Load()), nil
 }
 
+// SetArenaBlockMax caps sealed-arena blocks at n bytes, so that blocks
+// split on most restart groups, and returns the function that restores
+// the cap. Tests that call it must not run in parallel.
+func SetArenaBlockMax(n int) (restore func()) {
+	old := arenaBlockMax
+	arenaBlockMax = n
+	return func() { arenaBlockMax = old }
+}
+
 // WithNoSeal returns o with the sealed tier off: the unsealed oracle.
 func WithNoSeal(o Options) Options {
 	o.noSeal = true
@@ -280,7 +307,9 @@ func SealedTwinLevels(m ReducibleModel, workers int, check func(level, badShard 
 		bad := -1
 		for s := range twin {
 			ss := &sealing.v.shards[s].sealed
-			if twin[s].count != ss.count || !slices.Equal(twin[s].restarts, ss.restarts) || !bytes.Equal(twin[s].blob, ss.blob) {
+			got := ss.snap()
+			if twin[s].count != got.count || !slices.Equal(twin[s].restarts, got.restarts) ||
+				!bytes.Equal(bytes.Join(twin[s].pieces, nil), bytes.Join(got.pieces, nil)) {
 				bad = s
 				break
 			}

@@ -27,9 +27,19 @@ package mc
 // the entry's (a takeover that may race), takes the shard lock.
 //
 // Both slots and cells are pointer-free, so the GC never scans the set,
-// and the resident footprint is exact: chunks × 32B + cells × 8B +
-// interned overflow bytes, tracked in visitedSet.resident for
+// and the resident footprint is exact: chunks in use × 32B + cells × 8B
+// + interned overflow bytes, tracked in visitedSet.resident for
 // Options.MemBudget and Stats.
+//
+// Storage is kept, not regrown, across levels. A seal releases the
+// chunks its survivors no longer need from the count but not from the
+// shard, so the next level writes into them again (a chunk the level
+// did not reach is dropped); and every probe index a shard stops using
+// goes into the set's tablePool, from which index growth and the seal's
+// rebuild take tables of the size they need; a pooled table no one took
+// for a whole level is dropped. What the set holds beyond its count is
+// therefore bounded: the entry chunks the last level filled, and the
+// index tables the last two levels gave up.
 
 import (
 	"bytes"
@@ -131,7 +141,11 @@ type flatShard struct {
 	chunks   [maxEntryChunks]atomic.Pointer[[]entry]
 	ordCount uint32 // entries appended; written only under mu
 	liveBase uint32 // first live ordinal; written only at level barriers
-	sealed   sealedShard
+	// chunksUsed is how many chunks the live log counts as in use; the
+	// chunks above it are kept from an earlier level, uncounted, for
+	// reuse. Written under mu or at level barriers.
+	chunksUsed int
+	sealed     sealedShard
 }
 
 // entryAt returns the (stable within a level) live entry for ordinal
@@ -158,6 +172,7 @@ type visitedSet struct {
 	resident atomic.Int64 // exact live bytes: chunks + index cells + intern
 	peak     atomic.Int64 // high-water resident, including growth transients
 	overflow internTable  // encodings too long for a slot's inline array
+	tables   tablePool    // probe indexes no shard is using
 
 	// refsFinal marks a set whose claims carry their parents' final
 	// sealed refs (a distributed worker's, see ShardStore.AssignRefs):
@@ -221,6 +236,7 @@ func newVisitedSet(maxStates int, owned uint64) *visitedSet {
 		lo, hi = k*entryChunkBase, (k+1)*entryChunkBase
 		chunkHeaders[k] = chunkBacking[lo:hi:hi]
 		v.shards[i].chunks[0].Store(&chunkHeaders[k])
+		v.shards[i].chunksUsed = 1
 		k++
 	}
 	v.resident.Store(int64(n) * (initialIndexCells*8 + entryChunkBase*32))
@@ -326,7 +342,7 @@ func (v *visitedSet) sealedStats() (states, arena, index int64) {
 	for s := range v.shards {
 		ss := &v.shards[s].sealed
 		states += int64(ss.count)
-		arena += int64(len(ss.blob)) + int64(len(ss.restarts)*4)
+		arena += int64(ss.size) + int64(len(ss.restarts)*4)
 		index += int64(len(ss.index) * 4)
 	}
 	return states, arena, index
@@ -537,13 +553,14 @@ func (v *visitedSet) indexLocked(sh *flatShard) []uint64 {
 // 8-byte cells. Caller holds sh.mu. The old index stays valid for
 // concurrent lock-free probes until they re-load the pointer; a stale
 // probe can only miss recent inserts, which the locked re-probe
-// corrects.
+// corrects. So the old index is retired, not freed: the pool hands it
+// out again only after the level's barrier.
 func (v *visitedSet) growIndexLocked(sh *flatShard, cells []uint64) {
 	newLen := len(cells) * 2
 	if newLen < growDoubleAt {
 		newLen = len(cells) * 4
 	}
-	next := make([]uint64, newLen)
+	next := v.tables.get(newLen)
 	// Both generations are live during the rehash; peak captures that.
 	v.resident.Add(int64(newLen * 8))
 	v.bumpPeak()
@@ -559,26 +576,103 @@ func (v *visitedSet) growIndexLocked(sh *flatShard, cells []uint64) {
 		next[i] = cell
 	}
 	sh.index.Store(&next)
+	v.tables.retire(cells)
 	// The very first index lives in the set-wide shared backing array,
-	// which stays resident for the set's lifetime; only individually
-	// allocated generations are released by the swap.
+	// which stays counted for the set's lifetime; only later generations
+	// leave the count when replaced.
 	if len(cells) > initialIndexCells {
 		v.resident.Add(int64(-len(cells) * 8))
 	}
 }
 
-// entrySlotLocked returns the slot for the next live position
-// (ordinal − liveBase), allocating its chunk on first touch. Caller
-// holds sh.mu.
+// entrySlotLocked returns the zeroed slot for the next live position
+// (ordinal − liveBase), counting its chunk on first touch — and
+// allocating it, unless an earlier level left it there. Caller holds
+// sh.mu. No probe can reach the slot before the caller publishes it, so
+// plain stores are safe.
 func (v *visitedSet) entrySlotLocked(sh *flatShard, pos uint32) *entry {
 	c, off := chunkOf(pos)
-	if off == 0 && sh.chunks[c].Load() == nil {
-		chunk := make([]entry, entryChunkBase<<c)
-		v.resident.Add(int64(len(chunk)) * 32)
+	if off == 0 && c >= sh.chunksUsed {
+		if sh.chunks[c].Load() == nil {
+			chunk := make([]entry, entryChunkBase<<c)
+			sh.chunks[c].Store(&chunk)
+		}
+		v.resident.Add(int64(entryChunkBase<<c) * 32)
 		v.bumpPeak()
-		sh.chunks[c].Store(&chunk)
+		sh.chunksUsed = c + 1
 	}
-	return &(*sh.chunks[c].Load())[off]
+	e := &(*sh.chunks[c].Load())[off]
+	*e = entry{}
+	return e
+}
+
+// tablePool holds the live probe indexes no shard is using, by size, for
+// index growth and the seal's rebuild to take instead of allocating. A
+// table index growth replaces may still be read by a lock-free probe
+// that loaded it earlier in the level, so it waits in retired until the
+// next seal — the level barrier — frees it. A table the seal's rebuild
+// replaces has no reader left and is free at once. A free table that no
+// one took for a whole level — from one seal's end to the next — is
+// dropped, so the pool holds what the levels still use, not what the
+// largest one did. Pooled tables are not counted; a table taken is
+// cleared, so it is indistinguishable from a fresh one.
+type tablePool struct {
+	mu      sync.Mutex
+	free    [32][][]uint64 // by log2 of the table length; taken from the top
+	low     [32]int        // the fewest tables free[c] held since the last trim
+	retired [][]uint64
+}
+
+func (p *tablePool) get(n int) []uint64 {
+	c := bits.TrailingZeros(uint(n))
+	p.mu.Lock()
+	if k := len(p.free[c]); k > 0 {
+		t := p.free[c][k-1]
+		p.free[c][k-1] = nil
+		p.free[c] = p.free[c][:k-1]
+		p.low[c] = min(p.low[c], k-1)
+		p.mu.Unlock()
+		clear(t)
+		return t
+	}
+	p.mu.Unlock()
+	return make([]uint64, n)
+}
+
+// put frees a table no probe can still read.
+func (p *tablePool) put(t []uint64) {
+	c := bits.TrailingZeros(uint(len(t)))
+	p.mu.Lock()
+	p.free[c] = append(p.free[c], t)
+	p.mu.Unlock()
+}
+
+// retire holds a table a probe may still read until release.
+func (p *tablePool) retire(t []uint64) {
+	p.mu.Lock()
+	p.retired = append(p.retired, t)
+	p.mu.Unlock()
+}
+
+// release frees the retired tables. Called at a level barrier, when no
+// probe is running.
+func (p *tablePool) release() {
+	for i, t := range p.retired {
+		p.put(t)
+		p.retired[i] = nil
+	}
+	p.retired = p.retired[:0]
+}
+
+// trim drops the free tables no one took since the last trim: those
+// below each list's low-water mark. Called at the end of a seal.
+func (p *tablePool) trim() {
+	for c, free := range p.free {
+		n := copy(free, free[p.low[c]:])
+		clear(free[n:])
+		p.free[c] = free[:n]
+		p.low[c] = n
+	}
 }
 
 // loadFactor is the admitted-state count over total probe cells, both
@@ -622,6 +716,7 @@ func (v *visitedSet) loadFactor() float64 {
 // peak counters are folded from per-shard deltas in shard order, so
 // they come out identical to a one-worker seal too.
 func (v *visitedSet) seal(workers int, batch []uint32, rewrite ...[]uint32) {
+	v.tables.release()
 	if len(batch) == 0 {
 		return
 	}
@@ -715,6 +810,7 @@ func (v *visitedSet) seal(workers int, batch []uint32, rewrite ...[]uint32) {
 		}
 		v.resident.Add(d.net)
 	}
+	v.tables.trim()
 
 	// Finally, rewrite every ref array the caller still holds.
 	for _, arr := range rewrite {
@@ -741,8 +837,8 @@ func (v *visitedSet) remapRef(r uint32) uint32 {
 
 // sealShard is one shard's part of a seal: encode its batch group into
 // the arena and quotiented index, compact the survivors, rewrite their
-// parent refs, release unneeded entry chunks and rebuild the live
-// index. It returns the shard's resident-byte changes instead of
+// parent refs, release unneeded entry chunks from the count and rebuild
+// the live index. It returns the shard's resident-byte changes instead of
 // applying them (see residentDelta); d is the calling goroutine's
 // decoder, used when the sealed index grows.
 func (v *visitedSet) sealShard(s int, d *sealedDecoder) residentDelta {
@@ -759,7 +855,7 @@ func (v *visitedSet) sealShard(s int, d *sealedDecoder) residentDelta {
 	// Encode the batch into the arena and quotiented index. This reads
 	// live slots, so it runs before compaction moves them. A batch
 	// state's parent is already sealed, so its ref is final.
-	arenaBefore := int64(len(ss.blob)) + int64(len(ss.restarts)*4)
+	arenaBefore := int64(ss.size) + int64(len(ss.restarts)*4)
 	for _, ord := range g {
 		e := sh.entryAt(ord)
 		enc := v.encOfLive(e, e.meta)
@@ -777,7 +873,7 @@ func (v *visitedSet) sealShard(s int, d *sealedDecoder) residentDelta {
 		ss.appendEntry(enc, pw)
 		ss.indexInsert(uint32(h>>32), ss.count-1)
 	}
-	res.add(int64(len(ss.blob)) + int64(len(ss.restarts)*4) - arenaBefore)
+	res.add(int64(ss.size) + int64(len(ss.restarts)*4) - arenaBefore)
 	res.bumpPeak()
 
 	// Compact survivors down to position 0 (ascending, so dest ≤ src)
@@ -808,21 +904,21 @@ func (v *visitedSet) sealShard(s int, d *sealedDecoder) residentDelta {
 		}
 	}
 
-	// Release entry chunks beyond the survivors' needs. Chunk 0 lives in
-	// the set-wide shared backing and is never freed.
+	// Release entry chunks beyond the survivors' needs from the count;
+	// the shard keeps them for the next level's claims. Chunk 0 lives in
+	// the set-wide shared backing and stays counted.
 	needChunks := 1
 	if nSurv > 0 {
 		c, _ := chunkOf(nSurv - 1)
 		needChunks = c + 1
 	}
-	for c := needChunks; c < maxEntryChunks; c++ {
-		p := sh.chunks[c].Load()
-		if p == nil {
-			break
-		}
-		res.add(-int64(len(*p)) * 32)
-		sh.chunks[c].Store(nil)
+	for c := needChunks; c < sh.chunksUsed; c++ {
+		res.add(-int64(entryChunkBase<<c) * 32)
 	}
+	for c := sh.chunksUsed; c < maxEntryChunks && sh.chunks[c].Load() != nil; c++ {
+		sh.chunks[c].Store(nil) // kept from an earlier level, unused in this one
+	}
+	sh.chunksUsed = needChunks
 
 	// Rebuild the live index over the survivors. Capacity replays the
 	// insert-driven growth schedule from the initial size, so it is a
@@ -843,12 +939,13 @@ func (v *visitedSet) sealShard(s int, d *sealedDecoder) residentDelta {
 		cells = oldIdx
 		clear(cells)
 	} else {
-		cells = make([]uint64, newCells)
+		cells = v.tables.get(newCells)
 		res.add(int64(newCells) * 8)
 		res.bumpPeak()
 		if len(oldIdx) > initialIndexCells {
 			res.add(-int64(len(oldIdx)) * 8)
 		}
+		v.tables.put(oldIdx)
 	}
 	newBase := oldBase + uint32(len(g))
 	mask := uint32(newCells - 1)

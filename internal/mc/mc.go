@@ -349,14 +349,18 @@ type Stats struct {
 	// counted.
 	ProbeHist [8]uint64
 	// ResidentBytes is the visited set's exact resident footprint at
-	// search end (live entry slabs + probe indexes + interned overflow +
-	// the sealed tier + seal scratch); PeakResidentBytes is its
-	// high-water mark, including the transients where an old and a grown
-	// probe index are briefly both live. This is the number
-	// Options.MemBudget is enforced against. The one deliberate
-	// approximation: sealed arena slack capacity (bounded at ~25% by its
-	// growth policy) is not counted — the counter tracks bytes in use,
-	// which is also what survives a checkpoint round trip unchanged.
+	// search end (live entry slabs in use + probe indexes + interned
+	// overflow + the sealed tier + seal scratch); PeakResidentBytes is
+	// its high-water mark, including the transients where an old and a
+	// grown probe index are briefly both live. This is the number
+	// Options.MemBudget is enforced against. It counts bytes in use,
+	// which is also what survives a checkpoint round trip unchanged, and
+	// leaves out the spare storage the set keeps for reuse: the
+	// unwritten end of each shard's last sealed-arena block (under
+	// 64 KiB, or an eighth of the arena) plus the tail a block keeps when
+	// a restart group moves on, the entry chunks the last level filled
+	// beyond the current level's needs, and the pooled probe indexes the
+	// last two levels gave up.
 	// A distributed backend reports only ResidentBytes, as its workers'
 	// sum at the last level barrier (equal to the engine's there); the
 	// other visited-set fields stay zero.

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"ttastar/internal/experiments"
@@ -213,19 +214,25 @@ func TestSealedBudgetContrast(t *testing.T) {
 // The twin orders every closed level by key without going through seal,
 // so this checks the seal's migration, compaction and ref remapping. The
 // seal runs on two workers; TestSealParallelMatchesSerial pins that to
-// the serial seal.
+// the serial seal. It runs again with arena blocks capped at 24 bytes,
+// so that blocks split on nearly every restart group.
 func TestSealedTwinEveryLevel(t *testing.T) {
-	for _, nodes := range []int{4, 5} {
-		levels := mc.SealedTwinLevels(smallShiftModel(t, nodes), 2, func(level, badShard int, liveDiffers bool) {
-			if badShard >= 0 {
-				t.Fatalf("%d nodes level %d: shard %d arena differs from the sealed twin", nodes, level, badShard)
+	for _, blockMax := range []int{0, 24} {
+		if blockMax > 0 {
+			defer mc.SetArenaBlockMax(blockMax)()
+		}
+		for _, nodes := range []int{4, 5} {
+			levels := mc.SealedTwinLevels(smallShiftModel(t, nodes), 2, func(level, badShard int, liveDiffers bool) {
+				if badShard >= 0 {
+					t.Fatalf("%d nodes level %d, block cap %d: shard %d arena differs from the sealed twin", nodes, level, blockMax, badShard)
+				}
+				if liveDiffers {
+					t.Fatalf("%d nodes level %d, block cap %d: live tier differs from the unsealed run's", nodes, level, blockMax)
+				}
+			})
+			if levels < 10 {
+				t.Fatalf("%d nodes: only %d level boundaries checked", nodes, levels)
 			}
-			if liveDiffers {
-				t.Fatalf("%d nodes level %d: live tier differs from the unsealed run's", nodes, level)
-			}
-		})
-		if levels < 10 {
-			t.Fatalf("%d nodes: only %d level boundaries checked", nodes, levels)
 		}
 	}
 }
@@ -298,6 +305,48 @@ func BenchmarkCheckpointResume(b *testing.B) {
 		n, err := mc.ResumeCheckpoint(path)
 		if err != nil || n != f.States() {
 			b.Fatalf("resume: %d states, %v; want %d", n, err, f.States())
+		}
+	}
+}
+
+// TestSearchAllocationBounded: the visited set keeps the storage it has
+// paid for — arena blocks are appended, never regrown, live chunks and
+// probe indexes are reused across levels — so a whole search allocates
+// a small multiple of its counted peak, not the regrow-and-copy churn
+// that multiplied it (6.4× at one worker, 6.9× at two, when arenas were
+// regrown by copying and chunks and indexes dropped at every seal). The
+// reduced 5-node check runs at one and two workers; its counted peak is
+// pinned, unchanged by the reuse.
+//
+// It reads 2.7× at one worker and 3.3× at two. The floor is what
+// storage alone costs: every counted structure allocated once at its
+// largest (arena, sealed index, chunks and live indexes peak at
+// different levels, so together they already come to about 1.5× the
+// peak) and the index growth the count itself replays; then, outside
+// the set, each worker's model expander with its memo tables (0.64 MB
+// each at five nodes) and the per-level scratch — nextFrontier's sort
+// keys (two workers only), the successor counts and the frontier
+// buffers.
+func TestSearchAllocationBounded(t *testing.T) {
+	m := smallShiftModel(t, 5)
+	for _, w := range []int{1, 2} {
+		var st mc.Stats
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		res, err := mc.CheckTransitionInvariantBytes(m, m.PropertyBytes(),
+			mc.Options{Workers: w, Stats: func(s mc.Stats) { st = s }})
+		runtime.ReadMemStats(&after)
+		if err != nil || !res.Holds {
+			t.Fatalf("workers=%d: holds=%v err=%v", w, res.Holds, err)
+		}
+		if st.PeakResidentBytes != 2475181 {
+			t.Errorf("workers=%d: counted peak %d bytes, want 2475181", w, st.PeakResidentBytes)
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("workers=%d: allocated %d bytes, %.2f× the counted peak", w, alloc, float64(alloc)/float64(st.PeakResidentBytes))
+		if float64(alloc) > 3.5*float64(st.PeakResidentBytes) {
+			t.Errorf("workers=%d: the search allocated %d bytes, over 3.5× its counted peak of %d", w, alloc, st.PeakResidentBytes)
 		}
 	}
 }

@@ -177,8 +177,10 @@ type sealRec struct {
 type sealTwin struct {
 	v       *visitedSet
 	workers int
-	refs    []uint32
-	pending [2][]uint32 // claimed since the last seal, and the batch before
+	// afterSeal, when set, runs after each of the twin's seals.
+	afterSeal func(*visitedSet)
+	refs      []uint32
+	pending   [2][]uint32 // claimed since the last seal, and the batch before
 }
 
 // runSealScenario drives one visited set per entry of workers through
@@ -194,11 +196,20 @@ type sealTwin struct {
 // rewrote, and in its resident and peak byte counts.
 func runSealScenario(t *testing.T, seed uint64, maxLen, batch uint8, workers ...int) ([]sealRec, []*sealTwin) {
 	t.Helper()
-	maxLen, batch = max(maxLen, 1), max(batch, 1)
-	const n = 600
 	twins := make([]*sealTwin, len(workers))
 	for i, w := range workers {
-		twins[i] = &sealTwin{v: newVisitedSet(n+1, allShards), workers: w}
+		twins[i] = &sealTwin{workers: w}
+	}
+	return runSealTwins(t, 600, seed, maxLen, int(batch), twins), twins
+}
+
+// runSealTwins is runSealScenario over n states and the given twins,
+// whose sets it makes.
+func runSealTwins(t *testing.T, n int, seed uint64, maxLen uint8, batch int, twins []*sealTwin) []sealRec {
+	t.Helper()
+	maxLen, batch = max(maxLen, 1), max(batch, 1)
+	for _, tw := range twins {
+		tw.v = newVisitedSet(n+1, allShards)
 	}
 	var pc probeCounter
 
@@ -212,6 +223,9 @@ func runSealScenario(t *testing.T, seed uint64, maxLen, batch uint8, workers ...
 	}
 	seal := func(batch []uint32, tw *sealTwin) {
 		tw.v.seal(tw.workers, batch, tw.refs, tw.pending[0])
+		if tw.afterSeal != nil {
+			tw.afterSeal(tw.v)
+		}
 	}
 	boundary := func(final bool) {
 		for _, tw := range twins {
@@ -261,12 +275,12 @@ func runSealScenario(t *testing.T, seed uint64, maxLen, batch uint8, workers ...
 		}
 		key++
 		recs = append(recs, rec)
-		if len(twins[0].pending[0]) >= int(batch) {
+		if len(twins[0].pending[0]) >= batch {
 			boundary(false)
 		}
 	}
 	boundary(true)
-	return recs, twins
+	return recs
 }
 
 // requireSameSealTwins fails unless b's visited set and refs are
@@ -297,7 +311,7 @@ func requireSameSealTwins(t *testing.T, a, b *sealTwin) {
 			}
 		}
 		ta, tb := &sa.sealed, &sb.sealed
-		if ta.count != tb.count || !bytes.Equal(ta.blob, tb.blob) ||
+		if ta.count != tb.count || ta.size != tb.size || !reflect.DeepEqual(ta.blocks, tb.blocks) ||
 			!reflect.DeepEqual(ta.restarts, tb.restarts) || !reflect.DeepEqual(ta.index, tb.index) {
 			t.Fatalf("workers %d vs %d, shard %d: sealed tier differs", a.workers, b.workers, s)
 		}
@@ -315,6 +329,14 @@ func TestSealParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// sealedTierSeeds are FuzzSealedTier's seed scenarios: short encodings
+// in mid-sized batches, one-state batches, long shared prefixes in large
+// batches, and interned encodings.
+var sealedTierSeeds = []struct {
+	seed          uint64
+	maxLen, batch uint8
+}{{1, 3, 40}, {0xdeadbeef, 16, 1}, {42, 24, 200}, {7, 255, 90}}
+
 // FuzzSealedTier feeds seal scenarios (runSealScenario) through a
 // 1-worker and a 4-worker twin, which must stay byte-identical, and
 // cross-checks the serial twin against
@@ -324,10 +346,9 @@ func TestSealParallelMatchesSerial(t *testing.T) {
 // encoding-only one (find's confirm) side by side, which must agree on
 // every ordinal.
 func FuzzSealedTier(f *testing.F) {
-	f.Add(uint64(1), uint8(3), uint8(40))
-	f.Add(uint64(0xdeadbeef), uint8(16), uint8(1))
-	f.Add(uint64(42), uint8(24), uint8(200))
-	f.Add(uint64(7), uint8(255), uint8(90))
+	for _, sd := range sealedTierSeeds {
+		f.Add(sd.seed, sd.maxLen, sd.batch)
+	}
 	f.Fuzz(func(t *testing.T, seed uint64, maxLen uint8, batch uint8) {
 		recs, twins := runSealScenario(t, seed, maxLen, batch, 1, 4)
 		checkSealedRecords(t, twins[0], recs, int(max(maxLen, 1)))
@@ -375,7 +396,9 @@ func checkSealedRecords(t *testing.T, tw *sealTwin, recs []sealRec, maxEnc int) 
 			if err := checked.stepChecked(maxEnc); err != nil {
 				t.Fatalf("shard %d ord %d: %v", s, ord, err)
 			}
+			trusted.seat()
 			trusted.step()
+			encOnly.seat()
 			encOnly.skipStep()
 			if !bytes.Equal(trusted.enc, checked.enc) || trusted.pw != checked.pw || trusted.off != checked.off {
 				t.Fatalf("shard %d ord %d: step decodes (%q, %d, off %d), stepChecked (%q, %d, off %d)",
@@ -386,8 +409,8 @@ func checkSealedRecords(t *testing.T, tw *sealTwin, recs []sealRec, maxEnc int) 
 					s, ord, encOnly.enc, encOnly.off, checked.enc, checked.off)
 			}
 		}
-		if checked.off != len(ss.blob) {
-			t.Fatalf("shard %d: decode consumed %d of %d blob bytes", s, checked.off, len(ss.blob))
+		if n := checked.unread(); n != 0 {
+			t.Fatalf("shard %d: decode left %d of %d arena bytes unread", s, n, ss.size)
 		}
 	}
 }
@@ -439,13 +462,16 @@ func TestResidentAccountingMemStats(t *testing.T) {
 	if counted <= 0 || measured <= 0 {
 		t.Fatalf("degenerate measurement: counted=%d measured=%d", counted, measured)
 	}
-	// The one documented approximation is arena slack (blob counted by
-	// len, allocated by cap: ≤ 25% + a 4KiB floor), so counted may sit
-	// below measured; HeapInuse granularity and test-held slices push
-	// the other way. Either way the two must stay the same magnitude.
+	// Counted bytes are allocated bytes, so the ratio stays below 1
+	// unless something is counted twice. What keeps it below: the intern
+	// map's buckets, spare storage kept for reuse (the unwritten end of
+	// each shard's last arena block, the entry chunks and probe indexes
+	// the last level used) and heap span granularity. Over 20 runs, and
+	// 5 under the race detector, it read 0.72 to 0.78.
 	ratio := float64(counted) / float64(measured)
-	if ratio < 0.5 || ratio > 1.5 {
-		t.Errorf("resident accounting %d vs heap growth %d (ratio %.2f) outside [0.5, 1.5]",
+	t.Logf("resident accounting %d vs heap growth %d: ratio %.3f", counted, measured, ratio)
+	if ratio < 0.7 || ratio > 0.85 {
+		t.Errorf("resident accounting %d vs heap growth %d (ratio %.2f) outside [0.7, 0.85]",
 			counted, measured, ratio)
 	}
 }
@@ -568,11 +594,14 @@ func TestCheckpointV5CorruptionDetected(t *testing.T) {
 // parent words.
 func arenaRecords(t *testing.T, sn *sealedShardSnap) (encs [][]byte, pws []uint64) {
 	t.Helper()
-	ss := &sealedShard{count: sn.count, blob: sn.blob, restarts: sn.restarts}
+	var ss sealedShard
+	if err := ss.adopt(sn.count, sn.pieces, sn.restarts); err != nil {
+		t.Fatal(err)
+	}
 	var d sealedDecoder
-	d.startAt(ss, 0)
+	d.startAt(&ss, 0)
 	for d.ord < ss.count {
-		if err := d.stepChecked(len(ss.blob)); err != nil {
+		if err := d.stepChecked(ss.size); err != nil {
 			t.Fatal(err)
 		}
 		encs = append(encs, append([]byte(nil), d.enc...))
@@ -587,7 +616,7 @@ func setArena(sn *sealedShardSnap, encs [][]byte, pws []uint64) {
 	for i := range encs {
 		ss.appendEntry(encs[i], pws[i])
 	}
-	*sn = sealedShardSnap{count: ss.count, restarts: ss.restarts, blob: ss.blob}
+	*sn = ss.snap()
 }
 
 // TestSealedSnapStructuralCorruption mutates a parsed v5 snapshot past
@@ -627,7 +656,8 @@ func TestSealedSnapStructuralCorruption(t *testing.T) {
 
 	check("truncated-blob", "invalid sealed-arena record", func(s5 *sealedSnap) {
 		a, _ := busiest(s5)
-		s5.shards[a].blob = s5.shards[a].blob[:len(s5.shards[a].blob)-1]
+		p := s5.shards[a].pieces
+		p[len(p)-1] = p[len(p)-1][:len(p[len(p)-1])-1]
 	})
 	check("dangling-parent", "parent ref beyond sealed tier", func(s5 *sealedSnap) {
 		for i := range s5.live {

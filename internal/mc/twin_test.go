@@ -55,7 +55,7 @@ func (v *visitedSet) sealedTwin(frontier []uint32, shards *[numShards]sealedShar
 			}
 			ss.appendEntry(v.encOfLive(e, e.meta), pw)
 		}
-		shards[si] = sealedShardSnap{count: ss.count, restarts: ss.restarts, blob: ss.blob}
+		shards[si] = ss.snap()
 	}
 	return remap
 }
