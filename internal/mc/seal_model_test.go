@@ -312,9 +312,8 @@ func BenchmarkCheckpointResume(b *testing.B) {
 // TestSearchAllocationBounded: the visited set keeps the storage it has
 // paid for — arena blocks are appended, never regrown, live chunks and
 // probe indexes are reused across levels — so a whole search allocates
-// a small multiple of its counted peak, not the regrow-and-copy churn
-// that multiplied it (6.4× at one worker, 6.9× at two, when arenas were
-// regrown by copying and chunks and indexes dropped at every seal). The
+// a small multiple of its counted peak: regrowing arenas by copying and
+// dropping chunks and indexes at every seal would push it past 6×. The
 // reduced 5-node check runs at one and two workers; its counted peak is
 // pinned, unchanged by the reuse.
 //
